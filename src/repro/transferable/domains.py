@@ -8,6 +8,10 @@ truncate — "the problem is not byte order, but precision".
 All integer domains use big-endian two's-complement encodings; floats use
 IEEE-754 binary32/binary64.  Encoding a value that falls outside the domain
 raises :class:`repro.errors.LossyMappingError`.
+
+A domain whose width ``struct`` knows carries that format code in
+:attr:`Domain.fmt`; the wire codec uses it to write a whole vector of
+same-domain values with one call (see :mod:`repro.transferable.wire`).
 """
 
 from __future__ import annotations
@@ -35,10 +39,18 @@ class Domain:
     Attributes:
         name: canonical domain name (``"int16"``, ``"float32"``, ...).
         width_bytes: encoded width in bytes.
+        fmt: ``struct`` format code of one value, or None when ``struct``
+            has no code of this width (the 128-bit integers).
     """
 
     name: str
     width_bytes: int
+    fmt: str | None = None
+
+    def __post_init__(self) -> None:
+        # Compiled once per domain: the canonical big-endian codec.
+        codec = struct.Struct(">" + self.fmt) if self.fmt else None
+        object.__setattr__(self, "_struct", codec)
 
     def contains(self, value: object) -> bool:
         """Return True when *value* is losslessly representable."""
@@ -62,6 +74,7 @@ class Domain:
 class IntDomain(Domain):
     """A signed or unsigned fixed-width integer domain."""
 
+    fmt: str | None = field(init=False, default=None)  # derived from the width
     signed: bool = True
     lo: int = field(init=False)
     hi: int = field(init=False)
@@ -74,6 +87,10 @@ class IntDomain(Domain):
         else:
             object.__setattr__(self, "lo", 0)
             object.__setattr__(self, "hi", (1 << bits) - 1)
+        codes = "bhiq" if self.signed else "BHIQ"
+        index = {1: 0, 2: 1, 4: 2, 8: 3}.get(self.width_bytes)
+        object.__setattr__(self, "fmt", None if index is None else codes[index])
+        super().__post_init__()
 
     def contains(self, value: object) -> bool:
         # bool is an int subclass in Python; it belongs to BoolDomain only.
@@ -119,19 +136,21 @@ class FloatDomain(Domain):
 
     def pack(self, value: object) -> bytes:
         self.check(value)
-        return struct.pack(">" + self.fmt, value)
+        return self._struct.pack(value)
 
     def unpack(self, data: bytes) -> float:
         if len(data) != self.width_bytes:
             raise DecodingError(
                 f"{self.name}: expected {self.width_bytes} bytes, got {len(data)}"
             )
-        return struct.unpack(">" + self.fmt, data)[0]
+        return self._struct.unpack(data)[0]
 
 
 @dataclass(frozen=True)
 class BoolDomain(Domain):
     """The two-valued boolean domain, encoded as a single byte."""
+
+    fmt: str = "?"
 
     def contains(self, value: object) -> bool:
         return isinstance(value, bool)

@@ -12,6 +12,13 @@ to the existing id.  The result is a flat node table in which container
 payloads hold child *ids* rather than inline children, so cycles and shared
 substructure cost nothing special.
 
+A list or tuple whose elements all have one fixed-width leaf type — bare
+``float``, ``int`` (within int64) or ``bool``, or one fixed-width
+:class:`Scalar` class — is a *packed vector*: still one node with an id
+(so a row referenced twice is one object, and a matrix is a ``LIST`` of
+packed rows), but it holds the element values themselves instead of one
+child id per element.  Anything else takes the per-element path.
+
 De-linearization is two-phase: mutable containers (lists, dicts, sets,
 structs) are first created as empty shells so that ids can resolve to object
 identities, then populated; immutable containers (tuples, frozensets) are
@@ -28,10 +35,19 @@ import enum
 from dataclasses import dataclass, field
 
 from repro.errors import DecodingError, EncodingError
+from repro.transferable.domains import DOMAINS, Domain
 from repro.transferable.registry import TransferableRegistry, default_registry
 from repro.transferable.scalars import SCALAR_TYPES, Scalar
 
-__all__ = ["NodeKind", "Node", "LinearGraph", "Linearizer", "Delinearizer"]
+__all__ = [
+    "NodeKind",
+    "Node",
+    "LinearGraph",
+    "PackedElement",
+    "PACKED_ELEMENTS",
+    "Linearizer",
+    "Delinearizer",
+]
 
 
 class NodeKind(enum.IntEnum):
@@ -50,8 +66,11 @@ class NodeKind(enum.IntEnum):
     FROZENSET = 0x23
     DICT = 0x24
     STRUCT = 0x25
+    PACKED_LIST = 0x30  # homogeneous fixed-width elements held by value
+    PACKED_TUPLE = 0x31
 
 
+# Kinds that reference no other node, so they can be built in one step.
 _LEAF_KINDS = frozenset(
     {
         NodeKind.NONE,
@@ -61,7 +80,45 @@ _LEAF_KINDS = frozenset(
         NodeKind.NATIVE_STR,
         NodeKind.NATIVE_BYTES,
         NodeKind.SCALAR,
+        NodeKind.PACKED_LIST,
+        NodeKind.PACKED_TUPLE,
     }
+)
+
+
+@dataclass(frozen=True, eq=False)  # one instance per type: identity is equality
+class PackedElement:
+    """The one element type of a packed vector.
+
+    Attributes:
+        kind: leaf kind of each element (its tag is reused on the wire).
+        domain: absolute domain whose fixed-width codec the body uses.
+        scalar: the :class:`Scalar` class of the elements, None for bare
+            Python values.
+        name: that class's ``SCALAR_TYPES`` name, None for bare values.
+    """
+
+    kind: NodeKind
+    domain: Domain
+    scalar: type[Scalar] | None = None
+    name: str | None = None
+
+
+#: Exact element type -> packed representation.  Bare values map to the
+#: domain that holds every value the per-element encoding of that type can
+#: (floats) or that ``struct`` can write in one call (ints: int64, wider
+#: values fall back); scalar classes qualify when their domain has a
+#: ``struct`` code and they keep the fixed-width codec (String/Blob
+#: replace it, the 128-bit integers have no code).
+PACKED_ELEMENTS: dict[type, PackedElement] = {
+    bool: PackedElement(NodeKind.NATIVE_BOOL, DOMAINS["bool"]),
+    int: PackedElement(NodeKind.NATIVE_INT, DOMAINS["int64"]),
+    float: PackedElement(NodeKind.NATIVE_FLOAT, DOMAINS["float64"]),
+}
+PACKED_ELEMENTS.update(
+    (cls, PackedElement(NodeKind.SCALAR, cls.domain, cls, name))
+    for name, cls in SCALAR_TYPES.items()
+    if cls.pack is Scalar.pack and cls.domain.fmt
 )
 
 
@@ -74,7 +131,10 @@ class Node:
     * leaf kinds: the native value, or ``(domain_name, value)`` for SCALAR;
     * LIST/TUPLE/SET/FROZENSET: list of child ids;
     * DICT: list of ``(key_id, value_id)`` pairs;
-    * STRUCT: ``(struct_name, [(field_name, child_id), ...])``.
+    * STRUCT: ``(struct_name, [(field_name, child_id), ...])``;
+    * PACKED_LIST/PACKED_TUPLE: ``(PackedElement, values)`` — a tuple of
+      the elements' domain values (a scalar's wrapped value, not the
+      wrapper).
     """
 
     kind: NodeKind
@@ -189,7 +249,13 @@ class Linearizer:
     ) -> None:
         """Append the container's node and queue its children."""
         if isinstance(obj, (list, tuple)):
-            kind = NodeKind.LIST if isinstance(obj, list) else NodeKind.TUPLE
+            is_list = isinstance(obj, list)
+            packed = self._packed_payload(obj)
+            if packed is not None:
+                kind = NodeKind.PACKED_LIST if is_list else NodeKind.PACKED_TUPLE
+                graph.nodes.append(Node(kind, packed))
+                return
+            kind = NodeKind.LIST if is_list else NodeKind.TUPLE
             ids: list = [0] * len(obj)
             graph.nodes.append(Node(kind, ids))
             for i in range(len(obj) - 1, -1, -1):
@@ -225,12 +291,40 @@ class Linearizer:
             f"with @transferable_struct or wrap it in a scalar"
         )
 
+    def _packed_payload(self, seq: list | tuple) -> tuple | None:
+        """``(element, values)`` when *seq* is a packed vector, else None.
+
+        None sends the sequence down the per-element path, which also owns
+        every error message: a bare number under strict domains is refused
+        there, not here.
+        """
+        if not seq:
+            return None
+        element = PACKED_ELEMENTS.get(type(seq[0]))
+        if element is None or len(set(map(type, seq))) != 1:
+            return None
+        if element.scalar is not None:
+            return element, tuple([item._value for item in seq])
+        kind = element.kind
+        if self.strict_domains and kind is not NodeKind.NATIVE_BOOL:
+            return None
+        if kind is NodeKind.NATIVE_INT and not (
+            element.domain.lo <= min(seq) and max(seq) <= element.domain.hi
+        ):
+            return None
+        return element, tuple(seq)
+
+
+_SCALAR_NAMES = {cls: name for name, cls in SCALAR_TYPES.items()}
+
 
 def _scalar_domain_name(obj: Scalar) -> str:
-    for name, cls in SCALAR_TYPES.items():
-        if type(obj) is cls:
-            return name
-    raise EncodingError(f"unregistered scalar type {type(obj).__qualname__}")
+    try:
+        return _SCALAR_NAMES[type(obj)]
+    except KeyError:
+        raise EncodingError(
+            f"unregistered scalar type {type(obj).__qualname__}"
+        ) from None
 
 
 def _set_sort_key(item: object) -> tuple:
@@ -398,6 +492,19 @@ class Delinearizer:
             if isinstance(value, Scalar):
                 return value
             return cls(value)
+        if kind is NodeKind.PACKED_LIST or kind is NodeKind.PACKED_TUPLE:
+            payload = node.payload
+            if (
+                not isinstance(payload, tuple)
+                or len(payload) != 2
+                or not isinstance(payload[0], PackedElement)
+            ):
+                raise DecodingError(f"node {idx}: malformed packed payload")
+            element, values = payload
+            if element.scalar is not None:
+                # Rebuilding each wrapper re-applies its domain check.
+                values = map(element.scalar._from_domain, values)
+            return list(values) if kind is NodeKind.PACKED_LIST else tuple(values)
         return node.payload
 
 

@@ -14,6 +14,7 @@ knows how to :meth:`~Scalar.pack` itself to bytes and the class method
 
 from __future__ import annotations
 
+import struct
 from typing import ClassVar
 
 from repro.errors import DecodingError, LossyMappingError
@@ -91,7 +92,16 @@ class Scalar:
     @classmethod
     def unpack(cls, data: bytes) -> "Scalar":
         """Decode a fixed-width payload back into a scalar instance."""
-        return cls(cls.domain.unpack(data))
+        return cls._from_domain(cls.domain.unpack(data))
+
+    @classmethod
+    def _from_domain(cls, raw: object) -> "Scalar":
+        """Hook: rebuild (and so re-validate) from a decoded domain value.
+
+        Shared by :meth:`unpack` and the packed-vector decoder, which
+        unpacks a whole body of domain values with one call.
+        """
+        return cls(raw)
 
 
 def _make_scalar(name: str, domain_name: str) -> type[Scalar]:
@@ -127,9 +137,10 @@ class Float32(Scalar):
 
     @classmethod
     def _canonicalize(cls, value: object) -> float:
-        import struct as _s
+        return _BINARY32.unpack(_BINARY32.pack(value))[0]
 
-        return _s.unpack(">f", _s.pack(">f", value))[0]
+
+_BINARY32 = struct.Struct(">f")
 
 
 class Char(Scalar):
@@ -151,12 +162,11 @@ class Char(Scalar):
         return f"Char({chr(self._value)!r})"
 
     @classmethod
-    def unpack(cls, data: bytes) -> "Char":
-        code = cls.domain.unpack(data)
-        assert isinstance(code, int)
-        if code > 0x10FFFF:
-            raise DecodingError(f"char: code point {code:#x} out of range")
-        return cls(chr(code))
+    def _from_domain(cls, raw: object) -> "Char":
+        assert isinstance(raw, int)
+        if raw > 0x10FFFF:
+            raise DecodingError(f"char: code point {raw:#x} out of range")
+        return cls(chr(raw))
 
 
 class String(Scalar):

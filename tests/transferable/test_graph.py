@@ -81,16 +81,20 @@ class TestSharingAndCycles:
         for _ in range(200):
             obj = [obj]
         graph = Linearizer().linearize(obj)
-        assert len(graph) == 201
+        # 200 lists; the innermost, [0], is a packed vector holding its int.
+        assert len(graph) == 200
         assert roundtrip(obj) == obj
 
     def test_diamond_sharing_node_count(self):
         """Shared nodes are encoded once (spanning tree, not a copy tree)."""
-        shared = [1, 2, 3]
+        shared = [1, "two", 3.0]
         obj = [shared, shared, shared]
         graph = Linearizer().linearize(obj)
-        # 1 outer + 1 shared list + 3 ints.
+        # 1 outer + 1 shared list + 3 leaves.
         assert len(graph) == 5
+        # Same-typed elements pack into the shared list's own node.
+        row = [1, 2, 3]
+        assert len(Linearizer().linearize([row, row, row])) == 2
 
 
 class TestStructs:

@@ -5,9 +5,10 @@ import dataclasses
 import pytest
 
 from repro.errors import DecodingError
+from repro.transferable.graph import NodeKind
 from repro.transferable.registry import TransferableRegistry
-from repro.transferable.scalars import Float32, Int16, Int64, String
-from repro.transferable.wire import MAGIC, decode, encode, encoded_size
+from repro.transferable.scalars import Bool, Char, Float32, Int16, Int64, String
+from repro.transferable.wire import MAGIC, decode, encode, encoded_size, parse_graph
 
 
 class TestRoundtrip:
@@ -120,3 +121,107 @@ class TestSizes:
         aliased = [shared, shared]
         copied = [list(range(100)), list(range(100))]
         assert len(encode(aliased)) < len(encode(copied))
+
+
+# magic "DM", version 1, one node, root 0.
+_ONE_NODE = "444d01" "00000001" "00000000"
+
+
+class TestPackedVectors:
+    """Homogeneous fixed-width sequences travel as one node (wire.py docstring)."""
+
+    def test_float_row_is_one_node(self):
+        row = [100.0 + 0.5 * j for j in range(256)]
+        data = encode(row)
+        graph = parse_graph(data)
+        assert [node.kind for node in graph.nodes] == [NodeKind.PACKED_LIST]
+        assert len(data) <= 2100
+        assert decode(data) == row
+
+    def test_golden_float_vector(self):
+        # Big-endian binary64 whatever sys.byteorder says.
+        expected = bytes.fromhex(
+            _ONE_NODE + "30" "03" "00000002" "3ff8000000000000" "c000000000000000"
+        )
+        assert encode([1.5, -2.0]) == expected
+        assert decode(expected) == [1.5, -2.0]
+
+    def test_golden_int_vector(self):
+        # Big-endian two's-complement int64; a tuple keeps its own tag.
+        expected = bytes.fromhex(
+            _ONE_NODE + "31" "02" "00000003"
+            "0000000000000001" "fffffffffffffffe" "7fffffffffffffff"
+        )
+        assert encode((1, -2, (1 << 63) - 1)) == expected
+        assert decode(expected) == (1, -2, (1 << 63) - 1)
+
+    def test_golden_scalar_vector(self):
+        # SCALAR element tag is followed by the domain name, as in a SCALAR node.
+        expected = bytes.fromhex(
+            _ONE_NODE + "30" "10" "05" + b"int16".hex() + "00000002" "0001" "fffe"
+        )
+        assert encode([Int16(1), Int16(-2)]) == expected
+        assert decode(expected) == [Int16(1), Int16(-2)]
+
+    def test_pre_change_float_row_still_decodes(self):
+        # encode([1.5, -0.0, 2.25, inf]) as written before packed nodes
+        # existed: a LIST of four child ids plus four NATIVE_FLOAT nodes.
+        # WAL segments and snapshots hold streams like this one.
+        old = bytes.fromhex(
+            "444d0100000005000000002000000004000000010000000200000003"
+            "00000004033ff8000000000000038000000000000000034002000000"
+            "000000037ff0000000000000"
+        )
+        out = decode(old)
+        assert out == [1.5, -0.0, 2.25, float("inf")]
+        assert str(out[1]) == "-0.0"
+        assert decode(encode(out)) == out
+
+    def test_int_outside_int64_falls_back(self):
+        for row in ([1, 1 << 63], [-(1 << 63) - 1, 0]):
+            data = encode(row)
+            assert parse_graph(data).nodes[0].kind is NodeKind.LIST
+            assert decode(data) == row
+
+    def test_truncated_body_rejected(self):
+        data = encode([1.0, 2.0, 3.0])
+        for cut in (1, 8, 23):
+            with pytest.raises(DecodingError, match="truncated"):
+                decode(data[:-cut])
+
+    def test_hostile_count_rejected_before_allocation(self):
+        data = bytearray(encode([1.0, 2.0]))
+        data[13:17] = (0xFFFFFFFF).to_bytes(4, "big")  # count × 8 ≫ buffer
+        with pytest.raises(DecodingError, match="truncated"):
+            decode(bytes(data))
+
+    def test_unknown_element_tag_rejected(self):
+        data = bytearray(encode([1.0, 2.0]))
+        assert data[12] == NodeKind.NATIVE_FLOAT
+        data[12] = NodeKind.NATIVE_STR  # a leaf kind, but not fixed-width
+        with pytest.raises(DecodingError, match="packed element"):
+            decode(bytes(data))
+
+    def test_unknown_domain_name_rejected(self):
+        data = encode([Int16(1)]).replace(b"int16", b"int17")
+        with pytest.raises(DecodingError, match="packed element"):
+            decode(data)
+        # A variable-width scalar never has a packed form either.
+        data = encode([Int16(1)]).replace(b"\x05int16", b"\x06string")
+        with pytest.raises(DecodingError, match="packed element"):
+            decode(data)
+
+    def test_bad_bool_byte_rejected(self):
+        for row in ([True, False], [Bool(True), Bool(False)]):
+            data = bytearray(encode(row))
+            assert decode(bytes(data)) == row
+            data[-1] = 2
+            with pytest.raises(DecodingError, match="bool"):
+                decode(bytes(data))
+
+    def test_char_domain_check_survives_packing(self):
+        data = bytearray(encode([Char("a"), Char("b")]))
+        assert decode(bytes(data)) == [Char("a"), Char("b")]
+        data[-4:] = (0x110000).to_bytes(4, "big")
+        with pytest.raises(DecodingError, match="code point"):
+            decode(bytes(data))
