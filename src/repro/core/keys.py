@@ -130,6 +130,20 @@ class FolderName:
             object.__setattr__(self, "_canonical", cached)
         return cached
 
+    def __hash__(self) -> int:
+        """The dataclass field hash, computed once per instance.
+
+        A folder name keys the routing cache, the folder table and the
+        waiter table on every request, and the generated hash walks
+        ``Key`` and ``Symbol`` each time.
+        """
+        try:
+            return self._hash
+        except AttributeError:
+            cached = hash((self.app, self.key))
+            object.__setattr__(self, "_hash", cached)
+            return cached
+
     def __str__(self) -> str:
         return f"{self.app}:{self.key}"
 

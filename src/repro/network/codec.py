@@ -51,6 +51,7 @@ for any type without a registered compact spec.
 from __future__ import annotations
 
 import struct
+import threading
 from typing import Callable
 
 from repro.core.keys import FolderName, Key, Symbol
@@ -67,6 +68,7 @@ __all__ = [
     "decode_message",
     "decode_tagged",
     "split_correlated",
+    "folder_intern_stats",
 ]
 
 COMPACT_MAGIC = b"DC"
@@ -180,6 +182,95 @@ def _w_tlv(out: bytearray, value: object) -> None:
 # ---------------------------------------------------------------------------
 
 
+#: Decoded folder fields by their raw wire bytes.  An application names a
+#: small fixed vocabulary of folders again and again, so each is parsed,
+#: validated, hashed and canonicalised once per process rather than once
+#: per hop.  Only fields that passed the validating parse are ever
+#: inserted; when the cap is reached the table is cleared, not evicted.
+_FOLDERS: dict[bytes, FolderName] = {}
+
+#: Entry cap.  One entry is the key bytes plus a FolderName/Key/Symbol
+#: with their strings, cached hash and canonical form: 0.83 KiB measured
+#: for an ``app, symbol, [i]`` name, so a full table is about 0.85 MiB
+#: (under 1 % of ``ingest``'s ``peak_rss_mb``, whose 576 folders are the
+#: most any benchmark workload names; the ~28 MiB workloads name 66).
+#: Fields longer than ``_FOLDER_INTERN_MAX_FIELD`` bytes are decoded
+#: every time and never kept, which makes the bound hold for any peer:
+#: at most ~2 KiB an entry, 2 MiB in all.
+_FOLDER_INTERN_CAP = 1024
+_FOLDER_INTERN_MAX_FIELD = 64
+
+_intern_lock = threading.Lock()
+_intern_misses = 0
+
+
+def _intern_folder(raw: bytes, folder: FolderName) -> None:
+    """Record a freshly validated folder field (the miss path only)."""
+    global _intern_misses
+    with _intern_lock:
+        _intern_misses += 1
+        if len(raw) > _FOLDER_INTERN_MAX_FIELD:
+            return
+        if len(_FOLDERS) >= _FOLDER_INTERN_CAP:
+            _FOLDERS.clear()
+        _FOLDERS[raw] = folder
+
+
+def folder_intern_stats() -> dict[str, int]:
+    """Table size and the count of folder fields decoded the slow way.
+
+    Hits are not counted (that is what keeps them free): traffic that
+    repeats its folder names shows a miss count that stops growing.
+    """
+    with _intern_lock:
+        return {
+            "folder_intern_size": len(_FOLDERS),
+            "folder_intern_misses": _intern_misses,
+        }
+
+
+def _folder_end(data: memoryview, pos: int) -> int:
+    """Offset just past the folder field at *pos*, or -1 if not delimitable.
+
+    Follows the length prefixes only (two strings, then a counted run of
+    varints) and validates nothing; -1 sends the caller to the validating
+    parse, which raises the precise error.
+    """
+    try:
+        for _ in (0, 1):  # app, symbol: uvarint byte length + bytes
+            n = data[pos]
+            pos += 1
+            if n >= 0x80:
+                n, pos = _uv_tail(data, pos, n)
+            pos += n
+        n = data[pos]
+        pos += 1
+        if n >= 0x80:
+            n, pos = _uv_tail(data, pos, n)
+        for _ in range(n):
+            while data[pos] >= 0x80:
+                pos += 1
+            pos += 1
+    except (IndexError, DecodingError):
+        return -1
+    return pos if pos <= len(data) else -1
+
+
+def _uv_tail(data: memoryview, pos: int, first: int) -> tuple[int, int]:
+    """Finish a multi-byte uvarint whose first byte was *first*."""
+    result = first & 0x7F
+    shift = 7
+    while True:
+        b = data[pos]
+        pos += 1
+        result |= (b & 0x7F) << shift
+        if b < 0x80:
+            return result, pos
+        shift += 7
+        if shift > 63:
+            raise DecodingError("varint exceeds 64 bits")
+
+
 class _Reader:
     """Bounds-checked cursor over a compact frame body."""
 
@@ -211,21 +302,15 @@ class _Reader:
         # correlation ids early in a connection's life) fits one byte.
         pos = self.pos
         data = self.data
-        if pos < len(data):
+        try:
             b = data[pos]
             if b < 0x80:
                 self.pos = pos + 1
                 return b
-        result = 0
-        shift = 0
-        while True:
-            b = self.u8()
-            result |= (b & 0x7F) << shift
-            if not b & 0x80:
-                return result
-            shift += 7
-            if shift > 63:
-                raise DecodingError("varint exceeds 64 bits")
+            result, self.pos = _uv_tail(data, pos + 1, b)
+        except IndexError:
+            raise DecodingError("truncated compact frame: wanted 1 byte") from None
+        return result
 
     def r_str(self) -> str:
         n = self.uv()
@@ -264,6 +349,22 @@ class _Reader:
         return _F64.unpack(self.take(8))[0]
 
     def r_folder(self) -> FolderName:
+        """Read a folder field, shared per distinct wire spelling.
+
+        The field's extent is found from its length prefixes alone and
+        its raw bytes looked up in :data:`_FOLDERS`.  A miss — including
+        every field the skip cannot delimit — takes the validating parse
+        below and is inserted only once that has succeeded, so a hit
+        always returns what parsing these exact bytes returned before.
+        """
+        data = self.data
+        start = self.pos
+        end = _folder_end(data, start)
+        raw = bytes(data[start:end]) if end > 0 else None  # None: never a key
+        folder = _FOLDERS.get(raw)
+        if folder is not None:
+            self.pos = end
+            return folder
         app = self.r_str()
         symbol = self.r_str()
         n = self.uv()
@@ -273,7 +374,10 @@ class _Reader:
             index = (self.uv(),)
         else:
             index = tuple(self.uv() for _ in range(n))
-        return FolderName(app, Key(Symbol(symbol), index))
+        folder = FolderName(app, Key(Symbol(symbol), index))
+        if self.pos == end:  # the parse consumed exactly the bytes looked up
+            _intern_folder(raw, folder)
+        return folder
 
     def r_opt_folder(self) -> FolderName | None:
         if self.u8() == 0:

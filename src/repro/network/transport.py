@@ -16,7 +16,7 @@ from __future__ import annotations
 import queue
 import threading
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.errors import CommunicationError, ConnectionClosedError
 from repro.network.connection import Address, Connection, Listener, Transport
@@ -47,6 +47,12 @@ class _LinkCounter:
         self.messages = 0
         self.bytes = 0
 
+    def add(self, nbytes: int) -> None:
+        """Account one message of *nbytes*."""
+        with self.lock:
+            self.messages += 1
+            self.bytes += nbytes
+
 
 class NetworkFabric:
     """The simulated medium: listeners, latency, and traffic accounting."""
@@ -64,9 +70,15 @@ class NetworkFabric:
     # -- latency configuration ----------------------------------------------
 
     def set_latency(self, host_a: str, host_b: str, seconds: float) -> None:
-        """Set symmetric link latency between two hosts."""
+        """Set symmetric link latency between two hosts.
+
+        A host's loopback is not a link: a same-host pair is never
+        stored, so every reader of the table sees 0 for it.
+        """
         if seconds < 0:
             raise CommunicationError(f"latency must be >= 0, got {seconds}")
+        if host_a == host_b:
+            return
         with self._lock:
             self._latency[(host_a, host_b)] = seconds
             self._latency[(host_b, host_a)] = seconds
@@ -74,11 +86,9 @@ class NetworkFabric:
     def latency(self, host_a: str, host_b: str) -> float:
         """Current latency between two hosts (0 when unset or same host).
 
-        Lock-free: a single dict read is atomic under the GIL, and this
-        sits on the per-message send path of every connection.
+        Lock-free: a single dict read is atomic under the GIL, which is
+        what lets ``InMemoryConnection.send`` read the table directly.
         """
-        if host_a == host_b:
-            return 0.0
         return self._latency.get((host_a, host_b), 0.0)
 
     # -- fault injection -------------------------------------------------------
@@ -110,8 +120,8 @@ class NetworkFabric:
     def is_partitioned(self, host_a: str, host_b: str) -> bool:
         """True when traffic between the hosts is currently cut.
 
-        Lock-free set membership (atomic under the GIL) — this sits on
-        the per-message send path of every connection.
+        Lock-free set membership (atomic under the GIL), which is what
+        lets ``InMemoryConnection.send`` test the set directly.
         """
         return (host_a, host_b) in self._partitioned
 
@@ -126,10 +136,7 @@ class NetworkFabric:
 
     def record_traffic(self, src: str, dst: str, nbytes: int) -> None:
         """Account one message of *nbytes* from *src* to *dst*."""
-        counter = self._counter((src, dst))
-        with counter.lock:
-            counter.messages += 1
-            counter.bytes += nbytes
+        self._counter((src, dst)).add(nbytes)
 
     def traffic(self) -> dict[tuple[str, str], LinkStats]:
         """Merged snapshot of all per-link counters (all-zero links omitted)."""
@@ -177,25 +184,28 @@ class NetworkFabric:
         return listener
 
 
-@dataclass(slots=True)
-class _Envelope:
-    """A message in flight: payload plus its earliest delivery time."""
-
-    payload: bytes
-    deliver_at: float
-    closed: bool = False
+#: What travels through a connection's queues: ``(payload, deliver_at)``.
+#: *deliver_at* is the earliest ``time.monotonic()`` the payload may be read,
+#: or 0.0 when the link had no latency configured at send time (so neither
+#: side touches the clock).  A ``None`` payload is the close marker.
+_CLOSE_MARKER = (None, 0.0)
 
 
 class InMemoryConnection(Connection):
-    """One endpoint of a paired-queue connection."""
+    """One endpoint of a paired-queue connection.
+
+    The queues are :class:`queue.SimpleQueue`: its ``put`` and blocking
+    ``get`` are one C call each, where the bounded queue class goes
+    through a Python-level mutex and two conditions per hand-off.
+    """
 
     def __init__(
         self,
         fabric: NetworkFabric,
         local_host: str,
         remote_host: str,
-        inbox: "queue.Queue[_Envelope]",
-        outbox: "queue.Queue[_Envelope]",
+        inbox: "queue.SimpleQueue[tuple]",
+        outbox: "queue.SimpleQueue[tuple]",
     ) -> None:
         self._fabric = fabric
         self.local_host = local_host
@@ -203,17 +213,25 @@ class InMemoryConnection(Connection):
         self._inbox = inbox
         self._outbox = outbox
         self._closed = threading.Event()
+        # Resolved once: a connection's link never changes, and counters
+        # are zeroed in place, never replaced (see ``reset_traffic``).
+        self._link = (local_host, remote_host)
+        self._counter = fabric._counter(self._link)
 
     def send(self, payload: bytes) -> None:
         if self._closed.is_set():
             raise ConnectionClosedError("send on closed connection")
-        if self._fabric.is_partitioned(self.local_host, self.remote_host):
+        fabric = self._fabric
+        link = self._link
+        if link in fabric._partitioned:
             raise ConnectionClosedError(
                 f"link {self.local_host} – {self.remote_host} is partitioned"
             )
-        latency = self._fabric.latency(self.local_host, self.remote_host)
-        self._fabric.record_traffic(self.local_host, self.remote_host, len(payload))
-        self._outbox.put(_Envelope(payload, time.monotonic() + latency))
+        latency = fabric._latency.get(link)
+        self._counter.add(len(payload))
+        self._outbox.put(
+            (payload, time.monotonic() + latency if latency else 0.0)
+        )
 
     def recv(self, timeout: float | None = None) -> bytes:
         deadline = None if timeout is None else time.monotonic() + timeout
@@ -226,24 +244,27 @@ class InMemoryConnection(Connection):
                 if remaining <= 0:
                     raise TimeoutError("recv timed out")
             try:
-                env = self._inbox.get(timeout=remaining if remaining is not None else 0.2)
+                payload, deliver_at = self._inbox.get(
+                    timeout=remaining if remaining is not None else 0.2
+                )
             except queue.Empty:
                 if deadline is None:
                     continue  # re-check closed flag, keep waiting
                 raise TimeoutError("recv timed out") from None
-            if env.closed:
+            if payload is None:
                 self._closed.set()
                 raise ConnectionClosedError("peer closed the connection")
-            delay = env.deliver_at - time.monotonic()
-            if delay > 0:
-                time.sleep(delay)
-            return env.payload
+            if deliver_at:
+                delay = deliver_at - time.monotonic()
+                if delay > 0:
+                    time.sleep(delay)
+            return payload
 
     def close(self) -> None:
         if not self._closed.is_set():
             self._closed.set()
             # Wake the peer's recv with a close marker.
-            self._outbox.put(_Envelope(b"", time.monotonic(), closed=True))
+            self._outbox.put(_CLOSE_MARKER)
 
     @property
     def closed(self) -> bool:
@@ -257,7 +278,9 @@ class InMemoryListener(Listener):
         self._fabric = fabric
         self._address = address
         #: None is the close sentinel: it wakes a blocked accept instantly.
-        self._backlog: "queue.Queue[InMemoryConnection | None]" = queue.Queue()
+        self._backlog: "queue.SimpleQueue[InMemoryConnection | None]" = (
+            queue.SimpleQueue()
+        )
         self._closed = threading.Event()
         fabric.bind(self)
 
@@ -318,8 +341,8 @@ class InMemoryTransport(Transport):
                 f"link {self.local_host} – {address.host} is partitioned"
             )
         listener = self.fabric.lookup(address)
-        a_to_b: "queue.Queue[_Envelope]" = queue.Queue()
-        b_to_a: "queue.Queue[_Envelope]" = queue.Queue()
+        a_to_b: "queue.SimpleQueue[tuple]" = queue.SimpleQueue()
+        b_to_a: "queue.SimpleQueue[tuple]" = queue.SimpleQueue()
         client = InMemoryConnection(
             self.fabric, self.local_host, address.host, inbox=b_to_a, outbox=a_to_b
         )

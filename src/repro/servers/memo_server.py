@@ -76,6 +76,7 @@ from repro.network.codec import (
     decode_message,
     encode_correlated_burst,
     encode_message,
+    folder_intern_stats,
     split_correlated,
 )
 from repro.network.connection import Address, Connection, Transport
@@ -2320,6 +2321,8 @@ class MemoServer:
         stats.update(
             {f"failure.{k}": v for k, v in self.failure.snapshot().items()}
         )
+        # Per process, not per server: in-process hosts share one table.
+        stats.update({f"codec.{k}": v for k, v in folder_intern_stats().items()})
         with self._reg_lock:
             folder_servers = dict(self._folder_servers)
             replica_servers = dict(self._replica_servers)

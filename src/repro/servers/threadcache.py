@@ -72,7 +72,11 @@ def scatter_join(cache: "ThreadCache", thunks: list) -> list[Exception]:
 
 @dataclass
 class ThreadCacheStats:
-    """Counters exposed for the SEC41 bench and server stats replies."""
+    """Counters exposed for the SEC41 bench and server stats replies.
+
+    ``_lock`` is also the owning :class:`ThreadCache`'s pool lock, so a
+    submit counts and picks its worker in one critical section.
+    """
 
     submitted: int = 0
     threads_created: int = 0
@@ -96,7 +100,9 @@ class _Worker(threading.Thread):
     def __init__(self, cache: "ThreadCache", task: tuple) -> None:
         super().__init__(name=f"{cache.name}-worker", daemon=True)
         self._cache = cache
-        self._tasks: "queue.Queue[tuple | None]" = queue.Queue(maxsize=1)
+        # Never holds more than one task: a worker is handed work at birth
+        # or by the one submitter that popped it off the idle list.
+        self._tasks: "queue.SimpleQueue[tuple | None]" = queue.SimpleQueue()
         self._tasks.put(task)
 
     def assign(self, task: tuple) -> None:
@@ -114,8 +120,7 @@ class _Worker(threading.Thread):
                 with cache._lock:
                     if self in cache._idle:
                         cache._idle.remove(self)
-                        with cache.stats._lock:
-                            cache.stats.threads_expired += 1
+                        cache.stats.threads_expired += 1
                         return
                 continue
             if task is None:  # shutdown poison pill
@@ -149,7 +154,7 @@ class ThreadCache:
         self.name = name
         self.stats = ThreadCacheStats()
         self._idle: list[_Worker] = []
-        self._lock = threading.Lock()
+        self._lock = self.stats._lock
         self._shutdown = threading.Event()
         self._error_hook: Callable[[object], None] | None = None
 
@@ -166,19 +171,19 @@ class ThreadCache:
         if self._shutdown.is_set():
             raise ServerError("thread cache is shut down")
         task = (fn, args, kwargs)
-        with self.stats._lock:
-            self.stats.submitted += 1
-        if self.idle_timeout > 0:
-            with self._lock:
-                worker = self._idle.pop() if self._idle else None
-            if worker is not None:
-                with self.stats._lock:
-                    self.stats.cache_hits += 1
-                worker.assign(task)
-                return
-        with self.stats._lock:
-            self.stats.threads_created += 1
-        _Worker(self, task).start()
+        stats = self.stats
+        with self._lock:
+            stats.submitted += 1
+            if self._idle and self.idle_timeout > 0:
+                worker = self._idle.pop()
+                stats.cache_hits += 1
+            else:
+                worker = None
+                stats.threads_created += 1
+        if worker is None:
+            _Worker(self, task).start()
+        else:
+            worker.assign(task)
 
     def idle_count(self) -> int:
         """Number of threads currently parked in the cache."""

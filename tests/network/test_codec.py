@@ -4,6 +4,7 @@ import pytest
 
 from repro.core.keys import FolderName, Key, Symbol
 from repro.errors import DecodingError, ProtocolError
+from repro.network import codec as c
 from repro.network.codec import (
     COMPACT_MAGIC,
     decode_message,
@@ -269,3 +270,186 @@ class TestOverConnection:
             client.close()
             server.close()
             listener.close()
+
+
+def _get_frame(field: bytes) -> bytes:
+    """A GetRequest (tag 3) frame around a hand-built folder field."""
+    out = bytearray(b"DC\x01\x03") + field
+    c._w_str(out, "get")
+    c._w_str(out, "")
+    return bytes(out)
+
+
+def _folder_field(app: bytes, symbol: bytes, index=()) -> bytes:
+    out = bytearray()
+    c._w_bytes(out, app)
+    c._w_bytes(out, symbol)
+    c._w_uv(out, len(index))
+    for x in index:
+        c._w_uv(out, x)
+    return bytes(out)
+
+
+class TestFolderInterning:
+    """Folder fields decode once per distinct wire spelling, never unvalidated."""
+
+    @pytest.fixture(autouse=True)
+    def empty_table(self):
+        c._FOLDERS.clear()
+        yield
+        c._FOLDERS.clear()
+
+    def test_two_frames_share_one_folder_object(self):
+        a = decode_message(encode_message(PutRequest(folder(), b"one", "p")))
+        b = decode_message(encode_message(GetRequest(folder(), mode="copy")))
+        fresh = folder()
+        assert a.folder is b.folder
+        assert a.folder == fresh and hash(a.folder) == hash(fresh)
+        assert a.folder.canonical() == fresh.canonical()
+        assert {fresh: 1}[a.folder] == 1
+        assert c.folder_intern_stats()["folder_intern_size"] == 1
+
+    def test_wal_records_share_the_table(self):
+        put = decode_message(encode_message(PutRequest(folder(), b"v", "p")))
+        rec = decode_message(encode_message(WalPut(folder(), b"v", origin="p")))
+        assert rec.folder is put.folder
+
+    def test_one_folder_is_validated_once_per_thousand_frames(self, monkeypatch):
+        calls = []
+        original = FolderName.__post_init__
+
+        def counting(self):
+            calls.append(self)
+            original(self)
+
+        frames = [
+            encode_message(PutRequest(folder(), b"%d" % i, "p"), corr_id=i)
+            for i in range(1000)
+        ]
+        monkeypatch.setattr(FolderName, "__post_init__", counting)
+        decoded = [decode_message(f) for f in frames]
+        assert len(calls) == 1
+        assert all(m.folder is decoded[0].folder for m in decoded)
+        assert [m.payload for m in decoded] == [b"%d" % i for i in range(1000)]
+
+    @pytest.mark.parametrize(
+        "frame",
+        [
+            _get_frame(_folder_field(b"", b"s", (1,))),
+            _get_frame(_folder_field(b"app", b"", (1,))),
+            _get_frame(_folder_field(b"app", b"a/b", (1,))),
+            _get_frame(_folder_field(b"app", b"a\x00b", (1,))),
+            _get_frame(_folder_field(b"app", b"\xff\xfe", (1,))),
+            _get_frame(_folder_field(b"\xc3", b"s")),
+            _get_frame(_folder_field(b"app", b"s", (1 << 64,))),
+            _get_frame(_folder_field(b"app", b"s")[:-1] + b"\x01" + b"\xff" * 11),
+            # Truncated inside the symbol, inside an index, before the count.
+            b"DC\x01\x03" + _folder_field(b"app", b"symbol")[:7],
+            b"DC\x01\x03" + _folder_field(b"app", b"s", (1 << 40,))[:-2],
+            b"DC\x01\x03" + _folder_field(b"app", b"s")[:-1],
+            # An index count far past the end of the frame.
+            b"DC\x01\x03" + _folder_field(b"app", b"s")[:-1] + b"\xff\xff\xff\x7f",
+        ],
+        ids=[
+            "empty-app", "empty-symbol", "slash", "nul", "bad-utf8-symbol",
+            "bad-utf8-app", "index-past-u64", "endless-varint", "cut-in-symbol",
+            "cut-in-index", "cut-before-count", "hostile-count",
+        ],
+    )
+    def test_invalid_folder_is_rejected_every_time(self, frame):
+        decode_message(encode_message(GetRequest(folder(), mode="get")))
+        before = dict(c._FOLDERS)
+        stats = c.folder_intern_stats()
+        for _ in range(2):
+            with pytest.raises(DecodingError):
+                decode_message(frame)
+        assert c._FOLDERS == before
+        assert c.folder_intern_stats() == stats
+
+    @pytest.mark.parametrize(
+        "name",
+        [
+            folder(index=()),
+            folder(index=(127,)),
+            folder(index=(128,)),
+            folder(index=(1 << 14,)),
+            folder(index=((1 << 64) - 1,)),
+            folder(index=(0, 128, 1 << 14, (1 << 64) - 1)),
+            folder(index=tuple(range(300))),  # two-byte count
+            folder(name="s" * 128),  # two-byte string length
+            folder(name="é" * 9000, app="a" * (1 << 14)),  # three-byte lengths
+        ],
+        ids=[
+            "empty", "127", "128", "2^14", "u64-max", "mixed", "300-indexes",
+            "128-byte-symbol", "16k-strings",
+        ],
+    )
+    def test_multibyte_varints_roundtrip(self, name):
+        msg = PutDelayedRequest(name, folder("rel"), b"x", "p")
+        data = encode_message(msg)
+        first, second = decode_message(data), decode_message(data)
+        assert first == msg and second == msg
+        assert first.release_to is second.release_to
+        # Short fields are shared; long ones are decoded afresh, never kept.
+        field = bytearray()
+        c._w_folder(field, name)
+        shared = len(field) <= c._FOLDER_INTERN_MAX_FIELD
+        assert (first.folder is second.folder) == shared
+        assert all(
+            len(raw) <= c._FOLDER_INTERN_MAX_FIELD
+            for raw in c._FOLDERS
+        )
+
+    def test_each_wire_spelling_is_its_own_entry(self):
+        canonical = _get_frame(_folder_field(b"app", b"s", (1,)))
+        padded = _get_frame(_folder_field(b"app", b"s")[:-1] + b"\x01\x81\x00")
+        a, b = decode_message(canonical), decode_message(padded)
+        assert a == b and a.folder is not b.folder
+        assert c.folder_intern_stats()["folder_intern_size"] == 2
+
+    def test_table_is_bounded_and_decoding_stays_correct(self):
+        cap = c._FOLDER_INTERN_CAP
+        names = [folder(index=(i,)) for i in range(cap + 50)]
+        frames = [encode_message(PutRequest(n, b"v", "p")) for n in names]
+        misses = c.folder_intern_stats()["folder_intern_misses"]
+        for _ in range(2):
+            for name, frame in zip(names, frames):
+                assert decode_message(frame).folder == name
+                assert len(c._FOLDERS) <= cap
+        stats = c.folder_intern_stats()
+        assert stats["folder_intern_size"] <= cap
+        assert stats["folder_intern_misses"] - misses >= len(names)
+
+    def test_concurrent_decoders_never_see_a_wrong_folder(self):
+        import sys
+        import threading
+
+        cap = c._FOLDER_INTERN_CAP
+        names = [folder(index=(i,)) for i in range(cap + 200)]
+        frames = [encode_message(PutRequest(n, b"v", "p")) for n in names]
+        wrong: list = []
+
+        def decoder(offset: int) -> None:
+            for k in range(len(frames)):
+                i = (k * 7 + offset * 131) % len(frames)
+                got = decode_message(frames[i]).folder
+                if got != names[i] or len(c._FOLDERS) > cap:
+                    wrong.append((i, got))
+
+        threads = [threading.Thread(target=decoder, args=(t,)) for t in range(8)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert wrong == []
+        out = bytearray()
+        for raw, name in list(c._FOLDERS.items()):
+            out.clear()
+            c._w_folder(out, name)
+            assert bytes(out) == raw

@@ -134,3 +134,79 @@ def test_stats_submitted_counter():
         done.acquire(timeout=2)
     assert cache.stats.snapshot()["submitted"] == 5
     cache.shutdown()
+
+
+def test_submit_counts_under_the_pool_lock():
+    """A snapshot never shows a submit half counted."""
+    cache = ThreadCache(idle_timeout=2.0)
+    assert cache._lock is cache.stats._lock
+    started, release = threading.Event(), threading.Event()
+
+    def task():
+        started.set()
+        release.wait(5)
+
+    cache.submit(task)
+    assert started.wait(2)
+    cache.submit(lambda: None)  # first worker is busy: a second thread
+    release.set()
+    deadline = time.monotonic() + 2
+    while cache.idle_count() < 2 and time.monotonic() < deadline:
+        time.sleep(0.01)
+    cache.submit(lambda: None)
+    snap = cache.stats.snapshot()
+    assert snap["submitted"] == 3
+    assert snap["cache_hits"] + snap["threads_created"] == snap["submitted"]
+    assert (snap["threads_created"], snap["cache_hits"]) == (2, 1)
+    cache.shutdown()
+
+
+def test_worker_grabbed_between_its_timeout_and_the_idle_check():
+    """The expiry race: a worker's timer fires, and before it can look at
+    the idle list a submitter pops it and hands it a task.  The worker
+    must notice it is no longer idle, go back to its mailbox and run the
+    task — not expire with work queued."""
+    cache = ThreadCache(idle_timeout=0.2)
+    first = threading.Event()
+    cache.submit(first.set)
+    assert first.wait(2)
+
+    class HandoverLock:
+        """The pool lock, but a worker entering it first lets a submit by."""
+
+        def __init__(self, inner):
+            self.inner = inner
+            self.worker_arrived = threading.Event()
+            self.submitted = threading.Event()
+
+        def __enter__(self):
+            if threading.current_thread().name.endswith("-worker"):
+                self.worker_arrived.set()
+                assert self.submitted.wait(5)
+            self.inner.acquire()
+
+        def __exit__(self, *exc):
+            self.inner.release()
+
+    # Swap the lock in while the worker sits in its mailbox wait, after it
+    # put itself on the idle list.
+    deadline = time.monotonic() + 2
+    while cache.idle_count() < 1 and time.monotonic() < deadline:
+        time.sleep(0.001)
+    gate = cache._lock = HandoverLock(cache._lock)
+    assert gate.worker_arrived.wait(2), "worker expired before the gate was in"
+    ran_on = []
+    second = threading.Event()
+
+    def task():
+        ran_on.append(threading.current_thread())
+        second.set()
+
+    cache.submit(task)  # pops the timed-out worker, queues the task
+    gate.submitted.set()  # now let the worker look at the idle list
+    assert second.wait(2)
+    snap = cache.stats.snapshot()
+    assert (snap["threads_created"], snap["cache_hits"]) == (1, 1)
+    assert snap["threads_expired"] == 0
+    assert ran_on[0].name.endswith("-worker")
+    cache.shutdown()
