@@ -1,8 +1,8 @@
 """Shared bench fixtures and a tiny report helper.
 
 Every bench prints the table/series it reproduces, so running
-``pytest benchmarks/ --benchmark-only -s`` regenerates the EXPERIMENTS.md
-numbers directly from the console output.
+``pytest benchmarks/ --benchmark-only -s`` regenerates the paper's
+figures and tables directly from the console output.
 """
 
 from __future__ import annotations

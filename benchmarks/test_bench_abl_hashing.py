@@ -1,6 +1,6 @@
 """ABL1 — ablation: cost-weighted hashing under heterogeneous service rates.
 
-DESIGN.md calls out the placement weights as the central section-5 design
+The placement weights are the paper's central section-5 design
 choice.  This ablation gives each host a *service rate* proportional to
 its ADF power (a folder-server request on a host with power p takes
 base/p seconds) and replays the same request stream under the weighted and

@@ -18,8 +18,8 @@ Quick start::
         memo.put(jar(0), {"task": "compute"})
         print(memo.get(jar(0)))
 
-See DESIGN.md for the system inventory and EXPERIMENTS.md for the
-paper-versus-measured record.
+See README.md for the system inventory; ``benchmarks/`` reproduces the
+paper's figures and tables, ``bench/`` measures the system itself.
 """
 
 from repro.core.api import Memo, NIL

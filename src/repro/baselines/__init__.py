@@ -1,7 +1,7 @@
 """Faithful local reimplementations of the systems the paper compares against.
 
-Section 7 positions D-Memo against Linda (tuple space), PVM (low-level
-message passing), and Mentat.  The originals are unavailable, so the
+Section 7 positions D-Memo against Linda (tuple space) and PVM (low-level
+message passing).  The originals are unavailable, so the ``sec7_*``
 benches run against these reimplementations, which preserve the properties
 the comparison hinges on:
 
@@ -14,15 +14,10 @@ the comparison hinges on:
   ``recv``/``mcast`` with tags), the level of abstraction PVM offers;
   the bench counts the extra coordination code an application needs
   compared to the Memo API.
-* :mod:`repro.baselines.mentat` — Mentat-style macro-dataflow: async
-  method invocations returning futures, with implicit dependency-driven
-  scheduling, and the lack of a shared *named* space that the paper's
-  dynamic-data-migration criticism targets.
 """
 
 from repro.baselines.linda import ANY, TupleSpace, Formal
 from repro.baselines.pvm import PVM, TaskHandle
-from repro.baselines.mentat import MentatFuture, MentatObject, MentatRuntime
 
 __all__ = [
     "TupleSpace",
@@ -30,7 +25,4 @@ __all__ = [
     "Formal",
     "PVM",
     "TaskHandle",
-    "MentatRuntime",
-    "MentatObject",
-    "MentatFuture",
 ]

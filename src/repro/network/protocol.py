@@ -44,7 +44,6 @@ __all__ = [
     "RegisterRequest",
     "ReplicatePut",
     "Heartbeat",
-    "SyncPull",
     "DeltaSyncPull",
     "StatsRequest",
     "ShutdownRequest",
@@ -259,9 +258,10 @@ class ReplicatePut:
 
     Sent by whichever chain member accepted a write (the primary, or an
     acting primary during fail-over) to every other live member of the
-    folder's replica chain, and by :class:`SyncPull` handlers re-seeding a
-    rejoined backup.  Applying a replicate is idempotent only in the
-    at-least-once sense: re-sends may duplicate a memo, never lose one.
+    folder's replica chain, and by :class:`DeltaSyncPull` handlers
+    re-seeding a rejoined backup.  Applying a replicate is idempotent
+    only in the at-least-once sense: re-sends may duplicate a memo, never
+    lose one.
 
     Attributes:
         app: application whose placement names the chain.
@@ -305,29 +305,19 @@ class Heartbeat:
 
 
 @dataclass(frozen=True)
-class SyncPull:
-    """Anti-entropy pull issued by a host rejoining the cluster.
-
-    The receiver (1) extracts every replica-held folder whose *primary* is
-    the requester and re-deposits the contents through ordinary routing
-    (the same machinery as :class:`MigrateRequest`), and (2) re-sends
-    :class:`ReplicatePut` copies of its own primary folders that list the
-    requester as a backup, restoring the requester's replica store.
-    """
-
-    app: str
-    requester: str
-    origin: str = ""
-
-
-@dataclass(frozen=True)
 class DeltaSyncPull:
-    """Anti-entropy pull that ships only the delta past recovered state.
+    """Anti-entropy pull: ships what the requester's advertised state lacks.
 
-    A durably-restarted host already replayed its local WAL, so the
-    full :class:`SyncPull` round would re-deposit (and thus duplicate)
-    nearly everything it primaries.  Instead it advertises what it
-    already holds, in origin coordinates:
+    Issued by a host rejoining the cluster and by the periodic sweep.
+    The receiver (1) extracts replica-held records whose *primary* is
+    the requester and re-deposits them through ordinary routing (the
+    same machinery as :class:`MigrateRequest`), and (2) re-sends
+    :class:`ReplicatePut` copies of its own primary folders that list
+    the requester as a backup.  Both phases are filtered by what the
+    requester says it already holds, in origin coordinates, so a
+    WAL-recovered host moves only the outage delta while a host that
+    came back empty (LSN 0, or a rebased clock with its floor) gets
+    everything:
 
     - ``primary_lsns``: its own folder-server id → recovered LSN.  The
       receiver returns only replica-held, requester-primaried records
@@ -336,8 +326,8 @@ class DeltaSyncPull:
       past a torn-tail truncation.
     - ``replica_marks``: origin store id → max ``src_lsn`` present in
       the requester's replica stores.  The receiver re-seeds only its
-      primary records past those marks (empty marks request a full,
-      receiver-side-deduplicated re-seed — used by deep sweeps).
+      primary records past those marks (no mark for a store re-seeds
+      all of it, deduplicated on arrival).
     - ``primary_floors``: its own folder-server id → the store's
       resync floor.  A cold (log-less) restart resumes the LSN clock
       past the dead incarnation's high-water mark, so the range below
@@ -398,16 +388,13 @@ class ResyncRequest:
     In-process clusters drive :class:`~repro.replication.resync.Resyncer`
     directly against the server object; a process-per-server parent
     cannot, so it asks the child to run its own round.  The receiver
-    resyncs *apps* against every peer in its address book — with
-    ``delta=True`` it advertises its recovered LSNs and replica marks
-    (see :class:`DeltaSyncPull`) so only the outage delta moves.  The
-    reply's ``stats`` flattens the per-peer counters as
+    resyncs *apps* against every peer in its address book, advertising
+    its LSNs, replica marks and floors (see :class:`DeltaSyncPull`).
+    The reply's ``stats`` flattens the per-peer counters as
     ``"<peer>:<metric>"``.
     """
 
     apps: tuple[str, ...]
-    delta: bool = False
-    deep: bool = False
     origin: str = ""
 
     def __post_init__(self) -> None:
@@ -518,7 +505,6 @@ _MESSAGE_TYPES = (
     MigrateRequest,
     ReplicatePut,
     Heartbeat,
-    SyncPull,
     DeltaSyncPull,
     StatsRequest,
     ShutdownRequest,
@@ -577,7 +563,7 @@ register_compact(
     ),
 )
 register_compact(Heartbeat, 8, (("host", "str"), ("origin", "str")))
-register_compact(SyncPull, 9, (("app", "str"), ("requester", "str"), ("origin", "str")))
+# Tag 9 carried the pre-delta full anti-entropy pull; retired, never reuse it.
 register_compact(
     DeltaSyncPull,
     20,
@@ -596,7 +582,7 @@ register_compact(AddressUpdate, 26, (("ports", "tlv"), ("origin", "str")))
 register_compact(
     ResyncRequest,
     27,
-    (("apps", "str_tuple"), ("delta", "bool"), ("deep", "bool"), ("origin", "str")),
+    (("apps", "str_tuple"), ("origin", "str")),
 )
 register_compact(
     ForwardEnvelope,

@@ -14,7 +14,7 @@ chains* while preserving the cost-weighted placement semantics:
 The chain itself comes from
 :meth:`repro.servers.hashing.FolderPlacement.replica_chain` (a top-K
 extension of weighted rendezvous hashing), the wire messages
-(``ReplicatePut`` / ``Heartbeat`` / ``SyncPull``) live in
+(``ReplicatePut`` / ``Heartbeat`` / ``DeltaSyncPull``) live in
 :mod:`repro.network.protocol`, and the memo server wires it all together.
 With the default ``replication_factor = 1`` none of this machinery is
 active and the system behaves exactly as the paper describes.

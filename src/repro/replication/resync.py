@@ -4,16 +4,20 @@ When a host crashes, its primary folders are served by backups (which
 accept writes into their replica stores) and its own replica copies of
 other hosts' folders are gone.  A restarted memo server therefore comes up
 empty on both counts; the :class:`Resyncer` closes both gaps with one
-:class:`~repro.network.protocol.SyncPull` to every peer:
+:class:`~repro.network.protocol.DeltaSyncPull` to every peer, carrying
+what the host already holds (nothing, after a log-less restart; its
+recovered LSNs after a WAL replay):
 
-* the peer *returns* replica-held folders whose primary is the requester
-  by re-depositing them through ordinary routing — the exact machinery
+* the peer *returns* the replica-held records whose primary is the
+  requester and that the advertised state lacks, by re-depositing them
+  through ordinary routing — the exact machinery
   :class:`~repro.network.protocol.MigrateRequest` uses, so a resync is
   just a migration whose destination happens to be the rejoined host (and
   the primary's ordinary fan-out re-creates the backups as a side
   effect);
 * the peer *re-seeds* the requester's replica store with copies of its own
-  primary folders that name the requester as a backup.
+  primary folders that name the requester as a backup, past the
+  requester's replica marks.
 
 Guarantee: at-least-once.  Every memo acknowledged before the crash is
 either on a surviving chain member or already consumed; resync never
@@ -30,7 +34,6 @@ from repro.network.connection import Address, Transport
 from repro.network.protocol import (
     DeltaSyncPull,
     Reply,
-    SyncPull,
     recv_message,
     send_message,
 )
@@ -60,21 +63,16 @@ class Resyncer:
     def resync(
         self,
         apps: list[str],
+        delta_state: tuple[dict[str, int], dict[str, int], dict[str, int]],
         timeout: float = 10.0,
-        delta_state: tuple[dict[str, int], dict[str, int], dict[str, int]] | None = None,
-        deep: bool = False,
     ) -> dict[str, dict[str, int]]:
         """Run one pull round against every peer for every app.
 
-        Without *delta_state* this is the classic full
-        :class:`SyncPull`.  With it — ``(primary_lsns, replica_marks, primary_floors)``
-        as produced by ``MemoServer.delta_sync_state()`` — peers receive
+        *delta_state* is ``(primary_lsns, replica_marks, primary_floors)``
+        as produced by ``MemoServer.delta_sync_state()``: peers receive
         a :class:`DeltaSyncPull` and ship only what the advertised state
-        is missing: a WAL-recovered host gets the outage delta instead
-        of a duplicate-inducing full round.  *deep* clears the replica
-        marks, asking for a full re-seed that relies on receiver-side
-        origin-coordinate dedup — heals arbitrary replica gaps at full
-        scan cost (periodic sweeps use it sparingly).
+        is missing — the outage delta for a WAL-recovered host,
+        everything for one that came back empty.
 
         Returns per-peer aggregated counters (``returned`` memos routed
         back to this host, ``reseeded`` replica copies pushed to it).
@@ -90,7 +88,7 @@ class Resyncer:
                 continue
             totals = {"returned": 0, "reseeded": 0}
             for app in apps:
-                reply = self._pull(peer, address, app, timeout, delta_state, deep)
+                reply = self._pull(peer, address, app, timeout, delta_state)
                 if reply is None:
                     continue
                 if not reply.ok:
@@ -108,20 +106,9 @@ class Resyncer:
         address: Address,
         app: str,
         timeout: float,
-        delta_state: tuple[dict[str, int], dict[str, int], dict[str, int]] | None = None,
-        deep: bool = False,
+        delta_state: tuple[dict[str, int], dict[str, int], dict[str, int]],
     ) -> Reply | None:
-        if delta_state is None:
-            msg: object = SyncPull(app=app, requester=self.host)
-        else:
-            primary_lsns, replica_marks, primary_floors = delta_state
-            msg = DeltaSyncPull(
-                app=app,
-                requester=self.host,
-                primary_lsns=dict(primary_lsns),
-                replica_marks={} if deep else dict(replica_marks),
-                primary_floors=dict(primary_floors),
-            )
+        msg = DeltaSyncPull(app, self.host, *delta_state)
         try:
             conn = self.transport.connect(address)
         except Exception:

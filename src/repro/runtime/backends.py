@@ -56,6 +56,10 @@ from repro.sim.netsim import apply_latency
 
 __all__ = ["ClusterBackend", "InProcessBackend", "ProcessBackend"]
 
+#: LSNs set aside for each incarnation of a process-mode host's log-less
+#: stores (far more than one process lifetime of puts).
+INCARNATION_LSN_RANGE = 1 << 40
+
 #: Wall-clock budget for a freshly exec'd server process to bind its
 #: listener and report its port back on stdout.
 HANDSHAKE_TIMEOUT = 30.0
@@ -128,11 +132,13 @@ class ClusterBackend:
         """One anti-entropy round from *host* (peer → stats)."""
         raise NotImplementedError
 
-    def resync_all(
-        self, apps: list[str], deep: bool = False
-    ) -> dict[str, dict[str, dict[str, int]]]:
-        """One delta anti-entropy round from every live host."""
-        raise NotImplementedError
+    def resync_all(self, apps: list[str]) -> dict[str, dict[str, dict[str, int]]]:
+        """One anti-entropy round from every live host."""
+        return {
+            host: self.resync_host(host, apps)
+            for host in sorted(self.hosts)
+            if self.is_live(host)
+        }
 
     def is_live(self, host: str) -> bool:
         raise NotImplementedError
@@ -262,16 +268,15 @@ class InProcessBackend(ClusterBackend):
             listen_port=listen_port,
             **self._server_kwargs,
         )
-        # The dead incarnation's stores are still in memory: hand its LSN
-        # clocks to the fresh server so log-less stores resume stamping
-        # past them (otherwise regrown clocks shadow the crash-lost range
-        # and delta anti-entropy would never return it).
-        legacy = dict(old.lsn_rebase)
-        for fs in (*old._folder_servers.values(), *old._replica_servers.values()):
-            clock = fs.current_lsn()
-            if clock > legacy.get(fs.server_id, 0):
-                legacy[fs.server_id] = clock
-        server.lsn_rebase = legacy
+        # The dead incarnation's stores are still in memory: hand their
+        # highest LSN clock to the fresh server so log-less stores resume
+        # stamping past it (otherwise regrown clocks shadow the crash-lost
+        # range and anti-entropy would never return it).
+        server.lsn_rebase = max(
+            [old.lsn_rebase]
+            + [fs.current_lsn() for fs in old._folder_servers.values()]
+            + [fs.current_lsn() for fs in old._replica_servers.values()]
+        )
         # The book may still hold the dead server's address (TCP ports are
         # dynamic); the shared dict updates every peer at once.
         self.address_book[host] = server.address
@@ -301,33 +306,17 @@ class InProcessBackend(ClusterBackend):
             self.fabric.heal(host, peer)
 
     def resync_host(self, host: str, apps: list[str]) -> dict[str, dict[str, int]]:
-        server = self.servers[host]
+        # What the host holds decides what moves: a WAL-replayed store
+        # advertises its recovered LSNs and gets the outage delta, a
+        # log-less one its rebased clock and floor and gets everything.
         resyncer = Resyncer(host, self._transports[host], self.address_book)
-        if server.durability is not None:
-            # The host replayed its local WAL at re-registration; pull only
-            # the outage delta past the recovered LSNs instead of a full
-            # (duplicate-inducing) SyncPull round.
-            return resyncer.resync(apps, delta_state=server.delta_sync_state())
-        return resyncer.resync(apps)
-
-    def resync_all(
-        self, apps: list[str], deep: bool = False
-    ) -> dict[str, dict[str, dict[str, int]]]:
-        out: dict[str, dict[str, dict[str, int]]] = {}
-        for host, server in sorted(self.servers.items()):
-            if server._stopped or not server._running.is_set():
-                continue
-            resyncer = Resyncer(host, self._transports[host], self.address_book)
-            out[host] = resyncer.resync(
-                apps, delta_state=server.delta_sync_state(), deep=deep
-            )
-        return out
+        return resyncer.resync(
+            apps, delta_state=self.servers[host].delta_sync_state()
+        )
 
     def is_live(self, host: str) -> bool:
         server = self.servers.get(host)
-        return (
-            server is not None and not server._stopped and server._running.is_set()
-        )
+        return server is not None and self._started and not server.stopped
 
     # -- wiring -----------------------------------------------------------------
 
@@ -357,12 +346,16 @@ class InProcessBackend(ClusterBackend):
 class _ChildProcess:
     """Book-keeping for one spawned memo-server process."""
 
-    __slots__ = ("host", "proc", "address", "reported")
+    __slots__ = ("host", "proc", "address", "incarnation", "reported")
 
-    def __init__(self, host: str, proc: subprocess.Popen, address: Address) -> None:
+    def __init__(
+        self, host: str, proc: subprocess.Popen, address: Address, incarnation: int
+    ) -> None:
         self.host = host
         self.proc = proc
         self.address = address
+        #: How many times this host was respawned before this process.
+        self.incarnation = incarnation
         #: True once the supervisor (or kill_host) accounted for its death.
         self.reported = False
 
@@ -418,8 +411,16 @@ class ProcessBackend(ClusterBackend):
 
     # -- spawning ---------------------------------------------------------------
 
-    def _spawn(self, host: str) -> _ChildProcess:
-        config = dict(self._server_config, host=host)
+    def _spawn(self, host: str, incarnation: int = 0) -> _ChildProcess:
+        # A SIGKILLed child takes its LSN clocks with it, so each
+        # incarnation's log-less stores stamp in a range of their own:
+        # stamps stay unique and the reborn host's pull advertises
+        # everything below its range as never recovered.
+        config = dict(
+            self._server_config,
+            host=host,
+            lsn_rebase=incarnation * INCARNATION_LSN_RANGE,
+        )
         env = dict(os.environ)
         pkg_root = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
         env["PYTHONPATH"] = pkg_root + (
@@ -439,7 +440,7 @@ class ProcessBackend(ClusterBackend):
             proc.kill()
             proc.wait()
             raise
-        child = _ChildProcess(host, proc, Address(host, port))
+        child = _ChildProcess(host, proc, Address(host, port), incarnation)
         self.address_book[host] = child.address
         self._children[host] = child
         return child
@@ -616,7 +617,7 @@ class ProcessBackend(ClusterBackend):
             old.proc.kill()
             old.proc.wait(timeout=STOP_GRACE)
         self._close_pipes(old)
-        self._spawn(host)
+        self._spawn(host, old.incarnation + 1)
         with self._lock:
             self._intended_down.discard(host)
         self.failure.mark_alive(host)
@@ -626,38 +627,13 @@ class ProcessBackend(ClusterBackend):
 
     def resync_host(self, host: str, apps: list[str]) -> dict[str, dict[str, int]]:
         reply = self._control(
-            host,
-            ResyncRequest(
-                apps=tuple(apps), delta=self.durability is not None, origin="cluster"
-            ),
-            timeout=60.0,
+            host, ResyncRequest(apps=tuple(apps), origin="cluster"), timeout=60.0
         )
         if not getattr(reply, "ok", False):
             raise ReplicationError(
                 f"resync from {host} failed: {getattr(reply, 'error', 'unknown')}"
             )
         return self._unflatten(reply.stats)
-
-    def resync_all(
-        self, apps: list[str], deep: bool = False
-    ) -> dict[str, dict[str, dict[str, int]]]:
-        out: dict[str, dict[str, dict[str, int]]] = {}
-        for host in sorted(self._children):
-            if not self.is_live(host):
-                continue
-            reply = self._control(
-                host,
-                ResyncRequest(
-                    apps=tuple(apps), delta=True, deep=deep, origin="cluster"
-                ),
-                timeout=60.0,
-            )
-            if not getattr(reply, "ok", False):
-                raise ReplicationError(
-                    f"resync from {host} failed: {getattr(reply, 'error', 'unknown')}"
-                )
-            out[host] = self._unflatten(reply.stats)
-        return out
 
     @staticmethod
     def _unflatten(stats: dict) -> dict[str, dict[str, int]]:

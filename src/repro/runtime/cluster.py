@@ -252,8 +252,8 @@ class Cluster:
             return {}
         return self.backend.resync_host(host, replicated)
 
-    def resync_all(self, deep: bool = False) -> dict[str, dict[str, dict[str, int]]]:
-        """One delta anti-entropy round from every host (host → peer → stats).
+    def resync_all(self) -> dict[str, dict[str, dict[str, int]]]:
+        """One anti-entropy round from every host (host → peer → stats).
 
         After a cold restart this surfaces fail-over-accepted writes back
         to their primaries; run periodically via
@@ -267,22 +267,17 @@ class Cluster:
             ]
         if not replicated:
             return {}
-        return self.backend.resync_all(replicated, deep=deep)
+        return self.backend.resync_all(replicated)
 
     # -- periodic anti-entropy (opt-in) ---------------------------------------------
 
-    def start_anti_entropy(
-        self, interval: float, *, deep: bool = False
-    ) -> None:
+    def start_anti_entropy(self, interval: float) -> None:
         """Run :meth:`resync_all` every *interval* seconds until stopped.
 
         Opt-in: divergence otherwise heals only when a host rejoins.  The
         sweep sends delta pulls (origin-coordinate filtered, receiver-side
         deduplicated), so a healthy steady-state round moves no data.
-        ``deep=True`` additionally clears the replica marks each round,
-        re-seeding everything through the dedup — full scan cost, heals
-        even mid-stream replica gaps.  Stopped by :meth:`stop` or
-        :meth:`stop_anti_entropy`.
+        Stopped by :meth:`stop` or :meth:`stop_anti_entropy`.
         """
         if self._sweep_thread is not None:
             raise RuntimeLaunchError("anti-entropy sweep already running")
@@ -291,7 +286,7 @@ class Cluster:
         def sweep() -> None:
             while not self._sweep_stop.wait(interval):
                 try:
-                    self.resync_all(deep=deep)
+                    self.resync_all()
                 except Exception:
                     # A peer dying mid-sweep is normal chaos; the next
                     # round (or its own rejoin resync) heals it.

@@ -4,8 +4,7 @@ In the paper, each PROCESSES line names a source directory with a Makefile
 producing a ``boss`` or ``worker`` executable, shipped via NFS.  In the
 reproduction, a *program* is a Python callable registered under the
 directory name; the callable receives the process's :class:`Memo` API and a
-:class:`ProcessContext` describing where it runs — the substitution
-documented in DESIGN.md.
+:class:`ProcessContext` describing where it runs.
 
 "These two types of programs typically use the host-node paradigm; where
 the boss is the controlling process and the workers do the parallelized/

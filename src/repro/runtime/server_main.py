@@ -22,10 +22,12 @@ Two modes:
   ``--port`` says otherwise.
 
 The managed config line mirrors the keyword arguments of
-:class:`~repro.servers.memo_server.MemoServer`::
+:class:`~repro.servers.memo_server.MemoServer`, plus the ``lsn_rebase``
+the parent hands a respawned child::
 
     {"host": "hub", "idle_timeout": 2.0, "heartbeat_interval": 0.1,
-     "failure_threshold": 3, "durability": {"data_dir": "...", ...} | null}
+     "failure_threshold": 3, "durability": {"data_dir": "...", ...} | null,
+     "lsn_rebase": 0}
 """
 
 from __future__ import annotations
@@ -47,7 +49,7 @@ __all__ = ["build_server", "main"]
 def build_server(config: dict) -> MemoServer:
     """Construct (and bind) a memo server from a managed-mode config dict."""
     durability = config.get("durability")
-    return MemoServer(
+    server = MemoServer(
         str(config["host"]),
         TCPTransport(),
         address_book={},
@@ -57,6 +59,8 @@ def build_server(config: dict) -> MemoServer:
         failure_threshold=int(config.get("failure_threshold", 3)),
         durability=DurabilityConfig(**durability) if durability else None,
     )
+    server.lsn_rebase = int(config.get("lsn_rebase", 0))
+    return server
 
 
 def _watch_parent(stop: threading.Event) -> None:

@@ -6,8 +6,7 @@ hosts), start every workload leg, run the fault schedule beside them,
 then settle, drain, and check the three cluster-wide invariants.  The
 returned :class:`ScenarioResult` carries everything a report needs —
 metrics, the executed fault record, per-workload notes, and the
-invariant report — and serializes to a dict for artifacts like
-``BENCH_SCALE.json``.
+invariant report — and serializes to a dict for artifacts.
 """
 
 from __future__ import annotations

@@ -101,7 +101,6 @@ from repro.network.protocol import (
     ResyncRequest,
     ShutdownRequest,
     StatsRequest,
-    SyncPull,
     WaitCancelled,
     decode_protocol_frame,
     recv_message,
@@ -982,11 +981,11 @@ class MemoServer:
         #: folder's replica chain.  Kept apart from the primary stores so
         #: ownership checks, migration, and live-memo counts stay exact.
         self._replica_servers: dict[str, FolderServer] = {}
-        #: store id → LSN high-water mark of a dead prior incarnation,
-        #: set by the backend on a log-less respawn (in-process restarts
-        #: have no WAL to replay; the old clock is still in memory).
-        #: Applied when the store materializes at registration.
-        self.lsn_rebase: dict[str, int] = {}
+        #: An LSN no store of a dead prior incarnation reached, set by
+        #: the backend on a respawn.  Log-less stores (no WAL to replay)
+        #: resume their clocks past it when they materialize at
+        #: registration.
+        self.lsn_rebase = 0
         self._reg_lock = threading.Lock()
         self._cache = ThreadCache(idle_timeout, name=f"memo-{host}")
         self._pool = _ConnectionPool(transport)
@@ -1135,8 +1134,6 @@ class MemoServer:
             if msg.host:
                 self.failure.mark_alive(msg.host)
             return Reply(ok=True)
-        if isinstance(msg, SyncPull):
-            return self._handle_sync_pull(msg)
         if isinstance(msg, DeltaSyncPull):
             return self._handle_delta_sync(msg)
         if isinstance(msg, StatsRequest):
@@ -1655,11 +1652,11 @@ class MemoServer:
         )
         if journal is not None:
             journal.recover_into(fs)
-        elif self.lsn_rebase.get(store_id, 0):
-            # A log-less respawn: nothing local to replay, but the dead
-            # incarnation's clock is known — resume past it so stamps stay
-            # unique and anti-entropy keeps returning the lost range.
-            fs.rebase_lsn(self.lsn_rebase[store_id])
+        elif self.lsn_rebase:
+            # A log-less respawn: nothing local to replay, but a bound on
+            # the dead incarnation's clock is known — resume past it so
+            # stamps stay unique and anti-entropy returns the lost range.
+            fs.rebase_lsn(self.lsn_rebase)
         return fs
 
     @staticmethod
@@ -1874,142 +1871,31 @@ class MemoServer:
             fs.put(msg.folder, record, trigger_release=False)
         return Reply(ok=True, found=True)
 
-    def _handle_sync_pull(self, msg: SyncPull) -> Reply:
-        """Anti-entropy: return and re-seed memos for a rejoined host.
+    def _handle_delta_sync(self, msg: DeltaSyncPull) -> Reply:
+        """Anti-entropy: return and re-seed what a requester's state lacks.
 
-        Phase 1 *returns* replica-held folders whose primary is the
-        requester by extracting them and re-depositing through ordinary
-        routing — the same machinery as :class:`MigrateRequest`; the
-        requester's own fan-out then rebuilds the backups.  Phase 2
-        *re-seeds* the requester's replica store with copies of local
-        primary folders that name it as a backup.
+        Phase 1 *returns* — record by record — the replica-held writes
+        whose primary is the requester and that it does NOT already
+        hold, by extracting them and re-depositing through ordinary
+        routing (the same machinery as :class:`MigrateRequest`; the
+        requester's own fan-out then rebuilds the backups): anything
+        stamped by a store it did not advertise (fail-over writes
+        accepted elsewhere while it was down), stamped past the
+        advertised LSN (acked after its WAL horizon, e.g. lost to a torn
+        tail), or at or below its resync floor (a log-less restart
+        recovered none of that range).  Everything else was replayed
+        from its local log, and returning it again would duplicate it.
+
+        Phase 2 *re-seeds* the requester's replica store with copies of
+        local primary folders that name it as a backup, past its
+        ``replica_marks``; the receiver-side origin-coordinate dedup in
+        :meth:`_handle_replicate` makes overlap harmless, so a host
+        that came back with no marks gets everything.
         """
         reg = self.registration(msg.app)
         # A pull is proof the requester is back (it may still be marked
         # dead here, which would bounce the returned puts straight back
         # into our own replica store).
-        self.failure.mark_alive(msg.requester)
-        with self._reg_lock:
-            replicas = dict(self._replica_servers)
-            primaries = dict(self._folder_servers)
-
-        returned = 0
-        for fs in replicas.values():
-            def primary_is_requester(name: FolderName) -> bool:
-                if name.app != msg.app:
-                    return False
-                chain = reg.placement.replica_chain(name)
-                return chain[0][1] == msg.requester
-
-            extracted = fs.extract_folders(primary_is_requester)
-            failure: str | None = None
-            for index, (name, memos, delayed) in enumerate(extracted):
-                # Consume each list head only after a confirmed return, so
-                # a mid-stream failure leaves exactly the unreturned tail.
-                while memos and failure is None:
-                    record = memos[0]
-                    failure = self._route_soft(
-                        name,
-                        PutRequest(
-                            folder=name, payload=record.payload, origin=record.origin
-                        ),
-                    )
-                    if failure is None:
-                        memos.pop(0)
-                        returned += 1
-                while delayed and failure is None:
-                    record, release_to = delayed[0]
-                    failure = self._route_soft(
-                        name,
-                        PutDelayedRequest(
-                            folder=name,
-                            release_to=release_to,
-                            payload=record.payload,
-                            origin=record.origin,
-                        ),
-                    )
-                    if failure is None:
-                        delayed.pop(0)
-                        returned += 1
-                if failure is not None:
-                    # These replica copies may be the memos' only
-                    # surviving incarnation (the requester restarted
-                    # empty); put everything unreturned back so a later
-                    # pull still finds it, then report the failure.
-                    for rname, rmemos, rdelayed in extracted[index:]:
-                        for rec in rmemos:
-                            fs.put(rname, rec, trigger_release=False)
-                        for rec, rel in rdelayed:
-                            fs.put_delayed(rname, rel, rec)
-                    self.stats.bump("resync_returned", returned)
-                    return Reply(
-                        ok=False, error=f"resync of {name} failed: {failure}"
-                    )
-
-        reseeded = 0
-        for sid, fs in primaries.items():
-            snapshot = fs.snapshot_folders(lambda name: name.app == msg.app)
-            for name, memos, delayed in snapshot:
-                chain = reg.placement.replica_chain(name)
-                if chain[0] != (sid, self.host):
-                    continue
-                if not any(h == msg.requester for _s, h in chain[1:]):
-                    continue
-                for record in memos:
-                    reseeded += self._reseed(
-                        reg,
-                        msg.requester,
-                        ReplicatePut(
-                            app=msg.app,
-                            folder=name,
-                            payload=record.payload,
-                            origin=record.origin,
-                            src_sid=record.src_sid,
-                            src_lsn=record.src_lsn,
-                        ),
-                    )
-                for record, release_to in delayed:
-                    reseeded += self._reseed(
-                        reg,
-                        msg.requester,
-                        ReplicatePut(
-                            app=msg.app,
-                            folder=name,
-                            payload=record.payload,
-                            origin=record.origin,
-                            delayed=True,
-                            release_to=release_to,
-                            src_sid=record.src_sid,
-                            src_lsn=record.src_lsn,
-                        ),
-                    )
-
-        self.stats.bump("resync_returned", returned)
-        self.stats.bump("resync_reseeded", reseeded)
-        return Reply(ok=True, stats={"returned": returned, "reseeded": reseeded})
-
-    def _handle_delta_sync(self, msg: DeltaSyncPull) -> Reply:
-        """Anti-entropy restricted to the delta past the requester's state.
-
-        Same two phases as :meth:`_handle_sync_pull`, filtered by origin
-        coordinates:
-
-        Phase 1 returns — record by record, not folder by folder — only
-        the replica-held, requester-primaried writes the requester does
-        NOT already hold: anything stamped by a store it did not
-        advertise (fail-over writes accepted elsewhere while it was
-        down), or stamped past the advertised LSN (acked after its WAL
-        horizon, e.g. lost to a torn tail).  Everything at or below the
-        horizon was replayed from its local log, and returning it again
-        is exactly the duplicate explosion this message exists to avoid.
-
-        Phase 2 re-seeds only primary records past the requester's
-        ``replica_marks``; the receiver-side origin-coordinate dedup in
-        :meth:`_handle_replicate` makes overlap harmless, so empty marks
-        are a legitimate "re-seed everything, dedup on arrival" deep
-        sweep.
-        """
-        reg = self.registration(msg.app)
         self.failure.mark_alive(msg.requester)
         with self._reg_lock:
             replicas = dict(self._replica_servers)
@@ -2044,6 +1930,8 @@ class MemoServer:
             extracted = fs.extract_records(requester_is_missing)
             failure: str | None = None
             for index, (name, memos, delayed) in enumerate(extracted):
+                # Consume each list head only after a confirmed return, so
+                # a mid-stream failure leaves exactly the unreturned tail.
                 while memos and failure is None:
                     record = memos[0]
                     failure = self._route_soft(
@@ -2070,8 +1958,10 @@ class MemoServer:
                         delayed.pop(0)
                         returned += 1
                 if failure is not None:
-                    # Same restore discipline as the full pull: unreturned
-                    # records go back so a later pull still finds them.
+                    # These replica copies may be the records' only
+                    # surviving incarnation (the requester restarted
+                    # empty); put everything unreturned back so a later
+                    # pull still finds it, then report the failure.
                     for rname, rmemos, rdelayed in extracted[index:]:
                         for rec in rmemos:
                             fs.put(rname, rec, trigger_release=False)
@@ -2151,10 +2041,7 @@ class MemoServer:
         inside the reply's counter map (the wire stats dict is flat).
         """
         resyncer = Resyncer(self.host, self.transport, self.address_book)
-        delta_state = self.delta_sync_state() if msg.delta else None
-        stats = resyncer.resync(
-            list(msg.apps), delta_state=delta_state, deep=msg.deep
-        )
+        stats = resyncer.resync(list(msg.apps), delta_state=self.delta_sync_state())
         flat = {
             f"{peer}:{metric}": count
             for peer, counters in stats.items()

@@ -5,7 +5,8 @@ reproduction quantifies it.  :class:`ClusterMetrics` aggregates fabric and
 server counters into the rows the benches print, and the two statistics —
 :func:`distribution_error` (total variation from the expected shares) and
 :func:`chi_square_uniform` (goodness of fit against the uniform baseline)
-— are what EXPERIMENTS.md records for SEC5A.
+— are what the SEC5A bench (``benchmarks/test_bench_sec5_distribution.py``)
+asserts on.
 """
 
 from __future__ import annotations

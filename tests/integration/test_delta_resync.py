@@ -55,15 +55,16 @@ def drain(cluster, host, key) -> Counter:
 
 class TestDeltaRestart:
     def test_restart_sends_no_full_syncpull(self, tmp_path, monkeypatch):
-        """A durable restart must use DeltaSyncPull, never the full pull."""
-        full_pulls = []
-        original = MemoServer._handle_sync_pull
+        """A durable restart advertises its recovered LSNs in every pull,
+        so nothing the WAL already replayed travels again."""
+        pulls = []
+        original = MemoServer._handle_delta_sync
 
         def spy(self, msg):
-            full_pulls.append(msg)
+            pulls.append(msg)
             return original(self, msg)
 
-        monkeypatch.setattr(MemoServer, "_handle_sync_pull", spy)
+        monkeypatch.setattr(MemoServer, "_handle_delta_sync", spy)
         cluster = make_cluster(tmp_path)
         try:
             with cluster.memo_api("h0", APP) as memo:
@@ -71,29 +72,12 @@ class TestDeltaRestart:
                     memo.put(Key(Symbol(f"k{i}")), f"v{i}", wait=True)
             cluster.kill_host("h1")
             stats = cluster.restart_host("h1")
-            assert full_pulls == []  # delta path only
+            assert {msg.requester for msg in pulls} == {"h1"}
+            assert all(any(msg.primary_lsns.values()) for msg in pulls)
             # Nothing was written during the outage: the recovered WAL
             # already covers everything, so the round moves zero records.
             for peer_stats in stats.values():
                 assert peer_stats == {"returned": 0, "reseeded": 0}
-        finally:
-            cluster.stop()
-
-    def test_in_memory_cluster_still_uses_full_syncpull(self, tmp_path, monkeypatch):
-        """Without durability there is no recovered LSN to delta against."""
-        full_pulls = []
-        original = MemoServer._handle_sync_pull
-
-        def spy(self, msg):
-            full_pulls.append(msg)
-            return original(self, msg)
-
-        monkeypatch.setattr(MemoServer, "_handle_sync_pull", spy)
-        cluster = make_cluster(tmp_path, durable=False)
-        try:
-            cluster.kill_host("h1")
-            cluster.restart_host("h1")
-            assert len(full_pulls) > 0
         finally:
             cluster.stop()
 

@@ -33,13 +33,17 @@ APP = "rep"
 BACKENDS = ["inprocess", "process"]
 
 
-def make_cluster(backend: str, tmp_path) -> Cluster:
+def make_cluster(backend: str, tmp_path, durable: bool = True) -> Cluster:
     adf = system_default_adf(HOSTS, app=APP, replication_factor=2)
     cluster = Cluster(
         adf,
         backend=backend,
         transport_kind="tcp",
-        durability=DurabilityConfig(data_dir=str(tmp_path), fsync="always"),
+        durability=(
+            DurabilityConfig(data_dir=str(tmp_path), fsync="always")
+            if durable
+            else None
+        ),
         idle_timeout=0.5,
         heartbeat_interval=0.05,
         failure_threshold=2,
@@ -170,6 +174,71 @@ class TestCrashSemantics:
         assert sorted(
             memo.get(Key(Symbol("after"), (i,))) for i in range(30)
         ) == list(range(30))
+
+
+@pytest.fixture(params=BACKENDS)
+def logless_cluster(request, tmp_path):
+    c = make_cluster(request.param, tmp_path, durable=False)
+    yield c
+    c.stop()
+
+
+def in_chain_of(host):
+    return lambda chain: host in [h for _sid, h in chain]
+
+
+class TestLogLessRestart:
+    """Without a WAL the restarted host holds nothing and its pull says
+    so (LSN 0, or a clock rebased past the dead incarnation with the gap
+    advertised as a floor): peers hand back everything."""
+
+    def test_restart_gets_every_acked_memo_back_once(self, logless_cluster):
+        cluster = logless_cluster
+        memo = cluster.memo_api("h0", APP)
+        # The victim primaries some of these folders and backs up others.
+        keys = keys_with(cluster, in_chain_of(VICTIM), 30)
+        placement = placement_for(cluster.adf)
+        primaries = {placement.replica_chain(FolderName(APP, k))[0][1] for k in keys}
+        assert VICTIM in primaries and len(primaries) > 1
+        for i, key in enumerate(keys):
+            memo.put(key, f"pre-{i}", wait=True)
+
+        cluster.kill_host(VICTIM)
+        time.sleep(0.3)  # let detectors notice and fail over
+        for i, key in enumerate(keys):
+            memo.put(key, f"mid-{i}", wait=True)
+
+        stats = cluster.restart_host(VICTIM)
+        assert sum(s["returned"] for s in stats.values()) > 0
+        assert sum(s["reseeded"] for s in stats.values()) > 0
+        time.sleep(0.3)  # detectors converge back to alive
+        for i, key in enumerate(keys):
+            assert sorted(memo.drain(key)) == [f"mid-{i}", f"pre-{i}"]
+
+    def test_write_landing_before_the_pull_shadows_nothing(self, logless_cluster):
+        """Traffic can reach the reborn host between its re-registration
+        and its pull.  Those stamps must not reuse the dead incarnation's
+        origin coordinates, or the peers conclude it already holds the
+        crash-lost memos and never return them."""
+        cluster = logless_cluster
+        memo = cluster.memo_api("h0", APP)
+        keys = keys_with(cluster, primaried_on(VICTIM), 10)
+        for i, key in enumerate(keys):
+            memo.put(key, f"pre-{i}", wait=True)
+        cluster.kill_host(VICTIM)
+        time.sleep(0.3)
+
+        # restart_host, taken apart so a write lands before the pull.
+        cluster.backend.respawn_host(VICTIM)
+        cluster._register_one(cluster.adf, VICTIM)
+        with cluster.memo_api(VICTIM, APP) as early:
+            for i, key in enumerate(keys):
+                early.put(key, f"early-{i}", wait=True)
+        cluster.backend.resync_host(VICTIM, [APP])
+
+        time.sleep(0.3)
+        for i, key in enumerate(keys):
+            assert sorted(memo.drain(key)) == [f"early-{i}", f"pre-{i}"]
 
 
 class TestSupervision:

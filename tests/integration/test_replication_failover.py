@@ -165,6 +165,40 @@ class TestResync:
         ) == list(range(30))
 
 
+class TestParallelFanOut:
+    def test_third_replica_leg_overlaps_the_second(self):
+        """With 5 ms injected per direction on every link, an acked put at
+        factor 2 pays one backup round trip over factor 1 — and because
+        the legs run concurrently, factor 3 still pays about one, where a
+        sequential fan-out would pay their sum."""
+        import statistics
+
+        medians = {}
+        for factor in (1, 2, 3):
+            adf = system_default_adf(HOSTS, app="rep", replication_factor=factor)
+            with Cluster(
+                adf, idle_timeout=5.0, heartbeat_interval=0.5, failure_threshold=5
+            ) as c:
+                for i, a in enumerate(HOSTS):
+                    for b in HOSTS[i + 1 :]:
+                        c.fabric.set_latency(a, b, 0.005)
+                c.register()
+                # Local primaries: the ack pays only the fan-out round trips.
+                keys = keys_with(c, primaried_on("h1"), 13)
+                memo = c.memo_api("h1", "rep")
+                memo.put(keys[0], "warm", wait=True)
+                timings = []
+                for key in keys[1:]:
+                    start = time.perf_counter()
+                    memo.put(key, "v", wait=True)
+                    timings.append(time.perf_counter() - start)
+                medians[factor] = statistics.median(timings)
+        over2 = medians[2] - medians[1]
+        over3 = medians[3] - medians[1]
+        assert over2 >= 0.010, medians  # the injected round trip is really paid
+        assert over3 <= 1.6 * over2, medians
+
+
 class TestSingleOwnerEquivalence:
     """``replication_factor=1`` must reproduce seed behaviour exactly."""
 

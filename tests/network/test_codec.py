@@ -37,7 +37,6 @@ from repro.network.protocol import (
     ResyncRequest,
     ShutdownRequest,
     StatsRequest,
-    SyncPull,
     WaitCancelled,
     recv_message,
     send_message,
@@ -79,7 +78,6 @@ ALL_MESSAGES = [
         release_to=folder("g"),
     ),
     Heartbeat(host="h1", origin="p"),
-    SyncPull(app="inv", requester="h2", origin="p"),
     DeltaSyncPull(
         app="inv",
         requester="h2",
@@ -90,7 +88,7 @@ ALL_MESSAGES = [
     StatsRequest(origin="p"),
     ShutdownRequest(origin="p"),
     AddressUpdate(ports={"h1": 50301, "h2": 50307}, origin="cluster"),
-    ResyncRequest(apps=("inv", "pay"), delta=True, deep=True, origin="cluster"),
+    ResyncRequest(apps=("inv", "pay"), origin="cluster"),
     ForwardEnvelope("inv", "h2", b"inner-bytes", trail=("h1", "h3")),
     Reply(ok=True, found=True, payload=b"v", folder=folder(), stats={"memo.requests": 5}),
 ]
@@ -180,6 +178,22 @@ class TestFrameRejection:
         good = encode_message(Heartbeat(host="h"))
         with pytest.raises(DecodingError, match="unknown compact message tag"):
             decode_message(good[:3] + b"\xee" + good[4:])
+
+    def test_retired_tag_9_rejected(self):
+        """Tag 9 was the pre-delta full anti-entropy pull.  It is retired,
+        not reassigned: a well-formed frame an old peer would send must
+        fail to decode rather than be taken for another message."""
+        from repro.errors import ProtocolError
+        from repro.network import codec as c
+        from repro.network.protocol import decode_protocol_frame
+
+        frame = bytearray(b"DC\x01\x09")
+        for field in ("inv", "h2", "p"):  # app, requester, origin
+            c._w_str(frame, field)
+        with pytest.raises(DecodingError, match="unknown compact message tag 0x9"):
+            decode_message(bytes(frame))
+        with pytest.raises(ProtocolError, match="undecodable"):
+            decode_protocol_frame(bytes(frame))
 
     @pytest.mark.parametrize("msg", ALL_MESSAGES, ids=_ids)
     def test_truncated_frames_rejected(self, msg):

@@ -170,3 +170,29 @@ class TestStop:
         two_host_cluster.stop()
         t.join(timeout=5)
         assert outcome, "blocked getter was not woken by shutdown"
+
+
+class TestRetiredMessages:
+    def test_retired_tag_9_frame_closes_only_its_own_connection(
+        self, one_host_cluster
+    ):
+        """An old peer's full anti-entropy pull (tag 9) is undecodable now:
+        the session that received it ends, the server keeps serving."""
+        from repro.errors import ConnectionClosedError
+        from repro.network import codec as c
+
+        backend = one_host_cluster.backend
+        bystander = one_host_cluster.memo_api("solo", "test")
+        bystander.put(key(), "before", wait=True)
+
+        frame = bytearray(b"DC\x01\x09")
+        for field in ("test", "ghost", ""):  # app, requester, origin
+            c._w_str(frame, field)
+        conn = backend.transport_for("solo").connect(backend.address_of("solo"))
+        conn.send(bytes(frame))
+        with pytest.raises(ConnectionClosedError):
+            conn.recv(timeout=5.0)
+
+        assert bystander.get(key()) == "before"  # its connection is untouched
+        bystander.put(key(1), "after", wait=True)
+        assert one_host_cluster.memo_api("solo", "test").get(key(1)) == "after"

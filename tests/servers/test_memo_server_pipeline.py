@@ -198,6 +198,35 @@ class TestBurstForwarding:
             assert order == list(range(80))
 
 
+    def test_one_connection_overlaps_injected_forward_rtts(self):
+        """On 2 ms links strict service would pay one forward round trip
+        per remote put; the pipelined lane bursts them, so the batch costs
+        far less than the sum of the injected delays alone."""
+        latency, n = 0.002, 150
+        adf = system_default_adf(["near", "far"], app="pipe")
+        with Cluster(adf, idle_timeout=5.0) as cluster:
+            cluster.fabric.set_latency("near", "far", latency)
+            cluster.register()
+            reg = cluster.servers["near"].registration("pipe")
+            remote_keys = []
+            i = 0
+            while len(remote_keys) < n:
+                key = Key(Symbol("rtt"), (i,))
+                if reg.placement.replica_chain(FolderName("pipe", key))[0][1] == "far":
+                    remote_keys.append(key)
+                i += 1
+            memo = cluster.memo_api("near", "pipe")
+            memo.put(remote_keys[0], "warm", wait=True)
+
+            start = time.perf_counter()
+            memo.put_many((k, 1) for k in remote_keys)
+            memo.flush()
+            elapsed = time.perf_counter() - start
+
+        serial_floor = n * 2 * latency  # injected delay of per-put forwards
+        assert elapsed < serial_floor / 2, (elapsed, serial_floor)
+
+
 class TestPipelineWithFailover:
     def test_pipelined_puts_interleaved_with_kill_host(self):
         """A liveness flip mid-stream must not wedge or corrupt the client.
