@@ -98,7 +98,3 @@ class DurabilityManager:
                 else:
                     agg["snapshot_age_s"] = max(agg["snapshot_age_s"], g["snapshot_age_s"])
         return agg
-
-    def per_store_gauges(self) -> dict[str, dict]:
-        with self._lock:
-            return {sid: store.gauges() for sid, store in self._stores.items()}

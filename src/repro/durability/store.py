@@ -535,10 +535,6 @@ class DurableStore:
                 self._file.close()
                 self._file = None
 
-    @property
-    def last_lsn(self) -> int:
-        return self._last_lsn
-
     def gauges(self) -> dict:
         age = -1.0
         if self.snapshot_time is not None:

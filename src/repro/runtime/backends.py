@@ -20,8 +20,8 @@ registration, clients, rebalancing, anti-entropy policy.  A backend owns
   recovery and delta resync then run in the reborn process itself.
 
 Both expose the same surface, so the cluster's public API is identical
-over either; everything observability-shaped that the in-process backend
-reads from server objects, the process backend fetches over the wire.
+over either; observability is not part of it — the cluster reads every
+host's counters the same way on both, as one ``StatsRequest`` reply.
 """
 
 from __future__ import annotations
@@ -43,7 +43,6 @@ from repro.network.connection import Address, Transport
 from repro.network.protocol import (
     AddressUpdate,
     ResyncRequest,
-    StatsRequest,
     recv_message,
     send_message,
 )
@@ -155,15 +154,14 @@ class ClusterBackend:
             raise RuntimeLaunchError(f"no memo server on host {host!r}")
         return address
 
-    # -- observability -----------------------------------------------------------
-
-    def stats_snapshot(self, host: str) -> dict:
-        """*host*'s :class:`MemoServerStats` counters (flat name → int)."""
-        raise NotImplementedError
-
-    def durability_snapshot(self, host: str) -> dict:
-        """*host*'s durability gauges (empty when running in-memory)."""
-        raise NotImplementedError
+    def control(self, host: str, message: object, timeout: float = 10.0):
+        """One strict request/reply exchange with *host*'s memo server."""
+        conn = self.transport_for(host).connect(self.address_of(host))
+        try:
+            send_message(conn, message)
+            return recv_message(conn, timeout=timeout)
+        finally:
+            conn.close()
 
 
 class InProcessBackend(ClusterBackend):
@@ -332,16 +330,6 @@ class InProcessBackend(ClusterBackend):
             raise RuntimeLaunchError(f"no memo server on host {host!r}")
         return server.address
 
-    # -- observability -----------------------------------------------------------
-
-    def stats_snapshot(self, host: str) -> dict:
-        # Direct object read: works even on a host whose listener is
-        # wedged or stopped — this is a debugging aid.
-        return self.servers[host].stats.snapshot()
-
-    def durability_snapshot(self, host: str) -> dict:
-        return self.servers[host].durability_gauges()
-
 
 class _ChildProcess:
     """Book-keeping for one spawned memo-server process."""
@@ -385,7 +373,6 @@ class ProcessBackend(ClusterBackend):
         *,
         server_config: dict,
         durability: DurabilityConfig | None,
-        handshake_timeout: float = HANDSHAKE_TIMEOUT,
     ) -> None:
         self.adf = adf
         self.hosts = list(adf.host_names())
@@ -394,7 +381,6 @@ class ProcessBackend(ClusterBackend):
         self.fabric = None
         self.durability = durability
         self._server_config = dict(server_config)
-        self._handshake_timeout = handshake_timeout
         self._children: dict[str, _ChildProcess] = {}
         self._paused: set[str] = set()
         self._intended_down: set[str] = set()
@@ -446,7 +432,7 @@ class ProcessBackend(ClusterBackend):
         return child
 
     def _read_handshake(self, host: str, proc: subprocess.Popen) -> int:
-        deadline = time.monotonic() + self._handshake_timeout
+        deadline = time.monotonic() + HANDSHAKE_TIMEOUT
         fd = proc.stdout.fileno()
         buf = b""
         while b"\n" not in buf:
@@ -454,7 +440,7 @@ class ProcessBackend(ClusterBackend):
             if remaining <= 0:
                 raise RuntimeLaunchError(
                     f"memo server process for {host!r} did not report its "
-                    f"port within {self._handshake_timeout:.0f}s"
+                    f"port within {HANDSHAKE_TIMEOUT:.0f}s"
                 )
             if proc.poll() is not None:
                 raise RuntimeLaunchError(
@@ -466,7 +452,7 @@ class ProcessBackend(ClusterBackend):
                 continue
             chunk = os.read(fd, 4096)
             if not chunk:  # EOF before the handshake line: child is dying
-                proc.wait(timeout=self._handshake_timeout)
+                proc.wait(timeout=HANDSHAKE_TIMEOUT)
                 raise RuntimeLaunchError(
                     f"memo server process for {host!r} closed stdout during "
                     f"startup (returncode {proc.returncode})"
@@ -481,15 +467,6 @@ class ProcessBackend(ClusterBackend):
                 f"bad port handshake from {host!r}: {line!r}"
             ) from exc
 
-    def _control(self, host: str, message: object, timeout: float = 10.0):
-        """One strict request/reply exchange with *host*'s child."""
-        conn = self.transport.connect(self.address_of(host))
-        try:
-            send_message(conn, message)
-            return recv_message(conn, timeout=timeout)
-        finally:
-            conn.close()
-
     def _broadcast_addresses(self) -> None:
         update = AddressUpdate(
             ports={h: a.port for h, a in self.address_book.items()},
@@ -499,7 +476,7 @@ class ProcessBackend(ClusterBackend):
             if not child.alive:
                 continue
             try:
-                self._control(host, update)
+                self.control(host, update)
             except CommunicationError:
                 # A child dying mid-broadcast misses the update; its own
                 # restart (or the next broadcast) delivers a fresh map.
@@ -626,7 +603,7 @@ class ProcessBackend(ClusterBackend):
         self._broadcast_addresses()
 
     def resync_host(self, host: str, apps: list[str]) -> dict[str, dict[str, int]]:
-        reply = self._control(
+        reply = self.control(
             host, ResyncRequest(apps=tuple(apps), origin="cluster"), timeout=60.0
         )
         if not getattr(reply, "ok", False):
@@ -664,21 +641,3 @@ class ProcessBackend(ClusterBackend):
                 )
             raise RuntimeLaunchError(f"no memo server on host {host!r}")
         return address
-
-    # -- observability -----------------------------------------------------------
-
-    def stats_snapshot(self, host: str) -> dict:
-        reply = self._control(host, StatsRequest(origin="cluster"))
-        return {
-            key[len("memo."):]: value
-            for key, value in reply.stats.items()
-            if key.startswith("memo.")
-        }
-
-    def durability_snapshot(self, host: str) -> dict:
-        reply = self._control(host, StatsRequest(origin="cluster"))
-        return {
-            key[len("durability."):]: value
-            for key, value in reply.stats.items()
-            if key.startswith("durability.")
-        }

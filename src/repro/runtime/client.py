@@ -92,6 +92,13 @@ _MAX_PENDING = 4096
 #: keeps moving.
 _RESUBSCRIBE_MAX = 8
 
+#: How many times a request/post retries over a fresh connection after
+#: the old one closes or answers mid-teardown.
+_RECONNECT_MAX = 3
+
+#: Pause before each reconnect, giving a restarting server time to bind.
+_RECONNECT_PAUSE = 0.1
+
 #: Round-trip budget for a CancelWait request: cancellation usually runs
 #: under a caller's own deadline and must stay bounded even against a
 #: wedged server (a timed-out cancel simply reports "not cancelled").
@@ -129,10 +136,6 @@ class MemoClient:
         transport: medium to (re)connect over.
         server_address: the local memo server.
         origin: process name stamped on requests (diagnostics).
-        reconnect_attempts: how many times a request/post retries over a
-            fresh connection after the old one closes (0 disables).
-        reconnect_delay: pause before each reconnect attempt, giving a
-            restarting server time to bind.
     """
 
     def __init__(
@@ -140,8 +143,6 @@ class MemoClient:
         transport: Transport,
         server_address: Address,
         origin: str = "",
-        reconnect_attempts: int = 3,
-        reconnect_delay: float = 0.1,
     ) -> None:
         self.origin = origin
         self.server_address = server_address
@@ -154,8 +155,6 @@ class MemoClient:
         self._lost_acks = 0
         self._next_cid = 1
         self._deferred_error: str | None = None
-        self._reconnect_attempts = reconnect_attempts
-        self._reconnect_delay = reconnect_delay
         #: Server-parked waits: waiter token -> state (push routing key).
         self._wait_by_token: dict[int, _WaitState] = {}
         #: In-flight GetWait sends: correlation id -> state (reply routing).
@@ -309,7 +308,7 @@ class MemoClient:
             return
         if (
             msg.error.startswith("shutdown:")
-            and state.attempts < self._reconnect_attempts
+            and state.attempts < _RECONNECT_MAX
         ):
             # The server answered mid-teardown; retry over a fresh
             # connection (kill/restart fail-over), like ``request`` does.
@@ -430,7 +429,7 @@ class MemoClient:
 
     def _reconnect_locked(self) -> None:
         self._discard_connection_locked()
-        time.sleep(self._reconnect_delay)
+        time.sleep(_RECONNECT_PAUSE)
         self._conn = self._transport.connect(self.server_address)
         self._resubscribe_all_locked()
 
@@ -503,7 +502,7 @@ class MemoClient:
         stale frames) can never be mistaken for it.  A timeout discards
         the connection and reconnects for subsequent calls.  A connection
         closed under the request — e.g. the server was killed — retries
-        over a fresh connection up to the configured attempt budget.
+        over a fresh connection up to :data:`_RECONNECT_MAX` times.
 
         ``drain=False`` skips the deferred-acknowledgement drain (and its
         raise): housekeeping requests like a wait cancellation must not
@@ -523,7 +522,7 @@ class MemoClient:
                         isinstance(reply, Reply)
                         and not reply.ok
                         and reply.error.startswith("shutdown:")
-                        and attempts < self._reconnect_attempts
+                        and attempts < _RECONNECT_MAX
                     ):
                         # A dying server instance answered mid-teardown; if
                         # a healthy instance is (or comes) back at the same
@@ -544,7 +543,7 @@ class MemoClient:
                     raise
                 except ConnectionClosedError:
                     attempts += 1
-                    if attempts > self._reconnect_attempts:
+                    if attempts > _RECONNECT_MAX:
                         raise
                     if not self._conn.closed:
                         # The connection was *replaced* under this request
@@ -556,7 +555,7 @@ class MemoClient:
                     try:
                         self._reconnect_locked()
                     except CommunicationError:
-                        if attempts >= self._reconnect_attempts:
+                        if attempts >= _RECONNECT_MAX:
                             raise
         if not isinstance(reply, Reply):
             raise ProtocolError(f"expected Reply, got {type(reply).__qualname__}")
@@ -574,12 +573,12 @@ class MemoClient:
                     return
                 except ConnectionClosedError:
                     attempts += 1
-                    if attempts > self._reconnect_attempts:
+                    if attempts > _RECONNECT_MAX:
                         raise
                     try:
                         self._reconnect_locked()
                     except CommunicationError:
-                        if attempts >= self._reconnect_attempts:
+                        if attempts >= _RECONNECT_MAX:
                             raise
 
     def put_many(self, msgs: "Iterable[object]") -> None:
@@ -636,12 +635,12 @@ class MemoClient:
                 return
             except ConnectionClosedError:
                 attempts += 1
-                if attempts > self._reconnect_attempts:
+                if attempts > _RECONNECT_MAX:
                     raise
                 try:
                     self._reconnect_locked()
                 except CommunicationError:
-                    if attempts >= self._reconnect_attempts:
+                    if attempts >= _RECONNECT_MAX:
                         raise
 
     # -- futures ---------------------------------------------------------------
@@ -686,7 +685,7 @@ class MemoClient:
                     break
                 except ConnectionClosedError:
                     attempts += 1
-                    if attempts > self._reconnect_attempts:
+                    if attempts > _RECONNECT_MAX:
                         self._wait_by_token.pop(token, None)
                         raise
                     try:
@@ -695,7 +694,7 @@ class MemoClient:
                         # fresh connection — this one included.
                         break
                     except CommunicationError:
-                        if attempts >= self._reconnect_attempts:
+                        if attempts >= _RECONNECT_MAX:
                             self._wait_by_token.pop(token, None)
                             raise
         return future
@@ -724,12 +723,12 @@ class MemoClient:
                     break
                 except ConnectionClosedError:
                     attempts += 1
-                    if attempts > self._reconnect_attempts:
+                    if attempts > _RECONNECT_MAX:
                         raise
                     try:
                         self._reconnect_locked()
                     except CommunicationError:
-                        if attempts >= self._reconnect_attempts:
+                        if attempts >= _RECONNECT_MAX:
                             raise
         return future
 
@@ -793,7 +792,7 @@ class MemoClient:
                 self._reconnect_locked()
                 return
             except CommunicationError as exc:
-                if attempts >= self._reconnect_attempts:
+                if attempts >= _RECONNECT_MAX:
                     self._fail_outstanding_locked(
                         ConnectionClosedError(
                             f"connection to {self.server_address} lost and "

@@ -27,16 +27,11 @@ from dataclasses import asdict
 from repro.adf.model import ADF
 from repro.core.api import Memo
 from repro.durability.config import DurabilityConfig
-from repro.errors import RuntimeLaunchError
+from repro.errors import MemoError, RuntimeLaunchError
 from repro.network.connection import Address, Transport
 from repro.network.protocol import StatsRequest
 from repro.network.transport import NetworkFabric
-from repro.runtime.backends import (
-    HANDSHAKE_TIMEOUT,
-    ClusterBackend,
-    InProcessBackend,
-    ProcessBackend,
-)
+from repro.runtime.backends import ClusterBackend, InProcessBackend, ProcessBackend
 from repro.runtime.client import MemoClient
 from repro.runtime.registration import register_everywhere, registration_request_for
 from repro.servers.hashing import HashWeightPolicy
@@ -71,8 +66,6 @@ class Cluster:
             the host's stores from its local log and anti-entropies only
             the delta past the recovered LSNs, and a whole new Cluster
             pointed at the same data dir cold-restarts from disk.
-        handshake_timeout: process backend only — how long a spawned
-            server may take to report its ephemeral port back.
     """
 
     def __init__(
@@ -87,7 +80,6 @@ class Cluster:
         heartbeat_interval: float = 0.1,
         failure_threshold: int = 3,
         durability: DurabilityConfig | None = None,
-        handshake_timeout: float = HANDSHAKE_TIMEOUT,
     ) -> None:
         adf.validate()
         self.adf = adf
@@ -140,7 +132,6 @@ class Cluster:
                     ),
                 },
                 durability=self.durability,
-                handshake_timeout=handshake_timeout,
             )
         else:
             raise RuntimeLaunchError(f"unknown cluster backend {backend!r}")
@@ -308,15 +299,7 @@ class Cluster:
 
     def _register_one(self, adf: ADF, host: str) -> None:
         """Re-run the section-4.4 registration against a single host."""
-        from repro.network.protocol import recv_message, send_message
-
-        request = registration_request_for(adf)
-        conn = self.backend.transport_for(host).connect(self.backend.address_of(host))
-        try:
-            send_message(conn, request)
-            reply = recv_message(conn, timeout=10.0)
-        finally:
-            conn.close()
+        reply = self.backend.control(host, registration_request_for(adf))
         if not getattr(reply, "ok", False):
             raise RuntimeLaunchError(
                 f"memo server on {host} rejected re-registration: "
@@ -420,36 +403,38 @@ class Cluster:
             metrics.add_server_stats(stats)
         return metrics
 
+    def _host_stats(self, host: str) -> dict | None:
+        """*host*'s flat ``StatsRequest`` counter map; None when it does
+        not answer — dead, not yet spawned, or frozen mid-query (a paused
+        child accepts and says nothing until the recv deadline)."""
+        try:
+            reply = self.backend.control(host, StatsRequest(origin="cluster"))
+        except (MemoError, TimeoutError, OSError):
+            return None
+        return reply.stats if getattr(reply, "ok", False) else None
+
     def waiter_gauges(self) -> dict[str, dict[str, int]]:
         """Per-host waiter-table gauges.
 
         ``active`` is the live table population; the rest are cumulative.
-        In-process this reads the server objects directly, so it works
-        even on a host whose listener is wedged — a debugging aid.  In
-        process mode the gauges come over the wire via ``StatsRequest``,
-        and a host that is dead (or dies mid-query) yields a partial
-        entry tagged ``{"down": True}`` instead of failing the whole
-        aggregation — callers polling during a kill window (the scenario
-        invariant checker does) still see every surviving host.
+        The gauges come over the wire via ``StatsRequest`` on either
+        backend, and a host that is dead (or dies mid-query) yields a
+        partial entry tagged ``{"down": True}`` instead of failing the
+        whole aggregation — callers polling during a kill window (the
+        scenario invariant checker does) still see every surviving host.
         """
-        from repro.errors import MemoError
-
         out: dict[str, dict[str, int]] = {}
         for host in self.backend.hosts:
-            try:
-                snap = self.backend.stats_snapshot(host)
-            except (MemoError, TimeoutError, OSError):
-                # Dead, not-yet-spawned, or frozen mid-query (process mode
-                # answers over the wire; a paused child accepts and says
-                # nothing until the recv deadline).
+            s = self._host_stats(host)
+            if s is None:
                 out[host] = {"down": True}
                 continue
             out[host] = {
-                "active": snap["waiters_active"],
-                "parked": snap["waiters_parked"],
-                "completed": snap["waiters_completed"],
-                "cancelled": snap["waiters_cancelled"],
-                "push_frames": snap["push_frames"],
+                "active": s["memo.waiters_active"],
+                "parked": s["memo.waiters_parked"],
+                "completed": s["memo.waiters_completed"],
+                "cancelled": s["memo.waiters_cancelled"],
+                "push_frames": s["memo.push_frames"],
             }
         return out
 
@@ -458,33 +443,34 @@ class Cluster:
 
         One line per host: request volume, routing split, and the
         waiter-table gauges (parked waits are otherwise invisible — no
-        thread shows up anywhere while a wait is parked).  A process-mode
-        host whose process is dead (or unreachable) reports as ``down``.
+        thread shows up anywhere while a wait is parked).  A host that is
+        dead (or unreachable) reports as ``down``.
         """
-        from repro.errors import MemoError
-
         lines = []
         for host in sorted(self.backend.hosts):
-            try:
-                s = self.backend.stats_snapshot(host)
-                d = self.backend.durability_snapshot(host)
-            except (MemoError, TimeoutError, OSError):
+            s = self._host_stats(host)
+            if s is None:
                 lines.append(f"{host}: down (no stats reply)")
                 continue
             line = (
-                f"{host}: requests={s['requests']} "
-                f"local={s['local_dispatches']} fwd_out={s['forwards_out']} "
-                f"errors={s['errors']} | waiters active={s['waiters_active']} "
-                f"parked={s['waiters_parked']} "
-                f"completed={s['waiters_completed']} "
-                f"cancelled={s['waiters_cancelled']} "
-                f"pushes={s['push_frames']}"
+                f"{host}: requests={s['memo.requests']} "
+                f"local={s['memo.local_dispatches']} "
+                f"fwd_out={s['memo.forwards_out']} "
+                f"errors={s['memo.errors']} "
+                f"| waiters active={s['memo.waiters_active']} "
+                f"parked={s['memo.waiters_parked']} "
+                f"completed={s['memo.waiters_completed']} "
+                f"cancelled={s['memo.waiters_cancelled']} "
+                f"pushes={s['memo.push_frames']}"
             )
-            if d:
+            if "durability.stores" in s:
                 line += (
-                    f" | wal stores={d['stores']} records={d['wal_records']} "
-                    f"bytes={d['wal_bytes']} replayed={d['wal_replayed']} "
-                    f"snaps={d['snapshots_written']} fsyncs={d['fsyncs']}"
+                    f" | wal stores={s['durability.stores']} "
+                    f"records={s['durability.wal_records']} "
+                    f"bytes={s['durability.wal_bytes']} "
+                    f"replayed={s['durability.wal_replayed']} "
+                    f"snaps={s['durability.snapshots_written']} "
+                    f"fsyncs={s['durability.fsyncs']}"
                 )
             lines.append(line)
         return "\n".join(lines)

@@ -6,26 +6,32 @@ servers per machine, each having exclusive access to its folders."
 
 Semantics implemented here, straight from section 6:
 
-* ``put`` — deposit; wakes one blocked getter; releases any delayed memos
+* ``put`` — deposit; completes waiting getters; releases any delayed memos
   parked on the folder (the ``put_delayed`` trigger).
 * ``get`` — consume; blocks while empty.
 * ``get_copy`` — return a copy without consuming; blocks while empty.
 * ``get_skip`` — consume or return not-found immediately.
 * ``get_alt_skip`` over co-located folders — first non-empty wins.
 * A folder "vanishes" when it holds no memos, no delayed memos, and no
-  blocked waiters (the future-folder lifecycle of section 6.2.5).
+  waiters (the future-folder lifecycle of section 6.2.5).
 
-Waiting comes in two forms.  The classic form blocks the calling thread
-on the server's condition variable (``get``/``get_copy``) — one thread
-pinned per wait.  The *register-waiter* form (:meth:`FolderServer.get_async`)
-parks a callback instead: when the folder is empty the wait costs one
-table entry, and the put path completes parked waiters directly — copies
-first (non-consuming, all of them), then consumers while memos remain,
-in registration order.  Parked waiters are first-class folder state: they
-keep the folder alive, are interrupted by migration and shutdown exactly
-like blocked threads, and can be withdrawn with
-:meth:`FolderServer.cancel_waiter`.  Callbacks always run *outside* the
-server lock (they typically push a frame down a connection).
+There is one way to wait: :meth:`FolderServer.get_async` parks a callback
+on the folder's waiter list when the folder is empty — one list entry, no
+thread — and the put path completes waiters directly: copies first
+(non-consuming, all of them), then consumers while memos remain, in
+registration order.  The blocking ``get``/``get_copy`` are that same
+primitive plus a one-shot signal the calling thread sleeps on, so a
+blocked thread and a parked callback queue in the same list and are
+served in arrival order.  Waiters are first-class folder state: they keep
+the folder alive, are interrupted by migration and shutdown (a blocked
+caller sees the reason as :class:`FolderMigratedError` /
+:class:`ShutdownError`), and can be withdrawn with
+:meth:`FolderServer.cancel_waiter`, which is how a ``timeout`` ends a
+blocked call.  Callbacks always run *outside* the server lock (they
+typically push a frame down a connection).  ``stats.blocked_waits``
+counts every wait that found its folder empty and ``stats.async_parked``
+every waiter-list entry — blocked and parked callers alike, so the two
+move together.
 
 *Unordered* queue: extraction order is deliberately not FIFO — a seeded RNG
 picks a victim index, so applications cannot accidentally depend on an
@@ -95,21 +101,13 @@ class Folder:
     memos: list[MemoRecord] = field(default_factory=list)
     #: Parked ``put_delayed`` memos: (record, release-to folder).
     delayed: list[tuple[MemoRecord, FolderName]] = field(default_factory=list)
-    waiters: int = 0
-    #: Parked register-waiter waits, in registration order.
+    #: Waiting getters — blocked threads and parked callbacks alike — in
+    #: registration order.
     async_waiters: list[AsyncWaiter] = field(default_factory=list)
-    #: Set when the folder is extracted for migration; blocked waiters wake
-    #: with :class:`FolderMigratedError` and re-route.
-    migrated: bool = False
 
     def is_vanished(self) -> bool:
         """True when nothing keeps this folder alive."""
-        return (
-            not self.memos
-            and not self.delayed
-            and self.waiters == 0
-            and not self.async_waiters
-        )
+        return not self.memos and not self.delayed and not self.async_waiters
 
 
 class FolderServer:
@@ -154,10 +152,6 @@ class FolderServer:
         self.stats = FolderServerStats()
         self._folders: dict[FolderName, Folder] = {}
         self._lock = threading.Lock()
-        self._cond = threading.Condition(self._lock)
-        #: Threads currently blocked in a wait_for (any folder); puts only
-        #: pay for a notify when this is non-zero.
-        self._waiting = 0
         self._rng = random.Random(seed)
         self._shutdown = False
         #: Log sequence number: advanced for every journaled mutation and
@@ -187,21 +181,48 @@ class FolderServer:
         return folder
 
     def _maybe_vanish(self, folder: Folder) -> None:
-        # Identity check, not name check: a waiter interrupted by
-        # migration holds a *detached* Folder whose name may since have
-        # been re-created; vanishing the newcomer would drop its memos.
-        if folder.is_vanished() and self._folders.get(folder.name) is folder:
+        if folder.is_vanished():
             del self._folders[folder.name]
             self.stats.folders_vanished += 1
 
-    def _pick(self, folder: Folder) -> MemoRecord:
-        """Remove and return one memo, unordered."""
+    def _consume(self, folder: Folder) -> MemoRecord:
+        """Remove, journal and return one memo, unordered."""
         idx = self._rng.randrange(len(folder.memos)) if len(folder.memos) > 1 else 0
-        return folder.memos.pop(idx)
+        record = folder.memos.pop(idx)
+        if self.journal is not None:
+            self._lsn += 1
+            self.journal.log_consume(self._lsn, folder.name, record)
+        return record
 
     def _peek(self, folder: Folder) -> MemoRecord:
         idx = self._rng.randrange(len(folder.memos)) if len(folder.memos) > 1 else 0
         return folder.memos[idx]
+
+    def _stamp(self, record: MemoRecord) -> None:
+        """Advance the clock for an arriving *record* and settle its origin.
+
+        A record arriving without origin coordinates (``src_lsn == 0``) is
+        being *first accepted* here and is stamped with this store's id
+        and next LSN; replica copies and recovered records keep the stamp
+        they arrived with.
+        """
+        self._lsn += 1
+        if record.src_lsn == 0:
+            # In-place stamp: the record is freshly constructed and
+            # single-owner at this point (frozen guards aliasing after
+            # it is stored, not construction-time initialisation).
+            object.__setattr__(record, "src_sid", self.server_id)
+            object.__setattr__(record, "src_lsn", self._lsn)
+        elif record.src_sid == self.server_id and record.src_lsn > self._lsn:
+            # A stamp from a previous incarnation of this store
+            # (anti-entropy returning a pre-crash write): jump the
+            # clock past it so fresh stamps never reuse old-world
+            # coordinates, and mark the range as unrecovered.
+            self._lsn = record.src_lsn
+            if record.src_lsn > self._resync_floor:
+                self._resync_floor = record.src_lsn
+        if record.src_lsn > self._src_marks.get(record.src_sid, 0):
+            self._src_marks[record.src_sid] = record.src_lsn
 
     # -- operations -----------------------------------------------------------
 
@@ -217,36 +238,17 @@ class FolderServer:
         already ran the trigger, and re-running it per copy would release
         each delayed memo once per replica.
 
-        A record arriving without origin coordinates (``src_lsn == 0``) is
-        being *first accepted* here and is stamped with this store's id
-        and next LSN; replica copies and recovered records keep the stamp
-        they arrived with.  Returns the (stamped) stored record so the
-        caller can propagate the coordinates to backups.
+        Returns the stored record, stamped with its origin coordinates
+        (see :meth:`_stamp`), so the caller can propagate them to backups.
         """
         to_release: list[tuple[MemoRecord, FolderName]] = []
         completions: list[tuple[AsyncWaiter, MemoRecord]] = []
         journal = self.journal
-        with self._cond:
+        with self._lock:
             self._ensure_up()
             folder = self._folder(name)
             if self.track_origins:
-                self._lsn += 1
-                if record.src_lsn == 0:
-                    # In-place stamp: the record is freshly constructed and
-                    # single-owner at this point (frozen guards aliasing after
-                    # it is stored, not construction-time initialisation).
-                    object.__setattr__(record, "src_sid", self.server_id)
-                    object.__setattr__(record, "src_lsn", self._lsn)
-                elif record.src_sid == self.server_id and record.src_lsn > self._lsn:
-                    # A stamp from a previous incarnation of this store
-                    # (anti-entropy returning a pre-crash write): jump the
-                    # clock past it so fresh stamps never reuse old-world
-                    # coordinates, and mark the range as unrecovered.
-                    self._lsn = record.src_lsn
-                    if record.src_lsn > self._resync_floor:
-                        self._resync_floor = record.src_lsn
-                if record.src_lsn > self._src_marks.get(record.src_sid, 0):
-                    self._src_marks[record.src_sid] = record.src_lsn
+                self._stamp(record)
                 if journal is not None:
                     journal.log_put(self._lsn, name, record)
             folder.memos.append(record)
@@ -260,12 +262,6 @@ class FolderServer:
             if folder.async_waiters:
                 completions = self._claim_async_locked(folder)
                 self._maybe_vanish(folder)
-            if self._waiting:
-                # Skip the (surprisingly costly) notify when nobody can
-                # care — bulk ingest with no blocked getters is the hot
-                # case.  Waiters increment the count under this lock
-                # before waiting, so a sleeper can never be missed.
-                self._cond.notify_all()
         if journal is not None:
             journal.commit()
         # Release outside the lock: the target may be a local folder (plain
@@ -274,8 +270,8 @@ class FolderServer:
             with self._lock:
                 self.stats.delayed_released += 1
             self._release(target, rec)
-        # Complete parked waiters outside the lock too: each callback
-        # typically pushes a frame down a connection.
+        # Complete waiters outside the lock too: each callback typically
+        # pushes a frame down a connection or wakes a blocked caller.
         for waiter, rec in completions:
             waiter.callback(rec, None)
         return record
@@ -283,7 +279,7 @@ class FolderServer:
     def _claim_async_locked(
         self, folder: Folder
     ) -> list[tuple[AsyncWaiter, MemoRecord]]:
-        """Match the folder's memos against its parked waiters (FIFO).
+        """Match the folder's memos against its waiters (FIFO).
 
         Copy waiters never consume, so any arrival completes all of them;
         get waiters consume one memo each while memos remain.  A get
@@ -303,11 +299,7 @@ class FolderServer:
                 continue
             if folder.memos:
                 self.stats.gets += 1
-                record = self._pick(folder)
-                if self.journal is not None:
-                    self._lsn += 1
-                    self.journal.log_consume(self._lsn, folder.name, record)
-                done.append((waiter, record))
+                done.append((waiter, self._consume(folder)))
             else:
                 keep.append(waiter)
         folder.async_waiters = keep
@@ -324,20 +316,11 @@ class FolderServer:
     ) -> MemoRecord:
         """Park *record* on *name*; it moves to *release_to* on next arrival."""
         journal = self.journal
-        with self._cond:
+        with self._lock:
             self._ensure_up()
             folder = self._folder(name)
             if self.track_origins:
-                self._lsn += 1
-                if record.src_lsn == 0:
-                    object.__setattr__(record, "src_sid", self.server_id)
-                    object.__setattr__(record, "src_lsn", self._lsn)
-                elif record.src_sid == self.server_id and record.src_lsn > self._lsn:
-                    self._lsn = record.src_lsn
-                    if record.src_lsn > self._resync_floor:
-                        self._resync_floor = record.src_lsn
-                if record.src_lsn > self._src_marks.get(record.src_sid, 0):
-                    self._src_marks[record.src_sid] = record.src_lsn
+                self._stamp(record)
                 if journal is not None:
                     journal.log_delayed(self._lsn, name, release_to, record)
             folder.delayed.append((record, release_to))
@@ -348,70 +331,46 @@ class FolderServer:
 
     def get(self, name: FolderName, timeout: float | None = None) -> MemoRecord:
         """Consume a memo; blocks while the folder is empty."""
-        with self._cond:
-            self._ensure_up()
-            folder = self._folder(name)
-            folder.waiters += 1
-            try:
-                if not folder.memos:
-                    self.stats.blocked_waits += 1
-                self._waiting += 1
-                try:
-                    ok = self._cond.wait_for(
-                        lambda: bool(folder.memos)
-                        or folder.migrated
-                        or self._shutdown,
-                        timeout=timeout,
-                    )
-                finally:
-                    self._waiting -= 1
-                self._ensure_up()
-                if folder.migrated and not folder.memos:
-                    raise FolderMigratedError(f"folder {name} migrated away")
-                if not ok:
-                    raise TimeoutError(f"get({name}) timed out")
-                record = self._pick(folder)
-                self.stats.gets += 1
-                if self.journal is not None:
-                    self._lsn += 1
-                    self.journal.log_consume(self._lsn, name, record)
-            finally:
-                folder.waiters -= 1
-                self._maybe_vanish(folder)
-        if self.journal is not None:
-            self.journal.commit()
-        return record
+        return self._get_blocking(name, "get", timeout)
 
     def get_copy(self, name: FolderName, timeout: float | None = None) -> MemoRecord:
         """Return a memo without consuming it; blocks while empty."""
-        with self._cond:
-            self._ensure_up()
-            folder = self._folder(name)
-            folder.waiters += 1
-            try:
-                if not folder.memos:
-                    self.stats.blocked_waits += 1
-                self._waiting += 1
-                try:
-                    ok = self._cond.wait_for(
-                        lambda: bool(folder.memos)
-                        or folder.migrated
-                        or self._shutdown,
-                        timeout=timeout,
-                    )
-                finally:
-                    self._waiting -= 1
-                self._ensure_up()
-                if folder.migrated and not folder.memos:
-                    raise FolderMigratedError(f"folder {name} migrated away")
-                if not ok:
-                    raise TimeoutError(f"get_copy({name}) timed out")
-                record = self._peek(folder)
-                self.stats.copies += 1
-                return record
-            finally:
-                folder.waiters -= 1
-                self._maybe_vanish(folder)
+        return self._get_blocking(name, "copy", timeout)
+
+    def _get_blocking(
+        self, name: FolderName, mode: str, timeout: float | None
+    ) -> MemoRecord:
+        """:meth:`get_async` plus a one-shot signal the caller sleeps on.
+
+        The signal is a bare lock, acquired here and released by the
+        completion callback — the wake is one C-level hand-off.  On
+        timeout the waiter is withdrawn; a cancel that lost the race to a
+        completion waits for it and returns its record, so a consumed
+        memo is never dropped.
+        """
+        done = threading.Lock()
+        done.acquire()
+        outcome: list = []
+
+        def wake(record: MemoRecord | None, error: str | None) -> None:
+            outcome.append((record, error))
+            done.release()
+
+        record, waiter = self.get_async(name, mode, wake)
+        if waiter is None:
+            return record
+        if not done.acquire(timeout=-1 if timeout is None else timeout):
+            if self.cancel_waiter(name, waiter):
+                op = "get" if mode == "get" else "get_copy"
+                raise TimeoutError(f"{op}({name}) timed out")
+            done.acquire()
+        record, error = outcome[0]
+        if record is not None:
+            return record
+        kind, _, detail = error.partition(": ")
+        if kind == "FolderMigratedError":
+            raise FolderMigratedError(detail)
+        raise ShutdownError(detail)
 
     def get_async(
         self,
@@ -433,7 +392,7 @@ class FolderServer:
         """
         if mode not in ("get", "copy"):
             raise FolderServerError(f"invalid async get mode {mode!r}")
-        with self._cond:
+        with self._lock:
             self._ensure_up()
             folder = self._folder(name)
             if folder.memos:
@@ -442,10 +401,7 @@ class FolderServer:
                     record = self._peek(folder)
                 else:
                     self.stats.gets += 1
-                    record = self._pick(folder)
-                    if self.journal is not None:
-                        self._lsn += 1
-                        self.journal.log_consume(self._lsn, name, record)
+                    record = self._consume(folder)
                 self._maybe_vanish(folder)
             else:
                 self.stats.blocked_waits += 1
@@ -466,7 +422,7 @@ class FolderServer:
         server: session teardown races ``shutdown()`` and must not trip
         over the liveness check while detaching its waiters.
         """
-        with self._cond:
+        with self._lock:
             folder = self._folders.get(name)
             if folder is None:
                 return False
@@ -480,7 +436,7 @@ class FolderServer:
 
     def get_skip(self, name: FolderName) -> MemoRecord | None:
         """Consume a memo when available; None immediately otherwise."""
-        with self._cond:
+        with self._lock:
             self._ensure_up()
             folder = self._folders.get(name)
             if folder is None or not folder.memos:
@@ -488,11 +444,8 @@ class FolderServer:
                 if folder is not None:
                     self._maybe_vanish(folder)
                 return None
-            record = self._pick(folder)
+            record = self._consume(folder)
             self.stats.skips += 1
-            if self.journal is not None:
-                self._lsn += 1
-                self.journal.log_consume(self._lsn, name, record)
             self._maybe_vanish(folder)
         if self.journal is not None:
             self.journal.commit()
@@ -508,18 +461,14 @@ class FolderServer:
         specifies for ``get_alt``) and consumes from the first non-empty.
         """
         hit = None
-        with self._cond:
+        with self._lock:
             self._ensure_up()
             for name in names:
                 folder = self._folders.get(name)
                 if folder is not None and folder.memos:
-                    record = self._pick(folder)
+                    hit = (name, self._consume(folder))
                     self.stats.skips += 1
-                    if self.journal is not None:
-                        self._lsn += 1
-                        self.journal.log_consume(self._lsn, name, record)
                     self._maybe_vanish(folder)
-                    hit = (name, record)
                     break
             else:
                 self.stats.skip_misses += 1
@@ -537,42 +486,28 @@ class FolderServer:
 
         Used by ownership rebalancing: when an application re-registers
         with new host costs, folders whose new owner is elsewhere are
-        extracted here and re-deposited through normal routing.  Blocked
-        waiters are *interrupted* with :class:`FolderMigratedError` rather
-        than skipped: new puts route to the folder's new owner, so a waiter
-        left pinned to this condition variable would strand forever; the
-        memo server catches the interrupt and re-blocks the get at the new
-        home.  Parked async waiters are interrupted the same way — their
-        callbacks fire with a ``FolderMigratedError`` reason (outside the
-        lock) and the owning session pushes a ``WaitCancelled`` so the
-        client re-subscribes at the folder's new home.
+        extracted here and re-deposited through normal routing.  Waiters
+        are *interrupted* rather than skipped: new puts route to the
+        folder's new owner, so a waiter left on this list would strand
+        forever.  Their callbacks fire with a ``FolderMigratedError``
+        reason (outside the lock): a blocked ``get`` raises it and the
+        memo server re-blocks the get at the new home; a session's parked
+        wait pushes a ``WaitCancelled`` so the client re-subscribes there.
         """
         moved = []
         interrupted: list[tuple[AsyncWaiter, FolderName]] = []
-        with self._cond:
+        with self._lock:
             self._ensure_up()
             for name in list(self._folders):
-                folder = self._folders[name]
                 if not should_move(name):
                     continue
-                del self._folders[name]
+                folder = self._folders.pop(name)
                 self.stats.folders_vanished += 1
-                memos, delayed = folder.memos, folder.delayed
-                if folder.async_waiters:
-                    interrupted.extend(
-                        (w, name) for w in folder.async_waiters
-                    )
-                    folder.async_waiters = []
-                if folder.waiters:
-                    # Detach the contents before flagging, so a woken
-                    # waiter cannot consume a memo migration is moving.
-                    folder.memos, folder.delayed = [], []
-                    folder.migrated = True
+                interrupted.extend((w, name) for w in folder.async_waiters)
                 if self.journal is not None:
                     self._lsn += 1
                     self.journal.log_folder_drop(self._lsn, name)
-                moved.append((name, memos, delayed))
-            self._cond.notify_all()
+                moved.append((name, folder.memos, folder.delayed))
         if moved and self.journal is not None:
             self.journal.commit()
         for waiter, name in interrupted:
@@ -592,7 +527,7 @@ class FolderServer:
         re-homed, so nothing needs interrupting).
         """
         moved = []
-        with self._cond:
+        with self._lock:
             self._ensure_up()
             for name in list(self._folders):
                 folder = self._folders[name]
@@ -635,7 +570,7 @@ class FolderServer:
         irrelevant and included.
         """
         out = []
-        with self._cond:
+        with self._lock:
             self._ensure_up()
             for name, folder in self._folders.items():
                 if predicate(name):
@@ -652,7 +587,7 @@ class FolderServer:
         waiters exist yet.  The LSN counter resumes past the recovered
         high-water mark so new stamps never collide with logged ones.
         """
-        with self._cond:
+        with self._lock:
             for name, (memos, delayed) in folders.items():
                 folder = self._folder(name)
                 folder.memos.extend(memos)
@@ -675,7 +610,7 @@ class FolderServer:
         journaled at LSNs ≤ the returned value — the invariant snapshot
         + ``lsn > snapshot_lsn`` WAL replay depends on.
         """
-        with self._cond:
+        with self._lock:
             dump = [
                 (name, list(folder.memos), list(folder.delayed))
                 for name, folder in self._folders.items()
@@ -781,21 +716,18 @@ class FolderServer:
             raise ShutdownError(f"folder server {self.server_id} is shut down")
 
     def shutdown(self) -> None:
-        """Wake every blocked getter with :class:`ShutdownError`.
+        """End every wait with a ``shutdown:`` reason, outside the lock.
 
-        Parked async waiters get the same treatment in callback form: a
-        ``shutdown:`` reason, delivered outside the lock, which the
-        owning session forwards as a ``WaitCancelled`` push — the client
-        treats it as an invitation to re-subscribe after fail-over.
+        A blocked getter raises it as :class:`ShutdownError`; a session
+        forwards it as a ``WaitCancelled`` push, which the client treats
+        as an invitation to re-subscribe after fail-over.
         """
         cancelled: list[AsyncWaiter] = []
-        with self._cond:
+        with self._lock:
             self._shutdown = True
             for folder in self._folders.values():
-                if folder.async_waiters:
-                    cancelled.extend(folder.async_waiters)
-                    folder.async_waiters = []
-            self._cond.notify_all()
+                cancelled.extend(folder.async_waiters)
+                folder.async_waiters = []
         reason = f"shutdown: folder server {self.server_id} is shut down"
         for waiter in cancelled:
             waiter.callback(None, reason)

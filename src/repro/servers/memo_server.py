@@ -32,8 +32,8 @@ no thread) and resolves later through an unsolicited
 :class:`~repro.network.protocol.MemoReady` /
 :class:`~repro.network.protocol.WaitCancelled` push completed directly
 off the put path — a million parked waiters cost a table, not a thread
-pool.  Strict sessions never receive pushes.  Puts ride
-per-folder FIFO lanes, so pipelining never reorders two puts to the same
+pool.  Strict sessions never receive pushes.  Puts ride one FIFO
+queue per connection, so pipelining never reorders two puts to the same
 folder, and runs of puts owned by a remote host are forwarded as one
 :class:`~repro.network.protocol.BurstEnvelope` instead of one strict
 round trip each.
@@ -141,13 +141,6 @@ class MemoServerStats:
     resync_returned: int = 0
     resync_reseeded: int = 0
     resync_reseed_skipped: int = 0
-    #: Durability gauges, refreshed from the manager by
-    #: :meth:`MemoServer.durability_gauges` (zero when not durable).
-    wal_records: int = 0
-    wal_bytes: int = 0
-    wal_replayed: int = 0
-    snapshots_written: int = 0
-    fsyncs: int = 0
     #: Waiter-table gauges: parked is cumulative, active is the current
     #: table population across all sessions (incremented on park,
     #: decremented on completion/cancellation).
@@ -187,6 +180,10 @@ class AppRegistration:
     replication_factor: int = 1
 
 
+#: Idle connections a pool keeps per destination; extras are closed.
+_POOL_IDLE_CAP = 4
+
+
 class _ConnectionPool:
     """Exclusive-use connection pool keyed by destination address.
 
@@ -196,9 +193,8 @@ class _ConnectionPool:
     head-of-line blocking or deadlock.
     """
 
-    def __init__(self, transport: Transport, max_idle: int = 4) -> None:
+    def __init__(self, transport: Transport) -> None:
         self._transport = transport
-        self._max_idle = max_idle
         self._idle: dict[Address, list[Connection]] = {}
         self._lock = threading.Lock()
         self._closed = False
@@ -235,7 +231,7 @@ class _ConnectionPool:
                 conn.close()
                 return
             bucket = self._idle.setdefault(address, [])
-            if len(bucket) < self._max_idle:
+            if len(bucket) < _POOL_IDLE_CAP:
                 bucket.append(conn)
                 return
         conn.close()
@@ -290,14 +286,7 @@ class _ParkedWaiter:
         self.fs = None
         self.handle = None
 
-#: Put lanes per pipelined connection.  Same-folder puts always hash to
-#: the same lane — that is the per-folder FIFO guarantee.  One lane is
-#: the throughput sweet spot under the GIL (fewer threads trading the
-#: interpreter); cross-owner latency overlap comes from the lane firing
-#: its burst groups concurrently, not from extra lanes.
-_PUT_LANES = 1
-
-#: Most requests a lane worker drains per round; bounds reply-batch size
+#: Most requests the put worker drains per round; bounds reply-batch size
 #: (and so peak reply-frame size) under a firehose producer.
 _LANE_BATCH_MAX = 128
 
@@ -319,16 +308,18 @@ class _ConnectionSession:
     per-connection *worker set*:
 
     * correlated requests (version-2 frames) are dispatched — puts onto
-      one of :data:`_PUT_LANES` FIFO lanes keyed by folder (two puts to
-      the same folder can never reorder; distinct folders overlap),
-      everything else onto its own worker so a blocking ``get`` never
-      stalls the puts pipelined behind it;
+      the connection's one FIFO queue, drained by one worker (two puts
+      on a connection can never reorder; one worker is the throughput
+      sweet spot under the GIL, and cross-owner latency overlap comes
+      from the worker firing its burst groups concurrently), everything
+      else onto its own worker so a blocking ``get`` never stalls the
+      puts pipelined behind it;
     * replies are sent as the workers complete — out of order, tagged
       with the request's correlation id, coalesced into
       :class:`PipelineBatch` frames when a burst completes together;
     * id-less requests (seed peers, forwarded envelopes, heartbeats) keep
       the exact strict request/reply behaviour: the reader waits for the
-      put lanes to drain (so a legacy request observes the pipelined
+      put queue to drain (so a legacy request observes the pipelined
       writes that preceded it), handles inline, and replies untagged.
 
     On shutdown or connection loss the session *drains*: queued-but-
@@ -343,8 +334,8 @@ class _ConnectionSession:
         "conn",
         "_lock",
         "_idle",
-        "_put_queues",
-        "_lane_running",
+        "_put_queue",
+        "_put_running",
         "_inflight_puts",
         "_inflight_other",
         "_waiters",
@@ -355,8 +346,8 @@ class _ConnectionSession:
         self.conn = conn
         self._lock = threading.Lock()
         self._idle = threading.Condition(self._lock)
-        self._put_queues: list[deque] = [deque() for _ in range(_PUT_LANES)]
-        self._lane_running = [False] * _PUT_LANES
+        self._put_queue: deque = deque()
+        self._put_running = False
         self._inflight_puts = 0
         self._inflight_other = 0
         #: The waiter table: parked GetWaits keyed by client-chosen token.
@@ -399,7 +390,7 @@ class _ConnectionSession:
         self.server.stats.bump("requests")
         # Pipelined puts already accepted on this connection must land
         # before a legacy request runs: the legacy peer believes its last
-        # write completed when this one is served.  If the lanes cannot
+        # write completed when this one is served.  If the queue cannot
         # drain within the bound, serving anyway would silently reorder —
         # fail the request instead, like any other server-side error.
         if self._await_put_lanes():
@@ -437,7 +428,7 @@ class _ConnectionSession:
         return True
 
     def _dispatch_burst_envelope(self, burst: BurstEnvelope) -> bool:
-        """Unwrap a peer's burst-forwarded puts into the put lanes.
+        """Unwrap a peer's burst-forwarded puts into the put queue.
 
         One :class:`ForwardEnvelope` stand-in is built for the whole burst
         (the trail/ownership checks in ``_handle_envelope_inner`` read
@@ -468,26 +459,24 @@ class _ConnectionSession:
                 inner, (PutRequest, PutDelayedRequest)
             ):
                 return False
-            self._enqueue_put(inner.folder, (shared, cid, inner, None))
+            self._enqueue_put((shared, cid, inner, None))
         return True
 
-    def _enqueue_put(self, folder: FolderName, entry: tuple) -> None:
-        """Queue one put on its folder's FIFO lane, spawning the worker
-        if the lane is idle (shared by direct and burst-unwrapped puts)."""
-        lane = hash(folder) % _PUT_LANES if _PUT_LANES > 1 else 0
+    def _enqueue_put(self, entry: tuple) -> None:
+        """Queue one put, spawning the worker if it is idle (shared by
+        direct and burst-unwrapped puts)."""
         with self._lock:
-            self._put_queues[lane].append(entry)
+            self._put_queue.append(entry)
             self._inflight_puts += 1
-            spawn = not self._lane_running[lane]
-            if spawn:
-                self._lane_running[lane] = True
+            spawn = not self._put_running
+            self._put_running = True
         if spawn:
-            self._spawn(self._run_put_lane, lane)
+            self._spawn(self._run_put_lane)
 
     # -- dispatch -------------------------------------------------------------
 
     def _dispatch(self, msg: object, cid: int, raw: bytes | None = None) -> None:
-        # Puts ride the FIFO lanes; GetWait/CancelWait are non-blocking by
+        # Puts ride the FIFO queue; GetWait/CancelWait are non-blocking by
         # construction and served inline on the reader (that inlining IS
         # the waiter table's O(1)-thread property); everything else —
         # including any correlated ForwardEnvelope, which no current peer
@@ -495,7 +484,7 @@ class _ConnectionSession:
         # — gets its own worker so a blocking request stalls nothing
         # behind it.
         if isinstance(msg, (PutRequest, PutDelayedRequest)):
-            self._enqueue_put(msg.folder, (msg, cid, None, raw))
+            self._enqueue_put((msg, cid, None, raw))
         elif isinstance(msg, GetWaitRequest):
             self._handle_get_wait(msg, cid)
         elif isinstance(msg, CancelWaitRequest):
@@ -524,22 +513,22 @@ class _ConnectionSession:
             self.server.stats.bump("errors")
             return Reply(ok=False, error=f"internal error: {type(exc).__name__}: {exc}")
 
-    def _run_put_lane(self, lane: int) -> None:
-        queue = self._put_queues[lane]
+    def _run_put_lane(self) -> None:
+        queue = self._put_queue
         while True:
             batch: list = []
             with self._lock:
                 while queue and len(batch) < _LANE_BATCH_MAX:
                     batch.append(queue.popleft())
                 if not batch:
-                    self._lane_running[lane] = False
+                    self._put_running = False
                     return
             try:
                 try:
                     replies = self._process_put_batch(batch)
                 except Exception as exc:  # noqa: BLE001 - a worker must
                     # always reply AND keep the lane alive: an exception
-                    # escaping here would leave _lane_running stuck True
+                    # escaping here would leave _put_running stuck True
                     # (no future round ever spawns) and the peer waiting
                     # on ids that never resolve.
                     self.server.stats.bump("errors")
@@ -705,14 +694,11 @@ class _ConnectionSession:
                     entry, None, "shutdown: server stopping; wait not chased"
                 )
             return _PARKED_ACK
-        if chain[0][1] == server.host:
-            fs = server._folder_server(chain[0][0])
-        else:
+        if chain[0][1] != server.host:
             # Dead primary: serve the wait out of this host's replica
             # store, exactly as _dispatch_chain fails reads over.
             server.stats.bump("failover_dispatches")
-            fs = server._replica_server(sid)
-        entry.fs = fs
+        entry.fs = fs = server._store_for(chain, sid)
         # Table entry goes in BEFORE registering with the folder server:
         # the completion callback may fire from a concurrent put the
         # instant the waiter parks, and must find its entry.  (The push
@@ -892,9 +878,8 @@ class _ConnectionSession:
         """
         stranded: list = []
         with self._lock:
-            for queue in self._put_queues:
-                while queue:
-                    stranded.append(queue.popleft())
+            stranded.extend(self._put_queue)
+            self._put_queue.clear()
             self._inflight_puts -= len(stranded)
             waiters = list(self._waiters.values())
             self._waiters.clear()
@@ -1659,6 +1644,18 @@ class MemoServer:
             fs.rebase_lsn(self.lsn_rebase)
         return fs
 
+    def _store_for(
+        self, chain: tuple[tuple[str, str], ...], sid: str
+    ) -> FolderServer:
+        """The local store that serves *chain* on this host.
+
+        The primary serves from its ordinary folder server; any other
+        member (chain entry *sid*) from its replica store.
+        """
+        if chain[0][1] == self.host:
+            return self._folder_server(chain[0][0])
+        return self._replica_server(sid)
+
     @staticmethod
     def _chain_entry(
         chain: tuple[tuple[str, str], ...], host: str
@@ -1685,17 +1682,10 @@ class MemoServer:
         to the other live chain members *before* acknowledging, so an
         acknowledged put survives the loss of any single chain member.
         """
-        is_primary = chain[0][1] == self.host
-        if is_primary:
-            sid = chain[0][0]
-            fs = self._folder_server(sid)
-        else:
+        if chain[0][1] != self.host:
             self.stats.bump("failover_dispatches")
-            fs = self._replica_server(sid)
-        reply, record = self._apply_store(fs, msg)
-        if reply.ok and len(chain) > 1 and isinstance(
-            msg, (PutRequest, PutDelayedRequest)
-        ):
+        reply, record = self._apply_store(self._store_for(chain, sid), msg)
+        if record is not None and len(chain) > 1:
             self._fan_out(reg, chain, msg, record)
         return reply
 
@@ -1751,7 +1741,7 @@ class MemoServer:
         reg: AppRegistration,
         chain: tuple[tuple[str, str], ...],
         msg: PutRequest | PutDelayedRequest,
-        record: MemoRecord | None = None,
+        record: MemoRecord,
     ) -> None:
         """Copy an accepted write to every other live chain member.
 
@@ -1766,28 +1756,6 @@ class MemoServer:
         the write is already durable on this host, and the dead member
         will pull the copy back through anti-entropy when it rejoins.
         """
-        src_sid = record.src_sid if record is not None else ""
-        src_lsn = record.src_lsn if record is not None else 0
-        if isinstance(msg, PutDelayedRequest):
-            rep = ReplicatePut(
-                app=reg.app,
-                folder=msg.folder,
-                payload=msg.payload,
-                origin=msg.origin,
-                delayed=True,
-                release_to=msg.release_to,
-                src_sid=src_sid,
-                src_lsn=src_lsn,
-            )
-        else:
-            rep = ReplicatePut(
-                app=reg.app,
-                folder=msg.folder,
-                payload=msg.payload,
-                origin=msg.origin,
-                src_sid=src_sid,
-                src_lsn=src_lsn,
-            )
         targets = [
             member
             for _sid, member in chain
@@ -1795,7 +1763,10 @@ class MemoServer:
         ]
         if not targets:
             return
-        inner = encode_message(rep)
+        release_to = msg.release_to if isinstance(msg, PutDelayedRequest) else None
+        inner = encode_message(
+            self._replica_copy(reg.app, msg.folder, record, release_to)
+        )
         # _replicate_to absorbs communication failures itself; what the
         # join collects (e.g. ShutdownError mid-teardown) must not vanish
         # in a worker thread — it is re-raised once every leg has landed,
@@ -1807,8 +1778,30 @@ class MemoServer:
         if errors:
             raise errors[0]
 
-    def _replicate_to(self, reg: AppRegistration, member: str, inner: bytes) -> None:
-        """Push one pre-encoded :class:`ReplicatePut` frame to *member*."""
+    @staticmethod
+    def _replica_copy(
+        app: str,
+        folder: FolderName,
+        record: MemoRecord,
+        release_to: FolderName | None = None,
+    ) -> ReplicatePut:
+        """The replica copy of a stored (stamped) *record*; a delayed memo
+        is one with a *release_to*.  Carries the record's origin
+        coordinates so every copy names the same cluster-wide write."""
+        return ReplicatePut(
+            app=app,
+            folder=folder,
+            payload=record.payload,
+            origin=record.origin,
+            delayed=release_to is not None,
+            release_to=release_to,
+            src_sid=record.src_sid,
+            src_lsn=record.src_lsn,
+        )
+
+    def _replicate_to(self, reg: AppRegistration, member: str, inner: bytes) -> bool:
+        """Push one pre-encoded :class:`ReplicatePut` frame to *member*;
+        True when the member acknowledged the copy."""
         try:
             reply = self._send_envelope(
                 reg,
@@ -1822,11 +1815,9 @@ class MemoServer:
         except CommunicationError:
             self._suspect(member)
             self.stats.bump("replication_failures")
-            return
-        if reply.ok:
-            self.stats.bump("replications_out")
-        else:
-            self.stats.bump("replication_failures")
+            return False
+        self.stats.bump("replications_out" if reply.ok else "replication_failures")
+        return reply.ok
 
     def _handle_replicate(self, msg: ReplicatePut) -> Reply:
         """Apply a replica copy to the right local store.
@@ -1845,10 +1836,7 @@ class MemoServer:
                 f"(chain {[h for _s, h in chain]})"
             )
         self.stats.bump("replications_in")
-        if chain[0][1] == self.host:
-            fs = self._folder_server(chain[0][0])
-        else:
-            fs = self._replica_server(entry[0])
+        fs = self._store_for(chain, entry[0])
         if msg.src_lsn and fs.contains_src(
             msg.folder, msg.src_sid, msg.src_lsn, delayed=msg.delayed
         ):
@@ -1981,37 +1969,12 @@ class MemoServer:
                     continue
                 if not any(h == msg.requester for _s, h in chain[1:]):
                     continue
-                for record in memos:
+                for record, release_to in [(r, None) for r in memos] + delayed:
                     if record.src_lsn <= msg.replica_marks.get(record.src_sid, 0):
                         continue
-                    reseeded += self._reseed(
-                        reg,
-                        msg.requester,
-                        ReplicatePut(
-                            app=msg.app,
-                            folder=name,
-                            payload=record.payload,
-                            origin=record.origin,
-                            src_sid=record.src_sid,
-                            src_lsn=record.src_lsn,
-                        ),
-                    )
-                for record, release_to in delayed:
-                    if record.src_lsn <= msg.replica_marks.get(record.src_sid, 0):
-                        continue
-                    reseeded += self._reseed(
-                        reg,
-                        msg.requester,
-                        ReplicatePut(
-                            app=msg.app,
-                            folder=name,
-                            payload=record.payload,
-                            origin=record.origin,
-                            delayed=True,
-                            release_to=release_to,
-                            src_sid=record.src_sid,
-                            src_lsn=record.src_lsn,
-                        ),
+                    copy = self._replica_copy(msg.app, name, record, release_to)
+                    reseeded += self._replicate_to(
+                        reg, msg.requester, encode_message(copy)
                     )
 
         self.stats.bump("resync_returned", returned)
@@ -2089,28 +2052,6 @@ class MemoServer:
             return reply.error
         return None
 
-    def _reseed(self, reg: AppRegistration, target: str, rep: ReplicatePut) -> int:
-        """Push one replica copy to *target*; returns 1 on success."""
-        try:
-            reply = self._send_envelope(
-                reg,
-                ForwardEnvelope(
-                    app=reg.app,
-                    target_host=target,
-                    inner=encode_message(rep),
-                    trail=(self.host,),
-                ),
-            )
-        except CommunicationError:
-            self._suspect(target)
-            self.stats.bump("replication_failures")
-            return 0
-        if not reply.ok:
-            self.stats.bump("replication_failures")
-            return 0
-        self.stats.bump("replications_out")
-        return 1
-
     # -- get_alt (section 6.1.2) -------------------------------------------------------
 
     def _handle_get_alt(self, msg: GetAltSkipRequest) -> Reply:
@@ -2129,7 +2070,8 @@ class MemoServer:
         groups: dict[str, list[FolderName]] = {}
         order: list[str] = []
         for folder in msg.folders:
-            owner = self._serving_host(reg, folder)
+            # The first chain member believed alive (primary when healthy).
+            owner = self._candidates(folder)[2][0][1]
             if owner not in groups:
                 groups[owner] = []
                 order.append(owner)
@@ -2158,25 +2100,15 @@ class MemoServer:
                 return reply
         return Reply(ok=True, found=False)
 
-    def _serving_host(self, reg: AppRegistration, folder: FolderName) -> str:
-        """The first chain member believed alive (primary when healthy)."""
-        chain = reg.placement.replica_chain(folder)
-        for _sid, host in chain:
-            if self.failure.is_alive(host):
-                return host
-        return chain[0][1]
-
     def _get_alt_local(self, msg: GetAltSkipRequest) -> Reply:
         """Check co-located folders, grouped per serving folder server.
 
         A folder may be served here as its primary or — when its primary
-        is dead — out of this host's replica store; the two stores are
-        checked under distinct group keys so a folder never reads from the
-        wrong one.
+        is dead — out of this host's replica store; folders are grouped
+        by the store itself so a folder never reads from the wrong one.
         """
         reg = self.registration(msg.folders[0].app)
-        by_store: dict[tuple[bool, str], list[FolderName]] = {}
-        order: list[tuple[bool, str]] = []
+        by_store: dict[FolderServer, list[FolderName]] = {}
         for folder in msg.folders:
             chain = reg.placement.replica_chain(folder)
             entry = self._chain_entry(chain, self.host)
@@ -2185,14 +2117,9 @@ class MemoServer:
                     f"folder {folder} is not chained to {self.host} "
                     f"(chain {[h for _s, h in chain]})"
                 )
-            key = (chain[0][1] == self.host, entry[0])
-            if key not in by_store:
-                by_store[key] = []
-                order.append(key)
-            by_store[key].append(folder)
-        for is_primary, sid in order:
-            fs = self._folder_server(sid) if is_primary else self._replica_server(sid)
-            hit = fs.get_alt_skip(tuple(by_store[(is_primary, sid)]))
+            by_store.setdefault(self._store_for(chain, entry[0]), []).append(folder)
+        for fs, folders in by_store.items():
+            hit = fs.get_alt_skip(tuple(folders))
             if hit is not None:
                 name, record = hit
                 return Reply(ok=True, found=True, payload=record.payload, folder=name)
@@ -2221,28 +2148,15 @@ class MemoServer:
         for sid, fs in replica_servers.items():
             stats[f"replica.{sid}.live_folders"] = fs.folder_count()
             stats[f"replica.{sid}.live_memos"] = fs.memo_count()
-        if self.durability is not None:
-            for k, v in self.durability_gauges().items():
-                stats[f"durability.{k}"] = v
+        for k, v in self.durability_gauges().items():
+            stats[f"durability.{k}"] = v
         return stats
 
     def durability_gauges(self) -> dict:
-        """Aggregated durability gauges; also refreshed into ``stats``.
-
-        Empty when the server runs in-memory.  The integer gauges are
-        mirrored into :class:`MemoServerStats` so bench plumbing that
-        only reads stats snapshots sees them too.
-        """
+        """Aggregated durability gauges; empty when running in-memory."""
         if self.durability is None:
             return {}
-        gauges = self.durability.gauges()
-        with self.stats._lock:
-            self.stats.wal_records = gauges["wal_records"]
-            self.stats.wal_bytes = gauges["wal_bytes"]
-            self.stats.wal_replayed = gauges["wal_replayed"]
-            self.stats.snapshots_written = gauges["snapshots_written"]
-            self.stats.fsyncs = gauges["fsyncs"]
-        return gauges
+        return self.durability.gauges()
 
     def local_folder_servers(self) -> dict[str, FolderServer]:
         """Direct handles to this host's folder servers (tests/benches)."""

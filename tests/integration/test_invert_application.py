@@ -8,13 +8,16 @@ host/folder/process layout of the section 4.3 example ADF (3 "Sparc" hosts
 plus one 128-processor "SP-1", star topology with a costlier SP-1 link).
 """
 
+import threading
+import time
+
 import numpy as np
 import pytest
 
-from repro import Cluster, ProgramRegistry, run_application
+from repro import Cluster, ProgramRegistry, run_application, system_default_adf
 from repro.adf.parser import parse_adf
 from repro.core.api import NIL
-from repro.core.keys import Key, Symbol
+from repro.core.keys import FolderName, Key, Symbol
 
 FIG3_ADF = """
 APP invert
@@ -138,3 +141,56 @@ class TestInvertApplication:
             assert bonnie_owned / n_probe > 0.5
         finally:
             cluster.stop()
+
+
+class TestJobJarFairness:
+    """One-at-a-time tasks: a worker on another host than the jar gets its
+    share — local and remote waiters queue in one list at the owner."""
+
+    TASKS = 400
+
+    def test_remote_worker_is_not_starved_by_a_colocated_one(self):
+        app = "jobjar"
+        adf = system_default_adf(["owner", "other", "spare"], app=app)
+        with Cluster(adf, idle_timeout=0.5) as cluster:
+            cluster.register()
+            placement = cluster.servers["owner"].registration(app).placement
+
+            def owned_key(name):
+                return next(
+                    key
+                    for key in (Key(Symbol(name), (i,)) for i in range(1000))
+                    if placement.place_host(FolderName(app, key))[1] == "owner"
+                )
+
+            jar, done = owned_key("jar"), owned_key("done")
+            stores = cluster.servers["owner"].local_folder_servers().values()
+
+            def worker(host, who):
+                with cluster.memo_api(host, app, who) as memo:
+                    while memo.get(jar) != "stop":
+                        memo.put(done, who, wait=True)
+
+            def start_worker(host, who):
+                waits = sum(fs.stats.blocked_waits for fs in stores)
+                thread = threading.Thread(target=worker, args=(host, who))
+                thread.start()
+                deadline = time.monotonic() + 10
+                while sum(fs.stats.blocked_waits for fs in stores) == waits:
+                    assert time.monotonic() < deadline, f"{who} never waited"
+                    time.sleep(0.01)
+                return thread
+
+            # The remote worker is waiting at the jar before the local one.
+            threads = [start_worker("other", "remote"), start_worker("owner", "local")]
+            served = {"remote": 0, "local": 0}
+            with cluster.memo_api("owner", app, "master") as master:
+                for task in range(self.TASKS):
+                    master.put(jar, task, wait=True)
+                    served[master.get(done)] += 1
+                for _ in threads:
+                    master.put(jar, "stop", wait=True)
+            for thread in threads:
+                thread.join(timeout=10)
+                assert not thread.is_alive()
+        assert served["remote"] >= self.TASKS // 4, served

@@ -7,7 +7,7 @@ import pytest
 
 from repro.core.keys import FolderName, Key, Symbol
 from repro.core.memo import MemoRecord
-from repro.errors import ShutdownError
+from repro.errors import FolderMigratedError, ShutdownError
 from repro.servers.folder_server import FolderServer
 
 
@@ -219,6 +219,87 @@ class TestFolderLifecycle:
         for i in range(5):
             fs.put(fname("q"), record(i))
         assert fs.memo_count() == 5
+
+
+def blocked_get(fs, name, outcomes):
+    """Start a thread blocked in ``fs.get(name)``; its record or exception
+    lands in *outcomes*.  Returns once the wait is on the folder's list."""
+
+    def getter():
+        try:
+            outcomes.append(fs.get(name).value())
+        except Exception as exc:  # noqa: BLE001 - the test inspects it
+            outcomes.append(exc)
+
+    waits = fs.stats.blocked_waits
+    thread = threading.Thread(target=getter)
+    thread.start()
+    deadline = time.monotonic() + 2
+    while fs.stats.blocked_waits == waits and time.monotonic() < deadline:
+        time.sleep(0.001)
+    return thread
+
+
+class TestOneWaiterList:
+    """Blocking ``get`` is ``get_async`` plus a signal: one FIFO list."""
+
+    def test_blocked_thread_is_served_before_a_later_parked_waiter(self, fs):
+        blocked, parked = [], []
+        thread = blocked_get(fs, fname(), blocked)
+        hit, waiter = fs.get_async(
+            fname(), "get", lambda rec, err: parked.append(rec.value())
+        )
+        assert hit is None and waiter is not None
+        fs.put(fname(), record("first"))
+        thread.join(timeout=2)
+        assert (blocked, parked) == (["first"], [])
+        fs.put(fname(), record("second"))
+        assert (blocked, parked) == (["first"], ["second"])
+        assert fs.folder_count() == 0
+
+    def test_timeout_that_wins_its_cancel_leaves_no_waiter(self, fs):
+        with pytest.raises(TimeoutError):
+            fs.get(fname(), timeout=0.02)
+        with pytest.raises(TimeoutError):
+            fs.get_copy(fname(), timeout=0.02)
+        assert fs.folder_count() == 0
+        assert fs.stats.async_cancelled == 2
+
+    def test_timeout_that_loses_its_cancel_returns_the_record(self, fs, monkeypatch):
+        cancel = fs.cancel_waiter
+
+        def put_then_cancel(name, waiter):
+            fs.put(name, record("raced"))  # completes the waiter first
+            return cancel(name, waiter)
+
+        monkeypatch.setattr(fs, "cancel_waiter", put_then_cancel)
+        assert fs.get(fname(), timeout=0.02).value() == "raced"
+        assert fs.folder_count() == 0 and fs.memo_count() == 0
+        assert fs.stats.gets == 1 and fs.stats.async_cancelled == 0
+
+    def test_extract_folders_wakes_a_blocked_get_exactly_once(self, fs):
+        outcomes = []
+        thread = blocked_get(fs, fname(), outcomes)
+        assert fs.extract_folders(lambda name: True) == [(fname(), [], [])]
+        thread.join(timeout=2)
+        assert [type(o) for o in outcomes] == [FolderMigratedError]
+        # No ghost waiter stayed behind to eat the folder's next memo.
+        fs.put(fname(), record(1))
+        assert fs.memo_count() == 1 and outcomes[1:] == []
+
+    def test_shutdown_wakes_a_blocked_get_exactly_once(self):
+        fs = FolderServer("0")
+        outcomes = []
+        threads = [
+            blocked_get(fs, fname("a"), outcomes),
+            blocked_get(fs, fname("b"), outcomes),
+        ]
+        fs.shutdown()
+        fs.shutdown()
+        for thread in threads:
+            thread.join(timeout=2)
+        assert [type(o) for o in outcomes] == [ShutdownError, ShutdownError]
+        assert "folder server 0 is shut down" in str(outcomes[0])
 
 
 class TestShutdown:
