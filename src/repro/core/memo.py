@@ -10,34 +10,24 @@ processes can ever alias folder-resident state.
 
 from __future__ import annotations
 
-import itertools
-import threading
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.transferable.registry import TransferableRegistry
 from repro.transferable.wire import decode, encode
 
 __all__ = ["MemoRecord"]
 
-_memo_ids = itertools.count(1)
-_memo_id_lock = threading.Lock()
-
-
-def _next_memo_id() -> int:
-    with _memo_id_lock:
-        return next(_memo_ids)
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True, eq=False)
 class MemoRecord:
-    """One memo as held inside a folder.
+    """One memo as held inside a folder: four slots, no ``__dict__``.
+
+    Records compare and hash by identity (``eq=False``): two deposits of
+    one value by one process are two memos, and a folder's list must find
+    the very object it is asked to remove.
 
     Attributes:
         payload: transferable wire bytes of the value.
         origin: name of the process that deposited the memo (diagnostics).
-        memo_id: unique id used by the delayed-release bookkeeping.
-            Process-local — NOT stable across restarts; durable identity
-            uses ``(src_sid, src_lsn)`` / the payload digest instead.
         src_sid: folder-server id of the store that first accepted the
             memo (stamped in :meth:`FolderServer.put`).
         src_lsn: that store's log sequence number for the accepting
@@ -49,7 +39,6 @@ class MemoRecord:
 
     payload: bytes
     origin: str = ""
-    memo_id: int = field(default_factory=_next_memo_id)
     src_sid: str = ""
     src_lsn: int = 0
 

@@ -8,11 +8,13 @@ rebuilds folder contents without re-running triggers, waiters, or
 delayed-release side effects — those already happened before the crash
 and their outcomes (the resulting puts/consumes) are in the log too.
 
-Consume tombstones identify their victim by a payload digest rather
-than ``memo_id`` (process-local, not restart-stable).  Within one
-folder's replayed stream a consume always follows the put it removes,
-so "first digest match" is exact up to same-digest payload collisions
-(64-bit: length ⊕ CRC32).
+Origin coordinates ``(src_sid, src_lsn)`` name a *write*.  A consume
+tombstone names its *victim* by payload digest: in memory a record is
+identified by being that object, which no restart preserves, and within
+its folder a replayed record has no other restart-stable identity.
+Within one folder's replayed stream a consume always follows the put it
+removes, so "first digest match" is exact up to same-digest payload
+collisions (64-bit: length ⊕ CRC32).
 """
 
 from __future__ import annotations
@@ -91,8 +93,8 @@ register_compact(
     (
         ("folder", "folder"),
         ("payload", "bytes"),
-        ("origin", "str"),
-        ("src_sid", "str"),
+        ("origin", "name"),
+        ("src_sid", "name"),
         ("src_lsn", "uint"),
     ),
 )
@@ -108,8 +110,8 @@ register_compact(
         ("folder", "folder"),
         ("release_to", "folder"),
         ("payload", "bytes"),
-        ("origin", "str"),
-        ("src_sid", "str"),
+        ("origin", "name"),
+        ("src_sid", "name"),
         ("src_lsn", "uint"),
     ),
 )

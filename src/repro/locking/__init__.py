@@ -16,8 +16,12 @@ Derivations provided:
 * :class:`ReaderWriterLock` — multiple readers / single writer.
 
 A registry (:func:`lock_factory`) mirrors the paper's run-time virtual
-dispatch: server code asks for "a lock" by policy name, never by concrete
-class.
+dispatch: a caller asks for "a lock" by policy name, never by concrete
+class.  No server module imports this package — the folder store's hot
+lock is a bare ``threading.Lock`` — so it stands as the paper's pattern
+in miniature; where abstract base + run-time derivation is load-bearing
+today is :class:`~repro.network.connection.Transport` and
+:class:`~repro.runtime.backends.ClusterBackend`.
 """
 
 from repro.locking.base import (

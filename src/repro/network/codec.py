@@ -34,6 +34,7 @@ Body primitives::
 
     uvarint   LEB128 unsigned integer (lengths, counts, key indexes)
     str       uvarint byte-length + UTF-8 bytes
+    name      as str on the wire; decoded through ``sys.intern``
     bytes     uvarint byte-length + raw bytes
     bool      1 byte (0 or 1)
     f64       8-byte IEEE-754 binary64, big-endian
@@ -51,6 +52,7 @@ for any type without a registered compact spec.
 from __future__ import annotations
 
 import struct
+import sys
 import threading
 from typing import Callable
 
@@ -192,8 +194,8 @@ _FOLDERS: dict[bytes, FolderName] = {}
 #: Entry cap.  One entry is the key bytes plus a FolderName/Key/Symbol
 #: with their strings, cached hash and canonical form: 0.83 KiB measured
 #: for an ``app, symbol, [i]`` name, so a full table is about 0.85 MiB
-#: (under 1 % of ``ingest``'s ``peak_rss_mb``, whose 576 folders are the
-#: most any benchmark workload names; the ~28 MiB workloads name 66).
+#: (about 1 % of ``ingest``'s 80 MiB ``peak_rss_mb``, whose 576 folders
+#: are the most any benchmark workload names; the ~28 MiB workloads name 66).
 #: Fields longer than ``_FOLDER_INTERN_MAX_FIELD`` bytes are decoded
 #: every time and never kept, which makes the bound hold for any peer:
 #: at most ~2 KiB an entry, 2 MiB in all.
@@ -327,6 +329,12 @@ class _Reader:
         except UnicodeDecodeError as exc:
             raise DecodingError("invalid UTF-8 in compact frame") from exc
 
+    def r_name(self) -> str:
+        """A depositor or store name: every memo from one process holds
+        the same ``str``.  No table to bound — an interned string dies
+        with its last reference."""
+        return sys.intern(self.r_str())
+
     def r_bytes(self) -> bytes:
         n = self.uv()
         pos = self.pos
@@ -414,6 +422,7 @@ class _Reader:
 
 _WRITERS: dict[str, Callable] = {
     "str": _w_str,
+    "name": _w_str,
     "bytes": _w_bytes,
     "bool": _w_bool,
     "uint": _w_uv,
@@ -430,6 +439,7 @@ _WRITERS: dict[str, Callable] = {
 
 _READERS: dict[str, Callable[[_Reader], object]] = {
     "str": _Reader.r_str,
+    "name": _Reader.r_name,
     "bytes": _Reader.r_bytes,
     "bool": _Reader.r_bool,
     "uint": _Reader.uv,

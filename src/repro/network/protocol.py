@@ -528,11 +528,11 @@ for _cls in _MESSAGE_TYPES:
 # Compact positional encodings (hot-path framing).  Field tuples must list
 # the dataclass init fields in declaration order — the decoder constructs
 # positionally.  Tags are wire ABI: never renumber, only append.
-register_compact(PutRequest, 1, (("folder", "folder"), ("payload", "bytes"), ("origin", "str")))
+register_compact(PutRequest, 1, (("folder", "folder"), ("payload", "bytes"), ("origin", "name")))
 register_compact(
     PutDelayedRequest,
     2,
-    (("folder", "folder"), ("release_to", "folder"), ("payload", "bytes"), ("origin", "str")),
+    (("folder", "folder"), ("release_to", "folder"), ("payload", "bytes"), ("origin", "name")),
 )
 register_compact(GetRequest, 3, (("folder", "folder"), ("mode", "str"), ("origin", "str")))
 register_compact(GetAltSkipRequest, 4, (("folders", "folder_tuple"), ("origin", "str")))
@@ -555,10 +555,10 @@ register_compact(
         ("app", "str"),
         ("folder", "folder"),
         ("payload", "bytes"),
-        ("origin", "str"),
+        ("origin", "name"),
         ("delayed", "bool"),
         ("release_to", "opt_folder"),
-        ("src_sid", "str"),
+        ("src_sid", "name"),
         ("src_lsn", "uint"),
     ),
 )

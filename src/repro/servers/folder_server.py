@@ -93,7 +93,7 @@ class AsyncWaiter:
         self.callback = callback
 
 
-@dataclass
+@dataclass(slots=True, eq=False)
 class Folder:
     """One unordered queue plus its delayed-memo parking lot."""
 

@@ -16,8 +16,12 @@ termination — and each platform style becomes a derived class:
   ``multiprocessing.shared_memory`` (System V analogue), usable across
   Python processes.
 
-Server code only ever sees :class:`SharedMemoryBase`; the derivation is
-chosen at run time through :func:`sharedmem_factory`.
+A caller only ever sees :class:`SharedMemoryBase`; the derivation is
+chosen at run time through :func:`sharedmem_factory`.  No server module
+imports this package (memos travel over the in-memory fabric or TCP);
+where the same abstract base + run-time derivation pattern is
+load-bearing today is :class:`~repro.network.connection.Transport` and
+:class:`~repro.runtime.backends.ClusterBackend`.
 """
 
 from repro.sharedmem.base import (

@@ -1,6 +1,10 @@
 """Unit tests for MemoRecord: payload encoding, copies, identity."""
 
+import pytest
+
+from repro.core.keys import FolderName, Key, Symbol
 from repro.core.memo import MemoRecord
+from repro.servers.folder_server import FolderServer
 from repro.transferable.registry import TransferableRegistry
 from repro.transferable.scalars import Int16
 
@@ -21,10 +25,6 @@ class TestFromValue:
         out = rec.value()
         out["n"] = 999
         assert rec.value() == {"n": 1}
-
-    def test_memo_ids_unique(self):
-        ids = {MemoRecord.from_value(i).memo_id for i in range(100)}
-        assert len(ids) == 100
 
     def test_size_bytes(self):
         small = MemoRecord.from_value(1)
@@ -61,3 +61,45 @@ class TestFromValue:
         rec = MemoRecord.from_value(1)
         with pytest.raises(Exception):
             rec.payload = b"tampered"
+
+
+class TestIdentity:
+    """A record is itself and nothing else: no ``__dict__``, no value equality."""
+
+    def test_equal_fields_are_still_two_memos(self):
+        a = MemoRecord(payload=b"same", origin="p1")
+        b = MemoRecord(payload=b"same", origin="p1")
+        assert a != b and a == a
+        assert hash(a) != hash(b)
+        assert len({a, b}) == 2
+
+    def test_a_list_finds_the_very_object(self):
+        records = [MemoRecord(payload=b"same", origin="p1") for _ in range(3)]
+        memos = list(records)
+        assert records[1] in memos and memos.index(records[2]) == 2
+        memos.remove(records[1])
+        assert [id(r) for r in memos] == [id(records[0]), id(records[2])]
+        assert MemoRecord(payload=b"same", origin="p1") not in memos
+
+    def test_no_dict_and_no_assignment(self):
+        rec = MemoRecord(payload=b"x")
+        assert not hasattr(rec, "__dict__")
+        assert MemoRecord.__slots__ == ("payload", "origin", "src_sid", "src_lsn")
+        with pytest.raises(AttributeError):
+            rec.payload = b"tampered"
+        # 3.11's frozen+slots ``__setattr__`` trips over its own ``super()``
+        # for an unknown name (TypeError); 3.12 raises AttributeError.
+        with pytest.raises((AttributeError, TypeError)):
+            rec.anything_else = 1
+        assert rec.payload == b"x"
+
+    def test_store_stamps_a_fresh_record_in_place_once(self):
+        fs = FolderServer("s7")
+        name = FolderName("app", Key(Symbol("k")))
+        fresh = MemoRecord(payload=b"x", origin="p1")
+        assert fs.put(name, fresh) is fresh
+        assert (fresh.src_sid, fresh.src_lsn) == ("s7", 1)
+        copy = MemoRecord(payload=b"y", origin="p2", src_sid="s9", src_lsn=40)
+        assert fs.put(name, copy, trigger_release=False) is copy
+        assert (copy.src_sid, copy.src_lsn) == ("s9", 40)
+        assert fs.current_lsn() == 2

@@ -467,3 +467,67 @@ class TestFolderInterning:
             out.clear()
             c._w_folder(out, name)
             assert bytes(out) == raw
+
+
+_JAR = FolderName("app", Key(Symbol("jar"), (7, 300)))
+_OUT = FolderName("app", Key(Symbol("out")))
+
+# (message, correlation id, frame as commit 773e91c encoded it) — the
+# commit before depositor and store names became the ``name`` field kind.
+PARENT_FRAMES = [
+    (
+        PutRequest(_JAR, b"\x01\x02", "worker-é"),
+        None,
+        "4443010103617070036a61720207ac0202010209776f726b65722dc3a9",
+    ),
+    (PutRequest(_JAR, b"", ""), 300, "44430201ac0203617070036a61720207ac020000"),
+    (
+        PutDelayedRequest(_JAR, _OUT, b"late", "ж-proc"),
+        5,
+        "444302020503617070036a61720207ac0203617070036f757400046c61746507d0b62d"
+        "70726f63",
+    ),
+    (
+        ReplicatePut("app", _JAR, b"copy", "worker-é", False, None, "s-é", 77),
+        9,
+        "44430207090361707003617070036a61720207ac0204636f707909776f726b65722dc3"
+        "a9000004732dc3a94d",
+    ),
+    (
+        ReplicatePut("app", _JAR, b"d", "", True, _OUT, "", 0),
+        None,
+        "444301070361707003617070036a61720207ac02016400010103617070036f75740000"
+        "00",
+    ),
+    (
+        WalPut(_JAR, b"m1", "worker-é", "s-é", 1 << 41),
+        None,
+        "4443011503617070036a61720207ac02026d3109776f726b65722dc3a904732dc3a980"
+        "8080808040",
+    ),
+    (WalPut(_OUT, b"", "", "", 0), None, "4443011503617070036f75740000000000"),
+    (
+        WalDelayed(_JAR, _OUT, b"late", "ж-proc", "s0", 12),
+        None,
+        "4443011703617070036a61720207ac0203617070036f757400046c61746507d0b62d70"
+        "726f630273300c",
+    ),
+]
+
+
+class TestFramesWrittenByTheParentCommit:
+    """Sharing names changed what decoding allocates, not one byte of a frame."""
+
+    @pytest.mark.parametrize(
+        "msg, corr_id, frame",
+        PARENT_FRAMES,
+        ids=[f"{i}-{type(m).__name__}" for i, (m, _c, _f) in enumerate(PARENT_FRAMES)],
+    )
+    def test_same_bytes_both_ways_and_one_str_per_name(self, msg, corr_id, frame):
+        data = bytes.fromhex(frame)
+        assert encode_message(msg, corr_id) == data
+        first, second = c.decode_tagged(data), c.decode_tagged(data)
+        assert first == (msg, corr_id) and second == (msg, corr_id)
+        assert first[0].origin is second[0].origin
+        if hasattr(msg, "src_sid"):
+            assert first[0].src_sid is second[0].src_sid
