@@ -30,7 +30,7 @@ from repro.network.codec import (
     register_compact,
     split_correlated,
 )
-from repro.network.connection import Connection
+from repro.network.connection import Address, Connection, Transport
 from repro.transferable.registry import default_registry
 
 __all__ = [
@@ -57,6 +57,7 @@ __all__ = [
     "Reply",
     "send_message",
     "recv_message",
+    "round_trip",
     "recv_tagged",
     "decode_protocol_frame",
     "iter_batch_frames",
@@ -652,6 +653,27 @@ def recv_message(conn: Connection, timeout: float | None = None) -> object:
             registered protocol message, or could not be decoded at all.
     """
     return recv_tagged(conn, timeout)[0]
+
+
+def round_trip(
+    transport: Transport,
+    address: Address,
+    message: object,
+    timeout: float | None = None,
+) -> object:
+    """One strict exchange on a connection of its own: dial, send
+    *message*, receive the reply (within *timeout*), close.
+
+    How control traffic reaches a memo server — registration, heartbeats,
+    anti-entropy pulls, the cluster's control messages.  Whatever the
+    dial or the exchange raises propagates; each caller maps it.
+    """
+    conn = transport.connect(address)
+    try:
+        send_message(conn, message)
+        return recv_message(conn, timeout=timeout)
+    finally:
+        conn.close()
 
 
 def recv_tagged(

@@ -28,7 +28,7 @@ from collections import deque
 from typing import Callable
 
 from repro.network.connection import Address, Transport
-from repro.network.protocol import Heartbeat, Reply, recv_message, send_message
+from repro.network.protocol import Heartbeat, Reply, round_trip
 
 __all__ = ["FailureDetector", "HeartbeatMonitor"]
 
@@ -230,17 +230,13 @@ class HeartbeatMonitor:
             self._probe(peer, address)
 
     def _probe(self, peer: str, address: Address) -> None:
-        conn = None
         try:
-            conn = self.transport.connect(address)
-            send_message(conn, Heartbeat(host=self.host))
-            reply = recv_message(conn, timeout=self.timeout)
+            reply = round_trip(
+                self.transport, address, Heartbeat(host=self.host), self.timeout
+            )
         except Exception:
             self.detector.record_failure(peer)
             return
-        finally:
-            if conn is not None:
-                conn.close()
         if isinstance(reply, Reply) and reply.ok:
             self.detector.mark_alive(peer)
         else:

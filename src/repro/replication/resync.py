@@ -31,12 +31,7 @@ from __future__ import annotations
 
 from repro.errors import ReplicationError
 from repro.network.connection import Address, Transport
-from repro.network.protocol import (
-    DeltaSyncPull,
-    Reply,
-    recv_message,
-    send_message,
-)
+from repro.network.protocol import DeltaSyncPull, Reply, round_trip
 
 __all__ = ["Resyncer"]
 
@@ -110,16 +105,9 @@ class Resyncer:
     ) -> Reply | None:
         msg = DeltaSyncPull(app, self.host, *delta_state)
         try:
-            conn = self.transport.connect(address)
+            reply = round_trip(self.transport, address, msg, timeout)
         except Exception:
-            return None  # peer is down; nothing to pull from it
-        try:
-            send_message(conn, msg)
-            reply = recv_message(conn, timeout=timeout)
-        except Exception:
-            return None
-        finally:
-            conn.close()
+            return None  # peer is down (or died mid-pull); nothing to pull from it
         if not isinstance(reply, Reply):
             raise ReplicationError(
                 f"sync pull to {peer} returned {type(reply).__qualname__}"

@@ -40,12 +40,7 @@ from repro.adf.model import ADF
 from repro.durability.config import DurabilityConfig
 from repro.errors import CommunicationError, ReplicationError, RuntimeLaunchError
 from repro.network.connection import Address, Transport
-from repro.network.protocol import (
-    AddressUpdate,
-    ResyncRequest,
-    recv_message,
-    send_message,
-)
+from repro.network.protocol import AddressUpdate, ResyncRequest, round_trip
 from repro.network.tcp import TCPTransport
 from repro.network.transport import InMemoryTransport, NetworkFabric
 from repro.replication.failure import FailureDetector
@@ -156,12 +151,9 @@ class ClusterBackend:
 
     def control(self, host: str, message: object, timeout: float = 10.0):
         """One strict request/reply exchange with *host*'s memo server."""
-        conn = self.transport_for(host).connect(self.address_of(host))
-        try:
-            send_message(conn, message)
-            return recv_message(conn, timeout=timeout)
-        finally:
-            conn.close()
+        return round_trip(
+            self.transport_for(host), self.address_of(host), message, timeout
+        )
 
 
 class InProcessBackend(ClusterBackend):

@@ -563,23 +563,42 @@ class MemoClient:
 
     def post(self, msg: object) -> None:
         """Send *msg* without waiting; its tagged ack is drained later."""
+        def send() -> None:
+            cid = self._new_cid()
+            send_message(self._conn, msg, corr_id=cid)
+            self._pending.add(cid)
+
         with self._lock:
-            attempts = 0
-            while True:
+            self._send_locked(send)
+
+    def _send_locked(
+        self, send: Callable[[], None], resubscribes: bool = False
+    ) -> None:
+        """Run *send* on the current connection — the one resend rule.
+
+        A connection that closes under the send is replaced, up to
+        :data:`_RECONNECT_MAX` times, and the send repeated on the fresh
+        one; *send* records its ids only after its bytes went out, so a
+        repeat never double-counts.  *resubscribes* marks a send the
+        reconnect itself repeats (a parked wait rides every fresh
+        connection), which must then not go out a second time.
+        """
+        attempts = 0
+        while True:
+            try:
+                send()
+                return
+            except ConnectionClosedError:
+                attempts += 1
+                if attempts > _RECONNECT_MAX:
+                    raise
                 try:
-                    cid = self._new_cid()
-                    send_message(self._conn, msg, corr_id=cid)
-                    self._pending.add(cid)
-                    return
-                except ConnectionClosedError:
-                    attempts += 1
-                    if attempts > _RECONNECT_MAX:
+                    self._reconnect_locked()
+                    if resubscribes:
+                        return
+                except CommunicationError:
+                    if attempts >= _RECONNECT_MAX:
                         raise
-                    try:
-                        self._reconnect_locked()
-                    except CommunicationError:
-                        if attempts >= _RECONNECT_MAX:
-                            raise
 
     def put_many(self, msgs: "Iterable[object]") -> None:
         """Pipeline a batch of put requests over the deferred-ack path.
@@ -624,24 +643,14 @@ class MemoClient:
     def _send_burst_locked(self, frames: list[bytes], cids: list[int]) -> None:
         """Send one coalesced burst; ids join the pending set only after
         the send succeeds, so a resend never double-counts them."""
-        attempts = 0
-        while True:
-            try:
-                if len(frames) == 1:
-                    self._conn.send(frames[0])
-                else:
-                    send_message(self._conn, PipelineBatch(tuple(frames)))
-                self._pending.update(cids)
-                return
-            except ConnectionClosedError:
-                attempts += 1
-                if attempts > _RECONNECT_MAX:
-                    raise
-                try:
-                    self._reconnect_locked()
-                except CommunicationError:
-                    if attempts >= _RECONNECT_MAX:
-                        raise
+        def send() -> None:
+            if len(frames) == 1:
+                self._conn.send(frames[0])
+            else:
+                send_message(self._conn, PipelineBatch(tuple(frames)))
+            self._pending.update(cids)
+
+        self._send_locked(send)
 
     # -- futures ---------------------------------------------------------------
 
@@ -678,25 +687,13 @@ class MemoClient:
             )
             state = _WaitState(request, future)
             self._wait_by_token[token] = state
-            attempts = 0
-            while True:
-                try:
-                    self._send_wait_locked(state)
-                    break
-                except ConnectionClosedError:
-                    attempts += 1
-                    if attempts > _RECONNECT_MAX:
-                        self._wait_by_token.pop(token, None)
-                        raise
-                    try:
-                        self._reconnect_locked()
-                        # Reconnect re-subscribed every parked wait on the
-                        # fresh connection — this one included.
-                        break
-                    except CommunicationError:
-                        if attempts >= _RECONNECT_MAX:
-                            self._wait_by_token.pop(token, None)
-                            raise
+            try:
+                self._send_locked(
+                    lambda: self._send_wait_locked(state), resubscribes=True
+                )
+            except CommunicationError:
+                self._wait_by_token.pop(token, None)
+                raise
         return future
 
     def put_future(self, msg: object, drain: bool = False) -> MemoFuture:
@@ -714,22 +711,13 @@ class MemoClient:
                 self._drain_locked()
             future = MemoFuture(step=self.pump)
             state = _AckState(msg, future)
-            attempts = 0
-            while True:
-                try:
-                    cid = self._new_cid()
-                    send_message(self._conn, msg, corr_id=cid)
-                    self._ack_by_cid[cid] = state
-                    break
-                except ConnectionClosedError:
-                    attempts += 1
-                    if attempts > _RECONNECT_MAX:
-                        raise
-                    try:
-                        self._reconnect_locked()
-                    except CommunicationError:
-                        if attempts >= _RECONNECT_MAX:
-                            raise
+
+            def send() -> None:
+                cid = self._new_cid()
+                send_message(self._conn, msg, corr_id=cid)
+                self._ack_by_cid[cid] = state
+
+            self._send_locked(send)
         return future
 
     def cancel_wait(self, token: int) -> bool:

@@ -16,7 +16,7 @@ from __future__ import annotations
 from repro.adf.model import ADF
 from repro.errors import RuntimeLaunchError
 from repro.network.connection import Address, Transport
-from repro.network.protocol import RegisterRequest, recv_message, send_message
+from repro.network.protocol import RegisterRequest, round_trip
 
 __all__ = ["registration_request_for", "register_everywhere"]
 
@@ -48,12 +48,7 @@ def register_everywhere(
         address = address_book.get(host)
         if address is None:
             raise RuntimeLaunchError(f"no memo server address known for {host!r}")
-        conn = transport.connect(address)
-        try:
-            send_message(conn, request)
-            reply = recv_message(conn, timeout=10.0)
-        finally:
-            conn.close()
+        reply = round_trip(transport, address, request, timeout=10.0)
         if not getattr(reply, "ok", False):
             raise RuntimeLaunchError(
                 f"memo server on {host} rejected registration: "

@@ -32,7 +32,12 @@ no thread) and resolves later through an unsolicited
 :class:`~repro.network.protocol.MemoReady` /
 :class:`~repro.network.protocol.WaitCancelled` push completed directly
 off the put path — a million parked waiters cost a table, not a thread
-pool.  Strict sessions never receive pushes.  Puts ride one FIFO
+pool.  That holds from any host: a wait for a folder served elsewhere is
+sent on, inside a correlated :class:`~repro.network.protocol.ForwardEnvelope`
+over one long-lived link per next hop
+(:class:`~repro.servers.relay.RelayLink`), and parks in
+the *owner's* table like everyone else's; its answer comes back on the
+link as a message.  Strict sessions never receive pushes.  Puts ride one FIFO
 queue per connection, so pipelining never reorders two puts to the same
 folder, and runs of puts owned by a remote host are forwarded as one
 :class:`~repro.network.protocol.BurstEnvelope` instead of one strict
@@ -52,6 +57,7 @@ collapses to the paper's single-owner behaviour.
 
 from __future__ import annotations
 
+import itertools
 import threading
 import time
 from collections import deque
@@ -113,6 +119,7 @@ from repro.replication.failure import FailureDetector, HeartbeatMonitor
 from repro.replication.resync import Resyncer
 from repro.servers.folder_server import FolderServer
 from repro.servers.hashing import FolderPlacement, HashWeightPolicy, PlacementCache
+from repro.servers.relay import ParkedWaiter, RelayLink
 from repro.servers.threadcache import ThreadCache, scatter_join
 
 __all__ = ["MemoServer", "MemoServerStats", "AppRegistration", "MEMO_PORT"]
@@ -265,26 +272,20 @@ _PUT_ACK_TAGBODY = encode_message(_PUT_ACK)[3:]
 _PARKED_ACK = Reply(ok=True, found=False)
 
 
-class _ParkedWaiter:
-    """One waiter-table entry: a parked GetWait and how to resolve it.
+#: How often one relayed wait may re-enter routing after a retryable end
+#: before it fails — the bound ``_route_with_retry`` puts on a folder that
+#: keeps moving.
+_REPARK_MAX = 8
 
-    Local folders park as a :class:`~repro.servers.folder_server.AsyncWaiter`
-    registration (``fs``/``handle`` set, no thread anywhere); folders
-    served remotely fall back to one chaser worker blocking through the
-    audited routing path (``fs``/``handle`` None) — the waiter table's
-    O(1)-thread guarantee is per *owning* server, which is where fan-in
-    concentrates.
-    """
 
-    __slots__ = ("token", "folder", "mode", "origin", "fs", "handle")
+def _relayed_wait(envelope: ForwardEnvelope) -> GetWaitRequest | None:
+    """The wait a peer relayed inside *envelope*, if that is what it holds."""
+    try:
+        inner = decode_message(envelope.inner)
+    except MemoError:
+        return None  # the worker path reports the undecodable inner
+    return inner if isinstance(inner, GetWaitRequest) else None
 
-    def __init__(self, token: int, folder: FolderName, mode: str, origin: str) -> None:
-        self.token = token
-        self.folder = folder
-        self.mode = mode
-        self.origin = origin
-        self.fs = None
-        self.handle = None
 
 #: Most requests the put worker drains per round; bounds reply-batch size
 #: (and so peak reply-frame size) under a firehose producer.
@@ -351,7 +352,7 @@ class _ConnectionSession:
         self._inflight_puts = 0
         self._inflight_other = 0
         #: The waiter table: parked GetWaits keyed by client-chosen token.
-        self._waiters: dict[int, _ParkedWaiter] = {}
+        self._waiters: dict[int, ParkedWaiter] = {}
 
     # -- reader ---------------------------------------------------------------
 
@@ -476,19 +477,20 @@ class _ConnectionSession:
     # -- dispatch -------------------------------------------------------------
 
     def _dispatch(self, msg: object, cid: int, raw: bytes | None = None) -> None:
-        # Puts ride the FIFO queue; GetWait/CancelWait are non-blocking by
-        # construction and served inline on the reader (that inlining IS
-        # the waiter table's O(1)-thread property); everything else —
-        # including any correlated ForwardEnvelope, which no current peer
-        # sends (bursts arrive as BurstEnvelope, strict forwards id-less)
-        # — gets its own worker so a blocking request stalls nothing
-        # behind it.
+        # Puts ride the FIFO queue; GetWait/CancelWait — a client's own or
+        # one a peer relays here inside a ForwardEnvelope — are
+        # non-blocking by construction and served inline on the reader
+        # (that inlining IS the waiter table's O(1)-thread property);
+        # everything else gets its own worker so a blocking request
+        # stalls nothing behind it.
         if isinstance(msg, (PutRequest, PutDelayedRequest)):
             self._enqueue_put((msg, cid, None, raw))
         elif isinstance(msg, GetWaitRequest):
             self._handle_get_wait(msg, cid)
         elif isinstance(msg, CancelWaitRequest):
             self._handle_cancel_wait(msg, cid)
+        elif isinstance(msg, ForwardEnvelope) and (wait := _relayed_wait(msg)):
+            self._handle_get_wait(wait, cid, msg)
         else:
             with self._lock:
                 self._inflight_other += 1
@@ -646,7 +648,9 @@ class _ConnectionSession:
 
     # -- waiter table (parked GetWait service) ---------------------------------
 
-    def _handle_get_wait(self, msg: GetWaitRequest, cid: int) -> None:
+    def _handle_get_wait(
+        self, msg: GetWaitRequest, cid: int, envelope: ForwardEnvelope | None = None
+    ) -> None:
         """Serve one GetWait inline on the reader — never blocks.
 
         The immediate correlated reply is a hit (folder had a memo), a
@@ -654,109 +658,176 @@ class _ConnectionSession:
         mapped exactly like any other handler's.  A parked wait holds no
         thread: its resolution is event-driven off the put path.
         """
-        reply = self.server._guarded(self._get_wait_inner, msg)
+        reply = self.server._guarded(self._get_wait_inner, msg, envelope)
         self._send_replies([(reply, cid)])
 
-    def _get_wait_inner(self, msg: GetWaitRequest) -> Reply:
-        server = self.server
+    def _get_wait_inner(
+        self, msg: GetWaitRequest, envelope: ForwardEnvelope | None
+    ) -> Reply:
         token = msg.waiter
+        entry = ParkedWaiter(token, msg.folder, msg.mode, msg.origin)
+        # Table entry goes in BEFORE the wait is parked anywhere: its
+        # completion may fire from a concurrent put the instant it parks,
+        # and must find the entry.  (The push may then legally overtake
+        # the parked ack on the wire — the client routes by token, not
+        # arrival order.)
         with self._lock:
             if token in self._waiters:
                 raise ProtocolError(
                     f"waiter token {token} is already parked on this session"
                 )
-        entry = _ParkedWaiter(token, msg.folder, msg.mode, msg.origin)
-        _reg, chain, candidates = server._candidates(msg.folder)
-        sid, host = candidates[0]
-        if host != server.host:
-            # Folder served elsewhere: park, then chase it through the
-            # audited routing path (retry, suspicion, fail-over) on one
-            # worker.  This is the thread-per-wait fallback — the O(1)
-            # guarantee belongs to the *owning* server, where fan-in
-            # concentrates; ROADMAP notes cross-host push relays as the
-            # next step.
-            with self._lock:
-                self._waiters[token] = entry
-                self._inflight_other += 1
-            server.stats.bump_pair("waiters_parked", "waiters_active")
-            try:
-                # Not _spawn: its run-inline fallback would park the
-                # session READER inside a blocking remote get, wedging
-                # every frame behind it.  With the cache gone (server
-                # stopping) the wait is resolved as a shutdown push and
-                # the client chases it through its reconnect path.
-                server._cache.submit(self._chase_remote_wait, entry)
-            except ServerError:
-                with self._lock:
-                    self._inflight_other -= 1
-                    self._idle.notify_all()
-                self._complete_waiter(
-                    entry, None, "shutdown: server stopping; wait not chased"
-                )
-            return _PARKED_ACK
-        if chain[0][1] != server.host:
-            # Dead primary: serve the wait out of this host's replica
-            # store, exactly as _dispatch_chain fails reads over.
-            server.stats.bump("failover_dispatches")
-        entry.fs = fs = server._store_for(chain, sid)
-        # Table entry goes in BEFORE registering with the folder server:
-        # the completion callback may fire from a concurrent put the
-        # instant the waiter parks, and must find its entry.  (The push
-        # may then legally overtake the parked ack on the wire — the
-        # client routes by token, not arrival order.)
-        with self._lock:
             self._waiters[token] = entry
         try:
-            record, handle = fs.get_async(
-                msg.folder,
-                msg.mode,
-                lambda rec, err, entry=entry: self._complete_waiter(entry, rec, err),
-            )
+            reply = self._park(entry, envelope)
         except BaseException:
             with self._lock:
                 self._waiters.pop(token, None)
             raise
-        if handle is None:
+        if reply.found:
             with self._lock:
                 self._waiters.pop(token, None)
+        else:
+            self.server.stats.bump_pair("waiters_parked", "waiters_active")
+        return reply
+
+    def _park(
+        self, entry: ParkedWaiter, envelope: ForwardEnvelope | None = None
+    ) -> Reply:
+        """Park *entry* wherever its folder is served — the one way to wait.
+
+        The chain is walked as :meth:`MemoServer._route` walks it: the
+        first live member that is this host parks the wait in its own
+        store (primary or, failed over, replica), any other has the wait
+        sent on to it; a member that cannot be dialled is demoted and the
+        next tried, a sole owner's failure raised.  A wait a peer relayed
+        here (*envelope*) is served where the peer aimed it or passed
+        along its route, never re-routed: two servers that briefly
+        disagree on an owner must not bounce it between them, which is
+        the refusal :meth:`MemoServer._handle_envelope_inner` makes.
+        """
+        server = self.server
+        reg, chain, candidates = server._candidates(entry.folder)
+        if envelope is not None:
+            server.stats.bump("forwards_in")
+            if server.host in envelope.trail:
+                raise RoutingError(
+                    f"routing loop: {server.host} already in trail {envelope.trail}"
+                )
+            if envelope.target_host != server.host:
+                server.stats.bump("forwards_relayed")
+                server._relay_wait(
+                    self, entry, reg, envelope.target_host, envelope.trail
+                )
+                return _PARKED_ACK
+            member = server._chain_entry(chain, server.host)
+            if member is None:
+                raise RoutingError(
+                    f"folder {entry.folder} is not chained to {server.host} "
+                    f"(chain {[h for _s, h in chain]}), but the relayed wait "
+                    f"targeted it — inconsistent ADFs?"
+                )
+            candidates = [member]
+        failures: list[str] = []
+        for sid, host in candidates:
+            if host == server.host:
+                return self._park_here(entry, chain, sid)
+            try:
+                server._relay_wait(self, entry, reg, host, ())
+                return _PARKED_ACK
+            except CommunicationError as exc:
+                if len(chain) == 1:
+                    raise
+                server._suspect(host)
+                failures.append(f"{host}: {exc}")
+        raise HostDownError(
+            f"no reachable replica for {entry.folder} "
+            f"(chain {[h for _s, h in chain]}): " + "; ".join(failures)
+        )
+
+    def _park_here(self, entry: ParkedWaiter, chain: tuple, sid: str) -> Reply:
+        """Park *entry* in this host's own store for *chain*, or hit."""
+        server = self.server
+        if chain[0][1] != server.host:
+            # Dead primary: serve the wait out of this host's replica
+            # store, exactly as _dispatch_chain fails reads over.
+            server.stats.bump("failover_dispatches")
+        fs = server._store_for(chain, sid)
+        entry.home, entry.handle = fs, None
+        record, handle = fs.get_async(
+            entry.folder,
+            entry.mode,
+            lambda rec, err: self._complete_waiter(entry, rec, err),
+        )
+        if handle is None:
             server.stats.bump("local_dispatches")
             return Reply(
-                ok=True, found=True, payload=record.payload, folder=msg.folder
+                ok=True, found=True, payload=record.payload, folder=entry.folder
             )
         entry.handle = handle
-        server.stats.bump_pair("waiters_parked", "waiters_active")
         return _PARKED_ACK
 
-    def _chase_remote_wait(self, entry: _ParkedWaiter) -> None:
-        """Resolve a remote-folder wait by blocking through ``_route``."""
-        try:
-            reply = self.server._handle(
-                GetRequest(folder=entry.folder, mode=entry.mode, origin=entry.origin)
-            )
-            if reply.ok and reply.found:
-                record = MemoRecord(payload=reply.payload, origin=entry.origin)
-                self._complete_waiter(entry, record, None)
-            elif reply.ok:
-                self._complete_waiter(
-                    entry, None, "ServerError: blocking get returned no memo"
-                )
-            else:
-                self._complete_waiter(entry, None, reply.error)
-        finally:
+    def _relay_ended(self, entry: ParkedWaiter, reason: str) -> None:
+        """A relayed wait came back without a memo: re-park it, or say so.
+
+        A retryable end — the folder migrated, the member is shutting
+        down, the link was lost — sends the wait back through
+        :meth:`_park` under the placement in force *now* (possibly into
+        this host's own replica store): ``MemoClient._resubscribe_locked``
+        one hop later, bounded like ``_route_with_retry``.  Only the
+        server where the wait started re-routes; a relay hop hands the
+        reason up the link it came from.
+        """
+        retryable = "FolderMigratedError" in reason or reason.startswith("shutdown:")
+        if entry.trail or not retryable:
+            self._complete_waiter(entry, None, reason)
+            return
+        with self._lock:
+            live = self._waiters.get(entry.token) is entry
+        if not live:
+            return  # cancelled or torn down meanwhile: nothing to park
+        reply = self.server._guarded(self._repark, entry, reason)
+        if not reply.ok:
+            self._complete_waiter(entry, None, reply.error)
+        elif reply.found:
+            record = MemoRecord(payload=reply.payload, origin=entry.origin)
+            self._complete_waiter(entry, record, None)
+        else:
             with self._lock:
-                self._inflight_other -= 1
-                self._idle.notify_all()
+                live = self._waiters.get(entry.token) is entry
+            if not live:
+                # Cancelled while re-parking: the canceller detached the
+                # old home; leave no waiter behind at the new one.
+                entry.home.cancel_waiter(entry.folder, entry.handle)
+
+    def _repark(self, entry: ParkedWaiter, reason: str) -> Reply:
+        """Where a retryable end sends the wait: a parked/hit reply from
+        its new home, or the error to end it with."""
+        server = self.server
+        entry.attempts += 1
+        if entry.attempts > _REPARK_MAX:
+            return Reply(
+                ok=False, error=f"folder {entry.folder} kept migrating; giving up"
+            )
+        if "FolderMigratedError" not in reason:
+            # The member is stopping or unreachable.  Its data is on the
+            # next chain member, as _route treats it — and when there is
+            # none, the client paces the retry toward its next
+            # incarnation, as it does for its own server.
+            if len(server._candidates(entry.folder)[1]) == 1:
+                return Reply(ok=False, error=reason)
+            server._suspect(entry.target)
+        return self._park(entry)
 
     def _complete_waiter(
-        self, entry: _ParkedWaiter, record: MemoRecord | None, error: str | None
+        self, entry: ParkedWaiter, record: MemoRecord | None, error: str | None
     ) -> None:
         """Resolve one table entry into a push frame (from any thread).
 
         Runs on whatever thread completed the wait — a put lane here, a
-        peer session's worker, the migration path, a chaser.  Exactly one
-        resolution wins the table entry; a completion that finds its
-        entry gone lost a cancellation/teardown race, and a consumed memo
-        is then re-deposited so the race never loses data.
+        peer session's worker, the migration path, a relay link's reader.
+        Exactly one resolution wins the table entry; a completion that
+        finds its entry gone lost a cancellation/teardown race, and a
+        consumed memo is then re-deposited so the race never loses data.
         """
         server = self.server
         with self._lock:
@@ -779,12 +850,15 @@ class _ConnectionSession:
         try:
             send_message(self.conn, push)
         except (ConnectionClosedError, CommunicationError):
-            # The peer is gone; its session will tear down.  A consumed
-            # memo must not die with the push — put it back.
+            # The peer is gone: close, so this session tears down and a
+            # peer server still holding the other end re-parks what it
+            # relayed here.  A consumed memo must not die with the push
+            # — put it back.
+            self.conn.close()
             if record is not None and entry.mode == "get":
                 self._requeue_record(entry, record)
 
-    def _requeue_record(self, entry: _ParkedWaiter, record: MemoRecord) -> None:
+    def _requeue_record(self, entry: ParkedWaiter, record: MemoRecord) -> None:
         """Re-deposit a memo a dead/cancelled waiter consumed (no losses)."""
         try:
             reply = self.server._route_with_retry(
@@ -814,16 +888,11 @@ class _ConnectionSession:
             return
         self.server.stats.bump("waiters_active", -1)
         self.server.stats.bump("waiters_cancelled")
-        if entry.fs is not None and entry.handle is not None:
-            # Best-effort detach from the folder server; a completion
+        if entry.handle is not None:
+            # Best-effort detach from the wait's home — the local store,
+            # or the owner's table beyond a relay link; a completion
             # already in flight finds the table entry gone and requeues.
-            entry.fs.cancel_waiter(entry.folder, entry.handle)
-        # A remote entry's chaser worker is NOT interruptible: it stays
-        # blocked at the owner until a memo arrives (which it requeues on
-        # finding its entry gone) or the owner goes away — the same
-        # thread cost a strict blocking get abandoned by its client
-        # always had.  The cross-fabric waiter relay on the ROADMAP is
-        # what retires it.
+            entry.home.cancel_waiter(entry.folder, entry.handle)
         self._send_replies([(Reply(ok=True, found=False), cid)])
 
     def _send_replies(self, replies: list) -> None:
@@ -883,16 +952,16 @@ class _ConnectionSession:
             self._inflight_puts -= len(stranded)
             waiters = list(self._waiters.values())
             self._waiters.clear()
-        # Detach parked waits: no pushes (the peer is gone), but local
-        # registrations must leave their folder servers or the folders
-        # would stay pinned alive by dead waiters forever.  A completion
-        # racing this teardown finds its table entry gone and requeues
-        # any consumed memo; remote chasers resolve the same way.
+        # Detach parked waits: no pushes (the peer is gone), but they
+        # must leave their homes — the local store, or the owner's table
+        # beyond a relay link — or the folders would stay pinned alive by
+        # dead waiters forever.  A completion racing this teardown finds
+        # its table entry gone and requeues any consumed memo.
         for entry in waiters:
             self.server.stats.bump("waiters_active", -1)
             self.server.stats.bump("waiters_cancelled")
-            if entry.fs is not None and entry.handle is not None:
-                entry.fs.cancel_waiter(entry.folder, entry.handle)
+            if entry.handle is not None:
+                entry.home.cancel_waiter(entry.folder, entry.handle)
         if stranded and not self.conn.closed:
             shut = Reply(
                 ok=False,
@@ -974,6 +1043,11 @@ class MemoServer:
         self._reg_lock = threading.Lock()
         self._cache = ThreadCache(idle_timeout, name=f"memo-{host}")
         self._pool = _ConnectionPool(transport)
+        #: Next hop -> the link carrying every wait relayed that way.
+        self._relay_links: dict[str, RelayLink] = {}
+        self._relay_lock = threading.Lock()
+        #: Server-scoped relay tokens (and cancel correlation ids).
+        self._relay_ids = itertools.count(1)
         self._listener = transport.listen(Address(host, listen_port))
         self.address_book.setdefault(host, self._listener.address)
         self._accept_thread: threading.Thread | None = None
@@ -1028,6 +1102,15 @@ class MemoServer:
             self._stopped = True
         self._running.clear()
         self._monitor.stop()
+        # Relayed waits end as a store's own do: with a shutdown: reason,
+        # so their clients re-subscribe at the next incarnation.
+        with self._relay_lock:
+            links = list(self._relay_links.values())
+        for link in links:
+            for session, entry in link.retire():
+                session._complete_waiter(
+                    entry, None, "shutdown: server stopping; relayed wait ended"
+                )
         with self._reg_lock:
             folder_servers = list(self._folder_servers.values())
             folder_servers += list(self._replica_servers.values())
@@ -1435,6 +1518,68 @@ class MemoServer:
                 f"expected Reply from {next_hop}, got {type(reply).__qualname__}"
             )
         return reply
+
+    def _relay_wait(
+        self,
+        session: _ConnectionSession,
+        entry: ParkedWaiter,
+        reg: AppRegistration,
+        target: str,
+        trail: tuple[str, ...],
+    ) -> None:
+        """Send *entry*'s wait on toward *target*, to park in its table.
+
+        The continuation is shipped to the host that owns the data and
+        the result comes back as a message; no thread waits on either
+        side.  The wait rides a correlated :class:`ForwardEnvelope` over
+        the link to the next hop, so a multi-hop topology relays it hop
+        by hop — and refuses a routing loop — exactly as it does any
+        forward.  Raises only before the wait is on a link (no route, the
+        next hop cannot be dialled, this server is stopping); after that
+        its fate is the link reader's.
+        """
+        next_hop = reg.routing.next_hop(self.host, target)
+        token = next(self._relay_ids)
+        entry.target, entry.trail = target, trail
+        with self._relay_lock:
+            link = self._relay_links.get(next_hop)
+            if link is None or not link.add(token, session, entry):
+                link = self._open_relay_link(next_hop)
+                if not link.add(token, session, entry):
+                    raise ConnectionClosedError(
+                        f"relay link to {next_hop} was lost as it opened"
+                    )
+        self.stats.bump("forwards_out")
+        wait = GetWaitRequest(
+            folder=entry.folder, mode=entry.mode, waiter=token, origin=entry.origin
+        )
+        link.send(
+            ForwardEnvelope(
+                app=reg.app,
+                target_host=target,
+                inner=encode_message(wait),
+                trail=trail + (self.host,),
+            ),
+            token,
+        )
+
+    def _open_relay_link(self, next_hop: str) -> RelayLink:
+        """Dial *next_hop* and start the link's reader (``_relay_lock`` held)."""
+        if not self._running.is_set():
+            raise ShutdownError("server stopping; wait not relayed")
+        address = self.address_book.get(next_hop)
+        if address is None:
+            raise RoutingError(f"no address known for host {next_hop!r}")
+        link = RelayLink(
+            next_hop, self.transport.connect(address), self._relay_ids, self.host
+        )
+        try:
+            self._cache.submit(link.serve)
+        except ServerError:  # stop() raced us: the cache just shut down
+            link.conn.close()
+            raise ShutdownError("server stopping; wait not relayed") from None
+        self._relay_links[next_hop] = link
+        return link
 
     def _forward_target(self, msg: PutRequest | PutDelayedRequest) -> str | None:
         """The single remote owner a pipelined put can burst-forward to.

@@ -175,6 +175,45 @@ class TestCrashSemantics:
             memo.get(Key(Symbol("after"), (i,))) for i in range(30)
         ) == list(range(30))
 
+    def test_relayed_wait_reparks_at_the_backup_when_the_primary_dies(self, cluster):
+        """Waits parked from a non-owner sit in the primary's table.  Kill
+        the primary: the waiting server re-enters routing, each wait
+        re-parks at its backup — another host, or the waiting server's own
+        replica store — and completes from a put that fails over too."""
+        memo = cluster.memo_api("h0", APP)
+
+        def chained(*hosts):
+            return lambda chain: [h for _sid, h in chain] == list(hosts)
+
+        (far,) = keys_with(cluster, chained(VICTIM, "h2"), 1)
+        (near,) = keys_with(cluster, chained(VICTIM, "h0"), 1)
+        futures = {far: memo.get_async(far), near: memo.get_async(near)}
+
+        def active(host):
+            return cluster.waiter_gauges()[host].get("active")
+
+        wait_for(lambda: active(VICTIM) == 2, "both waits parked at the primary")
+        cluster.kill_host(VICTIM)
+        # h0 keeps one table entry per wait throughout; h2 gains the one
+        # relayed to it.
+        wait_for(lambda: active("h2") == 1, "re-parked at the backup")
+        assert active("h0") == 2 and not any(f.done() for f in futures.values())
+
+        feeder = cluster.memo_api("h2", APP)
+        for key, value in ((far, "far"), (near, "near")):
+            feeder.put(key, value, wait=True)
+            assert futures[key].wait(timeout=10) == value
+        assert active("h0") == 0 and active("h2") == 0
+
+
+def wait_for(predicate, message, timeout=10.0):
+    deadline = time.monotonic() + timeout
+    while time.monotonic() < deadline:
+        if predicate():
+            return
+        time.sleep(0.02)
+    raise AssertionError(f"timed out waiting for {message}")
+
 
 @pytest.fixture(params=BACKENDS)
 def logless_cluster(request, tmp_path):

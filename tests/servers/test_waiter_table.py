@@ -13,8 +13,12 @@ import time
 import pytest
 
 from repro import Cluster, as_completed, system_default_adf
+from repro.adf.model import ADF, FolderDecl, HostDecl, LinkDecl, ProcessDecl
 from repro.core.keys import FolderName, Key, Symbol
+from repro.errors import MemoError
+from repro.network.codec import encode_message
 from repro.network.protocol import (
+    ForwardEnvelope,
     GetWaitRequest,
     MemoReady,
     Reply,
@@ -35,6 +39,32 @@ def key(i=0):
     return Key(Symbol("wt"), (i,))
 
 
+def keys_owned_by(cluster, host, n, app="test", start=0):
+    """*n* keys whose folder the cluster's placement gives to *host*."""
+    reg = next(iter(cluster.servers.values())).registration(app)
+    out = []
+    i = start
+    while len(out) < n:
+        k = key(i)
+        if reg.placement.place_host(FolderName(app, k))[1] == host:
+            out.append(k)
+        i += 1
+    return out
+
+
+def active(server):
+    return server.stats.snapshot()["waiters_active"]
+
+
+def costly(adf, host):
+    """*adf* with *host* priced out of owning anything."""
+    adf.hosts = [
+        HostDecl(h.name, h.num_procs, h.arch, 10_000.0 if h.name == host else h.cost)
+        for h in adf.hosts
+    ]
+    return adf
+
+
 def wait_until(predicate, timeout=5.0, message="condition"):
     deadline = time.monotonic() + timeout
     while time.monotonic() < deadline:
@@ -47,15 +77,25 @@ def wait_until(predicate, timeout=5.0, message="condition"):
 class TestThousandWaiterFanIn:
     def test_parked_waiters_hold_no_threads(self, one_host_cluster):
         """1000 blocked get_asyncs on one server: O(1) additional threads."""
-        memo = one_host_cluster.memo_api("solo", "test", "fanin")
+        self.fan_in(one_host_cluster, waiting="solo", owner="solo")
+
+    def test_parked_waiters_hold_no_threads_from_a_non_owner(self, two_host_cluster):
+        """The same from a server that does not own the folders: both
+        hosts run in this process, so a relayed wait's two ends are both
+        counted."""
+        self.fan_in(two_host_cluster, waiting="alpha", owner="beta")
+
+    def fan_in(self, cluster, waiting, owner):
+        keys = keys_owned_by(cluster, owner, FANIN)
+        memo = cluster.memo_api(waiting, "test", "fanin")
         baseline = threading.active_count()
 
-        futures = [memo.get_async(key(i)) for i in range(FANIN)]
+        futures = [memo.get_async(k) for k in keys]
         # Registration is pipelined: the server's reader is still draining
         # GetWait frames when get_async returns, so poll the gauge up.
-        server = one_host_cluster.servers["solo"]
+        server = cluster.servers[waiting]
         wait_until(
-            lambda: server.stats.snapshot()["waiters_active"] == FANIN,
+            lambda: active(server) == active(cluster.servers[owner]) == FANIN,
             timeout=15,
             message="all waiters parked",
         )
@@ -66,14 +106,14 @@ class TestThousandWaiterFanIn:
         )
         assert server.stats.snapshot()["waiters_parked"] == FANIN
 
-        feeder = one_host_cluster.memo_api("solo", "test", "feeder")
-        feeder.put_many((key(i), i) for i in range(FANIN))
+        feeder = cluster.memo_api(owner, "test", "feeder")
+        feeder.put_many((k, i) for i, k in enumerate(keys))
         feeder.flush()
 
         got = sorted(f.result() for f in as_completed(futures, timeout=30))
         assert got == list(range(FANIN))
-        stats = one_host_cluster.servers["solo"].stats.snapshot()
-        assert stats["waiters_active"] == 0
+        stats = server.stats.snapshot()
+        assert stats["waiters_active"] == active(cluster.servers[owner]) == 0
         assert stats["waiters_completed"] == FANIN
         assert stats["push_frames"] >= FANIN
         # And the completion burst still did not scale threads.
@@ -96,25 +136,81 @@ class TestThousandWaiterFanIn:
 
 class TestCancellationPaths:
     def test_client_disconnect_cancels_parked_waiters(self, one_host_cluster):
-        server = one_host_cluster.servers["solo"]
-        memo = one_host_cluster.memo_api("solo", "test", "dc")
-        for i in range(10):
-            memo.get_async(key(100 + i))
+        self.disconnect(one_host_cluster, waiting="solo", owner="solo")
+
+    def test_client_disconnect_detaches_relayed_waiters_at_the_owner(
+        self, two_host_cluster
+    ):
+        """The teardown is forwarded by token."""
+        self.disconnect(two_host_cluster, waiting="alpha", owner="beta")
+
+    def disconnect(self, cluster, waiting, owner):
+        server, owning = cluster.servers[waiting], cluster.servers[owner]
+        memo = cluster.memo_api(waiting, "test", "dc")
+        for k in keys_owned_by(cluster, owner, 10, start=100):
+            memo.get_async(k)
         wait_until(
-            lambda: server.stats.snapshot()["waiters_active"] == 10,
+            lambda: active(server) == active(owning) == 10,
             message="waiters parked",
         )
         memo.client._conn.close()  # simulate the process dying
         wait_until(
-            lambda: server.stats.snapshot()["waiters_active"] == 0,
+            lambda: active(server) == active(owning) == 0,
             message="disconnect cancellation",
         )
         assert server.stats.snapshot()["waiters_cancelled"] == 10
+        assert owning.stats.snapshot()["waiters_cancelled"] == 10
         # The waited-on folders vanished with their waiters: nothing leaks.
         live = sum(
-            fs.folder_count() for fs in server.local_folder_servers().values()
+            fs.folder_count() for fs in owning.local_folder_servers().values()
         )
         assert live == 0
+
+    @pytest.mark.parametrize("how", ["cancel", "timeout"])
+    def test_withdrawn_remote_wait_leaves_no_ghost_getter(
+        self, two_host_cluster, how
+    ):
+        """A wait parked from a non-owner and then cancelled (or timed
+        out) is detached at the owner: no waiter, no thread, and the next
+        put stays put — nobody consumes and requeues it."""
+        alpha, beta = (two_host_cluster.servers[h] for h in ("alpha", "beta"))
+        (store,) = beta.local_folder_servers().values()
+        warm, k = keys_owned_by(two_host_cluster, "beta", 2, start=200)
+        memo = two_host_cluster.memo_api("alpha", "test", "g")
+        # One relayed wait first, so the baseline already counts the
+        # per-peer link (its reader on alpha, its session on beta).
+        assert memo.get_async(warm).cancel()
+        wait_until(
+            lambda: beta.stats.snapshot()["waiters_cancelled"] == 1,
+            message="warm-up detached",
+        )
+        threads = threading.active_count()
+        before = store.stats.snapshot()
+
+        future = memo.get_async(k)
+        wait_until(lambda: active(beta) == 1, message="parked at the owner")
+        if how == "cancel":
+            assert future.cancel()
+        else:
+            with pytest.raises(TimeoutError):
+                future.wait(timeout=0.1)
+        wait_until(lambda: active(beta) == 0, message="owner's waiter detached")
+        assert active(alpha) == 0
+        assert store.stats.snapshot()["async_cancelled"] == before["async_cancelled"] + 1
+        assert store.folder_count() == 0  # no waiter left pinning the folder
+        wait_until(
+            lambda: threading.active_count() <= threads, message="no thread kept"
+        )
+
+        forwards = alpha.stats.snapshot()["forwards_out"]
+        two_host_cluster.memo_api("beta", "test", "gf").put(k, "stays", wait=True)
+        time.sleep(0.1)  # a ghost would have taken it by now
+        after = store.stats.snapshot()
+        assert store.memo_count() == 1
+        assert after["gets"] == before["gets"]
+        assert after["puts"] == before["puts"] + 1
+        assert alpha.stats.snapshot()["forwards_out"] == forwards  # no requeue
+        assert memo.get_skip(k) == "stays"
 
     def test_cancelled_waiter_never_eats_a_memo(self, one_host_cluster):
         memo = one_host_cluster.memo_api("solo", "test", "c")
@@ -230,50 +326,76 @@ class TestMigrationAndFailover:
     def test_parked_wait_resubscribes_through_rebalance(self):
         """Migration cancels the parked wait; the client transparently
         re-subscribes at the folder's new home and still completes."""
-        adf = system_default_adf(["alpha", "beta"], app="mig")
+        self.rebalance_under_a_wait(waiting="alpha")
+
+    def test_relayed_wait_reparks_through_rebalance(self):
+        """Parked from a non-owner, the folder moves to a third host: the
+        waiting server re-subscribes — the client's rule, one hop later."""
+        self.rebalance_under_a_wait(waiting="gamma")
+
+    def rebalance_under_a_wait(self, waiting):
+        hosts = ["alpha", "beta", "gamma"]
+        adf = system_default_adf(hosts, app="mig")
         with Cluster(adf, idle_timeout=0.5) as cluster:
             cluster.register()
-            reg = cluster.servers["alpha"].registration("mig")
-            # A key owned by alpha under the current placement.
-            i = 0
-            while True:
-                k = Key(Symbol("mk"), (i,))
-                if reg.placement.place_host(FolderName("mig", k))[1] == "alpha":
-                    break
-                i += 1
-            memo = cluster.memo_api("alpha", "mig", "w")
+            # Rebalancing will price alpha out; take a key alpha owns now
+            # that then lands on beta — a third host for the remote case.
+            lopsided = costly(system_default_adf(hosts, app="mig"), "alpha")
+            then = registration_placement(lopsided)
+            k = next(
+                k
+                for k in keys_owned_by(cluster, "alpha", 200, app="mig")
+                if then.place_host(FolderName("mig", k))[1] == "beta"
+            )
+            memo = cluster.memo_api(waiting, "mig", "w")
             future = memo.get_async(k)
-            time.sleep(0.1)
+            wait_until(lambda: active(cluster.servers["alpha"]) == 1, message="parked")
             assert not future.done()
 
-            # Rebalance so alpha owns nothing: the folder (with its
-            # parked waiter) moves to beta.
-            from repro.adf.model import HostDecl
-
-            lopsided = system_default_adf(["alpha", "beta"], app="mig")
-            lopsided.hosts = [
-                HostDecl(h.name, h.num_procs, h.arch, 10_000.0 if h.name == "alpha" else h.cost)
-                for h in lopsided.hosts
-            ]
             cluster.rebalance(lopsided)
             feeder = cluster.memo_api("beta", "mig", "f")
             feeder.put(k, "after-move", wait=True)
             assert future.wait(timeout=10) == "after-move"
+            assert [active(s) for s in cluster.servers.values()] == [0, 0, 0]
 
     def test_parked_wait_survives_kill_and_restart(self):
-        adf = system_default_adf(["solo"], app="kr")
+        self.kill_and_restart(owner="alpha", victim="alpha")
+
+    def test_relayed_wait_survives_its_waiting_server_restarting(self):
+        """The client re-subscribes and completes; the dead link's waiter
+        was detached at the owner — not left there to eat a memo."""
+        self.kill_and_restart(owner="beta", victim="alpha")
+
+    def test_relayed_wait_survives_its_sole_owner_restarting(self):
+        """Nobody else to re-park at: the client paces the retry toward
+        the owner's next incarnation, as it does for its own server."""
+        self.kill_and_restart(owner="beta", victim="beta")
+
+    def kill_and_restart(self, owner, victim):
+        adf = system_default_adf(["alpha", "beta"], app="kr")
         with Cluster(adf, idle_timeout=0.5) as cluster:
             cluster.register()
-            memo = cluster.memo_api("solo", "kr", "w")
-            future = memo.get_async(key(400))
-            time.sleep(0.05)
+            (k,) = keys_owned_by(cluster, owner, 1, app="kr", start=400)
+            memo = cluster.memo_api("alpha", "kr", "w")
+            future = memo.get_async(k)
+            wait_until(lambda: active(cluster.servers[owner]) == 1, message="parked")
 
-            cluster.kill_host("solo")
-            cluster.restart_host("solo")
+            cluster.kill_host(victim)
+            survivor = "beta" if victim == "alpha" else "alpha"
+            if owner != victim:
+                wait_until(
+                    lambda: active(cluster.servers[survivor]) == 0,
+                    message="dead link's waiter detached at the owner",
+                )
+            cluster.restart_host(victim)
 
-            feeder = cluster.memo_api("solo", "kr", "f")
-            feeder.put(key(400), "rescued", wait=True)
+            feeder = cluster.memo_api("alpha", "kr", "f")
+            feeder.put(k, "rescued", wait=True)
             assert future.wait(timeout=10) == "rescued"
+            assert active(cluster.servers["alpha"]) == 0
+            assert active(cluster.servers["beta"]) == 0
+            stores = cluster.servers[owner].local_folder_servers().values()
+            assert sum(fs.memo_count() for fs in stores) == 0
 
     def test_remote_folder_wait_completes(self, two_host_cluster):
         """A wait on a remotely-owned folder still resolves as a push."""
@@ -289,7 +411,110 @@ class TestMigrationAndFailover:
         time.sleep(0.05)
         assert not future.done()
         stats = two_host_cluster.servers["alpha"].stats.snapshot()
-        assert stats["waiters_active"] == 1  # parked on alpha, chased to beta
+        assert stats["waiters_active"] == 1  # parked on alpha, relayed to beta
         feeder = two_host_cluster.memo_api("beta", "test", "f")
         feeder.put(k, "remote", wait=True)
         assert future.wait(timeout=10) == "remote"
+
+
+def registration_placement(adf):
+    """The placement every memo server derives from *adf*'s registration."""
+    from repro.network.routing import RoutingTable
+    from repro.runtime.registration import registration_request_for
+    from repro.servers.hashing import FolderPlacement
+
+    msg = registration_request_for(adf)
+    routing = RoutingTable(
+        {src: dict(nbrs) for src, nbrs in msg.links.items()},
+        hosts=list(msg.host_costs),
+    )
+    return FolderPlacement(
+        list(msg.folder_servers), host_power=dict(msg.host_costs), routing=routing
+    )
+
+
+class TestRelayedWaits:
+    def test_line_topology_relays_hop_by_hop(self):
+        """h0 – h1 – h2, every folder on h2, waiters on h0: the wait
+        travels (and its memo returns) link by link as envelopes do —
+        nothing crosses h0–h2 directly, and h1 holds table entries, not
+        threads."""
+        adf = ADF(app="line")
+        adf.hosts = [HostDecl(h) for h in ("h0", "h1", "h2")]
+        adf.folders = [FolderDecl("0", "h2")]
+        adf.processes = [ProcessDecl("0", "boss", "h0")]
+        adf.links = [LinkDecl("h0", "h1", 1.0), LinkDecl("h1", "h2", 1.0)]
+        n = 50
+        with Cluster(adf, idle_timeout=0.5) as cluster:
+            cluster.register()
+            cluster.fabric.reset_traffic()  # registration is a unicast to each
+            h0, h1, h2 = (cluster.servers[h] for h in ("h0", "h1", "h2"))
+            memo = cluster.memo_api("h0", "line", "w")
+            baseline = threading.active_count()
+            futures = [memo.get_async(key(i)) for i in range(n)]
+            wait_until(
+                lambda: active(h0) == active(h1) == active(h2) == n,
+                message="parked at the owner through the relay",
+            )
+            assert threading.active_count() - baseline <= THREAD_SLACK
+            assert h1.stats.snapshot()["forwards_relayed"] == n
+
+            feeder = cluster.memo_api("h2", "line", "f")
+            feeder.put_many((key(i), i) for i in range(n))
+            feeder.flush()
+            got = sorted(f.result() for f in as_completed(futures, timeout=10))
+            assert got == list(range(n))
+            assert active(h0) == active(h1) == active(h2) == 0
+            traffic = cluster.fabric.traffic()
+            assert ("h0", "h2") not in traffic and ("h2", "h0") not in traffic
+            assert traffic[("h1", "h2")].messages >= n
+
+            # A cancel is relayed the same way.
+            future = memo.get_async(key(n))
+            wait_until(lambda: active(h2) == 1, message="parked")
+            assert future.cancel()
+            wait_until(
+                lambda: active(h1) == active(h2) == 0, message="detached hop by hop"
+            )
+
+    def test_disagreeing_registrations_refuse_instead_of_bouncing(
+        self, two_host_cluster
+    ):
+        """Re-registration reaches hosts one at a time.  While alpha
+        believes beta owns a folder and beta believes alpha does, a
+        relayed wait is refused where it was aimed — one hop, an error —
+        not passed back and forth."""
+        only = {}
+        for owner in ("alpha", "beta"):
+            adf = system_default_adf(["alpha", "beta"], app="test")
+            adf.folders = [f for f in adf.folders if f.host == owner]
+            only[owner] = adf
+        two_host_cluster._register_one(only["beta"], "alpha")
+        two_host_cluster._register_one(only["alpha"], "beta")
+        alpha, beta = (two_host_cluster.servers[h] for h in ("alpha", "beta"))
+
+        future = two_host_cluster.memo_api("alpha", "test", "w").get_async(key(700))
+        with pytest.raises(MemoError, match="not chained to beta"):
+            future.wait(timeout=10)
+        assert alpha.stats.snapshot()["forwards_out"] == 1
+        assert beta.stats.snapshot()["forwards_out"] == 0
+        assert active(alpha) == active(beta) == 0
+
+    def test_relayed_wait_refuses_a_routing_loop(self, two_host_cluster):
+        """The envelope's trail is checked for a wait as for any forward."""
+        beta = two_host_cluster.servers["beta"]
+        conn = two_host_cluster._transports["alpha"].connect(beta.address)
+        try:
+            wait = GetWaitRequest(folder=FolderName("test", key(701)), waiter=1)
+            envelope = ForwardEnvelope(
+                app="test",
+                target_host="alpha",
+                inner=encode_message(wait),
+                trail=("alpha", "beta"),
+            )
+            send_message(conn, envelope, corr_id=1)
+            msg, cid = recv_tagged(conn, 5.0)
+            assert cid == 1 and not msg.ok and "routing loop" in msg.error
+            assert active(beta) == 0
+        finally:
+            conn.close()
