@@ -46,6 +46,7 @@ from repro.network.protocol import (
     GetRequest,
     PutDelayedRequest,
     PutRequest,
+    retryable,
 )
 from repro.transferable.registry import TransferableRegistry
 from repro.transferable.wire import decode, encode
@@ -94,14 +95,9 @@ _ALT_BACKOFF_MAX = 0.02
 _ALT_TRANSIENT_MAX = 200
 
 #: Error-text markers of conditions that heal by themselves (fail-over,
-#: restart, migration) — the protocol's error strings are the contract.
-_ALT_TRANSIENT_MARKERS = (
-    "communication failure",
-    "host down",
-    "shutdown:",
-    "FolderMigratedError",
-    "connection",
-)
+#: restart) beside the protocol's own ``retryable`` ones (shutdown,
+#: migration) — the protocol's error strings are the contract.
+_ALT_TRANSIENT_MARKERS = ("communication failure", "host down", "connection")
 
 
 class Memo:
@@ -343,7 +339,9 @@ class Memo:
                     # sustained failure — or a non-transient error like a
                     # missing registration — fails the future.
                     text = str(exc)
-                    if not any(m in text for m in _ALT_TRANSIENT_MARKERS):
+                    if not retryable(text) and not any(
+                        m in text for m in _ALT_TRANSIENT_MARKERS
+                    ):
                         raise
                     state["transients"] += 1
                     if state["transients"] > _ALT_TRANSIENT_MAX:

@@ -61,6 +61,8 @@ __all__ = [
     "recv_tagged",
     "decode_protocol_frame",
     "iter_batch_frames",
+    "retryable",
+    "shutting_down",
     "GET_MODES",
     "GET_WAIT_MODES",
 ]
@@ -185,8 +187,8 @@ class MemoReady:
 class WaitCancelled:
     """Unsolicited push: a parked wait ended without a memo.
 
-    *reason* uses the protocol's error-text conventions: a reason
-    containing ``FolderMigratedError`` or starting with ``shutdown:``
+    *reason* uses the protocol's error-text conventions, which
+    :func:`retryable` and :func:`shutting_down` read: a retryable reason
     invites the client to re-subscribe (the folder moved or the server
     is restarting — the wait is still satisfiable elsewhere); anything
     else is terminal.
@@ -194,6 +196,22 @@ class WaitCancelled:
 
     waiter: int
     reason: str = ""
+
+
+def shutting_down(error: str) -> bool:
+    """Whether *error* (a :class:`Reply`'s or a :class:`WaitCancelled`'s
+    text) says its sender is stopping: it starts with ``shutdown:``.  The
+    data is still there — on the next replica-chain member, or at the
+    sender's next incarnation."""
+    return error.startswith("shutdown:")
+
+
+def retryable(error: str) -> bool:
+    """Whether *error* heals by asking again: the sender is
+    :func:`shutting_down`, or the folder moved (``FolderMigratedError``
+    anywhere in the text — it may arrive wrapped by a relaying server)
+    and the placement in force now names its new home."""
+    return shutting_down(error) or "FolderMigratedError" in error
 
 
 @dataclass(frozen=True)

@@ -64,7 +64,7 @@ class Resyncer:
         """Run one pull round against every peer for every app.
 
         *delta_state* is ``(primary_lsns, replica_marks, primary_floors)``
-        as produced by ``MemoServer.delta_sync_state()``: peers receive
+        as produced by ``Replicator.delta_sync_state()``: peers receive
         a :class:`DeltaSyncPull` and ship only what the advertised state
         is missing — the outage delta for a WAL-recovered host,
         everything for one that came back empty.

@@ -262,10 +262,10 @@ class InProcessBackend(ClusterBackend):
         # highest LSN clock to the fresh server so log-less stores resume
         # stamping past it (otherwise regrown clocks shadow the crash-lost
         # range and anti-entropy would never return it).
-        server.lsn_rebase = max(
-            [old.lsn_rebase]
-            + [fs.current_lsn() for fs in old._folder_servers.values()]
-            + [fs.current_lsn() for fs in old._replica_servers.values()]
+        server.replicator.lsn_rebase = max(
+            [old.replicator.lsn_rebase]
+            + [fs.current_lsn() for fs in old.local_folder_servers().values()]
+            + [fs.current_lsn() for fs in old.local_replica_servers().values()]
         )
         # The book may still hold the dead server's address (TCP ports are
         # dynamic); the shared dict updates every peer at once.
@@ -301,7 +301,7 @@ class InProcessBackend(ClusterBackend):
         # log-less one its rebased clock and floor and gets everything.
         resyncer = Resyncer(host, self._transports[host], self.address_book)
         return resyncer.resync(
-            apps, delta_state=self.servers[host].delta_sync_state()
+            apps, delta_state=self.servers[host].replicator.delta_sync_state()
         )
 
     def is_live(self, host: str) -> bool:

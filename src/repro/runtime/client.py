@@ -72,7 +72,9 @@ from repro.network.protocol import (
     WaitCancelled,
     iter_batch_frames,
     recv_tagged,
+    retryable,
     send_message,
+    shutting_down,
 )
 
 __all__ = ["MemoClient"]
@@ -218,11 +220,6 @@ class MemoClient:
 
     # -- wait futures (server-parked GetWait) ----------------------------------
 
-    @staticmethod
-    def _retryable(reason: str) -> bool:
-        """Reasons that invite a re-subscription rather than a failure."""
-        return "FolderMigratedError" in reason or reason.startswith("shutdown:")
-
     def _on_wait_reply_locked(self, state: _WaitState, msg: object) -> None:
         """The immediate (correlated) answer to one GetWait send."""
         token = state.request.waiter
@@ -242,7 +239,7 @@ class MemoClient:
             # re-subscription budget — the wait provably reached a home.
             state.attempts = 0
             return
-        if self._retryable(msg.error):
+        if retryable(msg.error):
             self._resubscribe_locked(state, msg.error)
             return
         self._wait_by_token.pop(token, None)
@@ -252,7 +249,7 @@ class MemoClient:
         state = self._wait_by_token.get(push.waiter)
         if state is None or state.future.done():
             return
-        if self._retryable(push.reason):
+        if retryable(push.reason):
             self._resubscribe_locked(state, push.reason)
             return
         self._wait_by_token.pop(push.waiter, None)
@@ -275,7 +272,7 @@ class MemoClient:
                 MemoError(f"wait kept being cancelled ({reason}); giving up")
             )
             return
-        if reason.startswith("shutdown:"):
+        if shutting_down(reason):
             try:
                 self._reconnect_locked()
             except CommunicationError:
@@ -306,10 +303,7 @@ class MemoClient:
         if msg.ok:
             state.future._complete(None)
             return
-        if (
-            msg.error.startswith("shutdown:")
-            and state.attempts < _RECONNECT_MAX
-        ):
+        if shutting_down(msg.error) and state.attempts < _RECONNECT_MAX:
             # The server answered mid-teardown; retry over a fresh
             # connection (kill/restart fail-over), like ``request`` does.
             state.attempts += 1
@@ -520,8 +514,7 @@ class MemoClient:
                     reply = self._recv_matching_locked(cid, timeout)
                     if (
                         isinstance(reply, Reply)
-                        and not reply.ok
-                        and reply.error.startswith("shutdown:")
+                        and shutting_down(reply.error)
                         and attempts < _RECONNECT_MAX
                     ):
                         # A dying server instance answered mid-teardown; if

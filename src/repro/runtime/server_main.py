@@ -59,7 +59,7 @@ def build_server(config: dict) -> MemoServer:
         failure_threshold=int(config.get("failure_threshold", 3)),
         durability=DurabilityConfig(**durability) if durability else None,
     )
-    server.lsn_rebase = int(config.get("lsn_rebase", 0))
+    server.replicator.lsn_rebase = int(config.get("lsn_rebase", 0))
     return server
 
 

@@ -9,7 +9,12 @@ queues:
   accepts connections from applications and other memo servers, routes each
   request to the folder server that owns the named folder (locally or by
   forwarding along the application's topology), and runs the registration
-  protocol.
+  protocol.  It is a composition of three parts, each a module here:
+  :mod:`~repro.servers.session` (one inbound connection: reader, put lane,
+  waiter table), :mod:`~repro.servers.router` (placement, the replica-chain
+  walk, forwarding) and :mod:`~repro.servers.replicator` (the local stores,
+  fan-out, migration, anti-entropy); :mod:`~repro.servers.relay` is the link
+  a wait for a folder served elsewhere travels on.
 
 Supporting pieces: :class:`~repro.servers.threadcache.ThreadCache` (the
 paper's thread-caching scheme) and

@@ -15,8 +15,8 @@ guarantee does not depend on which host a wait arrives at.
 This module holds what such a wait is made of — the table entry
 (:class:`ParkedWaiter`) and the link it travels on (:class:`RelayLink`);
 where to park, and what to do when a relayed wait ends, is the session's
-business (``_ConnectionSession._park`` / ``_relay_ended`` in
-:mod:`repro.servers.memo_server`).
+business (:mod:`repro.servers.session`: its ``_park``, and the two public
+names this module calls on it, ``complete_waiter`` and ``relay_ended``).
 """
 
 from __future__ import annotations
@@ -84,9 +84,9 @@ class RelayLink:
     Every wait the server relays that way travels on it under a
     server-scoped token (drawn from *ids*, which also numbers the
     cancels), and its one reader — per link, not per wait — hands what
-    comes back to the session entry that parked:
-    ``session._complete_waiter`` for a memo, ``session._relay_ended`` for
-    anything else, a lost link included.
+    comes back to the session entry that parked: its ``complete_waiter``
+    for a memo, its ``relay_ended`` for anything else, a lost link
+    included.
     """
 
     __slots__ = (
@@ -162,7 +162,7 @@ class RelayLink:
             pass
         finally:
             for session, entry in self.retire():
-                session._relay_ended(
+                session.relay_ended(
                     entry, f"shutdown: relay link to {self.host} lost"
                 )
 
@@ -199,6 +199,6 @@ class RelayLink:
             return
         if reason is None:
             record = MemoRecord(payload=payload, origin=entry.origin)
-            session._complete_waiter(entry, record, None)
+            session.complete_waiter(entry, record, None)
         else:
-            session._relay_ended(entry, reason)
+            session.relay_ended(entry, reason)

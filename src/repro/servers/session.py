@@ -1,0 +1,699 @@
+"""One inbound connection: its reader, put lane, replies and waiter table.
+
+*Where* a request runs — the connection's FIFO put lane, inline on the
+reader, or a worker of its own — is its row in the server's handler table
+(:data:`repro.servers.memo_server.HANDLERS`); this module never asks what
+type a request is.  :class:`_ConnectionSession` says what each place is.
+
+Blocked waiting is event-driven: a
+:class:`~repro.network.protocol.GetWaitRequest` on an empty folder parks in
+the session's *waiter table* (one dict entry, no thread) and resolves later
+through an unsolicited :class:`~repro.network.protocol.MemoReady` /
+:class:`~repro.network.protocol.WaitCancelled` push completed directly off
+the put path — a million parked waiters cost a table, not a thread pool.
+That holds from any host: a wait for a folder served elsewhere is sent on
+over one long-lived link per next hop (:mod:`repro.servers.relay`) and
+parks in the *owner's* table like everyone else's.  Strict sessions never
+receive pushes.
+
+Everything without an underscore is for the other server modules (the
+accept path, the handler table's reader rows, a relay link's reader).
+What this one calls on them — the server's ``host``, ``stats``, ``cache``,
+``running``, ``handlers``, ``handle``, ``guarded``; the router's
+``candidates``, ``admit``, ``chained_here``, ``walk``, ``relay_wait``,
+``suspect``, ``forward_target``, ``forward_put_burst``; the replicator's
+``store_for`` and ``redeposit``.
+"""
+
+from __future__ import annotations
+
+import threading
+import time
+from collections import deque
+from typing import TYPE_CHECKING, NamedTuple
+
+from repro.core.memo import MemoRecord
+from repro.errors import CommunicationError, MemoError, ProtocolError, ServerError
+from repro.network.codec import decode_message, encode_correlated_burst
+from repro.network.connection import Connection
+from repro.network.protocol import (
+    BurstEnvelope,
+    CancelWaitRequest,
+    ForwardEnvelope,
+    GetWaitRequest,
+    MemoReady,
+    PipelineBatch,
+    Reply,
+    WaitCancelled,
+    decode_protocol_frame,
+    retryable,
+    send_message,
+    shutting_down,
+)
+from repro.servers.relay import ParkedWaiter
+from repro.servers.router import MIGRATION_RETRY_MAX
+from repro.servers.threadcache import scatter_join
+
+if TYPE_CHECKING:
+    from repro.servers.memo_server import MemoServer
+
+__all__ = ["_ConnectionSession", "Row", "LANE", "READER", "WORKER"]
+
+#: Where a request runs (a :class:`Row`'s ``where``): on the connection's
+#: one FIFO put lane, inline on the reader (it never blocks), or on a
+#: worker of its own (it may).
+LANE, READER, WORKER = "lane", "reader", "worker"
+
+
+class Row(NamedTuple):
+    """One handler-table entry: how the server serves one message class.
+
+    A ``LANE`` / ``WORKER`` row's handler is ``handler(server, msg,
+    envelope) -> Reply``; a ``READER`` row's is ``handler(session, msg,
+    cid, envelope) -> bool`` — it sends what it owes itself, and False
+    closes the session.  *enveloped* rows may arrive inside a peer's
+    :class:`~repro.network.protocol.ForwardEnvelope` (``envelope`` is then
+    the envelope that carried them, else None).
+    """
+
+    handler: object
+    where: str
+    enveloped: bool
+
+
+#: Shared "your wait is parked" acknowledgement for GetWait requests
+#: whose folder was empty: ok, nothing found *yet* — the resolution
+#: arrives later as a MemoReady/WaitCancelled push.
+_PARKED_ACK = Reply(ok=True, found=False)
+
+#: Most requests the put worker drains per round; bounds reply-batch size
+#: (and so peak reply-frame size) under a firehose producer.
+_LANE_BATCH_MAX = 128
+
+
+class _ConnectionSession:
+    """Pipelined service state for one inbound connection.
+
+    The paper's server loop was strictly request/reply per connection:
+    decode, handle, reply, repeat — so a client pipelining requests
+    (deferred acks, ``put_many``) still paid one full server round per
+    request.  A session splits that loop into a *reader* (this thread,
+    from the accept path's :class:`ThreadCache` submit) and a
+    per-connection *worker set*:
+
+    * correlated requests (version-2 frames) are dispatched by their
+      handler-table row — puts onto the connection's one FIFO queue,
+      drained by one worker (two puts on a connection can never reorder;
+      one worker is the throughput sweet spot under the GIL, and
+      cross-owner latency overlap comes from the worker firing its burst
+      groups concurrently); GetWait/CancelWait — a client's own or one a
+      peer relays here inside a ForwardEnvelope — are non-blocking by
+      construction and served inline on the reader (that inlining IS the
+      waiter table's O(1)-thread property); everything else on its own
+      worker so a blocking ``get`` never stalls the puts pipelined
+      behind it;
+    * replies are sent as the workers complete — out of order, tagged
+      with the request's correlation id, coalesced into
+      :class:`PipelineBatch` frames when a burst completes together;
+    * id-less requests (seed peers, forwarded envelopes, heartbeats) keep
+      the exact strict request/reply behaviour: the reader waits for the
+      put queue to drain (so a legacy request observes the pipelined
+      writes that preceded it), handles inline, and replies untagged.
+
+    On shutdown or connection loss the session *drains*: queued-but-
+    unstarted requests are answered with a shutdown error (never silently
+    dropped — an unanswered id would strand the peer's waiter), and
+    in-flight workers get a bounded grace period before the connection
+    closes.
+    """
+
+    __slots__ = (
+        "server",
+        "conn",
+        "_lock",
+        "_idle",
+        "_put_queue",
+        "_put_running",
+        "_inflight_puts",
+        "_inflight_other",
+        "_waiters",
+    )
+
+    def __init__(self, server: "MemoServer", conn: Connection) -> None:
+        self.server = server
+        self.conn = conn
+        self._lock = threading.Lock()
+        self._idle = threading.Condition(self._lock)
+        self._put_queue: deque = deque()
+        self._put_running = False
+        self._inflight_puts = 0
+        self._inflight_other = 0
+        #: The waiter table: parked GetWaits keyed by client-chosen token.
+        self._waiters: dict[int, ParkedWaiter] = {}
+
+    # -- reader ---------------------------------------------------------------
+
+    def serve(self) -> None:
+        conn = self.conn
+        try:
+            while self.server.running.is_set():
+                try:
+                    raw = conn.recv(timeout=0.5)
+                    msg, cid = decode_protocol_frame(raw)
+                except TimeoutError:
+                    continue
+                except CommunicationError:
+                    return
+                if cid is not None:
+                    self.server.stats.bump_pair("requests", "pipelined_requests")
+                if not self._dispatch(msg, cid, raw):
+                    return
+        finally:
+            self._drain_and_close()
+
+    def _dispatch(self, msg: object, cid: int | None, raw: bytes | None = None) -> bool:
+        """Run one frame where its table row says; False closes the session."""
+        row = self.server.handlers.get(type(msg))
+        where = row.where if row is not None else WORKER
+        if where is READER:
+            return row.handler(self, msg, cid, None)
+        if cid is None:
+            return self._serve_legacy(msg)
+        if where is LANE:
+            self._enqueue_put((msg, cid, None, raw))
+            return True
+        if type(msg) is ForwardEnvelope:
+            # What a peer relays here runs where its own row says: a wait
+            # is parked inline, whatever else it carries goes to a worker.
+            try:
+                inner = decode_message(msg.inner)
+            except MemoError:
+                inner = None  # the worker path reports the undecodable inner
+            row = self.server.handlers.get(type(inner))
+            if row is not None and row.where is READER and row.enveloped:
+                return row.handler(self, inner, cid, msg)
+        with self._lock:
+            self._inflight_other += 1
+        self._spawn(self._run_single, msg, cid)
+        return True
+
+    def _serve_legacy(self, msg: object) -> bool:
+        """Strict request/reply for an id-less frame; False closes the session."""
+        self.server.stats.bump("requests")
+        # Pipelined puts already accepted on this connection must land
+        # before a legacy request runs: the legacy peer believes its last
+        # write completed when this one is served.  If the queue cannot
+        # drain within the bound, serving anyway would silently reorder —
+        # fail the request instead, like any other server-side error.
+        if self._await_put_lanes():
+            reply = self.server.handle(msg)
+        else:
+            self.server.stats.bump("errors")
+            reply = Reply(
+                ok=False,
+                error="ServerError: pipelined puts still in flight; "
+                "refusing to serve a strict request out of order",
+            )
+        try:
+            send_message(self.conn, reply)
+        except CommunicationError:
+            return False
+        return True
+
+    def unpack_batch(self, batch: PipelineBatch, _cid=None, _envelope=None) -> bool:
+        """Unpack one coalesced burst; False (undecodable) closes the session."""
+        return self._unpack(batch.frames, None)
+
+    def unpack_burst(self, burst: BurstEnvelope, _cid=None, _envelope=None) -> bool:
+        """Unwrap a peer's burst-forwarded puts into the put queue.
+
+        One :class:`ForwardEnvelope` stand-in is built for the whole burst
+        (the trail/ownership checks an enveloped put goes through read
+        only its header fields), and each member frame keeps the
+        *client's* correlation id — the replies this session emits go
+        back to the forwarding server, which relays them verbatim.
+        False closes the session: a burst not targeted here, or carrying
+        anything but correlated puts, is a protocol violation.
+        """
+        if burst.target_host != self.server.host:
+            return False
+        shared = ForwardEnvelope(
+            app=burst.app, target_host=burst.target_host, inner=b"", trail=burst.trail
+        )
+        return self._unpack(burst.frames, shared)
+
+    def _unpack(self, frames: tuple, shared: ForwardEnvelope | None) -> bool:
+        stats = self.server.stats
+        stats.bump("pipelined_batches")
+        stats.bump("requests", len(frames))
+        stats.bump("pipelined_requests", len(frames))
+        for raw in frames:
+            try:
+                msg, cid = decode_protocol_frame(raw)
+            except ProtocolError:
+                return False
+            # Inner frames must be correlated and batches do not nest;
+            # a peer that violates either is talking a different
+            # protocol, and the connection cannot be trusted further.
+            if cid is None or type(msg) is PipelineBatch:
+                return False
+            if shared is None:
+                if not self._dispatch(msg, cid, raw):
+                    return False
+            else:
+                row = self.server.handlers.get(type(msg))
+                if row is None or row.where is not LANE:
+                    return False
+                self._enqueue_put((shared, cid, msg, None))
+        return True
+
+    def _enqueue_put(self, entry: tuple) -> None:
+        """Queue one put, spawning the worker if it is idle (shared by
+        direct and burst-unwrapped puts)."""
+        with self._lock:
+            self._put_queue.append(entry)
+            self._inflight_puts += 1
+            spawn = not self._put_running
+            self._put_running = True
+        if spawn:
+            self._spawn(self._run_put_lane)
+
+    def _spawn(self, fn, *args) -> None:
+        try:
+            self.server.cache.submit(fn, *args)
+        except ServerError:
+            # The thread cache shut down under us (server stopping); run
+            # inline so counters settle and queued peers still get replies
+            # (the folder servers are already waking blocked waiters, so
+            # nothing here can block the reader for long).
+            fn(*args)
+
+    # -- workers --------------------------------------------------------------
+
+    def _run_put_lane(self) -> None:
+        queue = self._put_queue
+        while True:
+            batch: list = []
+            with self._lock:
+                while queue and len(batch) < _LANE_BATCH_MAX:
+                    batch.append(queue.popleft())
+                if not batch:
+                    self._put_running = False
+                    return
+            try:
+                try:
+                    replies = self._process_put_batch(batch)
+                except Exception as exc:  # noqa: BLE001 - a worker must
+                    # always reply AND keep the lane alive: an exception
+                    # escaping here would leave _put_running stuck True
+                    # (no future round ever spawns) and the peer waiting
+                    # on ids that never resolve.
+                    self.server.stats.bump("errors")
+                    err = Reply(
+                        ok=False,
+                        error=f"internal error: {type(exc).__name__}: {exc}",
+                    )
+                    replies = [(err, cid) for _m, cid, _i, _r in batch]
+                self._send_replies(replies)
+            finally:
+                with self._lock:
+                    self._inflight_puts -= len(batch)
+                    self._idle.notify_all()
+
+    def _process_put_batch(self, batch: list) -> list:
+        """Serve one lane round, burst-forwarding runs of remote puts.
+
+        Local puts (and inbound forwarded puts this host owns) apply
+        directly; puts owned by a single remote host are grouped per
+        ``(app, owner)`` and forwarded as one :class:`BurstEnvelope`
+        instead of one strict request/reply round trip each — the owner's
+        acknowledgement frames come back tagged with the client's own ids
+        and are relayed verbatim.  Entries the burst cannot resolve —
+        connection failures, a peer answering mid-teardown, a folder that
+        migrated underneath the burst — fall back to the server's full
+        routing, which owns retry, suspicion, and fail-over policy.
+        Batch order is preserved per folder: a folder's puts either all
+        apply here or all belong to the same burst group, in index order.
+        """
+        router = self.server.router
+        replies: list = [None] * len(batch)
+        groups: dict = {}
+        # Phase 1: decide each folder's route ONCE for the whole round.
+        # A re-registration or liveness flip landing mid-scan could make
+        # forward_target answer differently for two puts to the same
+        # folder; since grouped entries execute after inline ones, a
+        # split decision would reorder them.  A folder whose decision
+        # flips mid-scan is demoted to the inline path for the entire
+        # round — the audited route serves any placement correctly, and
+        # inline entries run in batch order.
+        decisions: dict = {}
+        for msg, _cid, inner, _raw in batch:
+            if inner is not None:
+                continue
+            folder = msg.folder
+            target = router.forward_target(msg)
+            if folder not in decisions:
+                decisions[folder] = target
+            elif decisions[folder] != target:
+                decisions[folder] = None
+        # Phase 2: execute — inline in batch order, bursts collected.
+        for i, (msg, cid, inner, _raw) in enumerate(batch):
+            if inner is not None:
+                replies[i] = (self.server.handle(inner, msg), cid)
+                continue
+            target = decisions[msg.folder]
+            if target is None:
+                replies[i] = (self.server.handle(msg), cid)
+            else:
+                groups.setdefault((msg.folder.app, target), []).append(i)
+        bursts = self._run_burst_groups(batch, groups)
+        for key, idxs in groups.items():
+            for i, result in zip(idxs, bursts[key]):
+                if isinstance(result, bytes):
+                    # The owner's ack frame, already tagged with the
+                    # client's correlation id: relay it untouched.
+                    replies[i] = result
+                    continue
+                if result is None or retryable(result.error):
+                    # Unresolved, or the owner was dying or the folder
+                    # moved mid-burst: the slow path knows how to chase
+                    # all three.
+                    result = self.server.handle(batch[i][0])
+                replies[i] = (result, batch[i][1])
+        return replies
+
+    def _run_burst_groups(self, batch: list, groups: dict) -> dict:
+        """Fire one burst per owner; independent owners' bursts overlap.
+
+        Each group's round trip is pure waiting from this thread's point
+        of view, so the groups scatter across thread-cache workers — a
+        round touching K owners costs ~the slowest owner's round trip,
+        not the sum.
+        """
+        bursts: dict = {}
+
+        def one_group(key: tuple) -> None:
+            app, owner = key
+            entries = [(batch[i][0], batch[i][1], batch[i][3]) for i in groups[key]]
+            try:
+                bursts[key] = self.server.router.forward_put_burst(app, owner, entries)
+            except Exception:  # noqa: BLE001 - burst is an optimistic path
+                bursts[key] = [None] * len(entries)
+
+        scatter_join(
+            self.server.cache, [lambda key=key: one_group(key) for key in groups]
+        )
+        return bursts
+
+    def _run_single(self, msg: object, cid: int) -> None:
+        try:
+            self._send_replies([(self.server.handle(msg), cid)])
+        finally:
+            with self._lock:
+                self._inflight_other -= 1
+                self._idle.notify_all()
+
+    # -- waiter table (parked GetWait service) ---------------------------------
+
+    def get_wait(self, msg: GetWaitRequest, cid: int | None, envelope=None) -> bool:
+        """Serve one GetWait inline on the reader — never blocks.
+
+        The immediate correlated reply is a hit (folder had a memo), a
+        parked acknowledgement (wait recorded in the table), or an error
+        mapped exactly like any other handler's.  A parked wait holds no
+        thread: its resolution is event-driven off the put path.
+        """
+        if cid is None:
+            # A strict peer has no demultiplexer to route the push by:
+            # answered as any strict request, which refuses a reader row.
+            return self._serve_legacy(msg)
+        self._send_replies([(self.server.guarded(self._park_new, msg, envelope), cid)])
+        return True
+
+    def _park_new(self, msg: GetWaitRequest, envelope: ForwardEnvelope | None) -> Reply:
+        token = msg.waiter
+        entry = ParkedWaiter(token, msg.folder, msg.mode, msg.origin)
+        # Table entry goes in BEFORE the wait is parked anywhere: its
+        # completion may fire from a concurrent put the instant it parks,
+        # and must find the entry.  (The push may then legally overtake
+        # the parked ack on the wire — the client routes by token, not
+        # arrival order.)
+        with self._lock:
+            if token in self._waiters:
+                raise ProtocolError(
+                    f"waiter token {token} is already parked on this session"
+                )
+            self._waiters[token] = entry
+        try:
+            reply = self._park(entry, envelope)
+        except BaseException:
+            with self._lock:
+                self._waiters.pop(token, None)
+            raise
+        if reply.found:
+            with self._lock:
+                self._waiters.pop(token, None)
+        else:
+            self.server.stats.bump_pair("waiters_parked", "waiters_active")
+        return reply
+
+    def _park(self, entry: ParkedWaiter, envelope=None) -> Reply:
+        """Park *entry* wherever its folder is served — the one way to wait.
+
+        The chain is walked as any request's is (the router's ``walk``):
+        the first live member that is this host parks the wait in its own
+        store (primary or, failed over, replica), any other has the wait
+        sent on to it.  A wait a peer relayed here (*envelope*) is passed
+        along its route or served where the peer aimed it, never
+        re-routed.
+        """
+        router = self.server.router
+        reg, chain, candidates = router.candidates(entry.folder)
+        if envelope is not None:
+            router.admit(envelope)
+            if envelope.target_host != self.server.host:
+                self.server.stats.bump("forwards_relayed")
+                target, trail = envelope.target_host, envelope.trail
+                router.relay_wait(self, entry, reg, target, trail)
+                return _PARKED_ACK
+            candidates = [router.chained_here(entry.folder, chain, "the relayed wait")]
+        return router.walk(
+            reg, chain, candidates, entry.folder, self._park_here, self._relay_on, entry
+        )
+
+    def _relay_on(self, reg, host: str, entry: ParkedWaiter) -> Reply:
+        self.server.router.relay_wait(self, entry, reg, host, ())
+        return _PARKED_ACK
+
+    def _park_here(self, _reg, chain: tuple, sid: str, entry: ParkedWaiter) -> Reply:
+        """Park *entry* in this host's own store for *chain*, or hit."""
+        if chain[0][1] != self.server.host:
+            # Dead primary: serve the wait out of this host's replica
+            # store, exactly as the replicator fails reads over.
+            self.server.stats.bump("failover_dispatches")
+        fs = self.server.replicator.store_for(chain, sid)
+        entry.home, entry.handle = fs, None
+        record, handle = fs.get_async(
+            entry.folder,
+            entry.mode,
+            lambda rec, err: self.complete_waiter(entry, rec, err),
+        )
+        if handle is None:
+            self.server.stats.bump("local_dispatches")
+            return Reply(
+                ok=True, found=True, payload=record.payload, folder=entry.folder
+            )
+        entry.handle = handle
+        return _PARKED_ACK
+
+    def _is_live(self, entry: ParkedWaiter) -> bool:
+        with self._lock:
+            return self._waiters.get(entry.token) is entry
+
+    def relay_ended(self, entry: ParkedWaiter, reason: str) -> None:
+        """A relayed wait came back without a memo: re-park it, or say so.
+
+        A retryable end — the folder migrated, the member is shutting
+        down, the link was lost — sends the wait back through
+        :meth:`_park` under the placement in force *now* (possibly into
+        this host's own replica store): ``MemoClient._resubscribe_locked``
+        one hop later, bounded like the router's ``route_with_retry``.
+        Only the server where the wait started re-routes; a relay hop
+        hands the reason up the link it came from.
+        """
+        if entry.trail or not retryable(reason):
+            self.complete_waiter(entry, None, reason)
+            return
+        if not self._is_live(entry):
+            return  # cancelled or torn down meanwhile: nothing to park
+        reply = self.server.guarded(self._repark, entry, reason)
+        if not reply.ok:
+            self.complete_waiter(entry, None, reply.error)
+        elif reply.found:
+            record = MemoRecord(payload=reply.payload, origin=entry.origin)
+            self.complete_waiter(entry, record, None)
+        elif not self._is_live(entry):
+            # Cancelled while re-parking: the canceller detached the
+            # old home; leave no waiter behind at the new one.
+            entry.home.cancel_waiter(entry.folder, entry.handle)
+
+    def _repark(self, entry: ParkedWaiter, reason: str) -> Reply:
+        """Where a retryable end sends the wait: a parked/hit reply from
+        its new home, or the error to end it with."""
+        entry.attempts += 1
+        if entry.attempts > MIGRATION_RETRY_MAX:
+            return Reply(
+                ok=False, error=f"folder {entry.folder} kept migrating; giving up"
+            )
+        if shutting_down(reason):
+            # The member is stopping or unreachable.  Its data is on the
+            # next chain member, as the chain walk treats it — and when
+            # there is none, the client paces the retry toward its next
+            # incarnation, as it does for its own server.
+            if len(self.server.router.candidates(entry.folder)[1]) == 1:
+                return Reply(ok=False, error=reason)
+            self.server.router.suspect(entry.target)
+        return self._park(entry)
+
+    def complete_waiter(
+        self, entry: ParkedWaiter, record: MemoRecord | None, error: str | None
+    ) -> None:
+        """Resolve one table entry into a push frame (from any thread).
+
+        Runs on whatever thread completed the wait — a put lane here, a
+        peer session's worker, the migration path, a relay link's reader.
+        Exactly one resolution wins the table entry; a completion that
+        finds its entry gone lost a cancellation/teardown race, and a
+        consumed memo is then re-deposited so the race never loses data.
+        """
+        with self._lock:
+            live = self._waiters.get(entry.token) is entry
+            if live:
+                del self._waiters[entry.token]
+        if not live:
+            self._requeue(entry, record)
+            return
+        self.server.stats.bump("waiters_active", -1)
+        if error is None:
+            self.server.stats.bump_pair("waiters_completed", "push_frames")
+            push: object = MemoReady(
+                waiter=entry.token, folder=entry.folder, payload=record.payload
+            )
+        else:
+            self.server.stats.bump_pair("waiters_cancelled", "push_frames")
+            push = WaitCancelled(waiter=entry.token, reason=error)
+        try:
+            send_message(self.conn, push)
+        except CommunicationError:
+            # The peer is gone: close, so this session tears down and a
+            # peer server still holding the other end re-parks what it
+            # relayed here.  A consumed memo must not die with the push
+            # — put it back.
+            self.conn.close()
+            self._requeue(entry, record)
+
+    def _requeue(self, entry: ParkedWaiter, record: MemoRecord | None) -> None:
+        """Re-deposit a memo a dead/cancelled waiter consumed (no losses)."""
+        if record is not None and entry.mode == "get":
+            if self.server.replicator.redeposit(entry.folder, record) is not None:
+                self.server.stats.bump("errors")
+
+    def _withdraw(self, entry: ParkedWaiter) -> None:
+        """Count *entry* (already out of the table) cancelled and detach it
+        from its home — the local store, or the owner's table beyond a
+        relay link.  Best-effort: a completion already in flight finds the
+        table entry gone and requeues."""
+        self.server.stats.bump("waiters_active", -1)
+        self.server.stats.bump("waiters_cancelled")
+        if entry.handle is not None:
+            entry.home.cancel_waiter(entry.folder, entry.handle)
+
+    def cancel_wait(self, msg: CancelWaitRequest, cid, _envelope=None) -> bool:
+        """Withdraw a parked wait; inline on the reader, non-blocking.
+
+        ``found=False``: cancelled — the token's push will never come
+        (a completion that raced us re-deposits its memo).  ``found=True``:
+        too late — the wait already resolved and its push is on the wire.
+        """
+        if cid is None:
+            return self._serve_legacy(msg)  # as a strict GetWait: refused
+        with self._lock:
+            entry = self._waiters.pop(msg.waiter, None)
+        if entry is not None:
+            self._withdraw(entry)
+        self._send_replies([(Reply(ok=True, found=entry is None), cid)])
+        return True
+
+    def _send_replies(self, replies: list) -> None:
+        """Emit completed replies, coalescing a burst into one batch frame.
+
+        Each entry is either a ``(reply, corr_id)`` pair to encode, or a
+        ready-made frame (``bytes``) relayed from a burst-forward's owner
+        — already tagged with the right id, sent verbatim.
+
+        Send failures are swallowed: the peer is gone and the replies are
+        moot — the counters in the callers' ``finally`` blocks still
+        settle, which is what the drain logic relies on.
+        """
+        try:
+            if len(replies) == 1:
+                entry = replies[0]
+                if isinstance(entry, bytes):
+                    self.conn.send(entry)
+                else:
+                    send_message(self.conn, entry[0], corr_id=entry[1])
+                return
+            pairs = [e for e in replies if not isinstance(e, bytes)]
+            encoded = iter(encode_correlated_burst(pairs))
+            frames = tuple(
+                e if isinstance(e, bytes) else next(encoded) for e in replies
+            )
+            send_message(self.conn, PipelineBatch(frames))
+        except CommunicationError:
+            pass
+
+    # -- draining -------------------------------------------------------------
+
+    def _await_idle(self, busy, timeout: float) -> bool:
+        """Wait (bounded) until *busy()* — read under the lock — is falsy."""
+        deadline = time.monotonic() + timeout
+        with self._lock:
+            while busy():
+                remaining = deadline - time.monotonic()
+                if remaining <= 0:
+                    return False
+                self._idle.wait(remaining)
+        return True
+
+    def _await_put_lanes(self, timeout: float = 30.0) -> bool:
+        """Wait (bounded) until every accepted put has been applied."""
+        return self._await_idle(lambda: self._inflight_puts, timeout)
+
+    def _drain_and_close(self, grace: float = 2.0) -> None:
+        """Orderly session teardown: answer queued work, wait for in-flight.
+
+        Requests decoded but not yet started are answered with a shutdown
+        error so the peer can fail them promptly instead of waiting on ids
+        that would never resolve; workers already running get *grace*
+        seconds to finish (their replies still go out if the connection
+        lives), then the connection closes either way.
+        """
+        with self._lock:
+            stranded = list(self._put_queue)
+            self._put_queue.clear()
+            self._inflight_puts -= len(stranded)
+            waiters = list(self._waiters.values())
+            self._waiters.clear()
+        # Detach parked waits: no pushes (the peer is gone), but they
+        # must leave their homes or the folders would stay pinned alive by
+        # dead waiters forever.
+        for entry in waiters:
+            self._withdraw(entry)
+        if stranded and not self.conn.closed:
+            shut = Reply(
+                ok=False,
+                error="shutdown: server stopped before the request was served",
+            )
+            self._send_replies([(shut, cid) for _msg, cid, _inner, _raw in stranded])
+        self._await_idle(lambda: self._inflight_puts or self._inflight_other, grace)
+        self.conn.close()

@@ -82,7 +82,7 @@ class ClusterMetrics:
         """Fold one memo server's stats reply into the aggregate.
 
         Recognizes the ``folder.<sid>.puts`` / ``folder.<sid>.live_folders``
-        keys produced by :meth:`MemoServer._collect_stats`.
+        keys of a memo server's ``StatsRequest`` reply.
         """
         for key, value in stats.items():
             parts = key.split(".")

@@ -11,7 +11,7 @@ from repro.core.keys import FolderName, Key, Symbol
 from repro.durability.config import DurabilityConfig
 from repro.errors import RuntimeLaunchError
 from repro.runtime.cluster import Cluster
-from repro.servers.memo_server import MemoServer
+from repro.servers.replicator import Replicator
 from repro.sim.netsim import latency_spike, partitioned
 
 HOSTS = ["h0", "h1", "h2"]
@@ -58,13 +58,13 @@ class TestDeltaRestart:
         """A durable restart advertises its recovered LSNs in every pull,
         so nothing the WAL already replayed travels again."""
         pulls = []
-        original = MemoServer._handle_delta_sync
+        original = Replicator.handle_delta_sync
 
         def spy(self, msg):
             pulls.append(msg)
             return original(self, msg)
 
-        monkeypatch.setattr(MemoServer, "_handle_delta_sync", spy)
+        monkeypatch.setattr(Replicator, "handle_delta_sync", spy)
         cluster = make_cluster(tmp_path)
         try:
             with cluster.memo_api("h0", APP) as memo:

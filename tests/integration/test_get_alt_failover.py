@@ -12,6 +12,8 @@ import pytest
 
 from repro import NIL, Cluster, system_default_adf
 from repro.core.keys import FolderName, Key, Symbol
+from repro.errors import MemoError
+from repro.network.protocol import GetAltSkipRequest
 
 HOSTS = ["h1", "h2", "h3"]
 VICTIM = "h2"
@@ -112,3 +114,51 @@ class TestGetAltFailover:
         filler.put(victim_key, "after-restart", wait=True)
         key, value = future.wait(timeout=20)
         assert key == victim_key and value == "after-restart"
+
+
+@pytest.fixture
+def slow_detector_cluster():
+    """heartbeat_interval=60: the monitor cannot flip anything within a
+    test, so only routing itself can demote a dead host."""
+    adf = system_default_adf(HOSTS, app="alt", replication_factor=2)
+    with Cluster(adf, idle_timeout=0.5, heartbeat_interval=60) as c:
+        c.register()
+        yield c
+
+
+class TestGetAltFailsOverByRouting:
+    def test_dead_primary_is_demoted_by_the_round_itself(self, slow_detector_cluster):
+        cluster = slow_detector_cluster
+        (victim_key,) = keys_with(cluster, primaried_on(VICTIM), 1)
+        memo = cluster.memo_api("h1", "alt", "m")
+        memo.put(victim_key, "replicated", wait=True)  # acked ⇒ on the backup
+        cluster.kill_host(VICTIM)
+
+        hits = []
+        for _round in range(2):  # at most the first round may fail
+            try:
+                hits.append(memo.get_alt_skip([victim_key]))
+            except MemoError:
+                hits.append(None)
+            if hits[-1] not in (None, NIL):
+                break
+        assert cluster.servers["h1"].failure.is_alive(VICTIM) is False
+        assert hits[-1] == (victim_key, "replicated")
+
+    def test_unreachable_group_does_not_abort_the_round(self, slow_detector_cluster):
+        cluster = slow_detector_cluster
+        (victim_key,) = keys_with(cluster, primaried_on(VICTIM), 1, start=500)
+        (live_key,) = keys_with(cluster, primaried_on("h3"), 1, start=4000)
+        memo = cluster.memo_api("h1", "alt", "m")
+        memo.put(live_key, "healthy", wait=True)
+        cluster.kill_host(VICTIM)
+
+        # First round: the dead alternative is tried first, demoted and
+        # skipped; the live one answers.
+        request = GetAltSkipRequest(
+            folders=(FolderName("alt", victim_key), FolderName("alt", live_key)),
+            origin="m",
+        )
+        reply = memo.client.request(request)
+        assert reply.ok and reply.found and reply.folder == FolderName("alt", live_key)
+        assert cluster.servers["h1"].failure.is_alive(VICTIM) is False

@@ -2,9 +2,12 @@
 
 import pytest
 
-from repro.core.keys import Key, Symbol
+from repro.core.keys import FolderName, Key, Symbol
+from repro.network import codec
+from repro.network import protocol as p
 from repro.network.protocol import StatsRequest
 from repro.runtime.client import MemoClient
+from repro.servers.memo_server import HANDLERS
 
 
 def key(i=0):
@@ -196,3 +199,96 @@ class TestRetiredMessages:
         assert bystander.get(key()) == "before"  # its connection is untouched
         bystander.put(key(1), "after", wait=True)
         assert one_host_cluster.memo_api("solo", "test").get(key(1)) == "after"
+
+
+#: Replies and pushes: what a server sends, never serves.
+NON_REQUESTS = {p.Reply, p.MemoReady, p.WaitCancelled}
+#: The codec's own registry, narrowed to the protocol's messages (it also
+#: holds the WAL record tags).
+PROTOCOL = [
+    spec.cls
+    for spec in codec._SPECS_BY_TAG.values()
+    if spec.cls.__module__ == p.__name__
+]
+
+
+def samples(folder, other):
+    """One instance of every protocol message, aimed at *folder*."""
+    put = p.PutRequest(folder, b"x", "t")
+    frame = p.encode_message(put, 7)
+    return {
+        p.PutRequest: put,
+        p.PutDelayedRequest: p.PutDelayedRequest(folder, other, b"d", "t"),
+        p.GetRequest: p.GetRequest(folder, "skip", "t"),
+        p.GetAltSkipRequest: p.GetAltSkipRequest((folder,), "t"),
+        p.GetWaitRequest: p.GetWaitRequest(folder, "copy", 1, "t"),
+        p.CancelWaitRequest: p.CancelWaitRequest(1, "t"),
+        p.ReplicatePut: p.ReplicatePut("test", folder, b"r", "t", False, None, "", 0),
+        p.RegisterRequest: p.RegisterRequest("other", {}, {}, (), 1),
+        p.MigrateRequest: p.MigrateRequest("test", "t"),
+        p.Heartbeat: p.Heartbeat("s1", "t"),
+        p.DeltaSyncPull: p.DeltaSyncPull("test", "s1", {}, {}, {}, "t"),
+        p.StatsRequest: p.StatsRequest("t"),
+        p.ShutdownRequest: p.ShutdownRequest("t"),
+        p.AddressUpdate: p.AddressUpdate({}, "t"),
+        p.ResyncRequest: p.ResyncRequest(("test",), "t"),
+        p.ForwardEnvelope: p.ForwardEnvelope("test", "s2", b"", ()),
+        p.PipelineBatch: p.PipelineBatch((frame,)),
+        p.BurstEnvelope: p.BurstEnvelope("test", "s2", (frame,), ()),
+        p.Reply: p.Reply(),
+        p.MemoReady: p.MemoReady(1, folder, b"x"),
+        p.WaitCancelled: p.WaitCancelled(1, "r"),
+    }
+
+
+class TestHandlerTable:
+    """``HANDLERS`` is the server's only dispatch: a protocol tag added
+    without a row fails here instead of falling through to ``unhandled
+    message`` in production."""
+
+    def test_every_protocol_message_has_a_row_or_is_not_a_request(self):
+        for cls in PROTOCOL:
+            assert (cls in HANDLERS) != (cls in NON_REQUESTS), cls.__name__
+        assert set(HANDLERS) | NON_REQUESTS == set(PROTOCOL)
+
+    def test_envelope_flag_is_what_a_relay_hop_serves(self, star_cluster):
+        """From s1, aimed at s2: the hub relays every envelope; s2 serves
+        exactly the classes whose row says they may ride one."""
+        reg = star_cluster.servers["s1"].registration("test")
+        owned = [
+            name
+            for name in (FolderName("test", key(i)) for i in range(400))
+            if reg.placement.place_host(name)[1] == "s2"
+        ]
+        by_class = samples(owned[0], owned[1])
+        assert set(by_class) == set(PROTOCOL), "a protocol tag has no sample here"
+        backend = star_cluster.backend
+        conn = backend.transport_for("s1").connect(backend.address_of("s1"))
+        relayed_before = star_cluster.stats()["hub"]["memo.forwards_relayed"]
+        for cid, (cls, msg) in enumerate(by_class.items(), start=1):
+            envelope = p.ForwardEnvelope("test", "s2", p.encode_message(msg), ())
+            p.send_message(conn, envelope, corr_id=cid)
+            reply, got = p.recv_tagged(conn, timeout=10)
+            while got is None:  # a push: the relayed wait's memo arriving
+                reply, got = p.recv_tagged(conn, timeout=10)
+            assert got == cid, cls.__name__
+            if cls in HANDLERS and HANDLERS[cls].enveloped:
+                assert reply.ok, (cls.__name__, reply.error)
+            else:
+                assert f"envelope carried unexpected {cls.__name__}" in reply.error
+        conn.close()
+        relayed = star_cluster.stats()["hub"]["memo.forwards_relayed"] - relayed_before
+        assert relayed == len(by_class)
+        assert backend.is_live("s2")  # the enveloped ShutdownRequest was refused
+
+    @pytest.mark.parametrize("cls", [p.GetWaitRequest, p.CancelWaitRequest])
+    def test_reader_rows_are_refused_on_a_strict_session(self, one_host_cluster, cls):
+        folder = FolderName("test", key())
+        backend = one_host_cluster.backend
+        reply = p.round_trip(
+            backend.transport_for("solo"),
+            backend.address_of("solo"),
+            samples(folder, folder)[cls],
+        )
+        assert not reply.ok and reply.error.startswith("ProtocolError: ")
+        assert "requires a correlated (pipelined) session" in reply.error
