@@ -90,7 +90,7 @@ _MAX_PENDING = 4096
 
 #: How many times one parked wait may be re-subscribed after retryable
 #: cancellations (migration chases, server restarts) before it fails —
-#: mirrors the server's own ``_route_with_retry`` bound on a folder that
+#: mirrors the server's own ``MIGRATION_RETRY_MAX`` bound on a folder that
 #: keeps moving.
 _RESUBSCRIBE_MAX = 8
 

@@ -353,9 +353,9 @@ class Router:
                 reply = self.route(folder, msg, here)
             except FolderMigratedError:
                 continue
-            moved = retryable(reply.error) and not shutting_down(reply.error)
-            if not moved:
-                return reply
+            error = reply.error  # "" on the hot path: an ok reply
+            if not error or shutting_down(error) or not retryable(error):
+                return reply  # anything but "the folder moved" stands
         return Reply(ok=False, error=f"folder {folder} kept migrating; giving up")
 
     # -- forwarding -------------------------------------------------------------------
