@@ -62,8 +62,8 @@ def main() -> None:
         boss = cluster.memo_api("hub", "mcpi", "boss")
 
         # Each worker attaches to a different server process; the ports
-        # are ephemeral, handed out by the OS and collected by the
-        # parent's spawn handshake.
+        # were drawn from the OS once, by the cluster, and stay the
+        # hosts' for as long as it runs.
         procs = [
             multiprocessing.Process(
                 target=worker_process,

@@ -47,7 +47,6 @@ __all__ = [
     "DeltaSyncPull",
     "StatsRequest",
     "ShutdownRequest",
-    "AddressUpdate",
     "ResyncRequest",
     "ForwardEnvelope",
     "BurstEnvelope",
@@ -383,30 +382,11 @@ class ShutdownRequest:
 
 
 @dataclass(frozen=True)
-class AddressUpdate:
-    """Control-plane push of the cluster's current host → TCP port map.
-
-    In-process clusters share one address-book dict, so a restarted
-    host's new ephemeral port is visible to every peer the instant the
-    parent assigns it.  Process-per-server clusters have no shared
-    memory: the supervising parent broadcasts this message to every
-    live child after each spawn or restart.  The receiver replaces the
-    changed entries and drops any pooled connections to the stale
-    addresses, so the next forward, heartbeat, or replicate dials the
-    reborn listener instead of a dead port.
-    """
-
-    ports: dict  # host -> listening TCP port
-    origin: str = ""
-
-
-@dataclass(frozen=True)
 class ResyncRequest:
     """Control-plane ask: run one anti-entropy round *from* this server.
 
-    In-process clusters drive :class:`~repro.replication.resync.Resyncer`
-    directly against the server object; a process-per-server parent
-    cannot, so it asks the child to run its own round.  The receiver
+    How the cluster drives anti-entropy on every backend: the server
+    holds the stores, so it runs its own round.  The receiver
     resyncs *apps* against every peer in its address book, advertising
     its LSNs, replica marks and floors (see :class:`DeltaSyncPull`).
     The reply's ``stats`` flattens the per-peer counters as
@@ -527,7 +507,6 @@ _MESSAGE_TYPES = (
     DeltaSyncPull,
     StatsRequest,
     ShutdownRequest,
-    AddressUpdate,
     ResyncRequest,
     ForwardEnvelope,
     Reply,
@@ -597,7 +576,8 @@ register_compact(
 )
 register_compact(StatsRequest, 10, (("origin", "str"),))
 register_compact(ShutdownRequest, 11, (("origin", "str"),))
-register_compact(AddressUpdate, 26, (("ports", "tlv"), ("origin", "str")))
+# Tag 26 carried the host -> port map rebroadcast after every restart, when
+# a restarted host drew a new port; retired, never reuse it.
 register_compact(
     ResyncRequest,
     27,

@@ -16,7 +16,7 @@ from repro.errors import CommunicationError, ConnectionClosedError
 from repro.network.connection import Address, Connection, Listener, Transport
 from repro.network.frames import read_frame, write_frame
 
-__all__ = ["TCPTransport", "TCPConnection", "TCPListener"]
+__all__ = ["TCPTransport", "TCPConnection", "TCPListener", "bind_loopback"]
 
 
 class TCPConnection(Connection):
@@ -162,17 +162,36 @@ class TCPConnection(Connection):
         return self._closed
 
 
-class TCPListener(Listener):
-    """Accepting socket bound to loopback."""
+def bind_loopback(port: int) -> socket.socket:
+    """A loopback socket bound to *port* (0 = OS-assigned), not listening.
 
-    def __init__(self, address: Address) -> None:
-        self._sock = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
-        self._sock.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
-        try:
-            self._sock.bind(("127.0.0.1", address.port))
-        except OSError as exc:
-            raise CommunicationError(f"cannot bind {address}: {exc}") from exc
-        self._sock.listen(64)
+    ``SO_REUSEADDR`` lets a restarted host's listener bind the port its
+    dead incarnation left in ``TIME_WAIT``, and lets a listener bind
+    beside a bound socket that never listens (how a cluster keeps a dead
+    host's port from being drawn by anyone else).
+    """
+    sock = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
+    sock.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
+    try:
+        sock.bind(("127.0.0.1", port))
+    except OSError as exc:
+        sock.close()
+        raise CommunicationError(f"cannot bind port {port}: {exc}") from exc
+    return sock
+
+
+class TCPListener(Listener):
+    """Accepting socket bound to loopback.
+
+    *sock*, when given, is an already-listening socket to adopt (one this
+    process was born holding) instead of binding a new one.
+    """
+
+    def __init__(self, address: Address, sock: socket.socket | None = None) -> None:
+        if sock is None:
+            sock = bind_loopback(address.port)
+            sock.listen(64)
+        self._sock = sock
         # Port 0 means "pick one"; expose the real port.
         self._address = Address(address.host, self._sock.getsockname()[1])
         self._closed = False
@@ -207,8 +226,16 @@ class TCPTransport(Transport):
     "network" on one machine.
     """
 
+    def __init__(self, inherited: dict[int, int] | None = None) -> None:
+        #: port -> file descriptor of a listening socket the process was
+        #: handed at birth; :meth:`listen` on that port adopts it.
+        self._inherited = dict(inherited or {})
+
     def listen(self, address: Address) -> Listener:
-        return TCPListener(address)
+        fd = self._inherited.pop(address.port, None)
+        if fd is None:
+            return TCPListener(address)
+        return TCPListener(address, socket.socket(fileno=fd))
 
     def connect(self, address: Address, timeout: float | None = None) -> Connection:
         try:

@@ -10,26 +10,29 @@ registration, clients, rebalancing, anti-entropy policy.  A backend owns
   hosts time-share one GIL.
 * :class:`ProcessBackend` — every memo server is its own OS process
   (``python -m repro.runtime.server_main --managed``) over TCP, the way
-  the paper's ``inetd`` spawns one server per machine.  Each child binds
-  an ephemeral port and reports it back on stdout; the parent broadcasts
-  the assembled address book to every child as an
-  :class:`~repro.network.protocol.AddressUpdate`.  A supervisor thread
-  waits on the children and maps real process death onto a parent-side
+  the paper's ``inetd`` spawns one server per machine.  The parent owns
+  the ports: every incarnation of a host is born holding a listening
+  socket the parent bound for it, plus the whole address book on its
+  config line.  A supervisor thread waits on the children and maps real
+  process death onto a parent-side
   :class:`~repro.replication.failure.FailureDetector`, and
   ``kill_host``/``respawn_host`` are genuine SIGKILL + re-exec — WAL
   recovery and delta resync then run in the reborn process itself.
 
-Both expose the same surface, so the cluster's public API is identical
-over either; observability is not part of it — the cluster reads every
-host's counters the same way on both, as one ``StatsRequest`` reply.
+A host's :class:`Address` is a constant of the cluster on both: a
+respawned server listens where the dead one did, so nothing — peer,
+client or parent — is ever told that a host moved.  The backends differ
+only in how a server is born and killed; everything else (control
+messages, anti-entropy, the cluster's public API, observability as one
+``StatsRequest`` reply per host) is shared.
 """
 
 from __future__ import annotations
 
 import json
 import os
-import select
 import signal
+import socket
 import subprocess
 import sys
 import threading
@@ -40,23 +43,25 @@ from repro.adf.model import ADF
 from repro.durability.config import DurabilityConfig
 from repro.errors import CommunicationError, ReplicationError, RuntimeLaunchError
 from repro.network.connection import Address, Transport
-from repro.network.protocol import AddressUpdate, ResyncRequest, round_trip
-from repro.network.tcp import TCPTransport
+from repro.network.protocol import Heartbeat, ResyncRequest, round_trip
+from repro.network.tcp import TCPTransport, bind_loopback
 from repro.network.transport import InMemoryTransport, NetworkFabric
 from repro.replication.failure import FailureDetector
-from repro.replication.resync import Resyncer
 from repro.servers.memo_server import MEMO_PORT, MemoServer
 from repro.sim.netsim import apply_latency
 
 __all__ = ["ClusterBackend", "InProcessBackend", "ProcessBackend"]
 
-#: LSNs set aside for each incarnation of a process-mode host's log-less
-#: stores (far more than one process lifetime of puts).
+#: LSNs set aside for each incarnation of a host's log-less stores (far
+#: more than one server lifetime of puts).  A killed host has lost its
+#: clocks either way, so each incarnation stamps in a range of its own:
+#: stamps stay unique and the reborn host's pull advertises everything
+#: below its range as never recovered.
 INCARNATION_LSN_RANGE = 1 << 40
 
-#: Wall-clock budget for a freshly exec'd server process to bind its
-#: listener and report its port back on stdout.
-HANDSHAKE_TIMEOUT = 30.0
+#: Wall-clock budget for a freshly exec'd server process to answer its
+#: first control round trip.
+READY_TIMEOUT = 30.0
 
 #: SIGTERM grace shared by all children before stop() escalates to SIGKILL.
 STOP_GRACE = 10.0
@@ -68,10 +73,10 @@ class ClusterBackend:
     Attributes every implementation provides:
 
     * ``hosts`` — the ADF's host names, in declaration order.
-    * ``address_book`` — host → :class:`Address` of its memo server.
-      For the in-process backend this is the *live* dict shared with
-      every server; for the process backend it is the parent's copy of
-      what the children were last told.
+    * ``address_book`` — host → :class:`Address` of its memo server,
+      fixed for the life of the cluster.  The in-process backend shares
+      the one dict with every server; the process backend gives each
+      child a copy at birth.
     * ``fabric`` — the in-memory :class:`NetworkFabric`, or ``None``
       when the backend runs over real sockets.
     """
@@ -123,8 +128,27 @@ class ClusterBackend:
         raise NotImplementedError
 
     def resync_host(self, host: str, apps: list[str]) -> dict[str, dict[str, int]]:
-        """One anti-entropy round from *host* (peer → stats)."""
-        raise NotImplementedError
+        """One anti-entropy round from *host* (peer → stats).
+
+        The host runs the round itself: what it holds decides what moves
+        (a WAL-replayed store advertises its recovered LSNs and gets the
+        outage delta, a log-less one its rebased clock and floor and gets
+        everything).
+        """
+        reply = self.control(
+            host, ResyncRequest(apps=tuple(apps), origin="cluster"), timeout=60.0
+        )
+        if not getattr(reply, "ok", False):
+            raise ReplicationError(
+                f"resync from {host} failed: {getattr(reply, 'error', 'unknown')}"
+            )
+        # ``{"peer:metric": n}`` (the wire's flat form) back to
+        # ``{peer: {metric: n}}``.
+        out: dict[str, dict[str, int]] = {}
+        for key, value in reply.stats.items():
+            peer, _, metric = key.partition(":")
+            out.setdefault(peer, {})[metric] = value
+        return out
 
     def resync_all(self, apps: list[str]) -> dict[str, dict[str, dict[str, int]]]:
         """One anti-entropy round from every live host."""
@@ -146,7 +170,8 @@ class ClusterBackend:
     def address_of(self, host: str) -> Address:
         address = self.address_book.get(host)
         if address is None:
-            raise RuntimeLaunchError(f"no memo server on host {host!r}")
+            why = "not started yet" if host in self.hosts else "not in the ADF"
+            raise RuntimeLaunchError(f"no memo server on host {host!r} ({why})")
         return address
 
     def control(self, host: str, message: object, timeout: float = 10.0):
@@ -212,7 +237,7 @@ class InProcessBackend(ClusterBackend):
                     host,
                     transport,
                     address_book=self.address_book,
-                    listen_port=0,  # OS-assigned; recorded in the book
+                    listen_port=0,  # OS-assigned once; kept across respawns
                     **server_kwargs,
                 )
         else:
@@ -249,27 +274,16 @@ class InProcessBackend(ClusterBackend):
         if old is None:
             raise RuntimeLaunchError(f"no memo server on host {host!r}")
         old.stop()  # idempotent; normally already dead
-        transport = self._transports[host]
-        listen_port = MEMO_PORT if self.transport_kind == "memory" else 0
         server = MemoServer(
             host,
-            transport,
+            self._transports[host],
             address_book=self.address_book,
-            listen_port=listen_port,
+            listen_port=old.address.port,
             **self._server_kwargs,
         )
-        # The dead incarnation's stores are still in memory: hand their
-        # highest LSN clock to the fresh server so log-less stores resume
-        # stamping past it (otherwise regrown clocks shadow the crash-lost
-        # range and anti-entropy would never return it).
-        server.replicator.lsn_rebase = max(
-            [old.replicator.lsn_rebase]
-            + [fs.current_lsn() for fs in old.local_folder_servers().values()]
-            + [fs.current_lsn() for fs in old.local_replica_servers().values()]
+        server.replicator.lsn_rebase = (
+            old.replicator.lsn_rebase + INCARNATION_LSN_RANGE
         )
-        # The book may still hold the dead server's address (TCP ports are
-        # dynamic); the shared dict updates every peer at once.
-        self.address_book[host] = server.address
         self.servers[host] = server
         if self._started:
             server.start()
@@ -295,15 +309,6 @@ class InProcessBackend(ClusterBackend):
         for peer in self._paused_links.pop(host, []):
             self.fabric.heal(host, peer)
 
-    def resync_host(self, host: str, apps: list[str]) -> dict[str, dict[str, int]]:
-        # What the host holds decides what moves: a WAL-replayed store
-        # advertises its recovered LSNs and gets the outage delta, a
-        # log-less one its rebased clock and floor and gets everything.
-        resyncer = Resyncer(host, self._transports[host], self.address_book)
-        return resyncer.resync(
-            apps, delta_state=self.servers[host].replicator.delta_sync_state()
-        )
-
     def is_live(self, host: str) -> bool:
         server = self.servers.get(host)
         return server is not None and self._started and not server.stopped
@@ -316,24 +321,15 @@ class InProcessBackend(ClusterBackend):
             raise RuntimeLaunchError(f"no memo server on host {host!r}")
         return transport
 
-    def address_of(self, host: str) -> Address:
-        server = self.servers.get(host)
-        if server is None:
-            raise RuntimeLaunchError(f"no memo server on host {host!r}")
-        return server.address
-
 
 class _ChildProcess:
     """Book-keeping for one spawned memo-server process."""
 
-    __slots__ = ("host", "proc", "address", "incarnation", "reported")
+    __slots__ = ("host", "proc", "incarnation", "reported")
 
-    def __init__(
-        self, host: str, proc: subprocess.Popen, address: Address, incarnation: int
-    ) -> None:
+    def __init__(self, host: str, proc: subprocess.Popen, incarnation: int) -> None:
         self.host = host
         self.proc = proc
-        self.address = address
         #: How many times this host was respawned before this process.
         self.incarnation = incarnation
         #: True once the supervisor (or kill_host) accounted for its death.
@@ -347,9 +343,11 @@ class _ChildProcess:
 class ProcessBackend(ClusterBackend):
     """One OS process per memo server, supervised by the parent.
 
-    The parent never holds server objects — only child PIDs, the address
-    book assembled from the port handshakes, and one shared
-    :class:`TCPTransport` for clients and control messages.  Liveness
+    The parent never holds server objects — only child PIDs, the ports
+    it reserved for them, and one shared :class:`TCPTransport` for clients
+    and control messages.  A dead host looks to a dialler the way a dead
+    machine does: nothing listens at its address (connection refused)
+    until :meth:`respawn_host` hands a new process a listener there.  Liveness
     has two independent sources: peers suspect each other through
     heartbeats exactly as before (the protocol doesn't know the cluster
     changed shape), and the parent's supervisor thread additionally
@@ -373,6 +371,13 @@ class ProcessBackend(ClusterBackend):
         self.fabric = None
         self.durability = durability
         self._server_config = dict(server_config)
+        #: host → a socket bound to the host's port that never listens.
+        #: It keeps the port out of the OS's ephemeral draw while no
+        #: incarnation listens there (an outbound connection landing on
+        #: it would make the respawn's bind fail); each incarnation's
+        #: listener binds beside it, and a connect that finds only the
+        #: reservation is refused.
+        self._reservations: dict[str, socket.socket] = {}
         self._children: dict[str, _ChildProcess] = {}
         self._paused: set[str] = set()
         self._intended_down: set[str] = set()
@@ -390,98 +395,77 @@ class ProcessBackend(ClusterBackend):
     # -- spawning ---------------------------------------------------------------
 
     def _spawn(self, host: str, incarnation: int = 0) -> _ChildProcess:
-        # A SIGKILLed child takes its LSN clocks with it, so each
-        # incarnation's log-less stores stamp in a range of their own:
-        # stamps stay unique and the reborn host's pull advertises
-        # everything below its range as never recovered.
-        config = dict(
-            self._server_config,
-            host=host,
-            lsn_rebase=incarnation * INCARNATION_LSN_RANGE,
-        )
+        """Exec *host*'s next incarnation, born holding its listener.
+
+        The listener is bound and listening before the child exists, so
+        a connection dialled while the interpreter is still starting
+        waits in the backlog instead of being refused; the parent's copy
+        is closed at once, so the child's death is the listener's.
+        """
         env = dict(os.environ)
         pkg_root = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
         env["PYTHONPATH"] = pkg_root + (
             os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else ""
         )
-        proc = subprocess.Popen(
-            [sys.executable, "-m", "repro.runtime.server_main", "--managed"],
-            stdin=subprocess.PIPE,
-            stdout=subprocess.PIPE,
-            env=env,
+        listener = bind_loopback(self.address_book[host].port)
+        listen_fd = listener.fileno()
+        try:
+            listener.listen(64)
+            proc = subprocess.Popen(
+                [sys.executable, "-m", "repro.runtime.server_main", "--managed"],
+                stdin=subprocess.PIPE,
+                pass_fds=(listen_fd,),
+                env=env,
+            )
+        finally:
+            listener.close()
+        child = self._children[host] = _ChildProcess(host, proc, incarnation)
+        config = dict(
+            self._server_config,
+            host=host,
+            address_book={h: a.port for h, a in self.address_book.items()},
+            listen_fd=listen_fd,
+            lsn_rebase=incarnation * INCARNATION_LSN_RANGE,
         )
         try:
             proc.stdin.write((json.dumps(config) + "\n").encode("utf-8"))
             proc.stdin.flush()
-            port = self._read_handshake(host, proc)
-        except Exception:
-            proc.kill()
-            proc.wait()
-            raise
-        child = _ChildProcess(host, proc, Address(host, port), incarnation)
-        self.address_book[host] = child.address
-        self._children[host] = child
+        except OSError:
+            pass  # died before reading its config: _await_ready reports it
         return child
 
-    def _read_handshake(self, host: str, proc: subprocess.Popen) -> int:
-        deadline = time.monotonic() + HANDSHAKE_TIMEOUT
-        fd = proc.stdout.fileno()
-        buf = b""
-        while b"\n" not in buf:
-            remaining = deadline - time.monotonic()
-            if remaining <= 0:
-                raise RuntimeLaunchError(
-                    f"memo server process for {host!r} did not report its "
-                    f"port within {HANDSHAKE_TIMEOUT:.0f}s"
-                )
-            if proc.poll() is not None:
-                raise RuntimeLaunchError(
-                    f"memo server process for {host!r} exited during "
-                    f"startup (returncode {proc.returncode})"
-                )
-            ready, _, _ = select.select([fd], [], [], min(remaining, 0.2))
-            if not ready:
-                continue
-            chunk = os.read(fd, 4096)
-            if not chunk:  # EOF before the handshake line: child is dying
-                proc.wait(timeout=HANDSHAKE_TIMEOUT)
-                raise RuntimeLaunchError(
-                    f"memo server process for {host!r} closed stdout during "
-                    f"startup (returncode {proc.returncode})"
-                )
-            buf += chunk
-        line = buf.split(b"\n", 1)[0]
+    def _await_ready(self, child: _ChildProcess) -> None:
+        """Block until *child* answers a control round trip."""
         try:
-            payload = json.loads(line)
-            return int(payload["port"])
-        except (ValueError, KeyError, TypeError) as exc:
+            self.control(child.host, Heartbeat(host="", origin="cluster"), READY_TIMEOUT)
+        except (CommunicationError, TimeoutError) as exc:
+            try:
+                returncode = child.proc.wait(timeout=1.0)  # died at birth: say how
+            except subprocess.TimeoutExpired:
+                child.proc.kill()
+                returncode = child.proc.wait()
+            self._close_stdin(child)
             raise RuntimeLaunchError(
-                f"bad port handshake from {host!r}: {line!r}"
+                f"memo server process for {child.host!r} did not come up "
+                f"(returncode {returncode}): {exc}"
             ) from exc
 
-    def _broadcast_addresses(self) -> None:
-        update = AddressUpdate(
-            ports={h: a.port for h, a in self.address_book.items()},
-            origin="cluster",
-        )
-        for host, child in list(self._children.items()):
-            if not child.alive:
-                continue
-            try:
-                self.control(host, update)
-            except CommunicationError:
-                # A child dying mid-broadcast misses the update; its own
-                # restart (or the next broadcast) delivers a fresh map.
-                pass
-
-    # -- lifecycle --------------------------------------------------------------
+    # -- lifecycle ---------------------------------------------------------------
 
     def start(self) -> None:
         if self._started:
             return
+        # Every port is picked before any child exists, so each is born
+        # knowing the whole address book.
         for host in self.hosts:
-            self._spawn(host)
-        self._broadcast_addresses()
+            reservation = self._reservations[host] = bind_loopback(0)
+            self.address_book[host] = Address(host, reservation.getsockname()[1])
+        try:
+            for child in [self._spawn(host) for host in self.hosts]:
+                self._await_ready(child)
+        except BaseException:
+            self.stop()
+            raise
         self._stop_event.clear()
         self._supervisor = threading.Thread(
             target=self._supervise, name="dmemo-supervisor", daemon=True
@@ -528,7 +512,10 @@ class ProcessBackend(ClusterBackend):
                     child.proc.wait(timeout=5.0)
                 except subprocess.TimeoutExpired:
                     pass  # unkillable (D-state); nothing more we can do
-            self._close_pipes(child)
+            self._close_stdin(child)
+        for reservation in self._reservations.values():
+            reservation.close()
+        self._reservations.clear()
         self._started = False
 
     @property
@@ -536,13 +523,11 @@ class ProcessBackend(ClusterBackend):
         return self._started
 
     @staticmethod
-    def _close_pipes(child: _ChildProcess) -> None:
-        for pipe in (child.proc.stdin, child.proc.stdout):
-            if pipe is not None:
-                try:
-                    pipe.close()
-                except OSError:
-                    pass
+    def _close_stdin(child: _ChildProcess) -> None:
+        try:
+            child.proc.stdin.close()
+        except OSError:
+            pass
 
     # -- chaos ------------------------------------------------------------------
 
@@ -557,7 +542,7 @@ class ProcessBackend(ClusterBackend):
         child.proc.kill()
         child.proc.wait(timeout=STOP_GRACE)
         child.reported = True
-        self._close_pipes(child)
+        self._close_stdin(child)
         self.failure.mark_dead(host)
 
     def pause_host(self, host: str) -> None:
@@ -585,33 +570,11 @@ class ProcessBackend(ClusterBackend):
         if old.alive:
             old.proc.kill()
             old.proc.wait(timeout=STOP_GRACE)
-        self._close_pipes(old)
-        self._spawn(host, old.incarnation + 1)
+        self._close_stdin(old)
+        self._await_ready(self._spawn(host, old.incarnation + 1))
         with self._lock:
             self._intended_down.discard(host)
         self.failure.mark_alive(host)
-        # Every child (including the newborn) learns the new port; stale
-        # pooled connections to the old port are dropped receiver-side.
-        self._broadcast_addresses()
-
-    def resync_host(self, host: str, apps: list[str]) -> dict[str, dict[str, int]]:
-        reply = self.control(
-            host, ResyncRequest(apps=tuple(apps), origin="cluster"), timeout=60.0
-        )
-        if not getattr(reply, "ok", False):
-            raise ReplicationError(
-                f"resync from {host} failed: {getattr(reply, 'error', 'unknown')}"
-            )
-        return self._unflatten(reply.stats)
-
-    @staticmethod
-    def _unflatten(stats: dict) -> dict[str, dict[str, int]]:
-        """``{"peer:metric": n}`` (wire form) back to ``{peer: {metric: n}}``."""
-        out: dict[str, dict[str, int]] = {}
-        for key, value in stats.items():
-            peer, _, metric = key.partition(":")
-            out.setdefault(peer, {})[metric] = value
-        return out
 
     def is_live(self, host: str) -> bool:
         child = self._children.get(host)
@@ -620,16 +583,6 @@ class ProcessBackend(ClusterBackend):
     # -- wiring -----------------------------------------------------------------
 
     def transport_for(self, host: str) -> Transport:
-        if host not in self.address_book and host not in self.hosts:
+        if host not in self.hosts:
             raise RuntimeLaunchError(f"no memo server on host {host!r}")
         return self.transport
-
-    def address_of(self, host: str) -> Address:
-        address = self.address_book.get(host)
-        if address is None:
-            if host in self.hosts:
-                raise RuntimeLaunchError(
-                    f"memo server process for {host!r} not started yet"
-                )
-            raise RuntimeLaunchError(f"no memo server on host {host!r}")
-        return address

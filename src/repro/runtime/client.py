@@ -38,8 +38,10 @@ Connection hygiene rules:
   reply is still in flight, and reusing the socket would hand the *next*
   request a stale reply (correlation ids make that stale reply *ignorable*,
   but the fresh connection keeps the failure domain clean);
-* a closed connection triggers bounded reconnect-and-resend, which is what
-  lets a client ride through its memo server being killed and restarted
+* a closed connection triggers bounded reconnect-and-resend to the
+  :class:`Address` the client was built with — a host keeps its address
+  across restarts on every backend and transport, which is what lets a
+  client ride through its memo server being killed and restarted
   (fail-over gives at-least-once delivery: a resent put may duplicate a
   memo whose first ack was lost, never lose one);
 * acknowledgements that die with a connection are *counted*, accumulating

@@ -28,7 +28,7 @@ from repro.adf.model import ADF
 from repro.core.api import Memo
 from repro.durability.config import DurabilityConfig
 from repro.errors import MemoError, RuntimeLaunchError
-from repro.network.connection import Address, Transport
+from repro.network.connection import Address
 from repro.network.protocol import StatsRequest
 from repro.network.transport import NetworkFabric
 from repro.runtime.backends import ClusterBackend, InProcessBackend, ProcessBackend
@@ -158,14 +158,6 @@ class Cluster:
     @property
     def fabric(self) -> NetworkFabric | None:
         return self.backend.fabric
-
-    @property
-    def _transports(self) -> dict[str, Transport]:
-        """Per-host client transports (compat shim for benches/tests)."""
-        transports = getattr(self.backend, "_transports", None)
-        if transports is not None:
-            return transports
-        return {host: self.backend.transport_for(host) for host in self.backend.hosts}
 
     # -- lifecycle --------------------------------------------------------------
 
@@ -386,12 +378,7 @@ class Cluster:
 
     def stats(self) -> dict[str, dict]:
         """Per-host stats via the wire protocol (host → counter map)."""
-        out: dict[str, dict] = {}
-        for host in self.backend.hosts:
-            with self.client_for(host, origin="stats") as client:
-                reply = client.request(StatsRequest(origin="stats"))
-            out[host] = reply.stats
-        return out
+        return {host: self._fetch_stats(host) for host in self.backend.hosts}
 
     def metrics(self) -> ClusterMetrics:
         """Aggregate fabric traffic and server counters for the benches."""
@@ -403,15 +390,24 @@ class Cluster:
             metrics.add_server_stats(stats)
         return metrics
 
+    def _fetch_stats(self, host: str) -> dict:
+        """*host*'s flat ``StatsRequest`` counter map, over the wire."""
+        reply = self.backend.control(host, StatsRequest(origin="cluster"))
+        if not getattr(reply, "ok", False):
+            raise RuntimeLaunchError(
+                f"memo server on {host} refused a stats request: "
+                f"{getattr(reply, 'error', 'unknown error')}"
+            )
+        return reply.stats
+
     def _host_stats(self, host: str) -> dict | None:
-        """*host*'s flat ``StatsRequest`` counter map; None when it does
-        not answer — dead, not yet spawned, or frozen mid-query (a paused
-        child accepts and says nothing until the recv deadline)."""
+        """:meth:`_fetch_stats`, or None when *host* does not answer —
+        dead, not yet spawned, or frozen mid-query (a paused child accepts
+        and says nothing until the recv deadline)."""
         try:
-            reply = self.backend.control(host, StatsRequest(origin="cluster"))
+            return self._fetch_stats(host)
         except (MemoError, TimeoutError, OSError):
             return None
-        return reply.stats if getattr(reply, "ok", False) else None
 
     def waiter_gauges(self) -> dict[str, dict[str, int]]:
         """Per-host waiter-table gauges.

@@ -8,10 +8,13 @@ else, so a cluster of N hosts is N interpreters with N GILs.
 Two modes:
 
 * **Managed** (``--managed``): spawned by the cluster's
-  :class:`~repro.runtime.backends.ProcessBackend`.  Reads one JSON
-  config line from stdin, binds an *ephemeral* port (port 0), and
-  reports it back as one JSON line on stdout — the handshake the parent
-  blocks on.  The process exits when it is signalled (SIGTERM/SIGINT),
+  :class:`~repro.runtime.backends.ProcessBackend`, the way ``inetd``
+  hands a server a socket that is already listening at the well-known
+  port.  Reads one JSON config line from stdin and adopts the listener
+  it inherited as file descriptor ``listen_fd`` — connections dialled
+  while it was starting are waiting in that socket's backlog, so the
+  parent learns it is up from its first answered request, and nothing is
+  written to stdout.  The process exits when it is signalled (SIGTERM/SIGINT),
   when a wire :class:`~repro.network.protocol.ShutdownRequest` stops the
   server, or when stdin hits EOF — the parent holds the other end of
   that pipe, so even a SIGKILLed parent takes its children down with it
@@ -22,10 +25,12 @@ Two modes:
   ``--port`` says otherwise.
 
 The managed config line mirrors the keyword arguments of
-:class:`~repro.servers.memo_server.MemoServer`, plus the ``lsn_rebase``
-the parent hands a respawned child::
+:class:`~repro.servers.memo_server.MemoServer` — the address book as
+host → port, this host's entry being the port of the inherited listener
+— plus the ``lsn_rebase`` the parent hands a respawned child::
 
-    {"host": "hub", "idle_timeout": 2.0, "heartbeat_interval": 0.1,
+    {"host": "hub", "address_book": {"hub": 40213, "leaf": 40215},
+     "listen_fd": 5, "idle_timeout": 2.0, "heartbeat_interval": 0.1,
      "failure_threshold": 3, "durability": {"data_dir": "...", ...} | null,
      "lsn_rebase": 0}
 """
@@ -40,6 +45,7 @@ import sys
 import threading
 
 from repro.durability.config import DurabilityConfig
+from repro.network.connection import Address
 from repro.network.tcp import TCPTransport
 from repro.servers.memo_server import MEMO_PORT, MemoServer
 
@@ -47,13 +53,21 @@ __all__ = ["build_server", "main"]
 
 
 def build_server(config: dict) -> MemoServer:
-    """Construct (and bind) a memo server from a managed-mode config dict."""
+    """Construct (and bind, or adopt the listener of) a memo server from a
+    config dict."""
+    host = str(config["host"])
     durability = config.get("durability")
+    book = {
+        str(h): Address(str(h), int(port))
+        for h, port in config.get("address_book", {}).items()
+    }
+    port = book[host].port if host in book else int(config.get("port", 0))
+    inherited = {port: int(config["listen_fd"])} if "listen_fd" in config else {}
     server = MemoServer(
-        str(config["host"]),
-        TCPTransport(),
-        address_book={},
-        listen_port=int(config.get("port", 0)),
+        host,
+        TCPTransport(inherited),
+        address_book=book,
+        listen_port=port,
         idle_timeout=float(config.get("idle_timeout", 2.0)),
         heartbeat_interval=float(config.get("heartbeat_interval", 0.1)),
         failure_threshold=int(config.get("failure_threshold", 3)),
@@ -101,8 +115,8 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument(
         "--managed",
         action="store_true",
-        help="cluster-supervised mode: JSON config on stdin, port handshake on stdout, "
-        "exit on stdin EOF",
+        help="cluster-supervised mode: JSON config on stdin, listener inherited "
+        "as a file descriptor, exit on stdin EOF",
     )
     args = parser.parse_args(argv)
 
@@ -127,10 +141,6 @@ def main(argv: list[str] | None = None) -> int:
     server.start()
 
     if args.managed:
-        sys.stdout.write(
-            json.dumps({"host": server.host, "port": server.address.port}) + "\n"
-        )
-        sys.stdout.flush()
         threading.Thread(
             target=_watch_parent, args=(stop,), name="parent-watch", daemon=True
         ).start()

@@ -56,7 +56,6 @@ from repro.errors import (
 from repro.network.codec import decode_message, folder_intern_stats
 from repro.network.connection import Address, Connection, Transport
 from repro.network.protocol import (
-    AddressUpdate,
     BurstEnvelope,
     CancelWaitRequest,
     DeltaSyncPull,
@@ -156,10 +155,10 @@ class MemoServer:
     Args:
         host: logical host name (from the ADF HOSTS section).
         transport: medium to listen/connect on.
-        address_book: logical host name → memo-server address.  The cluster
-            fills it in after all listeners are bound (needed for TCP where
-            ports are dynamic); for the in-memory fabric it is simply
-            ``Address(host, MEMO_PORT)`` for every host.
+        address_book: logical host name → memo-server address, fixed for
+            the life of the cluster: a host restarted after a crash listens
+            where its dead incarnation did.  For the in-memory fabric it is
+            simply ``Address(host, MEMO_PORT)`` for every host.
         idle_timeout: thread-cache idle timer (section 4.1).
         policy: hash-weight policy for folder placement (ablation knob).
         listen_port: port to bind; defaults to :data:`MEMO_PORT` (use 0 for
@@ -416,22 +415,6 @@ class MemoServer:
         threading.Thread(target=self.stop, daemon=True).start()
         return Reply(ok=True)
 
-    def _handle_address_update(self, msg: AddressUpdate, _envelope=None) -> Reply:
-        """Adopt the cluster's current host → port map (process mode).
-
-        Pooled connections to a host whose port changed are dropped so
-        nothing keeps dialing the pre-restart listener.
-        """
-        for host, port in msg.ports.items():
-            new = Address(str(host), int(port))
-            old = self.address_book.get(new.host)
-            if old == new:
-                continue
-            if old is not None:
-                self.router.drop_address(old)
-            self.address_book[new.host] = new
-        return Reply(ok=True)
-
     # -- stats -----------------------------------------------------------------------
 
     def _collect_stats(self) -> dict:
@@ -512,6 +495,5 @@ HANDLERS: dict[type, Row] = {
     StatsRequest: Row(
         lambda s, m, e: Reply(ok=True, stats=s._collect_stats()), WORKER, False
     ),
-    AddressUpdate: Row(MemoServer._handle_address_update, WORKER, False),
     ShutdownRequest: Row(MemoServer._handle_shutdown, WORKER, False),
 }

@@ -257,10 +257,6 @@ class Router:
         if address is not None:
             self._pool.drop(address)
 
-    def drop_address(self, address: Address) -> None:
-        """Forget pooled connections to *address* (its host moved ports)."""
-        self._pool.drop(address)
-
     def admit(self, envelope: ForwardEnvelope) -> None:
         """Count an inbound envelope; refuse one that already crossed here."""
         self._stats.bump("forwards_in")

@@ -26,7 +26,7 @@ class TestCorruptInput:
         with Cluster(adf) as cluster:
             cluster.register()
             server_addr = cluster.servers["host"].address
-            transport = cluster._transports["host"]
+            transport = cluster.backend.transport_for("host")
 
             rogue = transport.connect(server_addr)
             rogue.send(b"\x00\xde\xad\xbe\xef not a protocol message")
@@ -107,7 +107,7 @@ class TestPeerDeath:
         adf = system_default_adf(["host"], app="fi4")
         cluster = Cluster(adf).start()
         cluster.register()
-        transport = cluster._transports["host"]
+        transport = cluster.backend.transport_for("host")
         address = cluster.servers["host"].address
         cluster.stop()
         with pytest.raises(ConnectionClosedError):

@@ -309,14 +309,14 @@ class TestSupervision:
         assert [e["host"] for e in pcluster.backend.exit_events] == [VICTIM]
         assert "down" in pcluster.debug_report()
 
-    def test_restart_rebinds_a_fresh_port_and_broadcasts_it(self, pcluster):
+    def test_restart_is_a_new_pid_at_the_same_port(self, pcluster):
         old_port = pcluster.address_book[VICTIM].port
         old_pid = pcluster.backend._children[VICTIM].proc.pid
         pcluster.kill_host(VICTIM)
         pcluster.restart_host(VICTIM)
         assert pcluster.backend._children[VICTIM].proc.pid != old_pid
-        assert pcluster.address_book[VICTIM].port != old_port
-        # Peers learned the new port: a forward to the reborn host works.
+        assert pcluster.address_book[VICTIM].port == old_port
+        # Nobody was told anything: a forward to the reborn host works.
         memo = pcluster.memo_api("h0", APP)
         (key,) = keys_with(pcluster, primaried_on(VICTIM), 1, start=5000)
         memo.put(key, "reborn", wait=True)

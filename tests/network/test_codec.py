@@ -19,7 +19,6 @@ from repro.durability.records import (
     WalPut,
 )
 from repro.network.protocol import (
-    AddressUpdate,
     CancelWaitRequest,
     DeltaSyncPull,
     ForwardEnvelope,
@@ -87,7 +86,6 @@ ALL_MESSAGES = [
     ),
     StatsRequest(origin="p"),
     ShutdownRequest(origin="p"),
-    AddressUpdate(ports={"h1": 50301, "h2": 50307}, origin="cluster"),
     ResyncRequest(apps=("inv", "pay"), origin="cluster"),
     ForwardEnvelope("inv", "h2", b"inner-bytes", trail=("h1", "h3")),
     Reply(ok=True, found=True, payload=b"v", folder=folder(), stats={"memo.requests": 5}),
@@ -194,6 +192,17 @@ class TestFrameRejection:
             decode_message(bytes(frame))
         with pytest.raises(ProtocolError, match="undecodable"):
             decode_protocol_frame(bytes(frame))
+
+    def test_retired_tag_26_rejected(self):
+        """Tag 26 was the host -> port map rebroadcast after a restart,
+        while a restarted host drew a new port.  Retired like tag 9."""
+        from repro.network import codec as c
+
+        frame = bytearray(b"DC\x01\x1a")
+        c._w_tlv(frame, {"h1": 50301, "h2": 50307})  # ports
+        c._w_str(frame, "cluster")  # origin
+        with pytest.raises(DecodingError, match="unknown compact message tag 0x1a"):
+            decode_message(bytes(frame))
 
     @pytest.mark.parametrize("msg", ALL_MESSAGES, ids=_ids)
     def test_truncated_frames_rejected(self, msg):

@@ -21,7 +21,6 @@ from repro.network.codec import decode_tagged, encode_message
 from repro.network.protocol import (
     GET_MODES,
     GET_WAIT_MODES,
-    AddressUpdate,
     BurstEnvelope,
     CancelWaitRequest,
     DeltaSyncPull,
@@ -112,7 +111,6 @@ STRATEGIES = {
     ),
     StatsRequest: st.builds(StatsRequest, origins),
     ShutdownRequest: st.builds(ShutdownRequest, origins),
-    AddressUpdate: st.builds(AddressUpdate, int_dicts, origins),
     ResyncRequest: st.builds(ResyncRequest, str_tuples, origins),
     ForwardEnvelope: st.builds(ForwardEnvelope, origins, origins, payloads, str_tuples),
     PipelineBatch: st.builds(PipelineBatch, frame_tuples),

@@ -1,16 +1,19 @@
 """Backend selection, validation, and the server_main entrypoint."""
 
-import json
+import gc
 import os
 import signal
 import subprocess
 import sys
-import time
 
 import pytest
 
 from repro.adf.defaults import system_default_adf
+from repro.core.keys import Key, Symbol
 from repro.errors import RuntimeLaunchError
+from repro.network.connection import Address
+from repro.network.protocol import Heartbeat, round_trip
+from repro.network.tcp import TCPTransport, bind_loopback
 from repro.runtime.backends import InProcessBackend, ProcessBackend
 from repro.runtime.cluster import Cluster
 from repro.servers.hashing import HashWeightPolicy
@@ -60,9 +63,9 @@ class TestBackendSelection:
     def test_inprocess_keeps_seed_surface(self):
         cluster = Cluster(adf(), transport_kind="tcp")
         assert set(cluster.servers) == set(HOSTS)
-        assert set(cluster._transports) == set(HOSTS)
         # TCP listeners bind ephemerally: never the fixed base port.
         for host in HOSTS:
+            assert cluster.backend.transport_for(host) is not None
             assert cluster.address_book[host].port != MEMO_PORT
         cluster.stop()
 
@@ -81,6 +84,51 @@ class TestEphemeralPorts:
                 second.register()
 
 
+class TestFixedAddresses:
+    """A host's address is a constant of the cluster: a restarted server
+    listens where the dead one did, so nobody has to be told it moved."""
+
+    @pytest.mark.parametrize(
+        "backend, transport_kind",
+        [("inprocess", "memory"), ("inprocess", "tcp"), ("process", "tcp")],
+    )
+    def test_client_rides_through_restart(self, backend, transport_kind):
+        rep = system_default_adf(HOSTS, app="sel", replication_factor=2)
+        with Cluster(
+            rep,
+            backend=backend,
+            transport_kind=transport_kind,
+            heartbeat_interval=0.05,
+            failure_threshold=2,
+        ) as cluster:
+            cluster.register()
+            memo = cluster.memo_api("a", "sel")
+            memo.put(Key(Symbol("before")), 1, wait=True)
+            address = cluster.backend.address_of("a")
+
+            cluster.kill_host("a")
+            cluster.restart_host("a")
+
+            assert cluster.backend.address_of("a") == address
+            memo.put(Key(Symbol("after")), 2, wait=True)
+            assert memo.get(Key(Symbol("after"))) == 2
+
+    def test_stop_returns_every_fd_and_reaps_every_child(self):
+        """The parent makes a listener per incarnation and holds a port
+        reservation per host; none of them may outlive ``stop``."""
+        gc.collect()
+        fds = len(os.listdir("/proc/self/fd"))
+        cluster = Cluster(adf(), backend="process").start()
+        procs = [child.proc for child in cluster.backend._children.values()]
+        cluster.kill_host("a")
+        assert all(p.poll() is None for p in procs[1:])  # only the victim died
+        cluster.restart_host("a")
+        procs.append(cluster.backend._children["a"].proc)
+        cluster.stop()
+        assert [p.returncode is not None for p in procs] == [True] * 3
+        assert len(os.listdir("/proc/self/fd")) == fds
+
+
 class TestServerMain:
     def _env(self):
         env = dict(os.environ)
@@ -89,18 +137,27 @@ class TestServerMain:
         return env
 
     def test_managed_mode_handshakes_and_dies_on_stdin_eof(self):
+        """The handshake is the first round trip: the child adopts the
+        listener it was born holding, and a request dialled before it was
+        up (waiting in the backlog) is answered once it is."""
+        listener = bind_loopback(0)
+        listener.listen(8)
+        port, fd = listener.getsockname()[1], listener.fileno()
         proc = subprocess.Popen(
             [sys.executable, "-m", "repro.runtime.server_main", "--managed"],
             stdin=subprocess.PIPE,
-            stdout=subprocess.PIPE,
+            pass_fds=(fd,),
             env=self._env(),
         )
+        listener.close()
         try:
-            proc.stdin.write(b'{"host": "solo"}\n')
+            config = '{"host": "solo", "address_book": {"solo": %d}, "listen_fd": %d}\n'
+            proc.stdin.write((config % (port, fd)).encode())
             proc.stdin.flush()
-            handshake = json.loads(proc.stdout.readline())
-            assert handshake["host"] == "solo"
-            assert handshake["port"] > 0  # ephemeral, OS-assigned
+            reply = round_trip(
+                TCPTransport(), Address("solo", port), Heartbeat(host=""), timeout=30
+            )
+            assert reply.ok
             # Parent death = stdin EOF: the child must exit on its own.
             proc.stdin.close()
             assert proc.wait(timeout=15) == 0

@@ -22,8 +22,12 @@ from repro.scenarios import (
 BACKENDS = ["inprocess", "process"]
 
 #: Per-backend op budgets: the in-process fabric is an order of magnitude
-#: faster, and the faults must land while traffic is still flowing.
-_OPS = {"inprocess": (500, 120), "process": (140, 40)}
+#: faster, and the faults must land while traffic is still flowing: on the
+#: process backend 140 + 40 ops are over in 0.38-0.47 s, on either side
+#: of the kill at 0.4 s, while 300 + 80 can outlast the windows' timed
+#: closes at 1.9 s, where the restart's resync pull waits 10 s on the
+#: still-frozen peer (ROADMAP item 5(b): no deadline on that leg).
+_OPS = {"inprocess": (500, 120), "process": (220, 60)}
 
 
 @pytest.mark.parametrize("backend", BACKENDS)

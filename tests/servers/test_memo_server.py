@@ -230,7 +230,6 @@ def samples(folder, other):
         p.DeltaSyncPull: p.DeltaSyncPull("test", "s1", {}, {}, {}, "t"),
         p.StatsRequest: p.StatsRequest("t"),
         p.ShutdownRequest: p.ShutdownRequest("t"),
-        p.AddressUpdate: p.AddressUpdate({}, "t"),
         p.ResyncRequest: p.ResyncRequest(("test",), "t"),
         p.ForwardEnvelope: p.ForwardEnvelope("test", "s2", b"", ()),
         p.PipelineBatch: p.PipelineBatch((frame,)),

@@ -63,7 +63,7 @@ def recv_replies(conn, count, timeout=10.0):
 class TestOutOfOrderReplies:
     def test_blocking_get_does_not_stall_pipelined_put(self, solo_cluster):
         server = solo_cluster.servers["solo"]
-        conn = solo_cluster._transports["solo"].connect(server.address)
+        conn = solo_cluster.backend.transport_for("solo").connect(server.address)
         empty = folder("pipe", "empty")
         other = folder("pipe", "other")
         # cid 1: a get that blocks (folder is empty).  cid 2: a put to a
@@ -87,7 +87,7 @@ class TestOutOfOrderReplies:
 
     def test_many_gets_block_in_parallel(self, solo_cluster):
         server = solo_cluster.servers["solo"]
-        conn = solo_cluster._transports["solo"].connect(server.address)
+        conn = solo_cluster.backend.transport_for("solo").connect(server.address)
         for i in range(4):
             send_message(
                 conn, GetRequest(folder("pipe", "par", i), mode="get"), corr_id=10 + i
@@ -137,7 +137,7 @@ class TestPerFolderFifo:
     def test_legacy_frame_ordered_after_pipelined_puts(self, solo_cluster):
         """An id-less request observes every pipelined put sent before it."""
         server = solo_cluster.servers["solo"]
-        conn = solo_cluster._transports["solo"].connect(server.address)
+        conn = solo_cluster.backend.transport_for("solo").connect(server.address)
         target = folder("pipe", "legacy")
         n = 50
         frames = tuple(
@@ -284,7 +284,7 @@ class TestSessionShutdownDrain:
         cluster = Cluster(adf, idle_timeout=1.0).start()
         cluster.register()
         server = cluster.servers["solo"]
-        conn = cluster._transports["solo"].connect(server.address)
+        conn = cluster.backend.transport_for("solo").connect(server.address)
         n = 200
         frames = tuple(
             encode_message(

@@ -224,7 +224,7 @@ class TestCancellationPaths:
 class TestWireLevel:
     def _connect(self, cluster):
         server = cluster.servers["solo"]
-        return cluster._transports["solo"].connect(server.address)
+        return cluster.backend.transport_for("solo").connect(server.address)
 
     def test_duplicate_waiter_token_rejected(self, one_host_cluster):
         conn = self._connect(one_host_cluster)
@@ -503,7 +503,7 @@ class TestRelayedWaits:
     def test_relayed_wait_refuses_a_routing_loop(self, two_host_cluster):
         """The envelope's trail is checked for a wait as for any forward."""
         beta = two_host_cluster.servers["beta"]
-        conn = two_host_cluster._transports["alpha"].connect(beta.address)
+        conn = two_host_cluster.backend.transport_for("alpha").connect(beta.address)
         try:
             wait = GetWaitRequest(folder=FolderName("test", key(701)), waiter=1)
             envelope = ForwardEnvelope(
