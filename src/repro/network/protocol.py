@@ -277,9 +277,12 @@ class ReplicatePut:
     Sent by whichever chain member accepted a write (the primary, or an
     acting primary during fail-over) to every other live member of the
     folder's replica chain, and by :class:`DeltaSyncPull` handlers
-    re-seeding a rejoined backup.  Applying a replicate is idempotent
-    only in the at-least-once sense: re-sends may duplicate a memo, never
-    lose one.
+    re-seeding a rejoined backup.  It is a put-lane request, so a run of
+    copies — a lane round's, or a re-seed — rides one
+    :class:`BurstEnvelope` and applies in order; a lone copy travels in a
+    strict :class:`ForwardEnvelope`.  A copy whose origin coordinates the
+    backup already holds is acknowledged and dropped; otherwise re-sends
+    may duplicate a memo, never lose one.
 
     Attributes:
         app: application whose placement names the chain.
@@ -328,10 +331,16 @@ class DeltaSyncPull:
 
     Issued by a host rejoining the cluster and by the periodic sweep.
     The receiver (1) extracts replica-held records whose *primary* is
-    the requester and re-deposits them through ordinary routing (the
-    same machinery as :class:`MigrateRequest`), and (2) re-sends
+    the requester and returns them as the :class:`PutRequest` /
+    :class:`PutDelayedRequest` that deposited them (migration is just
+    puts, as for :class:`MigrateRequest`), and (2) re-sends
     :class:`ReplicatePut` copies of its own primary folders that list
-    the requester as a backup.  Both phases are filtered by what the
+    the requester as a backup.  Both phases travel to the requester as
+    :class:`BurstEnvelope` runs of at most 512 frames over a direct link
+    — one exchange per burst, not per record — and whatever a burst does
+    not settle takes the per-record path (ordinary routing for returns,
+    a strict copy for re-seeds), as everything does on a multi-hop
+    topology.  Both phases are filtered by what the
     requester says it already holds, in origin coordinates, so a
     WAL-recovered host moves only the outage delta while a host that
     came back empty (LSN 0, or a rebased clock with its floor) gets
@@ -422,20 +431,24 @@ class ForwardEnvelope:
 
 @dataclass(frozen=True)
 class BurstEnvelope:
-    """A run of pipelined puts forwarded to their owner as one message.
+    """A run of lane requests sent to one host as one message.
 
     The strict :class:`ForwardEnvelope` wraps one request and repeats the
     application, target, and trail strings on every hop — fine for a
-    single forward, pure overhead for a pipelined burst whose envelopes
-    are identical.  A burst envelope carries those fields *once* and the
-    member requests as raw correlated frames, exactly as the client sent
-    them: the forwarding server never re-encodes a put, and the owner's
-    tagged replies (using the client's own correlation ids, which are
-    unique within the burst) can be passed back to the client verbatim.
+    single forward, pure overhead for a run whose envelopes are
+    identical.  A burst envelope carries those fields *once* and the
+    member requests as correlated frames, which the receiver queues on
+    one put lane and applies in order.  Members are requests whose
+    handler runs on the lane: a client's pipelined puts forwarded to
+    their owner (raw, exactly as the client sent them — never
+    re-encoded — so the owner's tagged replies, using the client's own
+    ids, pass back to the client verbatim), the puts and
+    :class:`ReplicatePut` copies an anti-entropy pull sends a rejoining
+    host, and the replica copies a lane round sends each backup.
 
-    Only emitted toward the folder's owning host over a direct link — a
-    relay would serve each member on its own worker and could reorder
-    same-folder puts, so multi-hop forwards stay on the strict path.
+    Only emitted over a direct link to *target_host* — a relay would
+    serve each member on its own worker and could reorder them, so
+    multi-hop traffic stays on the strict path.
     """
 
     app: str

@@ -9,15 +9,17 @@ what the host already holds (nothing, after a log-less restart; its
 recovered LSNs after a WAL replay):
 
 * the peer *returns* the replica-held records whose primary is the
-  requester and that the advertised state lacks, by re-depositing them
-  through ordinary routing — the exact machinery
-  :class:`~repro.network.protocol.MigrateRequest` uses, so a resync is
-  just a migration whose destination happens to be the rejoined host (and
-  the primary's ordinary fan-out re-creates the backups as a side
-  effect);
+  requester and that the advertised state lacks, as the puts that
+  deposited them — migration is just puts, as for
+  :class:`~repro.network.protocol.MigrateRequest`, so a resync is a
+  migration whose destination happens to be the rejoined host (and the
+  primary's ordinary fan-out re-creates the backups as a side effect);
 * the peer *re-seeds* the requester's replica store with copies of its own
   primary folders that name the requester as a backup, past the
   requester's replica marks.
+
+Both phases reach the rejoined host as bursts of lane requests, a few
+exchanges per peer rather than one per record.
 
 Guarantee: at-least-once.  Every memo acknowledged before the crash is
 either on a surviving chain member or already consumed; resync never
@@ -29,7 +31,7 @@ exactly-once layer idempotence keys on top.
 
 from __future__ import annotations
 
-from repro.errors import ReplicationError
+from repro.errors import CommunicationError, ReplicationError
 from repro.network.connection import Address, Transport
 from repro.network.protocol import DeltaSyncPull, Reply, round_trip
 
@@ -106,8 +108,10 @@ class Resyncer:
         msg = DeltaSyncPull(app, self.host, *delta_state)
         try:
             reply = round_trip(self.transport, address, msg, timeout)
-        except Exception:
-            return None  # peer is down (or died mid-pull); nothing to pull from it
+        except (CommunicationError, TimeoutError, OSError):
+            # The peer is down, died mid-pull or did not answer in time:
+            # nothing to pull from it.  Anything else is a bug and raises.
+            return None
         if not isinstance(reply, Reply):
             raise ReplicationError(
                 f"sync pull to {peer} returned {type(reply).__qualname__}"

@@ -477,7 +477,7 @@ HANDLERS: dict[type, Row] = {
     GetAltSkipRequest: Row(
         lambda s, m, e: s.router.get_alt(m, s.replicator.get_alt, e), WORKER, True
     ),
-    ReplicatePut: Row(lambda s, m, e: s.replicator.handle_replicate(m), WORKER, True),
+    ReplicatePut: Row(lambda s, m, e: s.replicator.handle_replicate(m), LANE, True),
     GetWaitRequest: Row(_ConnectionSession.get_wait, READER, True),
     CancelWaitRequest: Row(_ConnectionSession.cancel_wait, READER, False),
     PipelineBatch: Row(_ConnectionSession.unpack_batch, READER, False),

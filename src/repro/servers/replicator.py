@@ -8,21 +8,28 @@ when this host is the primary, its *replica* store when it is acting for a
 dead primary — and whichever member accepts a write fans
 :class:`~repro.network.protocol.ReplicatePut` copies out to the other live
 members before acknowledging, so an acknowledged put survives the loss of
-any single chain member.  Backup copies live in per-server replica stores,
-kept apart from primary data so ownership, migration, and stats stay exact.
-With the default factor of 1 every one of these paths collapses to the
-paper's single-owner behaviour.
+any single chain member.  A put-lane round of more than one request holds
+its copies (:meth:`Replicator.collect_copies`) and sends them as one
+:class:`~repro.network.protocol.BurstEnvelope` per member
+(:meth:`Replicator.send_copies`) before the round's acks leave.  Backup
+copies live in per-server replica stores, kept apart from primary data so
+ownership, migration, and stats stay exact.  With the default factor of 1
+every one of these paths collapses to the paper's single-owner behaviour.
 
 The same module moves stored records when placement or liveness changes:
 "dynamic data migration" at re-registration and the anti-entropy pull a
 rejoining host sends (:class:`~repro.network.protocol.DeltaSyncPull`) are
-both "take the records out of a store and :meth:`Replicator.redeposit`
-them through ordinary routing" — no special transfer channel.
+both "take the records out of a store and put them again" — no special
+transfer channel.  Migration sends each through ordinary routing
+(:meth:`Replicator.redeposit`); a pull's returns all belong to the
+requester, so they and its re-seeds travel to it in bursts, one exchange
+per burst of up to 512 records, and only what a burst leaves unsettled
+goes record by record.
 
 Everything without an underscore is for the other server modules.  What
 this one calls on them — the router's ``registration``, ``chained_here``,
-``route_with_retry``, ``send_envelope``, ``suspect``, ``transport`` and
-``address_book``.
+``route_with_retry``, ``send_envelope``, ``forward_burst``, ``suspect``,
+``transport`` and ``address_book``.
 """
 
 from __future__ import annotations
@@ -63,6 +70,11 @@ __all__ = ["Replicator", "PUT_ACK"]
 #: lane's worth of acks into one body encode (see the session's
 #: ``_send_replies``).
 PUT_ACK = Reply(ok=True, found=True)
+
+#: Most frames one :class:`~repro.network.protocol.BurstEnvelope` carries
+#: to a peer: an anti-entropy round's returns and re-seeds, or a lane
+#: round's replica copies, in as many bursts as this bound asks.
+_BURST_MAX = 512
 
 
 class Replicator:
@@ -106,6 +118,9 @@ class Replicator:
         self._stats = stats
         self._router = router
         self._lock = threading.Lock()
+        #: Per thread: the replica copies a lane round holds for its
+        #: bursts (``copies``), None outside a round.
+        self._round = threading.local()
 
     # -- the stores -------------------------------------------------------------------
 
@@ -278,7 +293,10 @@ class Replicator:
         this thread), so the pre-ack replication cost is the slowest
         member's round trip, not the sum of all of them.  All legs are
         awaited before returning — the copy-before-ack durability
-        guarantee is untouched.
+        guarantee is untouched.  Inside a lane round (between
+        :meth:`collect_copies` and :meth:`send_copies`) the copy is held
+        for the round's burst instead, which the lane sends before any of
+        the round's replies.
 
         Failures demote the target to dead and are counted, not raised:
         the write is already durable on this host, and the dead member
@@ -291,7 +309,13 @@ class Replicator:
         ]
         if not targets:
             return
-        inner = encode_message(self.replica_copy(reg.app, folder, record, release_to))
+        copy = self.replica_copy(reg.app, folder, record, release_to)
+        held = getattr(self._round, "copies", None)
+        if held is not None:
+            for member in targets:
+                held.setdefault((reg.app, member), (reg, []))[1].append(copy)
+            return
+        inner = encode_message(copy)
         # _replicate_to absorbs communication failures itself; what the
         # join collects (e.g. ShutdownError mid-teardown) must not vanish
         # in a worker thread — it is re-raised once every leg has landed,
@@ -302,6 +326,59 @@ class Replicator:
         )
         if errors:
             raise errors[0]
+
+    def collect_copies(self) -> None:
+        """Hold the copies this thread's writes fan out until :meth:`send_copies`."""
+        self._round.copies = {}
+
+    def send_copies(self) -> Reply:
+        """Send what :meth:`collect_copies` held: one burst per chain
+        member, members concurrently.  Failures demote, as in
+        :meth:`fan_out`; an error a leg raises is re-raised."""
+        held, self._round.copies = self._round.copies, None
+        errors = scatter_join(
+            self._cache,
+            [
+                lambda reg=reg, m=member, c=copies: self._copy_to(reg, m, c)
+                for (_app, member), (reg, copies) in held.items()
+            ],
+        )
+        if errors:
+            raise errors[0]
+        return PUT_ACK
+
+    def _copy_to(self, reg, member: str, copies: list) -> int:
+        """Send *copies* to *member*; returns how many it acknowledged.
+
+        More than one go as bursts (:meth:`_burst_to`).  A lone copy, and
+        whatever a burst leaves unresolved or answers with anything but
+        an ack, takes the strict per-copy path — :meth:`_replicate_to`,
+        which demotes an unreachable member.  A member demoted meanwhile
+        gets no more copies: it pulls them back through anti-entropy when
+        it rejoins.
+        """
+        left = copies
+        if len(copies) > 1:
+            acked = self._burst_to(reg.app, member, copies)
+            left = [copy for copy, ok in zip(copies, acked) if not ok]
+            self._stats.bump("replications_out", len(copies) - len(left))
+        replicated = len(copies) - len(left)
+        for copy in left:
+            if not self._failure.is_alive(member):
+                break
+            replicated += self._replicate_to(reg, member, encode_message(copy))
+        return replicated
+
+    def _burst_to(self, app: str, target: str, messages: list) -> list[bool]:
+        """Send lane requests to *target* in bursts of at most
+        :data:`_BURST_MAX` frames; which of them it acknowledged."""
+        acked: list[bool] = []
+        for start in range(0, len(messages), _BURST_MAX):
+            chunk = messages[start : start + _BURST_MAX]
+            entries = [(msg, cid, None) for cid, msg in enumerate(chunk, 1)]
+            results = self._router.forward_burst(app, target, entries)
+            acked += [type(result) is bytes for result in results]
+        return acked
 
     @staticmethod
     def replica_copy(
@@ -381,23 +458,27 @@ class Replicator:
         """Put a stored *record* back through ordinary routing.
 
         The one way a memo this server holds re-enters the cluster: a
-        migrating folder's contents, the records an anti-entropy pull
-        returns, a delayed memo released into a folder served elsewhere,
-        a memo a dead or cancelled waiter consumed.  A delayed memo is
+        migrating folder's contents, the records an anti-entropy pull's
+        bursts did not settle, a delayed memo released into a folder
+        served elsewhere, a memo a dead or cancelled waiter consumed.  A delayed memo is
         one with a *release_to*.  Never raises: None once acknowledged,
         the failure as text otherwise — each caller decides what an
         unreturned record means.
         """
-        if release_to is None:
-            msg = PutRequest(name, record.payload, record.origin)
-        else:
-            msg = PutDelayedRequest(name, release_to, record.payload, record.origin)
+        msg = self._put_of(name, record, release_to)
         here = self.put if release_to is None else self.put_delayed
         try:
             reply = self._router.route_with_retry(name, msg, here)
         except MemoError as exc:
             return f"{type(exc).__name__}: {exc}"
         return None if reply.ok else reply.error
+
+    @staticmethod
+    def _put_of(name: FolderName, record: MemoRecord, release_to: FolderName | None):
+        """The put that deposits a stored *record* into folder *name* again."""
+        if release_to is None:
+            return PutRequest(name, record.payload, record.origin)
+        return PutDelayedRequest(name, release_to, record.payload, record.origin)
 
     def _emit_put(self, folder: FolderName, record: MemoRecord) -> None:
         """Route a delayed-release put whose target folder lives elsewhere."""
@@ -406,28 +487,47 @@ class Replicator:
 
     # -- dynamic data migration and anti-entropy --------------------------------------
 
-    def _return_all(self, fs: FolderServer, extracted: list) -> tuple[int, str | None]:
-        """Redeposit every record of *extracted* (what ``extract_folders`` /
-        ``extract_records`` took out of *fs*); returns how many went back
-        and the first failure.  Each list head is consumed only after a
-        confirmed return, so on a failure exactly the unreturned tail is
-        put back into *fs* — these may be the records' only surviving
-        incarnation, and a later round must still find them."""
-        returned = 0
-        for index, (name, memos, delayed) in enumerate(extracted):
-            while memos or delayed:
-                record, release_to = (memos[0], None) if memos else delayed[0]
-                failure = self.redeposit(name, record, release_to)
-                if failure is not None:
-                    for rname, rmemos, rdelayed in extracted[index:]:
-                        for rec in rmemos:
-                            fs.put(rname, rec, trigger_release=False)
-                        for rec, rel in rdelayed:
-                            fs.put_delayed(rname, rel, rec)
-                    return returned, f"{name} failed: {failure}"
-                (memos or delayed).pop(0)
-                returned += 1
-        return returned, None
+    @staticmethod
+    def _flatten(extracted: list) -> list:
+        """What ``extract_folders`` / ``extract_records`` returned, as
+        ``(name, record, release_to)`` items in folder order (a folder's
+        memos, then its delayed memos)."""
+        items: list = []
+        for name, memos, delayed in extracted:
+            items += [(name, record, None) for record in memos]
+            items += [(name, record, release_to) for record, release_to in delayed]
+        return items
+
+    def _return_all(self, fs: FolderServer, items: list) -> tuple[int, str | None]:
+        """Redeposit every item of *items* (records taken out of *fs*) one
+        at a time; returns how many went back and the first failure.  A
+        record is dropped only after a confirmed return, so on a failure
+        exactly the unreturned tail is put back into *fs* — these may be
+        the records' only surviving incarnation, and a later round must
+        still find them."""
+        for index, (name, record, release_to) in enumerate(items):
+            failure = self.redeposit(name, record, release_to)
+            if failure is not None:
+                for rname, rec, rel in items[index:]:
+                    if rel is None:
+                        fs.put(rname, rec, trigger_release=False)
+                    else:
+                        fs.put_delayed(rname, rel, rec)
+                return index, f"{name} failed: {failure}"
+        return len(items), None
+
+    def _return_to(
+        self, app: str, requester: str, fs: FolderServer, items: list
+    ) -> tuple[int, str | None]:
+        """:meth:`_return_all` for records that all belong to *requester*:
+        they go back as bursts of the puts that deposited them, and only
+        what a burst leaves unresolved, or answers with anything but an
+        ack, goes down :meth:`_return_all`."""
+        self._stats.bump("forwards_out", len(items))
+        acked = self._burst_to(app, requester, [self._put_of(*item) for item in items])
+        left = [item for item, ok in zip(items, acked) if not ok]
+        count, failure = self._return_all(fs, left)
+        return len(items) - len(left) + count, failure
 
     def handle_migrate(self, msg: MigrateRequest) -> Reply:
         """Move locally held folders whose owner changed at re-registration.
@@ -450,7 +550,7 @@ class Replicator:
 
             extracted = fs.extract_folders(should_move)
             moved_folders += len(extracted)
-            moved, failure = self._return_all(fs, extracted)
+            moved, failure = self._return_all(fs, self._flatten(extracted))
             moved_memos += moved
             if failure is not None:
                 return Reply(ok=False, error=f"migration of {failure}")
@@ -478,10 +578,10 @@ class Replicator:
     def handle_delta_sync(self, msg: DeltaSyncPull) -> Reply:
         """Anti-entropy: return and re-seed what a requester's state lacks.
 
-        Phase 1 *returns* — record by record — the replica-held writes
-        whose primary is the requester and that it does NOT already
-        hold, by extracting them and re-depositing through ordinary
-        routing (the same machinery as :class:`MigrateRequest`; the
+        Phase 1 *returns* the replica-held writes whose primary is the
+        requester and that it does NOT already hold, by extracting them
+        and sending them back as the puts that deposited them (the same
+        "migration is just puts" as :class:`MigrateRequest`; the
         requester's own fan-out then rebuilds the backups): anything
         stamped by a store it did not advertise (fail-over writes
         accepted elsewhere while it was down), stamped past the
@@ -495,6 +595,12 @@ class Replicator:
         ``replica_marks``; the receiver-side origin-coordinate dedup in
         :meth:`handle_replicate` makes overlap harmless, so a host
         that came back with no marks gets everything.
+
+        Both phases travel as bursts of at most :data:`_BURST_MAX` lane
+        requests over the direct link to the requester — one exchange
+        per burst, not per record; what a burst does not settle goes
+        down the per-record path (:meth:`_return_to`, :meth:`_copy_to`),
+        which a multi-hop topology uses for everything.
         """
         reg = self._router.registration(msg.app)
         chain_of = reg.placement.replica_chain  # memoized by the placement
@@ -520,14 +626,14 @@ class Replicator:
 
         returned = 0
         for fs in self.local_replica_servers().values():
-            extracted = fs.extract_records(requester_is_missing)
-            count, failure = self._return_all(fs, extracted)
+            items = self._flatten(fs.extract_records(requester_is_missing))
+            count, failure = self._return_to(msg.app, msg.requester, fs, items)
             returned += count
             if failure is not None:
                 self._stats.bump("resync_returned", returned)
                 return Reply(ok=False, error=f"delta resync of {failure}")
 
-        reseeded = 0
+        copies = []
         for sid, fs in self.local_folder_servers().items():
             snapshot = fs.snapshot_folders(lambda name: name.app == msg.app)
             for name, memos, delayed in snapshot:
@@ -539,10 +645,8 @@ class Replicator:
                 for record, release_to in [(r, None) for r in memos] + delayed:
                     if record.src_lsn <= msg.replica_marks.get(record.src_sid, 0):
                         continue
-                    copy = self.replica_copy(msg.app, name, record, release_to)
-                    reseeded += self._replicate_to(
-                        reg, msg.requester, encode_message(copy)
-                    )
+                    copies.append(self.replica_copy(msg.app, name, record, release_to))
+        reseeded = self._copy_to(reg, msg.requester, copies)
 
         self._stats.bump("resync_returned", returned)
         self._stats.bump("resync_reseeded", reseeded)

@@ -436,32 +436,39 @@ class Router:
             return None
         return host if host in self.address_book else None
 
-    def forward_put_burst(self, app: str, owner_host: str, entries: list) -> list:
-        """Forward a run of puts to *owner_host* as one :class:`BurstEnvelope`.
+    def forward_burst(self, app: str, owner_host: str, entries: list) -> list:
+        """Send a run of lane requests to *owner_host* as one :class:`BurstEnvelope`.
 
-        *entries* are ``(message, corr_id, raw_frame_or_None)`` triples;
-        the client's raw correlated frames travel verbatim (a forwarded
-        put is never re-encoded — the ids are unique within the burst
-        because they came from one client connection), and the owner's
-        replies come back tagged with those same ids.
+        Any request whose handler row runs on the put lane can ride it —
+        a client's puts, the puts an anti-entropy pull returns, a lane
+        round's replica copies — and the owner applies them in order on
+        one lane.  *entries* are ``(message, corr_id, raw_frame_or_None)``
+        triples whose ids are unique within the burst; a client's raw
+        correlated frames travel verbatim (a forwarded put is never
+        re-encoded), and the owner's replies come back tagged with those
+        same ids.  Only sent over a direct link: a relay would serve each
+        member on its own worker and could reorder them.
 
         Returns one result per entry:
 
         * ``bytes`` — the owner's acknowledgement frame, byte-identical
           to what the client expects; the caller relays it untouched;
         * :class:`Reply` — a decoded non-ack reply (error, found-flag);
-        * ``None`` — unresolved (connection failure, pool shutdown); the
-          caller re-routes through the full :meth:`route` machinery.
+        * ``None`` — unresolved (connection failure, pool shutdown, no
+          direct link); the caller sends it down its per-request path.
         """
         address = self.address_book.get(owner_host)
-        if address is None:
+        try:
+            linked = self.registration(app).routing.next_hop(self.host, owner_host)
+        except MemoError:
+            linked = None
+        if address is None or linked != owner_host:
             return [None] * len(entries)
         frames = {}
         index_of = {}
         for i, (msg, cid, raw) in enumerate(entries):
             frames[cid] = raw if raw is not None else encode_message(msg, corr_id=cid)
             index_of[cid] = i
-        self._stats.bump("forwards_out", len(entries))
         results: list = [None] * len(entries)
         unresolved = set(index_of)
 
@@ -481,8 +488,14 @@ class Router:
                 results[index_of[cid]] = reply
             unresolved.discard(cid)
 
+        def torn() -> list:
+            teardown = _answered_mid_teardown
+            return [cid for cid, i in index_of.items() if teardown(results[i])]
+
         def attempt(conn: Connection) -> None:
-            # A retry resends only what the first connection left open.
+            # A retry resends only what the first connection left open or
+            # a dead incarnation's session answered mid-teardown.
+            unresolved.update(torn())
             pending = tuple(frames[cid] for cid in sorted(unresolved))
             send_message(
                 conn,
@@ -498,7 +511,7 @@ class Router:
                     absorb(raw_reply)
 
         try:
-            self._pool.exchange(address, attempt)
+            self._pool.exchange(address, attempt, stale=lambda _none: bool(torn()))
         except (CommunicationError, TimeoutError, ShutdownError):
             pass  # what stayed unresolved is the caller's to re-route
         return results

@@ -21,8 +21,8 @@ accept path, the handler table's reader rows, a relay link's reader).
 What this one calls on them — the server's ``host``, ``stats``, ``cache``,
 ``running``, ``handlers``, ``handle``, ``guarded``; the router's
 ``candidates``, ``admit``, ``chained_here``, ``walk``, ``relay_wait``,
-``suspect``, ``forward_target``, ``forward_put_burst``; the replicator's
-``store_for`` and ``redeposit``.
+``suspect``, ``forward_target``, ``forward_burst``; the replicator's
+``store_for``, ``redeposit`` and ``collect_copies`` / ``send_copies``.
 """
 
 from __future__ import annotations
@@ -180,7 +180,7 @@ class _ConnectionSession:
         if cid is None:
             return self._serve_legacy(msg)
         if where is LANE:
-            self._enqueue_put((msg, cid, None, raw))
+            self._enqueue_puts([(msg, cid, None, raw)])
             return True
         if type(msg) is ForwardEnvelope:
             # What a peer relays here runs where its own row says: a wait
@@ -225,15 +225,16 @@ class _ConnectionSession:
         return self._unpack(batch.frames, None)
 
     def unpack_burst(self, burst: BurstEnvelope, _cid=None, _envelope=None) -> bool:
-        """Unwrap a peer's burst-forwarded puts into the put queue.
+        """Unwrap a peer's burst of lane requests into the put queue.
 
         One :class:`ForwardEnvelope` stand-in is built for the whole burst
-        (the trail/ownership checks an enveloped put goes through read
-        only its header fields), and each member frame keeps the
-        *client's* correlation id — the replies this session emits go
-        back to the forwarding server, which relays them verbatim.
+        (the trail/ownership checks an enveloped request goes through
+        read only its header fields), and each member frame keeps its
+        correlation id — the replies this session emits go back to the
+        sending server, which relays a client's verbatim.  The whole
+        burst is queued at once, so the lane serves it in full rounds.
         False closes the session: a burst not targeted here, or carrying
-        anything but correlated puts, is a protocol violation.
+        anything but correlated lane requests, is a protocol violation.
         """
         if burst.target_host != self.server.host:
             return False
@@ -247,6 +248,7 @@ class _ConnectionSession:
         stats.bump("pipelined_batches")
         stats.bump("requests", len(frames))
         stats.bump("pipelined_requests", len(frames))
+        lane: list = []
         for raw in frames:
             try:
                 msg, cid = decode_protocol_frame(raw)
@@ -264,15 +266,17 @@ class _ConnectionSession:
                 row = self.server.handlers.get(type(msg))
                 if row is None or row.where is not LANE:
                     return False
-                self._enqueue_put((shared, cid, msg, None))
+                lane.append((shared, cid, msg, None))
+        if lane:
+            self._enqueue_puts(lane)
         return True
 
-    def _enqueue_put(self, entry: tuple) -> None:
-        """Queue one put, spawning the worker if it is idle (shared by
-        direct and burst-unwrapped puts)."""
+    def _enqueue_puts(self, entries: list) -> None:
+        """Queue lane requests, spawning the worker if it is idle (shared
+        by direct and burst-unwrapped requests)."""
         with self._lock:
-            self._put_queue.append(entry)
-            self._inflight_puts += 1
+            self._put_queue.extend(entries)
+            self._inflight_puts += len(entries)
             spawn = not self._put_running
             self._put_running = True
         if spawn:
@@ -302,7 +306,7 @@ class _ConnectionSession:
                     return
             try:
                 try:
-                    replies = self._process_put_batch(batch)
+                    replies = self._serve_round(batch)
                 except Exception as exc:  # noqa: BLE001 - a worker must
                     # always reply AND keep the lane alive: an exception
                     # escaping here would leave _put_running stuck True
@@ -319,6 +323,31 @@ class _ConnectionSession:
                 with self._lock:
                     self._inflight_puts -= len(batch)
                     self._idle.notify_all()
+
+    def _serve_round(self, batch: list) -> list:
+        """Serve one lane round; its replica copies leave before its replies.
+
+        A round of more than one request has the replicator collect the
+        copies its writes fan out and send them as one burst per chain
+        member once every request is served — still before any reply is
+        emitted, so a write is copied before it is acknowledged.  A
+        single request fans out strictly, as it always has.  Sending the
+        copies absorbs a member's failure (it is demoted); only an error
+        it raises (the server stopping) replaces the round's acks.
+        """
+        if len(batch) == 1:
+            return self._process_put_batch(batch)
+        replicator = self.server.replicator
+        replicator.collect_copies()
+        try:
+            replies = self._process_put_batch(batch)
+        finally:
+            sent = self.server.guarded(replicator.send_copies)
+        if sent.ok:
+            return replies
+        return [
+            (sent, e[1]) if type(e) is tuple and e[0].ok else e for e in replies
+        ]
 
     def _process_put_batch(self, batch: list) -> list:
         """Serve one lane round, burst-forwarding runs of remote puts.
@@ -395,8 +424,9 @@ class _ConnectionSession:
         def one_group(key: tuple) -> None:
             app, owner = key
             entries = [(batch[i][0], batch[i][1], batch[i][3]) for i in groups[key]]
+            self.server.stats.bump("forwards_out", len(entries))
             try:
-                bursts[key] = self.server.router.forward_put_burst(app, owner, entries)
+                bursts[key] = self.server.router.forward_burst(app, owner, entries)
             except Exception:  # noqa: BLE001 - burst is an optimistic path
                 bursts[key] = [None] * len(entries)
 
