@@ -47,6 +47,7 @@ from repro.network.protocol import (
     PutDelayedRequest,
     PutRequest,
     retryable,
+    transient,
 )
 from repro.transferable.registry import TransferableRegistry
 from repro.transferable.wire import decode, encode
@@ -93,11 +94,6 @@ _ALT_BACKOFF_MAX = 0.02
 #: probe settings, so a kill mid-wait completes from a surviving replica
 #: instead of surfacing the victim's last gasp.
 _ALT_TRANSIENT_MAX = 200
-
-#: Error-text markers of conditions that heal by themselves (fail-over,
-#: restart) beside the protocol's own ``retryable`` ones (shutdown,
-#: migration) — the protocol's error strings are the contract.
-_ALT_TRANSIENT_MARKERS = ("communication failure", "host down", "connection")
 
 
 class Memo:
@@ -338,10 +334,7 @@ class Memo:
                     # surviving replica once the detector flips.  Only a
                     # sustained failure — or a non-transient error like a
                     # missing registration — fails the future.
-                    text = str(exc)
-                    if not retryable(text) and not any(
-                        m in text for m in _ALT_TRANSIENT_MARKERS
-                    ):
+                    if not retryable(str(exc)) and not transient(str(exc)):
                         raise
                     state["transients"] += 1
                     if state["transients"] > _ALT_TRANSIENT_MAX:

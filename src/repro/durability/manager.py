@@ -14,6 +14,9 @@ __all__ = ["DurabilityManager"]
 
 _REPLICA_PREFIX = "replica:"
 
+#: Per-store gauges :meth:`DurabilityManager.gauges` adds up.
+_SUMMED = ("wal_records", "wal_bytes", "wal_replayed", "snapshots_written", "fsyncs", "fsync_ms")
+
 
 class DurabilityManager:
     """Owns ``<data_dir>/<host>/`` and hands out one store per folder server.
@@ -71,30 +74,16 @@ class DurabilityManager:
             store.close()
 
     def gauges(self) -> dict:
-        """Aggregate durability gauges across this host's stores."""
+        """This host's stores, summed; the oldest snapshot's age (-1.0:
+        none yet).  The server reports it as ``durability.<name>``."""
         with self._lock:
-            stores = dict(self._stores)
-        agg = {
-            "stores": len(stores),
-            "wal_records": 0,
-            "wal_bytes": 0,
-            "wal_replayed": 0,
-            "snapshots_written": 0,
-            "fsyncs": 0,
-            "fsync_ms": 0.0,
-            "snapshot_age_s": -1.0,
-        }
-        for store in stores.values():
+            stores = list(self._stores.values())
+        agg = {"stores": len(stores), **dict.fromkeys(_SUMMED, 0)}
+        agg["fsync_ms"] = 0.0
+        agg["snapshot_age_s"] = -1.0
+        for store in stores:
             g = store.gauges()
-            agg["wal_records"] += g["wal_records"]
-            agg["wal_bytes"] += g["wal_bytes"]
-            agg["wal_replayed"] += g["wal_replayed"]
-            agg["snapshots_written"] += g["snapshots_written"]
-            agg["fsyncs"] += g["fsyncs"]
-            agg["fsync_ms"] += g["fsync_ms"]
-            if g["snapshot_age_s"] >= 0:
-                if agg["snapshot_age_s"] < 0:
-                    agg["snapshot_age_s"] = g["snapshot_age_s"]
-                else:
-                    agg["snapshot_age_s"] = max(agg["snapshot_age_s"], g["snapshot_age_s"])
+            for name in _SUMMED:
+                agg[name] += g[name]
+            agg["snapshot_age_s"] = max(agg["snapshot_age_s"], g["snapshot_age_s"])
         return agg

@@ -27,6 +27,7 @@ from typing import Callable
 from repro.core.api import Memo
 from repro.core.keys import Key, Symbol
 from repro.errors import MemoError
+from repro.network.protocol import transient
 from repro.transferable.registry import default_registry
 
 __all__ = ["ActorRef", "rule", "Behavior", "Actor", "ActorSystem"]
@@ -149,7 +150,7 @@ class Actor:
     POLL_MAX = 0.01
 
     def _loop(self) -> None:
-        from repro.core.api import _ALT_TRANSIENT_MARKERS, NIL
+        from repro.core.api import NIL
 
         memo = self._memo
         key = self.ref.mailbox_key()
@@ -162,9 +163,7 @@ class Actor:
                 # Either the cluster shut down (exit) or a fault window is
                 # passing under us (ride it out, within budget).
                 transients += 1
-                if transients > self._transient_retries or not any(
-                    m in str(exc) for m in _ALT_TRANSIENT_MARKERS
-                ):
+                if transients > self._transient_retries or not transient(str(exc)):
                     return
                 time.sleep(min(0.01 * transients, 0.2))
                 continue

@@ -62,6 +62,7 @@ __all__ = [
     "iter_batch_frames",
     "retryable",
     "shutting_down",
+    "transient",
     "GET_MODES",
     "GET_WAIT_MODES",
 ]
@@ -211,6 +212,14 @@ def retryable(error: str) -> bool:
     anywhere in the text — it may arrive wrapped by a relaying server)
     and the placement in force now names its new home."""
     return shutting_down(error) or "FolderMigratedError" in error
+
+
+def transient(error: str) -> bool:
+    """Whether *error* names a fault that heals by itself — a fail-over
+    or a restart in progress: a ``communication failure``, ``host down``
+    or ``connection`` anywhere in the text.  A polling caller rides it
+    out within a budget instead of failing."""
+    return any(m in error for m in ("communication failure", "host down", "connection"))
 
 
 @dataclass(frozen=True)

@@ -156,11 +156,6 @@ class FailureDetector:
         with self._lock:
             return tuple(sorted(self._dead))
 
-    def snapshot(self) -> dict[str, int]:
-        """Counters for stats replies."""
-        with self._lock:
-            return {"suspected_hosts": len(self._dead)}
-
 
 class HeartbeatMonitor:
     """Background prober that keeps a :class:`FailureDetector` current.

@@ -41,6 +41,31 @@ from repro.sim.netsim import LatencyModel
 
 __all__ = ["Cluster"]
 
+#: The waiter table in a ``StatsRequest`` reply:
+#: (:meth:`Cluster.waiter_gauges` name, :meth:`Cluster.debug_report` label, key).
+_WAITERS = (
+    ("active", "active", "memo.waiters_active"),
+    ("parked", "parked", "memo.waiters_parked"),
+    ("completed", "completed", "memo.waiters_completed"),
+    ("cancelled", "cancelled", "memo.waiters_cancelled"),
+    ("push_frames", "pushes", "memo.push_frames"),
+)
+#: The other segments of a :meth:`Cluster.debug_report` line: (label, key).
+_REQUESTS = (
+    ("requests", "memo.requests"), ("local", "memo.local_dispatches"),
+    ("fwd_out", "memo.forwards_out"), ("errors", "memo.errors"),
+)
+_WAL = (
+    ("stores", "durability.stores"), ("records", "durability.wal_records"),
+    ("bytes", "durability.wal_bytes"), ("replayed", "durability.wal_replayed"),
+    ("snaps", "durability.snapshots_written"), ("fsyncs", "durability.fsyncs"),
+)
+
+
+def _fields(stats: dict, pairs) -> str:
+    """``label=value`` for each (label, key) of *pairs*, space-separated."""
+    return " ".join(f"{label}={stats[key]}" for label, key in pairs)
+
 
 class Cluster:
     """One memo server per host, plus the fabric they communicate over.
@@ -425,13 +450,7 @@ class Cluster:
             if s is None:
                 out[host] = {"down": True}
                 continue
-            out[host] = {
-                "active": s["memo.waiters_active"],
-                "parked": s["memo.waiters_parked"],
-                "completed": s["memo.waiters_completed"],
-                "cancelled": s["memo.waiters_cancelled"],
-                "push_frames": s["memo.push_frames"],
-            }
+            out[host] = {name: s[key] for name, _label, key in _WAITERS}
         return out
 
     def debug_report(self) -> str:
@@ -448,25 +467,9 @@ class Cluster:
             if s is None:
                 lines.append(f"{host}: down (no stats reply)")
                 continue
-            line = (
-                f"{host}: requests={s['memo.requests']} "
-                f"local={s['memo.local_dispatches']} "
-                f"fwd_out={s['memo.forwards_out']} "
-                f"errors={s['memo.errors']} "
-                f"| waiters active={s['memo.waiters_active']} "
-                f"parked={s['memo.waiters_parked']} "
-                f"completed={s['memo.waiters_completed']} "
-                f"cancelled={s['memo.waiters_cancelled']} "
-                f"pushes={s['memo.push_frames']}"
-            )
+            waiters = [(label, key) for _name, label, key in _WAITERS]
+            line = f"{host}: {_fields(s, _REQUESTS)} | waiters {_fields(s, waiters)}"
             if "durability.stores" in s:
-                line += (
-                    f" | wal stores={s['durability.stores']} "
-                    f"records={s['durability.wal_records']} "
-                    f"bytes={s['durability.wal_bytes']} "
-                    f"replayed={s['durability.wal_replayed']} "
-                    f"snaps={s['durability.snapshots_written']} "
-                    f"fsyncs={s['durability.fsyncs']}"
-                )
+                line += f" | wal {_fields(s, _WAL)}"
             lines.append(line)
         return "\n".join(lines)

@@ -28,8 +28,8 @@ caller sees the reason as :class:`FolderMigratedError` /
 :class:`ShutdownError`), and can be withdrawn with
 :meth:`FolderServer.cancel_waiter`, which is how a ``timeout`` ends a
 blocked call.  Callbacks always run *outside* the server lock (they
-typically push a frame down a connection).  ``stats.blocked_waits``
-counts every wait that found its folder empty and ``stats.async_parked``
+typically push a frame down a connection).  ``stats["blocked_waits"]``
+counts every wait that found its folder empty and ``stats["async_parked"]``
 every waiter-list entry — blocked and parked callers alike, so the two
 move together.
 
@@ -49,29 +49,18 @@ from typing import Callable
 from repro.core.keys import FolderName
 from repro.core.memo import MemoRecord
 from repro.errors import FolderMigratedError, FolderServerError, ShutdownError
+from repro.telemetry import Counters
 
-__all__ = ["AsyncWaiter", "Folder", "FolderServer", "FolderServerStats"]
+__all__ = ["AsyncWaiter", "Folder", "FolderServer"]
 
-
-@dataclass
-class FolderServerStats:
-    """Counters the SEC5A/FIG3 benches read per server."""
-
-    puts: int = 0
-    gets: int = 0
-    copies: int = 0
-    skips: int = 0
-    skip_misses: int = 0
-    blocked_waits: int = 0
-    async_parked: int = 0
-    async_cancelled: int = 0
-    delayed_parked: int = 0
-    delayed_released: int = 0
-    folders_created: int = 0
-    folders_vanished: int = 0
-
-    def snapshot(self) -> dict[str, int]:
-        return {k: getattr(self, k) for k in self.__dataclass_fields__}
+#: ``FolderServer.stats``, counted under the store lock and reported as
+#: ``folder.<sid>.<name>``.  ``puts`` feeds ``ClusterMetrics.server_puts``,
+#: which ``examples/matrix_invert.py`` and ``heterogeneous_jobjar.py`` print.
+FOLDER_COUNTERS = (
+    "puts", "gets", "copies", "skips", "skip_misses", "blocked_waits",
+    "async_parked", "async_cancelled", "delayed_parked", "delayed_released",
+    "folders_created", "folders_vanished",
+)
 
 
 class AsyncWaiter:
@@ -149,9 +138,9 @@ class FolderServer:
         #: path at its pre-durability cost.  Flipped on (never off) when a
         #: replicated application later registers over a shared store.
         self.track_origins = track_origins or journal is not None
-        self.stats = FolderServerStats()
         self._folders: dict[FolderName, Folder] = {}
         self._lock = threading.Lock()
+        self.stats = Counters(FOLDER_COUNTERS, lock=self._lock)
         self._rng = random.Random(seed)
         self._shutdown = False
         #: Log sequence number: advanced for every journaled mutation and
@@ -177,13 +166,13 @@ class FolderServer:
         if folder is None:
             folder = Folder(name)
             self._folders[name] = folder
-            self.stats.folders_created += 1
+            self.stats["folders_created"] += 1
         return folder
 
     def _maybe_vanish(self, folder: Folder) -> None:
         if folder.is_vanished():
             del self._folders[folder.name]
-            self.stats.folders_vanished += 1
+            self.stats["folders_vanished"] += 1
 
     def _consume(self, folder: Folder) -> MemoRecord:
         """Remove, journal and return one memo, unordered."""
@@ -252,7 +241,7 @@ class FolderServer:
                 if journal is not None:
                     journal.log_put(self._lsn, name, record)
             folder.memos.append(record)
-            self.stats.puts += 1
+            self.stats["puts"] += 1
             if folder.delayed and trigger_release:
                 to_release = folder.delayed
                 folder.delayed = []
@@ -267,8 +256,7 @@ class FolderServer:
         # Release outside the lock: the target may be a local folder (plain
         # recursive put) or remote (emit_put -> memo server routing).
         for rec, target in to_release:
-            with self._lock:
-                self.stats.delayed_released += 1
+            self.stats.bump("delayed_released")
             self._release(target, rec)
         # Complete waiters outside the lock too: each callback typically
         # pushes a frame down a connection or wakes a blocked caller.
@@ -292,13 +280,13 @@ class FolderServer:
         # a stream of consumers can never starve a get_copy waiter.
         for waiter in folder.async_waiters:
             if waiter.mode == "copy":
-                self.stats.copies += 1
+                self.stats["copies"] += 1
                 done.append((waiter, self._peek(folder)))
         for waiter in folder.async_waiters:
             if waiter.mode == "copy":
                 continue
             if folder.memos:
-                self.stats.gets += 1
+                self.stats["gets"] += 1
                 done.append((waiter, self._consume(folder)))
             else:
                 keep.append(waiter)
@@ -324,7 +312,7 @@ class FolderServer:
                 if journal is not None:
                     journal.log_delayed(self._lsn, name, release_to, record)
             folder.delayed.append((record, release_to))
-            self.stats.delayed_parked += 1
+            self.stats["delayed_parked"] += 1
         if journal is not None:
             journal.commit()
         return record
@@ -397,15 +385,15 @@ class FolderServer:
             folder = self._folder(name)
             if folder.memos:
                 if mode == "copy":
-                    self.stats.copies += 1
+                    self.stats["copies"] += 1
                     record = self._peek(folder)
                 else:
-                    self.stats.gets += 1
+                    self.stats["gets"] += 1
                     record = self._consume(folder)
                 self._maybe_vanish(folder)
             else:
-                self.stats.blocked_waits += 1
-                self.stats.async_parked += 1
+                self.stats["blocked_waits"] += 1
+                self.stats["async_parked"] += 1
                 waiter = AsyncWaiter(mode, callback)
                 folder.async_waiters.append(waiter)
                 return None, waiter
@@ -430,7 +418,7 @@ class FolderServer:
                 folder.async_waiters.remove(waiter)
             except ValueError:
                 return False
-            self.stats.async_cancelled += 1
+            self.stats["async_cancelled"] += 1
             self._maybe_vanish(folder)
             return True
 
@@ -440,12 +428,12 @@ class FolderServer:
             self._ensure_up()
             folder = self._folders.get(name)
             if folder is None or not folder.memos:
-                self.stats.skip_misses += 1
+                self.stats["skip_misses"] += 1
                 if folder is not None:
                     self._maybe_vanish(folder)
                 return None
             record = self._consume(folder)
-            self.stats.skips += 1
+            self.stats["skips"] += 1
             self._maybe_vanish(folder)
         if self.journal is not None:
             self.journal.commit()
@@ -467,11 +455,11 @@ class FolderServer:
                 folder = self._folders.get(name)
                 if folder is not None and folder.memos:
                     hit = (name, self._consume(folder))
-                    self.stats.skips += 1
+                    self.stats["skips"] += 1
                     self._maybe_vanish(folder)
                     break
             else:
-                self.stats.skip_misses += 1
+                self.stats["skip_misses"] += 1
         if hit is not None and self.journal is not None:
             self.journal.commit()
         return hit
@@ -502,7 +490,7 @@ class FolderServer:
                 if not should_move(name):
                     continue
                 folder = self._folders.pop(name)
-                self.stats.folders_vanished += 1
+                self.stats["folders_vanished"] += 1
                 interrupted.extend((w, name) for w in folder.async_waiters)
                 if self.journal is not None:
                     self._lsn += 1

@@ -19,7 +19,7 @@ module and reachable only through the public names its docstring lists:
   stores, replica fan-out, migration and anti-entropy.
 
 What stays here is what makes them one server: lifecycle, the registration
-protocol (section 4.4), the address book, the counters, and
+protocol (section 4.4), the address book, the telemetry registry, and
 :data:`HANDLERS` — the one table from message class to (handler, where it
 runs, whether it may ride a :class:`~repro.network.protocol.ForwardEnvelope`).
 
@@ -39,7 +39,7 @@ Request life cycle:
 from __future__ import annotations
 
 import threading
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.durability.config import DurabilityConfig
 from repro.durability.manager import DurabilityManager
@@ -83,60 +83,26 @@ from repro.servers.replicator import Replicator
 from repro.servers.router import Router
 from repro.servers.session import LANE, READER, WORKER, Row, _ConnectionSession
 from repro.servers.threadcache import ThreadCache
+from repro.telemetry import Counters, Registry
 
-__all__ = ["MemoServer", "MemoServerStats", "AppRegistration", "MEMO_PORT"]
+__all__ = ["MemoServer", "AppRegistration", "MEMO_PORT"]
 
 #: Well-known memo server port on the logical network.
 MEMO_PORT = 7094
 
-
-@dataclass
-class MemoServerStats:
-    """Counters for the FIG1/FIG2 benches and stats replies."""
-
-    requests: int = 0
-    local_dispatches: int = 0
-    forwards_out: int = 0
-    forwards_relayed: int = 0
-    forwards_in: int = 0
-    registrations: int = 0
-    errors: int = 0
-    pipelined_requests: int = 0
-    pipelined_batches: int = 0
-    replications_out: int = 0
-    replications_in: int = 0
-    replication_failures: int = 0
-    failover_dispatches: int = 0
-    resync_returned: int = 0
-    resync_reseeded: int = 0
-    resync_reseed_skipped: int = 0
-    #: Waiter-table gauges: parked is cumulative, active is the current
-    #: table population across all sessions (incremented on park,
-    #: decremented on completion/cancellation).
-    waiters_parked: int = 0
-    waiters_active: int = 0
-    waiters_completed: int = 0
-    waiters_cancelled: int = 0
-    push_frames: int = 0
-    _lock: threading.Lock = field(default_factory=threading.Lock, repr=False)
-
-    def bump(self, name: str, by: int = 1) -> None:
-        with self._lock:
-            setattr(self, name, getattr(self, name) + by)
-
-    def bump_pair(self, first: str, second: str) -> None:
-        """Two increments, one lock round — for per-request hot paths."""
-        with self._lock:
-            setattr(self, first, getattr(self, first) + 1)
-            setattr(self, second, getattr(self, second) + 1)
-
-    def snapshot(self) -> dict[str, int]:
-        with self._lock:
-            return {
-                k: getattr(self, k)
-                for k in self.__dataclass_fields__
-                if not k.startswith("_")
-            }
+#: ``MemoServer.stats``, reported as ``memo.<name>``.  Read by FIG2
+#: (``forwards_out``), ``bench/``'s window counters and
+#: ``Cluster.waiter_gauges`` / ``debug_report``.  Of the waiter table,
+#: ``waiters_parked`` is cumulative and ``waiters_active`` the current
+#: population across all sessions (+1 on park, -1 on completion or cancel).
+MEMO_COUNTERS = (
+    "requests", "local_dispatches", "forwards_out", "forwards_relayed",
+    "forwards_in", "registrations", "errors", "pipelined_requests",
+    "pipelined_batches", "replications_out", "replications_in",
+    "replication_failures", "failover_dispatches", "resync_returned",
+    "resync_reseeded", "resync_reseed_skipped", "waiters_parked",
+    "waiters_active", "waiters_completed", "waiters_cancelled", "push_frames",
+)
 
 
 @dataclass
@@ -190,10 +156,12 @@ class MemoServer:
         self.transport = transport
         self.address_book = address_book if address_book is not None else {}
         self.policy = policy
-        self.stats = MemoServerStats()
+        self.stats = Counters(MEMO_COUNTERS)
         self.durability = (
             DurabilityManager(host, durability) if durability is not None else None
         )
+        #: Every number this server reports: its ``StatsRequest`` reply.
+        self.telemetry = Registry()
         #: Epoch-guarded (app, folder) -> (chain, live candidates) routing
         #: cache; bumped by registration, migration, and liveness flips.
         self.placement_cache = PlacementCache()
@@ -223,9 +191,19 @@ class MemoServer:
             self.failure,
             self.cache,
             self.stats,
+            self.telemetry,
             self.durability,
             self.router,
         )
+        self.telemetry.add("memo", self.stats)
+        self.telemetry.add("cache", self.cache.stats)
+        self.telemetry.add(
+            "failure.suspected_hosts", lambda: len(self.failure.dead_hosts())
+        )
+        # Per process, not per server: in-process hosts share one table.
+        self.telemetry.add("codec", folder_intern_stats)
+        if self.durability is not None:
+            self.telemetry.add("durability", self.durability.gauges)
         #: The replicator's store tables, under the names they had here.
         self._folder_servers = self.replicator.folder_servers
         self._replica_servers = self.replicator.replica_servers
@@ -415,35 +393,7 @@ class MemoServer:
         threading.Thread(target=self.stop, daemon=True).start()
         return Reply(ok=True)
 
-    # -- stats -----------------------------------------------------------------------
-
-    def _collect_stats(self) -> dict:
-        stats: dict = {f"memo.{k}": v for k, v in self.stats.snapshot().items()}
-        stats.update(
-            {f"cache.{k}": v for k, v in self.cache.stats.snapshot().items()}
-        )
-        stats.update(
-            {f"failure.{k}": v for k, v in self.failure.snapshot().items()}
-        )
-        # Per process, not per server: in-process hosts share one table.
-        stats.update({f"codec.{k}": v for k, v in folder_intern_stats().items()})
-        for sid, fs in self.local_folder_servers().items():
-            for k, v in fs.stats.snapshot().items():
-                stats[f"folder.{sid}.{k}"] = v
-            stats[f"folder.{sid}.live_folders"] = fs.folder_count()
-            stats[f"folder.{sid}.live_memos"] = fs.memo_count()
-        for sid, fs in self.local_replica_servers().items():
-            stats[f"replica.{sid}.live_folders"] = fs.folder_count()
-            stats[f"replica.{sid}.live_memos"] = fs.memo_count()
-        for k, v in self.durability_gauges().items():
-            stats[f"durability.{k}"] = v
-        return stats
-
-    def durability_gauges(self) -> dict:
-        """Aggregated durability gauges; empty when running in-memory."""
-        if self.durability is None:
-            return {}
-        return self.durability.gauges()
+    # -- the stores ------------------------------------------------------------------
 
     def local_folder_servers(self) -> dict[str, FolderServer]:
         """Direct handles to this host's folder servers (tests/benches)."""
@@ -493,7 +443,7 @@ HANDLERS: dict[type, Row] = {
     ),
     Heartbeat: Row(MemoServer._handle_heartbeat, WORKER, False),
     StatsRequest: Row(
-        lambda s, m, e: Reply(ok=True, stats=s._collect_stats()), WORKER, False
+        lambda s, m, e: Reply(ok=True, stats=s.telemetry.snapshot()), WORKER, False
     ),
     ShutdownRequest: Row(MemoServer._handle_shutdown, WORKER, False),
 }

@@ -58,9 +58,9 @@ from repro.replication.resync import Resyncer
 from repro.servers.folder_server import FolderServer
 from repro.servers.hashing import PlacementCache
 from repro.servers.threadcache import ThreadCache, scatter_join
+from repro.telemetry import Counters, Registry
 
 if TYPE_CHECKING:
-    from repro.servers.memo_server import MemoServerStats
     from repro.servers.router import Router
 
 __all__ = ["Replicator", "PUT_ACK"]
@@ -81,8 +81,9 @@ class Replicator:
     """One server's folder stores and everything that copies between them.
 
     Constructed with what it reads — the server's failure detector,
-    placement cache, thread cache, counters and durability manager — and
-    the router it sends through.
+    placement cache, thread cache, counters and durability manager — the
+    registry each store it makes is reported in, and the router it sends
+    through.
     """
 
     def __init__(
@@ -91,7 +92,8 @@ class Replicator:
         placement_cache: PlacementCache,
         failure: FailureDetector,
         cache: ThreadCache,
-        stats: "MemoServerStats",
+        stats: Counters,
+        telemetry: Registry,
         durability: DurabilityManager | None,
         router: "Router",
     ) -> None:
@@ -116,6 +118,7 @@ class Replicator:
         self._failure = failure
         self._cache = cache
         self._stats = stats
+        self._telemetry = telemetry
         self._router = router
         self._lock = threading.Lock()
         #: Per thread: the replica copies a lane round holds for its
@@ -154,7 +157,9 @@ class Replicator:
         return fs
 
     def _make_store(self, sid: str, replica: bool = False) -> FolderServer:
-        """Construct a folder store, recovering it from disk when durable."""
+        """Construct a folder store, recovering it from disk when durable,
+        and report it: ``folder.<sid>.*`` (its counters and sizes) for a
+        primary, ``replica.<sid>.*`` (sizes only) for a backup."""
         store_id = f"replica:{sid}" if replica else sid
         journal = None
         if self.durability is not None:
@@ -177,6 +182,11 @@ class Replicator:
             # the dead incarnation's clock is known — resume past it so
             # stamps stay unique and anti-entropy returns the lost range.
             fs.rebase_lsn(self.lsn_rebase)
+        prefix = f"replica.{sid}" if replica else f"folder.{sid}"
+        if not replica:
+            self._telemetry.add(prefix, fs.stats)
+        self._telemetry.add(f"{prefix}.live_folders", fs.folder_count)
+        self._telemetry.add(f"{prefix}.live_memos", fs.memo_count)
         return fs
 
     def local_folder_servers(self) -> dict[str, FolderServer]:

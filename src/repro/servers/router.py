@@ -54,9 +54,10 @@ from repro.servers.hashing import PlacementCache
 from repro.servers.relay import ParkedWaiter, RelayLink
 from repro.servers.replicator import PUT_ACK
 from repro.servers.threadcache import ThreadCache
+from repro.telemetry import Counters
 
 if TYPE_CHECKING:
-    from repro.servers.memo_server import AppRegistration, MemoServerStats
+    from repro.servers.memo_server import AppRegistration
 
 __all__ = ["Router", "MIGRATION_RETRY_MAX"]
 
@@ -190,7 +191,7 @@ class Router:
         placement_cache: PlacementCache,
         failure: FailureDetector,
         cache: ThreadCache,
-        stats: "MemoServerStats",
+        stats: Counters,
         running: threading.Event,
     ) -> None:
         self.host = host

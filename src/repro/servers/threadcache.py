@@ -17,12 +17,12 @@ from __future__ import annotations
 
 import queue
 import threading
-from dataclasses import dataclass, field
 from typing import Callable
 
 from repro.errors import ServerError
+from repro.telemetry import Counters
 
-__all__ = ["ThreadCache", "ThreadCacheStats", "scatter_join"]
+__all__ = ["ThreadCache", "scatter_join"]
 
 
 def scatter_join(cache: "ThreadCache", thunks: list) -> list[Exception]:
@@ -70,28 +70,10 @@ def scatter_join(cache: "ThreadCache", thunks: list) -> list[Exception]:
     return errors
 
 
-@dataclass
-class ThreadCacheStats:
-    """Counters exposed for the SEC41 bench and server stats replies.
-
-    ``_lock`` is also the owning :class:`ThreadCache`'s pool lock, so a
-    submit counts and picks its worker in one critical section.
-    """
-
-    submitted: int = 0
-    threads_created: int = 0
-    cache_hits: int = 0
-    threads_expired: int = 0
-    _lock: threading.Lock = field(default_factory=threading.Lock, repr=False)
-
-    def snapshot(self) -> dict[str, int]:
-        with self._lock:
-            return {
-                "submitted": self.submitted,
-                "threads_created": self.threads_created,
-                "cache_hits": self.cache_hits,
-                "threads_expired": self.threads_expired,
-            }
+#: ``ThreadCache.stats``, counted under the pool lock (a submit counts and
+#: picks its worker in one critical section) and reported as
+#: ``cache.<name>``.  Read by SEC41 and ``bench/``'s window counters.
+CACHE_COUNTERS = ("submitted", "threads_created", "cache_hits", "threads_expired")
 
 
 class _Worker(threading.Thread):
@@ -120,7 +102,7 @@ class _Worker(threading.Thread):
                 with cache._lock:
                     if self in cache._idle:
                         cache._idle.remove(self)
-                        cache.stats.threads_expired += 1
+                        cache.stats["threads_expired"] += 1
                         return
                 continue
             if task is None:  # shutdown poison pill
@@ -152,9 +134,9 @@ class ThreadCache:
             raise ServerError(f"idle_timeout must be >= 0, got {idle_timeout}")
         self.idle_timeout = idle_timeout
         self.name = name
-        self.stats = ThreadCacheStats()
+        self._lock = threading.Lock()
+        self.stats = Counters(CACHE_COUNTERS, lock=self._lock)
         self._idle: list[_Worker] = []
-        self._lock = self.stats._lock
         self._shutdown = threading.Event()
         self._error_hook: Callable[[object], None] | None = None
 
@@ -173,13 +155,13 @@ class ThreadCache:
         task = (fn, args, kwargs)
         stats = self.stats
         with self._lock:
-            stats.submitted += 1
+            stats["submitted"] += 1
             if self._idle and self.idle_timeout > 0:
                 worker = self._idle.pop()
-                stats.cache_hits += 1
+                stats["cache_hits"] += 1
             else:
                 worker = None
-                stats.threads_created += 1
+                stats["threads_created"] += 1
         if worker is None:
             _Worker(self, task).start()
         else:

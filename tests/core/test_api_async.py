@@ -33,7 +33,7 @@ class TestGetAsync:
         # The GetWait and the put travel on different connections; park
         # first so the completion provably goes through the push path.
         deadline = time.monotonic() + 5
-        while server.stats.snapshot()["waiters_active"] != 1:
+        while server.stats["waiters_active"] != 1:
             assert time.monotonic() < deadline, "wait never parked"
             time.sleep(0.005)
         sibling(memo).put(key(1), "pushed")
@@ -158,7 +158,7 @@ class TestBlockingWrappersDelegate:
         # While get blocks, the wait is PARKED — not holding a worker.
         server = memo.cluster.servers["solo"]
         deadline = time.monotonic() + 5
-        while server.stats.snapshot()["waiters_active"] != 1:
+        while server.stats["waiters_active"] != 1:
             assert time.monotonic() < deadline, "blocking get never parked"
             time.sleep(0.005)
         assert out == []

@@ -108,11 +108,11 @@ class TestColdRestart:
         try:
             reborn.resync_all()
             assert drain_all(reborn, host="h1") == acked
-            gauges = {
-                host: server.durability_gauges()
-                for host, server in reborn.servers.items()
-            }
-            assert sum(g["wal_replayed"] for g in gauges.values()) >= 40
+            replayed = sum(
+                server.telemetry.snapshot()["durability.wal_replayed"]
+                for server in reborn.servers.values()
+            )
+            assert replayed >= 40
         finally:
             reborn.stop()
 

@@ -172,11 +172,11 @@ class TestJobJarFairness:
                         memo.put(done, who, wait=True)
 
             def start_worker(host, who):
-                waits = sum(fs.stats.blocked_waits for fs in stores)
+                waits = sum(fs.stats["blocked_waits"] for fs in stores)
                 thread = threading.Thread(target=worker, args=(host, who))
                 thread.start()
                 deadline = time.monotonic() + 10
-                while sum(fs.stats.blocked_waits for fs in stores) == waits:
+                while sum(fs.stats["blocked_waits"] for fs in stores) == waits:
                     assert time.monotonic() < deadline, f"{who} never waited"
                     time.sleep(0.01)
                 return thread

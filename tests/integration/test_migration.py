@@ -112,7 +112,7 @@ class TestRebalance:
             memo.put(Key(Symbol("fresh"), (i,)), i, wait=True)
         per_host = {
             host: sum(
-                fs.stats.puts
+                fs.stats["puts"]
                 for fs in cluster.servers[host].local_folder_servers().values()
             )
             for host in ("h1", "h2")

@@ -193,7 +193,7 @@ class FolderServerMachine(RuleBasedStateMachine):
         if not hasattr(self, "fs"):
             return
         stats = self.fs.stats
-        assert stats.folders_created >= stats.folders_vanished
+        assert stats["folders_created"] >= stats["folders_vanished"]
 
 
 TestFolderServerStateful = FolderServerMachine.TestCase

@@ -35,7 +35,7 @@ class TestPutGet:
         assert fs.folder_count() == 0
         fs.put(fname(), record(1))
         assert fs.folder_count() == 1
-        assert fs.stats.folders_created == 1
+        assert fs.stats["folders_created"] == 1
 
     def test_get_blocks_until_put(self, fs):
         out = []
@@ -50,7 +50,7 @@ class TestPutGet:
         fs.put(fname(), record("late"))
         t.join(timeout=2)
         assert out == ["late"]
-        assert fs.stats.blocked_waits == 1
+        assert fs.stats["blocked_waits"] == 1
 
     def test_get_timeout(self, fs):
         with pytest.raises(TimeoutError):
@@ -119,7 +119,7 @@ class TestGetCopySkip:
         start = time.monotonic()
         assert fs.get_skip(fname()) is None
         assert time.monotonic() - start < 0.05
-        assert fs.stats.skip_misses == 1
+        assert fs.stats["skip_misses"] == 1
 
 
 class TestGetAlt:
@@ -155,8 +155,8 @@ class TestPutDelayed:
         fs.put_delayed(fname("t"), fname("d"), record("hidden"))
         assert fs.get_skip(fname("t")) is None
         assert fs.get_skip(fname("d")) is None
-        assert fs.stats.delayed_parked == 1
-        assert fs.stats.delayed_released == 0
+        assert fs.stats["delayed_parked"] == 1
+        assert fs.stats["delayed_released"] == 0
 
     def test_multiple_delayed_all_release(self, fs):
         for i in range(3):
@@ -199,7 +199,7 @@ class TestFolderLifecycle:
         fs.put(fname("future"), record(1))
         fs.get(fname("future"))
         assert fs.folder_count() == 0
-        assert fs.stats.folders_vanished >= 1
+        assert fs.stats["folders_vanished"] >= 1
 
     def test_folder_with_waiters_does_not_vanish(self, fs):
         t = threading.Thread(target=lambda: fs.get(fname("w")))
@@ -231,11 +231,11 @@ def blocked_get(fs, name, outcomes):
         except Exception as exc:  # noqa: BLE001 - the test inspects it
             outcomes.append(exc)
 
-    waits = fs.stats.blocked_waits
+    waits = fs.stats["blocked_waits"]
     thread = threading.Thread(target=getter)
     thread.start()
     deadline = time.monotonic() + 2
-    while fs.stats.blocked_waits == waits and time.monotonic() < deadline:
+    while fs.stats["blocked_waits"] == waits and time.monotonic() < deadline:
         time.sleep(0.001)
     return thread
 
@@ -263,7 +263,7 @@ class TestOneWaiterList:
         with pytest.raises(TimeoutError):
             fs.get_copy(fname(), timeout=0.02)
         assert fs.folder_count() == 0
-        assert fs.stats.async_cancelled == 2
+        assert fs.stats["async_cancelled"] == 2
 
     def test_timeout_that_loses_its_cancel_returns_the_record(self, fs, monkeypatch):
         cancel = fs.cancel_waiter
@@ -275,7 +275,7 @@ class TestOneWaiterList:
         monkeypatch.setattr(fs, "cancel_waiter", put_then_cancel)
         assert fs.get(fname(), timeout=0.02).value() == "raced"
         assert fs.folder_count() == 0 and fs.memo_count() == 0
-        assert fs.stats.gets == 1 and fs.stats.async_cancelled == 0
+        assert fs.stats["gets"] == 1 and fs.stats["async_cancelled"] == 0
 
     def test_extract_folders_wakes_a_blocked_get_exactly_once(self, fs):
         outcomes = []

@@ -21,7 +21,7 @@ from repro.errors import (
     ServerError,
     ShutdownError,
 )
-from repro.network.protocol import retryable, shutting_down
+from repro.network.protocol import retryable, shutting_down, transient
 
 HOSTS = ["h1", "h2", "h3"]
 
@@ -77,9 +77,35 @@ def test_stats_reply_key_set_is_the_parents(tmp_path):
         time.sleep(0.3)
         cluster.restart_host("h2")
         time.sleep(0.3)
-        for host, stats in cluster.stats().items():
+        every = cluster.stats()
+        for host, stats in every.items():
             keys = {re.sub(r"^(folder|replica)\.[^.]+\.", r"\1.<sid>.", k) for k in stats}
             assert sorted(keys) == STATS_KEYS, host
+        # The values the script determines, not only the names.
+        assert {h: s["memo.registrations"] for h, s in every.items()} == {
+            h: 1 for h in HOSTS
+        }
+        def primary(key):
+            return reg.placement.replica_chain(FolderName("surf", key))[0][1]
+
+        # h2's counters restarted with it: count the puts whose primary
+        # outlived the script.
+        put_keys = [Key(Symbol("k"), (i,)) for i in range(20)] + [wait_key]
+        made = sum(primary(key) != "h2" for key in put_keys)
+        puts = sum(
+            v for s in every.values() for k, v in s.items()
+            if k.startswith("folder.") and k.endswith(".puts")
+        )
+        assert made > 0 and puts >= made
+        owner = primary(wait_key)
+        for host, s in every.items():
+            assert s["memo.waiters_active"] == 0, host
+        for host in ("h1", owner):
+            s = every[host]
+            assert s["memo.waiters_parked"] == (
+                s["memo.waiters_completed"] + s["memo.waiters_cancelled"]
+            ), host
+        assert every["h1"]["memo.waiters_parked"] >= 1
 
 
 def test_retry_predicates_agree_with_the_inline_tests_they_replaced(one_host_cluster):
@@ -121,3 +147,8 @@ def test_retry_predicates_agree_with_the_inline_tests_they_replaced(one_host_clu
     assert [t for t in texts if retryable(t)] == [
         texts[0], texts[5], texts[8], texts[9], texts[10], texts[11]
     ]
+    # get_alt's and the actors' poll rule, once spelled as markers in core/api.py.
+    markers = ("communication failure", "host down", "connection")
+    for text in texts:
+        assert transient(text) == any(m in text for m in markers), text
+    assert [t for t in texts if transient(t)] == [texts[1], texts[7]]

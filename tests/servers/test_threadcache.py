@@ -139,7 +139,7 @@ def test_stats_submitted_counter():
 def test_submit_counts_under_the_pool_lock():
     """A snapshot never shows a submit half counted."""
     cache = ThreadCache(idle_timeout=2.0)
-    assert cache._lock is cache.stats._lock
+    assert cache._lock is cache.stats.lock
     started, release = threading.Event(), threading.Event()
 
     def task():

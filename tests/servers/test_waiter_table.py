@@ -53,7 +53,7 @@ def keys_owned_by(cluster, host, n, app="test", start=0):
 
 
 def active(server):
-    return server.stats.snapshot()["waiters_active"]
+    return server.stats["waiters_active"]
 
 
 def costly(adf, host):
@@ -104,7 +104,7 @@ class TestThousandWaiterFanIn:
             f"{FANIN} parked waiters grew the thread count by "
             f"{parked - baseline} (baseline {baseline})"
         )
-        assert server.stats.snapshot()["waiters_parked"] == FANIN
+        assert server.stats["waiters_parked"] == FANIN
 
         feeder = cluster.memo_api(owner, "test", "feeder")
         feeder.put_many((k, i) for i, k in enumerate(keys))
@@ -158,8 +158,8 @@ class TestCancellationPaths:
             lambda: active(server) == active(owning) == 0,
             message="disconnect cancellation",
         )
-        assert server.stats.snapshot()["waiters_cancelled"] == 10
-        assert owning.stats.snapshot()["waiters_cancelled"] == 10
+        assert server.stats["waiters_cancelled"] == 10
+        assert owning.stats["waiters_cancelled"] == 10
         # The waited-on folders vanished with their waiters: nothing leaks.
         live = sum(
             fs.folder_count() for fs in owning.local_folder_servers().values()
@@ -181,7 +181,7 @@ class TestCancellationPaths:
         # per-peer link (its reader on alpha, its session on beta).
         assert memo.get_async(warm).cancel()
         wait_until(
-            lambda: beta.stats.snapshot()["waiters_cancelled"] == 1,
+            lambda: beta.stats["waiters_cancelled"] == 1,
             message="warm-up detached",
         )
         threads = threading.active_count()
@@ -196,20 +196,20 @@ class TestCancellationPaths:
                 future.wait(timeout=0.1)
         wait_until(lambda: active(beta) == 0, message="owner's waiter detached")
         assert active(alpha) == 0
-        assert store.stats.snapshot()["async_cancelled"] == before["async_cancelled"] + 1
+        assert store.stats["async_cancelled"] == before["async_cancelled"] + 1
         assert store.folder_count() == 0  # no waiter left pinning the folder
         wait_until(
             lambda: threading.active_count() <= threads, message="no thread kept"
         )
 
-        forwards = alpha.stats.snapshot()["forwards_out"]
+        forwards = alpha.stats["forwards_out"]
         two_host_cluster.memo_api("beta", "test", "gf").put(k, "stays", wait=True)
         time.sleep(0.1)  # a ghost would have taken it by now
         after = store.stats.snapshot()
         assert store.memo_count() == 1
         assert after["gets"] == before["gets"]
         assert after["puts"] == before["puts"] + 1
-        assert alpha.stats.snapshot()["forwards_out"] == forwards  # no requeue
+        assert alpha.stats["forwards_out"] == forwards  # no requeue
         assert memo.get_skip(k) == "stays"
 
     def test_cancelled_waiter_never_eats_a_memo(self, one_host_cluster):
@@ -305,13 +305,13 @@ class TestAsyncWaiterSemantics:
         memo = one_host_cluster.memo_api("solo", "test", "s")
         future = memo.get_async(key(601))
         wait_until(
-            lambda: server.stats.snapshot()["waiters_active"] == 1,
+            lambda: server.stats["waiters_active"] == 1,
             message="wait parked",
         )
         feeder = one_host_cluster.memo_api("solo", "test", "sf")
         feeder.put(key(601), "salvaged", wait=True)
         wait_until(
-            lambda: server.stats.snapshot()["waiters_completed"] == 1,
+            lambda: server.stats["waiters_completed"] == 1,
             message="push sent",
         )
         # Nobody pumped: the push is queued client-side.  Discard the
@@ -457,7 +457,7 @@ class TestRelayedWaits:
                 message="parked at the owner through the relay",
             )
             assert threading.active_count() - baseline <= THREAD_SLACK
-            assert h1.stats.snapshot()["forwards_relayed"] == n
+            assert h1.stats["forwards_relayed"] == n
 
             feeder = cluster.memo_api("h2", "line", "f")
             feeder.put_many((key(i), i) for i in range(n))
@@ -496,8 +496,8 @@ class TestRelayedWaits:
         future = two_host_cluster.memo_api("alpha", "test", "w").get_async(key(700))
         with pytest.raises(MemoError, match="not chained to beta"):
             future.wait(timeout=10)
-        assert alpha.stats.snapshot()["forwards_out"] == 1
-        assert beta.stats.snapshot()["forwards_out"] == 0
+        assert alpha.stats["forwards_out"] == 1
+        assert beta.stats["forwards_out"] == 0
         assert active(alpha) == active(beta) == 0
 
     def test_relayed_wait_refuses_a_routing_loop(self, two_host_cluster):
