@@ -27,7 +27,6 @@ from typing import Callable
 from repro.core.api import Memo
 from repro.core.keys import Key, Symbol
 from repro.errors import MemoError
-from repro.network.protocol import transient
 from repro.transferable.registry import default_registry
 
 __all__ = ["ActorRef", "rule", "Behavior", "Actor", "ActorSystem"]
@@ -90,13 +89,13 @@ _STOP = {"type": "__stop__"}
 class Actor:
     """A running actor: mailbox folder + behaviour + serving thread.
 
-    ``transient_retries`` bounds how many *consecutive* transient memo
-    errors (fail-over in progress, folder mid-migration, a dying host's
-    last reply) the mailbox loop rides through before concluding the
-    cluster is gone and exiting.  The default 0 preserves the original
-    behaviour — any error ends the actor — while chaos workloads spawn
-    actors with a generous budget so a killed host's fail-over window
-    doesn't silently decapitate the actor network.
+    ``transient_retries`` bounds how many *consecutive* memo errors
+    (fail-over in progress, folder mid-migration, a dying host's last
+    reply, a restart in progress) the mailbox loop rides through before
+    concluding the cluster is gone and exiting.  The default 0 preserves
+    the original behaviour — any error ends the actor — while chaos
+    workloads spawn actors with a generous budget so a killed host's
+    fail-over window doesn't silently decapitate the actor network.
     """
 
     def __init__(
@@ -159,11 +158,14 @@ class Actor:
         while True:
             try:
                 message = memo.get_skip(key)
-            except MemoError as exc:
+            except MemoError:
                 # Either the cluster shut down (exit) or a fault window is
-                # passing under us (ride it out, within budget).
+                # passing under us (ride it out, within budget).  A window
+                # shows as several errors — the dying host's last reply, a
+                # dial to its dead address, the reborn host answering before
+                # it is re-registered — so only the budget tells the two apart.
                 transients += 1
-                if transients > self._transient_retries or not transient(str(exc)):
+                if transients > self._transient_retries:
                     return
                 time.sleep(min(0.01 * transients, 0.2))
                 continue

@@ -14,25 +14,8 @@
   boss/worker program registry and process harness (section 4.2).
 * :mod:`repro.runtime.launcher` — the ``memo adf`` entry point: register,
   start processes, collect results.
+
+The package imports nothing and re-exports nothing: import the submodule,
+so a memo server process (``server_main``) loads none of the client,
+cluster or launcher code.
 """
-
-from repro.runtime.backends import ClusterBackend, InProcessBackend, ProcessBackend
-from repro.runtime.client import MemoClient
-from repro.runtime.cluster import Cluster
-from repro.runtime.program import ProcessContext, ProgramRegistry
-from repro.runtime.process import ProcessHandle
-from repro.runtime.registration import registration_request_for
-from repro.runtime.launcher import run_application
-
-__all__ = [
-    "MemoClient",
-    "Cluster",
-    "ClusterBackend",
-    "InProcessBackend",
-    "ProcessBackend",
-    "ProcessContext",
-    "ProgramRegistry",
-    "ProcessHandle",
-    "registration_request_for",
-    "run_application",
-]

@@ -9,7 +9,7 @@ registration, clients, rebalancing, anti-entropy policy.  A backend owns
   build, fully introspectable (tests reach into ``servers``), but all
   hosts time-share one GIL.
 * :class:`ProcessBackend` — every memo server is its own OS process
-  (``python -m repro.runtime.server_main --managed``) over TCP, the way
+  (``python -S -m repro.runtime.server_main --managed``) over TCP, the way
   the paper's ``inetd`` spawns one server per machine.  The parent owns
   the ports: every incarnation of a host is born holding a listening
   socket the parent bound for it, plus the whole address book on its
@@ -65,6 +65,11 @@ READY_TIMEOUT = 30.0
 
 #: SIGTERM grace shared by all children before stop() escalates to SIGKILL.
 STOP_GRACE = 10.0
+
+#: The argv of every server process.  ``-S`` skips ``site``: the server
+#: is stdlib-only and finds the package through the ``PYTHONPATH`` that
+#: :meth:`ProcessBackend._spawn` sets.
+SERVER_COMMAND = (sys.executable, "-S", "-m", "repro.runtime.server_main", "--managed")
 
 
 class ClusterBackend:
@@ -412,7 +417,7 @@ class ProcessBackend(ClusterBackend):
         try:
             listener.listen(64)
             proc = subprocess.Popen(
-                [sys.executable, "-m", "repro.runtime.server_main", "--managed"],
+                SERVER_COMMAND,
                 stdin=subprocess.PIPE,
                 pass_fds=(listen_fd,),
                 env=env,

@@ -225,3 +225,29 @@ class TestCrossHostActors(object):
         assert wait_until(lambda: received == ["across"])
         sys_a.shutdown()
         sys_b.shutdown()
+
+    def test_actor_rides_out_a_restart_of_its_own_host(self, two_host_cluster):
+        """A restart of the actor's host reaches its mailbox loop as the
+        dying server's ``shutdown:`` reply, failed dials to the dead
+        address and, once reborn, ``NotRegisteredError`` until
+        re-registration; the transient budget must cover all of them, or
+        the actor exits and its next message is never served."""
+        cluster = two_host_cluster
+        system = ActorSystem(
+            cluster.memo_api("alpha", "test", "sysR"),
+            memo_factory=lambda n: cluster.memo_api("beta", "test", n),
+        )
+        got = []
+        behavior = Behavior()
+
+        @behavior.on({"type": "ping"})
+        def ping(actor, msg):
+            got.append(msg["n"])
+
+        ref = system.spawn("survivor", behavior, transient_retries=500)
+        cluster.kill_host("beta")
+        time.sleep(0.6)  # longer than the client's reconnect retries
+        cluster.restart_host("beta")
+        system.send(ref, {"type": "ping", "n": 1})
+        assert wait_until(lambda: got == [1])
+        system.shutdown()

@@ -14,12 +14,19 @@ from repro.errors import RuntimeLaunchError
 from repro.network.connection import Address
 from repro.network.protocol import Heartbeat, round_trip
 from repro.network.tcp import TCPTransport, bind_loopback
-from repro.runtime.backends import InProcessBackend, ProcessBackend
+from repro.runtime.backends import SERVER_COMMAND, InProcessBackend, ProcessBackend
 from repro.runtime.cluster import Cluster
 from repro.servers.hashing import HashWeightPolicy
 from repro.servers.memo_server import MEMO_PORT
 
 HOSTS = ["a", "b"]
+
+#: What an application process loads and a server process must not.
+CLIENT_MODULES = {
+    f"repro.runtime.{name}"
+    for name in ("cluster", "client", "backends", "launcher", "program", "process")
+} | {f"repro.core.{name}" for name in ("api", "futures", "datastructures", "sync", "dataflow")}
+CLIENT_PACKAGES = ("adf", "sim", "scenarios", "languages", "locking", "sharedmem", "baselines")
 
 
 def adf():
@@ -136,15 +143,15 @@ class TestServerMain:
         env["PYTHONPATH"] = os.path.abspath(src)
         return env
 
-    def test_managed_mode_handshakes_and_dies_on_stdin_eof(self):
-        """The handshake is the first round trip: the child adopts the
-        listener it was born holding, and a request dialled before it was
-        up (waiting in the backlog) is answered once it is."""
+    def test_managed_mode_serves_and_dies_on_stdin_eof(self):
+        """The production command: the child adopts the listener it was
+        born holding, and a request dialled before it was up (waiting in
+        the backlog) is its first round trip — answering it is being up."""
         listener = bind_loopback(0)
         listener.listen(8)
         port, fd = listener.getsockname()[1], listener.fileno()
         proc = subprocess.Popen(
-            [sys.executable, "-m", "repro.runtime.server_main", "--managed"],
+            SERVER_COMMAND,
             stdin=subprocess.PIPE,
             pass_fds=(fd,),
             env=self._env(),
@@ -165,6 +172,32 @@ class TestServerMain:
             if proc.poll() is None:
                 proc.kill()
                 proc.wait()
+
+    def test_server_process_loads_only_the_server(self):
+        """A fresh server interpreter, started as ``_spawn`` starts one,
+        compiles the server and nothing an application process needs."""
+        interpreter = SERVER_COMMAND[: SERVER_COMMAND.index("-m")]
+        module = SERVER_COMMAND[SERVER_COMMAND.index("-m") + 1]
+        script = (
+            f"import sys, {module}\n"
+            "print(*sorted(m for m in sys.modules if m.split('.')[0] == 'repro'))"
+        )
+        out = subprocess.run(
+            [*interpreter, "-c", script],
+            env=self._env(),
+            capture_output=True,
+            text=True,
+            check=True,
+        ).stdout
+        loaded = out.split()
+        assert module in loaded
+        forbidden = [
+            m
+            for m in loaded
+            if m in CLIENT_MODULES or m.partition(".")[2].split(".")[0] in CLIENT_PACKAGES
+        ]
+        assert forbidden == []
+        assert len(loaded) <= 39, loaded
 
     def test_standalone_mode_defaults_documented_port_and_obeys_sigterm(self):
         # --port 0 keeps the test collision-free; MEMO_PORT stays the
