@@ -46,8 +46,6 @@ from repro.network.protocol import (
     GetRequest,
     PutDelayedRequest,
     PutRequest,
-    retryable,
-    transient,
 )
 from repro.transferable.registry import TransferableRegistry
 from repro.transferable.wire import decode, encode
@@ -88,11 +86,13 @@ NIL = Nil()
 _ALT_BACKOFF_START = 0.0005
 _ALT_BACKOFF_MAX = 0.02
 
-#: Consecutive transient failures (dying host, in-progress fail-over,
-#: mid-migration folder) a get_alt poll rides through before giving up —
-#: generously above the failure detector's flip time at the default
-#: probe settings, so a kill mid-wait completes from a surviving replica
-#: instead of surfacing the victim's last gasp.
+#: Consecutive failed get_alt polls ridden through before giving up — any
+#: ``MemoError`` counts, as in the MDC actors' loop: a fault window shows
+#: as several different errors (a dying host's reply, a dial to its dead
+#: address, a reborn host not yet re-registered).  ~4 s at the backoff
+#: ceiling, generously above the failure detector's flip time and a
+#: host's restart, so a kill mid-wait completes from a surviving replica
+#: or the next incarnation instead of surfacing the victim's last gasp.
 _ALT_TRANSIENT_MAX = 200
 
 
@@ -308,7 +308,12 @@ class Memo:
         One probe round runs inline here, so a future over non-empty
         folders is typically already resolved when it returns.
         Cancellation is purely local; a poll that wins a memo against a
-        concurrent cancel re-deposits it, never drops it.
+        concurrent cancel re-deposits it, never drops it.  A failed round
+        is a miss: the future fails only after :data:`_ALT_TRANSIENT_MAX`
+        failed rounds in a row, so it rides out a fail-over or a restart
+        of its own host — and an error that will not heal, such as an
+        unregistered application, fails it after that budget (about 4 s),
+        not at once.
         """
         folders = [self._folder(k) for k in array_of_keys]
         if not folders:
@@ -327,15 +332,13 @@ class Memo:
                     return
                 try:
                     hit = self.get_alt_skip(array_of_keys)
-                except MemoError as exc:
-                    # A poll round that lands mid-fail-over (the victim's
-                    # dying reply, a folder mid-migration) is a transient
-                    # miss, not a verdict: the next rounds route to a
-                    # surviving replica once the detector flips.  Only a
-                    # sustained failure — or a non-transient error like a
-                    # missing registration — fails the future.
-                    if not retryable(str(exc)) and not transient(str(exc)):
-                        raise
+                except MemoError:
+                    # A round that lands in a fault window (the victim's
+                    # dying reply, a folder mid-migration, a dial to a
+                    # restarting host) is a miss, not a verdict: the next
+                    # rounds route to a surviving replica or reach the
+                    # next incarnation.  Only the budget tells a window
+                    # from an error that will not heal.
                     state["transients"] += 1
                     if state["transients"] > _ALT_TRANSIENT_MAX:
                         raise

@@ -62,7 +62,6 @@ __all__ = [
     "iter_batch_frames",
     "retryable",
     "shutting_down",
-    "transient",
     "GET_MODES",
     "GET_WAIT_MODES",
 ]
@@ -124,10 +123,13 @@ class GetWaitRequest:
     """Register interest in a memo without holding a server thread.
 
     The futures-first counterpart of a blocking :class:`GetRequest`: the
-    server answers *immediately* on the request's correlation id — with
-    the memo when the folder is non-empty, or with a "parked"
-    acknowledgement (``ok=True, found=False``) after recording the wait
-    in the session's waiter table.  A parked wait resolves later through
+    server answers once on the request's correlation id — with the memo
+    when the folder is non-empty, or with a "parked" acknowledgement
+    (``ok=True, found=False``) after recording the wait in the session's
+    waiter table.  A server that serves the folder answers at once; one
+    that relays the wait toward the folder's owner answers when the
+    owner's first answer comes back, so a remote hit is one found reply,
+    never a parked ack and a push.  A parked wait resolves later through
     an unsolicited :class:`MemoReady` push (or :class:`WaitCancelled` on
     migration, shutdown, or cancellation) carrying *waiter*, the
     client-chosen token.  The token — not the correlation id — names the
@@ -212,14 +214,6 @@ def retryable(error: str) -> bool:
     anywhere in the text — it may arrive wrapped by a relaying server)
     and the placement in force now names its new home."""
     return shutting_down(error) or "FolderMigratedError" in error
-
-
-def transient(error: str) -> bool:
-    """Whether *error* names a fault that heals by itself — a fail-over
-    or a restart in progress: a ``communication failure``, ``host down``
-    or ``connection`` anywhere in the text.  A polling caller rides it
-    out within a budget instead of failing."""
-    return any(m in error for m in ("communication failure", "host down", "connection"))
 
 
 @dataclass(frozen=True)

@@ -15,8 +15,9 @@ guarantee does not depend on which host a wait arrives at.
 This module holds what such a wait is made of — the table entry
 (:class:`ParkedWaiter`) and the link it travels on (:class:`RelayLink`);
 where to park, and what to do when a relayed wait ends, is the session's
-business (:mod:`repro.servers.session`: its ``_park``, and the two public
-names this module calls on it, ``complete_waiter`` and ``relay_ended``).
+business (:mod:`repro.servers.session`: its ``_park``, and the three public
+names this module calls on it, ``complete_waiter``, ``ack_parked`` and
+``relay_ended``).
 """
 
 from __future__ import annotations
@@ -50,7 +51,11 @@ class ParkedWaiter:
     host does.  Both answer ``cancel_waiter(folder, handle)`` and neither
     holds a thread.  A relayed entry also keeps the host it was aimed at
     (``target``) and the hosts it had already crossed when it got here
-    (``trail``; empty where the wait started).
+    (``trail``; empty where the wait started), and ``owed``: the
+    correlation id still waiting for the GetWait's reply while the wait
+    is relayed (None once it is answered, and for a wait parked here,
+    which is answered at once).  Whoever sets it back to None, under the
+    session lock, sends that one reply.
     """
 
     __slots__ = (
@@ -63,6 +68,7 @@ class ParkedWaiter:
         "target",
         "trail",
         "attempts",
+        "owed",
     )
 
     def __init__(self, token: int, folder: FolderName, mode: str, origin: str) -> None:
@@ -76,6 +82,7 @@ class ParkedWaiter:
         self.trail: tuple[str, ...] = ()
         #: Consecutive re-parks that did not reach a clean park.
         self.attempts = 0
+        self.owed: int | None = None
 
 
 class RelayLink:
@@ -85,8 +92,8 @@ class RelayLink:
     server-scoped token (drawn from *ids*, which also numbers the
     cancels), and its one reader — per link, not per wait — hands what
     comes back to the session entry that parked: its ``complete_waiter``
-    for a memo, its ``relay_ended`` for anything else, a lost link
-    included.
+    for a memo, its ``ack_parked`` when the wait parked beyond, its
+    ``relay_ended`` for anything else, a lost link included.
     """
 
     __slots__ = (
@@ -190,7 +197,9 @@ class RelayLink:
         elif reply.found:
             self._end(cid, reply.payload, None)
         elif parked is not None:
-            parked[1].attempts = 0  # provably reached a home
+            session, entry = parked
+            entry.attempts = 0  # provably reached a home
+            session.ack_parked(entry)
 
     def _end(self, token: int, payload: bytes | None, reason: str | None) -> None:
         with self._lock:

@@ -13,8 +13,9 @@ through an unsolicited :class:`~repro.network.protocol.MemoReady` /
 the put path — a million parked waiters cost a table, not a thread pool.
 That holds from any host: a wait for a folder served elsewhere is sent on
 over one long-lived link per next hop (:mod:`repro.servers.relay`) and
-parks in the *owner's* table like everyone else's.  Strict sessions never
-receive pushes.
+parks in the *owner's* table like everyone else's; its GetWait is
+answered by the owner's first answer, so a remote hit is one reply, as a
+local one is.  Strict sessions never receive pushes.
 
 Everything without an underscore is for the other server modules (the
 accept path, the handler table's reader rows, a relay link's reader).
@@ -85,6 +86,11 @@ class Row(NamedTuple):
 #: whose folder was empty: ok, nothing found *yet* — the resolution
 #: arrives later as a MemoReady/WaitCancelled push.
 _PARKED_ACK = Reply(ok=True, found=False)
+
+#: What a park that relayed the wait returns in place of a reply: the
+#: GetWait's correlation id is owed (``ParkedWaiter.owed``) and is paid
+#: by the owner's first answer, or by whatever ends the wait first.
+_OWED = Reply(ok=True, found=False)
 
 #: Most requests the put worker drains per round; bounds reply-batch size
 #: (and so peak reply-frame size) under a firehose producer.
@@ -448,21 +454,29 @@ class _ConnectionSession:
     def get_wait(self, msg: GetWaitRequest, cid: int | None, envelope=None) -> bool:
         """Serve one GetWait inline on the reader — never blocks.
 
-        The immediate correlated reply is a hit (folder had a memo), a
-        parked acknowledgement (wait recorded in the table), or an error
-        mapped exactly like any other handler's.  A parked wait holds no
-        thread: its resolution is event-driven off the put path.
+        Parked or answered here, the correlated reply is immediate: a hit
+        (folder had a memo), a parked acknowledgement (wait recorded in
+        the table), or an error mapped exactly like any other handler's.
+        A wait relayed to another host is answered by the owner's first
+        answer instead — its hit, or else a parked acknowledgement — so
+        nothing is sent here.  A parked wait holds no thread: its
+        resolution is event-driven off the put path.
         """
         if cid is None:
             # A strict peer has no demultiplexer to route the push by:
             # answered as any strict request, which refuses a reader row.
             return self._serve_legacy(msg)
-        self._send_replies([(self.server.guarded(self._park_new, msg, envelope), cid)])
+        reply = self.server.guarded(self._park_new, msg, envelope, cid)
+        if reply is not _OWED:
+            self._send_replies([(reply, cid)])
         return True
 
-    def _park_new(self, msg: GetWaitRequest, envelope: ForwardEnvelope | None) -> Reply:
+    def _park_new(
+        self, msg: GetWaitRequest, envelope: ForwardEnvelope | None, cid: int
+    ) -> Reply:
         token = msg.waiter
         entry = ParkedWaiter(token, msg.folder, msg.mode, msg.origin)
+        entry.owed = cid
         # Table entry goes in BEFORE the wait is parked anywhere: its
         # completion may fire from a concurrent put the instant it parks,
         # and must find the entry.  (The push may then legally overtake
@@ -503,20 +517,29 @@ class _ConnectionSession:
             router.admit(envelope)
             if envelope.target_host != self.server.host:
                 self.server.stats.bump("forwards_relayed")
-                target, trail = envelope.target_host, envelope.trail
-                router.relay_wait(self, entry, reg, target, trail)
-                return _PARKED_ACK
+                return self._relay(entry, reg, envelope.target_host, envelope.trail)
             candidates = [router.chained_here(entry.folder, chain, "the relayed wait")]
         return router.walk(
             reg, chain, candidates, entry.folder, self._park_here, self._relay_on, entry
         )
 
     def _relay_on(self, reg, host: str, entry: ParkedWaiter) -> Reply:
-        self.server.router.relay_wait(self, entry, reg, host, ())
-        return _PARKED_ACK
+        return self._relay(entry, reg, host, ())
+
+    def _relay(self, entry: ParkedWaiter, reg, target: str, trail: tuple) -> Reply:
+        """Send *entry*'s wait on toward *target*: ``_OWED`` while its
+        GetWait's reply is owed, else (a re-park) the parked ack.
+
+        Decided before the wait is on the link: from then on the link's
+        reader may answer the id at any moment, even before this returns.
+        """
+        reply = _PARKED_ACK if entry.owed is None else _OWED
+        self.server.router.relay_wait(self, entry, reg, target, trail)
+        return reply
 
     def _park_here(self, _reg, chain: tuple, sid: str, entry: ParkedWaiter) -> Reply:
         """Park *entry* in this host's own store for *chain*, or hit."""
+        entry.owed = None  # answered by the caller, now
         if chain[0][1] != self.server.host:
             # Dead primary: serve the wait out of this host's replica
             # store, exactly as the replicator fails reads over.
@@ -549,8 +572,10 @@ class _ConnectionSession:
         this host's own replica store): ``MemoClient._resubscribe_locked``
         one hop later, bounded like the router's ``route_with_retry``.
         Only the server where the wait started re-routes; a relay hop
-        hands the reason up the link it came from.
+        hands the reason up the link it came from.  Either way a GetWait
+        reply still owed is paid first, with the parked ack.
         """
+        self.ack_parked(entry)
         if entry.trail or not retryable(reason):
             self.complete_waiter(entry, None, reason)
             return
@@ -588,32 +613,45 @@ class _ConnectionSession:
     def complete_waiter(
         self, entry: ParkedWaiter, record: MemoRecord | None, error: str | None
     ) -> None:
-        """Resolve one table entry into a push frame (from any thread).
+        """Resolve one table entry into its push frame (from any thread).
 
         Runs on whatever thread completed the wait — a put lane here, a
         peer session's worker, the migration path, a relay link's reader.
         Exactly one resolution wins the table entry; a completion that
         finds its entry gone lost a cancellation/teardown race, and a
         consumed memo is then re-deposited so the race never loses data.
+        A relayed wait whose GetWait reply is still owed is resolved by
+        that reply instead: the found ``Reply`` for a memo (no push), or
+        the parked ack ahead of the ``WaitCancelled``.
         """
         with self._lock:
             live = self._waiters.get(entry.token) is entry
             if live:
                 del self._waiters[entry.token]
+                owed, entry.owed = entry.owed, None
         if not live:
             self._requeue(entry, record)
             return
-        self.server.stats.bump("waiters_active", -1)
-        if error is None:
-            self.server.stats.bump_pair("waiters_completed", "push_frames")
-            push: object = MemoReady(
-                waiter=entry.token, folder=entry.folder, payload=record.payload
+        stats = self.server.stats
+        stats.bump("waiters_active", -1)
+        if error is not None:
+            stats.bump_pair("waiters_cancelled", "push_frames")
+            if owed is not None:
+                self._send_replies([(_PARKED_ACK, owed)])
+            frame: object = WaitCancelled(waiter=entry.token, reason=error)
+            owed = None
+        elif owed is not None:
+            stats.bump("waiters_completed")
+            frame = Reply(
+                ok=True, found=True, payload=record.payload, folder=entry.folder
             )
         else:
-            self.server.stats.bump_pair("waiters_cancelled", "push_frames")
-            push = WaitCancelled(waiter=entry.token, reason=error)
+            stats.bump_pair("waiters_completed", "push_frames")
+            frame = MemoReady(
+                waiter=entry.token, folder=entry.folder, payload=record.payload
+            )
         try:
-            send_message(self.conn, push)
+            send_message(self.conn, frame, corr_id=owed)
         except CommunicationError:
             # The peer is gone: close, so this session tears down and a
             # peer server still holding the other end re-parks what it
@@ -621,6 +659,19 @@ class _ConnectionSession:
             # — put it back.
             self.conn.close()
             self._requeue(entry, record)
+
+    def ack_parked(self, entry: ParkedWaiter) -> None:
+        """Pay *entry*'s GetWait reply with the parked ack, if still owed.
+
+        The owner parked the relayed wait, or something else ended it
+        first; either way the client sees the sequence a wait parked here
+        produces.  Taking the id under the lock makes this, a hit's
+        reply and every other end race for it: exactly one sends.
+        """
+        with self._lock:
+            owed, entry.owed = entry.owed, None
+        if owed is not None:
+            self._send_replies([(_PARKED_ACK, owed)])
 
     def _requeue(self, entry: ParkedWaiter, record: MemoRecord | None) -> None:
         """Re-deposit a memo a dead/cancelled waiter consumed (no losses)."""
@@ -632,7 +683,9 @@ class _ConnectionSession:
         """Count *entry* (already out of the table) cancelled and detach it
         from its home — the local store, or the owner's table beyond a
         relay link.  Best-effort: a completion already in flight finds the
-        table entry gone and requeues."""
+        table entry gone and requeues.  A GetWait reply still owed goes
+        out first."""
+        self.ack_parked(entry)
         self.server.stats.bump("waiters_active", -1)
         self.server.stats.bump("waiters_cancelled")
         if entry.handle is not None:

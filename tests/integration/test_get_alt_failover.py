@@ -162,3 +162,41 @@ class TestGetAltFailsOverByRouting:
         reply = memo.client.request(request)
         assert reply.ok and reply.found and reply.folder == FolderName("alt", live_key)
         assert cluster.servers["h1"].failure.is_alive(VICTIM) is False
+
+
+class TestGetAltOwnHostRestart:
+    def test_blocking_get_alt_rides_out_a_restart_of_its_own_host(self, cluster):
+        """The client's own host dies and comes back mid-wait: its dial
+        errors and the reborn host's first answers are misses within the
+        budget, not a verdict."""
+        (k,) = keys_with(cluster, primaried_on("h3"), 1, start=5000)
+        waiter = cluster.memo_api("h1", "alt", "waiter")
+        out, errors = [], []
+
+        def wait():
+            try:
+                out.append(waiter.get_alt([k], timeout=20))
+            except Exception as exc:  # noqa: BLE001 - reported below
+                errors.append(exc)
+
+        t = threading.Thread(target=wait)
+        t.start()
+        time.sleep(0.1)  # the poll loop is live
+        cluster.kill_host("h1")
+        time.sleep(1.0)  # rounds outlast the client's reconnect budget
+        cluster.restart_host("h1")
+        cluster.memo_api("h3", "alt", "filler").put(k, "back", wait=True)
+        t.join(timeout=20)
+        assert errors == []
+        assert out == [(k, "back")]
+
+    def test_an_error_that_never_heals_fails_after_the_budget(
+        self, cluster, monkeypatch
+    ):
+        import repro.core.api as api
+
+        monkeypatch.setattr(api, "_ALT_TRANSIENT_MAX", 3)
+        memo = cluster.memo_api("h1", "unregistered", "m")
+        future = memo.get_alt_async([Key(Symbol("a"), (0,))])
+        with pytest.raises(MemoError, match="NotRegisteredError"):
+            future.wait(timeout=5)

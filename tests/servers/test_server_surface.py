@@ -21,7 +21,7 @@ from repro.errors import (
     ServerError,
     ShutdownError,
 )
-from repro.network.protocol import retryable, shutting_down, transient
+from repro.network.protocol import retryable, shutting_down
 
 HOSTS = ["h1", "h2", "h3"]
 
@@ -147,8 +147,3 @@ def test_retry_predicates_agree_with_the_inline_tests_they_replaced(one_host_clu
     assert [t for t in texts if retryable(t)] == [
         texts[0], texts[5], texts[8], texts[9], texts[10], texts[11]
     ]
-    # get_alt's and the actors' poll rule, once spelled as markers in core/api.py.
-    markers = ("communication failure", "host down", "connection")
-    for text in texts:
-        assert transient(text) == any(m in text for m in markers), text
-    assert [t for t in texts if transient(t)] == [texts[1], texts[7]]

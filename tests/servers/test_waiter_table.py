@@ -7,12 +7,13 @@ worker (ROADMAP: "an event-driven waiter table would decouple waiting
 from threads").
 """
 
+import sys
 import threading
 import time
 
 import pytest
 
-from repro import Cluster, as_completed, system_default_adf
+from repro import NIL, Cluster, as_completed, system_default_adf
 from repro.adf.model import ADF, FolderDecl, HostDecl, LinkDecl, ProcessDecl
 from repro.core.keys import FolderName, Key, Symbol
 from repro.errors import MemoError
@@ -25,6 +26,8 @@ from repro.network.protocol import (
     recv_tagged,
     send_message,
 )
+from repro.servers.memo_server import HANDLERS
+from repro.servers.relay import RelayLink
 
 FANIN = 1000
 
@@ -477,6 +480,13 @@ class TestRelayedWaits:
                 lambda: active(h1) == active(h2) == 0, message="detached hop by hop"
             )
 
+            # A hit crosses every hop as replies only: no push anywhere.
+            pushes = [s.stats["push_frames"] for s in (h0, h1, h2)]
+            feeder.put(key(n + 1), "hit", wait=True)
+            assert memo.get(key(n + 1)) == "hit"
+            assert [s.stats["push_frames"] for s in (h0, h1, h2)] == pushes
+            assert active(h0) == active(h1) == active(h2) == 0
+
     def test_disagreeing_registrations_refuse_instead_of_bouncing(
         self, two_host_cluster
     ):
@@ -518,3 +528,294 @@ class TestRelayedWaits:
             assert active(beta) == 0
         finally:
             conn.close()
+
+
+def record_frames(client):
+    """Every ``(cid, frame)`` *client* routes from now on, in order."""
+    seen = []
+    route = client._route_one_locked
+
+    def recording(msg, cid):
+        seen.append((cid, msg))
+        route(msg, cid)
+
+    client._route_one_locked = recording
+    return seen
+
+
+def pump_until(client, predicate, message, timeout=5.0):
+    """Drive *client*'s frames until *predicate* holds."""
+    deadline = time.monotonic() + timeout
+    while not predicate():
+        assert time.monotonic() < deadline, f"timed out waiting for {message}"
+        client.pump(0.02)
+
+
+def settle(client):
+    """Pump *client* until no GetWait of its own awaits a reply."""
+    pump_until(client, lambda: not client._wait_by_cid, "every GetWait answered")
+
+
+def replies_to(seen, cid):
+    return [msg for c, msg in seen if c == cid]
+
+
+class TestOneReplyPerRelayedWait:
+    """A relayed GetWait's correlation id gets exactly one reply on every
+    path: the owner's hit itself, or the parked ack ahead of whatever
+    ends the wait — and the client's in-flight wait map empties."""
+
+    @pytest.fixture
+    def gate(self, monkeypatch):
+        """Hold beta's answer to a relayed wait until ``gate.set()``;
+        ``gate.entered`` is set once beta has the wait in hand."""
+        gate = threading.Event()
+        gate.entered = threading.Event()
+        row = HANDLERS[GetWaitRequest]
+
+        def held(session, msg, cid, envelope=None):
+            if envelope is not None and session.server.host == "beta":
+                gate.entered.set()
+                gate.wait(10)
+            return row.handler(session, msg, cid, envelope)
+
+        monkeypatch.setitem(HANDLERS, GetWaitRequest, row._replace(handler=held))
+        yield gate
+        gate.set()
+
+    def start(self, cluster, k):
+        """A relayed get_async on alpha for *k*, and its GetWait's id."""
+        memo = cluster.memo_api("alpha", "test", "w")
+        seen = record_frames(memo.client)
+        future = memo.get_async(k)
+        (cid,) = memo.client._wait_by_cid
+        return memo, seen, future, cid
+
+    def test_a_owner_hit_is_the_one_reply(self, two_host_cluster):
+        alpha, beta = (two_host_cluster.servers[h] for h in ("alpha", "beta"))
+        (k,) = keys_owned_by(two_host_cluster, "beta", 1, start=800)
+        two_host_cluster.memo_api("beta", "test", "f").put(k, "hit", wait=True)
+        memo, seen, future, cid = self.start(two_host_cluster, k)
+        assert future.wait(timeout=5) == "hit"
+        settle(memo.client)
+        (reply,) = replies_to(seen, cid)
+        assert reply.ok and reply.found
+        assert [m for c, m in seen if c is None] == []  # no push at all
+        assert alpha.stats["push_frames"] == beta.stats["push_frames"] == 0
+        assert alpha.stats["waiters_completed"] == 1
+        assert active(alpha) == active(beta) == 0
+        assert memo.get_skip(k) is NIL
+
+    def test_b_owner_parks_then_a_put_completes(self, two_host_cluster):
+        alpha, beta = (two_host_cluster.servers[h] for h in ("alpha", "beta"))
+        (k,) = keys_owned_by(two_host_cluster, "beta", 1, start=810)
+        memo, seen, future, cid = self.start(two_host_cluster, k)
+        wait_until(lambda: active(beta) == 1, message="parked at the owner")
+        two_host_cluster.memo_api("beta", "test", "f").put(k, "later", wait=True)
+        assert future.wait(timeout=5) == "later"
+        settle(memo.client)
+        (reply,) = replies_to(seen, cid)
+        assert reply.ok and not reply.found  # the parked ack
+        assert [type(m) for c, m in seen if c is None] == [MemoReady]
+        assert active(alpha) == active(beta) == 0
+        assert memo.get_skip(k) is NIL
+
+    def test_c_owner_error_acks_then_cancels(self, two_host_cluster):
+        """beta believes alpha owns every folder: it refuses the wait."""
+        adf = system_default_adf(["alpha", "beta"], app="test")
+        adf.folders = [f for f in adf.folders if f.host == "alpha"]
+        two_host_cluster._register_one(adf, "beta")
+        alpha = two_host_cluster.servers["alpha"]
+        (k,) = keys_owned_by(two_host_cluster, "beta", 1, start=820)
+        memo, seen, future, cid = self.start(two_host_cluster, k)
+        with pytest.raises(MemoError, match="not chained to beta"):
+            future.wait(timeout=5)
+        settle(memo.client)
+        (reply,) = replies_to(seen, cid)
+        assert reply.ok and not reply.found
+        assert active(alpha) == 0
+
+    def test_d_cancel_before_the_owner_answers(self, two_host_cluster, gate):
+        alpha, beta = (two_host_cluster.servers[h] for h in ("alpha", "beta"))
+        (k,) = keys_owned_by(two_host_cluster, "beta", 1, start=830)
+        memo, seen, future, cid = self.start(two_host_cluster, k)
+        assert gate.entered.wait(5)
+        assert future.cancel()
+        gate.set()
+        # beta parks the wait, then serves the cancel queued behind it.
+        wait_until(
+            lambda: beta.stats["waiters_cancelled"] == 1,
+            message="detached at the owner",
+        )
+        settle(memo.client)
+        (reply,) = replies_to(seen, cid)
+        assert reply.ok and not reply.found
+        assert active(alpha) == 0
+        two_host_cluster.memo_api("beta", "test", "f").put(k, "kept", wait=True)
+        assert memo.get_skip(k) == "kept"  # no ghost took it
+        assert memo.get_skip(k) is NIL
+
+    def test_e_cancel_races_a_hit_and_the_memo_returns(
+        self, two_host_cluster, gate
+    ):
+        alpha, beta = (two_host_cluster.servers[h] for h in ("alpha", "beta"))
+        (store,) = beta.local_folder_servers().values()
+        (k,) = keys_owned_by(two_host_cluster, "beta", 1, start=840)
+        two_host_cluster.memo_api("beta", "test", "f").put(k, "raced", wait=True)
+        memo, seen, future, cid = self.start(two_host_cluster, k)
+        assert gate.entered.wait(5)
+        assert future.cancel()  # alpha's entry is gone before beta hits
+        gate.set()
+        # beta consumes for a wait alpha no longer holds: alpha re-deposits.
+        wait_until(lambda: store.stats["gets"] == 1, message="owner hit")
+        wait_until(lambda: store.memo_count() == 1, message="memo re-deposited")
+        settle(memo.client)
+        (reply,) = replies_to(seen, cid)
+        assert reply.ok and not reply.found
+        assert active(alpha) == active(beta) == 0
+        assert memo.get_skip(k) == "raced"
+        assert memo.get_skip(k) is NIL
+
+    def test_f_link_lost_before_the_answer_reparks(self, two_host_cluster, gate):
+        alpha, beta = (two_host_cluster.servers[h] for h in ("alpha", "beta"))
+        (k,) = keys_owned_by(two_host_cluster, "beta", 1, start=850)
+        memo, seen, future, cid = self.start(two_host_cluster, k)
+        assert gate.entered.wait(5)
+        alpha.router._relay_links["beta"].conn.close()
+        gate.set()
+        wait_until(
+            lambda: beta.stats["waiters_cancelled"] == 1,
+            message="the lost link's wait detached at the owner",
+        )
+        # The sole owner is "shutting down" as far as alpha can tell: the
+        # client is told so, re-subscribes, and the wait parks anew.
+        pump_until(memo.client, lambda: active(beta) == 1, "re-parked at the owner")
+        two_host_cluster.memo_api("beta", "test", "f").put(k, "again", wait=True)
+        assert future.wait(timeout=5) == "again"
+        settle(memo.client)
+        (reply,) = replies_to(seen, cid)
+        assert reply.ok and not reply.found
+        resent = [c for c, m in seen if c is not None and c != cid]
+        assert len(resent) == len(set(resent)) == 1  # one reply for the re-park
+        assert active(alpha) == active(beta) == 0
+        assert memo.get_skip(k) is NIL
+
+    def test_g_waiting_server_stops(self, gate):
+        adf = system_default_adf(["alpha", "beta"], app="test")
+        with Cluster(adf, idle_timeout=0.5) as cluster:
+            cluster.register()
+            (k,) = keys_owned_by(cluster, "beta", 1, start=860)
+            memo, seen, future, cid = self.start(cluster, k)
+            assert gate.entered.wait(5)
+            cluster.kill_host("alpha")
+            gate.set()
+            beta = cluster.servers["beta"]
+            wait_until(
+                lambda: beta.stats["waiters_cancelled"] == 1,
+                message="dead link's wait detached at the owner",
+            )
+            cluster.restart_host("alpha")
+            cluster.memo_api("beta", "test", "f").put(k, "rescued", wait=True)
+            assert future.wait(timeout=10) == "rescued"
+            settle(memo.client)
+            (reply,) = replies_to(seen, cid)
+            assert reply.ok and not reply.found
+            assert active(cluster.servers["alpha"]) == active(beta) == 0
+            assert memo.get_skip(k) is NIL
+
+    def test_h_hit_answered_before_relay_wait_returns(
+        self, two_host_cluster, monkeypatch
+    ):
+        """The link's reader handles the owner's hit while the session's
+        reader is still inside ``relay_wait``: the hit is still the one
+        reply — no late parked ack overtakes or follows it."""
+        answered = threading.Event()
+        send, on_reply = RelayLink.send, RelayLink._on_reply
+
+        def reader_first(link, message, cid):
+            send(link, message, cid)
+            if isinstance(message, ForwardEnvelope):
+                assert answered.wait(5)
+
+        def handled(link, reply, cid):
+            on_reply(link, reply, cid)
+            answered.set()
+
+        monkeypatch.setattr(RelayLink, "send", reader_first)
+        monkeypatch.setattr(RelayLink, "_on_reply", handled)
+        (k,) = keys_owned_by(two_host_cluster, "beta", 1, start=870)
+        two_host_cluster.memo_api("beta", "test", "f").put(k, "first", wait=True)
+        memo, seen, future, cid = self.start(two_host_cluster, k)
+        assert future.wait(timeout=5) == "first"
+        settle(memo.client)
+        time.sleep(0.1)  # a late parked ack would be on the wire by now
+        memo.client.pump(0.1)
+        (reply,) = replies_to(seen, cid)
+        assert reply.ok and reply.found
+        assert active(two_host_cluster.servers["alpha"]) == 0
+
+    def test_stress_every_relayed_wait_is_answered_once(self, two_host_cluster):
+        """More client threads than cores and a short switch interval:
+        hits and parks race the relay send on both of alpha's readers.
+        Every GetWait gets one reply, every value arrives once, and
+        nothing stays parked."""
+        alpha, beta = (two_host_cluster.servers[h] for h in ("alpha", "beta"))
+        keys = keys_owned_by(two_host_cluster, "beta", 4, start=900)
+        errors = []
+
+        def work(i, k):
+            try:
+                memo = two_host_cluster.memo_api("alpha", "test", f"w{i}")
+                feeder = two_host_cluster.memo_api("beta", "test", f"f{i}")
+                seen = record_frames(memo.client)
+                for n in range(40):
+                    if n % 2:
+                        feeder.put(k, n, wait=True)  # a hit at the owner
+                    future = memo.get_copy_async(k) if n % 4 == 1 else memo.get_async(k)
+                    (cid,) = memo.client._wait_by_cid
+                    if not n % 2:
+                        feeder.put(k, n, wait=True)  # usually parks first
+                    assert future.wait(timeout=10) == n
+                    if n % 4 == 1:
+                        assert memo.get(k) == n
+                    settle(memo.client)
+                    assert len(replies_to(seen, cid)) == 1, (n, replies_to(seen, cid))
+            except BaseException as exc:  # noqa: BLE001 - reported below
+                errors.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            threads = [
+                threading.Thread(target=work, args=(i, k)) for i, k in enumerate(keys)
+            ]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert errors == []
+        wait_until(lambda: active(alpha) == active(beta) == 0, message="all settled")
+        (store,) = beta.local_folder_servers().values()
+        assert store.memo_count() == 0
+
+
+def test_a_relayed_hit_moves_two_frames_on_the_clients_link(two_host_cluster):
+    """The client on alpha, the memo already in a folder beta owns: one
+    blocking get is a GetWait and its found reply on the (alpha, alpha)
+    link — no parked ack and no push."""
+    (k,) = keys_owned_by(two_host_cluster, "beta", 1, start=880)
+    two_host_cluster.memo_api("beta", "test", "f").put(k, "x", wait=True)
+    memo = two_host_cluster.memo_api("alpha", "test", "w")
+
+    def on_the_link():
+        return two_host_cluster.metrics().link_messages.get(("alpha", "alpha"), 0)
+
+    # Reading the metrics itself sends a stats request to each host.
+    first = on_the_link()
+    idle = on_the_link() - first
+    before = on_the_link()
+    assert memo.get(k) == "x"
+    assert on_the_link() - before - idle == 2
