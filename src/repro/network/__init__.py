@@ -19,7 +19,7 @@ move:
 """
 
 from repro.network.connection import Address, Connection, Listener, Transport
-from repro.network.frames import read_frame, write_frame, frame_overhead
+from repro.network.frames import parse_frame, write_frame, frame_overhead
 from repro.network.transport import InMemoryTransport, NetworkFabric
 from repro.network.tcp import TCPTransport
 from repro.network.routing import RoutingTable
@@ -30,7 +30,7 @@ __all__ = [
     "Connection",
     "Listener",
     "Transport",
-    "read_frame",
+    "parse_frame",
     "write_frame",
     "frame_overhead",
     "InMemoryTransport",

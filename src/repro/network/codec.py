@@ -42,6 +42,17 @@ Body primitives::
     tlv       uvarint byte-length + an embedded TLV stream (0 = empty);
               used only for open-ended fields like ``Reply.stats``
 
+Each registered message is compiled once: :func:`register_compact`
+generates the source of one encoder and one decoder from the message's
+``(name, kind)`` field table, the way :mod:`dataclasses` generates
+``__init__``, so a frame costs one call with no per-field dispatch.  One
+kind table (:data:`_KINDS`) gives every kind its encode and its decode
+statement, so both directions read the same table: the scalar kinds
+inline their one-byte cases, the rare ones (tlv, dicts, pairs, tuples)
+call ``(out, value)`` writers and ``(data, pos) -> (value, pos)``
+readers.  The folder field is cached on both sides — decoded once per
+distinct wire spelling, encoded once per distinct :class:`FolderName`.
+
 :func:`decode_message` dispatches on the leading magic, so a stream may
 freely interleave compact frames with TLV frames — old peers, recorded
 seed streams, and memo payloads (which stay in the transferable format)
@@ -51,6 +62,7 @@ for any type without a registered compact spec.
 
 from __future__ import annotations
 
+import linecache
 import struct
 import sys
 import threading
@@ -83,104 +95,7 @@ _F64 = struct.Struct(">d")
 
 
 # ---------------------------------------------------------------------------
-# Primitive writers
-# ---------------------------------------------------------------------------
-
-
-def _w_uv(out: bytearray, n: int) -> None:
-    if n < 0:
-        raise EncodingError(f"compact codec cannot encode negative int {n}")
-    while True:
-        b = n & 0x7F
-        n >>= 7
-        if n:
-            out.append(b | 0x80)
-        else:
-            out.append(b)
-            return
-
-
-def _w_str(out: bytearray, s: str) -> None:
-    raw = s.encode("utf-8")
-    _w_uv(out, len(raw))
-    out += raw
-
-
-def _w_bytes(out: bytearray, b: bytes) -> None:
-    _w_uv(out, len(b))
-    out += b
-
-
-def _w_bool(out: bytearray, b: bool) -> None:
-    out.append(1 if b else 0)
-
-
-def _w_folder(out: bytearray, f: FolderName) -> None:
-    _w_str(out, f.app)
-    _w_str(out, f.key.symbol.name)
-    _w_uv(out, len(f.key.index))
-    for x in f.key.index:
-        _w_uv(out, x)
-
-
-def _w_opt_folder(out: bytearray, f: FolderName | None) -> None:
-    if f is None:
-        out.append(0)
-    else:
-        out.append(1)
-        _w_folder(out, f)
-
-
-def _w_folder_tuple(out: bytearray, folders: tuple) -> None:
-    _w_uv(out, len(folders))
-    for f in folders:
-        _w_folder(out, f)
-
-
-def _w_str_tuple(out: bytearray, items: tuple) -> None:
-    _w_uv(out, len(items))
-    for s in items:
-        _w_str(out, s)
-
-
-def _w_bytes_tuple(out: bytearray, items: tuple) -> None:
-    _w_uv(out, len(items))
-    for b in items:
-        _w_bytes(out, b)
-
-
-def _w_server_pairs(out: bytearray, pairs: tuple) -> None:
-    _w_uv(out, len(pairs))
-    for sid, host in pairs:
-        _w_str(out, sid)
-        _w_str(out, host)
-
-
-def _w_float_dict(out: bytearray, d: dict) -> None:
-    _w_uv(out, len(d))
-    for k, v in d.items():
-        _w_str(out, k)
-        out += _F64.pack(v)
-
-
-def _w_link_dict(out: bytearray, d: dict) -> None:
-    _w_uv(out, len(d))
-    for k, nbrs in d.items():
-        _w_str(out, k)
-        _w_float_dict(out, nbrs)
-
-
-def _w_tlv(out: bytearray, value: object) -> None:
-    if not value:
-        _w_uv(out, 0)
-        return
-    blob = _tlv.encode(value)
-    _w_uv(out, len(blob))
-    out += blob
-
-
-# ---------------------------------------------------------------------------
-# Primitive readers
+# Folder fields, cached in both directions
 # ---------------------------------------------------------------------------
 
 
@@ -190,6 +105,10 @@ def _w_tlv(out: bytearray, value: object) -> None:
 #: per hop.  Only fields that passed the validating parse are ever
 #: inserted; when the cap is reached the table is cleared, not evicted.
 _FOLDERS: dict[bytes, FolderName] = {}
+
+#: The encode-side twin: a folder field's wire bytes by its name, under
+#: the same cap, field-length bound and lock.
+_FOLDER_FIELDS: dict[FolderName, bytes] = {}
 
 #: Entry cap.  One entry is the key bytes plus a FolderName/Key/Symbol
 #: with their strings, cached hash and canonical form: 0.83 KiB measured
@@ -206,12 +125,13 @@ _intern_lock = threading.Lock()
 _intern_misses = 0
 
 
-def _intern_folder(raw: bytes, folder: FolderName) -> None:
-    """Record a freshly validated folder field (the miss path only)."""
+def _intern_folder(raw: bytes | None, folder: FolderName) -> None:
+    """Count a freshly validated folder field (the miss path only) and
+    keep it under *raw*, its wire bytes, unless that is None."""
     global _intern_misses
     with _intern_lock:
         _intern_misses += 1
-        if len(raw) > _FOLDER_INTERN_MAX_FIELD:
+        if raw is None or len(raw) > _FOLDER_INTERN_MAX_FIELD:
             return
         if len(_FOLDERS) >= _FOLDER_INTERN_CAP:
             _FOLDERS.clear()
@@ -231,34 +151,107 @@ def folder_intern_stats() -> dict[str, int]:
         }
 
 
-def _folder_end(data: memoryview, pos: int) -> int:
-    """Offset just past the folder field at *pos*, or -1 if not delimitable.
-
-    Follows the length prefixes only (two strings, then a counted run of
-    varints) and validates nothing; -1 sends the caller to the validating
-    parse, which raises the precise error.
-    """
-    try:
-        for _ in (0, 1):  # app, symbol: uvarint byte length + bytes
-            n = data[pos]
-            pos += 1
-            if n >= 0x80:
-                n, pos = _uv_tail(data, pos, n)
-            pos += n
-        n = data[pos]
-        pos += 1
-        if n >= 0x80:
-            n, pos = _uv_tail(data, pos, n)
-        for _ in range(n):
-            while data[pos] >= 0x80:
-                pos += 1
-            pos += 1
-    except (IndexError, DecodingError):
-        return -1
-    return pos if pos <= len(data) else -1
+# ---------------------------------------------------------------------------
+# Writers: ``(out, value)``, appending to a bytearray
+# ---------------------------------------------------------------------------
 
 
-def _uv_tail(data: memoryview, pos: int, first: int) -> tuple[int, int]:
+def _w_uv(out: bytearray, n: int) -> None:
+    if 0 <= n < 0x80:
+        out.append(n)
+        return
+    if n < 0:
+        raise EncodingError(f"compact codec cannot encode negative int {n}")
+    while n >= 0x80:
+        out.append((n & 0x7F) | 0x80)
+        n >>= 7
+    out.append(n)
+
+
+def _w_uint(out: bytearray, n: int) -> None:
+    """A uint field or a correlation id: every decoder rejects a varint
+    past 64 bits, so none is ever sent."""
+    if 0 <= n < 0x80:
+        out.append(n)
+    elif n >> 64:  # also every negative n
+        raise EncodingError(f"compact codec cannot encode {n}: outside [0, 2**64)")
+    else:
+        _w_uv(out, n)
+
+
+def _w_bytes(out: bytearray, b: bytes) -> None:
+    _w_uv(out, len(b))
+    out += b
+
+
+def _w_str(out: bytearray, s: str) -> None:
+    _w_bytes(out, s.encode("utf-8"))
+
+
+def _w_f64(out: bytearray, x: float) -> None:
+    out += _F64.pack(x)
+
+
+def _w_folder(out: bytearray, f: FolderName) -> None:
+    raw = _FOLDER_FIELDS.get(f)
+    if raw is None:
+        field = bytearray()
+        _w_str(field, f.app)
+        _w_str(field, f.key.symbol.name)
+        _w_uv(field, len(f.key.index))
+        for x in f.key.index:
+            _w_uv(field, x)
+        raw = bytes(field)
+        if len(raw) <= _FOLDER_INTERN_MAX_FIELD:
+            with _intern_lock:
+                if len(_FOLDER_FIELDS) >= _FOLDER_INTERN_CAP:
+                    _FOLDER_FIELDS.clear()
+                _FOLDER_FIELDS[f] = raw
+    out += raw
+
+
+def _w_opt_folder(out: bytearray, f: FolderName | None) -> None:
+    if f is None:
+        out.append(0)
+    else:
+        out.append(1)
+        _w_folder(out, f)
+
+
+def _w_tlv(out: bytearray, value: object) -> None:
+    _w_bytes(out, _tlv.encode(value) if value else b"")
+
+
+def _w_pair(first: Callable, second: Callable) -> Callable:
+    def write(out: bytearray, pair: tuple) -> None:
+        a, b = pair
+        first(out, a)
+        second(out, b)
+
+    return write
+
+
+def _w_many(write: Callable, each: Callable = iter) -> Callable:
+    """A uvarint count, then each item of the collection."""
+
+    def many(out: bytearray, items) -> None:
+        _w_uv(out, len(items))
+        for item in each(items):
+            write(out, item)
+
+    return many
+
+
+# ---------------------------------------------------------------------------
+# Readers: ``(data, pos) -> (value, pos)`` over a bytes frame
+# ---------------------------------------------------------------------------
+#
+# An index past the end raises IndexError and a bad UTF-8 sequence
+# UnicodeDecodeError; decode_tagged turns both into DecodingError.  A
+# slice past the end does not raise, so every length is checked.
+
+
+def _uv_tail(data: bytes, pos: int, first: int) -> tuple[int, int]:
     """Finish a multi-byte uvarint whose first byte was *first*."""
     result = first & 0x7F
     shift = 7
@@ -273,201 +266,263 @@ def _uv_tail(data: memoryview, pos: int, first: int) -> tuple[int, int]:
             raise DecodingError("varint exceeds 64 bits")
 
 
-class _Reader:
-    """Bounds-checked cursor over a compact frame body."""
-
-    __slots__ = ("data", "pos")
-
-    def __init__(self, data: memoryview, pos: int) -> None:
-        self.data = data
-        self.pos = pos
-
-    def take(self, n: int) -> memoryview:
-        if self.pos + n > len(self.data):
-            raise DecodingError(
-                f"truncated compact frame: wanted {n} bytes at offset "
-                f"{self.pos}, have {len(self.data) - self.pos}"
-            )
-        view = self.data[self.pos : self.pos + n]
-        self.pos += n
-        return view
-
-    def u8(self) -> int:
-        if self.pos >= len(self.data):
-            raise DecodingError("truncated compact frame: wanted 1 byte")
-        b = self.data[self.pos]
-        self.pos += 1
-        return b
-
-    def uv(self) -> int:
-        # Fast path: almost every varint on the wire (lengths, indexes,
-        # correlation ids early in a connection's life) fits one byte.
-        pos = self.pos
-        data = self.data
-        try:
-            b = data[pos]
-            if b < 0x80:
-                self.pos = pos + 1
-                return b
-            result, self.pos = _uv_tail(data, pos + 1, b)
-        except IndexError:
-            raise DecodingError("truncated compact frame: wanted 1 byte") from None
-        return result
-
-    def r_str(self) -> str:
-        n = self.uv()
-        pos = self.pos
-        end = pos + n
-        data = self.data
-        if end > len(data):
-            raise DecodingError(
-                f"truncated compact frame: wanted {n} bytes at offset {pos}"
-            )
-        self.pos = end
-        try:
-            return str(data[pos:end], "utf-8")
-        except UnicodeDecodeError as exc:
-            raise DecodingError("invalid UTF-8 in compact frame") from exc
-
-    def r_name(self) -> str:
-        """A depositor or store name: every memo from one process holds
-        the same ``str``.  No table to bound — an interned string dies
-        with its last reference."""
-        return sys.intern(self.r_str())
-
-    def r_bytes(self) -> bytes:
-        n = self.uv()
-        pos = self.pos
-        end = pos + n
-        data = self.data
-        if end > len(data):
-            raise DecodingError(
-                f"truncated compact frame: wanted {n} bytes at offset {pos}"
-            )
-        self.pos = end
-        return bytes(data[pos:end])
-
-    def r_bool(self) -> bool:
-        b = self.u8()
-        if b not in (0, 1):
-            raise DecodingError(f"bad bool byte {b:#x} in compact frame")
-        return bool(b)
-
-    def r_f64(self) -> float:
-        return _F64.unpack(self.take(8))[0]
-
-    def r_folder(self) -> FolderName:
-        """Read a folder field, shared per distinct wire spelling.
-
-        The field's extent is found from its length prefixes alone and
-        its raw bytes looked up in :data:`_FOLDERS`.  A miss — including
-        every field the skip cannot delimit — takes the validating parse
-        below and is inserted only once that has succeeded, so a hit
-        always returns what parsing these exact bytes returned before.
-        """
-        data = self.data
-        start = self.pos
-        end = _folder_end(data, start)
-        raw = bytes(data[start:end]) if end > 0 else None  # None: never a key
-        folder = _FOLDERS.get(raw)
-        if folder is not None:
-            self.pos = end
-            return folder
-        app = self.r_str()
-        symbol = self.r_str()
-        n = self.uv()
-        if n == 0:
-            index = ()
-        elif n == 1:  # the overwhelmingly common key shape
-            index = (self.uv(),)
-        else:
-            index = tuple(self.uv() for _ in range(n))
-        folder = FolderName(app, Key(Symbol(symbol), index))
-        if self.pos == end:  # the parse consumed exactly the bytes looked up
-            _intern_folder(raw, folder)
-        return folder
-
-    def r_opt_folder(self) -> FolderName | None:
-        if self.u8() == 0:
-            return None
-        return self.r_folder()
-
-    def r_folder_tuple(self) -> tuple:
-        return tuple(self.r_folder() for _ in range(self.uv()))
-
-    def r_str_tuple(self) -> tuple:
-        return tuple(self.r_str() for _ in range(self.uv()))
-
-    def r_bytes_tuple(self) -> tuple:
-        return tuple(self.r_bytes() for _ in range(self.uv()))
-
-    def r_server_pairs(self) -> tuple:
-        return tuple((self.r_str(), self.r_str()) for _ in range(self.uv()))
-
-    def r_float_dict(self) -> dict:
-        return {self.r_str(): self.r_f64() for _ in range(self.uv())}
-
-    def r_link_dict(self) -> dict:
-        return {self.r_str(): self.r_float_dict() for _ in range(self.uv())}
-
-    def r_tlv(self) -> object:
-        n = self.uv()
-        if n == 0:
-            return {}
-        return _tlv.decode(self.take(n))
-
-    def at_end(self) -> bool:
-        return self.pos == len(self.data)
+def _r_uv(data: bytes, pos: int) -> tuple[int, int]:
+    b = data[pos]
+    if b < 0x80:
+        return b, pos + 1
+    return _uv_tail(data, pos + 1, b)
 
 
-_WRITERS: dict[str, Callable] = {
-    "str": _w_str,
-    "name": _w_str,
-    "bytes": _w_bytes,
-    "bool": _w_bool,
-    "uint": _w_uv,
-    "folder": _w_folder,
-    "opt_folder": _w_opt_folder,
-    "folder_tuple": _w_folder_tuple,
-    "str_tuple": _w_str_tuple,
-    "bytes_tuple": _w_bytes_tuple,
-    "server_pairs": _w_server_pairs,
-    "float_dict": _w_float_dict,
-    "link_dict": _w_link_dict,
-    "tlv": _w_tlv,
-}
+def _truncated(wanted: int, pos: int) -> DecodingError:
+    return DecodingError(
+        f"truncated compact frame: wanted {wanted} bytes at offset {pos}"
+    )
 
-_READERS: dict[str, Callable[[_Reader], object]] = {
-    "str": _Reader.r_str,
-    "name": _Reader.r_name,
-    "bytes": _Reader.r_bytes,
-    "bool": _Reader.r_bool,
-    "uint": _Reader.uv,
-    "folder": _Reader.r_folder,
-    "opt_folder": _Reader.r_opt_folder,
-    "folder_tuple": _Reader.r_folder_tuple,
-    "str_tuple": _Reader.r_str_tuple,
-    "bytes_tuple": _Reader.r_bytes_tuple,
-    "server_pairs": _Reader.r_server_pairs,
-    "float_dict": _Reader.r_float_dict,
-    "link_dict": _Reader.r_link_dict,
-    "tlv": _Reader.r_tlv,
-}
+
+def _bad_bool(b: int) -> DecodingError:
+    return DecodingError(f"bad bool byte {b:#x} in compact frame")
+
+
+def _r_bytes(data: bytes, pos: int) -> tuple[bytes, int]:
+    n, pos = _r_uv(data, pos)
+    end = pos + n
+    if end > len(data):
+        raise _truncated(n, pos)
+    return data[pos:end], end
+
+
+def _r_str(data: bytes, pos: int) -> tuple[str, int]:
+    raw, pos = _r_bytes(data, pos)
+    return raw.decode("utf-8"), pos
+
+
+def _r_f64(data: bytes, pos: int) -> tuple[float, int]:
+    if pos + 8 > len(data):
+        raise _truncated(8, pos)
+    return _F64.unpack_from(data, pos)[0], pos + 8
+
+
+def _folder_end(data: bytes, pos: int) -> int:
+    """Offset just past the folder field at *pos*, or -1.
+
+    Follows the length prefixes only and validates nothing.  -1 sends
+    the caller to the validating parse, which raises the precise error or
+    decodes a field the table never holds: one that does not fit the
+    frame, or whose app, symbol or index count needs a multi-byte length
+    (so longer than ``_FOLDER_INTERN_MAX_FIELD``).
+    """
+    try:
+        n = data[pos]  # app
+        if n >= 0x80:
+            return -1
+        pos += n + 1
+        n = data[pos]  # symbol
+        if n >= 0x80:
+            return -1
+        pos += n + 1
+        n = data[pos]  # index count, then the indexes
+        if n >= 0x80:
+            return -1
+        pos += 1
+        for _ in range(n):
+            while data[pos] >= 0x80:
+                pos += 1
+            pos += 1
+    except IndexError:
+        return -1
+    return pos if pos <= len(data) else -1
+
+
+def _r_folder(data: bytes, pos: int) -> tuple[FolderName, int]:
+    """Read a folder field, shared per distinct wire spelling.
+
+    The field's extent is found from its length prefixes alone and its
+    raw bytes looked up in :data:`_FOLDERS`.  A miss — including every
+    field the skip cannot delimit — takes the validating parse below and
+    is inserted only once that has succeeded, so a hit always returns
+    what parsing these exact bytes returned before.
+    """
+    end = _folder_end(data, pos)
+    raw = data[pos:end] if end > 0 else None  # None: never a key
+    folder = _FOLDERS.get(raw)
+    if folder is not None:
+        return folder, end
+    app, pos = _r_str(data, pos)
+    symbol, pos = _r_str(data, pos)
+    n, pos = _r_uv(data, pos)
+    index = []
+    for _ in range(n):
+        x, pos = _r_uv(data, pos)
+        index.append(x)
+    folder = FolderName(app, Key(Symbol(symbol), tuple(index)))
+    # Kept only if the parse consumed exactly the bytes looked up.
+    _intern_folder(raw if pos == end else None, folder)
+    return folder, pos
+
+
+def _r_opt_folder(data: bytes, pos: int) -> tuple[FolderName | None, int]:
+    if data[pos] == 0:
+        return None, pos + 1
+    return _r_folder(data, pos + 1)
+
+
+def _r_tlv(data: bytes, pos: int) -> tuple[object, int]:
+    blob, pos = _r_bytes(data, pos)
+    return (_tlv.decode(blob) if blob else {}), pos
+
+
+def _r_pair(first: Callable, second: Callable) -> Callable:
+    def read(data: bytes, pos: int) -> tuple[tuple, int]:
+        a, pos = first(data, pos)
+        b, pos = second(data, pos)
+        return (a, b), pos
+
+    return read
+
+
+def _r_many(read: Callable, build: Callable = tuple) -> Callable:
+    """A uvarint count, then that many items, collected by *build*."""
+
+    def many(data: bytes, pos: int) -> tuple[object, int]:
+        n, pos = _r_uv(data, pos)
+        items = []
+        for _ in range(n):
+            item, pos = read(data, pos)
+            items.append(item)
+        return build(items), pos
+
+    return many
+
+
+_w_folder_tuple = _w_many(_w_folder)
+_r_folder_tuple = _r_many(_r_folder)
+_w_str_tuple = _w_many(_w_str)
+_r_str_tuple = _r_many(_r_str)
+_w_bytes_tuple = _w_many(_w_bytes)
+_r_bytes_tuple = _r_many(_r_bytes)
+_w_server_pairs = _w_many(_w_pair(_w_str, _w_str))
+_r_server_pairs = _r_many(_r_pair(_r_str, _r_str))
+_w_float_dict = _w_many(_w_pair(_w_str, _w_f64), dict.items)
+_r_float_dict = _r_many(_r_pair(_r_str, _r_f64), dict)
+_w_link_dict = _w_many(_w_pair(_w_str, _w_float_dict), dict.items)
+_r_link_dict = _r_many(_r_pair(_r_str, _r_float_dict), dict)
 
 
 # ---------------------------------------------------------------------------
-# Spec registry
+# The kind table and the spec compiler
 # ---------------------------------------------------------------------------
+
+# Statements the compiler pastes into a spec's two functions.  An encode
+# statement reads the field's value from ``v`` and appends to ``out``; a
+# decode statement reads ``data`` (``n`` bytes long) at ``pos``, advances
+# ``pos`` and binds the value to ``{v}``.  The scalar kinds inline their
+# one-byte cases; ``k`` and ``end`` are scratch.
+_ENC_UV = """\
+if 0 <= v < 0x80:
+    out.append(v)
+else:
+    _w_uint(out, v)"""
+_ENC_BYTES = """\
+if len(v) < 0x80:
+    out.append(len(v))
+else:
+    _w_uv(out, len(v))
+out += v"""
+_DEC_UV = """\
+{v} = data[pos]
+pos += 1
+if {v} >= 0x80:
+    {v}, pos = _uv_tail(data, pos, {v})"""
+_DEC_SPAN = _DEC_UV.format(v="k") + """
+end = pos + k
+if end > n:
+    raise _truncated(k, pos)
+"""
+
+#: kind -> (encode statement, decode statement): one table, both directions.
+_KINDS: dict[str, tuple[str, str]] = {
+    "uint": (_ENC_UV, _DEC_UV),
+    "bytes": (_ENC_BYTES, _DEC_SPAN + "{v} = data[pos:end]\npos = end"),
+    "str": (
+        "v = v.encode('utf-8')\n" + _ENC_BYTES,
+        _DEC_SPAN + "{v} = data[pos:end].decode('utf-8')\npos = end",
+    ),
+    # A depositor or store name: every memo from one process holds the
+    # same ``str``.  No table to bound — an interned string dies with its
+    # last reference.
+    "name": (
+        "v = v.encode('utf-8')\n" + _ENC_BYTES,
+        _DEC_SPAN + "{v} = _intern(data[pos:end].decode('utf-8'))\npos = end",
+    ),
+    "bool": (
+        "out.append(1 if v else 0)",
+        "{v} = data[pos]\npos += 1\nif {v} > 1:\n    raise _bad_bool({v})\n{v} = {v} == 1",
+    ),
+}
+for _kind in (
+    "folder", "opt_folder", "folder_tuple", "str_tuple", "bytes_tuple",
+    "server_pairs", "float_dict", "link_dict", "tlv",
+):
+    _KINDS[_kind] = (f"_w_{_kind}(out, v)", f"{{v}}, pos = _r_{_kind}(data, pos)")
+del _kind
+
+
+def _indent(statement: str) -> str:
+    return "".join(f"        {line}\n" for line in statement.splitlines())
+
+
+def _compile(cls: type, fields: tuple) -> tuple[Callable, Callable]:
+    """Generate ``enc(msg, out)`` and ``dec(data, pos)`` for *cls*.
+
+    The source is registered with :mod:`linecache` under
+    ``<compact ClassName>``, so tracebacks and ``tracemalloc`` show the
+    generated line.
+    """
+    enc = dec = ""
+    names = []
+    for i, (attr, kind) in enumerate(fields):
+        write, read = _KINDS[kind]
+        enc += _indent(f"v = msg.{attr}\n{write}")
+        dec += _indent(read.format(v=f"f{i}"))
+        names.append(f"f{i}")
+    src = (
+        "def _make(_cls):\n"
+        "    def enc(msg, out):\n"
+        f"{enc or '        pass'}\n"
+        "    def dec(data, pos):\n"
+        "        n = len(data)\n"
+        f"{dec}"
+        "        if pos != n:\n"
+        "            raise _trailing(n - pos, _cls)\n"
+        f"        return _cls({', '.join(names)})\n"
+        "    return enc, dec\n"
+    )
+    filename = f"<compact {cls.__qualname__}>"
+    linecache.cache[filename] = (len(src), None, src.splitlines(True), filename)
+    namespace: dict = {}
+    exec(compile(src, filename, "exec"), globals(), namespace)
+    return namespace["_make"](cls)
+
+
+def _trailing(count: int, cls: type) -> DecodingError:
+    return DecodingError(
+        f"{count} trailing bytes after compact {cls.__qualname__}"
+    )
+
+
+_intern = sys.intern
 
 
 class _Spec:
-    __slots__ = ("cls", "tag", "writers", "readers")
+    """A registered message: its frame headers and compiled functions."""
+
+    __slots__ = ("cls", "plain", "correlated", "enc", "dec")
 
     def __init__(self, cls: type, tag: int, fields: tuple) -> None:
         self.cls = cls
-        self.tag = tag
-        self.writers = tuple((name, _WRITERS[kind]) for name, kind in fields)
-        self.readers = tuple(_READERS[kind] for _name, kind in fields)
+        self.plain = _HEADER + bytes((tag,))
+        self.correlated = _HEADER_CORR + bytes((tag,))
+        self.enc, self.dec = _compile(cls, fields)
 
 
 _SPECS_BY_TYPE: dict[type, _Spec] = {}
@@ -477,14 +532,14 @@ _SPECS_BY_TAG: dict[int, _Spec] = {}
 def register_compact(
     cls: type, tag: int, fields: tuple[tuple[str, str], ...]
 ) -> None:
-    """Register a positional compact encoding for *cls*.
+    """Register a positional compact encoding for *cls* and compile it.
 
     Args:
         cls: a frozen dataclass; *fields* must name its init fields in
             declaration order (the decoder constructs ``cls(*values)``).
         tag: unique 1-byte message type tag.
         fields: ``(attribute_name, kind)`` pairs; kinds are the primitive
-            names in the module docstring.
+            names in the module docstring, the keys of :data:`_KINDS`.
     """
     if not 0 <= tag <= 0xFF:
         raise EncodingError(f"compact tag must fit one byte, got {tag}")
@@ -518,6 +573,10 @@ def encode_message(msg: object, corr_id: int | None = None) -> bytes:
             carrying this id between the tag and the body.  Only types
             with a compact spec can carry an id (the TLV framing has no
             slot for one — by design, so id-less streams stay id-less).
+
+    Raises:
+        EncodingError: a uint field or *corr_id* outside ``[0, 2**64)``,
+            or a correlation id on a type without a compact spec.
     """
     spec = _SPECS_BY_TYPE.get(type(msg))
     if spec is None:
@@ -528,16 +587,11 @@ def encode_message(msg: object, corr_id: int | None = None) -> bytes:
             )
         return _tlv.encode(msg)
     if corr_id is None:
-        out = bytearray(_HEADER)
-        out.append(spec.tag)
+        out = bytearray(spec.plain)
     else:
-        if corr_id < 0:
-            raise EncodingError(f"correlation id must be >= 0, got {corr_id}")
-        out = bytearray(_HEADER_CORR)
-        out.append(spec.tag)
-        _w_uv(out, corr_id)
-    for name, write in spec.writers:
-        write(out, getattr(msg, name))
+        out = bytearray(spec.correlated)
+        _w_uint(out, corr_id)
+    spec.enc(msg, out)
     return bytes(out)
 
 
@@ -549,7 +603,7 @@ def encode_correlated_burst(pairs) -> list[bytes]:
     of replies completed together is dominated by identical acknowledgement
     singletons, whose bytes differ only in the correlation id.
     """
-    body_cache: dict[int, tuple[int, bytes]] = {}
+    body_cache: dict[int, tuple[bytes, bytes]] = {}
     frames: list[bytes] = []
     for msg, corr_id in pairs:
         cached = body_cache.get(id(msg))
@@ -561,14 +615,11 @@ def encode_correlated_burst(pairs) -> list[bytes]:
                     f"cannot ride a correlated burst"
                 )
             body = bytearray()
-            for name, write in spec.writers:
-                write(body, getattr(msg, name))
-            cached = (spec.tag, bytes(body))
-            body_cache[id(msg)] = cached
-        tag, body_bytes = cached
-        out = bytearray(_HEADER_CORR)
-        out.append(tag)
-        _w_uv(out, corr_id)
+            spec.enc(msg, body)
+            cached = body_cache[id(msg)] = (spec.correlated, bytes(body))
+        head, body_bytes = cached
+        out = bytearray(head)
+        _w_uint(out, corr_id)
         out += body_bytes
         frames.append(bytes(out))
     return frames
@@ -591,25 +642,10 @@ def split_correlated(data: bytes) -> tuple[int, bytes] | None:
         or data[2] != CORRELATED_VERSION
     ):
         return None
-    pos = 4
-    b = data[pos]
-    if b < 0x80:
-        corr_id = b
-        pos += 1
-    else:
-        corr_id = 0
-        shift = 0
-        while True:
-            if pos >= len(data):
-                return None
-            b = data[pos]
-            pos += 1
-            corr_id |= (b & 0x7F) << shift
-            if not b & 0x80:
-                break
-            shift += 7
-            if shift > 63:
-                return None
+    try:
+        corr_id, pos = _r_uv(data, 4)
+    except (IndexError, DecodingError):
+        return None
     return corr_id, data[3:4] + data[pos:]
 
 
@@ -626,10 +662,11 @@ def decode_message(data: bytes | memoryview) -> object:
 def decode_tagged(data: bytes | memoryview) -> tuple[object, int | None]:
     """Decode one message plus its correlation id, if any.
 
-    ``b"DC"`` frames take the compact path; ``b"DM"`` frames are full TLV
-    streams (seed peers, memo payloads used as messages in tests).  The
-    compact path re-runs each dataclass's own validation, so hostile bytes
-    cannot construct a message an honest sender could not have built.
+    ``b"DC"`` frames take the compact path: one call of the tag's
+    compiled decoder.  ``b"DM"`` frames are full TLV streams (seed peers,
+    memo payloads used as messages in tests).  The compact path constructs
+    each message through its dataclass, so its validation runs and hostile
+    bytes cannot build a message an honest sender could not have built.
 
     Returns:
         ``(message, corr_id)``; *corr_id* is None for version-1 compact
@@ -637,40 +674,43 @@ def decode_tagged(data: bytes | memoryview) -> tuple[object, int | None]:
 
     Raises:
         DecodingError: unknown magic, unknown tag or version, truncated or
-            trailing bytes, or field values the message type rejects.
+            trailing bytes, bad UTF-8, or field values the message type
+            rejects.
     """
-    view = memoryview(data)
-    magic = bytes(view[:2])
-    if magic == _tlv.MAGIC:
-        return _tlv.decode(view), None
+    if type(data) is not bytes:
+        data = bytes(data)
+    magic = data[:2]
     if magic != COMPACT_MAGIC:
+        if magic == _tlv.MAGIC:
+            return _tlv.decode(data), None
         raise DecodingError(
             f"bad magic {magic!r}: neither a compact nor a TLV frame"
         )
-    if len(view) < 4:
+    if len(data) < 4:
         raise DecodingError("truncated compact frame: missing header")
-    version = view[2]
+    version = data[2]
     if version not in (COMPACT_VERSION, CORRELATED_VERSION):
         raise DecodingError(f"unsupported compact version {version}")
-    spec = _SPECS_BY_TAG.get(view[3])
+    spec = _SPECS_BY_TAG.get(data[3])
     if spec is None:
-        raise DecodingError(f"unknown compact message tag {view[3]:#x}")
-    r = _Reader(view, 4)
+        raise DecodingError(f"unknown compact message tag {data[3]:#x}")
     try:
-        # Field readers construct Key/Symbol/FolderName eagerly, so their
-        # validation errors must convert here too, not only the final
-        # dataclass construction's.
-        corr_id = r.uv() if version == CORRELATED_VERSION else None
-        values = [read(r) for read in spec.readers]
-        if not r.at_end():
-            raise DecodingError(
-                f"{len(view) - r.pos} trailing bytes after compact "
-                f"{spec.cls.__qualname__}"
-            )
-        return spec.cls(*values), corr_id
+        if version == COMPACT_VERSION:
+            corr_id, pos = None, 4
+        else:
+            corr_id, pos = _r_uv(data, 4)
+        return spec.dec(data, pos), corr_id
+    except IndexError:
+        raise DecodingError(
+            f"truncated compact {spec.cls.__qualname__} frame"
+        ) from None
+    except UnicodeDecodeError as exc:
+        raise DecodingError("invalid UTF-8 in compact frame") from exc
     except DecodingError:
         raise
     except MemoError as exc:
+        # Folder readers construct Key/Symbol/FolderName eagerly, so their
+        # validation errors convert here as well as the message's own.
         raise DecodingError(
             f"compact {spec.cls.__qualname__} failed validation: {exc}"
         ) from exc

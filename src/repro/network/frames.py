@@ -13,9 +13,14 @@ channels: every message becomes one frame::
     payload
 
 Fragmentation support: a payload larger than *max_fragment* is split into
-continuation frames (flag bit set on all but the last); :func:`read_frame`
+continuation frames (flag bit set on all but the last); :func:`parse_frame`
 reassembles transparently.  The fragmentation bench (ABL2) measures the
 amortization claim.
+
+:func:`parse_frame` is the one frame parser.  It runs over whatever bytes
+a reader has buffered and says whether they hold a whole payload yet, so
+a byte-stream transport reads as much as the kernel has and hands every
+complete payload back without another read.
 """
 
 from __future__ import annotations
@@ -24,7 +29,7 @@ import struct
 import zlib
 from typing import Callable
 
-from repro.errors import ConnectionClosedError, FrameError
+from repro.errors import FrameError
 
 __all__ = [
     "MAGIC",
@@ -32,7 +37,7 @@ __all__ = [
     "frame_overhead",
     "encode_frames",
     "write_frame",
-    "read_frame",
+    "parse_frame",
 ]
 
 MAGIC = b"MF"
@@ -52,9 +57,9 @@ def encode_frames(payload: bytes, max_fragment: int = DEFAULT_MAX_FRAGMENT) -> l
     """Split *payload* into one or more wire-ready frames."""
     if max_fragment <= 0:
         raise FrameError(f"max_fragment must be positive, got {max_fragment}")
+    if len(payload) <= max_fragment:  # the common case: one frame
+        return [HEADER.pack(MAGIC, 0, len(payload), zlib.crc32(payload)) + payload]
     pieces = [payload[i : i + max_fragment] for i in range(0, len(payload), max_fragment)]
-    if not pieces:
-        pieces = [b""]
     frames = []
     for i, piece in enumerate(pieces):
         flags = FLAG_MORE if i < len(pieces) - 1 else 0
@@ -79,31 +84,37 @@ def write_frame(
     return total
 
 
-def read_frame(recv_exact: Callable[[int], bytes]) -> bytes:
-    """Read one logical payload, reassembling fragments.
+def parse_frame(buf: bytes | bytearray) -> tuple[bytes, int] | None:
+    """The logical payload at the start of *buf*, reassembling fragments.
 
-    Args:
-        recv_exact: callable returning exactly N bytes or raising
-            :class:`ConnectionClosedError`.
+    Returns:
+        ``(payload, end)``, *end* being the offset just past the payload's
+        last fragment, or None while *buf* does not yet hold every
+        fragment.  Each header is checked as soon as it is buffered, each
+        checksum once its whole payload is.
 
     Raises:
-        FrameError: bad magic, length, or checksum.
-        ConnectionClosedError: the stream ended mid-frame.
+        FrameError: bad magic or checksum.
     """
-    chunks: list[bytes] = []
+    spans = []
+    end = 0
     while True:
-        header = recv_exact(HEADER.size)
-        if len(header) != HEADER.size:
-            raise ConnectionClosedError("stream ended inside a frame header")
-        magic, flags, length, crc = HEADER.unpack(header)
+        if end + HEADER.size > len(buf):
+            return None
+        magic, flags, length, crc = HEADER.unpack_from(buf, end)
         if magic != MAGIC:
             raise FrameError(f"bad frame magic {magic!r}")
-        payload = recv_exact(length) if length else b""
-        if len(payload) != length:
-            raise ConnectionClosedError("stream ended inside a frame payload")
-        if zlib.crc32(payload) != crc:
-            raise FrameError("frame checksum mismatch")
-        chunks.append(payload)
+        start = end + HEADER.size
+        end = start + length
+        if end > len(buf):
+            return None
+        spans.append((start, end, crc))
         if not flags & FLAG_MORE:
             break
-    return b"".join(chunks)
+    pieces = []
+    for start, stop, crc in spans:
+        piece = bytes(buf[start:stop])
+        if zlib.crc32(piece) != crc:
+            raise FrameError("frame checksum mismatch")
+        pieces.append(piece)
+    return (pieces[0] if len(pieces) == 1 else b"".join(pieces)), end

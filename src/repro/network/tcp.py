@@ -12,27 +12,41 @@ import select
 import socket
 import threading
 
-from repro.errors import CommunicationError, ConnectionClosedError
+from repro.errors import CommunicationError, ConnectionClosedError, FrameError
 from repro.network.connection import Address, Connection, Listener, Transport
-from repro.network.frames import read_frame, write_frame
+from repro.network.frames import parse_frame, write_frame
 
 __all__ = ["TCPTransport", "TCPConnection", "TCPListener", "bind_loopback"]
+
+
+#: Most bytes one read takes from the socket.
+_READ_SIZE = 64 * 1024
 
 
 class TCPConnection(Connection):
     """A framed message channel over one TCP socket.
 
-    The ``recv`` timeout is a *poll* timeout: it applies only until the
-    first byte of a frame arrives.  Once a frame has started, the read is
-    committed — a server poll loop (e.g. the memo server's 0.5 s shutdown
-    check) timing out mid-frame must not abandon the partial bytes, or
-    the next ``recv`` would start decoding from the middle of the stream
-    and hand the peer garbage.  A started frame is drained with its own
-    budget (:data:`drain_timeout` per chunk); a peer that stalls past it
-    gets the connection *failed*, never desynced.
+    Reads are buffered: ``recv`` first parses a whole frame out of the
+    bytes already read (:func:`~repro.network.frames.parse_frame`), and
+    only when none is there does it select and read up to 64 KiB in one
+    call — so a burst of frames that arrived together costs one read, and
+    a frame already buffered is returned even by a zero poll timeout.
+    ``send`` tries each frame once without blocking and selects for
+    writability only when the kernel pushes back (a partial send or
+    ``EAGAIN``).
+
+    The ``recv`` timeout is a *poll* timeout: it applies only while no
+    byte of the next frame is buffered.  Once a frame has started, the
+    read is committed — a server poll loop (e.g. the memo server's 0.5 s
+    shutdown check) timing out mid-frame must not abandon the partial
+    bytes, or the next ``recv`` would start decoding from the middle of
+    the stream and hand the peer garbage.  A started frame is drained
+    with its own budget (:data:`drain_timeout` per read); a peer that
+    stalls past it gets the connection *failed*, never desynced.  So does
+    a bad frame: after one, the buffer can no longer be trusted.
     """
 
-    #: Per-chunk budget for finishing a frame whose first byte arrived.
+    #: Per-read budget for finishing a frame whose first byte arrived.
     drain_timeout = 5.0
 
     #: Per-chunk budget for a send making progress.  A peer that stops
@@ -45,6 +59,7 @@ class TCPConnection(Connection):
         self._sock = sock
         self._send_lock = threading.Lock()
         self._recv_lock = threading.Lock()
+        self._buf = bytearray()  # read, not yet returned; guarded by _recv_lock
         self._closed = False
         sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
 
@@ -64,10 +79,15 @@ class TCPConnection(Connection):
         except OSError:
             pass
 
-    def _bounded_sendall(self, data: bytes) -> None:
-        # The socket stays blocking (see recv for why settimeout is
-        # banned); the bound comes from a writability select per chunk.
-        view = memoryview(data)
+    def _send_frame(self, frame: bytes) -> None:
+        # The socket stays blocking (see _read_frame for why settimeout
+        # is banned): one non-blocking try, then the bound comes from a
+        # writability select per chunk.
+        try:
+            sent = self._sock.send(frame, socket.MSG_DONTWAIT)
+        except BlockingIOError:
+            sent = 0
+        view = memoryview(frame)[sent:]
         while view:
             try:
                 _, ready, _ = select.select([], [self._sock], [], self.send_timeout)
@@ -86,7 +106,7 @@ class TCPConnection(Connection):
             raise ConnectionClosedError("send on closed connection")
         try:
             with self._send_lock:
-                write_frame(self._bounded_sendall, payload)
+                write_frame(self._send_frame, payload)
         except OSError as exc:
             self._closed = True
             raise ConnectionClosedError(f"socket send failed: {exc}") from exc
@@ -98,55 +118,54 @@ class TCPConnection(Connection):
         if self._closed:
             raise ConnectionClosedError("recv on closed connection")
         with self._recv_lock:
-            started = False
-
-            def recv_exact(n: int) -> bytes:
-                # Timeouts are implemented with select, never settimeout:
-                # a socket timeout is socket-wide, and a pipelined session
-                # recv-polls on this thread while worker threads send on
-                # the same socket — a reader poll deadline must not be
-                # able to time out (and half-write) a concurrent sendall.
-                nonlocal started
-                chunks = []
-                remaining = n
-                while remaining:
-                    wait = timeout if not started else self.drain_timeout
-                    try:
-                        ready, _, _ = select.select([self._sock], [], [], wait)
-                    except (OSError, ValueError) as exc:
-                        raise ConnectionClosedError(
-                            f"socket recv failed: {exc}"
-                        ) from exc
-                    if not ready:
-                        if not started:
-                            # Clean poll timeout: the stream is untouched.
-                            raise TimeoutError("recv timed out")
-                        # Mid-frame stall past the drain budget: the
-                        # stream position is no longer knowable, so the
-                        # connection must die — failing cleanly beats
-                        # leaving the peer to decode garbage.
-                        self._abandon()
-                        raise ConnectionClosedError(
-                            "peer stalled mid-frame; connection abandoned"
-                        )
-                    try:
-                        chunk = self._sock.recv(remaining)
-                    except OSError as exc:
-                        raise ConnectionClosedError(
-                            f"socket recv failed: {exc}"
-                        ) from exc
-                    if not chunk:
-                        raise ConnectionClosedError("peer closed the connection")
-                    started = True
-                    chunks.append(chunk)
-                    remaining -= len(chunk)
-                return b"".join(chunks)
-
             try:
-                return read_frame(recv_exact)
+                return self._read_frame(timeout)
+            except FrameError:
+                self._abandon()
+                raise
             except ConnectionClosedError:
                 self._closed = True
                 raise
+
+    def _read_frame(self, timeout: float | None) -> bytes:
+        buf = self._buf
+        while True:
+            frame = parse_frame(buf)
+            if frame is not None:
+                payload, end = frame
+                del buf[:end]  # O(1): a bytearray drops its head in place
+                return payload
+            # Timeouts are implemented with select, never settimeout: a
+            # socket timeout is socket-wide, and a pipelined session
+            # recv-polls on this thread while worker threads send on the
+            # same socket — a reader poll deadline must not be able to
+            # time out (and half-write) a concurrent send.
+            started = bool(buf)
+            try:
+                ready, _, _ = select.select(
+                    [self._sock], [], [], self.drain_timeout if started else timeout
+                )
+            except (OSError, ValueError) as exc:
+                raise ConnectionClosedError(f"socket recv failed: {exc}") from exc
+            if not ready:
+                if not started:
+                    # Clean poll timeout: the stream is untouched.
+                    raise TimeoutError("recv timed out")
+                # Mid-frame stall past the drain budget: the stream
+                # position is no longer knowable, so the connection must
+                # die — failing cleanly beats leaving the peer to decode
+                # garbage.
+                self._abandon()
+                raise ConnectionClosedError(
+                    "peer stalled mid-frame; connection abandoned"
+                )
+            try:
+                chunk = self._sock.recv(_READ_SIZE)
+            except OSError as exc:
+                raise ConnectionClosedError(f"socket recv failed: {exc}") from exc
+            if not chunk:
+                raise ConnectionClosedError("peer closed the connection")
+            buf += chunk
 
     def close(self) -> None:
         if not self._closed:
@@ -155,7 +174,7 @@ class TCPConnection(Connection):
                 self._sock.shutdown(socket.SHUT_RDWR)
             except OSError:
                 pass
-            self._sock.close()
+        self._sock.close()  # also after a failure, which kept the fd
 
     @property
     def closed(self) -> bool:

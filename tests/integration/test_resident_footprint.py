@@ -9,6 +9,7 @@ where a four-slot object is 64 B and an 18-byte ``bytes`` 51 B.
 
 import gc
 import inspect
+import linecache
 import sys
 import tracemalloc
 
@@ -45,6 +46,15 @@ def tracing():
 def _lines(func) -> range:
     source, first = inspect.getsourcelines(func)
     return range(first, first + len(source))
+
+
+def _decoding_lines(filename: str) -> set[int]:
+    """Lines of a compiled spec that decode a ``str`` or ``name`` field."""
+    return {
+        number
+        for number, line in enumerate(linecache.getlines(filename), 1)
+        if ".decode(" in line
+    }
 
 
 def test_resident_memo_is_record_payload_and_list_slot(cluster, tracing):
@@ -84,8 +94,17 @@ def test_resident_memo_is_record_payload_and_list_slot(cluster, tracing):
     # module (the record itself is charged to the line that constructs
     # it), and the depositor's name is not a fresh ``str`` per memo.
     assert per_memo(memo_module.__file__) < 1
-    readers = (codec._Reader.r_str, codec._Reader.r_name)
-    assert sum(per_memo(codec.__file__, _lines(f)) for f in readers) < 1
+    # The put decoder ran here (its payload line holds each memo's bytes),
+    # and no line that decodes a ``str`` or a ``name`` field — in any
+    # compiled decoder or in the helper behind folder fields — keeps one.
+    assert per_memo("<compact PutRequest>") > 40
+    compiled = {d.traceback[0].filename for d in diff} & {
+        f"<compact {spec.cls.__qualname__}>" for spec in codec._SPECS_BY_TAG.values()
+    }
+    text = sum(
+        per_memo(f, _decoding_lines(f)) for f in compiled
+    ) + per_memo(codec.__file__, _lines(codec._r_str))
+    assert text < 1
 
 
 def test_distinct_depositor_names_are_not_kept(cluster):

@@ -1,9 +1,12 @@
 """Compact codec: cross-codec round-trips, back-compat, frame rejection."""
 
+import linecache
+import traceback
+
 import pytest
 
 from repro.core.keys import FolderName, Key, Symbol
-from repro.errors import DecodingError, ProtocolError
+from repro.errors import DecodingError, EncodingError, ProtocolError
 from repro.network import codec as c
 from repro.network.codec import (
     COMPACT_MAGIC,
@@ -19,6 +22,7 @@ from repro.durability.records import (
     WalPut,
 )
 from repro.network.protocol import (
+    BurstEnvelope,
     CancelWaitRequest,
     DeltaSyncPull,
     ForwardEnvelope,
@@ -28,6 +32,7 @@ from repro.network.protocol import (
     Heartbeat,
     MemoReady,
     MigrateRequest,
+    PipelineBatch,
     PutDelayedRequest,
     PutRequest,
     RegisterRequest,
@@ -540,3 +545,347 @@ class TestFramesWrittenByTheParentCommit:
         assert first[0].origin is second[0].origin
         if hasattr(msg, "src_sid"):
             assert first[0].src_sid is second[0].src_sid
+
+
+_WIDE = FolderName("é", Key(Symbol("s"), (0, 127, 128, (1 << 64) - 1)))
+
+# One sample of every registered tag, and its frames as commit c5f5d5f (the
+# last generic field-by-field codec) encoded them: version 1, then version
+# 2 with a one-byte (5) and a two-byte (300) correlation id.  WAL records
+# are on the list, so a log written before the compiled codec replays
+# after it.
+GOLDEN_FRAMES = [
+    (
+        PutRequest(_JAR, b"\x01\x02", "worker-é"),
+        "4443010103617070036a61720207ac0202010209776f726b65722dc3a9",
+        "444302010503617070036a61720207ac0202010209776f726b65722dc3a9",
+        "44430201ac0203617070036a61720207ac0202010209776f726b65722dc3a9",
+    ),
+    (
+        PutDelayedRequest(_JAR, _OUT, b"late", "ж-proc"),
+        "4443010203617070036a61720207ac0203617070036f757400046c61746507d0"
+        "b62d70726f63",
+        "444302020503617070036a61720207ac0203617070036f757400046c61746507"
+        "d0b62d70726f63",
+        "44430202ac0203617070036a61720207ac0203617070036f757400046c617465"
+        "07d0b62d70726f63",
+    ),
+    (
+        GetRequest(_WIDE, "copy", "p"),
+        "4443010302c3a9017304007f8001ffffffffffffffffff0104636f70790170",
+        "444302030502c3a9017304007f8001ffffffffffffffffff0104636f70790170",
+        "44430203ac0202c3a9017304007f8001ffffffffffffffffff0104636f707901"
+        "70",
+    ),
+    (
+        GetAltSkipRequest((_JAR, _OUT, _WIDE), "p"),
+        "444301040303617070036a61720207ac0203617070036f75740002c3a9017304"
+        "007f8001ffffffffffffffffff010170",
+        "44430204050303617070036a61720207ac0203617070036f75740002c3a90173"
+        "04007f8001ffffffffffffffffff010170",
+        "44430204ac020303617070036a61720207ac0203617070036f75740002c3a901"
+        "7304007f8001ffffffffffffffffff010170",
+    ),
+    (
+        RegisterRequest("inv", {"h1": {"h2": 1.0, "h3": 0.25}, "h2": {"h1": 1.0}}, {"h1": 1.0, "h2": 2.5},
+        (("0", "h1"), ("1", "h2")), 2),
+        "4443010503696e7602026831020268323ff00000000000000268333fd0000000"
+        "000000026832010268313ff0000000000000020268313ff00000000000000268"
+        "324004000000000000020130026831013102683202",
+        "444302050503696e7602026831020268323ff00000000000000268333fd00000"
+        "00000000026832010268313ff0000000000000020268313ff000000000000002"
+        "68324004000000000000020130026831013102683202",
+        "44430205ac0203696e7602026831020268323ff00000000000000268333fd000"
+        "0000000000026832010268313ff0000000000000020268313ff0000000000000"
+        "0268324004000000000000020130026831013102683202",
+    ),
+    (
+        MigrateRequest("inv", "p"),
+        "4443010603696e760170",
+        "444302060503696e760170",
+        "44430206ac0203696e760170",
+    ),
+    (
+        ReplicatePut("app", _JAR, b"copy", "worker-é", True, _OUT, "s-é", 1 << 41),
+        "444301070361707003617070036a61720207ac0204636f707909776f726b6572"
+        "2dc3a9010103617070036f75740004732dc3a9808080808040",
+        "44430207050361707003617070036a61720207ac0204636f707909776f726b65"
+        "722dc3a9010103617070036f75740004732dc3a9808080808040",
+        "44430207ac020361707003617070036a61720207ac0204636f707909776f726b"
+        "65722dc3a9010103617070036f75740004732dc3a9808080808040",
+    ),
+    (
+        Heartbeat("h1", "p"),
+        "444301080268310170",
+        "44430208050268310170",
+        "44430208ac020268310170",
+    ),
+    (
+        StatsRequest("p"),
+        "4443010a0170",
+        "4443020a050170",
+        "4443020aac020170",
+    ),
+    (
+        ShutdownRequest(""),
+        "4443010b00",
+        "4443020b0500",
+        "4443020bac0200",
+    ),
+    (
+        ForwardEnvelope("app", "h2", b"inner", ("h1", "h3")),
+        "4443010c0361707002683205696e6e657202026831026833",
+        "4443020c050361707002683205696e6e657202026831026833",
+        "4443020cac020361707002683205696e6e657202026831026833",
+    ),
+    (
+        Reply(True, True, b"\x00\xff", _OUT, "", {"puts": 3, "rate": 1.5, "name": "x", "up": True}),
+        "4443010d01010200ff0103617070036f7574000069444d010000000900000000"
+        "2400000004000000010000000200000003000000040000000500000006000000"
+        "0700000008040000000470757473020000000103040000000472617465033ff8"
+        "00000000000004000000046e616d65040000000178040000000275700101",
+        "4443020d0501010200ff0103617070036f7574000069444d0100000009000000"
+        "0024000000040000000100000002000000030000000400000005000000060000"
+        "000700000008040000000470757473020000000103040000000472617465033f"
+        "f800000000000004000000046e616d65040000000178040000000275700101",
+        "4443020dac0201010200ff0103617070036f7574000069444d01000000090000"
+        "0000240000000400000001000000020000000300000004000000050000000600"
+        "0000070000000804000000047075747302000000010304000000047261746503"
+        "3ff800000000000004000000046e616d65040000000178040000000275700101",
+    ),
+    (
+        PipelineBatch((b"DC\x01\x0a\x00", b"", b"z" * 130)),
+        "4443010e03054443010a000082017a7a7a7a7a7a7a7a7a7a7a7a7a7a7a7a7a7a"
+        "7a7a7a7a7a7a7a7a7a7a7a7a7a7a7a7a7a7a7a7a7a7a7a7a7a7a7a7a7a7a7a7a"
+        "7a7a7a7a7a7a7a7a7a7a7a7a7a7a7a7a7a7a7a7a7a7a7a7a7a7a7a7a7a7a7a7a"
+        "7a7a7a7a7a7a7a7a7a7a7a7a7a7a7a7a7a7a7a7a7a7a7a7a7a7a7a7a7a7a7a7a"
+        "7a7a7a7a7a7a7a7a7a7a7a7a7a7a7a7a",
+        "4443020e0503054443010a000082017a7a7a7a7a7a7a7a7a7a7a7a7a7a7a7a7a"
+        "7a7a7a7a7a7a7a7a7a7a7a7a7a7a7a7a7a7a7a7a7a7a7a7a7a7a7a7a7a7a7a7a"
+        "7a7a7a7a7a7a7a7a7a7a7a7a7a7a7a7a7a7a7a7a7a7a7a7a7a7a7a7a7a7a7a7a"
+        "7a7a7a7a7a7a7a7a7a7a7a7a7a7a7a7a7a7a7a7a7a7a7a7a7a7a7a7a7a7a7a7a"
+        "7a7a7a7a7a7a7a7a7a7a7a7a7a7a7a7a7a",
+        "4443020eac0203054443010a000082017a7a7a7a7a7a7a7a7a7a7a7a7a7a7a7a"
+        "7a7a7a7a7a7a7a7a7a7a7a7a7a7a7a7a7a7a7a7a7a7a7a7a7a7a7a7a7a7a7a7a"
+        "7a7a7a7a7a7a7a7a7a7a7a7a7a7a7a7a7a7a7a7a7a7a7a7a7a7a7a7a7a7a7a7a"
+        "7a7a7a7a7a7a7a7a7a7a7a7a7a7a7a7a7a7a7a7a7a7a7a7a7a7a7a7a7a7a7a7a"
+        "7a7a7a7a7a7a7a7a7a7a7a7a7a7a7a7a7a7a",
+    ),
+    (
+        BurstEnvelope("app", "h3", (b"a", b"bc"), ("h1",)),
+        "4443010f0361707002683302016102626301026831",
+        "4443020f050361707002683302016102626301026831",
+        "4443020fac020361707002683302016102626301026831",
+    ),
+    (
+        GetWaitRequest(_JAR, "copy", (1 << 63) + 5, "p"),
+        "4443011003617070036a61720207ac0204636f70798580808080808080800101"
+        "70",
+        "444302100503617070036a61720207ac0204636f707985808080808080808001"
+        "0170",
+        "44430210ac0203617070036a61720207ac0204636f7079858080808080808080"
+        "010170",
+    ),
+    (
+        MemoReady(300, _JAR, b"pp"),
+        "44430111ac0203617070036a61720207ac02027070",
+        "4443021105ac0203617070036a61720207ac02027070",
+        "44430211ac02ac0203617070036a61720207ac02027070",
+    ),
+    (
+        WaitCancelled(77, "shutdown: gone"),
+        "444301124d0e73687574646f776e3a20676f6e65",
+        "44430212054d0e73687574646f776e3a20676f6e65",
+        "44430212ac024d0e73687574646f776e3a20676f6e65",
+    ),
+    (
+        CancelWaitRequest(1 << 20, "p"),
+        "444301138080400170",
+        "44430213058080400170",
+        "44430213ac028080400170",
+    ),
+    (
+        DeltaSyncPull("app", "h2", {"0": 12, "1": 1 << 40}, {"2": 3}, {}, "h2"),
+        "44430114036170700268323d444d010000000500000000240000000200000001"
+        "00000002000000030000000404000000013002000000010c0400000001310200"
+        "00000601000000000024444d0100000003000000002400000001000000010000"
+        "000204000000013202000000010300026832",
+        "4443021405036170700268323d444d0100000005000000002400000002000000"
+        "0100000002000000030000000404000000013002000000010c04000000013102"
+        "0000000601000000000024444d01000000030000000024000000010000000100"
+        "00000204000000013202000000010300026832",
+        "44430214ac02036170700268323d444d01000000050000000024000000020000"
+        "000100000002000000030000000404000000013002000000010c040000000131"
+        "020000000601000000000024444d010000000300000000240000000100000001"
+        "0000000204000000013202000000010300026832",
+    ),
+    (
+        WalPut(_JAR, b"m1", "worker-é", "s-é", 1 << 41),
+        "4443011503617070036a61720207ac02026d3109776f726b65722dc3a904732d"
+        "c3a9808080808040",
+        "444302150503617070036a61720207ac02026d3109776f726b65722dc3a90473"
+        "2dc3a9808080808040",
+        "44430215ac0203617070036a61720207ac02026d3109776f726b65722dc3a904"
+        "732dc3a9808080808040",
+    ),
+    (
+        WalConsume(_WIDE, (1 << 64) - 1, True),
+        "4443011602c3a9017304007f8001ffffffffffffffffff01ffffffffffffffff"
+        "ff0101",
+        "444302160502c3a9017304007f8001ffffffffffffffffff01ffffffffffffff"
+        "ffff0101",
+        "44430216ac0202c3a9017304007f8001ffffffffffffffffff01ffffffffffff"
+        "ffffff0101",
+    ),
+    (
+        WalDelayed(_JAR, _OUT, b"late", "ж-proc", "s0", 12),
+        "4443011703617070036a61720207ac0203617070036f757400046c61746507d0"
+        "b62d70726f630273300c",
+        "444302170503617070036a61720207ac0203617070036f757400046c61746507"
+        "d0b62d70726f630273300c",
+        "44430217ac0203617070036a61720207ac0203617070036f757400046c617465"
+        "07d0b62d70726f630273300c",
+    ),
+    (
+        WalDelayedClear(_OUT),
+        "4443011803617070036f757400",
+        "444302180503617070036f757400",
+        "44430218ac0203617070036f757400",
+    ),
+    (
+        WalFolderDrop(_WIDE),
+        "4443011902c3a9017304007f8001ffffffffffffffffff01",
+        "444302190502c3a9017304007f8001ffffffffffffffffff01",
+        "44430219ac0202c3a9017304007f8001ffffffffffffffffff01",
+    ),
+    (
+        ResyncRequest(("app", "inv"), "cluster"),
+        "4443011b020361707003696e7607636c7573746572",
+        "4443021b05020361707003696e7607636c7573746572",
+        "4443021bac02020361707003696e7607636c7573746572",
+    ),
+]
+
+
+
+class TestGoldenFrames:
+    """The compiled specs moved not one wire or WAL byte."""
+
+    def test_every_registered_tag_has_a_sample(self):
+        sampled = [type(sample[0]) for sample in GOLDEN_FRAMES]
+        assert sorted(sampled, key=lambda t: t.__name__) == sorted(
+            (spec.cls for spec in c._SPECS_BY_TAG.values()), key=lambda t: t.__name__
+        )
+
+    @pytest.mark.parametrize(
+        "msg, v1, v2_short, v2_long",
+        GOLDEN_FRAMES,
+        ids=[type(sample[0]).__name__ for sample in GOLDEN_FRAMES],
+    )
+    def test_same_bytes_both_ways(self, msg, v1, v2_short, v2_long):
+        for corr_id, frame in ((None, v1), (5, v2_short), (300, v2_long)):
+            data = bytes.fromhex(frame)
+            assert encode_message(msg, corr_id) == data
+            assert c.decode_tagged(data) == (msg, corr_id)
+            assert c.decode_tagged(memoryview(data)) == (msg, corr_id)
+        assert c.encode_correlated_burst([(msg, 5), (msg, 300)]) == [
+            bytes.fromhex(v2_short),
+            bytes.fromhex(v2_long),
+        ]
+
+    @pytest.mark.parametrize(
+        "msg, v1, v2_short, v2_long",
+        GOLDEN_FRAMES,
+        ids=[type(sample[0]).__name__ for sample in GOLDEN_FRAMES],
+    )
+    def test_every_cut_reports_truncation(self, msg, v1, v2_short, v2_long):
+        """Past-the-end indexing and past-the-end lengths both read as
+        truncation, not as trailing bytes, a short field or an IndexError."""
+        for frame in (v1, v2_long):
+            data = bytes.fromhex(frame)
+            for cut in range(4, len(data)):
+                with pytest.raises(DecodingError, match="truncated"):
+                    c.decode_tagged(data[:cut])
+
+
+class TestCompiledChecks:
+    """Each check the compiled decoders keep, pinned by its own message."""
+
+    def test_varint_past_64_bits(self):
+        # GetWaitRequest (tag 16) whose waiter takes 11 varint bytes.
+        good = encode_message(GetWaitRequest(folder(), mode="copy", waiter=1, origin="o"))
+        head, tail = good.split(b"\x04copy\x01")
+        frame = head + b"\x04copy" + b"\xff" * 10 + b"\x01" + tail
+        with pytest.raises(DecodingError, match="exceeds 64 bits"):
+            decode_message(frame)
+
+    def test_bool_byte_other_than_0_or_1(self):
+        frame = bytearray(encode_message(Reply(ok=True, found=False)))
+        assert frame[4:6] == b"\x01\x00"
+        frame[4] = 2
+        with pytest.raises(DecodingError, match="bad bool byte 0x2"):
+            decode_message(bytes(frame))
+
+    @pytest.mark.parametrize("kind", ["str", "name"])
+    def test_invalid_utf8(self, kind):
+        msg = Heartbeat(host="\u00e9") if kind == "str" else PutRequest(folder(), b"", "\u00e9")
+        frame = encode_message(msg).replace("\u00e9".encode(), b"\xc3\x28")
+        with pytest.raises(DecodingError, match="invalid UTF-8"):
+            decode_message(frame)
+
+    @pytest.mark.parametrize("value", [-1, -(1 << 70), 1 << 64, 1 << 70])
+    def test_uint_outside_u64_is_an_encoding_error(self, value):
+        with pytest.raises(EncodingError):
+            encode_message(WalConsume(folder(), digest=value))
+        with pytest.raises(EncodingError):
+            encode_message(StatsRequest(), corr_id=value)
+        with pytest.raises(EncodingError):
+            c.encode_correlated_burst([(StatsRequest(), value)])
+
+    def test_largest_uint_still_encodes(self):
+        msg = GetWaitRequest(folder(), mode="copy", waiter=(1 << 64) - 1)
+        frame = encode_message(msg, (1 << 64) - 1)
+        assert c.decode_tagged(frame) == (msg, (1 << 64) - 1)
+
+    def test_generated_code_is_named_after_its_class(self):
+        spec = c._SPECS_BY_TYPE[PutRequest]
+        assert spec.enc.__code__.co_filename == "<compact PutRequest>"
+        assert spec.dec.__code__.co_filename == "<compact PutRequest>"
+        assert any("_intern(" in line for line in linecache.getlines("<compact PutRequest>"))
+        with pytest.raises(DecodingError) as info:
+            decode_message(encode_message(Heartbeat(host="h1")) + b"\x00")
+        frames = traceback.extract_tb(info.value.__traceback__)
+        assert frames[-1].filename == "<compact Heartbeat>"
+        assert "_trailing" in frames[-1].line
+
+
+class TestFolderEncodeCache:
+    """Folder fields encode once per distinct name, under the decode
+    table's cap and field-length bound."""
+
+    @pytest.fixture(autouse=True)
+    def empty_table(self):
+        c._FOLDER_FIELDS.clear()
+        yield
+        c._FOLDER_FIELDS.clear()
+
+    def test_one_name_is_encoded_once(self, monkeypatch):
+        name = folder()
+        first = encode_message(PutRequest(name, b"1", "p"))
+        calls = []
+        monkeypatch.setattr(c, "_w_str", lambda out, s: calls.append(s))
+        assert encode_message(PutRequest(folder(), b"1", "p")) == first
+        assert calls == []
+        assert list(c._FOLDER_FIELDS) == [name]
+
+    def test_table_is_bounded_and_long_fields_are_not_kept(self):
+        cap = c._FOLDER_INTERN_CAP
+        names = [folder(index=(i,)) for i in range(cap + 50)]
+        for _ in range(2):
+            for name in names:
+                assert decode_message(encode_message(WalFolderDrop(name))).folder == name
+                assert len(c._FOLDER_FIELDS) <= cap
+        c._FOLDER_FIELDS.clear()
+        long_name = folder(name="s" * (c._FOLDER_INTERN_MAX_FIELD + 1))
+        assert decode_message(encode_message(WalFolderDrop(long_name))).folder == long_name
+        assert c._FOLDER_FIELDS == {}

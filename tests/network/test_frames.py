@@ -1,35 +1,22 @@
 """Unit tests for framing: integrity, fragmentation, reassembly."""
 
-import io
-
 import pytest
 
-from repro.errors import ConnectionClosedError, FrameError
+from repro.errors import FrameError
 from repro.network.frames import (
     HEADER,
     encode_frames,
     frame_overhead,
-    read_frame,
+    parse_frame,
     write_frame,
 )
 
 
-def stream_reader(data: bytes):
-    """recv_exact over an in-memory byte stream."""
-    buf = io.BytesIO(data)
-
-    def recv_exact(n: int) -> bytes:
-        out = buf.read(n)
-        if len(out) != n:
-            raise ConnectionClosedError("stream ended")
-        return out
-
-    return recv_exact
-
-
 def roundtrip(payload: bytes, max_fragment: int = 1 << 20) -> bytes:
     wire = b"".join(encode_frames(payload, max_fragment))
-    return read_frame(stream_reader(wire))
+    got, end = parse_frame(wire)
+    assert end == len(wire)
+    return got
 
 
 class TestRoundtrip:
@@ -56,7 +43,9 @@ class TestFragmentation:
     def test_fragmented_reassembly(self):
         payload = bytes(range(256)) * 10
         wire = b"".join(encode_frames(payload, max_fragment=100))
-        assert read_frame(stream_reader(wire)) == payload
+        assert parse_frame(wire) == (payload, len(wire))
+        # Every strict prefix is "not yet": a fragment alone is no payload.
+        assert all(parse_frame(wire[:cut]) is None for cut in range(0, len(wire), 7))
 
     def test_more_flag_set_on_all_but_last(self):
         frames = encode_frames(b"x" * 250, max_fragment=100)
@@ -72,10 +61,11 @@ class TestFragmentation:
             encode_frames(b"x", max_fragment=0)
 
     def test_two_messages_back_to_back(self):
-        wire = b"".join(encode_frames(b"first")) + b"".join(encode_frames(b"second"))
-        recv = stream_reader(wire)
-        assert read_frame(recv) == b"first"
-        assert read_frame(recv) == b"second"
+        wire = bytearray(b"".join(encode_frames(b"first") + encode_frames(b"second")))
+        first, end = parse_frame(wire)
+        del wire[:end]
+        assert first == b"first"
+        assert parse_frame(wire) == (b"second", len(wire))
 
 
 class TestIntegrity:
@@ -83,20 +73,24 @@ class TestIntegrity:
         wire = bytearray(b"".join(encode_frames(b"data")))
         wire[0] = ord("X")
         with pytest.raises(FrameError, match="magic"):
-            read_frame(stream_reader(bytes(wire)))
+            parse_frame(bytes(wire))
 
     def test_corrupt_payload_detected(self):
         wire = bytearray(b"".join(encode_frames(b"data")))
         wire[-1] ^= 0xFF
         with pytest.raises(FrameError, match="checksum"):
-            read_frame(stream_reader(bytes(wire)))
+            parse_frame(bytes(wire))
 
     def test_truncated_header(self):
         wire = b"".join(encode_frames(b"data"))[:5]
-        with pytest.raises(ConnectionClosedError):
-            read_frame(stream_reader(wire))
+        assert parse_frame(wire) is None  # not yet a frame, not an error
 
     def test_truncated_payload(self):
         wire = b"".join(encode_frames(b"data"))[:-2]
-        with pytest.raises(ConnectionClosedError):
-            read_frame(stream_reader(wire))
+        assert parse_frame(wire) is None
+
+    def test_bad_magic_is_caught_before_the_payload_arrives(self):
+        wire = bytearray(b"".join(encode_frames(b"data" * 100)))
+        wire[1] = ord("X")
+        with pytest.raises(FrameError, match="magic"):
+            parse_frame(bytes(wire[: HEADER.size]))

@@ -6,7 +6,7 @@ its message fails under its own name.
 """
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from repro.core.keys import FolderName, Key, Symbol
 from repro.durability.records import (
@@ -16,6 +16,7 @@ from repro.durability.records import (
     WalFolderDrop,
     WalPut,
 )
+from repro.errors import EncodingError
 from repro.network import codec
 from repro.network.codec import decode_tagged, encode_message
 from repro.network.protocol import (
@@ -160,3 +161,23 @@ def test_decoded_folder_hashes_and_canonicalises_like_a_fresh_one(name):
     assert decoded == fresh and hash(decoded) == hash(fresh)
     assert decoded.canonical() == fresh.canonical()
     assert decode_tagged(data)[0].folder == fresh
+
+
+@example(n=1 << 70)
+@example(n=1 << 64)
+@given(n=st.integers(0, 1 << 70))
+def test_encode_refuses_every_int_decode_would_refuse(n):
+    """A uint field or a correlation id past 64 bits is an EncodingError at
+    the sender, never a frame that every decoder rejects."""
+    jar = FolderName("app", Key(Symbol("jar"), (1,)))
+    for msg, corr_id in (
+        (GetWaitRequest(jar, "copy", n, "o"), 5),
+        (WalConsume(jar, n), None),
+        (CancelWaitRequest(7, "o"), n),
+    ):
+        try:
+            frame = encode_message(msg, corr_id)
+        except EncodingError:
+            assert n >= 1 << 64
+            continue
+        assert decode_tagged(frame) == (msg, corr_id)
