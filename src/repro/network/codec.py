@@ -21,14 +21,16 @@ A version-2 ("correlated") frame is byte-identical to a version-1 frame
 except for the version byte and one LEB128 correlation id between the tag
 and the body.  The id names the request a reply answers, which is what
 lets a connection carry many requests at once and return their replies
-out of order (per-connection pipelining).  Version-1 frames and TLV
-frames carry no id — old peers and recorded seed streams keep decoding,
-and a receiver treats them as strict request/reply traffic.  Unsolicited
+out of order (per-connection pipelining).  Every request on the wire is
+a version-2 frame; a memo server closes a connection that sends it an
+id-less request.  Version 1 never frames a request on the wire.  It
+frames a ``ForwardEnvelope``'s ``inner`` request (the envelope carries
+the id), WAL records, the carriers whose member frames carry the ids
+(``PipelineBatch``, ``BurstEnvelope``), and the unsolicited
 *push* frames (``MemoReady``/``WaitCancelled``, the parked-waiter
-completions) are deliberately version-1: they answer no request, so they
-carry no correlation id — their routing key (the waiter token) lives in
-the message body, and they are only ever sent to peers that registered a
-wait over a correlated session.
+completions).  A push answers no request, so it carries no correlation
+id; its routing key, the waiter token, lives in the message body.  TLV
+frames carry no id either, and still decode.
 
 Body primitives::
 
@@ -670,7 +672,7 @@ def decode_tagged(data: bytes | memoryview) -> tuple[object, int | None]:
 
     Returns:
         ``(message, corr_id)``; *corr_id* is None for version-1 compact
-        frames and for TLV frames (id-less, strict request/reply).
+        frames and for TLV frames.
 
     Raises:
         DecodingError: unknown magic, unknown tag or version, truncated or

@@ -52,6 +52,12 @@ class Connection(abc.ABC):
         """
 
     @abc.abstractmethod
+    def frame_buffered(self) -> bool:
+        """Whether a whole message already waits here, so the next ``recv``
+        returns it without waiting on the medium.  Read-only; ask it from
+        the thread that reads."""
+
+    @abc.abstractmethod
     def close(self) -> None:
         """Close both directions; idempotent."""
 

@@ -20,6 +20,7 @@ Message flow (Figures 1 and 2 of the paper):
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 
 from repro.core.keys import FolderName
@@ -55,7 +56,7 @@ __all__ = [
     "WaitCancelled",
     "Reply",
     "send_message",
-    "recv_message",
+    "exchange",
     "round_trip",
     "recv_tagged",
     "decode_protocol_frame",
@@ -100,13 +101,12 @@ class PutDelayedRequest:
 
 @dataclass(frozen=True)
 class GetRequest:
-    """Extract or examine a memo.
+    """Extract a memo without waiting: ``get_skip``.
 
-    ``mode``:
-        * ``"get"``  — consume; block until a memo is available.
-        * ``"copy"`` — return a copy without consuming; block when empty.
-        * ``"skip"`` — consume when available, otherwise return not-found
-          immediately (``get_skip``).
+    ``mode="skip"`` consumes when available, otherwise returns not-found
+    at once.  ``"get"`` and ``"copy"`` still decode, but a server answers
+    them with a ``ProtocolError`` reply: a blocked read would hold its
+    thread, so ``get`` and ``get_copy`` wait with a :class:`GetWaitRequest`.
     """
 
     folder: FolderName
@@ -122,7 +122,7 @@ class GetRequest:
 class GetWaitRequest:
     """Register interest in a memo without holding a server thread.
 
-    The futures-first counterpart of a blocking :class:`GetRequest`: the
+    How ``get`` and ``get_copy`` wait: the
     server answers once on the request's correlation id — with the memo
     when the folder is non-empty, or with a "parked" acknowledgement
     (``ok=True, found=False``) after recording the wait in the session's
@@ -135,10 +135,6 @@ class GetWaitRequest:
     client-chosen token.  The token — not the correlation id — names the
     wait, so the client can index its future before the request is even
     sent and a push can never race the parked acknowledgement.
-
-    Only meaningful on a pipelined (correlated) session: an id-less peer
-    has no demultiplexer to route a push frame to, so strict sessions
-    reject it and never receive pushes.
     """
 
     folder: FolderName
@@ -283,7 +279,7 @@ class ReplicatePut:
     re-seeding a rejoined backup.  It is a put-lane request, so a run of
     copies — a lane round's, or a re-seed — rides one
     :class:`BurstEnvelope` and applies in order; a lone copy travels in a
-    strict :class:`ForwardEnvelope`.  A copy whose origin coordinates the
+    :class:`ForwardEnvelope` of its own.  A copy whose origin coordinates the
     backup already holds is acknowledged and dropped; otherwise re-sends
     may duplicate a memo, never lose one.
 
@@ -342,8 +338,8 @@ class DeltaSyncPull:
     :class:`BurstEnvelope` runs of at most 512 frames over a direct link
     — one exchange per burst, not per record — and whatever a burst does
     not settle takes the per-record path (ordinary routing for returns,
-    a strict copy for re-seeds), as everything does on a multi-hop
-    topology.  Both phases are filtered by what the
+    one enveloped copy each for re-seeds), as everything does on a
+    multi-hop topology.  Both phases are filtered by what the
     requester says it already holds, in origin coordinates, so a
     WAL-recovered host moves only the outage delta while a host that
     came back empty (LSN 0, or a rebased clock with its floor) gets
@@ -416,6 +412,10 @@ class ResyncRequest:
 class ForwardEnvelope:
     """A request in transit between memo servers (Figure 2).
 
+    Sent with a correlation id like every request; the receiver serves
+    *inner* where the inner request's handler row says, or passes the
+    envelope on toward *target_host*.
+
     Attributes:
         app: application whose routing table governs the forwarding.
         target_host: host owning the destination folder server.
@@ -436,7 +436,7 @@ class ForwardEnvelope:
 class BurstEnvelope:
     """A run of lane requests sent to one host as one message.
 
-    The strict :class:`ForwardEnvelope` wraps one request and repeats the
+    A :class:`ForwardEnvelope` wraps one request and repeats the
     application, target, and trail strings on every hop — fine for a
     single forward, pure overhead for a run whose envelopes are
     identical.  A burst envelope carries those fields *once* and the
@@ -449,9 +449,10 @@ class BurstEnvelope:
     :class:`ReplicatePut` copies an anti-entropy pull sends a rejoining
     host, and the replica copies a lane round sends each backup.
 
-    Only emitted over a direct link to *target_host* — a relay would
-    serve each member on its own worker and could reorder them, so
-    multi-hop traffic stays on the strict path.
+    Only emitted over a direct link to *target_host* — a relay hop would
+    pass each member on in an envelope of its own and could reorder them,
+    so multi-hop traffic travels one envelope per request.  Like a
+    :class:`PipelineBatch` it is sent id-less: its members carry the ids.
     """
 
     app: str
@@ -656,17 +657,24 @@ def send_message(
     return len(data)
 
 
-def recv_message(conn: Connection, timeout: float | None = None) -> object:
-    """Receive and decode one protocol message (compact or TLV framing).
+#: Correlation ids of the exchanges this process starts.
+_exchange_ids = itertools.count(1)
 
-    The strict request/reply entry point: a correlation id, if present,
-    is dropped.  Pipelining peers use :func:`recv_tagged`.
 
-    Raises:
-        ProtocolError: the bytes decoded to something that is not a
-            registered protocol message, or could not be decoded at all.
+def exchange(conn: Connection, message: object, timeout: float | None = None) -> object:
+    """Send the request *message* and return its reply (within *timeout*).
+
+    The request carries a fresh correlation id, and the reply must carry
+    it back.  A reply naming another id, or none, is not this request's:
+    the connection is closed and :class:`ProtocolError` raised.
     """
-    return recv_tagged(conn, timeout)[0]
+    cid = next(_exchange_ids)
+    send_message(conn, message, corr_id=cid)
+    reply, got = recv_tagged(conn, timeout)
+    if got != cid:
+        conn.close()
+        raise ProtocolError(f"the reply to request {cid} was tagged {got}")
+    return reply
 
 
 def round_trip(
@@ -675,8 +683,8 @@ def round_trip(
     message: object,
     timeout: float | None = None,
 ) -> object:
-    """One strict exchange on a connection of its own: dial, send
-    *message*, receive the reply (within *timeout*), close.
+    """One :func:`exchange` on a connection of its own: dial, send
+    *message*, receive its reply, close.
 
     How control traffic reaches a memo server — registration, heartbeats,
     anti-entropy pulls, the cluster's control messages.  Whatever the
@@ -684,8 +692,7 @@ def round_trip(
     """
     conn = transport.connect(address)
     try:
-        send_message(conn, message)
-        return recv_message(conn, timeout=timeout)
+        return exchange(conn, message, timeout)
     finally:
         conn.close()
 

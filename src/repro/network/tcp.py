@@ -167,6 +167,14 @@ class TCPConnection(Connection):
                 raise ConnectionClosedError("peer closed the connection")
             buf += chunk
 
+    def frame_buffered(self) -> bool:
+        # Asked by the reading thread between two recvs: the buffer is
+        # its own.
+        try:
+            return parse_frame(self._buf) is not None
+        except FrameError:
+            return True  # the next recv fails the connection
+
     def close(self) -> None:
         if not self._closed:
             self._closed = True

@@ -260,6 +260,9 @@ class InMemoryConnection(Connection):
                     time.sleep(delay)
             return payload
 
+    def frame_buffered(self) -> bool:
+        return not self._inbox.empty()
+
     def close(self) -> None:
         if not self._closed.is_set():
             self._closed.set()
@@ -282,6 +285,7 @@ class InMemoryListener(Listener):
             queue.SimpleQueue()
         )
         self._closed = threading.Event()
+        self._lock = threading.Lock()  # orders enqueue against close
         fabric.bind(self)
 
     @property
@@ -293,9 +297,10 @@ class InMemoryListener(Listener):
         return self._closed.is_set()
 
     def enqueue(self, conn: InMemoryConnection) -> None:
-        if self._closed.is_set():
-            raise ConnectionClosedError(f"listener at {self._address} is closed")
-        self._backlog.put(conn)
+        with self._lock:
+            if self._closed.is_set():
+                raise ConnectionClosedError(f"listener at {self._address} is closed")
+            self._backlog.put(conn)
 
     def accept(self, timeout: float | None = None) -> Connection:
         deadline = None if timeout is None else time.monotonic() + timeout
@@ -316,8 +321,18 @@ class InMemoryListener(Listener):
             return conn
 
     def close(self) -> None:
-        self._closed.set()
+        with self._lock:
+            self._closed.set()
         self._fabric.unbind(self._address)
+        # A connection never accepted is reset, as a TCP listener's accept
+        # queue is: its dialer must not wait on a server that never comes.
+        while True:
+            try:
+                conn = self._backlog.get_nowait()
+            except queue.Empty:
+                break
+            if conn is not None:
+                conn.close()
         self._backlog.put(None)
 
 

@@ -180,7 +180,8 @@ class ClusterBackend:
         return address
 
     def control(self, host: str, message: object, timeout: float = 10.0):
-        """One strict request/reply exchange with *host*'s memo server."""
+        """One request/reply exchange with *host*'s memo server, on a
+        connection of its own (:func:`~repro.network.protocol.round_trip`)."""
         return round_trip(
             self.transport_for(host), self.address_of(host), message, timeout
         )

@@ -53,7 +53,7 @@ from repro.errors import (
     ServerError,
     ShutdownError,
 )
-from repro.network.codec import decode_message, folder_intern_stats
+from repro.network.codec import folder_intern_stats
 from repro.network.connection import Address, Connection, Transport
 from repro.network.protocol import (
     BurstEnvelope,
@@ -288,9 +288,9 @@ class MemoServer:
     def _serve_connection(self, conn: Connection) -> None:
         """Serve one connection until it closes (see :class:`_ConnectionSession`).
 
-        Correlated requests pipeline across a per-connection worker set
-        with out-of-order tagged replies; id-less requests keep the
-        paper's strict request/reply loop, one reply per request in order.
+        Every request carries a correlation id and runs where its
+        :data:`HANDLERS` row says — on the thread that read it whenever
+        nothing waits behind it — and its reply comes back under that id.
         """
         _ConnectionSession(self, conn).serve()
 
@@ -302,9 +302,9 @@ class MemoServer:
     def guarded(self, fn, *args) -> Reply:
         """Run a handler, mapping the protocol's failure modes to replies.
 
-        Shared by the strict path, the pipelined session's workers and
-        its reader-served waits, so a request fails with the same error
-        text whichever path served it.
+        Shared by the session's put lane, its workers and its
+        reader-served waits, so a request fails with the same error text
+        wherever it ran.
         """
         try:
             return fn(*args)
@@ -324,8 +324,11 @@ class MemoServer:
             return Reply(ok=False, error=f"internal error: {type(exc).__name__}: {exc}")
 
     def _serve(self, msg: object, envelope: ForwardEnvelope | None) -> Reply:
+        """Serve what a peer aimed here; pass on what it aimed elsewhere."""
         row = HANDLERS.get(type(msg))
         if envelope is not None:
+            if envelope.target_host != self.host:
+                return self.router.relay(envelope)
             self.router.admit(envelope)
             if row is None or not row.enveloped:
                 raise ProtocolError(
@@ -333,21 +336,15 @@ class MemoServer:
                 )
         elif row is None:
             raise ProtocolError(f"unhandled message {type(msg).__qualname__}")
-        if row.where is READER:
-            # Reached only off a strict (id-less) frame: a peer with no
-            # demultiplexer could never route the push frames a parked
-            # wait resolves through — legacy sessions stay push-free.
-            raise ProtocolError(
-                f"{type(msg).__qualname__} requires a correlated "
-                f"(pipelined) session; strict peers must use GetRequest"
-            )
         return row.handler(self, msg, envelope)
 
-    def _handle_envelope(self, envelope: ForwardEnvelope, _outer=None) -> Reply:
-        """Serve what a peer aimed here; pass on what it aimed elsewhere."""
-        if envelope.target_host != self.host:
-            return self.router.relay(envelope)
-        return self._serve(decode_message(envelope.inner), envelope)
+    def _handle_get(self, msg: GetRequest, envelope=None) -> Reply:
+        if msg.mode != "skip":
+            raise ProtocolError(
+                f"a {msg.mode!r} GetRequest would block its thread; "
+                f"wait with a GetWaitRequest"
+            )
+        return self.router.serve(msg, self.replicator.get, envelope)
 
     # -- registration (section 4.4) ------------------------------------------------
 
@@ -412,7 +409,7 @@ class MemoServer:
 
 #: THE dispatch table: message class -> :class:`~repro.servers.session.Row`
 #: ``(handler, where it runs, may ride a ForwardEnvelope)``.  Every consumer
-#: of a decoded frame — the session's reader, the strict path, an
+#: of a decoded frame — the session's reader, a carrier's members, an
 #: envelope's inner request — asks this table and nothing else; a message
 #: class without a row is answered ``unhandled message``.  Component
 #: methods are looked up at call time, so a test can patch one.
@@ -421,9 +418,7 @@ HANDLERS: dict[type, Row] = {
     PutDelayedRequest: Row(
         lambda s, m, e: s.router.serve(m, s.replicator.put_delayed, e), LANE, True
     ),
-    GetRequest: Row(
-        lambda s, m, e: s.router.serve(m, s.replicator.get, e), WORKER, True
-    ),
+    GetRequest: Row(MemoServer._handle_get, WORKER, True),
     GetAltSkipRequest: Row(
         lambda s, m, e: s.router.get_alt(m, s.replicator.get_alt, e), WORKER, True
     ),
@@ -432,7 +427,7 @@ HANDLERS: dict[type, Row] = {
     CancelWaitRequest: Row(_ConnectionSession.cancel_wait, READER, False),
     PipelineBatch: Row(_ConnectionSession.unpack_batch, READER, False),
     BurstEnvelope: Row(_ConnectionSession.unpack_burst, READER, False),
-    ForwardEnvelope: Row(MemoServer._handle_envelope, WORKER, False),
+    ForwardEnvelope: Row(_ConnectionSession.open_envelope, READER, False),
     RegisterRequest: Row(MemoServer._handle_register, WORKER, False),
     MigrateRequest: Row(lambda s, m, e: s.replicator.handle_migrate(m), WORKER, False),
     DeltaSyncPull: Row(
@@ -441,7 +436,7 @@ HANDLERS: dict[type, Row] = {
     ResyncRequest: Row(
         lambda s, m, e: s.replicator.handle_resync_request(m), WORKER, False
     ),
-    Heartbeat: Row(MemoServer._handle_heartbeat, WORKER, False),
+    Heartbeat: Row(MemoServer._handle_heartbeat, LANE, False),
     StatsRequest: Row(
         lambda s, m, e: Reply(ok=True, stats=s.telemetry.snapshot()), WORKER, False
     ),

@@ -28,7 +28,7 @@ goes record by record.
 
 Everything without an underscore is for the other server modules.  What
 this one calls on them — the router's ``registration``, ``chained_here``,
-``route_with_retry``, ``send_envelope``, ``forward_burst``, ``suspect``,
+``route``, ``send_envelope``, ``forward_burst``, ``suspect``,
 ``transport`` and ``address_book``.
 """
 
@@ -229,7 +229,7 @@ class Replicator:
 
         The primary serves from its ordinary folder server; a backup
         serves from its replica store (which holds copies of everything
-        the dead primary acknowledged — this is what lets blocked ``get``\\ s
+        the dead primary acknowledged — this is what lets parked waits
         complete through a fail-over).
         """
         if chain[0][1] == self.host:
@@ -254,13 +254,8 @@ class Replicator:
         return PUT_ACK
 
     def get(self, _reg, chain: tuple, sid: str, msg: GetRequest) -> Reply:
-        fs = self._serving(chain, sid)
-        if msg.mode == "skip":
-            record = fs.get_skip(msg.folder)
-        elif msg.mode == "copy":
-            record = fs.get_copy(msg.folder)
-        else:
-            record = fs.get(msg.folder)
+        """A ``get_skip``: the one read a :class:`GetRequest` asks here."""
+        record = self._serving(chain, sid).get_skip(msg.folder)
         if record is None:
             return Reply(ok=True, found=False)
         return Reply(ok=True, found=True, payload=record.payload, folder=msg.folder)
@@ -362,7 +357,7 @@ class Replicator:
 
         More than one go as bursts (:meth:`_burst_to`).  A lone copy, and
         whatever a burst leaves unresolved or answers with anything but
-        an ack, takes the strict per-copy path — :meth:`_replicate_to`,
+        an ack, takes the per-copy path — :meth:`_replicate_to`,
         which demotes an unreachable member.  A member demoted meanwhile
         gets no more copies: it pulls them back through anti-entropy when
         it rejoins.
@@ -478,7 +473,7 @@ class Replicator:
         msg = self._put_of(name, record, release_to)
         here = self.put if release_to is None else self.put_delayed
         try:
-            reply = self._router.route_with_retry(name, msg, here)
+            reply = self._router.route(name, msg, here)
         except MemoError as exc:
             return f"{type(exc).__name__}: {exc}"
         return None if reply.ok else reply.error

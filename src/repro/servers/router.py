@@ -25,7 +25,6 @@ from repro.core.keys import FolderName
 from repro.errors import (
     CommunicationError,
     ConnectionClosedError,
-    FolderMigratedError,
     HostDownError,
     MemoError,
     NotRegisteredError,
@@ -44,8 +43,7 @@ from repro.network.protocol import (
     PipelineBatch,
     Reply,
     decode_protocol_frame,
-    recv_message,
-    retryable,
+    exchange,
     send_message,
     shutting_down,
 )
@@ -59,12 +57,7 @@ from repro.telemetry import Counters
 if TYPE_CHECKING:
     from repro.servers.memo_server import AppRegistration
 
-__all__ = ["Router", "MIGRATION_RETRY_MAX"]
-
-#: How often one request — or one relayed wait — may re-enter routing
-#: because its folder migrated before it fails: the bound on a folder that
-#: keeps moving.
-MIGRATION_RETRY_MAX = 8
+__all__ = ["Router"]
 
 #: Idle connections a pool keeps per destination; extras are closed.
 _POOL_IDLE_CAP = 4
@@ -74,7 +67,7 @@ _POOL_IDLE_CAP = 4
 #: the client verbatim, no decode, no re-encode.
 _PUT_ACK_TAGBODY = encode_message(PUT_ACK)[3:]
 
-#: Deadline for each reply read of a burst-forward.  The strict path can
+#: Deadline for each reply read of a burst-forward.  A single forward can
 #: afford an unbounded reply wait (it wedges one request); a wedged burst
 #: would stall its whole put lane, so a frozen owner must instead fail
 #: the burst and send the unresolved puts down the audited retry path.
@@ -89,9 +82,10 @@ class _ConnectionPool:
     """Exclusive-use connection pool keyed by destination address.
 
     A forwarded request owns its connection for the full request/reply
-    round (blocking gets can hold it for a long time); concurrent requests
-    to the same next hop get their own connections, so there is no
-    head-of-line blocking or deadlock.
+    round; concurrent requests to the same next hop get their own
+    connections, so there is no head-of-line blocking or deadlock — and
+    the peer's session, never holding a second frame from this
+    connection, serves each lane request inline on its reader.
     """
 
     def __init__(self, transport: Transport) -> None:
@@ -322,10 +316,8 @@ class Router:
         )
 
     def serve(self, msg, here, envelope: ForwardEnvelope | None = None) -> Reply:
-        """A put / put-delayed / get, straight from a client or aimed here
-        by a peer's *envelope* (the peer owns the migration retry then)."""
-        if envelope is None:
-            return self.route_with_retry(msg.folder, msg, here)
+        """A put / put-delayed / get_skip, straight from a client or aimed
+        here by a peer's *envelope*."""
         return self.route(msg.folder, msg, here, envelope)
 
     def route(self, folder: FolderName, msg, here, envelope=None) -> Reply:
@@ -335,25 +327,6 @@ class Router:
         if envelope is not None:
             candidates = [self.chained_here(folder, chain, "the envelope")]
         return self.walk(reg, chain, candidates, folder, here, self.forward, msg)
-
-    def route_with_retry(self, folder: FolderName, msg, here) -> Reply:
-        """Route, transparently re-routing when the folder migrates.
-
-        A blocked get whose folder is rebalanced away wakes with
-        :class:`FolderMigratedError` (locally as the exception, remotely
-        as an error reply); the placement in force *now* names the
-        folder's new home, so the request simply re-enters routing and
-        re-blocks there.  Bounded to catch pathological ping-ponging.
-        """
-        for _attempt in range(MIGRATION_RETRY_MAX):
-            try:
-                reply = self.route(folder, msg, here)
-            except FolderMigratedError:
-                continue
-            error = reply.error  # "" on the hot path: an ok reply
-            if not error or shutting_down(error) or not retryable(error):
-                return reply  # anything but "the folder moved" stands
-        return Reply(ok=False, error=f"folder {folder} kept migrating; giving up")
 
     # -- forwarding -------------------------------------------------------------------
 
@@ -389,18 +362,16 @@ class Router:
         )
 
     def send_envelope(self, reg, target: str, inner: bytes, trail=()) -> Reply:
-        """One strict exchange with the next hop toward *target*: the
-        encoded request *inner* goes out enveloped, the reply comes back."""
+        """One :func:`~repro.network.protocol.exchange` with the next hop
+        toward *target*, on a pooled connection: the encoded request
+        *inner* goes out enveloped, the reply comes back."""
         next_hop = reg.routing.next_hop(self.host, target)
         envelope = self._envelope(reg, target, inner, trail)
-
-        def attempt(conn: Connection) -> object:
-            send_message(conn, envelope)
-            return recv_message(conn)
-
         try:
             reply = self._pool.exchange(
-                self._address_of(next_hop), attempt, stale=_answered_mid_teardown
+                self._address_of(next_hop),
+                lambda conn: exchange(conn, envelope),
+                stale=_answered_mid_teardown,
             )
         except (ConnectionClosedError, TimeoutError) as exc:
             raise CommunicationError(
@@ -417,9 +388,9 @@ class Router:
 
         None means the put must take the full :meth:`route` path: local
         ownership, a replica chain (fan-out and chain walking belong to
-        the audited route), a multi-hop topology (a relay serves each
-        envelope on its own worker, which would reorder same-folder
-        puts), or a missing registration/address (let the slow path
+        the audited route), a multi-hop topology (a relay hop passes each
+        member on in an envelope of its own, which could reorder
+        same-folder puts), or a missing registration/address (let the slow path
         produce its usual error).
         """
         try:
@@ -447,8 +418,8 @@ class Router:
         triples whose ids are unique within the burst; a client's raw
         correlated frames travel verbatim (a forwarded put is never
         re-encoded), and the owner's replies come back tagged with those
-        same ids.  Only sent over a direct link: a relay would serve each
-        member on its own worker and could reorder them.
+        same ids.  Only sent over a direct link: a relay hop would pass
+        each member on in an envelope of its own and could reorder them.
 
         Returns one result per entry:
 

@@ -15,7 +15,7 @@ That holds from any host: a wait for a folder served elsewhere is sent on
 over one long-lived link per next hop (:mod:`repro.servers.relay`) and
 parks in the *owner's* table like everyone else's; its GetWait is
 answered by the owner's first answer, so a remote hit is one reply, as a
-local one is.  Strict sessions never receive pushes.
+local one is.
 
 Everything without an underscore is for the other server modules (the
 accept path, the handler table's reader rows, a relay link's reader).
@@ -52,7 +52,6 @@ from repro.network.protocol import (
     shutting_down,
 )
 from repro.servers.relay import ParkedWaiter
-from repro.servers.router import MIGRATION_RETRY_MAX
 from repro.servers.threadcache import scatter_join
 
 if TYPE_CHECKING:
@@ -92,9 +91,17 @@ _PARKED_ACK = Reply(ok=True, found=False)
 #: by the owner's first answer, or by whatever ends the wait first.
 _OWED = Reply(ok=True, found=False)
 
+#: How often one relayed wait may re-enter routing because its folder
+#: migrated before it fails: the bound on a folder that keeps moving.
+MIGRATION_RETRY_MAX = 8
+
 #: Most requests the put worker drains per round; bounds reply-batch size
 #: (and so peak reply-frame size) under a firehose producer.
 _LANE_BATCH_MAX = 128
+
+#: The frames that carry requests rather than being one.  They alone travel
+#: id-less: each frame they carry has its own correlation id.
+_CARRIERS = (PipelineBatch, BurstEnvelope)
 
 
 class _ConnectionSession:
@@ -103,28 +110,30 @@ class _ConnectionSession:
     The paper's server loop was strictly request/reply per connection:
     decode, handle, reply, repeat — so a client pipelining requests
     (deferred acks, ``put_many``) still paid one full server round per
-    request.  A session splits that loop into a *reader* (this thread,
-    from the accept path's :class:`ThreadCache` submit) and a
-    per-connection *worker set*:
+    request.  A session runs that loop on its *reader* (this thread, from
+    the accept path's :class:`ThreadCache` submit) and hands off only
+    what would keep the frames behind it waiting.  Every request carries
+    a correlation id (an id-less one closes the session) and runs where
+    its handler-table row says — an envelope where its *inner* request's
+    row says:
 
-    * correlated requests (version-2 frames) are dispatched by their
-      handler-table row — puts onto the connection's one FIFO queue,
-      drained by one worker (two puts on a connection can never reorder;
-      one worker is the throughput sweet spot under the GIL, and
+    * ``LANE`` rows keep their order on the connection's one FIFO put
+      lane.  A lone one runs inline when the lane is idle and no whole
+      frame is buffered behind it (so does every peer hop: a pooled
+      connection carries one request at a time); otherwise it queues for
+      the lane's one worker, as a carrier's lane requests always do, in
+      rounds (one worker is the throughput sweet spot under the GIL, and
       cross-owner latency overlap comes from the worker firing its burst
-      groups concurrently); GetWait/CancelWait — a client's own or one a
-      peer relays here inside a ForwardEnvelope — are non-blocking by
-      construction and served inline on the reader (that inlining IS the
-      waiter table's O(1)-thread property); everything else on its own
-      worker so a blocking ``get`` never stalls the puts pipelined
-      behind it;
-    * replies are sent as the workers complete — out of order, tagged
+      groups concurrently);
+    * ``WORKER`` rows (the reads, which may forward, and the control
+      messages) keep no order: a lone one runs inline when no whole frame
+      is buffered behind it, else on a worker of its own;
+    * ``READER`` rows — GetWait/CancelWait and the carriers — never block
+      and run inline (that inlining IS the waiter table's O(1)-thread
+      property);
+    * replies are sent as the requests complete — out of order, tagged
       with the request's correlation id, coalesced into
-      :class:`PipelineBatch` frames when a burst completes together;
-    * id-less requests (seed peers, forwarded envelopes, heartbeats) keep
-      the exact strict request/reply behaviour: the reader waits for the
-      put queue to drain (so a legacy request observes the pipelined
-      writes that preceded it), handles inline, and replies untagged.
+      :class:`PipelineBatch` frames when a burst completes together.
 
     On shutdown or connection loss the session *drains*: queued-but-
     unstarted requests are answered with a shutdown error (never silently
@@ -140,8 +149,7 @@ class _ConnectionSession:
         "_idle",
         "_put_queue",
         "_put_running",
-        "_inflight_puts",
-        "_inflight_other",
+        "_inflight",
         "_waiters",
     )
 
@@ -152,8 +160,8 @@ class _ConnectionSession:
         self._idle = threading.Condition(self._lock)
         self._put_queue: deque = deque()
         self._put_running = False
-        self._inflight_puts = 0
-        self._inflight_other = 0
+        #: Requests accepted and not yet answered (lane and workers).
+        self._inflight = 0
         #: The waiter table: parked GetWaits keyed by client-chosen token.
         self._waiters: dict[int, ParkedWaiter] = {}
 
@@ -170,61 +178,60 @@ class _ConnectionSession:
                     continue
                 except CommunicationError:
                     return
-                if cid is not None:
+                if type(msg) not in _CARRIERS:
                     self.server.stats.bump_pair("requests", "pipelined_requests")
                 if not self._dispatch(msg, cid, raw):
                     return
         finally:
             self._drain_and_close()
 
-    def _dispatch(self, msg: object, cid: int | None, raw: bytes | None = None) -> bool:
-        """Run one frame where its table row says; False closes the session."""
+    def _dispatch(self, msg, cid, raw: bytes, lane=None, envelope=None) -> bool:
+        """Run one frame where its table row says — a carrier's lane
+        requests in its *lane* round; False closes the session, as a
+        frame breaking the id rule (:data:`_CARRIERS`) does."""
+        if (cid is None) is not (type(msg) in _CARRIERS):
+            return False
         row = self.server.handlers.get(type(msg))
+        return self._run(row, msg, cid, envelope, raw, lane)
+
+    def _run(self, row, msg, cid, envelope, raw, lane) -> bool:
+        """Run *msg* where *row* says (no row: as a ``WORKER`` row, which
+        answers what it is)."""
         where = row.where if row is not None else WORKER
-        if where is READER:
-            return row.handler(self, msg, cid, None)
-        if cid is None:
-            return self._serve_legacy(msg)
         if where is LANE:
-            self._enqueue_puts([(msg, cid, None, raw)])
+            entry = (msg, cid, envelope, raw)
+            if lane is None:
+                self._enqueue([entry], alone=True)
+            else:
+                lane.append(entry)
             return True
-        if type(msg) is ForwardEnvelope:
-            # What a peer relays here runs where its own row says: a wait
-            # is parked inline, whatever else it carries goes to a worker.
-            try:
-                inner = decode_message(msg.inner)
-            except MemoError:
-                inner = None  # the worker path reports the undecodable inner
-            row = self.server.handlers.get(type(inner))
-            if row is not None and row.where is READER and row.enveloped:
-                return row.handler(self, inner, cid, msg)
+        if lane:
+            # What the carrier queued so far goes ahead of what follows it.
+            self._enqueue(lane[:])
+            lane.clear()
+        if where is READER:
+            return row.handler(self, msg, cid, envelope)
+        if lane is None and not self.conn.frame_buffered():
+            self._send_replies([(self.server.handle(msg, envelope), cid)])
+            return True
         with self._lock:
-            self._inflight_other += 1
-        self._spawn(self._run_single, msg, cid)
+            self._inflight += 1
+        self._spawn(self._run_single, msg, cid, envelope)
         return True
 
-    def _serve_legacy(self, msg: object) -> bool:
-        """Strict request/reply for an id-less frame; False closes the session."""
-        self.server.stats.bump("requests")
-        # Pipelined puts already accepted on this connection must land
-        # before a legacy request runs: the legacy peer believes its last
-        # write completed when this one is served.  If the queue cannot
-        # drain within the bound, serving anyway would silently reorder —
-        # fail the request instead, like any other server-side error.
-        if self._await_put_lanes():
-            reply = self.server.handle(msg)
-        else:
-            self.server.stats.bump("errors")
-            reply = Reply(
-                ok=False,
-                error="ServerError: pipelined puts still in flight; "
-                "refusing to serve a strict request out of order",
-            )
+    def open_envelope(self, envelope: ForwardEnvelope, cid: int, _envelope=None) -> bool:
+        """Run what a peer sent in *envelope* where the inner request's row
+        says, be it served here or relayed on toward its target.  What may
+        not ride an envelope goes to a worker, which refuses (or relays)
+        it; an undecodable inner request closes the session."""
         try:
-            send_message(self.conn, reply)
-        except CommunicationError:
+            inner = decode_message(envelope.inner)
+        except MemoError:
             return False
-        return True
+        row = self.server.handlers.get(type(inner))
+        if row is not None and not row.enveloped:
+            row = None
+        return self._run(row, inner, cid, envelope, None, None)
 
     def unpack_batch(self, batch: PipelineBatch, _cid=None, _envelope=None) -> bool:
         """Unpack one coalesced burst; False (undecodable) closes the session."""
@@ -250,42 +257,45 @@ class _ConnectionSession:
         return self._unpack(burst.frames, shared)
 
     def _unpack(self, frames: tuple, shared: ForwardEnvelope | None) -> bool:
+        """Dispatch a carrier's frames, its lane requests as one round;
+        False closes the session (an undecodable, id-less or nested frame,
+        or a burst member — *shared* given — not on the lane)."""
         stats = self.server.stats
         stats.bump("pipelined_batches")
         stats.bump("requests", len(frames))
         stats.bump("pipelined_requests", len(frames))
+        handlers = self.server.handlers
         lane: list = []
         for raw in frames:
             try:
                 msg, cid = decode_protocol_frame(raw)
             except ProtocolError:
                 return False
-            # Inner frames must be correlated and batches do not nest;
-            # a peer that violates either is talking a different
-            # protocol, and the connection cannot be trusted further.
-            if cid is None or type(msg) is PipelineBatch:
+            if type(msg) in _CARRIERS:
                 return False
-            if shared is None:
-                if not self._dispatch(msg, cid, raw):
-                    return False
-            else:
-                row = self.server.handlers.get(type(msg))
+            if shared is not None:
+                row = handlers.get(type(msg))
                 if row is None or row.where is not LANE:
                     return False
-                lane.append((shared, cid, msg, None))
+            if not self._dispatch(msg, cid, raw, lane, shared):
+                return False
         if lane:
-            self._enqueue_puts(lane)
+            self._enqueue(lane)
         return True
 
-    def _enqueue_puts(self, entries: list) -> None:
-        """Queue lane requests, spawning the worker if it is idle (shared
-        by direct and burst-unwrapped requests)."""
+    def _enqueue(self, entries: list, alone: bool = False) -> None:
+        """Queue lane requests, starting the lane if it is idle: right here
+        on the reader for a request that came *alone* with no whole frame
+        buffered behind it (the inline rule), else on the lane's worker."""
         with self._lock:
             self._put_queue.extend(entries)
-            self._inflight_puts += len(entries)
-            spawn = not self._put_running
+            self._inflight += len(entries)
+            if self._put_running:
+                return
             self._put_running = True
-        if spawn:
+        if alone and not self.conn.frame_buffered():
+            self._run_put_lane()
+        else:
             self._spawn(self._run_put_lane)
 
     def _spawn(self, fn, *args) -> None:
@@ -327,7 +337,7 @@ class _ConnectionSession:
                 self._send_replies(replies)
             finally:
                 with self._lock:
-                    self._inflight_puts -= len(batch)
+                    self._inflight -= len(batch)
                     self._idle.notify_all()
 
     def _serve_round(self, batch: list) -> list:
@@ -358,10 +368,10 @@ class _ConnectionSession:
     def _process_put_batch(self, batch: list) -> list:
         """Serve one lane round, burst-forwarding runs of remote puts.
 
-        Local puts (and inbound forwarded puts this host owns) apply
-        directly; puts owned by a single remote host are grouped per
-        ``(app, owner)`` and forwarded as one :class:`BurstEnvelope`
-        instead of one strict request/reply round trip each — the owner's
+        Local puts, enveloped requests and folder-less ones (a heartbeat)
+        are served in place; puts owned by a single remote host are grouped
+        per ``(app, owner)`` and forwarded as one :class:`BurstEnvelope`
+        instead of one enveloped round trip each — the owner's
         acknowledgement frames come back tagged with the client's own ids
         and are relayed verbatim.  Entries the burst cannot resolve —
         connection failures, a peer answering mid-teardown, a folder that
@@ -382,23 +392,20 @@ class _ConnectionSession:
         # round — the audited route serves any placement correctly, and
         # inline entries run in batch order.
         decisions: dict = {}
-        for msg, _cid, inner, _raw in batch:
-            if inner is not None:
+        for msg, _cid, envelope, _raw in batch:
+            folder = getattr(msg, "folder", None)
+            if envelope is not None or folder is None:
                 continue
-            folder = msg.folder
             target = router.forward_target(msg)
             if folder not in decisions:
                 decisions[folder] = target
             elif decisions[folder] != target:
                 decisions[folder] = None
         # Phase 2: execute — inline in batch order, bursts collected.
-        for i, (msg, cid, inner, _raw) in enumerate(batch):
-            if inner is not None:
-                replies[i] = (self.server.handle(inner, msg), cid)
-                continue
-            target = decisions[msg.folder]
-            if target is None:
-                replies[i] = (self.server.handle(msg), cid)
+        for i, (msg, cid, envelope, _raw) in enumerate(batch):
+            target = decisions.get(getattr(msg, "folder", None))
+            if envelope is not None or target is None:
+                replies[i] = (self.server.handle(msg, envelope), cid)
             else:
                 groups.setdefault((msg.folder.app, target), []).append(i)
         bursts = self._run_burst_groups(batch, groups)
@@ -441,17 +448,17 @@ class _ConnectionSession:
         )
         return bursts
 
-    def _run_single(self, msg: object, cid: int) -> None:
+    def _run_single(self, msg: object, cid: int, envelope=None) -> None:
         try:
-            self._send_replies([(self.server.handle(msg), cid)])
+            self._send_replies([(self.server.handle(msg, envelope), cid)])
         finally:
             with self._lock:
-                self._inflight_other -= 1
+                self._inflight -= 1
                 self._idle.notify_all()
 
     # -- waiter table (parked GetWait service) ---------------------------------
 
-    def get_wait(self, msg: GetWaitRequest, cid: int | None, envelope=None) -> bool:
+    def get_wait(self, msg: GetWaitRequest, cid: int, envelope=None) -> bool:
         """Serve one GetWait inline on the reader — never blocks.
 
         Parked or answered here, the correlated reply is immediate: a hit
@@ -462,10 +469,6 @@ class _ConnectionSession:
         nothing is sent here.  A parked wait holds no thread: its
         resolution is event-driven off the put path.
         """
-        if cid is None:
-            # A strict peer has no demultiplexer to route the push by:
-            # answered as any strict request, which refuses a reader row.
-            return self._serve_legacy(msg)
         reply = self.server.guarded(self._park_new, msg, envelope, cid)
         if reply is not _OWED:
             self._send_replies([(reply, cid)])
@@ -570,7 +573,7 @@ class _ConnectionSession:
         down, the link was lost — sends the wait back through
         :meth:`_park` under the placement in force *now* (possibly into
         this host's own replica store): ``MemoClient._resubscribe_locked``
-        one hop later, bounded like the router's ``route_with_retry``.
+        one hop later, bounded by :data:`MIGRATION_RETRY_MAX`.
         Only the server where the wait started re-routes; a relay hop
         hands the reason up the link it came from.  Either way a GetWait
         reply still owed is paid first, with the parked ack.
@@ -698,8 +701,6 @@ class _ConnectionSession:
         (a completion that raced us re-deposits its memo).  ``found=True``:
         too late — the wait already resolved and its push is on the wire.
         """
-        if cid is None:
-            return self._serve_legacy(msg)  # as a strict GetWait: refused
         with self._lock:
             entry = self._waiters.pop(msg.waiter, None)
         if entry is not None:
@@ -737,21 +738,6 @@ class _ConnectionSession:
 
     # -- draining -------------------------------------------------------------
 
-    def _await_idle(self, busy, timeout: float) -> bool:
-        """Wait (bounded) until *busy()* — read under the lock — is falsy."""
-        deadline = time.monotonic() + timeout
-        with self._lock:
-            while busy():
-                remaining = deadline - time.monotonic()
-                if remaining <= 0:
-                    return False
-                self._idle.wait(remaining)
-        return True
-
-    def _await_put_lanes(self, timeout: float = 30.0) -> bool:
-        """Wait (bounded) until every accepted put has been applied."""
-        return self._await_idle(lambda: self._inflight_puts, timeout)
-
     def _drain_and_close(self, grace: float = 2.0) -> None:
         """Orderly session teardown: answer queued work, wait for in-flight.
 
@@ -764,7 +750,7 @@ class _ConnectionSession:
         with self._lock:
             stranded = list(self._put_queue)
             self._put_queue.clear()
-            self._inflight_puts -= len(stranded)
+            self._inflight -= len(stranded)
             waiters = list(self._waiters.values())
             self._waiters.clear()
         # Detach parked waits: no pushes (the peer is gone), but they
@@ -777,6 +763,9 @@ class _ConnectionSession:
                 ok=False,
                 error="shutdown: server stopped before the request was served",
             )
-            self._send_replies([(shut, cid) for _msg, cid, _inner, _raw in stranded])
-        self._await_idle(lambda: self._inflight_puts or self._inflight_other, grace)
+            self._send_replies([(shut, e[1]) for e in stranded])
+        deadline = time.monotonic() + grace
+        with self._lock:
+            while self._inflight and time.monotonic() < deadline:
+                self._idle.wait(deadline - time.monotonic())
         self.conn.close()

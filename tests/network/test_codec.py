@@ -42,7 +42,7 @@ from repro.network.protocol import (
     ShutdownRequest,
     StatsRequest,
     WaitCancelled,
-    recv_message,
+    recv_tagged,
     send_message,
 )
 from repro.network.transport import InMemoryTransport, NetworkFabric
@@ -281,8 +281,8 @@ class TestOverConnection:
             second = GetRequest(folder(), mode="skip", origin="p")
             send_message(client, first)  # compact framing
             client.send(tlv_encode(second))  # a seed-era peer's framing
-            assert recv_message(server, timeout=2) == first
-            assert recv_message(server, timeout=2) == second
+            assert recv_tagged(server, timeout=2) == (first, None)
+            assert recv_tagged(server, timeout=2) == (second, None)
         finally:
             client.close()
             server.close()
@@ -293,7 +293,7 @@ class TestOverConnection:
         try:
             client.send(b"\x00\x01\x02\x03")
             with pytest.raises(ProtocolError):
-                recv_message(server, timeout=2)
+                recv_tagged(server, timeout=2)
         finally:
             client.close()
             server.close()

@@ -1,5 +1,7 @@
 """Unit tests for the typed protocol messages and their wire transfer."""
 
+import threading
+
 import pytest
 
 from repro.core.keys import FolderName, Key, Symbol
@@ -15,7 +17,8 @@ from repro.network.protocol import (
     Reply,
     ShutdownRequest,
     StatsRequest,
-    recv_message,
+    recv_tagged,
+    round_trip,
     send_message,
 )
 from repro.network.transport import InMemoryTransport, NetworkFabric
@@ -74,12 +77,12 @@ class TestOverConnection:
         sent = PutRequest(folder(), b"data", "me")
         size = send_message(client, sent)
         assert size > 0
-        received = recv_message(server, timeout=2)
-        assert received == sent
+        received, cid = recv_tagged(server, timeout=2)
+        assert received == sent and cid is None
 
-        send_message(server, Reply(ok=True, found=True, payload=b"data"))
-        reply = recv_message(client, timeout=2)
-        assert isinstance(reply, Reply) and reply.found
+        send_message(server, Reply(ok=True, found=True, payload=b"data"), corr_id=5)
+        reply, cid = recv_tagged(client, timeout=2)
+        assert isinstance(reply, Reply) and reply.found and cid == 5
 
         client.close()
         server.close()
@@ -93,7 +96,22 @@ class TestOverConnection:
         server = listener.accept(timeout=2)
         client.send(encode({"not": "a protocol message"}))
         with pytest.raises(ProtocolError):
-            recv_message(server, timeout=2)
+            recv_tagged(server, timeout=2)
         client.close()
         server.close()
+
+        # A reply under another request's id, or under none, is not the
+        # reply to round_trip's request either.
+        def answer(shift):
+            conn = listener.accept(timeout=2)
+            _request, cid = recv_tagged(conn, timeout=2)
+            send_message(conn, Reply(), corr_id=None if shift is None else cid + shift)
+            conn.close()
+
+        for shift in (1, None):
+            thread = threading.Thread(target=answer, args=(shift,))
+            thread.start()
+            with pytest.raises(ProtocolError, match="reply to request"):
+                round_trip(transport, listener.address, StatsRequest("p"), timeout=2)
+            thread.join()
         listener.close()

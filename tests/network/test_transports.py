@@ -52,6 +52,17 @@ class TestConnectionContract:
         for i in range(50):
             assert server.recv(timeout=5) == f"msg{i}".encode()
 
+    def test_frame_buffered_is_a_whole_frame_waiting(self, channel):
+        client, server, _ = channel
+        assert not server.frame_buffered()
+        for i in range(3):
+            client.send(f"msg{i}".encode())
+        assert server.recv(timeout=5) == b"msg0"
+        assert server.frame_buffered()  # already read (TCP) or queued
+        assert server.recv(timeout=5) == b"msg1"
+        assert server.recv(timeout=5) == b"msg2"
+        assert not server.frame_buffered()
+
     def test_large_message(self, channel):
         client, server, _ = channel
         payload = bytes(i % 256 for i in range(500_000))
@@ -107,7 +118,12 @@ class TestListener:
 
     def test_connect_to_closed_listener(self):
         t, listener, _ = make_memory()
+        pending = t.connect(listener.address)  # dialled, never accepted
         listener.close()
+        # Reset, as a TCP listener's accept queue is: no wait on a server
+        # that will never answer.
+        with pytest.raises(ConnectionClosedError):
+            pending.recv(timeout=5)
         with pytest.raises(ConnectionClosedError):
             t.connect(listener.address)
 

@@ -11,7 +11,7 @@ import pytest
 from repro import Cluster, system_default_adf
 from repro.core.keys import FolderName, Key, Symbol
 from repro.errors import MemoError
-from repro.network.protocol import GetRequest, PutRequest, StatsRequest
+from repro.network.protocol import PutRequest, StatsRequest
 from repro.transferable.wire import encode
 
 
@@ -47,14 +47,18 @@ class TestDemux:
 
     def test_stale_frames_are_skipped_not_mismatched(self, cluster):
         client = cluster.client_for("solo", origin="t")
+        # A parked wait on an empty folder: its push is withheld.
+        wait = client.get_wait(folder(99))
         with pytest.raises(TimeoutError):
-            client.request(GetRequest(folder(99), mode="get"), timeout=0.2)
-        # Satisfy the ghost get so its reply is produced somewhere.
+            wait.result(timeout=0.2)
+        # Satisfy the wait so its push arrives unasked, ahead of the next
+        # request's reply.
         feeder = cluster.client_for("solo", origin="f")
         feeder.request(PutRequest(folder=folder(99), payload=encode("x")))
-        # The reconnected client's next request gets its own reply.
+        # The next request gets its own reply; the push went to its wait.
         reply = client.request(StatsRequest(origin="t"), timeout=5.0)
         assert reply.ok and reply.stats
+        assert wait.result(timeout=0) == encode("x")
         client.close()
         feeder.close()
 

@@ -31,26 +31,29 @@ def folder(i=0):
 class TestTimeoutDesync:
     def test_timeout_discards_connection_so_no_stale_reply(self, cluster):
         client = cluster.client_for("solo", origin="t")
-        # A blocking get on an empty folder cannot answer in time.
+        # A parked wait on an empty folder: its push is withheld, so it
+        # cannot answer in time.  The timeout withdraws it.
         with pytest.raises(TimeoutError):
-            client.request(GetRequest(folder(), mode="get"), timeout=0.2)
-        # Satisfy the ghost getter so its (stale) reply is actually
-        # produced server-side; without the discard it would sit first in
-        # the receive queue.
+            client.get_wait(folder()).wait(timeout=0.2)
+        # A request whose deadline passes before its reply is read leaves
+        # that reply in flight; the client drops the connection with it.
+        with pytest.raises(TimeoutError):
+            client.request(StatsRequest(origin="t"), timeout=0)
+        # The put the withdrawn wait would have consumed stays put.
         feeder = cluster.client_for("solo", origin="feeder")
         feeder.request(PutRequest(folder=folder(), payload=encode("x")))
         time.sleep(0.1)
 
-        # The next request must get *its own* reply, not the stale get's.
-        reply = client.request(StatsRequest(origin="t"), timeout=5.0)
-        assert reply.ok and reply.stats  # a get reply carries no stats
+        # The next request must get *its own* reply, not a stale one.
+        reply = client.request(GetRequest(folder(), mode="skip"), timeout=5.0)
+        assert reply.ok and reply.found and not reply.stats
         client.close()
         feeder.close()
 
     def test_client_usable_for_real_work_after_timeout(self, cluster):
         client = cluster.client_for("solo", origin="t2")
         with pytest.raises(TimeoutError):
-            client.request(GetRequest(folder(1), mode="get"), timeout=0.2)
+            client.get_wait(folder(1)).wait(timeout=0.2)
         reply = client.request(
             PutRequest(folder=folder(2), payload=encode("v")), timeout=5.0
         )

@@ -179,26 +179,38 @@ class TestRetiredMessages:
     def test_retired_tag_9_frame_closes_only_its_own_connection(
         self, one_host_cluster
     ):
-        """An old peer's full anti-entropy pull (tag 9) is undecodable now:
-        the session that received it ends, the server keeps serving."""
+        """An old peer's full anti-entropy pull (tag 9) is undecodable now,
+        and a request without a correlation id is a protocol violation:
+        the session that received either ends, unserved, and the server
+        keeps serving — over both transports."""
+        from repro import NIL, Cluster, system_default_adf
         from repro.errors import ConnectionClosedError
         from repro.network import codec as c
 
-        backend = one_host_cluster.backend
-        bystander = one_host_cluster.memo_api("solo", "test")
-        bystander.put(key(), "before", wait=True)
-
-        frame = bytearray(b"DC\x01\x09")
+        tag_9 = bytearray(b"DC\x01\x09")
         for field in ("test", "ghost", ""):  # app, requester, origin
-            c._w_str(frame, field)
-        conn = backend.transport_for("solo").connect(backend.address_of("solo"))
-        conn.send(bytes(frame))
-        with pytest.raises(ConnectionClosedError):
-            conn.recv(timeout=5.0)
+            c._w_str(tag_9, field)
+        idless = p.encode_message(p.PutRequest(FolderName("test", key(2)), b"x", "t"))
+        adf = system_default_adf(["solo"], app="test")
+        with Cluster(adf, idle_timeout=0.5, transport_kind="tcp") as over_tcp:
+            over_tcp.register()
+            for cluster in (one_host_cluster, over_tcp):
+                backend = cluster.backend
+                bystander = cluster.memo_api("solo", "test")
+                bystander.put(key(), "before", wait=True)
+                for frame in (bytes(tag_9), idless):
+                    conn = backend.transport_for("solo").connect(
+                        backend.address_of("solo")
+                    )
+                    conn.send(frame)
+                    with pytest.raises(ConnectionClosedError):
+                        conn.recv(timeout=5.0)
+                    conn.close()
 
-        assert bystander.get(key()) == "before"  # its connection is untouched
-        bystander.put(key(1), "after", wait=True)
-        assert one_host_cluster.memo_api("solo", "test").get(key(1)) == "after"
+                assert bystander.get(key()) == "before"  # its connection is untouched
+                assert bystander.get_skip(key(2)) is NIL  # the id-less put was not served
+                bystander.put(key(1), "after", wait=True)
+                assert cluster.memo_api("solo", "test").get(key(1)) == "after"
 
 
 #: Replies and pushes: what a server sends, never serves.
@@ -279,15 +291,3 @@ class TestHandlerTable:
         relayed = star_cluster.stats()["hub"]["memo.forwards_relayed"] - relayed_before
         assert relayed == len(by_class)
         assert backend.is_live("s2")  # the enveloped ShutdownRequest was refused
-
-    @pytest.mark.parametrize("cls", [p.GetWaitRequest, p.CancelWaitRequest])
-    def test_reader_rows_are_refused_on_a_strict_session(self, one_host_cluster, cls):
-        folder = FolderName("test", key())
-        backend = one_host_cluster.backend
-        reply = p.round_trip(
-            backend.transport_for("solo"),
-            backend.address_of("solo"),
-            samples(folder, folder)[cls],
-        )
-        assert not reply.ok and reply.error.startswith("ProtocolError: ")
-        assert "requires a correlated (pipelined) session" in reply.error

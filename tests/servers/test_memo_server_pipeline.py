@@ -1,16 +1,16 @@
 """Per-connection pipelining: out-of-order replies, per-folder FIFO, bursts.
 
 The memo server used to serve each connection strictly request-by-request;
-correlated requests now dispatch onto a per-connection worker set and the
-replies come back tagged, out of order.  These tests pin down the three
-load-bearing guarantees:
+every request now carries a correlation id, runs where its handler row
+says, and its reply comes back tagged, out of order.  These tests pin down
+the load-bearing guarantees:
 
-* a blocked request no longer stalls the requests pipelined behind it
-  (replies genuinely reorder);
+* a waiting request never stalls the requests pipelined behind it: a
+  parked wait answers at once and resolves later by push;
 * puts to the same folder are applied in submission order, pipelining or
   not — including across a burst-forward to the owning host;
-* id-less (legacy) frames still get strict request/reply service, ordered
-  after the pipelined puts that preceded them.
+* a lone put on an idle session is served on the reader, while a
+  batch's puts are served in lane rounds.
 """
 
 import threading
@@ -22,6 +22,8 @@ from repro import Cluster, system_default_adf
 from repro.core.keys import FolderName, Key, Symbol
 from repro.network.protocol import (
     GetRequest,
+    GetWaitRequest,
+    MemoReady,
     PipelineBatch,
     PutRequest,
     Reply,
@@ -61,26 +63,28 @@ def recv_replies(conn, count, timeout=10.0):
 
 
 class TestOutOfOrderReplies:
+    """A wait on an empty folder is a request whose memo never comes until
+    someone puts one: its push is withheld, and nothing behind it waits."""
+
     def test_blocking_get_does_not_stall_pipelined_put(self, solo_cluster):
         server = solo_cluster.servers["solo"]
         conn = solo_cluster.backend.transport_for("solo").connect(server.address)
         empty = folder("pipe", "empty")
         other = folder("pipe", "other")
-        # cid 1: a get that blocks (folder is empty).  cid 2: a put to a
-        # different folder, sent while the get is still parked.
-        send_message(conn, GetRequest(empty, mode="get"), corr_id=1)
+        # cid 1: a wait that parks (folder is empty).  cid 2: a put to a
+        # different folder, sent while the wait is still parked.
+        send_message(conn, GetWaitRequest(empty, waiter=1), corr_id=1)
         send_message(
             conn, PutRequest(folder=other, payload=tlv_encode("v")), corr_id=2
         )
-        msg, cid = recv_tagged(conn, timeout=5.0)
-        assert cid == 2, "the put's reply must overtake the blocked get"
-        assert msg.ok
-        # Satisfy the parked get; its tagged reply then arrives too.
+        replies = dict((cid, msg) for msg, cid in recv_replies(conn, 2))
+        assert replies[1].ok and not replies[1].found  # parked
+        assert replies[2].ok
+        # Satisfy the parked wait; its push then arrives too.
         feeder = solo_cluster.client_for("solo", origin="feeder")
         feeder.request(PutRequest(folder=empty, payload=tlv_encode("x")))
         msg, cid = recv_tagged(conn, timeout=5.0)
-        assert cid == 1
-        assert msg.ok and msg.found
+        assert cid is None and isinstance(msg, MemoReady) and msg.waiter == 1
         assert tlv_decode(msg.payload) == "x"
         conn.close()
         feeder.close()
@@ -90,18 +94,23 @@ class TestOutOfOrderReplies:
         conn = solo_cluster.backend.transport_for("solo").connect(server.address)
         for i in range(4):
             send_message(
-                conn, GetRequest(folder("pipe", "par", i), mode="get"), corr_id=10 + i
+                conn,
+                GetWaitRequest(folder("pipe", "par", i), waiter=10 + i),
+                corr_id=10 + i,
             )
+        parked = recv_replies(conn, 4)
+        assert sorted(cid for _msg, cid in parked) == [10, 11, 12, 13]
+        assert all(msg.ok and not msg.found for msg, _cid in parked)
         feeder = solo_cluster.client_for("solo", origin="feeder")
-        # Release in reverse order: replies must come back accordingly.
+        # Release in reverse order: pushes must come back accordingly.
         for i in reversed(range(4)):
             feeder.request(
                 PutRequest(folder=folder("pipe", "par", i), payload=tlv_encode(i))
             )
-        got = dict(
-            (cid, tlv_decode(msg.payload)) for msg, cid in recv_replies(conn, 4)
-        )
+        pushes = recv_replies(conn, 4)
+        got = dict((msg.waiter, tlv_decode(msg.payload)) for msg, _cid in pushes)
         assert got == {10: 0, 11: 1, 12: 2, 13: 3}
+        assert [msg.waiter for msg, _cid in pushes] == [13, 12, 11, 10]
         conn.close()
         feeder.close()
 
@@ -134,26 +143,106 @@ class TestPerFolderFifo:
         memo.flush()
         assert memo.get(k2) == "payload"
 
-    def test_legacy_frame_ordered_after_pipelined_puts(self, solo_cluster):
-        """An id-less request observes every pipelined put sent before it."""
+
+class TestInlineRule:
+    """A request runs on the thread that read it when nothing waits behind
+    it; a batch's lane requests are served in lane rounds."""
+
+    @pytest.fixture
+    def rounds(self, monkeypatch):
+        """``(served on the reader?, round size)`` of every lane round."""
+        from repro.servers.session import _ConnectionSession
+
+        readers, seen = set(), []
+        serve, serve_round = _ConnectionSession.serve, _ConnectionSession._serve_round
+
+        def spy_serve(session):
+            readers.add(threading.current_thread())
+            serve(session)
+
+        def spy_round(session, batch):
+            seen.append((threading.current_thread() in readers, len(batch)))
+            return serve_round(session, batch)
+
+        monkeypatch.setattr(_ConnectionSession, "serve", spy_serve)
+        monkeypatch.setattr(_ConnectionSession, "_serve_round", spy_round)
+        return seen
+
+    def test_lone_put_on_an_idle_session_is_served_on_the_reader(
+        self, solo_cluster, rounds
+    ):
         server = solo_cluster.servers["solo"]
         conn = solo_cluster.backend.transport_for("solo").connect(server.address)
-        target = folder("pipe", "legacy")
-        n = 50
+        submitted = None
+        for i in range(20):
+            put = PutRequest(folder=folder("pipe", "lone", i), payload=tlv_encode(i))
+            send_message(conn, put, corr_id=2 * i + 1)
+            msg, cid = recv_tagged(conn, timeout=5.0)
+            assert cid == 2 * i + 1 and msg.ok
+            # A worker row (a read) on an idle session is served there too.
+            send_message(conn, GetRequest(put.folder, "skip"), corr_id=2 * i + 2)
+            msg, cid = recv_tagged(conn, timeout=5.0)
+            assert cid == 2 * i + 2 and msg.found
+            if submitted is None:  # the accept path's submit is behind us
+                submitted = server.cache.stats.snapshot()["submitted"]
+        assert rounds == [(True, 1)] * 20
+        assert server.cache.stats.snapshot()["submitted"] == submitted
+        conn.close()
+
+    def test_batch_is_served_in_lane_rounds_in_order_per_folder(
+        self, solo_cluster, rounds
+    ):
+        server = solo_cluster.servers["solo"]
+        conn = solo_cluster.backend.transport_for("solo").connect(server.address)
+        n = 300
         frames = tuple(
             encode_message(
-                PutRequest(folder=target, payload=tlv_encode(i)), corr_id=i + 1
+                PutRequest(folder=folder("pipe", "round", i % 2), payload=tlv_encode(i)),
+                corr_id=i + 1,
             )
             for i in range(n)
         )
         conn.send(encode_message(PipelineBatch(frames)))
-        # Strict frame right behind the burst: must see all 50 memos.
-        send_message(conn, GetRequest(target, mode="skip"))
-        replies = recv_replies(conn, n + 1)
-        legacy = [entry for entry in replies if entry[1] is None]
-        assert len(legacy) == 1
-        assert legacy[0][0].found, "legacy get ran before pipelined puts landed"
+        replies = recv_replies(conn, n)
+        assert all(msg.ok for msg, _cid in replies)
+        for parity in (0, 1):
+            ids = [cid for _msg, cid in replies if (cid - 1) % 2 == parity]
+            assert ids == sorted(ids)
+        assert not any(on_reader for on_reader, _size in rounds)
+        assert sum(size for _on_reader, size in rounds) == n
+        assert max(size for _on_reader, size in rounds) > 1
+        for parity in (0, 1):
+            name = folder("pipe", "round", parity)
+            for fs in server.local_folder_servers().values():
+                for _n, memos, _d in fs.snapshot_folders(lambda f: f == name):
+                    assert [tlv_decode(r.payload) for r in memos] == list(
+                        range(parity, n, 2)
+                    )
         conn.close()
+
+    def test_acked_puts_take_no_hand_off_on_any_host(self):
+        """Every hop of an acked put on a 3-host rf-2 TCP cluster — the
+        client's request, a forward to the owner, a replica copy — is
+        served on the reader of the connection that carried it."""
+        adf = system_default_adf(["h0", "h1", "h2"], app="pipe", replication_factor=2)
+        with Cluster(adf, transport_kind="tcp", heartbeat_interval=0.5) as cluster:
+            cluster.register()
+            memo = cluster.memo_api("h0", "pipe")
+            memo.put(Key(Symbol("warm")), 0, wait=True)
+
+            def submitted():
+                return {
+                    host: server.cache.stats.snapshot()["submitted"]
+                    for host, server in cluster.servers.items()
+                }
+
+            before = submitted()
+            puts = 2000
+            for i in range(puts):
+                memo.put(Key(Symbol("acked"), (i,)), i, wait=True)
+            after = submitted()
+        per_put = {host: (after[host] - before[host]) / puts for host in before}
+        assert all(rate <= 0.1 for rate in per_put.values()), per_put
 
 
 class TestBurstForwarding:

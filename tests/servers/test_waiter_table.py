@@ -16,7 +16,7 @@ import pytest
 from repro import NIL, Cluster, as_completed, system_default_adf
 from repro.adf.model import ADF, FolderDecl, HostDecl, LinkDecl, ProcessDecl
 from repro.core.keys import FolderName, Key, Symbol
-from repro.errors import MemoError
+from repro.errors import ConnectionClosedError, MemoError
 from repro.network.codec import encode_message
 from repro.network.protocol import (
     ForwardEnvelope,
@@ -250,14 +250,14 @@ class TestWireLevel:
     def test_idless_get_wait_rejected_no_push_to_legacy_peers(
         self, one_host_cluster
     ):
-        """Strict (seed-era) sessions must never grow a waiter table."""
+        """An id-less wait is a protocol violation: its session ends
+        without ever growing a waiter table."""
         conn = self._connect(one_host_cluster)
         try:
             folder = FolderName("test", key(301))
             send_message(conn, GetWaitRequest(folder=folder, waiter=9))
-            msg, cid = recv_tagged(conn, 5.0)
-            assert cid is None and not msg.ok
-            assert "correlated" in msg.error
+            with pytest.raises(ConnectionClosedError):
+                recv_tagged(conn, 5.0)
             stats = one_host_cluster.servers["solo"].stats.snapshot()
             assert stats["waiters_parked"] == 0
         finally:
