@@ -13,13 +13,15 @@ The subsystem has four layers:
   (range/precision contracts and fixed-width binary codecs);
 * :mod:`repro.transferable.scalars` — transferable scalar value wrappers
   (``Int16(5)``) that applications can place directly into memos;
-* :mod:`repro.transferable.graph` — spanning-tree linearization of
-  *arbitrary* object graphs, including self-referential (cyclic) structures,
-  in linear time per node (polynomial overall, as the paper observes);
+* :mod:`repro.transferable.graph` — the node model of spanning-tree
+  linearization: how *arbitrary* object graphs, including self-referential
+  (cyclic) structures, become a flat sequence of tagged nodes in linear
+  time per node (polynomial overall, as the paper observes);
 * :mod:`repro.transferable.wire` — the tag-length-value byte format
-  (ASN.1/XDR-inspired) used on the network.
+  (ASN.1/XDR-inspired) used on the network, and the one encoder and one
+  decoder, which walk the object graph and the bytes directly.
 
-``encode``/``decode`` are the two top-level entry points; they round-trip any
+``encode``/``decode`` are the two entry points; they round-trip any
 supported structure with no programmer intervention — the property the paper
 contrasts against OSI and Sun RPC, which "require significant programmer
 intervention".
@@ -53,7 +55,6 @@ from repro.transferable.registry import (
     default_registry,
     transferable_struct,
 )
-from repro.transferable.graph import Linearizer, Delinearizer
 from repro.transferable.wire import decode, encode, encoded_size
 
 __all__ = [
@@ -79,8 +80,6 @@ __all__ = [
     "TransferableRegistry",
     "default_registry",
     "transferable_struct",
-    "Linearizer",
-    "Delinearizer",
     "encode",
     "decode",
     "encoded_size",

@@ -1,14 +1,16 @@
 """Property-based tests: transferable round-trips and domain laws."""
 
+import dataclasses
 import math
 import struct
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.errors import EncodingError
+from repro.errors import DecodingError, EncodingError
 from repro.transferable.domains import DOMAINS, FloatDomain, IntDomain
 from repro.transferable.graph import PACKED_ELEMENTS
+from repro.transferable.registry import TransferableRegistry
 from repro.transferable.scalars import (
     SCALAR_TYPES,
     Char,
@@ -116,8 +118,6 @@ def test_double_encode_stable(obj):
 @settings(max_examples=300, deadline=None)
 def test_decoder_never_crashes_on_junk(data):
     """Arbitrary bytes either decode or raise DecodingError — nothing else."""
-    from repro.errors import DecodingError
-
     try:
         decode(data)
     except DecodingError:
@@ -232,3 +232,57 @@ def test_strict_domains_rejects_bare_float_row(row):
             encode(seq, strict_domains=True)
     wrapped = [SCALAR_TYPES["float64"](v) for v in row]
     assert len(decode(encode(wrapped, strict_domains=True))) == len(row)
+
+
+# -- fuzzing from valid streams ---------------------------------------------------
+# Random bytes rarely get past the magic; a real encoding with one byte
+# changed or cut reaches every node reader.
+
+
+@dataclasses.dataclass
+class Cell:
+    head: object
+    tail: object
+
+
+FUZZ_REGISTRY = TransferableRegistry()
+FUZZ_REGISTRY.register_struct(Cell)
+
+
+def _cyclic_cell() -> Cell:
+    cell = Cell("loop", None)
+    cell.tail = [cell, {"back": cell}, (1, cell)]
+    return cell
+
+
+fuzz_inputs = st.one_of(
+    values,
+    sequences(),
+    st.builds(Cell, values, values),
+    st.sets(hashable_leaves, max_size=4),
+    st.frozensets(hashable_leaves, max_size=4),
+    st.builds(_cyclic_cell),
+)
+
+
+@given(fuzz_inputs, st.data())
+@settings(max_examples=300, deadline=None)
+def test_truncated_valid_stream_raises_decoding_error(obj, data):
+    """Every proper prefix of an encoding is refused as malformed."""
+    blob = encode(obj, registry=FUZZ_REGISTRY)
+    cut = data.draw(st.integers(0, len(blob) - 1))
+    with pytest.raises(DecodingError):
+        decode(blob[:cut], registry=FUZZ_REGISTRY)
+
+
+@given(fuzz_inputs, st.data())
+@settings(max_examples=500, deadline=None)
+def test_mutated_valid_stream_decodes_or_raises_decoding_error(obj, data):
+    """One changed byte anywhere: a value or DecodingError, nothing else."""
+    blob = bytearray(encode(obj, registry=FUZZ_REGISTRY))
+    at = data.draw(st.integers(0, len(blob) - 1))
+    blob[at] = data.draw(st.integers(0, 255).filter(lambda b: b != blob[at]))
+    try:
+        decode(bytes(blob), registry=FUZZ_REGISTRY)
+    except DecodingError:
+        pass

@@ -22,12 +22,14 @@ from repro.scenarios import (
 BACKENDS = ["inprocess", "process"]
 
 #: Per-backend op budgets: the in-process fabric is an order of magnitude
-#: faster, and the faults must land while traffic is still flowing: on the
-#: process backend 140 + 40 ops are over in 0.38-0.47 s, on either side
-#: of the kill at 0.4 s, while 300 + 80 can outlast the windows' timed
-#: closes at 1.9 s, where the restart's resync pull waits 10 s on the
-#: still-frozen peer (ROADMAP item 5(b): no deadline on that leg).
-_OPS = {"inprocess": (500, 120), "process": (220, 60)}
+#: faster, and the faults must land while traffic is still flowing.  On
+#: the process backend (2-vCPU box, warm interpreter) 220 + 60 ops are
+#: over 0.45-0.6 s after the schedule starts, too close to the kill at
+#: 0.4 s to be sure it opens; 280 + 75 take 0.55-0.76 s.  A budget that
+#: outlasts the windows' timed closes at 1.9 s makes the restart's resync
+#: pull wait 10 s on the still-frozen peer (ROADMAP item 5(b): no
+#: deadline on that leg).
+_OPS = {"inprocess": (500, 120), "process": (280, 75)}
 
 
 @pytest.mark.parametrize("backend", BACKENDS)

@@ -1,18 +1,33 @@
-"""Unit tests for spanning-tree linearization (cycles, aliasing, strictness)."""
+"""Unit tests for spanning-tree linearization (cycles, aliasing, strictness).
+
+The walk has no node table to inspect, so these read what the stream
+header says: the node count, and the root's tag (the root is node 0).
+"""
 
 import dataclasses
 
 import pytest
 
 from repro.errors import DecodingError, EncodingError
-from repro.transferable.graph import Delinearizer, Linearizer, NodeKind
+from repro.transferable.graph import NodeKind
 from repro.transferable.registry import TransferableRegistry
 from repro.transferable.scalars import Int16, Int32
+from repro.transferable.wire import decode, encode
 
 
 def roundtrip(obj, registry=None):
-    graph = Linearizer(registry).linearize(obj)
-    return Delinearizer(registry).delinearize(graph)
+    return decode(encode(obj, registry=registry), registry=registry)
+
+
+def node_count(data: bytes) -> int:
+    """The u32 node count after the magic and the version byte."""
+    return int.from_bytes(data[3:7], "big")
+
+
+def root_kind(data: bytes) -> NodeKind:
+    """The root's tag: the walk reaches the root first, so it is node 0."""
+    assert data[7:11] == bytes(4)
+    return NodeKind(data[11])
 
 
 class TestLeaves:
@@ -24,8 +39,7 @@ class TestLeaves:
         assert roundtrip(Int16(99)) == Int16(99)
 
     def test_bool_is_not_int_node(self):
-        graph = Linearizer().linearize(True)
-        assert graph.nodes[graph.root].kind is NodeKind.NATIVE_BOOL
+        assert root_kind(encode(True)) is NodeKind.NATIVE_BOOL
 
 
 class TestContainers:
@@ -80,21 +94,33 @@ class TestSharingAndCycles:
         obj: object = 0
         for _ in range(200):
             obj = [obj]
-        graph = Linearizer().linearize(obj)
         # 200 lists; the innermost, [0], is a packed vector holding its int.
-        assert len(graph) == 200
+        assert node_count(encode(obj)) == 200
         assert roundtrip(obj) == obj
 
     def test_diamond_sharing_node_count(self):
         """Shared nodes are encoded once (spanning tree, not a copy tree)."""
         shared = [1, "two", 3.0]
         obj = [shared, shared, shared]
-        graph = Linearizer().linearize(obj)
         # 1 outer + 1 shared list + 3 leaves.
-        assert len(graph) == 5
+        assert node_count(encode(obj)) == 5
         # Same-typed elements pack into the shared list's own node.
         row = [1, 2, 3]
-        assert len(Linearizer().linearize([row, row, row])) == 2
+        assert node_count(encode([row, row, row])) == 2
+
+    @pytest.mark.parametrize("wrap", [list, tuple])
+    def test_iterative_walk_has_no_depth_limit(self, wrap):
+        """100 000 nested containers: far past the recursion limit."""
+        obj: object = None
+        for _ in range(100_000):
+            obj = wrap([obj])
+        data = encode(obj)
+        assert node_count(data) == 100_001
+        out = decode(data)
+        for _ in range(100_000):
+            assert type(out) is wrap and len(out) == 1
+            out = out[0]
+        assert out is None
 
 
 class TestStructs:
@@ -132,44 +158,47 @@ class TestStructs:
             pass
 
         with pytest.raises(EncodingError, match="not transferable"):
-            Linearizer(TransferableRegistry()).linearize(Mystery())
+            encode(Mystery(), registry=TransferableRegistry())
 
 
 class TestStrictDomains:
     def test_bare_int_rejected(self):
         with pytest.raises(EncodingError, match="strict domains"):
-            Linearizer(strict_domains=True).linearize(42)
+            encode(42, strict_domains=True)
 
     def test_bare_float_rejected(self):
         with pytest.raises(EncodingError, match="strict"):
-            Linearizer(strict_domains=True).linearize([1.5])
+            encode([1.5], strict_domains=True)
 
     def test_wrapped_scalars_accepted(self):
-        graph = Linearizer(strict_domains=True).linearize([Int32(42), "text", None])
-        assert len(graph) == 4
+        data = encode([Int32(42), "text", None], strict_domains=True)
+        assert node_count(data) == 4
 
     def test_bool_allowed_strict(self):
         # bool is a 2-valued domain, identical on every machine.
-        Linearizer(strict_domains=True).linearize(True)
+        encode(True, strict_domains=True)
 
 
 class TestDecodingValidation:
     def test_bad_root_rejected(self):
-        graph = Linearizer().linearize([1, 2])
-        graph.root = 99
-        with pytest.raises(DecodingError):
-            Delinearizer().delinearize(graph)
+        data = bytearray(encode([1, 2]))
+        data[7:11] = (99).to_bytes(4, "big")
+        with pytest.raises(DecodingError, match="root"):
+            decode(bytes(data))
 
     def test_immutable_cycle_rejected(self):
         """A tuple->tuple cycle can't exist in a real heap; decode rejects it."""
-        from repro.transferable.graph import LinearGraph, Node
-
-        graph = LinearGraph(
-            nodes=[Node(NodeKind.TUPLE, [0])],  # tuple containing itself
-            root=0,
+        # One node, root 0: a TUPLE whose only child id is itself.
+        data = bytes.fromhex("444d01" "00000001" "00000000" "21" "00000001" "00000000")
+        with pytest.raises(DecodingError, match="cycle through immutable"):
+            decode(data)
+        # Two frozensets holding each other: the cycle spans two nodes.
+        data = bytes.fromhex(
+            "444d01" "00000002" "00000000"
+            "23" "00000001" "00000001" "23" "00000001" "00000000"
         )
         with pytest.raises(DecodingError, match="cycle through immutable"):
-            Delinearizer().delinearize(graph)
+            decode(data)
 
     def test_tuple_into_mutable_cycle_ok(self):
         """A tuple inside a list cycle IS constructible and must decode."""

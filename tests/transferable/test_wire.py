@@ -8,7 +8,7 @@ from repro.errors import DecodingError
 from repro.transferable.graph import NodeKind
 from repro.transferable.registry import TransferableRegistry
 from repro.transferable.scalars import Bool, Char, Float32, Int16, Int64, String
-from repro.transferable.wire import MAGIC, decode, encode, encoded_size, parse_graph
+from repro.transferable.wire import MAGIC, decode, encode, encoded_size
 
 
 class TestRoundtrip:
@@ -110,6 +110,51 @@ class TestValidation:
         with pytest.raises(DecodingError):
             decode(b"")
 
+    def test_memoryview_input(self):
+        obj = {"k": [1.5, 2.5], "s": "λ", "b": b"\x00", "t": (Int16(1), None)}
+        assert decode(memoryview(encode(obj))) == obj
+
+
+@dataclasses.dataclass
+class P:
+    x: int
+    y: int
+
+
+class TestStructFieldNames:
+    """A struct node must carry exactly its registered field names, once each."""
+
+    @staticmethod
+    def _registry():
+        registry = TransferableRegistry()
+        registry.register_struct(P)
+        return registry
+
+    def _tampered(self, field: bytes) -> bytes:
+        data = encode(P(1, 2), registry=self._registry())
+        original = b"\x00\x01y"
+        assert data.count(original) == 1
+        return data.replace(original, len(field).to_bytes(2, "big") + field)
+
+    def test_untampered_decodes(self):
+        registry = self._registry()
+        assert decode(encode(P(1, 2), registry=registry), registry=registry) == P(1, 2)
+
+    @pytest.mark.parametrize("field", [b"z", b"__class__", b"__dict__", b"x"])
+    def test_foreign_or_repeated_field_rejected(self, field):
+        # z: unknown (the instance would have no y); __class__/__dict__: a
+        # name setattr must never see; x: the same field twice.
+        with pytest.raises(DecodingError, match="registered fields"):
+            decode(self._tampered(field), registry=self._registry())
+
+    def test_missing_field_rejected(self):
+        data = encode(P(1, 2), registry=self._registry())
+        # Field count 2 -> 1 and drop the y entry (u16 length, "y", u32 id).
+        cut = data.index(b"\x00\x01y")
+        head = data[:cut].replace(b"\x00\x01P\x00\x02", b"\x00\x01P\x00\x01")
+        with pytest.raises(DecodingError, match="registered fields"):
+            decode(head + data[cut + 7 :], registry=self._registry())
+
 
 class TestSizes:
     def test_small_int_is_compact(self):
@@ -133,8 +178,7 @@ class TestPackedVectors:
     def test_float_row_is_one_node(self):
         row = [100.0 + 0.5 * j for j in range(256)]
         data = encode(row)
-        graph = parse_graph(data)
-        assert [node.kind for node in graph.nodes] == [NodeKind.PACKED_LIST]
+        assert data[:12] == bytes.fromhex(_ONE_NODE) + bytes([NodeKind.PACKED_LIST])
         assert len(data) <= 2100
         assert decode(data) == row
 
@@ -180,7 +224,7 @@ class TestPackedVectors:
     def test_int_outside_int64_falls_back(self):
         for row in ([1, 1 << 63], [-(1 << 63) - 1, 0]):
             data = encode(row)
-            assert parse_graph(data).nodes[0].kind is NodeKind.LIST
+            assert data[11] == NodeKind.LIST  # the root, node 0
             assert decode(data) == row
 
     def test_truncated_body_rejected(self):
