@@ -84,6 +84,7 @@ __all__ = [
     "decode_message",
     "decode_tagged",
     "split_correlated",
+    "recorrelate",
     "folder_intern_stats",
 ]
 
@@ -649,6 +650,16 @@ def split_correlated(data: bytes) -> tuple[int, bytes] | None:
     except (IndexError, DecodingError):
         return None
     return corr_id, data[3:4] + data[pos:]
+
+
+def recorrelate(data: bytes, corr_id: int) -> bytes:
+    """The correlated frame *data* under *corr_id* instead of its own id;
+    tag and body bytes are copied, never re-encoded."""
+    _old, pos = _r_uv(data, 4)
+    out = bytearray(data[:4])
+    _w_uint(out, corr_id)
+    out += data[pos:]
+    return bytes(out)
 
 
 def decode_message(data: bytes | memoryview) -> object:

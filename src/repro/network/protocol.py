@@ -686,8 +686,9 @@ def round_trip(
     """One :func:`exchange` on a connection of its own: dial, send
     *message*, receive its reply, close.
 
-    How control traffic reaches a memo server — registration, heartbeats,
-    anti-entropy pulls, the cluster's control messages.  Whatever the
+    How the cluster's control traffic reaches a memo server —
+    registration and the control messages; a server reaches its peers
+    over its links instead (:mod:`repro.servers.link`).  Whatever the
     dial or the exchange raises propagates; each caller maps it.
     """
     conn = transport.connect(address)

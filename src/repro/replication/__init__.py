@@ -7,11 +7,12 @@ chains* while preserving the cost-weighted placement semantics:
 
 * :mod:`repro.replication.failure` — per-server heartbeat-driven
   :class:`FailureDetector` plus the :class:`HeartbeatMonitor` thread that
-  feeds it;
-* :mod:`repro.replication.resync` — the anti-entropy :class:`Resyncer` a
-  rejoining host uses to pull back memos it missed while down.
+  probes every peer over the server's link to it.
 
-The chain itself comes from
+The anti-entropy round a rejoining host runs to pull back what it missed
+is the memo server's replicator
+(:meth:`repro.servers.replicator.Replicator.handle_resync_request`).  The
+chain itself comes from
 :meth:`repro.servers.hashing.FolderPlacement.replica_chain` (a top-K
 extension of weighted rendezvous hashing), the wire messages
 (``ReplicatePut`` / ``Heartbeat`` / ``DeltaSyncPull``) live in
@@ -21,6 +22,5 @@ active and the system behaves exactly as the paper describes.
 """
 
 from repro.replication.failure import FailureDetector, HeartbeatMonitor
-from repro.replication.resync import Resyncer
 
-__all__ = ["FailureDetector", "HeartbeatMonitor", "Resyncer"]
+__all__ = ["FailureDetector", "HeartbeatMonitor"]

@@ -7,9 +7,11 @@ probes every peer in the address book on a fixed interval.
 
 Two evidence paths feed the detector:
 
-* *probes* — the monitor's :class:`~repro.network.protocol.Heartbeat`
-  round trips; a peer is suspected after ``threshold`` consecutive
-  failures and marked alive again on the first success;
+* *probes* — the monitor's rounds, a :class:`~repro.network.protocol.Heartbeat`
+  on each quiet link (any frame a link receives proves its peer alive),
+  and every call on a link that missed its deadline; a peer is suspected
+  after ``threshold`` consecutive failures and marked alive again on the
+  first success;
 * *piggybacking* — any request that fails with a connection error marks
   the target dead immediately (the router already paid for the evidence),
   and receiving a heartbeat *from* a host proves that host alive.
@@ -27,8 +29,7 @@ import threading
 from collections import deque
 from typing import Callable
 
-from repro.network.connection import Address, Transport
-from repro.network.protocol import Heartbeat, Reply, round_trip
+from repro.network.connection import Address
 
 __all__ = ["FailureDetector", "HeartbeatMonitor"]
 
@@ -160,40 +161,34 @@ class FailureDetector:
 class HeartbeatMonitor:
     """Background prober that keeps a :class:`FailureDetector` current.
 
-    One round = one :class:`~repro.network.protocol.Heartbeat` exchange
-    with every *other* host in the address book, on a fresh connection
-    (a dead host must not poison a pooled one).  The monitor is started
-    lazily — only when replication is actually in use — so the default
-    configuration generates zero extra traffic and the distribution
-    benches stay byte-for-byte identical to the seed.
+    One round asks *probe* (the memo server's ``Router.probe``, which
+    feeds its detector) about every *other* host in the address book.
+    The monitor is started lazily — only when replication is actually in
+    use — so the default configuration generates zero extra traffic and
+    the distribution benches stay byte-for-byte identical to the seed.
 
     Args:
-        host: the local host name (stamped into probes; skipped as target).
-        transport: medium to connect over.
+        host: the local host name (skipped as a target).
         address_book: live host → address mapping (shared with the server;
-            read fresh each round so restarts with new addresses are seen).
-        detector: the suspicion table to feed.
+            read fresh each round).
+        probe: ``probe(peer, quiet)`` — observe *peer*, heartbeating it
+            when nothing was heard from it for *quiet* seconds.
         interval: seconds between probe rounds.
-        timeout: per-probe reply timeout.
     """
 
     def __init__(
         self,
         host: str,
-        transport: Transport,
         address_book: dict[str, Address],
-        detector: FailureDetector,
+        probe: Callable[[str, float], None],
         interval: float = 0.1,
-        timeout: float = 1.0,
     ) -> None:
         if interval <= 0:
             raise ValueError(f"heartbeat interval must be > 0, got {interval}")
         self.host = host
-        self.transport = transport
         self.address_book = address_book
-        self.detector = detector
+        self.probe = probe
         self.interval = interval
-        self.timeout = timeout
         self._stop = threading.Event()
         self._thread: threading.Thread | None = None
 
@@ -219,23 +214,10 @@ class HeartbeatMonitor:
 
     def probe_once(self) -> None:
         """One synchronous probe round (also used by tests)."""
-        for peer, address in sorted(self.address_book.items()):
+        for peer in sorted(self.address_book):
             if peer == self.host or self._stop.is_set():
                 continue
-            self._probe(peer, address)
-
-    def _probe(self, peer: str, address: Address) -> None:
-        try:
-            reply = round_trip(
-                self.transport, address, Heartbeat(host=self.host), self.timeout
-            )
-        except Exception:
-            self.detector.record_failure(peer)
-            return
-        if isinstance(reply, Reply) and reply.ok:
-            self.detector.mark_alive(peer)
-        else:
-            self.detector.record_failure(peer)
+            self.probe(peer, self.interval)
 
     def _loop(self) -> None:
         while not self._stop.is_set():

@@ -13,8 +13,8 @@ queues:
   :mod:`~repro.servers.session` (one inbound connection: reader, put lane,
   waiter table), :mod:`~repro.servers.router` (placement, the replica-chain
   walk, forwarding) and :mod:`~repro.servers.replicator` (the local stores,
-  fan-out, migration, anti-entropy); :mod:`~repro.servers.relay` is the link
-  a wait for a folder served elsewhere travels on.
+  fan-out, migration, anti-entropy); :mod:`~repro.servers.link` is the one
+  link per peer every server-to-server exchange rides.
 
 Supporting pieces: :class:`~repro.servers.threadcache.ThreadCache` (the
 paper's thread-caching scheme) and

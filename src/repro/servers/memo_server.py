@@ -14,7 +14,8 @@ module and reachable only through the public names its docstring lists:
   connection — reader, FIFO put lane, reply coalescing, the waiter table;
 * the :class:`~repro.servers.router.Router` — which host serves a folder
   (placement, the replica-chain walk, fail-over), forwarding along the
-  application's topology (Figure 2), relay links for waits;
+  application's topology (Figure 2), and the one link per peer every
+  exchange with that peer rides;
 * the :class:`~repro.servers.replicator.Replicator` — this host's folder
   stores, replica fan-out, migration and anti-entropy.
 
@@ -81,7 +82,7 @@ from repro.servers.folder_server import FolderServer
 from repro.servers.hashing import FolderPlacement, HashWeightPolicy, PlacementCache
 from repro.servers.replicator import Replicator
 from repro.servers.router import Router
-from repro.servers.session import LANE, READER, WORKER, Row, _ConnectionSession
+from repro.servers.session import INLINE, LANE, READER, WORKER, Row, _ConnectionSession
 from repro.servers.threadcache import ThreadCache
 from repro.telemetry import Counters, Registry
 
@@ -94,7 +95,8 @@ MEMO_PORT = 7094
 #: (``forwards_out``), ``bench/``'s window counters and
 #: ``Cluster.waiter_gauges`` / ``debug_report``.  Of the waiter table,
 #: ``waiters_parked`` is cumulative and ``waiters_active`` the current
-#: population across all sessions (+1 on park, -1 on completion or cancel).
+#: population across all sessions (+1 on park, -1 on completion or cancel);
+#: ``peer_dials`` counts the links this server dialled to its peers.
 MEMO_COUNTERS = (
     "requests", "local_dispatches", "forwards_out", "forwards_relayed",
     "forwards_in", "registrations", "errors", "pipelined_requests",
@@ -102,6 +104,7 @@ MEMO_COUNTERS = (
     "replication_failures", "failover_dispatches", "resync_returned",
     "resync_reseeded", "resync_reseed_skipped", "waiters_parked",
     "waiters_active", "waiters_completed", "waiters_cancelled", "push_frames",
+    "peer_dials",
 )
 
 
@@ -211,11 +214,7 @@ class MemoServer:
         self.address_book.setdefault(host, self._listener.address)
         self._accept_thread: threading.Thread | None = None
         self._monitor = HeartbeatMonitor(
-            host,
-            transport,
-            self.address_book,
-            self.failure,
-            interval=heartbeat_interval,
+            host, self.address_book, self.router.probe, interval=heartbeat_interval
         )
         self._stop_lock = threading.Lock()
         self._stopped = False
@@ -247,7 +246,7 @@ class MemoServer:
         self._accept_thread.start()
 
     def stop(self) -> None:
-        """Shut down: wake blocked getters, close listener and pool.
+        """Shut down: wake blocked getters, retire peer links, close listener.
 
         Idempotent and race-free: concurrent callers (e.g. a
         :class:`ShutdownRequest`'s daemon thread racing a direct
@@ -263,7 +262,6 @@ class MemoServer:
         self.router.retire_links()
         self.replicator.shutdown()
         self._listener.close()
-        self.router.close()
         self.cache.shutdown()
         thread = self._accept_thread
         if thread is not None and thread is not threading.current_thread():
@@ -373,8 +371,11 @@ class MemoServer:
         return Reply(ok=True)
 
     def _on_liveness_change(self, host: str, alive: bool) -> None:
-        """A peer flipped alive <-> dead: cached candidate lists are void."""
+        """A peer flipped alive <-> dead: cached candidate lists are void,
+        and the calls waiting on a dead peer that can fail over do."""
         self.placement_cache.bump()
+        if not alive:
+            self.router.fail_calls_to(host)
 
     def registration(self, app: str) -> AppRegistration:
         """The registration of *app*, or :class:`NotRegisteredError`."""
@@ -422,7 +423,7 @@ HANDLERS: dict[type, Row] = {
     GetAltSkipRequest: Row(
         lambda s, m, e: s.router.get_alt(m, s.replicator.get_alt, e), WORKER, True
     ),
-    ReplicatePut: Row(lambda s, m, e: s.replicator.handle_replicate(m), LANE, True),
+    ReplicatePut: Row(lambda s, m, e: s.replicator.handle_replicate(m), INLINE, True),
     GetWaitRequest: Row(_ConnectionSession.get_wait, READER, True),
     CancelWaitRequest: Row(_ConnectionSession.cancel_wait, READER, False),
     PipelineBatch: Row(_ConnectionSession.unpack_batch, READER, False),
@@ -436,7 +437,7 @@ HANDLERS: dict[type, Row] = {
     ResyncRequest: Row(
         lambda s, m, e: s.replicator.handle_resync_request(m), WORKER, False
     ),
-    Heartbeat: Row(MemoServer._handle_heartbeat, LANE, False),
+    Heartbeat: Row(MemoServer._handle_heartbeat, INLINE, False),
     StatsRequest: Row(
         lambda s, m, e: Reply(ok=True, stats=s.telemetry.snapshot()), WORKER, False
     ),

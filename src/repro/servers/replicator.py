@@ -26,10 +26,16 @@ requester, so they and its re-seeds travel to it in bursts, one exchange
 per burst of up to 512 records, and only what a burst leaves unsettled
 goes record by record.
 
+A host that restarts runs one anti-entropy round
+(:meth:`Replicator.handle_resync_request`): a pull to every peer, which
+returns the writes it accepted as the rejoined host's backup and re-seeds
+its replica store.  Every copy, burst and pull travels on the router's
+one link per peer (:mod:`repro.servers.link`).
+
 Everything without an underscore is for the other server modules.  What
 this one calls on them — the router's ``registration``, ``chained_here``,
-``route``, ``send_envelope``, ``forward_burst``, ``suspect``,
-``transport`` and ``address_book``.
+``route``, ``send_envelope``, ``forward_burst``, ``suspect``, ``call``
+and ``address_book``.
 """
 
 from __future__ import annotations
@@ -40,7 +46,7 @@ from typing import TYPE_CHECKING
 from repro.core.keys import FolderName
 from repro.core.memo import MemoRecord
 from repro.durability.manager import DurabilityManager
-from repro.errors import CommunicationError, MemoError, ServerError
+from repro.errors import CommunicationError, MemoError, ReplicationError, ServerError
 from repro.network.codec import encode_message
 from repro.network.protocol import (
     DeltaSyncPull,
@@ -54,10 +60,9 @@ from repro.network.protocol import (
     ResyncRequest,
 )
 from repro.replication.failure import FailureDetector
-from repro.replication.resync import Resyncer
 from repro.servers.folder_server import FolderServer
 from repro.servers.hashing import PlacementCache
-from repro.servers.threadcache import ThreadCache, scatter_join
+from repro.servers.threadcache import ThreadCache, hand_off_reading, scatter_join
 from repro.telemetry import Counters, Registry
 
 if TYPE_CHECKING:
@@ -380,9 +385,9 @@ class Replicator:
         acked: list[bool] = []
         for start in range(0, len(messages), _BURST_MAX):
             chunk = messages[start : start + _BURST_MAX]
-            entries = [(msg, cid, None) for cid, msg in enumerate(chunk, 1)]
+            entries = [(msg, None) for msg in chunk]
             results = self._router.forward_burst(app, target, entries)
-            acked += [type(result) is bytes for result in results]
+            acked += [result is PUT_ACK for result in results]
         return acked
 
     @staticmethod
@@ -607,6 +612,9 @@ class Replicator:
         down the per-record path (:meth:`_return_to`, :meth:`_copy_to`),
         which a multi-hop topology uses for everything.
         """
+        # The requester's copies of what it gets back arrive on the link
+        # this thread may be reading: hand the reading on before waiting.
+        hand_off_reading()
         reg = self._router.registration(msg.app)
         chain_of = reg.placement.replica_chain  # memoized by the placement
         # A pull is proof the requester is back (it may still be marked
@@ -658,19 +666,31 @@ class Replicator:
         return Reply(ok=True, stats={"returned": returned, "reseeded": reseeded})
 
     def handle_resync_request(self, msg: ResyncRequest) -> Reply:
-        """Run one anti-entropy round from here, on the parent's behalf.
-
-        The per-peer stats come back flattened as ``"<peer>:<metric>"``
-        inside the reply's counter map (the wire stats dict is flat).
+        """Run one anti-entropy round from here, on the parent's behalf: a
+        :class:`DeltaSyncPull` per app to every peer carrying
+        :meth:`delta_sync_state`.  An unreachable peer is skipped (it runs
+        its own round when it returns); a rejected pull fails the round.
+        Each peer's counts come back flattened as ``"<peer>:<metric>"``.
         """
-        router = self._router
-        resyncer = Resyncer(self.host, router.transport, router.address_book)
-        stats = resyncer.resync(list(msg.apps), delta_state=self.delta_sync_state())
-        flat = {
-            f"{peer}:{metric}": count
-            for peer, counters in stats.items()
-            for metric, count in counters.items()
-        }
+        state = self.delta_sync_state()
+        flat: dict[str, int] = {}
+        for peer in sorted(self._router.address_book):
+            if peer == self.host:
+                continue
+            totals = {"returned": 0, "reseeded": 0}
+            for app in msg.apps:
+                pull = DeltaSyncPull(app, self.host, *state)
+                try:
+                    reply = self._router.call(peer, pull)
+                except CommunicationError:
+                    continue
+                if not reply.ok:
+                    raise ReplicationError(
+                        f"sync pull for {app!r} rejected by {peer}: {reply.error}"
+                    )
+                for metric in totals:
+                    totals[metric] += int(reply.stats.get(metric, 0))
+            flat.update((f"{peer}:{metric}", n) for metric, n in totals.items())
         return Reply(ok=True, stats=flat)
 
     def delta_sync_state(

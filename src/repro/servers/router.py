@@ -10,15 +10,22 @@ folder's placement is an ordered *replica chain* and "the owner" is its
 first reachable member: :meth:`Router.walk` is the one place that rule is
 written, and requests, parked waits and ``get_alt`` rounds all go through it.
 
+A peer is reached one way: every exchange with a next hop rides the one
+:class:`~repro.servers.link.PeerLink` the router dialled to it, retired
+when it fails and at shutdown.  When the failure detector declares the
+peer dead, every call on its link that may run again elsewhere fails, and
+the chain walk moves on.
+
 Everything without an underscore is for the other server modules.  What
-this one calls on them — a session's ``complete_waiter``, nothing else: how
-a request is served once it lands here is handed in (``here``).
+this one calls on them — a session's ``complete_waiter`` and
+``relay_ended``, nothing else: how a request is served once it lands here
+is handed in (``here``).
 """
 
 from __future__ import annotations
 
-import itertools
 import threading
+import time
 from typing import TYPE_CHECKING, Callable
 
 from repro.core.keys import FolderName
@@ -33,24 +40,19 @@ from repro.errors import (
     ServerError,
     ShutdownError,
 )
-from repro.network.codec import encode_message, split_correlated
-from repro.network.connection import Address, Connection, Transport
+from repro.network.codec import encode_message
+from repro.network.connection import Address, Transport
 from repro.network.protocol import (
-    BurstEnvelope,
     ForwardEnvelope,
     GetAltSkipRequest,
     GetWaitRequest,
-    PipelineBatch,
+    Heartbeat,
     Reply,
-    decode_protocol_frame,
-    exchange,
-    send_message,
     shutting_down,
 )
 from repro.replication.failure import FailureDetector
 from repro.servers.hashing import PlacementCache
-from repro.servers.relay import ParkedWaiter, RelayLink
-from repro.servers.replicator import PUT_ACK
+from repro.servers.link import ParkedWaiter, PeerLink
 from repro.servers.threadcache import ThreadCache
 from repro.telemetry import Counters
 
@@ -59,121 +61,14 @@ if TYPE_CHECKING:
 
 __all__ = ["Router"]
 
-#: Idle connections a pool keeps per destination; extras are closed.
-_POOL_IDLE_CAP = 4
-
-#: The put ack's tag+body bytes (what :func:`split_correlated` exposes): a
-#: burst-forwarded put whose reply matches these bytes can be relayed to
-#: the client verbatim, no decode, no re-encode.
-_PUT_ACK_TAGBODY = encode_message(PUT_ACK)[3:]
-
-#: Deadline for each reply read of a burst-forward.  A single forward can
-#: afford an unbounded reply wait (it wedges one request); a wedged burst
-#: would stall its whole put lane, so a frozen owner must instead fail
-#: the burst and send the unresolved puts down the audited retry path.
-_BURST_REPLY_TIMEOUT = 30.0
-
-
-def _answered_mid_teardown(reply: object) -> bool:
+def _torn(reply: object) -> bool:
+    """Whether *reply* was answered mid-teardown (a dying incarnation's)."""
     return type(reply) is Reply and shutting_down(reply.error)
 
 
-class _ConnectionPool:
-    """Exclusive-use connection pool keyed by destination address.
-
-    A forwarded request owns its connection for the full request/reply
-    round; concurrent requests to the same next hop get their own
-    connections, so there is no head-of-line blocking or deadlock — and
-    the peer's session, never holding a second frame from this
-    connection, serves each lane request inline on its reader.
-    """
-
-    def __init__(self, transport: Transport) -> None:
-        self._transport = transport
-        self._idle: dict[Address, list[Connection]] = {}
-        self._lock = threading.Lock()
-        self._closed = False
-
-    def exchange(
-        self,
-        address: Address,
-        attempt: Callable[[Connection], object],
-        stale: Callable[[object], bool] | None = None,
-    ):
-        """Run one request/reply *attempt* on a connection held exclusively.
-
-        A pooled connection can be silently dead (its peer restarted
-        since it idled), or still held by a zombie serving thread of a
-        dead incarnation that answers one last request with a shutdown
-        error while a restarted server is already healthy at the same
-        address — same staleness, different symptom.  So an attempt on a
-        *reused* connection that raises, or whose result *stale* flags,
-        drops the whole bucket and runs once more on a provably fresh
-        connection before anyone concludes the host itself is down; what
-        the second attempt raises or returns stands.  Resends keep
-        at-least-once semantics (duplicates possible, never losses).
-        """
-        retried = False
-        while True:
-            conn, reused = self._acquire(address)
-            retry = reused and not retried
-            try:
-                result = attempt(conn)
-            except (CommunicationError, TimeoutError):
-                conn.close()
-                if not retry:
-                    raise
-            else:
-                if not (retry and stale is not None and stale(result)):
-                    self._release(address, conn)
-                    return result
-                conn.close()
-            self.drop(address)
-            retried = True
-
-    def _acquire(self, address: Address) -> tuple[Connection, bool]:
-        """Returns ``(conn, reused)`` — reused means it came from the pool."""
-        with self._lock:
-            if self._closed:
-                raise ShutdownError("connection pool is closed")
-            bucket = self._idle.get(address)
-            while bucket:
-                conn = bucket.pop()
-                if not conn.closed:
-                    return conn, True
-        return self._transport.connect(address), False
-
-    def drop(self, address: Address) -> None:
-        """Close every idle connection to *address* (peer died/restarted)."""
-        with self._lock:
-            bucket = self._idle.pop(address, [])
-        for conn in bucket:
-            conn.close()
-
-    def _release(self, address: Address, conn: Connection) -> None:
-        if conn.closed:
-            return
-        with self._lock:
-            if not self._closed:
-                bucket = self._idle.setdefault(address, [])
-                if len(bucket) < _POOL_IDLE_CAP:
-                    bucket.append(conn)
-                    return
-        conn.close()
-
-    def close_all(self) -> None:
-        with self._lock:
-            self._closed = True
-            buckets = list(self._idle.values())
-            self._idle.clear()
-        for bucket in buckets:
-            for conn in bucket:
-                conn.close()
-
-
 class Router:
-    """Placement, the chain walk, forwarding and relay links of one server,
-    constructed with the server state it reads.  How a request is served
+    """Placement, the chain walk, forwarding and the peer links of one
+    server, constructed with the server state it reads.  How a request is served
     once it lands here is the caller's ``here``; the router never asks."""
 
     def __init__(
@@ -197,12 +92,10 @@ class Router:
         self._cache = cache
         self._stats = stats
         self._running = running
-        self._pool = _ConnectionPool(transport)
-        #: Next hop -> the link carrying every wait relayed that way.
-        self._relay_links: dict[str, RelayLink] = {}
-        self._relay_lock = threading.Lock()
-        #: Server-scoped relay tokens (and cancel correlation ids).
-        self._relay_ids = itertools.count(1)
+        #: Next hop -> the one link every exchange with it rides.
+        self._links: dict[str, PeerLink] = {}
+        self._links_lock = threading.Lock()
+        self._closed = False
 
     # -- placement ------------------------------------------------------------------
 
@@ -246,11 +139,8 @@ class Router:
         return reg, chain, candidates
 
     def suspect(self, host: str) -> None:
-        """Declare *host* dead and flush idle connections to it."""
+        """Declare *host* dead (the calls on its link that can, fail over)."""
         self._failure.mark_dead(host)
-        address = self.address_book.get(host)
-        if address is not None:
-            self._pool.drop(address)
 
     def admit(self, envelope: ForwardEnvelope) -> None:
         """Count an inbound envelope; refuse one that already crossed here."""
@@ -362,26 +252,10 @@ class Router:
         )
 
     def send_envelope(self, reg, target: str, inner: bytes, trail=()) -> Reply:
-        """One :func:`~repro.network.protocol.exchange` with the next hop
-        toward *target*, on a pooled connection: the encoded request
-        *inner* goes out enveloped, the reply comes back."""
+        """One call on the link to the next hop toward *target*: the
+        encoded request *inner* goes out enveloped, the reply comes back."""
         next_hop = reg.routing.next_hop(self.host, target)
-        envelope = self._envelope(reg, target, inner, trail)
-        try:
-            reply = self._pool.exchange(
-                self._address_of(next_hop),
-                lambda conn: exchange(conn, envelope),
-                stale=_answered_mid_teardown,
-            )
-        except (ConnectionClosedError, TimeoutError) as exc:
-            raise CommunicationError(
-                f"forward to {target} via {next_hop} failed: {exc}"
-            ) from exc
-        if type(reply) is not Reply:
-            raise ProtocolError(
-                f"expected Reply from {next_hop}, got {type(reply).__qualname__}"
-            )
-        return reply
+        return self.call(next_hop, self._envelope(reg, target, inner, trail))
 
     def forward_target(self, msg) -> str | None:
         """The single remote owner a pipelined put can burst-forward to.
@@ -413,82 +287,132 @@ class Router:
 
         Any request whose handler row runs on the put lane can ride it —
         a client's puts, the puts an anti-entropy pull returns, a lane
-        round's replica copies — and the owner applies them in order on
-        one lane.  *entries* are ``(message, corr_id, raw_frame_or_None)``
-        triples whose ids are unique within the burst; a client's raw
-        correlated frames travel verbatim (a forwarded put is never
-        re-encoded), and the owner's replies come back tagged with those
-        same ids.  Only sent over a direct link: a relay hop would pass
-        each member on in an envelope of its own and could reorder them.
+        round's replica copies — and the owner applies them in order.
+        *entries* are ``(message, raw_frame_or_None)`` pairs; a client's
+        raw correlated frames travel with their bodies untouched (a
+        forwarded put is never re-encoded).  Only sent over a direct
+        link: a relay hop would pass each member on in an envelope of its
+        own and could reorder them.
 
-        Returns one result per entry:
-
-        * ``bytes`` — the owner's acknowledgement frame, byte-identical
-          to what the client expects; the caller relays it untouched;
-        * :class:`Reply` — a decoded non-ack reply (error, found-flag);
-        * ``None`` — unresolved (connection failure, pool shutdown, no
-          direct link); the caller sends it down its per-request path.
+        Returns one result per entry: the owner's :class:`Reply` (the
+        put ack is :data:`~repro.servers.replicator.PUT_ACK` itself), or
+        None — unresolved (the link failed or missed its deadline, no
+        direct link) — which the caller sends down its per-request path.
+        A stale link's retry resends only what the first attempt left
+        unresolved or a dying incarnation answered mid-teardown.
         """
-        address = self.address_book.get(owner_host)
         try:
             linked = self.registration(app).routing.next_hop(self.host, owner_host)
         except MemoError:
             linked = None
-        if address is None or linked != owner_host:
-            return [None] * len(entries)
-        frames = {}
-        index_of = {}
-        for i, (msg, cid, raw) in enumerate(entries):
-            frames[cid] = raw if raw is not None else encode_message(msg, corr_id=cid)
-            index_of[cid] = i
         results: list = [None] * len(entries)
-        unresolved = set(index_of)
+        if linked != owner_host or owner_host not in self.address_book:
+            return results
 
-        def absorb(raw_reply: bytes) -> None:
-            split = split_correlated(raw_reply)
-            if split is None:
-                return  # id-less frame: not a burst reply, skip
-            cid, tagbody = split
-            if cid not in unresolved:
-                return
-            if tagbody == _PUT_ACK_TAGBODY:
-                results[index_of[cid]] = raw_reply
-            else:
-                reply, _ = decode_protocol_frame(raw_reply)
-                if type(reply) is not Reply:
-                    return
-                results[index_of[cid]] = reply
-            unresolved.discard(cid)
-
-        def torn() -> list:
-            teardown = _answered_mid_teardown
-            return [cid for cid, i in index_of.items() if teardown(results[i])]
-
-        def attempt(conn: Connection) -> None:
-            # A retry resends only what the first connection left open or
-            # a dead incarnation's session answered mid-teardown.
-            unresolved.update(torn())
-            pending = tuple(frames[cid] for cid in sorted(unresolved))
-            send_message(
-                conn,
-                BurstEnvelope(
-                    app=app, target_host=owner_host, frames=pending, trail=(self.host,)
-                ),
-            )
-            while unresolved:
-                data = conn.recv(timeout=_BURST_REPLY_TIMEOUT)
-                reply, _cid = decode_protocol_frame(data)
-                batched = type(reply) is PipelineBatch
-                for raw_reply in reply.frames if batched else (data,):
-                    absorb(raw_reply)
+        def attempt(link: PeerLink) -> tuple:
+            pending = [i for i, r in enumerate(results) if r is None or _torn(r)]
+            members = [entries[i] for i in pending]
+            got, error = link.burst(app, owner_host, members, (self.host,))
+            for i, reply in zip(pending, got):
+                results[i] = reply
+            return got, error
 
         try:
-            self._pool.exchange(address, attempt, stale=lambda _none: bool(torn()))
-        except (CommunicationError, TimeoutError, ShutdownError):
+            self._on_link(owner_host, attempt)
+        except (CommunicationError, ShutdownError):
             pass  # what stayed unresolved is the caller's to re-route
         return results
 
-    # -- relayed waits --------------------------------------------------------------
+    # -- the links ------------------------------------------------------------------
+
+    def call(self, host: str, message: object) -> Reply:
+        """One request to *host* on its link, within the message's deadline
+        (:data:`~repro.servers.link.DEADLINES`)."""
+        (reply,), error = self._on_link(host, lambda link: link.call(message))
+        if error is not None:
+            raise CommunicationError(f"call to {host} failed: {error}") from error
+        return reply
+
+    def _on_link(self, host: str, send: Callable[[PeerLink], tuple]) -> tuple:
+        """``send(link)`` on the link to *host*: its ``(results, error)``.
+
+        The stale rule: a link that had answered can be dead (its peer
+        restarted since) or reach a dying incarnation answering
+        mid-teardown.  A loss or a mid-teardown reply on it retires it, and
+        *send* runs once more on a fresh dial.  A missed deadline is a
+        failed probe of *host*.
+        """
+        retried = False
+        while True:
+            link = self._link(host)
+            reused = link.answered
+            results, error = send(link)
+            if isinstance(error, TimeoutError):
+                self._failure.record_failure(host)
+            stale = type(error) is ConnectionClosedError or (
+                error is None and any(map(_torn, results))
+            )
+            if retried or not reused or not stale:
+                return results, error
+            self._retire(link, "stale")
+            retried = True
+
+    def probe(self, peer: str, quiet: float) -> None:
+        """Feed the failure detector one observation of *peer*.
+
+        A link that received any frame in the last *quiet* seconds proves
+        the peer alive; a quieter one carries a :class:`Heartbeat`, and a
+        dial or a heartbeat that fails is a failed probe.
+        """
+        try:
+            link = self._link(peer)
+        except (CommunicationError, ShutdownError):
+            alive = False
+        else:
+            alive = time.monotonic() - link.heard < quiet
+            if not alive:
+                (reply,), error = link.call(Heartbeat(host=self.host))
+                alive = error is None and reply.ok
+        if alive:
+            self._failure.mark_alive(peer)
+        else:
+            self._failure.record_failure(peer)
+
+    def _link(self, host: str) -> PeerLink:
+        """The link to *host*, dialled (and its reader started) when there
+        is none or it was retired."""
+        link = self._links.get(host)
+        if link is not None and not link.retired:
+            return link
+        with self._links_lock:
+            link = self._links.get(host)
+            if link is not None and not link.retired:
+                return link
+            if self._closed or not self._running.is_set():
+                raise ShutdownError("server stopping; no peer link")
+            self._stats.bump("peer_dials")
+            conn = self.transport.connect(self._address_of(host))
+            link = PeerLink(host, conn, self.host, self._cache)
+            try:
+                link.read_on()
+            except ServerError:  # stop() raced us: the cache just shut down
+                conn.close()
+                raise ShutdownError("server stopping; no peer link") from None
+            self._links[host] = link
+        return link
+
+    def _retire(self, link: PeerLink, why: str) -> None:
+        """Retire *link*: its calls fail, its relayed waits re-park."""
+        error = CommunicationError(f"link to {link.host} retired: {why}")
+        for session, entry in link.retire(error):
+            session.relay_ended(entry, f"shutdown: link to {link.host} retired: {why}")
+
+    def fail_calls_to(self, host: str) -> None:
+        """*host* was declared dead: every call on its link that may run
+        again elsewhere fails now, and the chain walk moves on."""
+        link = self._links.get(host)
+        if link is not None:
+            link.fail_calls(CommunicationError(f"{host} is suspected down"))
 
     def relay_wait(
         self, session, entry: ParkedWaiter, reg, target: str, trail: tuple[str, ...]
@@ -505,55 +429,34 @@ class Router:
         its fate is the link reader's.
         """
         next_hop = reg.routing.next_hop(self.host, target)
-        token = next(self._relay_ids)
         entry.target, entry.trail = target, trail
-        with self._relay_lock:
-            link = self._relay_links.get(next_hop)
-            if link is None or not link.add(token, session, entry):
-                link = self._open_relay_link(next_hop)
-                if not link.add(token, session, entry):
-                    raise ConnectionClosedError(
-                        f"relay link to {next_hop} was lost as it opened"
-                    )
+        for _attempt in range(2):  # a link retired under us: one fresh dial
+            link = self._link(next_hop)
+            token = link.park(session, entry)
+            if token is not None:
+                break
+        else:
+            raise ConnectionClosedError(f"link to {next_hop} was lost as it opened")
         self._stats.bump("forwards_out")
         wait = GetWaitRequest(
             folder=entry.folder, mode=entry.mode, waiter=token, origin=entry.origin
         )
         link.send(self._envelope(reg, target, encode_message(wait), trail), token)
 
-    def _open_relay_link(self, next_hop: str) -> RelayLink:
-        """Dial *next_hop* and start the link's reader (``_relay_lock`` held)."""
-        if not self._running.is_set():
-            raise ShutdownError("server stopping; wait not relayed")
-        link = RelayLink(
-            next_hop,
-            self.transport.connect(self._address_of(next_hop)),
-            self._relay_ids,
-            self.host,
-        )
-        try:
-            self._cache.submit(link.serve)
-        except ServerError:  # stop() raced us: the cache just shut down
-            link.conn.close()
-            raise ShutdownError("server stopping; wait not relayed") from None
-        self._relay_links[next_hop] = link
-        return link
-
     def retire_links(self) -> None:
-        """End every relayed wait as a store's own end at shutdown: with a
-        ``shutdown:`` reason, so their clients re-subscribe at the next
-        incarnation."""
-        with self._relay_lock:
-            links = list(self._relay_links.values())
+        """At shutdown: fail every call on a link, and end every relayed
+        wait as a store's own end does — with a ``shutdown:`` reason, so
+        their clients re-subscribe at the next incarnation.  No link is
+        dialled after this."""
+        with self._links_lock:
+            self._closed = True
+            links = list(self._links.values())
+        stopping = ConnectionClosedError("server stopping")
         for link in links:
-            for session, entry in link.retire():
+            for session, entry in link.retire(stopping):
                 session.complete_waiter(
                     entry, None, "shutdown: server stopping; relayed wait ended"
                 )
-
-    def close(self) -> None:
-        """Close every pooled connection; later forwards fail as shutdown."""
-        self._pool.close_all()
 
     # -- get_alt (section 6.1.2) ------------------------------------------------------
 

@@ -12,13 +12,18 @@ through an unsolicited :class:`~repro.network.protocol.MemoReady` /
 :class:`~repro.network.protocol.WaitCancelled` push completed directly off
 the put path — a million parked waiters cost a table, not a thread pool.
 That holds from any host: a wait for a folder served elsewhere is sent on
-over one long-lived link per next hop (:mod:`repro.servers.relay`) and
-parks in the *owner's* table like everyone else's; its GetWait is
-answered by the owner's first answer, so a remote hit is one reply, as a
-local one is.
+over the one link per next hop (:mod:`repro.servers.link`) and parks in
+the *owner's* table like everyone else's; its GetWait is answered by the
+owner's first answer, so a remote hit is one reply, as a local one is.
+
+A peer's link is one session here, so nothing that waits on a peer may
+hold back a request that does not: a replica copy and a heartbeat are
+``INLINE`` rows, never queued behind a put that is fanning out; a request
+passing through runs on a worker, never on the lane; and a reader that
+waits on a peer hands its reading on (``hand_off_reading``).
 
 Everything without an underscore is for the other server modules (the
-accept path, the handler table's reader rows, a relay link's reader).
+accept path, the handler table's reader rows, a peer link's reader).
 What this one calls on them — the server's ``host``, ``stats``, ``cache``,
 ``running``, ``handlers``, ``handle``, ``guarded``; the router's
 ``candidates``, ``admit``, ``chained_here``, ``walk``, ``relay_wait``,
@@ -51,25 +56,26 @@ from repro.network.protocol import (
     send_message,
     shutting_down,
 )
-from repro.servers.relay import ParkedWaiter
-from repro.servers.threadcache import scatter_join
+from repro.servers.link import ParkedWaiter
+from repro.servers.threadcache import reading, scatter_join
 
 if TYPE_CHECKING:
     from repro.servers.memo_server import MemoServer
 
-__all__ = ["_ConnectionSession", "Row", "LANE", "READER", "WORKER"]
+__all__ = ["_ConnectionSession", "Row", "LANE", "READER", "INLINE", "WORKER"]
 
 #: Where a request runs (a :class:`Row`'s ``where``): on the connection's
-#: one FIFO put lane, inline on the reader (it never blocks), or on a
-#: worker of its own (it may).
-LANE, READER, WORKER = "lane", "reader", "worker"
+#: one FIFO put lane, inline on the reader (it never blocks; it replies
+#: itself), as it is read (it never waits on a peer), or on a worker of
+#: its own (it may).
+LANE, READER, INLINE, WORKER = "lane", "reader", "inline", "worker"
 
 
 class Row(NamedTuple):
     """One handler-table entry: how the server serves one message class.
 
-    A ``LANE`` / ``WORKER`` row's handler is ``handler(server, msg,
-    envelope) -> Reply``; a ``READER`` row's is ``handler(session, msg,
+    A ``LANE`` / ``INLINE`` / ``WORKER`` row's handler is ``handler(server,
+    msg, envelope) -> Reply``; a ``READER`` row's is ``handler(session, msg,
     cid, envelope) -> bool`` — it sends what it owes itself, and False
     closes the session.  *enveloped* rows may arrive inside a peer's
     :class:`~repro.network.protocol.ForwardEnvelope` (``envelope`` is then
@@ -119,8 +125,7 @@ class _ConnectionSession:
 
     * ``LANE`` rows keep their order on the connection's one FIFO put
       lane.  A lone one runs inline when the lane is idle and no whole
-      frame is buffered behind it (so does every peer hop: a pooled
-      connection carries one request at a time); otherwise it queues for
+      frame is buffered behind it; otherwise it queues for
       the lane's one worker, as a carrier's lane requests always do, in
       rounds (one worker is the throughput sweet spot under the GIL, and
       cross-owner latency overlap comes from the worker firing its burst
@@ -130,7 +135,8 @@ class _ConnectionSession:
       is buffered behind it, else on a worker of its own;
     * ``READER`` rows — GetWait/CancelWait and the carriers — never block
       and run inline (that inlining IS the waiter table's O(1)-thread
-      property);
+      property); ``INLINE`` rows — a replica copy, a heartbeat — never
+      wait on a peer and run as they are read;
     * replies are sent as the requests complete — out of order, tagged
       with the request's correlation id, coalesced into
       :class:`PipelineBatch` frames when a burst completes together.
@@ -168,7 +174,11 @@ class _ConnectionSession:
     # -- reader ---------------------------------------------------------------
 
     def serve(self) -> None:
+        """The reader: runs until the connection closes or the server
+        stops, or until a request it served inline handed the reading on
+        (``hand_off_reading``) — then the new reader owns the session."""
         conn = self.conn
+        reading.reader = self
         try:
             while self.server.running.is_set():
                 try:
@@ -180,23 +190,32 @@ class _ConnectionSession:
                     return
                 if type(msg) not in _CARRIERS:
                     self.server.stats.bump_pair("requests", "pipelined_requests")
-                if not self._dispatch(msg, cid, raw):
+                if not self._dispatch(msg, cid, raw) or reading.reader is not self:
                     return
         finally:
-            self._drain_and_close()
+            if reading.reader is self:
+                reading.reader = None
+                self._drain_and_close()
 
-    def _dispatch(self, msg, cid, raw: bytes, lane=None, envelope=None) -> bool:
+    def read_on(self) -> None:
+        """Continue :meth:`serve` on a thread of its own."""
+        self.server.cache.submit(self.serve)
+
+    def _dispatch(
+        self, msg, cid, raw: bytes, lane=None, envelope=None, done=None
+    ) -> bool:
         """Run one frame where its table row says — a carrier's lane
         requests in its *lane* round; False closes the session, as a
         frame breaking the id rule (:data:`_CARRIERS`) does."""
         if (cid is None) is not (type(msg) in _CARRIERS):
             return False
         row = self.server.handlers.get(type(msg))
-        return self._run(row, msg, cid, envelope, raw, lane)
+        return self._run(row, msg, cid, envelope, raw, lane, done)
 
-    def _run(self, row, msg, cid, envelope, raw, lane) -> bool:
+    def _run(self, row, msg, cid, envelope, raw, lane, done=None) -> bool:
         """Run *msg* where *row* says (no row: as a ``WORKER`` row, which
-        answers what it is)."""
+        answers what it is); a carrier collects its ``INLINE`` replies in
+        *done*, to send them as one batch."""
         where = row.where if row is not None else WORKER
         if where is LANE:
             entry = (msg, cid, envelope, raw)
@@ -204,6 +223,13 @@ class _ConnectionSession:
                 self._enqueue([entry], alone=True)
             else:
                 lane.append(entry)
+            return True
+        if where is INLINE:
+            reply = (self.server.handle(msg, envelope), cid)
+            if done is None:
+                self._send_replies([reply])
+            else:
+                done.append(reply)
             return True
         if lane:
             # What the carrier queued so far goes ahead of what follows it.
@@ -231,6 +257,14 @@ class _ConnectionSession:
         row = self.server.handlers.get(type(inner))
         if row is not None and not row.enveloped:
             row = None
+        elif (
+            row is not None
+            and row.where is not READER
+            and envelope.target_host != self.server.host
+        ):
+            # Passing it on waits on the next hop: on a worker, never on
+            # the lane, where a ring of relays could wait on itself.
+            row = None
         return self._run(row, inner, cid, envelope, None, None)
 
     def unpack_batch(self, batch: PipelineBatch, _cid=None, _envelope=None) -> bool:
@@ -244,10 +278,11 @@ class _ConnectionSession:
         (the trail/ownership checks an enveloped request goes through
         read only its header fields), and each member frame keeps its
         correlation id — the replies this session emits go back to the
-        sending server, which relays a client's verbatim.  The whole
-        burst is queued at once, so the lane serves it in full rounds.
-        False closes the session: a burst not targeted here, or carrying
-        anything but correlated lane requests, is a protocol violation.
+        sending server's link, which answers each member's caller.  The
+        whole burst is queued at once, so the lane serves it in full
+        rounds (replica copies, ``INLINE``, are served as read).  False
+        closes the session: a burst not targeted here, or carrying
+        anything but lane or inline requests, is a protocol violation.
         """
         if burst.target_host != self.server.host:
             return False
@@ -266,6 +301,7 @@ class _ConnectionSession:
         stats.bump("pipelined_requests", len(frames))
         handlers = self.server.handlers
         lane: list = []
+        done: list = []
         for raw in frames:
             try:
                 msg, cid = decode_protocol_frame(raw)
@@ -275,10 +311,12 @@ class _ConnectionSession:
                 return False
             if shared is not None:
                 row = handlers.get(type(msg))
-                if row is None or row.where is not LANE:
+                if row is None or row.where not in (LANE, INLINE):
                     return False
-            if not self._dispatch(msg, cid, raw, lane, shared):
+            if not self._dispatch(msg, cid, raw, lane, shared, done):
                 return False
+        if done:
+            self._send_replies(done)
         if lane:
             self._enqueue(lane)
         return True
@@ -361,19 +399,16 @@ class _ConnectionSession:
             sent = self.server.guarded(replicator.send_copies)
         if sent.ok:
             return replies
-        return [
-            (sent, e[1]) if type(e) is tuple and e[0].ok else e for e in replies
-        ]
+        return [(sent, cid) if reply.ok else (reply, cid) for reply, cid in replies]
 
     def _process_put_batch(self, batch: list) -> list:
         """Serve one lane round, burst-forwarding runs of remote puts.
 
-        Local puts, enveloped requests and folder-less ones (a heartbeat)
-        are served in place; puts owned by a single remote host are grouped
-        per ``(app, owner)`` and forwarded as one :class:`BurstEnvelope`
-        instead of one enveloped round trip each — the owner's
-        acknowledgement frames come back tagged with the client's own ids
-        and are relayed verbatim.  Entries the burst cannot resolve —
+        Local puts and enveloped requests are served in place; puts owned
+        by a single remote host are grouped per ``(app, owner)`` and
+        forwarded as one :class:`BurstEnvelope` instead of one enveloped
+        round trip each — the owner's replies come back member by member
+        and answer the client's own ids.  Entries the burst cannot resolve —
         connection failures, a peer answering mid-teardown, a folder that
         migrated underneath the burst — fall back to the server's full
         routing, which owns retry, suspicion, and fail-over policy.
@@ -411,11 +446,6 @@ class _ConnectionSession:
         bursts = self._run_burst_groups(batch, groups)
         for key, idxs in groups.items():
             for i, result in zip(idxs, bursts[key]):
-                if isinstance(result, bytes):
-                    # The owner's ack frame, already tagged with the
-                    # client's correlation id: relay it untouched.
-                    replies[i] = result
-                    continue
                 if result is None or retryable(result.error):
                     # Unresolved, or the owner was dying or the folder
                     # moved mid-burst: the slow path knows how to chase
@@ -436,7 +466,7 @@ class _ConnectionSession:
 
         def one_group(key: tuple) -> None:
             app, owner = key
-            entries = [(batch[i][0], batch[i][1], batch[i][3]) for i in groups[key]]
+            entries = [(batch[i][0], batch[i][3]) for i in groups[key]]
             self.server.stats.bump("forwards_out", len(entries))
             try:
                 bursts[key] = self.server.router.forward_burst(app, owner, entries)
@@ -709,11 +739,8 @@ class _ConnectionSession:
         return True
 
     def _send_replies(self, replies: list) -> None:
-        """Emit completed replies, coalescing a burst into one batch frame.
-
-        Each entry is either a ``(reply, corr_id)`` pair to encode, or a
-        ready-made frame (``bytes``) relayed from a burst-forward's owner
-        — already tagged with the right id, sent verbatim.
+        """Emit completed ``(reply, corr_id)`` pairs, coalescing a burst
+        into one batch frame.
 
         Send failures are swallowed: the peer is gone and the replies are
         moot — the counters in the callers' ``finally`` blocks still
@@ -721,17 +748,10 @@ class _ConnectionSession:
         """
         try:
             if len(replies) == 1:
-                entry = replies[0]
-                if isinstance(entry, bytes):
-                    self.conn.send(entry)
-                else:
-                    send_message(self.conn, entry[0], corr_id=entry[1])
+                reply, cid = replies[0]
+                send_message(self.conn, reply, corr_id=cid)
                 return
-            pairs = [e for e in replies if not isinstance(e, bytes)]
-            encoded = iter(encode_correlated_burst(pairs))
-            frames = tuple(
-                e if isinstance(e, bytes) else next(encoded) for e in replies
-            )
+            frames = tuple(encode_correlated_burst(replies))
             send_message(self.conn, PipelineBatch(frames))
         except CommunicationError:
             pass

@@ -22,7 +22,29 @@ from typing import Callable
 from repro.errors import ServerError
 from repro.telemetry import Counters
 
-__all__ = ["ThreadCache", "scatter_join"]
+__all__ = ["ThreadCache", "scatter_join", "reading", "hand_off_reading"]
+
+#: The connection reader the current thread serves as, if any — a memo
+#: server session's or a peer link's (see :func:`hand_off_reading`).
+reading = threading.local()
+
+#: How long a reader waits on a peer before it hands its reading on: about
+#: two hundred peer round trips, so a healthy exchange never pays a hand-off.
+HAND_OFF_AFTER = 0.02
+
+
+def hand_off_reading() -> None:
+    """If the current thread is a reader, hand its reading on to a fresh
+    one (the reader's ``read_on()``): it is about to wait on a peer, and
+    the frame that ends the wait may be behind it."""
+    reader = getattr(reading, "reader", None)
+    if reader is None:
+        return
+    try:
+        reader.read_on()
+    except ServerError:  # shutting down: keep reading here
+        return
+    reading.reader = None
 
 
 def scatter_join(cache: "ThreadCache", thunks: list) -> list[Exception]:
@@ -66,7 +88,9 @@ def scatter_join(cache: "ThreadCache", thunks: list) -> list[Exception]:
         except ServerError:
             run_one(fn)
     run_one(thunks[-1])
-    done.wait()
+    if not done.wait(HAND_OFF_AFTER):
+        hand_off_reading()
+        done.wait()
     return errors
 
 

@@ -8,10 +8,8 @@ import pytest
 
 from repro.adf.defaults import system_default_adf
 from repro.core.keys import FolderName, Key, Symbol
-from repro.errors import ConnectionClosedError
-from repro.network.protocol import Reply
-from repro.replication import resync
-from repro.replication.resync import Resyncer
+from repro.errors import CommunicationError, ConnectionClosedError, RoutingError
+from repro.network.protocol import Reply, ResyncRequest
 from repro.runtime.cluster import Cluster
 from repro.servers.router import Router
 from repro.transferable.wire import decode
@@ -190,22 +188,34 @@ class TestFallback:
 
 
 class TestPullErrors:
+    """A restarted host's round (``Replicator.handle_resync_request``)
+    skips a peer whose pull cannot be answered, and lets a bug raise."""
+
     @staticmethod
     def pull_raising(monkeypatch, error: Exception) -> dict:
         def raising(*_args):
             raise error
 
-        monkeypatch.setattr(resync, "round_trip", raising)
-        resyncer = Resyncer("h0", transport=None, address_book={"h0": 0, "h1": 1})
-        return resyncer.resync([APP], ({}, {}, {}))
+        cluster = make_cluster(["h0", "h1"])
+        try:
+            monkeypatch.setattr(Router, "call", raising)
+            request = ResyncRequest(apps=(APP,), origin="test")
+            return cluster.servers["h0"].replicator.handle_resync_request(request).stats
+        finally:
+            monkeypatch.undo()
+            cluster.stop()
 
     @pytest.mark.parametrize(
         "error",
-        [ConnectionClosedError("no listener"), TimeoutError("recv"), OSError("reset")],
+        [
+            ConnectionClosedError("no listener"),
+            CommunicationError("no reply from h1 in 10.0 s"),
+            RoutingError("no address known for host 'h1'"),
+        ],
     )
     def test_a_peer_that_cannot_answer_is_skipped(self, monkeypatch, error):
         stats = self.pull_raising(monkeypatch, error)
-        assert stats == {"h1": {"returned": 0, "reseeded": 0}}
+        assert stats == {"h1:returned": 0, "h1:reseeded": 0}
 
     def test_a_bug_in_the_reply_path_is_not_mistaken_for_a_dead_peer(
         self, monkeypatch

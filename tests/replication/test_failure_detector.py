@@ -7,7 +7,7 @@ import pytest
 from repro.network.connection import Address
 from repro.network.transport import InMemoryTransport, NetworkFabric
 from repro.replication.failure import FailureDetector, HeartbeatMonitor
-from repro.servers.memo_server import MEMO_PORT, MemoServer
+from repro.servers.memo_server import MemoServer
 
 
 class TestFailureDetector:
@@ -46,28 +46,38 @@ class TestFailureDetector:
 
 
 class TestHeartbeatMonitor:
-    def _server(self, fabric, host, book):
+    """The monitor probes through its server's router: a heartbeat on the
+    link to each peer, whose outcome feeds the server's detector."""
+
+    def _server(self, fabric, host, book, threshold=3):
         transport = InMemoryTransport(fabric, host)
-        server = MemoServer(host, transport, address_book=book)
+        server = MemoServer(
+            host, transport, address_book=book, failure_threshold=threshold
+        )
         server.start()
-        return server, transport
+        return server
+
+    @staticmethod
+    def _until_dead(monitor, detector, peer):
+        deadline = time.monotonic() + 5.0
+        while detector.is_alive(peer) and time.monotonic() < deadline:
+            monitor.probe_once()
+            time.sleep(0.02)
 
     def test_probe_marks_live_peer_alive_and_dead_peer_dead(self):
         fabric = NetworkFabric()
         book: dict[str, Address] = {}
-        a, transport_a = self._server(fabric, "a", book)
-        b, _transport_b = self._server(fabric, "b", book)
+        a = self._server(fabric, "a", book, threshold=2)
+        b = self._server(fabric, "b", book)
         try:
-            detector = FailureDetector(threshold=2)
-            detector.mark_dead("b")
-            monitor = HeartbeatMonitor("a", transport_a, book, detector)
+            a.failure.mark_dead("b")
+            monitor = HeartbeatMonitor("a", book, a.router.probe)
             monitor.probe_once()
-            assert detector.is_alive("b")
+            assert a.failure.is_alive("b")
 
             b.stop()
-            monitor.probe_once()
-            monitor.probe_once()
-            assert not detector.is_alive("b")
+            self._until_dead(monitor, a.failure, "b")
+            assert not a.failure.is_alive("b")
         finally:
             a.stop()
             b.stop()
@@ -75,11 +85,11 @@ class TestHeartbeatMonitor:
     def test_receiving_a_heartbeat_marks_sender_alive(self):
         fabric = NetworkFabric()
         book: dict[str, Address] = {}
-        a, transport_a = self._server(fabric, "a", book)
-        b, _ = self._server(fabric, "b", book)
+        a = self._server(fabric, "a", book)
+        b = self._server(fabric, "b", book)
         try:
             b.failure.mark_dead("a")
-            monitor = HeartbeatMonitor("a", transport_a, book, a.failure)
+            monitor = HeartbeatMonitor("a", book, a.router.probe)
             monitor.probe_once()
             # b heard from a, so b's detector cleared the suspicion.
             assert b.failure.is_alive("a")
@@ -90,20 +100,17 @@ class TestHeartbeatMonitor:
     def test_monitor_thread_start_stop(self):
         fabric = NetworkFabric()
         book: dict[str, Address] = {}
-        a, transport_a = self._server(fabric, "a", book)
-        b, _ = self._server(fabric, "b", book)
+        a = self._server(fabric, "a", book, threshold=2)
+        b = self._server(fabric, "b", book)
         try:
-            detector = FailureDetector(threshold=2)
-            monitor = HeartbeatMonitor(
-                "a", transport_a, book, detector, interval=0.02
-            )
+            monitor = HeartbeatMonitor("a", book, a.router.probe, interval=0.02)
             monitor.start()
             assert monitor.running
             b.stop()
             deadline = time.monotonic() + 5.0
-            while detector.is_alive("b") and time.monotonic() < deadline:
+            while a.failure.is_alive("b") and time.monotonic() < deadline:
                 time.sleep(0.02)
-            assert not detector.is_alive("b")
+            assert not a.failure.is_alive("b")
             monitor.stop()
             assert not monitor.running
         finally:

@@ -40,8 +40,8 @@ folder.<sid>.folders_created folder.<sid>.folders_vanished folder.<sid>.gets
 folder.<sid>.live_folders folder.<sid>.live_memos folder.<sid>.puts
 folder.<sid>.skip_misses folder.<sid>.skips
 memo.errors memo.failover_dispatches memo.forwards_in memo.forwards_out
-memo.forwards_relayed memo.local_dispatches memo.pipelined_batches
-memo.pipelined_requests memo.push_frames memo.registrations
+memo.forwards_relayed memo.local_dispatches memo.peer_dials
+memo.pipelined_batches memo.pipelined_requests memo.push_frames memo.registrations
 memo.replication_failures memo.replications_in memo.replications_out
 memo.requests memo.resync_reseed_skipped memo.resync_reseeded
 memo.resync_returned memo.waiters_active memo.waiters_cancelled
@@ -128,7 +128,7 @@ def test_retry_predicates_agree_with_the_inline_tests_they_replaced(one_host_clu
         emitted(CommunicationError("no listener at h2:7094")),
         "shutdown: server stopped before the request was served",
         "shutdown: server stopping; relayed wait ended",
-        "shutdown: relay link to h2 lost",
+        "shutdown: link to h2 lost",
         "FolderMigratedError: folder k migrated away",
         "folder k kept migrating; giving up",
         "internal error: KeyError: 'x'",

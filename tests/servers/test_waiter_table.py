@@ -27,7 +27,7 @@ from repro.network.protocol import (
     send_message,
 )
 from repro.servers.memo_server import HANDLERS
-from repro.servers.relay import RelayLink
+from repro.servers.link import PeerLink
 
 FANIN = 1000
 
@@ -681,7 +681,7 @@ class TestOneReplyPerRelayedWait:
         (k,) = keys_owned_by(two_host_cluster, "beta", 1, start=850)
         memo, seen, future, cid = self.start(two_host_cluster, k)
         assert gate.entered.wait(5)
-        alpha.router._relay_links["beta"].conn.close()
+        alpha.router._links["beta"].conn.close()
         gate.set()
         wait_until(
             lambda: beta.stats["waiters_cancelled"] == 1,
@@ -730,7 +730,7 @@ class TestOneReplyPerRelayedWait:
         reader is still inside ``relay_wait``: the hit is still the one
         reply — no late parked ack overtakes or follows it."""
         answered = threading.Event()
-        send, on_reply = RelayLink.send, RelayLink._on_reply
+        send, on_reply = PeerLink.send, PeerLink._on_reply
 
         def reader_first(link, message, cid):
             send(link, message, cid)
@@ -741,8 +741,8 @@ class TestOneReplyPerRelayedWait:
             on_reply(link, reply, cid)
             answered.set()
 
-        monkeypatch.setattr(RelayLink, "send", reader_first)
-        monkeypatch.setattr(RelayLink, "_on_reply", handled)
+        monkeypatch.setattr(PeerLink, "send", reader_first)
+        monkeypatch.setattr(PeerLink, "_on_reply", handled)
         (k,) = keys_owned_by(two_host_cluster, "beta", 1, start=870)
         two_host_cluster.memo_api("beta", "test", "f").put(k, "first", wait=True)
         memo, seen, future, cid = self.start(two_host_cluster, k)
