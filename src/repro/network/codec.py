@@ -85,6 +85,7 @@ __all__ = [
     "decode_tagged",
     "split_correlated",
     "recorrelate",
+    "tag_of",
     "folder_intern_stats",
 ]
 
@@ -180,6 +181,24 @@ def _w_uint(out: bytearray, n: int) -> None:
         raise EncodingError(f"compact codec cannot encode {n}: outside [0, 2**64)")
     else:
         _w_uv(out, n)
+
+
+#: The one-byte uvarints.
+_UV1 = tuple(bytes((n,)) for n in range(0x80))
+
+
+def _uint_bytes(n: int) -> bytes:
+    """What :func:`_w_uint` writes for *n*, as bytes: a correlation id to
+    splice between a frame's header and its body."""
+    if 0 <= n < 0x80:
+        return _UV1[n]
+    if 0 < n < 0x4000:
+        return bytes(((n & 0x7F) | 0x80, n >> 7))
+    if 0 < n < 0x200000:
+        return bytes(((n & 0x7F) | 0x80, (n >> 7 & 0x7F) | 0x80, n >> 14))
+    out = bytearray()
+    _w_uint(out, n)
+    return bytes(out)
 
 
 def _w_bytes(out: bytearray, b: bytes) -> None:
@@ -563,6 +582,11 @@ def register_compact(
 # ---------------------------------------------------------------------------
 
 
+def tag_of(cls: type) -> int:
+    """The compact tag of *cls*: byte 3 of every frame that carries one."""
+    return _SPECS_BY_TYPE[cls].plain[3]
+
+
 def encode_message(msg: object, corr_id: int | None = None) -> bytes:
     """Encode one control message, compactly when a spec is registered.
 
@@ -621,10 +645,7 @@ def encode_correlated_burst(pairs) -> list[bytes]:
             spec.enc(msg, body)
             cached = body_cache[id(msg)] = (spec.correlated, bytes(body))
         head, body_bytes = cached
-        out = bytearray(head)
-        _w_uint(out, corr_id)
-        out += body_bytes
-        frames.append(bytes(out))
+        frames.append(head + _uint_bytes(corr_id) + body_bytes)
     return frames
 
 
@@ -655,11 +676,9 @@ def split_correlated(data: bytes) -> tuple[int, bytes] | None:
 def recorrelate(data: bytes, corr_id: int) -> bytes:
     """The correlated frame *data* under *corr_id* instead of its own id;
     tag and body bytes are copied, never re-encoded."""
-    _old, pos = _r_uv(data, 4)
-    out = bytearray(data[:4])
-    _w_uint(out, corr_id)
-    out += data[pos:]
-    return bytes(out)
+    first = data[4]
+    pos = 5 if first < 0x80 else _uv_tail(data, 5, first)[1]
+    return data[:4] + _uint_bytes(corr_id) + data[pos:]
 
 
 def decode_message(data: bytes | memoryview) -> object:

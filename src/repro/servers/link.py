@@ -5,8 +5,9 @@ and 5) over one long-lived connection, a :class:`PeerLink`.  Forwards,
 replica copies, bursts, heartbeats, anti-entropy pulls, relayed waits and
 their cancels are correlated requests on it, and its one reader hands each
 reply to what waits on the id: a call's slot, or a :class:`ParkedWaiter`.
-A call waits at most its :data:`DEADLINES` entry; a relayed wait, parked
-in the owner's table, ends by a reply, a push or the loss of the link.
+A call waits at most its :data:`DEADLINES` entry, but a consuming read
+waits for its reply as a relayed wait, parked in the owner's table, does:
+until a reply, a push or the loss of the link ends it.
 What this module calls on a session: ``complete_waiter``, ``ack_parked``
 and ``relay_ended``.
 """
@@ -21,10 +22,10 @@ from repro.core.keys import FolderName
 from repro.core.memo import MemoRecord
 from repro.errors import CommunicationError, ConnectionClosedError, ProtocolError
 from repro.network.codec import (
-    decode_message,
     encode_message,
     recorrelate,
     split_correlated,
+    tag_of,
 )
 from repro.network.connection import Connection
 from repro.network.protocol import (
@@ -43,25 +44,29 @@ from repro.network.protocol import (
     send_message,
 )
 from repro.servers.replicator import PUT_ACK
-from repro.servers.threadcache import (
-    HAND_OFF_AFTER,
-    ThreadCache,
-    hand_off_reading,
-    reading,
-)
+from repro.servers.threadcache import Reader, ThreadCache, await_peer
 
 __all__ = ["DEADLINES", "ParkedWaiter", "PeerLink"]
 
 #: Seconds a call on a link waits for its reply, by the class of the
-#: request it sent: the one table of peer deadlines.  A missed deadline
-#: counts as a failed probe of the peer.  A forward and a replica copy
-#: (both enveloped) and a burst are data exchanges.
+#: request it sent: the one table of peer deadlines (a missed one counts
+#: as a failed probe).  A consuming read (:func:`_consuming`) has none.
 DEADLINES: dict[type, float] = {
     ForwardEnvelope: 30.0,
     BurstEnvelope: 30.0,
     DeltaSyncPull: 10.0,
     Heartbeat: 1.0,
 }
+
+_CONSUMING_TAGS = frozenset(map(tag_of, (GetRequest, GetAltSkipRequest)))
+
+
+def _consuming(request: object) -> bool:
+    """Whether *request* carries a ``get_skip`` or ``get_alt``: a call
+    never abandoned while its link lives, as a peer that froze serves it
+    when it thaws, and the memo it takes must find its caller."""
+    return type(request) is ForwardEnvelope and request.inner[3] in _CONSUMING_TAGS
+
 
 #: The put ack's tag+body bytes (what :func:`split_correlated` exposes): a
 #: reply matching them is :data:`PUT_ACK`, with no decode.
@@ -136,7 +141,7 @@ class _Call:
         self.error: Exception | None = None
 
 
-class PeerLink:
+class PeerLink(Reader):
     """A memo server's long-lived correlated connection to one next hop.
 
     Ids — of calls, burst members, relayed waits (their tokens) and
@@ -151,7 +156,7 @@ class PeerLink:
         self.host = host
         self.conn = conn
         self.heard = float("-inf")
-        self._cache = cache
+        self.reader_cache = cache
         self._ids = itertools.count(1)
         self._origin = origin
         self._lock = threading.Lock()
@@ -172,8 +177,9 @@ class PeerLink:
     #
     # A call returns ``(results, error)``: one reply per request, None where
     # none came, and what cut it short — ConnectionClosedError (the send
-    # failed, or the link was lost), the error the link was retired with,
-    # or TimeoutError (no reply within the request's deadline).
+    # failed, or the link was lost or reset), the error its peer was
+    # suspected with, or TimeoutError (no reply within the request's
+    # deadline).
 
     def call(self, message: object) -> tuple:
         """Send the request *message* and wait for its reply."""
@@ -194,27 +200,23 @@ class PeerLink:
         return self._exchange(burst, encode_message(burst), cids)
 
     def _exchange(self, request: object, frame: bytes, cids) -> tuple:
-        deadline = DEADLINES[type(request)]
+        deadline = None if _consuming(request) else DEADLINES[type(request)]
         call = _Call(request, len(cids))
         with self._lock:
-            retired = self.retired
-            if not retired:
-                self._calls.update((cid, (call, i)) for i, cid in enumerate(cids))
+            if self.retired:
+                return call.results, ConnectionClosedError("link retired")
+            self._calls.update((cid, (call, i)) for i, cid in enumerate(cids))
         try:
-            if retired:
-                raise ConnectionClosedError("link retired")
             self.conn.send(frame)
         except CommunicationError as exc:
             self.conn.close()  # wakes the reader, which retires the link
             self._forget(cids)
             return call.results, ConnectionClosedError(f"to {self.host}: {exc}")
-        if not call.done.acquire(True, HAND_OFF_AFTER):
-            hand_off_reading()
-            if not call.done.acquire(True, deadline - HAND_OFF_AFTER):
-                self._forget(cids)
-                if call.left and call.error is None:
-                    late = TimeoutError(f"no reply from {self.host} in {deadline} s")
-                    return call.results, late
+        if not await_peer(call.done, deadline):
+            self._forget(cids)
+            if call.left and call.error is None:
+                late = TimeoutError(f"no reply from {self.host} in {deadline} s")
+                return call.results, late
         return call.results, call.error
 
     def _forget(self, cids) -> None:
@@ -261,48 +263,33 @@ class PeerLink:
 
     # -- the reader -----------------------------------------------------------
 
-    def read_on(self) -> None:
-        """Start the reader (:meth:`serve`) on a thread of its own."""
-        self._cache.submit(self.serve)
-
-    def serve(self) -> None:
-        """The reader: runs until the link is lost or retired, or until a
-        wait it ran into handed the reading on (``hand_off_reading``)."""
-        reading.reader = self
+    def read_one(self) -> bool:
+        """Read one frame and hand on what it answers; False once the link
+        is lost or retired."""
         try:
-            while reading.reader is self:
-                msg, cid = _decode(self.conn.recv())
-                self.heard = time.monotonic()
-                if type(msg) is PipelineBatch:
-                    for frame in msg.frames:
-                        self._on_reply(*_decode(frame))
-                elif type(msg) is MemoReady:
-                    self._end(msg.waiter, msg.payload, None)
-                elif type(msg) is WaitCancelled:
-                    self._end(msg.waiter, None, msg.reason)
-                else:
-                    self._on_reply(msg, cid)
+            msg, cid = _decode(self.conn.recv())
         except (ConnectionClosedError, ProtocolError):
-            pass
-        finally:
-            if reading.reader is self:
-                reading.reader = None
-                lost = ConnectionClosedError(f"link to {self.host} lost")
-                for session, entry in self.retire(lost):
-                    session.relay_ended(entry, f"shutdown: link to {self.host} lost")
+            return False
+        self.heard = time.monotonic()
+        if type(msg) is PipelineBatch:
+            self._on_replies([_decode(frame) for frame in msg.frames])
+        elif type(msg) is MemoReady:
+            self._end(msg.waiter, msg.payload, None)
+        elif type(msg) is WaitCancelled:
+            self._end(msg.waiter, None, msg.reason)
+        else:
+            self._on_replies(((msg, cid),))
+        return True
+
+    def read_ended(self) -> None:
+        lost = ConnectionClosedError(f"link to {self.host} lost")
+        for session, entry in self.retire(lost):
+            session.relay_ended(entry, f"shutdown: link to {self.host} lost")
 
     def fail_calls(self, error: Exception) -> None:
-        """Fail with *error* every call that may run again elsewhere — all
-        but an enveloped ``get_skip`` or ``get_alt``.  The link and its
-        waits stay: a peer suspected because it froze serves what reached
-        it when it thaws, and a memo it takes must find its caller."""
-        self._fail(
-            error,
-            lambda request: type(request) is not ForwardEnvelope
-            or not isinstance(
-                decode_message(request.inner), (GetRequest, GetAltSkipRequest)
-            ),
-        )
+        """Fail with *error* every call but a consuming read; the link and
+        its waits stay (:func:`_consuming`)."""
+        self._fail(error, lambda request: not _consuming(request))
 
     def retire(self, error: Exception) -> list[tuple]:
         """Close the link and fail every call on it with *error*; returns
@@ -329,33 +316,37 @@ class PeerLink:
             call.error = error
             call.done.release()
 
-    def _on_reply(self, reply: object, cid: int | None) -> None:
-        if type(reply) is not Reply or cid is None:
-            return
+    def _on_replies(self, replies) -> None:
+        """Hand each ``(reply, id)`` in *replies* to what waits on the id."""
+        answered = []
         with self._lock:
-            waiting = self._calls.pop(cid, None)
-            if waiting is not None:
-                call, index = waiting
-                call.results[index] = reply
-                call.left -= 1
-                if not call.left:
-                    call.done.release()
-                return
-            token = self._cancels.pop(cid, None)
-            if token is not None:
-                if reply.ok and not reply.found:
-                    # Withdrawn at the peer: no push will ever follow.
-                    self._waits.pop(token, None)
-                return
-            parked = self._waits.get(cid)
-        if not reply.ok:
-            self._end(cid, None, reply.error)
-        elif reply.found:
-            self._end(cid, reply.payload, None)
-        elif parked is not None:
-            session, entry = parked
-            entry.attempts = 0  # provably reached a home
-            session.ack_parked(entry)
+            for reply, cid in replies:
+                if type(reply) is not Reply or cid is None:
+                    continue
+                waiting = self._calls.pop(cid, None)
+                if waiting is not None:
+                    call, index = waiting
+                    call.results[index] = reply
+                    call.left -= 1
+                    if not call.left:
+                        call.done.release()
+                    continue
+                token = self._cancels.pop(cid, None)
+                if token is not None:
+                    if reply.ok and not reply.found:
+                        # Withdrawn at the peer: no push will ever follow.
+                        self._waits.pop(token, None)
+                    continue
+                answered.append((reply, cid, self._waits.get(cid)))
+        for reply, token, parked in answered:
+            if not reply.ok:
+                self._end(token, None, reply.error)
+            elif reply.found:
+                self._end(token, reply.payload, None)
+            elif parked is not None:
+                session, entry = parked
+                entry.attempts = 0  # provably reached a home
+                session.ack_parked(entry)
 
     def _end(self, token: int, payload: bytes | None, reason: str | None) -> None:
         with self._lock:

@@ -382,6 +382,8 @@ class MemoServer:
         return self.router.registration(app)
 
     def _handle_heartbeat(self, msg: Heartbeat, _envelope=None) -> Reply:
+        if not self.running.is_set():  # a session's last frame after stop()
+            return Reply(ok=False, error="shutdown: server stopping")
         # Hearing from a host is itself proof of life.
         if msg.host:
             self.failure.mark_alive(msg.host)

@@ -62,7 +62,7 @@ from repro.network.protocol import (
 from repro.replication.failure import FailureDetector
 from repro.servers.folder_server import FolderServer
 from repro.servers.hashing import PlacementCache
-from repro.servers.threadcache import ThreadCache, hand_off_reading, scatter_join
+from repro.servers.threadcache import ThreadCache, scatter_join
 from repro.telemetry import Counters, Registry
 
 if TYPE_CHECKING:
@@ -612,9 +612,6 @@ class Replicator:
         down the per-record path (:meth:`_return_to`, :meth:`_copy_to`),
         which a multi-hop topology uses for everything.
         """
-        # The requester's copies of what it gets back arrive on the link
-        # this thread may be reading: hand the reading on before waiting.
-        hand_off_reading()
         reg = self._router.registration(msg.app)
         chain_of = reg.placement.replica_chain  # memoized by the placement
         # A pull is proof the requester is back (it may still be marked

@@ -12,9 +12,9 @@ written, and requests, parked waits and ``get_alt`` rounds all go through it.
 
 A peer is reached one way: every exchange with a next hop rides the one
 :class:`~repro.servers.link.PeerLink` the router dialled to it, retired
-when it fails and at shutdown.  When the failure detector declares the
-peer dead, every call on its link that may run again elsewhere fails, and
-the chain walk moves on.
+when it is lost, found stale (:meth:`Router._on_link`) or at shutdown.
+When the failure detector declares the peer dead, every call on its link
+that may run again elsewhere fails, and the chain walk moves on.
 
 Everything without an underscore is for the other server modules.  What
 this one calls on them — a session's ``complete_waiter`` and
@@ -239,12 +239,6 @@ class Router:
             envelope.trail,
         )
 
-    def _address_of(self, host: str) -> Address:
-        address = self.address_book.get(host)
-        if address is None:
-            raise RoutingError(f"no address known for host {host!r}")
-        return address
-
     def _envelope(self, reg, target: str, inner: bytes, trail: tuple):
         """*inner* addressed to *target*, this host stamped on its trail."""
         return ForwardEnvelope(
@@ -285,19 +279,12 @@ class Router:
     def forward_burst(self, app: str, owner_host: str, entries: list) -> list:
         """Send a run of lane requests to *owner_host* as one :class:`BurstEnvelope`.
 
-        Any request whose handler row runs on the put lane can ride it —
-        a client's puts, the puts an anti-entropy pull returns, a lane
-        round's replica copies — and the owner applies them in order.
-        *entries* are ``(message, raw_frame_or_None)`` pairs; a client's
-        raw correlated frames travel with their bodies untouched (a
-        forwarded put is never re-encoded).  Only sent over a direct
-        link: a relay hop would pass each member on in an envelope of its
-        own and could reorder them.
-
-        Returns one result per entry: the owner's :class:`Reply` (the
-        put ack is :data:`~repro.servers.replicator.PUT_ACK` itself), or
-        None — unresolved (the link failed or missed its deadline, no
-        direct link) — which the caller sends down its per-request path.
+        A client's puts, the puts an anti-entropy pull returns, a lane
+        round's replica copies: the owner applies them in order, so only
+        a direct link carries a burst.  *entries* are ``(message,
+        raw_frame_or_None)`` pairs (see :meth:`PeerLink.burst`).  Returns
+        one result per entry: the owner's :class:`Reply`, or None where
+        the link left it unresolved, for the caller's per-request path.
         A stale link's retry resends only what the first attempt left
         unresolved or a dying incarnation answered mid-teardown.
         """
@@ -338,12 +325,12 @@ class Router:
 
         The stale rule: a link that had answered can be dead (its peer
         restarted since) or reach a dying incarnation answering
-        mid-teardown.  A loss or a mid-teardown reply on it retires it, and
-        *send* runs once more on a fresh dial.  A missed deadline is a
-        failed probe of *host*.
+        mid-teardown.  A loss or a mid-teardown reply on it resets it
+        (:meth:`_reset`), and *send* runs once more on a fresh dial — as
+        does every other call on it.  A missed deadline is a failed probe
+        of *host*.
         """
-        retried = False
-        while True:
+        for retried in (False, True):
             link = self._link(host)
             reused = link.answered
             results, error = send(link)
@@ -353,9 +340,9 @@ class Router:
                 error is None and any(map(_torn, results))
             )
             if retried or not reused or not stale:
-                return results, error
-            self._retire(link, "stale")
-            retried = True
+                break
+            self._reset(link)
+        return results, error
 
     def probe(self, peer: str, quiet: float) -> None:
         """Feed the failure detector one observation of *peer*.
@@ -390,8 +377,11 @@ class Router:
                 return link
             if self._closed or not self._running.is_set():
                 raise ShutdownError("server stopping; no peer link")
+            address = self.address_book.get(host)
+            if address is None:
+                raise RoutingError(f"no address known for host {host!r}")
             self._stats.bump("peer_dials")
-            conn = self.transport.connect(self._address_of(host))
+            conn = self.transport.connect(address)
             link = PeerLink(host, conn, self.host, self._cache)
             try:
                 link.read_on()
@@ -401,11 +391,13 @@ class Router:
             self._links[host] = link
         return link
 
-    def _retire(self, link: PeerLink, why: str) -> None:
-        """Retire *link*: its calls fail, its relayed waits re-park."""
-        error = CommunicationError(f"link to {link.host} retired: {why}")
-        for session, entry in link.retire(error):
-            session.relay_ended(entry, f"shutdown: link to {link.host} retired: {why}")
+    def _reset(self, link: PeerLink) -> None:
+        """Retire *link*, found stale: its calls fail as on a lost link, so
+        each runs once more on a fresh dial, and its relayed waits are
+        sent again the same way — none of it evidence against the peer."""
+        reason = f"shutdown: link to {link.host} was stale"
+        for session, entry in link.retire(ConnectionClosedError(reason)):
+            session.relay_ended(entry, reason, stale=True)
 
     def fail_calls_to(self, host: str) -> None:
         """*host* was declared dead: every call on its link that may run
@@ -417,16 +409,12 @@ class Router:
     def relay_wait(
         self, session, entry: ParkedWaiter, reg, target: str, trail: tuple[str, ...]
     ) -> None:
-        """Send *entry*'s wait on toward *target*, to park in its table.
-
-        The continuation is shipped to the host that owns the data and
-        the result comes back as a message; no thread waits on either
-        side.  The wait rides a correlated :class:`ForwardEnvelope` over
-        the link to the next hop, so a multi-hop topology relays it hop
-        by hop — and refuses a routing loop — exactly as it does any
-        forward.  Raises only before the wait is on a link (no route, the
-        next hop cannot be dialled, this server is stopping); after that
-        its fate is the link reader's.
+        """Send *entry*'s wait on toward *target*, to park in its table:
+        the continuation goes to the data in a correlated
+        :class:`ForwardEnvelope` on the link to the next hop, relayed hop
+        by hop as any forward is, and no thread waits on either side.
+        Raises only before the wait is on a link (no route, no dial, this
+        server stopping); after that its fate is the link reader's.
         """
         next_hop = reg.routing.next_hop(self.host, target)
         entry.target, entry.trail = target, trail

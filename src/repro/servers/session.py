@@ -19,16 +19,18 @@ owner's first answer, so a remote hit is one reply, as a local one is.
 A peer's link is one session here, so nothing that waits on a peer may
 hold back a request that does not: a replica copy and a heartbeat are
 ``INLINE`` rows, never queued behind a put that is fanning out; a request
-passing through runs on a worker, never on the lane; and a reader that
-waits on a peer hands its reading on (``hand_off_reading``).
+passing through runs on a worker, never on the lane; and the session is a
+:class:`~repro.servers.threadcache.Reader`, whose reading a wait on a peer
+hands on.
 
 Everything without an underscore is for the other server modules (the
 accept path, the handler table's reader rows, a peer link's reader).
 What this one calls on them — the server's ``host``, ``stats``, ``cache``,
 ``running``, ``handlers``, ``handle``, ``guarded``; the router's
-``candidates``, ``admit``, ``chained_here``, ``walk``, ``relay_wait``,
-``suspect``, ``forward_target``, ``forward_burst``; the replicator's
-``store_for``, ``redeposit`` and ``collect_copies`` / ``send_copies``.
+``registration``, ``candidates``, ``admit``, ``chained_here``, ``walk``,
+``relay_wait``, ``suspect``, ``forward_target``, ``forward_burst``; the
+replicator's ``store_for``, ``redeposit`` and ``collect_copies`` /
+``send_copies``.
 """
 
 from __future__ import annotations
@@ -57,7 +59,7 @@ from repro.network.protocol import (
     shutting_down,
 )
 from repro.servers.link import ParkedWaiter
-from repro.servers.threadcache import reading, scatter_join
+from repro.servers.threadcache import Reader, scatter_join
 
 if TYPE_CHECKING:
     from repro.servers.memo_server import MemoServer
@@ -110,7 +112,7 @@ _LANE_BATCH_MAX = 128
 _CARRIERS = (PipelineBatch, BurstEnvelope)
 
 
-class _ConnectionSession:
+class _ConnectionSession(Reader):
     """Pipelined service state for one inbound connection.
 
     The paper's server loop was strictly request/reply per connection:
@@ -171,35 +173,27 @@ class _ConnectionSession:
         #: The waiter table: parked GetWaits keyed by client-chosen token.
         self._waiters: dict[int, ParkedWaiter] = {}
 
-    # -- reader ---------------------------------------------------------------
+    # -- reader (the threadcache.Reader contract) ------------------------------
 
-    def serve(self) -> None:
-        """The reader: runs until the connection closes or the server
-        stops, or until a request it served inline handed the reading on
-        (``hand_off_reading``) — then the new reader owns the session."""
-        conn = self.conn
-        reading.reader = self
-        try:
-            while self.server.running.is_set():
-                try:
-                    raw = conn.recv(timeout=0.5)
-                    msg, cid = decode_protocol_frame(raw)
-                except TimeoutError:
-                    continue
-                except CommunicationError:
-                    return
-                if type(msg) not in _CARRIERS:
-                    self.server.stats.bump_pair("requests", "pipelined_requests")
-                if not self._dispatch(msg, cid, raw) or reading.reader is not self:
-                    return
-        finally:
-            if reading.reader is self:
-                reading.reader = None
-                self._drain_and_close()
+    @property
+    def reader_cache(self):
+        return self.server.cache
 
-    def read_on(self) -> None:
-        """Continue :meth:`serve` on a thread of its own."""
-        self.server.cache.submit(self.serve)
+    def read_one(self) -> bool:
+        """Read and dispatch one frame; False ends the session (the
+        connection closed, the server stopped, a frame broke the rules)."""
+        while self.server.running.is_set():
+            try:
+                raw = self.conn.recv(timeout=0.5)
+                msg, cid = decode_protocol_frame(raw)
+            except TimeoutError:
+                continue
+            except CommunicationError:
+                return False
+            if type(msg) not in _CARRIERS:
+                self.server.stats.bump_pair("requests", "pipelined_requests")
+            return self._dispatch(msg, cid, raw)
+        return False
 
     def _dispatch(
         self, msg, cid, raw: bytes, lane=None, envelope=None, done=None
@@ -550,16 +544,13 @@ class _ConnectionSession:
             router.admit(envelope)
             if envelope.target_host != self.server.host:
                 self.server.stats.bump("forwards_relayed")
-                return self._relay(entry, reg, envelope.target_host, envelope.trail)
+                return self._relay(reg, envelope.target_host, entry, envelope.trail)
             candidates = [router.chained_here(entry.folder, chain, "the relayed wait")]
         return router.walk(
-            reg, chain, candidates, entry.folder, self._park_here, self._relay_on, entry
+            reg, chain, candidates, entry.folder, self._park_here, self._relay, entry
         )
 
-    def _relay_on(self, reg, host: str, entry: ParkedWaiter) -> Reply:
-        return self._relay(entry, reg, host, ())
-
-    def _relay(self, entry: ParkedWaiter, reg, target: str, trail: tuple) -> Reply:
+    def _relay(self, reg, target: str, entry: ParkedWaiter, trail=()) -> Reply:
         """Send *entry*'s wait on toward *target*: ``_OWED`` while its
         GetWait's reply is owed, else (a re-park) the parked ack.
 
@@ -596,7 +587,7 @@ class _ConnectionSession:
         with self._lock:
             return self._waiters.get(entry.token) is entry
 
-    def relay_ended(self, entry: ParkedWaiter, reason: str) -> None:
+    def relay_ended(self, entry: ParkedWaiter, reason: str, stale=False) -> None:
         """A relayed wait came back without a memo: re-park it, or say so.
 
         A retryable end — the folder migrated, the member is shutting
@@ -605,16 +596,18 @@ class _ConnectionSession:
         this host's own replica store): ``MemoClient._resubscribe_locked``
         one hop later, bounded by :data:`MIGRATION_RETRY_MAX`.
         Only the server where the wait started re-routes; a relay hop
-        hands the reason up the link it came from.  Either way a GetWait
-        reply still owed is paid first, with the parked ack.
+        hands the reason up the link it came from — unless the stale rule
+        reset the link (*stale*), which is no evidence against its peer.
+        Either way a GetWait reply still owed is paid first, with the
+        parked ack.
         """
         self.ack_parked(entry)
-        if entry.trail or not retryable(reason):
+        if not stale and (entry.trail or not retryable(reason)):
             self.complete_waiter(entry, None, reason)
             return
         if not self._is_live(entry):
             return  # cancelled or torn down meanwhile: nothing to park
-        reply = self.server.guarded(self._repark, entry, reason)
+        reply = self.server.guarded(self._repark, entry, reason, stale)
         if not reply.ok:
             self.complete_waiter(entry, None, reply.error)
         elif reply.found:
@@ -625,7 +618,7 @@ class _ConnectionSession:
             # old home; leave no waiter behind at the new one.
             entry.home.cancel_waiter(entry.folder, entry.handle)
 
-    def _repark(self, entry: ParkedWaiter, reason: str) -> Reply:
+    def _repark(self, entry: ParkedWaiter, reason: str, stale: bool) -> Reply:
         """Where a retryable end sends the wait: a parked/hit reply from
         its new home, or the error to end it with."""
         entry.attempts += 1
@@ -633,6 +626,14 @@ class _ConnectionSession:
             return Reply(
                 ok=False, error=f"folder {entry.folder} kept migrating; giving up"
             )
+        if stale:  # the same way again, on a fresh dial
+            try:
+                reg = self.server.router.registration(entry.folder.app)
+                return self._relay(reg, entry.target, entry, entry.trail)
+            except CommunicationError as exc:  # as a lost link's wait, then
+                reason = f"shutdown: {exc}"
+                if entry.trail:
+                    return Reply(ok=False, error=reason)
         if shutting_down(reason):
             # The member is stopping or unreachable.  Its data is on the
             # next chain member, as the chain walk treats it — and when
@@ -758,7 +759,7 @@ class _ConnectionSession:
 
     # -- draining -------------------------------------------------------------
 
-    def _drain_and_close(self, grace: float = 2.0) -> None:
+    def read_ended(self, grace: float = 2.0) -> None:
         """Orderly session teardown: answer queued work, wait for in-flight.
 
         Requests decoded but not yet started are answered with a shutdown

@@ -22,29 +22,61 @@ from typing import Callable
 from repro.errors import ServerError
 from repro.telemetry import Counters
 
-__all__ = ["ThreadCache", "scatter_join", "reading", "hand_off_reading"]
+__all__ = ["ThreadCache", "Reader", "await_peer", "scatter_join"]
 
-#: The connection reader the current thread serves as, if any — a memo
-#: server session's or a peer link's (see :func:`hand_off_reading`).
-reading = threading.local()
+#: The :class:`Reader` the current thread reads for, if any.
+_reading = threading.local()
 
 #: How long a reader waits on a peer before it hands its reading on: about
 #: two hundred peer round trips, so a healthy exchange never pays a hand-off.
 HAND_OFF_AFTER = 0.02
 
 
-def hand_off_reading() -> None:
-    """If the current thread is a reader, hand its reading on to a fresh
-    one (the reader's ``read_on()``): it is about to wait on a peer, and
-    the frame that ends the wait may be behind it."""
-    reader = getattr(reading, "reader", None)
-    if reader is None:
-        return
-    try:
-        reader.read_on()
-    except ServerError:  # shutting down: keep reading here
-        return
-    reading.reader = None
+class Reader:
+    """A connection's reader — a memo server's session, or a peer link —
+    serving some frames on the thread that reads them.  Such a frame may
+    wait on a peer while the frame that ends the wait is behind it on this
+    very connection, so :func:`await_peer` hands the reading on to a fresh
+    thread.  A subclass defines ``read_one`` (False stops reading),
+    ``read_ended`` and ``reader_cache`` (where a fresh reader runs).
+    """
+
+    __slots__ = ()
+
+    def serve(self) -> None:
+        """Read until ``read_one`` says stop or the reading was handed on;
+        whoever reads last runs ``read_ended``."""
+        _reading.reader = self
+        try:
+            while self.read_one() and _reading.reader is self:
+                pass
+        finally:
+            if _reading.reader is self:
+                _reading.reader = None
+                self.read_ended()
+
+    def read_on(self) -> None:
+        """Continue :meth:`serve` on a thread of its own."""
+        self.reader_cache.submit(self.serve)
+
+
+def await_peer(done: threading.Lock, timeout: float | None = None) -> bool:
+    """Acquire *done*, released when what waits on a peer is over; at most
+    *timeout* seconds (None: until released).  The one place a thread
+    waits on a peer: past :data:`HAND_OFF_AFTER`, a :class:`Reader`
+    hands its reading on first.  Returns whether *done* was acquired."""
+    if done.acquire(True, HAND_OFF_AFTER):
+        return True
+    reader = getattr(_reading, "reader", None)
+    if reader is not None:
+        try:
+            reader.read_on()
+        except ServerError:  # shutting down: keep reading here
+            pass
+        else:
+            _reading.reader = None
+    left = -1 if timeout is None else max(0.0, timeout - HAND_OFF_AFTER)
+    return done.acquire(True, left)
 
 
 def scatter_join(cache: "ThreadCache", thunks: list) -> list[Exception]:
@@ -66,7 +98,8 @@ def scatter_join(cache: "ThreadCache", thunks: list) -> list[Exception]:
         except Exception as exc:  # noqa: BLE001 - returned, not raised
             errors.append(exc)
         return errors
-    done = threading.Event()
+    done = threading.Lock()
+    done.acquire()
     lock = threading.Lock()
     remaining = [len(thunks)]
 
@@ -80,7 +113,7 @@ def scatter_join(cache: "ThreadCache", thunks: list) -> list[Exception]:
             with lock:
                 remaining[0] -= 1
                 if remaining[0] == 0:
-                    done.set()
+                    done.release()
 
     for fn in thunks[:-1]:
         try:
@@ -88,9 +121,7 @@ def scatter_join(cache: "ThreadCache", thunks: list) -> list[Exception]:
         except ServerError:
             run_one(fn)
     run_one(thunks[-1])
-    if not done.wait(HAND_OFF_AFTER):
-        hand_off_reading()
-        done.wait()
+    await_peer(done)
     return errors
 
 

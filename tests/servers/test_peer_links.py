@@ -3,9 +3,10 @@ exchange with it — forwards, replica copies, heartbeats — rides that link.
 
 ``memo.peer_dials`` (a server's ``StatsRequest`` counter) counts the links
 it dialled.  A quiet link carries a heartbeat; a busy one is its own proof
-of life.  A link that had answered and then fails is retried once on a
-fresh dial (the stale rule), and a peer the detector declares dead takes
-its link down with every call waiting on it.
+of life.  A link that had answered and then fails is reset, and every
+call on it runs once more on a fresh dial (the stale rule).  A peer the
+detector declares dead fails every call on its link but a consuming
+read, which, like a relayed wait, has no deadline either.
 """
 
 from __future__ import annotations
@@ -18,9 +19,11 @@ import pytest
 
 from repro.adf.defaults import system_default_adf
 from repro.core.keys import FolderName, Key, Symbol
-from repro.network.protocol import Heartbeat, PutRequest
+from repro.network.protocol import ForwardEnvelope, Heartbeat, PutRequest
+from repro.replication.failure import FailureDetector
 from repro.runtime.cluster import Cluster
-from repro.servers.link import DEADLINES
+from repro.servers.link import DEADLINES, PeerLink
+from repro.servers.replicator import Replicator
 from repro.transferable.wire import encode
 
 APP = "links"
@@ -35,6 +38,13 @@ def owned_by(cluster, *chain: str, start: int = 0) -> Key:
         if tuple(hosts[: len(chain)]) == chain:
             return key
     raise AssertionError(f"no key with chain {chain}")
+
+
+def wait_until(predicate, timeout: float = 5.0) -> None:
+    deadline = time.monotonic() + timeout
+    while not predicate():
+        assert time.monotonic() < deadline, "condition not reached"
+        time.sleep(0.01)
 
 
 def dials(cluster) -> dict[str, int]:
@@ -134,6 +144,141 @@ def test_a_restarted_owner_is_reached_through_the_stale_rule():
             assert reply.ok, reply.error
             assert h0.failure.dead_hosts() == ()
             assert cluster.servers["h1"].local_folder_servers()
+
+
+@pytest.fixture
+def held_back(monkeypatch):
+    """Hold back the end of every link's reader (its retire) until the
+    test sets the returned event, and record every host declared dead:
+    a link that died looks usable, as when its reader has not yet seen
+    the loss."""
+    held = threading.Event()
+    read_ended = PeerLink.read_ended
+
+    def held_back(link):
+        held.wait(10)
+        read_ended(link)
+
+    held.suspected = []
+    monkeypatch.setattr(PeerLink, "read_ended", held_back)
+    monkeypatch.setattr(
+        FailureDetector, "mark_dead", lambda _d, host: held.suspected.append(host)
+    )
+    yield held
+    held.set()
+
+
+def _cluster(rf: int) -> Cluster:
+    adf = system_default_adf(["h0", "h1", "h2"], app=APP, replication_factor=rf)
+    # A monitor this slow probes nobody during a test.
+    return Cluster(adf, heartbeat_interval=30.0)
+
+
+@pytest.mark.parametrize("rf", [1, 2])
+def test_concurrent_forwards_cross_a_restart_through_the_stale_rule(held_back, rf):
+    """h0's link to h1 has answered; h1 restarts, and eight forwards meet
+    the dead link at once.  The first to fail resets it, and every one of
+    them — not only the first — runs once more on a fresh dial and is
+    stored by the new incarnation.  Nobody suspects h1."""
+    with _cluster(rf) as cluster:
+        cluster.register()
+        h0 = cluster.servers["h0"]
+        keys = [owned_by(cluster, "h1", start=100 * i) for i in range(9)]
+        assert h0.handle(PutRequest(FolderName(APP, keys.pop()), b"")).ok
+        cluster.restart_host("h1")
+        start = threading.Barrier(len(keys))
+        replies: list = []
+
+        def forward(key: Key) -> None:
+            start.wait(10)
+            put = PutRequest(FolderName(APP, key), encode(str(key)))
+            replies.append(h0.handle(put))
+
+        threads = [threading.Thread(target=forward, args=(k,)) for k in keys]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(30)
+        held_back.set()
+        assert [r.error for r in replies if not r.ok] == []
+        assert len(replies) == len(keys)
+        with cluster.memo_api("h0", APP) as memo:
+            assert [memo.get_copy(k) for k in keys] == [str(k) for k in keys]
+        assert held_back.suspected == []
+
+
+def test_a_wait_on_a_reset_link_is_sent_again(held_back):
+    """A relayed wait rides a link that is lost under it, and a forward
+    finds the link stale: the reset sends the wait again the same way,
+    on a fresh dial, and it gets the next memo.  A stale link is no
+    evidence against its peer: nobody suspects h1."""
+    with _cluster(2) as cluster:
+        cluster.register()
+        h0 = cluster.servers["h0"]
+        key, other = owned_by(cluster, "h1"), owned_by(cluster, "h1", start=50)
+        with cluster.memo_api("h0", APP) as memo:
+            waiting = memo.get_async(key)
+            wait_until(lambda: cluster.servers["h1"].stats["waiters_active"] == 1)
+            h0.router._links["h1"].conn.close()  # h1 withdraws the wait
+            wait_until(lambda: cluster.servers["h1"].stats["waiters_active"] == 0)
+            assert h0.handle(PutRequest(FolderName(APP, other), encode(1))).ok
+            held_back.set()
+            wait_until(lambda: cluster.servers["h1"].stats["waiters_active"] == 1)
+            memo.put(key, "next", wait=True)
+            assert waiting.wait(10) == "next"
+        assert held_back.suspected == []
+
+
+@pytest.mark.parametrize("read", ["get_skip", "get_alt_skip"])
+def test_a_consuming_read_outlasts_the_data_deadline(monkeypatch, read):
+    """A consuming read has no deadline.  The owner freezes mid-read for
+    longer than a (shortened) data deadline: the reader keeps waiting,
+    and gets the memo the owner takes when it thaws — no error, no
+    failed probe, no memo lost with an abandoned reply."""
+    monkeypatch.setitem(DEADLINES, ForwardEnvelope, 0.2)
+    failures: list = []
+    monkeypatch.setattr(
+        FailureDetector, "record_failure", lambda _d, host: failures.append(host)
+    )
+    frozen, thaw = threading.Event(), threading.Event()
+
+    def freezing(serve):
+        def frozen_read(replicator, *args):
+            if replicator.host == "h1":
+                frozen.set()
+                thaw.wait(10)
+            return serve(replicator, *args)
+
+        return frozen_read
+
+    monkeypatch.setattr(Replicator, "get", freezing(Replicator.get))
+    monkeypatch.setattr(Replicator, "get_alt", freezing(Replicator.get_alt))
+    adf = system_default_adf(["h0", "h1"], app=APP)
+    with Cluster(adf) as cluster:
+        cluster.register()
+        key = owned_by(cluster, "h1")
+        with cluster.memo_api("h0", APP) as memo:
+            memo.put(key, "only", wait=True)
+            got: list = []
+
+            def consume() -> None:
+                try:
+                    if read == "get_skip":
+                        got.append(memo.get_skip(key))
+                    else:
+                        got.append(memo.get_alt_skip([key])[1])
+                except Exception as exc:  # noqa: BLE001 - asserted below
+                    got.append(exc)
+
+            reader = threading.Thread(target=consume, daemon=True)
+            reader.start()
+            assert frozen.wait(5)
+            time.sleep(3 * DEADLINES[ForwardEnvelope])
+            assert got == []  # still waiting on the frozen owner
+            thaw.set()
+            reader.join(10)
+            assert got == ["only"]
+    assert failures == []
 
 
 def _process_cluster(interval: float, threshold: int) -> Cluster:

@@ -730,19 +730,19 @@ class TestOneReplyPerRelayedWait:
         reader is still inside ``relay_wait``: the hit is still the one
         reply — no late parked ack overtakes or follows it."""
         answered = threading.Event()
-        send, on_reply = PeerLink.send, PeerLink._on_reply
+        send, on_replies = PeerLink.send, PeerLink._on_replies
 
         def reader_first(link, message, cid):
             send(link, message, cid)
             if isinstance(message, ForwardEnvelope):
                 assert answered.wait(5)
 
-        def handled(link, reply, cid):
-            on_reply(link, reply, cid)
+        def handled(link, replies):
+            on_replies(link, replies)
             answered.set()
 
         monkeypatch.setattr(PeerLink, "send", reader_first)
-        monkeypatch.setattr(PeerLink, "_on_reply", handled)
+        monkeypatch.setattr(PeerLink, "_on_replies", handled)
         (k,) = keys_owned_by(two_host_cluster, "beta", 1, start=870)
         two_host_cluster.memo_api("beta", "test", "f").put(k, "first", wait=True)
         memo, seen, future, cid = self.start(two_host_cluster, k)
