@@ -315,20 +315,24 @@ class Router:
     def call(self, host: str, message: object) -> Reply:
         """One request to *host* on its link, within the message's deadline
         (:data:`~repro.servers.link.DEADLINES`)."""
-        (reply,), error = self._on_link(host, lambda link: link.call(message))
+        beyond = getattr(message, "target_host", host) != host
+        (reply,), error = self._on_link(host, lambda link: link.call(message), beyond)
         if error is not None:
             raise CommunicationError(f"call to {host} failed: {error}") from error
         return reply
 
-    def _on_link(self, host: str, send: Callable[[PeerLink], tuple]) -> tuple:
+    def _on_link(
+        self, host: str, send: Callable[[PeerLink], tuple], beyond: bool = False
+    ) -> tuple:
         """``send(link)`` on the link to *host*: its ``(results, error)``.
 
         The stale rule: a link that had answered can be dead (its peer
         restarted since) or reach a dying incarnation answering
         mid-teardown.  A loss or a mid-teardown reply on it resets it
         (:meth:`_reset`), and *send* runs once more on a fresh dial — as
-        does every other call on it.  A missed deadline is a failed probe
-        of *host*.
+        does every other call on it; but a reply relayed from *beyond*
+        *host* was the next hop's to judge.  A missed deadline is a
+        failed probe of *host*.
         """
         for retried in (False, True):
             link = self._link(host)
@@ -337,7 +341,7 @@ class Router:
             if isinstance(error, TimeoutError):
                 self._failure.record_failure(host)
             stale = type(error) is ConnectionClosedError or (
-                error is None and any(map(_torn, results))
+                error is None and not beyond and any(map(_torn, results))
             )
             if retried or not reused or not stale:
                 break

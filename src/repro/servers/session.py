@@ -153,6 +153,7 @@ class _ConnectionSession(Reader):
     __slots__ = (
         "server",
         "conn",
+        "reader_cache",
         "_lock",
         "_idle",
         "_put_queue",
@@ -164,6 +165,7 @@ class _ConnectionSession(Reader):
     def __init__(self, server: "MemoServer", conn: Connection) -> None:
         self.server = server
         self.conn = conn
+        self.reader_cache = server.cache
         self._lock = threading.Lock()
         self._idle = threading.Condition(self._lock)
         self._put_queue: deque = deque()
@@ -174,10 +176,6 @@ class _ConnectionSession(Reader):
         self._waiters: dict[int, ParkedWaiter] = {}
 
     # -- reader (the threadcache.Reader contract) ------------------------------
-
-    @property
-    def reader_cache(self):
-        return self.server.cache
 
     def read_one(self) -> bool:
         """Read and dispatch one frame; False ends the session (the

@@ -19,6 +19,7 @@ import pytest
 
 from repro.adf.defaults import system_default_adf
 from repro.core.keys import FolderName, Key, Symbol
+from repro.errors import ShutdownError
 from repro.network.protocol import ForwardEnvelope, Heartbeat, PutRequest
 from repro.replication.failure import FailureDetector
 from repro.runtime.cluster import Cluster
@@ -227,6 +228,30 @@ def test_a_wait_on_a_reset_link_is_sent_again(held_back):
             memo.put(key, "next", wait=True)
             assert waiting.wait(10) == "next"
         assert held_back.suspected == []
+
+
+def test_a_teardown_reply_from_beyond_the_next_hop_keeps_the_link(
+    star_cluster, monkeypatch
+):
+    """s1 reaches s2 through the hub.  s2 answers mid-teardown: the hub's
+    own link to s2 is the stale one, and the hub judges it; s1's link to
+    the hub is healthy and is neither reset nor dialled again."""
+    put = Replicator.put
+
+    def dying(replicator, *args):
+        if replicator.host == "s2":
+            raise ShutdownError("server stopping")
+        return put(replicator, *args)
+
+    s1 = star_cluster.servers["s1"]
+    chain = s1.registration("test").placement.replica_chain
+    folders = [FolderName("test", Key(Symbol("beyond"), (i,))) for i in range(200)]
+    first, second = [f for f in folders if chain(f)[0][1] == "s2"][:2]
+    assert s1.handle(PutRequest(first, encode(0))).ok  # every link has answered
+    monkeypatch.setattr(Replicator, "put", dying)
+    reply = s1.handle(PutRequest(second, encode(1)))
+    assert reply.error.startswith("shutdown:")
+    assert star_cluster.stats()["s1"]["memo.peer_dials"] == 1
 
 
 @pytest.mark.parametrize("read", ["get_skip", "get_alt_skip"])
