@@ -3,11 +3,16 @@
 A memo server reaches the *next hop* toward a peer (paper sections 4.1
 and 5) over one long-lived connection, a :class:`PeerLink`.  Forwards,
 replica copies, bursts, heartbeats, anti-entropy pulls, relayed waits and
-their cancels are correlated requests on it, and its one reader hands each
-reply to what waits on the id: a call's slot, or a :class:`ParkedWaiter`.
-A call waits at most its :data:`DEADLINES` entry, but a consuming read
-waits for its reply as a relayed wait, parked in the owner's table, does:
-until a reply, a push or the loss of the link ends it.
+their cancels are correlated requests on it, and whoever reads it hands
+each reply to what waits on the id: a call's slot, or a
+:class:`ParkedWaiter`.  A call that finds nobody reading the link reads it
+itself until its own reply arrives (it *leads*), as does the thread that
+relays a wait, until the owner's first answer: a lone exchange is one
+send and one read on the calling thread.  A standing reader runs only
+while parked waits, cancels or calls no leader reads for are
+outstanding.  A call waits at most its :data:`DEADLINES` entry, but a
+consuming read waits for its reply as a relayed wait, parked in the
+owner's table, does: until a reply, a push or the loss of the link ends it.
 What this module calls on a session: ``complete_waiter``, ``ack_parked``
 and ``relay_ended``.
 """
@@ -20,7 +25,12 @@ import time
 
 from repro.core.keys import FolderName
 from repro.core.memo import MemoRecord
-from repro.errors import CommunicationError, ConnectionClosedError, ProtocolError
+from repro.errors import (
+    CommunicationError,
+    ConnectionClosedError,
+    ProtocolError,
+    ServerError,
+)
 from repro.network.codec import (
     encode_message,
     recorrelate,
@@ -44,7 +54,13 @@ from repro.network.protocol import (
     send_message,
 )
 from repro.servers.replicator import PUT_ACK
-from repro.servers.threadcache import Reader, ThreadCache, await_peer
+from repro.servers.threadcache import (
+    HAND_OFF_AFTER,
+    Reader,
+    ThreadCache,
+    await_peer,
+    hand_off,
+)
 
 __all__ = ["DEADLINES", "ParkedWaiter", "PeerLink"]
 
@@ -57,6 +73,10 @@ DEADLINES: dict[type, float] = {
     DeltaSyncPull: 10.0,
     Heartbeat: 1.0,
 }
+
+#: Longest a leader reads before it looks at its call again: how soon it
+#: sees the call failed by the detector (:meth:`PeerLink.fail_calls`).
+_READ_SLICE = 0.05
 
 _CONSUMING_TAGS = frozenset(map(tag_of, (GetRequest, GetAltSkipRequest)))
 
@@ -145,11 +165,19 @@ class PeerLink(Reader):
     """A memo server's long-lived correlated connection to one next hop.
 
     Ids — of calls, burst members, relayed waits (their tokens) and
-    cancels — come from one counter per link.  The reader (:meth:`serve`)
-    fills a call's slot, and hands a relayed wait's answer to the session
-    entry that parked it: ``complete_waiter`` for a memo, ``ack_parked``
-    when it parked beyond, ``relay_ended`` for anything else, a lost link
-    included.  ``heard`` is when the link last received a frame.
+    cancels — come from one counter per link.  At most one thread reads
+    the link at a time.  A call that finds nobody reading leads: it reads
+    on its own thread until its reply is in, filling other calls' slots on
+    the way; a call that finds a reader waits for it.  A relayed wait's
+    first answer is read the same way (:meth:`relay`).  A leader done
+    while anything is still outstanding starts the standing reader
+    (:meth:`serve`), which stops after the frame that leaves nothing
+    outstanding.  A leader or the standing reader that meets a lost link
+    retires it.  Whoever reads hands a relayed wait's answer to the
+    session entry that parked it: ``complete_waiter`` for a memo,
+    ``ack_parked`` when it parked beyond, ``relay_ended`` for anything
+    else, a lost link included.  ``heard`` is when the link last received
+    a frame.
     """
 
     def __init__(self, host: str, conn: Connection, origin: str, cache: ThreadCache):
@@ -167,6 +195,10 @@ class PeerLink(Reader):
         self._waits: dict[int, tuple] = {}
         #: Correlation id of an unanswered cancel -> the token it withdraws.
         self._cancels: dict[int, int] = {}
+        #: Tokens of the relayed waits whose first answer has not come.
+        self._unanswered: set[int] = set()
+        #: Whether a thread reads the link: a leader, or the standing reader.
+        self._read = False
 
     @property
     def answered(self) -> bool:
@@ -206,18 +238,81 @@ class PeerLink(Reader):
             if self.retired:
                 return call.results, ConnectionClosedError("link retired")
             self._calls.update((cid, (call, i)) for i, cid in enumerate(cids))
+            lead, self._read = not self._read, True
         try:
             self.conn.send(frame)
         except CommunicationError as exc:
-            self.conn.close()  # wakes the reader, which retires the link
+            self.conn.close()  # whoever reads the link retires it
             self._forget(cids)
+            if lead:
+                self._lose()
             return call.results, ConnectionClosedError(f"to {self.host}: {exc}")
-        if not await_peer(call.done, deadline):
+        until = None if deadline is None else time.monotonic() + deadline
+        if lead and not self._lead(call.done.locked, until, cids):
+            over = not call.done.locked()
+        else:
+            left = None if until is None else until - time.monotonic()
+            over = await_peer(call.done, left)
+        if not over:
             self._forget(cids)
             if call.left and call.error is None:
                 late = TimeoutError(f"no reply from {self.host} in {deadline} s")
                 return call.results, late
         return call.results, call.error
+
+    def _lead(self, pending, until: float | None = None, cids=()) -> bool:
+        """Read the link on this thread while ``pending()``, until *until*
+        passes (*cids* are then forgotten), in slices: the detector may
+        fail a call meanwhile.  Past :data:`HAND_OFF_AFTER` it hands on
+        the other reading this thread does, as :func:`await_peer` would.
+        True if its own reading of the link was handed on first: the
+        caller then waits for the new reader.
+        """
+        held = self.take_reading()
+        now = time.monotonic()
+        hand_at: float | None = now + HAND_OFF_AFTER
+        try:
+            while pending():
+                if until is not None and now >= until:
+                    self._forget(cids)
+                    break
+                if hand_at is not None and now >= hand_at:
+                    hand_off(keep=self)
+                    hand_at = None
+                timeout = _READ_SLICE if hand_at is None else hand_at - now
+                if until is not None:
+                    timeout = min(timeout, until - now)
+                try:
+                    got = self._receive(timeout)
+                except TimeoutError:
+                    pass
+                else:
+                    if got is None:
+                        self._lose()
+                        break
+                    self._take(*got)
+                    if self not in held:
+                        return True
+                now = time.monotonic()
+        finally:
+            if self in held:
+                held.remove(self)
+                self._release()
+        return False
+
+    def _release(self) -> None:
+        """A leader is done: the standing reader reads on while anything
+        is outstanding."""
+        with self._lock:
+            busy = self._calls or self._waits or self._cancels
+            self._read = bool(busy) and not self.retired
+            if not self._read:
+                return
+        try:
+            self.read_on()
+        except ServerError:  # stopping: the links are retired next
+            with self._lock:
+                self._read = False
 
     def _forget(self, cids) -> None:
         with self._lock:
@@ -237,14 +332,26 @@ class PeerLink(Reader):
                 return None
             entry.home, entry.handle = self, token
             self._waits[token] = (session, entry)
+            self._unanswered.add(token)
         return token
+
+    def relay(self, message: object, token: int) -> None:
+        """Send the wait *message* parked under *token*.  A caller that
+        finds nobody reading the link reads it until the wait's first
+        answer, as a call does; the standing reader reads on while the
+        wait stays parked."""
+        with self._lock:
+            lead, self._read = not self._read, True
+        self.send(message, token)
+        if lead:
+            self._lead(lambda: token in self._unanswered)
 
     def send(self, message: object, cid: int) -> None:
         """Send *message* under *cid* with no call waiting on it."""
         try:
             send_message(self.conn, message, corr_id=cid)
         except CommunicationError:
-            # A link that cannot send is lost: closing it wakes the
+            # A link that cannot send is lost: closing it wakes its
             # reader, which hands every wait it carries back for
             # re-parking.
             self.conn.close()
@@ -261,27 +368,53 @@ class PeerLink(Reader):
             self._cancels[cid] = token
         self.send(CancelWaitRequest(waiter=token, origin=self._origin), cid)
 
-    # -- the reader -----------------------------------------------------------
+    # -- reading --------------------------------------------------------------
 
-    def read_one(self) -> bool:
-        """Read one frame and hand on what it answers; False once the link
-        is lost or retired."""
+    def _receive(self, timeout: float | None = None) -> tuple | None:
+        """The next frame's message and id, a batch as the list of its
+        members' — or None once the link is lost (a bad frame loses it).
+        Raises TimeoutError when *timeout* passes first."""
         try:
-            msg, cid = _decode(self.conn.recv())
+            msg, cid = _decode(self.conn.recv(timeout))
+            if type(msg) is PipelineBatch:
+                msg = [_decode(frame) for frame in msg.frames]
         except (ConnectionClosedError, ProtocolError):
-            return False
+            return None
         self.heard = time.monotonic()
-        if type(msg) is PipelineBatch:
-            self._on_replies([_decode(frame) for frame in msg.frames])
+        return msg, cid
+
+    def _take(self, msg: object, cid: int | None) -> None:
+        """Hand on what a received frame answers."""
+        if type(msg) is list:
+            self._on_replies(msg)
         elif type(msg) is MemoReady:
             self._end(msg.waiter, msg.payload, None)
         elif type(msg) is WaitCancelled:
             self._end(msg.waiter, None, msg.reason)
         else:
             self._on_replies(((msg, cid),))
-        return True
+
+    def read_one(self) -> bool | None:
+        """The standing reader: read one frame and hand on what it answers.
+        False once the link is lost; None after the frame that left
+        nothing outstanding."""
+        got = self._receive()
+        if got is None:
+            return False
+        self._take(*got)
+        if not self.reads_here():
+            return True  # handed on meanwhile: the new reader decides
+        with self._lock:
+            if self._calls or self._waits or self._cancels:
+                return True
+            self._read = False
+        return None
 
     def read_ended(self) -> None:
+        self._lose()
+
+    def _lose(self) -> None:
+        """The link was lost: retire it, and hand its waits back."""
         lost = ConnectionClosedError(f"link to {self.host} lost")
         for session, entry in self.retire(lost):
             session.relay_ended(entry, f"shutdown: link to {self.host} lost")
@@ -299,6 +432,7 @@ class PeerLink(Reader):
             self.retired = True
             carried = list(self._waits.values())
             self._waits.clear()
+            self._unanswered.clear()
         self.conn.close()
         self._fail(error, lambda _request: True)
         return carried
@@ -338,6 +472,7 @@ class PeerLink(Reader):
                         self._waits.pop(token, None)
                     continue
                 answered.append((reply, cid, self._waits.get(cid)))
+                self._unanswered.discard(cid)
         for reply, token, parked in answered:
             if not reply.ok:
                 self._end(token, None, reply.error)
@@ -351,6 +486,7 @@ class PeerLink(Reader):
     def _end(self, token: int, payload: bytes | None, reason: str | None) -> None:
         with self._lock:
             session, entry = self._waits.pop(token, (None, None))
+            self._unanswered.discard(token)
         if session is None:
             return
         if reason is None:

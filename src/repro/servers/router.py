@@ -37,7 +37,6 @@ from repro.errors import (
     NotRegisteredError,
     ProtocolError,
     RoutingError,
-    ServerError,
     ShutdownError,
 )
 from repro.network.codec import encode_message
@@ -370,8 +369,8 @@ class Router:
             self._failure.record_failure(peer)
 
     def _link(self, host: str) -> PeerLink:
-        """The link to *host*, dialled (and its reader started) when there
-        is none or it was retired."""
+        """The link to *host*, dialled when there is none or it was
+        retired; nobody reads it until a call or a wait needs it."""
         link = self._links.get(host)
         if link is not None and not link.retired:
             return link
@@ -386,13 +385,7 @@ class Router:
                 raise RoutingError(f"no address known for host {host!r}")
             self._stats.bump("peer_dials")
             conn = self.transport.connect(address)
-            link = PeerLink(host, conn, self.host, self._cache)
-            try:
-                link.read_on()
-            except ServerError:  # stop() raced us: the cache just shut down
-                conn.close()
-                raise ShutdownError("server stopping; no peer link") from None
-            self._links[host] = link
+            link = self._links[host] = PeerLink(host, conn, self.host, self._cache)
         return link
 
     def _reset(self, link: PeerLink) -> None:
@@ -416,9 +409,10 @@ class Router:
         """Send *entry*'s wait on toward *target*, to park in its table:
         the continuation goes to the data in a correlated
         :class:`ForwardEnvelope` on the link to the next hop, relayed hop
-        by hop as any forward is, and no thread waits on either side.
-        Raises only before the wait is on a link (no route, no dial, this
-        server stopping); after that its fate is the link reader's.
+        by hop as any forward is.  The owner's first answer is read as a
+        call's reply is (:meth:`PeerLink.relay`); no thread waits on a
+        parked wait.  Raises only before the wait is on a link (no route,
+        no dial, this server stopping); after that its fate is the link's.
         """
         next_hop = reg.routing.next_hop(self.host, target)
         entry.target, entry.trail = target, trail
@@ -433,7 +427,7 @@ class Router:
         wait = GetWaitRequest(
             folder=entry.folder, mode=entry.mode, waiter=token, origin=entry.origin
         )
-        link.send(self._envelope(reg, target, encode_message(wait), trail), token)
+        link.relay(self._envelope(reg, target, encode_message(wait), trail), token)
 
     def retire_links(self) -> None:
         """At shutdown: fail every call on a link, and end every relayed

@@ -16,12 +16,19 @@ over the one link per next hop (:mod:`repro.servers.link`) and parks in
 the *owner's* table like everyone else's; its GetWait is answered by the
 owner's first answer, so a remote hit is one reply, as a local one is.
 
+A lone lane request — on its own, or the only one a carrier brings —
+runs on the reader when the lane is idle and no whole frame is buffered
+behind it, and a lane round of one takes the server's one audited route:
+a put owned elsewhere is one forward, whose reply the forwarding thread
+reads itself, as the thread relaying a wait reads the owner's first
+answer.  Only a round of many burst-forwards its remote puts.
+
 A peer's link is one session here, so nothing that waits on a peer may
 hold back a request that does not: a replica copy and a heartbeat are
 ``INLINE`` rows, never queued behind a put that is fanning out; a request
 passing through runs on a worker, never on the lane; and the session is a
 :class:`~repro.servers.threadcache.Reader`, whose reading a wait on a peer
-hands on.
+— or a read of a peer link that lasts — hands on.
 
 Everything without an underscore is for the other server modules (the
 accept path, the handler table's reader rows, a peer link's reader).
@@ -126,12 +133,12 @@ class _ConnectionSession(Reader):
     row says:
 
     * ``LANE`` rows keep their order on the connection's one FIFO put
-      lane.  A lone one runs inline when the lane is idle and no whole
-      frame is buffered behind it; otherwise it queues for
-      the lane's one worker, as a carrier's lane requests always do, in
-      rounds (one worker is the throughput sweet spot under the GIL, and
-      cross-owner latency overlap comes from the worker firing its burst
-      groups concurrently);
+      lane.  A lone one — a carrier's only lane request included — runs
+      inline when the lane is idle and no whole frame is buffered behind
+      it; otherwise it queues for the lane's one worker, as a carrier's
+      lane requests do, in rounds (one worker is the throughput sweet
+      spot under the GIL, and cross-owner latency overlap comes from the
+      worker firing its burst groups concurrently);
     * ``WORKER`` rows (the reads, which may forward, and the control
       messages) keep no order: a lone one runs inline when no whole frame
       is buffered behind it, else on a worker of its own;
@@ -310,13 +317,14 @@ class _ConnectionSession(Reader):
         if done:
             self._send_replies(done)
         if lane:
-            self._enqueue(lane)
+            self._enqueue(lane, alone=len(lane) == 1)
         return True
 
     def _enqueue(self, entries: list, alone: bool = False) -> None:
         """Queue lane requests, starting the lane if it is idle: right here
-        on the reader for a request that came *alone* with no whole frame
-        buffered behind it (the inline rule), else on the lane's worker."""
+        on the reader for a request that is *alone* (on its own, or the
+        only lane request of a carrier) with no whole frame buffered
+        behind it (the inline rule), else on the lane's worker."""
         with self._lock:
             self._put_queue.extend(entries)
             self._inflight += len(entries)
@@ -373,16 +381,19 @@ class _ConnectionSession(Reader):
     def _serve_round(self, batch: list) -> list:
         """Serve one lane round; its replica copies leave before its replies.
 
-        A round of more than one request has the replicator collect the
+        A single request takes the audited route, as if it came alone: a
+        remote owner is one forward, its copies fan out strictly.  A
+        round of more than one request burst-forwards runs of remote puts
+        (:meth:`_process_put_batch`), and has the replicator collect the
         copies its writes fan out and send them as one burst per chain
         member once every request is served — still before any reply is
-        emitted, so a write is copied before it is acknowledged.  A
-        single request fans out strictly, as it always has.  Sending the
-        copies absorbs a member's failure (it is demoted); only an error
-        it raises (the server stopping) replaces the round's acks.
+        emitted, so a write is copied before it is acknowledged.  Sending
+        the copies absorbs a member's failure (it is demoted); only an
+        error it raises (the server stopping) replaces the round's acks.
         """
         if len(batch) == 1:
-            return self._process_put_batch(batch)
+            msg, cid, envelope, _raw = batch[0]
+            return [(self.server.handle(msg, envelope), cid)]
         replicator = self.server.replicator
         replicator.collect_copies()
         try:
@@ -394,7 +405,7 @@ class _ConnectionSession(Reader):
         return [(sent, cid) if reply.ok else (reply, cid) for reply, cid in replies]
 
     def _process_put_batch(self, batch: list) -> list:
-        """Serve one lane round, burst-forwarding runs of remote puts.
+        """Serve a lane round of many, burst-forwarding runs of remote puts.
 
         Local puts and enveloped requests are served in place; puts owned
         by a single remote host are grouped per ``(app, owner)`` and
@@ -522,6 +533,8 @@ class _ConnectionSession(Reader):
         if reply.found:
             with self._lock:
                 self._waiters.pop(token, None)
+        elif reply is _OWED:  # counted active as it left (_relay)
+            self.server.stats.bump("waiters_parked")
         else:
             self.server.stats.bump_pair("waiters_parked", "waiters_active")
         return reply
@@ -552,12 +565,22 @@ class _ConnectionSession(Reader):
         """Send *entry*'s wait on toward *target*: ``_OWED`` while its
         GetWait's reply is owed, else (a re-park) the parked ack.
 
-        Decided before the wait is on the link: from then on the link's
-        reader may answer the id at any moment, even before this returns.
+        Decided before the wait is on the link: from then on whoever reads
+        the link — this thread too — may answer the id, even before this
+        returns.  So a wait relayed from :meth:`_park_new` counts as
+        active before it leaves.
         """
-        reply = _PARKED_ACK if entry.owed is None else _OWED
-        self.server.router.relay_wait(self, entry, reg, target, trail)
-        return reply
+        if entry.owed is None:
+            self.server.router.relay_wait(self, entry, reg, target, trail)
+            return _PARKED_ACK
+        stats = self.server.stats
+        stats.bump("waiters_active")
+        try:
+            self.server.router.relay_wait(self, entry, reg, target, trail)
+        except BaseException:
+            stats.bump("waiters_active", -1)
+            raise
+        return _OWED
 
     def _park_here(self, _reg, chain: tuple, sid: str, entry: ParkedWaiter) -> Reply:
         """Park *entry* in this host's own store for *chain*, or hit."""

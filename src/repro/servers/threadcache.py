@@ -22,9 +22,9 @@ from typing import Callable
 from repro.errors import ServerError
 from repro.telemetry import Counters
 
-__all__ = ["ThreadCache", "Reader", "await_peer", "scatter_join"]
+__all__ = ["ThreadCache", "Reader", "await_peer", "hand_off", "scatter_join"]
 
-#: The :class:`Reader` the current thread reads for, if any.
+#: What the current thread reads for: its :class:`Reader` list, ``held``.
 _reading = threading.local()
 
 #: How long a reader waits on a peer before it hands its reading on: about
@@ -32,49 +32,81 @@ _reading = threading.local()
 HAND_OFF_AFTER = 0.02
 
 
+def _held() -> list:
+    held = getattr(_reading, "held", None)
+    if held is None:
+        held = _reading.held = []
+    return held
+
+
 class Reader:
     """A connection's reader — a memo server's session, or a peer link —
     serving some frames on the thread that reads them.  Such a frame may
     wait on a peer while the frame that ends the wait is behind it on this
     very connection, so :func:`await_peer` hands the reading on to a fresh
-    thread.  A subclass defines ``read_one`` (False stops reading),
-    ``read_ended`` and ``reader_cache`` (where a fresh reader runs).
+    thread.  A thread may read for more than one: a session's reader that
+    leads a peer link's read holds both, and :func:`hand_off` hands on
+    all it may.  A subclass defines ``read_one`` (False stops reading,
+    None stops with nothing ended), ``read_ended`` and ``reader_cache``
+    (where a fresh reader runs).
     """
 
     __slots__ = ()
 
     def serve(self) -> None:
         """Read until ``read_one`` says stop or the reading was handed on;
-        whoever reads last runs ``read_ended``."""
-        _reading.reader = self
+        whoever reads last runs ``read_ended``, unless reading stopped
+        with nothing ended."""
+        held = _held()
+        held.append(self)
+        going = True
         try:
-            while self.read_one() and _reading.reader is self:
-                pass
+            while going and self in held:
+                going = self.read_one()
         finally:
-            if _reading.reader is self:
-                _reading.reader = None
-                self.read_ended()
+            if self in held:
+                held.remove(self)
+                if going is not None:
+                    self.read_ended()
 
     def read_on(self) -> None:
         """Continue :meth:`serve` on a thread of its own."""
         self.reader_cache.submit(self.serve)
 
+    def take_reading(self) -> list:
+        """Read for this reader on the current thread, beside any other it
+        reads for, outside :meth:`serve` (a caller leading a link's read).
+        Returns the thread's list of readers: while this one is in it, the
+        thread reads for it; to stop, remove it."""
+        held = _held()
+        held.append(self)
+        return held
 
-def await_peer(done: threading.Lock, timeout: float | None = None) -> bool:
-    """Acquire *done*, released when what waits on a peer is over; at most
-    *timeout* seconds (None: until released).  The one place a thread
-    waits on a peer: past :data:`HAND_OFF_AFTER`, a :class:`Reader`
-    hands its reading on first.  Returns whether *done* was acquired."""
-    if done.acquire(True, HAND_OFF_AFTER):
-        return True
-    reader = getattr(_reading, "reader", None)
-    if reader is not None:
+    def reads_here(self) -> bool:
+        """Whether the current thread still reads for this reader."""
+        return self in _held()
+
+
+def hand_off(keep: Reader | None = None) -> None:
+    """Hand on the reading of every :class:`Reader` the current thread
+    reads for but *keep*: it is about to wait on a peer."""
+    held = _held()
+    for reader in [r for r in held if r is not keep]:
         try:
             reader.read_on()
         except ServerError:  # shutting down: keep reading here
-            pass
-        else:
-            _reading.reader = None
+            continue
+        held.remove(reader)
+
+
+def await_peer(done: threading.Lock, timeout: float | None = None) -> bool:
+    """Acquire *done*, released when what waits on a peer is over; at most
+    *timeout* seconds (None: until released).  Past :data:`HAND_OFF_AFTER`,
+    the thread hands its reading on first (:func:`hand_off`) — as a caller
+    leading a link's read does.  Returns whether *done* was acquired."""
+    if done.acquire(True, HAND_OFF_AFTER):
+        return True
+    hand_off()
     left = -1 if timeout is None else max(0.0, timeout - HAND_OFF_AFTER)
     return done.acquire(True, left)
 

@@ -220,11 +220,32 @@ class TestInlineRule:
                     )
         conn.close()
 
-    def test_acked_puts_take_no_hand_off_on_any_host(self):
-        """Every hop of an acked put on a 3-host rf-2 TCP cluster — the
-        client's request, a forward to the owner, a replica copy — is
-        served on the reader of the connection that carried it."""
-        adf = system_default_adf(["h0", "h1", "h2"], app="pipe", replication_factor=2)
+    @pytest.mark.parametrize("rf", [1, 2])
+    def test_acked_puts_take_no_hand_off_on_any_host(self, rf, monkeypatch):
+        """Every hop of an acked put on a 3-host TCP cluster — the client's
+        request, a forward to the owner, a replica copy — is served on the
+        reader of the connection that carried it, and the reply to every
+        exchange with a peer is read by the thread that sent it."""
+        from repro.servers.link import PeerLink
+
+        calling = threading.local()
+        read_by_caller: list = []
+        call, on_replies = PeerLink.call, PeerLink._on_replies
+
+        def spy_call(link, message):
+            calling.on = True
+            try:
+                return call(link, message)
+            finally:
+                calling.on = False
+
+        def spy_on_replies(link, replies):
+            read_by_caller.append(getattr(calling, "on", False))
+            return on_replies(link, replies)
+
+        monkeypatch.setattr(PeerLink, "call", spy_call)
+        monkeypatch.setattr(PeerLink, "_on_replies", spy_on_replies)
+        adf = system_default_adf(["h0", "h1", "h2"], app="pipe", replication_factor=rf)
         with Cluster(adf, transport_kind="tcp", heartbeat_interval=0.5) as cluster:
             cluster.register()
             memo = cluster.memo_api("h0", "pipe")
@@ -237,12 +258,16 @@ class TestInlineRule:
                 }
 
             before = submitted()
+            read_by_caller.clear()
             puts = 2000
             for i in range(puts):
                 memo.put(Key(Symbol("acked"), (i,)), i, wait=True)
             after = submitted()
         per_put = {host: (after[host] - before[host]) / puts for host in before}
         assert all(rate <= 0.1 for rate in per_put.values()), per_put
+        # About two puts in three are forwarded (and at rf 2 copied too).
+        assert len(read_by_caller) > puts // 2
+        assert read_by_caller.count(False) <= len(read_by_caller) // 100
 
 
 class TestBurstForwarding:
@@ -261,6 +286,26 @@ class TestBurstForwarding:
             stats_b = cluster.servers["b"].stats.snapshot()
             assert stats_b["pipelined_requests"] > 0
             assert stats_b["forwards_in"] > 0
+
+    def test_a_put_many_reaches_the_owner_as_bursts(self):
+        """A lone put is forwarded on its own, but a client's pipelined
+        puts still reach their owner in bursts: at least one per 64
+        remote puts."""
+        adf = system_default_adf(["a", "b"], app="pipe")
+        with Cluster(adf, idle_timeout=0.5) as cluster:
+            cluster.register()
+            memo = cluster.memo_api("a", "pipe")
+            memo.put(Key(Symbol("warm")), 0, wait=True)
+            owner = cluster.servers["a"].registration("pipe").placement.replica_chain
+            keys = [Key(Symbol("many"), (i,)) for i in range(256)]
+            remote = sum(owner(FolderName("pipe", k))[0][1] == "b" for k in keys)
+            b = cluster.servers["b"]
+            before = b.stats.snapshot()["pipelined_batches"]
+            memo.put_many((k, i) for i, k in enumerate(keys))
+            memo.flush()
+            bursts = b.stats.snapshot()["pipelined_batches"] - before
+        assert remote >= 64
+        assert bursts >= remote / 64, (bursts, remote)
 
     def test_burst_forward_preserves_same_folder_order(self):
         adf = system_default_adf(["a", "b"], app="pipe")

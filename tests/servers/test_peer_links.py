@@ -2,7 +2,10 @@
 exchange with it — forwards, replica copies, heartbeats — rides that link.
 
 ``memo.peer_dials`` (a server's ``StatsRequest`` counter) counts the links
-it dialled.  A quiet link carries a heartbeat; a busy one is its own proof
+it dialled.  A call that finds nobody reading a link reads it itself,
+answering whatever other calls and waits the frames it meets belong to;
+a standing reader runs only while something no leader reads for is
+outstanding.  A quiet link carries a heartbeat; a busy one is its own proof
 of life.  A link that had answered and then fails is reset, and every
 call on it runs once more on a fresh dial (the stale rule).  A peer the
 detector declares dead fails every call on its link but a consuming
@@ -18,6 +21,7 @@ import time
 import pytest
 
 from repro.adf.defaults import system_default_adf
+from repro.core.api import NIL
 from repro.core.keys import FolderName, Key, Symbol
 from repro.errors import ShutdownError
 from repro.network.protocol import ForwardEnvelope, Heartbeat, PutRequest
@@ -125,6 +129,94 @@ def test_concurrent_clients_share_one_link_per_peer(transport_kind):
         # The peers serve h0's forwards on one session per link: four
         # times the clients at h0 is not a thread more at h1 or h2.
         assert all(many[h] <= few[h] + 1 for h in few), (few, many)
+
+
+def _keys_owned_by(cluster, host: str, name: str, n: int) -> list[Key]:
+    chain = cluster.servers["h0"].registration(APP).placement.replica_chain
+    keys = (Key(Symbol(name), (i,)) for i in range(50 * n))
+    return [k for k in keys if chain(FolderName(APP, k))[0][1] == host][:n]
+
+
+@pytest.mark.parametrize("transport_kind", ["memory", "tcp"])
+def test_leaders_and_followers_answer_every_call_and_wait_once(transport_kind):
+    """Sixteen clients on h0, with a short switch interval, share the link
+    to h1: forwarded acked puts, relayed waits that puts from h2 complete,
+    and cancels racing those puts.  Every call and wait is answered once,
+    no memo is lost or duplicated, and once the load stops no link keeps
+    a standing reader: each server's thread count is back to where it was."""
+    adf = system_default_adf(["h0", "h1", "h2"], app=APP)
+    clients, rounds = 16, 12
+    with Cluster(adf, transport_kind=transport_kind, idle_timeout=0.2) as cluster:
+        cluster.register()
+        keys = iter(_keys_owned_by(cluster, "h1", "s", clients * rounds * 2 + 2))
+        with cluster.memo_api("h0", APP) as near, cluster.memo_api("h2", APP) as far:
+            # Both links up, read only by the calls' own threads.
+            warm = next(keys)
+            near.put(warm, "warm", wait=True)
+            far.put(warm, "warm", wait=True)
+
+        def settled() -> bool:
+            return all(s.cache.idle_count() == 0 for s in cluster.servers.values())
+
+        time.sleep(0.5)  # the warm-up clients' sessions are over
+        wait_until(settled)
+        baseline = {h: _server_threads(h) for h in cluster.servers}
+        outcomes: list = []
+        errors: list = []
+
+        def work(c: int, mine: list) -> None:
+            try:
+                with cluster.memo_api("h0", APP, f"near{c}") as memo, cluster.memo_api(
+                    "h2", APP, f"far{c}"
+                ) as feeder:
+                    for i, (key, value) in enumerate(mine):
+                        if i % 3 == 0:
+                            memo.put(key, value, wait=True)
+                            outcomes.append((key, value, "stored"))
+                            continue
+                        waiting = memo.get_async(key)
+                        feeder.put(key, value, wait=True)
+                        if i % 3 == 2 and waiting.cancel():
+                            outcomes.append((key, value, "stored"))
+                        else:
+                            assert waiting.result(10) == value
+                            outcomes.append((key, value, "taken"))
+            except Exception as exc:  # noqa: BLE001 - reported below
+                errors.append(exc)
+
+        work_of = [
+            [(next(keys), f"v{c}.{i}") for i in range(rounds)] for c in range(clients)
+        ]
+        threads = [
+            threading.Thread(target=work, args=(c, work_of[c])) for c in range(clients)
+        ]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert errors == []
+        assert len(outcomes) == clients * rounds
+        with cluster.memo_api("h1", APP) as owner:
+            assert owner.get_skip(warm) == owner.get_skip(warm) == "warm"
+            # A cancel that lost the race to a push re-deposits the memo
+            # it took: wait for those before reading anything.
+            for key, value, outcome in outcomes:
+                if outcome == "stored":
+                    assert owner.get_copy_async(key).result(10) == value
+            for key, value, outcome in outcomes:
+                left = [owner.get_skip(key), owner.get_skip(key)]
+                if outcome == "stored":
+                    assert left == [value, NIL], (key, value, left)
+                else:
+                    assert left == [NIL, NIL], (key, value, left)
+        assert all(s.stats["waiters_active"] == 0 for s in cluster.servers.values())
+        wait_until(lambda: all(_server_threads(h) <= baseline[h] for h in baseline))
 
 
 def test_a_restarted_owner_is_reached_through_the_stale_rule():

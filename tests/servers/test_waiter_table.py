@@ -728,7 +728,12 @@ class TestOneReplyPerRelayedWait:
     ):
         """The link's reader handles the owner's hit while the session's
         reader is still inside ``relay_wait``: the hit is still the one
-        reply — no late parked ack overtakes or follows it."""
+        reply — no late parked ack overtakes or follows it.  (Another wait
+        parked on the link keeps its standing reader: a link nobody reads
+        is read by the thread that relays the wait.)"""
+        parked, k = keys_owned_by(two_host_cluster, "beta", 2, start=870)
+        elsewhere = two_host_cluster.memo_api("alpha", "test", "p").get_async(parked)
+        wait_until(lambda: active(two_host_cluster.servers["beta"]) == 1)
         answered = threading.Event()
         send, on_replies = PeerLink.send, PeerLink._on_replies
 
@@ -743,7 +748,6 @@ class TestOneReplyPerRelayedWait:
 
         monkeypatch.setattr(PeerLink, "send", reader_first)
         monkeypatch.setattr(PeerLink, "_on_replies", handled)
-        (k,) = keys_owned_by(two_host_cluster, "beta", 1, start=870)
         two_host_cluster.memo_api("beta", "test", "f").put(k, "first", wait=True)
         memo, seen, future, cid = self.start(two_host_cluster, k)
         assert future.wait(timeout=5) == "first"
@@ -752,6 +756,7 @@ class TestOneReplyPerRelayedWait:
         memo.client.pump(0.1)
         (reply,) = replies_to(seen, cid)
         assert reply.ok and reply.found
+        assert elsewhere.cancel()
         assert active(two_host_cluster.servers["alpha"]) == 0
 
     def test_stress_every_relayed_wait_is_answered_once(self, two_host_cluster):
