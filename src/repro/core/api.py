@@ -41,6 +41,7 @@ from typing import TYPE_CHECKING, Iterable, Sequence
 from repro.core.futures import MemoFuture
 from repro.core.keys import FolderName, Key, Symbol, SymbolFactory
 from repro.errors import MemoError
+from repro.network.codec import _FOLDER_INTERN_CAP
 from repro.network.protocol import (
     GetAltSkipRequest,
     GetRequest,
@@ -127,6 +128,11 @@ class Memo:
         self.registry = registry
         self._symbols = SymbolFactory(scope=f"{app}.{process_name}")
         self._rng = random.Random()
+        #: The folder name built for each key this process named, so a
+        #: name is built and hashed once and the codec's folder table
+        #: finds it by identity; cleared when full, like that table.  Two
+        #: threads racing on a key at worst build its name twice.
+        self._folders: dict[Key | Symbol, FolderName] = {}
 
     # -- keys ------------------------------------------------------------------
 
@@ -135,11 +141,20 @@ class Memo:
         return self._symbols.create(hint)
 
     def _folder(self, key: Key | Symbol) -> FolderName:
+        try:
+            return self._folders[key]
+        except (KeyError, TypeError):  # TypeError: not hashable, so no key
+            pass
         if isinstance(key, Symbol):
-            key = Key(key)
-        if not isinstance(key, Key):
+            folder = FolderName(self.app, Key(key))
+        elif isinstance(key, Key):
+            folder = FolderName(self.app, key)
+        else:
             raise MemoError(f"expected Key or Symbol, got {type(key).__qualname__}")
-        return FolderName(self.app, key)
+        if len(self._folders) >= _FOLDER_INTERN_CAP:
+            self._folders.clear()
+        self._folders[key] = folder
+        return folder
 
     def _encode(self, value: object) -> bytes:
         return encode(value, registry=self.registry, strict_domains=self.strict_domains)

@@ -101,6 +101,14 @@ class Key:
         parts.extend(x.to_bytes(8, "big") for x in self.index)
         return b"\x00".join(parts)
 
+    def __hash__(self) -> int:
+        """The dataclass field hash, computed once per instance: a key
+        names its folder in every request the API builds."""
+        cached = self.__dict__.get("_hash")
+        if cached is None:
+            cached = self.__dict__["_hash"] = hash((self.symbol, self.index))
+        return cached
+
     def __str__(self) -> str:
         if not self.index:
             return self.symbol.name
@@ -137,12 +145,10 @@ class FolderName:
         waiter table on every request, and the generated hash walks
         ``Key`` and ``Symbol`` each time.
         """
-        try:
-            return self._hash
-        except AttributeError:
-            cached = hash((self.app, self.key))
-            object.__setattr__(self, "_hash", cached)
-            return cached
+        cached = self.__dict__.get("_hash")
+        if cached is None:
+            cached = self.__dict__["_hash"] = hash((self.app, self.key))
+        return cached
 
     def __str__(self) -> str:
         return f"{self.app}:{self.key}"

@@ -26,7 +26,8 @@ a version-2 frame; a memo server closes a connection that sends it an
 id-less request.  Version 1 never frames a request on the wire.  It
 frames a ``ForwardEnvelope``'s ``inner`` request (the envelope carries
 the id), WAL records, the carriers whose member frames carry the ids
-(``PipelineBatch``, ``BurstEnvelope``), and the unsolicited
+(``PipelineBatch``, ``BurstEnvelope``), the ``Acks`` reply, whose body
+lists the many ids it answers, and the unsolicited
 *push* frames (``MemoReady``/``WaitCancelled``, the parked-waiter
 completions).  A push answers no request, so it carries no correlation
 id; its routing key, the waiter token, lives in the message body.  TLV
@@ -41,6 +42,8 @@ Body primitives::
     bool      1 byte (0 or 1)
     f64       8-byte IEEE-754 binary64, big-endian
     folder    app str, symbol str, uvarint index count, uvarint indexes
+    uint_deltas  uvarint count, then each uint as the zigzag uvarint of
+              its difference from the one before (the first from 0)
     tlv       uvarint byte-length + an embedded TLV stream (0 = empty);
               used only for open-ended fields like ``Reply.stats``
 
@@ -232,6 +235,19 @@ def _w_folder(out: bytearray, f: FolderName) -> None:
     out += raw
 
 
+def _w_uint_deltas(out: bytearray, values: tuple) -> None:
+    _w_uv(out, len(values))
+    prev = 0
+    for x in values:
+        d = x - prev
+        z = d << 1 if d >= 0 else (-d << 1) - 1
+        if z < 0x80:
+            out.append(z)
+        else:
+            _w_uv(out, z)
+        prev = x
+
+
 def _w_opt_folder(out: bytearray, f: FolderName | None) -> None:
     if f is None:
         out.append(0)
@@ -382,6 +398,20 @@ def _r_folder(data: bytes, pos: int) -> tuple[FolderName, int]:
     return folder, pos
 
 
+def _r_uint_deltas(data: bytes, pos: int) -> tuple[tuple, int]:
+    n, pos = _r_uv(data, pos)
+    values = []
+    prev = 0
+    for _ in range(n):
+        z = data[pos]
+        pos += 1
+        if z >= 0x80:
+            z, pos = _uv_tail(data, pos, z)
+        prev += (z >> 1) ^ -(z & 1)
+        values.append(prev)
+    return tuple(values), pos
+
+
 def _r_opt_folder(data: bytes, pos: int) -> tuple[FolderName | None, int]:
     if data[pos] == 0:
         return None, pos + 1
@@ -483,7 +513,7 @@ _KINDS: dict[str, tuple[str, str]] = {
 }
 for _kind in (
     "folder", "opt_folder", "folder_tuple", "str_tuple", "bytes_tuple",
-    "server_pairs", "float_dict", "link_dict", "tlv",
+    "server_pairs", "float_dict", "link_dict", "tlv", "uint_deltas",
 ):
     _KINDS[_kind] = (f"_w_{_kind}(out, v)", f"{{v}}, pos = _r_{_kind}(data, pos)")
 del _kind
@@ -626,9 +656,10 @@ def encode_correlated_burst(pairs) -> list[bytes]:
     """Encode ``(message, corr_id)`` pairs into correlated frames.
 
     Equivalent to ``[encode_message(m, c) for m, c in pairs]`` but the
-    positional body is encoded once per distinct message *object*: a burst
-    of replies completed together is dominated by identical acknowledgement
-    singletons, whose bytes differ only in the correlation id.
+    positional body is encoded once per distinct message *object*, whose
+    frames then differ only in the correlation id.  No server path uses it
+    since a round's put acks leave as one ``Acks`` frame; ``bench/layers.py``
+    still times it (``codec.burst_encode_us_per_frame``).
     """
     body_cache: dict[int, tuple[bytes, bytes]] = {}
     frames: list[bytes] = []
@@ -655,9 +686,9 @@ def split_correlated(data: bytes) -> tuple[int, bytes] | None:
     Returns None for anything that is not a well-formed version-2 compact
     frame — the caller falls back to :func:`decode_tagged`.  The second
     element is the frame with header and correlation id stripped, which
-    is *identical across frames answering with the same message*: ack
-    drains use it to decode one representative of a burst and reuse the
-    result for every byte-equal sibling.
+    is *identical across frames answering with the same message*: a
+    receiver recognises a lone put ack by it without decoding
+    (``protocol.decode_reply``).
     """
     if (
         len(data) < 5

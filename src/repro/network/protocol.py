@@ -52,6 +52,8 @@ __all__ = [
     "ForwardEnvelope",
     "BurstEnvelope",
     "PipelineBatch",
+    "Acks",
+    "PUT_ACK",
     "MemoReady",
     "WaitCancelled",
     "Reply",
@@ -60,7 +62,7 @@ __all__ = [
     "round_trip",
     "recv_tagged",
     "decode_protocol_frame",
-    "iter_batch_frames",
+    "decode_reply",
     "retryable",
     "shutting_down",
     "GET_MODES",
@@ -443,9 +445,9 @@ class BurstEnvelope:
     member requests as correlated frames, which the receiver queues on
     one put lane and applies in order.  Members are requests whose
     handler runs on the lane: a client's pipelined puts forwarded to
-    their owner (raw, exactly as the client sent them — never
-    re-encoded — so the owner's tagged replies, using the client's own
-    ids, pass back to the client verbatim), the puts and
+    their owner (their bodies exactly as the client sent them, never
+    re-encoded, under the sending link's ids; the owner answers the
+    members it accepted with one :class:`Acks` frame), the puts and
     :class:`ReplicatePut` copies an anti-entropy pull sends a rejoining
     host, and the replica copies a lane round sends each backup.
 
@@ -469,14 +471,14 @@ class BurstEnvelope:
 
 @dataclass(frozen=True)
 class PipelineBatch:
-    """Several already-encoded frames travelling as one wire message.
+    """Several already-encoded requests travelling as one wire message.
 
-    Pipelined peers coalesce bursts — a client flushing a ``put_many``
-    batch, a server emitting the replies a worker set just completed —
-    into one of these, paying one transport send/receive per *burst*
-    instead of per message.  Each inner element is a complete encoded
-    frame (normally a correlated compact frame); the receiver unpacks and
-    dispatches them in order.  Batches do not nest.
+    A client flushing a ``put_many`` batch coalesces its requests into
+    one of these, paying one transport send/receive per *burst* instead
+    of per message.  Each inner element is a complete correlated compact
+    frame; the receiver unpacks and dispatches them in order.  Batches do
+    not nest, and a batch never carries replies: a burst's put acks come
+    back as one :class:`Acks` frame.
 
     The container itself is always sent id-less: the correlation ids live
     on the inner frames.
@@ -512,6 +514,38 @@ class Reply:
     stats: dict = field(default_factory=dict)
 
 
+#: Shared acknowledgement for accepted writes.  Reply is frozen, so one
+#: instance serves every put, and the session, the link and the client
+#: recognise an ack by identity: what a sender puts in an :class:`Acks`
+#: frame, and what a receiver hands on for each id in one.
+PUT_ACK = Reply(ok=True, found=True)
+
+
+@dataclass(frozen=True)
+class Acks:
+    """Reply only: the put acks of one lane round, as one frame.
+
+    A server answering a set of more than one request sends the
+    correlation id of every request it answered with :data:`PUT_ACK`
+    here, instead of a correlated :class:`Reply` frame each; its other
+    replies go as those.  Each id means exactly ``PUT_ACK`` tagged with
+    it.  A lone reply is never one.  Like a carrier it is sent id-less —
+    it answers many ids — but it carries no request: a server that reads
+    one closes the connection.  On the wire the ids are zigzag deltas, so
+    a round's nearly consecutive ids cost a byte each.
+    """
+
+    cids: tuple[int, ...]
+
+    def __post_init__(self) -> None:
+        if type(self.cids) is not tuple:
+            object.__setattr__(self, "cids", tuple(self.cids))
+        if not self.cids:
+            raise ProtocolError("Acks requires at least one id")
+        if min(self.cids) < 0 or max(self.cids) >> 64:
+            raise ProtocolError("an acknowledged id is outside [0, 2**64)")
+
+
 _MESSAGE_TYPES = (
     PutRequest,
     PutDelayedRequest,
@@ -533,6 +567,7 @@ _MESSAGE_TYPES = (
     MemoReady,
     WaitCancelled,
     CancelWaitRequest,
+    Acks,
 )
 
 # Registered in the transferable registry too: the TLV fallback framing
@@ -628,6 +663,7 @@ register_compact(
 )
 register_compact(WaitCancelled, 18, (("waiter", "uint"), ("reason", "str")))
 register_compact(CancelWaitRequest, 19, (("waiter", "uint"), ("origin", "str")))
+register_compact(Acks, 28, (("cids", "uint_deltas"),))
 register_compact(
     Reply,
     13,
@@ -701,20 +737,22 @@ def round_trip(
 def recv_tagged(
     conn: Connection, timeout: float | None = None
 ) -> tuple[object, int | None]:
-    """Receive one protocol message plus its correlation id (None if id-less).
+    """Receive one protocol message plus its correlation id (None if
+    id-less), as :func:`decode_reply` reads it.
 
     Raises:
         ProtocolError: the bytes decoded to something that is not a
             registered protocol message, or could not be decoded at all.
     """
-    return decode_protocol_frame(conn.recv(timeout))
+    return decode_reply(conn.recv(timeout))
 
 
 def decode_protocol_frame(data: bytes | memoryview) -> tuple[object, int | None]:
     """Decode one frame into ``(protocol message, correlation id)``.
 
-    The protocol-level validation shared by :func:`recv_tagged` and the
-    receivers that unpack :class:`PipelineBatch` inner frames.
+    The protocol-level validation shared by every receiver: a session
+    reading requests (and a :class:`PipelineBatch`'s inner frames), and
+    :func:`decode_reply`.
 
     Raises:
         ProtocolError: the bytes decoded to something that is not a
@@ -729,26 +767,19 @@ def decode_protocol_frame(data: bytes | memoryview) -> tuple[object, int | None]
     return msg, corr_id
 
 
-def iter_batch_frames(frames):
-    """Decode a :class:`PipelineBatch`'s frames into ``(message, corr_id)``.
+#: The put ack's frame past its correlation id (what
+#: :func:`split_correlated` exposes), and the longest frame that can be
+#: one: header, a ten-byte id, then those bytes.
+_PUT_ACK_TAGBODY = encode_message(PUT_ACK)[3:]
+_PUT_ACK_LONGEST = 3 + 10 + len(_PUT_ACK_TAGBODY)
 
-    A reply burst is dominated by byte-identical acknowledgement bodies
-    that differ only in their correlation id, so the body bytes key a
-    decode cache: one representative is decoded per distinct body and the
-    (immutable) message object is reused for every byte-equal sibling.
 
-    Raises:
-        ProtocolError: a frame that is not a registered protocol message.
-    """
-    cache: dict[bytes, object] = {}
-    for raw in frames:
-        split = split_correlated(raw)
-        if split is None:
-            yield decode_protocol_frame(raw)
-            continue
-        corr_id, key = split
-        msg = cache.get(key)
-        if msg is None:
-            msg = decode_protocol_frame(raw)[0]
-            cache[key] = msg
-        yield msg, corr_id
+def decode_reply(frame: bytes) -> tuple[object, int | None]:
+    """:func:`decode_protocol_frame` for a frame a peer answers with: a
+    lone put ack, the commonest reply, is recognised by its bytes and
+    never decoded."""
+    if len(frame) <= _PUT_ACK_LONGEST:
+        split = split_correlated(frame)
+        if split is not None and split[1] == _PUT_ACK_TAGBODY:
+            return PUT_ACK, split[0]
+    return decode_protocol_frame(frame)

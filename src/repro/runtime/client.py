@@ -14,8 +14,9 @@ Pipelining: every request the client sends carries a correlation id
 connection's requests at once and return the replies out of order — the
 client demultiplexes them by id.  ``put_many`` additionally coalesces
 bursts of requests into :class:`~repro.network.protocol.PipelineBatch`
-frames, paying one transport send per burst; the server coalesces reply
-bursts the same way.
+frames, paying one transport send per burst; the server answers the puts
+of a lane round it accepted with one :class:`~repro.network.protocol.Acks`
+frame, which every read path routes id by id.
 
 Futures: ``get_wait`` registers a server-parked wait (one waiter-table
 entry server-side, zero blocked threads on either end) and returns a
@@ -66,13 +67,14 @@ from repro.errors import (
 from repro.network.codec import encode_message
 from repro.network.connection import Address, Transport
 from repro.network.protocol import (
+    PUT_ACK,
+    Acks,
     CancelWaitRequest,
     GetWaitRequest,
     MemoReady,
     PipelineBatch,
     Reply,
     WaitCancelled,
-    iter_batch_frames,
     recv_tagged,
     retryable,
     send_message,
@@ -176,30 +178,25 @@ class MemoClient:
         self._next_cid += 1
         return cid
 
-    def _absorb_one_locked(self, reply: object, cid: int | None) -> None:
-        """Account one tagged reply against the pending-ack set.
-
-        Frames that answer nothing we are waiting for — id-less frames, or
-        ids from a previous connection incarnation — are skipped: the ids
-        are what make stale replies harmless.
-        """
-        if cid is None or cid not in self._pending:
-            return
-        self._pending.discard(cid)
-        if isinstance(reply, Reply) and not reply.ok and self._deferred_error is None:
-            self._deferred_error = reply.error
-
     def _route_frame_locked(self, msg: object, cid: int | None) -> None:
-        """Demultiplex one wire frame (unpacking reply batches)."""
-        if isinstance(msg, PipelineBatch):
-            for inner, inner_cid in iter_batch_frames(msg.frames):
-                self._route_one_locked(inner, inner_cid)
-        else:
+        """Demultiplex one wire frame; an :class:`Acks` frame is
+        :data:`PUT_ACK` for each of its ids, most of them pending."""
+        if type(msg) is not Acks:
             self._route_one_locked(msg, cid)
+            return
+        pending = self._pending
+        for acked in msg.cids:
+            if acked in pending:
+                pending.discard(acked)
+            else:
+                self._route_one_locked(PUT_ACK, acked)
 
     def _route_one_locked(self, msg: object, cid: int | None) -> None:
         """Route one frame: pushes to wait futures, correlated replies to
-        whichever future/pending-set entry owns the id, rest skipped."""
+        whichever future/pending-set entry owns the id.  What answers
+        nothing waited for — an id-less frame, an id from a previous
+        connection incarnation — is skipped: the ids are what make stale
+        replies harmless."""
         if isinstance(msg, MemoReady):
             state = self._wait_by_token.pop(msg.waiter, None)
             if state is not None:
@@ -217,8 +214,10 @@ class MemoClient:
         ack = self._ack_by_cid.pop(cid, None)
         if ack is not None:
             self._on_ack_reply_locked(ack, msg)
-            return
-        self._absorb_one_locked(msg, cid)
+        elif cid in self._pending:
+            self._pending.discard(cid)
+            if isinstance(msg, Reply) and not msg.ok and self._deferred_error is None:
+                self._deferred_error = msg.error
 
     # -- wait futures (server-parked GetWait) ----------------------------------
 
@@ -454,12 +453,13 @@ class MemoClient:
         """Read frames until the reply tagged *cid* arrives.
 
         Replies to other outstanding requests (earlier posts whose acks
-        ride the same stream, possibly inside a batch) are absorbed in
-        passing; id-less or foreign frames are skipped.  Routing a frame
-        can *replace* the connection (an ack's shutdown-retry, a wait's
-        fail-over re-subscription reconnect under us); the awaited reply
-        died with the old connection, so that surfaces as a connection
-        loss for the caller's retry loop rather than a silent hang.
+        ride the same stream, possibly in the same :class:`Acks` frame)
+        are routed in passing; id-less or foreign frames are skipped.
+        Routing a frame can *replace* the connection (an ack's
+        shutdown-retry, a wait's fail-over re-subscription reconnect
+        under us); the awaited reply died with the old connection, so
+        that surfaces as a connection loss for the caller's retry loop
+        rather than a silent hang.
         """
         deadline = None if timeout is None else time.monotonic() + timeout
         conn = self._conn
@@ -474,19 +474,13 @@ class MemoClient:
                 if remaining <= 0:
                     raise TimeoutError("request timed out")
             msg, got = recv_tagged(self._conn, remaining)
-            if isinstance(msg, PipelineBatch):
-                mine: object | None = None
-                for inner, inner_cid in iter_batch_frames(msg.frames):
-                    if inner_cid == cid:
-                        mine = inner
-                    else:
-                        self._route_one_locked(inner, inner_cid)
-                if mine is not None:
-                    return mine
-                continue
             if got == cid:
                 return msg
-            self._route_one_locked(msg, got)
+            # Routed whole, even when it answers *cid* too: dropping the
+            # rest of an Acks frame would strand every drain after this.
+            self._route_frame_locked(msg, got)
+            if type(msg) is Acks and cid in msg.cids:
+                return PUT_ACK
 
     def request(
         self, msg: object, timeout: float | None = None, drain: bool = True

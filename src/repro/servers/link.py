@@ -31,14 +31,11 @@ from repro.errors import (
     ProtocolError,
     ServerError,
 )
-from repro.network.codec import (
-    encode_message,
-    recorrelate,
-    split_correlated,
-    tag_of,
-)
+from repro.network.codec import encode_message, recorrelate, tag_of
 from repro.network.connection import Connection
 from repro.network.protocol import (
+    PUT_ACK,
+    Acks,
     BurstEnvelope,
     CancelWaitRequest,
     DeltaSyncPull,
@@ -47,13 +44,11 @@ from repro.network.protocol import (
     GetRequest,
     Heartbeat,
     MemoReady,
-    PipelineBatch,
     Reply,
     WaitCancelled,
-    decode_protocol_frame,
+    decode_reply,
     send_message,
 )
-from repro.servers.replicator import PUT_ACK
 from repro.servers.threadcache import (
     HAND_OFF_AFTER,
     Reader,
@@ -86,20 +81,6 @@ def _consuming(request: object) -> bool:
     never abandoned while its link lives, as a peer that froze serves it
     when it thaws, and the memo it takes must find its caller."""
     return type(request) is ForwardEnvelope and request.inner[3] in _CONSUMING_TAGS
-
-
-#: The put ack's tag+body bytes (what :func:`split_correlated` exposes): a
-#: reply matching them is :data:`PUT_ACK`, with no decode.
-_PUT_ACK_TAGBODY = encode_message(PUT_ACK)[3:]
-
-
-def _decode(frame: bytes) -> tuple[object, int | None]:
-    """A frame's message and id; the put ack, the commonest reply, is
-    recognised by its bytes and never decoded."""
-    split = split_correlated(frame)
-    if split is not None and split[1] == _PUT_ACK_TAGBODY:
-        return PUT_ACK, split[0]
-    return decode_protocol_frame(frame)
 
 
 class ParkedWaiter:
@@ -251,6 +232,10 @@ class PeerLink(Reader):
         if lead and not self._lead(call.done.locked, until, cids):
             over = not call.done.locked()
         else:
+            # Made on the thread that reads this link (a memo re-deposited
+            # from the push it is delivering): nobody else would read the
+            # reply, so that reading goes on at once.
+            self.hand_on()
             left = None if until is None else until - time.monotonic()
             over = await_peer(call.done, left)
         if not over:
@@ -371,22 +356,21 @@ class PeerLink(Reader):
     # -- reading --------------------------------------------------------------
 
     def _receive(self, timeout: float | None = None) -> tuple | None:
-        """The next frame's message and id, a batch as the list of its
-        members' — or None once the link is lost (a bad frame loses it).
-        Raises TimeoutError when *timeout* passes first."""
+        """The next frame's message and id — or None once the link is
+        lost (a bad frame loses it).  Raises TimeoutError when *timeout*
+        passes first."""
         try:
-            msg, cid = _decode(self.conn.recv(timeout))
-            if type(msg) is PipelineBatch:
-                msg = [_decode(frame) for frame in msg.frames]
+            msg, cid = decode_reply(self.conn.recv(timeout))
         except (ConnectionClosedError, ProtocolError):
             return None
         self.heard = time.monotonic()
         return msg, cid
 
     def _take(self, msg: object, cid: int | None) -> None:
-        """Hand on what a received frame answers."""
-        if type(msg) is list:
-            self._on_replies(msg)
+        """Hand on what a received frame answers: an :class:`Acks`
+        frame's every id as :data:`PUT_ACK`."""
+        if type(msg) is Acks:
+            self._on_replies([(PUT_ACK, acked) for acked in msg.cids])
         elif type(msg) is MemoReady:
             self._end(msg.waiter, msg.payload, None)
         elif type(msg) is WaitCancelled:

@@ -49,6 +49,7 @@ from repro.durability.manager import DurabilityManager
 from repro.errors import CommunicationError, MemoError, ReplicationError, ServerError
 from repro.network.codec import encode_message
 from repro.network.protocol import (
+    PUT_ACK,
     DeltaSyncPull,
     GetAltSkipRequest,
     GetRequest,
@@ -68,13 +69,7 @@ from repro.telemetry import Counters, Registry
 if TYPE_CHECKING:
     from repro.servers.router import Router
 
-__all__ = ["Replicator", "PUT_ACK"]
-
-#: Shared acknowledgement for accepted writes.  Reply is frozen, so one
-#: instance serves every put — and identity-keyed burst encoding turns a
-#: lane's worth of acks into one body encode (see the session's
-#: ``_send_replies``).
-PUT_ACK = Reply(ok=True, found=True)
+__all__ = ["Replicator"]
 
 #: Most frames one :class:`~repro.network.protocol.BurstEnvelope` carries
 #: to a peer: an anti-entropy round's returns and re-seeds, or a lane

@@ -49,9 +49,11 @@ from typing import TYPE_CHECKING, NamedTuple
 
 from repro.core.memo import MemoRecord
 from repro.errors import CommunicationError, MemoError, ProtocolError, ServerError
-from repro.network.codec import decode_message, encode_correlated_burst
+from repro.network.codec import decode_message
 from repro.network.connection import Connection
 from repro.network.protocol import (
+    PUT_ACK,
+    Acks,
     BurstEnvelope,
     CancelWaitRequest,
     ForwardEnvelope,
@@ -110,12 +112,13 @@ _OWED = Reply(ok=True, found=False)
 #: migrated before it fails: the bound on a folder that keeps moving.
 MIGRATION_RETRY_MAX = 8
 
-#: Most requests the put worker drains per round; bounds reply-batch size
-#: (and so peak reply-frame size) under a firehose producer.
+#: Most requests the put worker drains per round; bounds a round's
+#: :class:`Acks` frame under a firehose producer.
 _LANE_BATCH_MAX = 128
 
-#: The frames that carry requests rather than being one.  They alone travel
-#: id-less: each frame they carry has its own correlation id.
+#: The frames that carry requests rather than being one.  They alone of
+#: what a session reads travel id-less: each frame they carry has its own
+#: correlation id.  Any other id-less frame (an ``Acks``, a push) closes it.
 _CARRIERS = (PipelineBatch, BurstEnvelope)
 
 
@@ -147,8 +150,9 @@ class _ConnectionSession(Reader):
       property); ``INLINE`` rows — a replica copy, a heartbeat — never
       wait on a peer and run as they are read;
     * replies are sent as the requests complete — out of order, tagged
-      with the request's correlation id, coalesced into
-      :class:`PipelineBatch` frames when a burst completes together.
+      with the request's correlation id; of a set completed together (a
+      lane round, a carrier's ``INLINE`` members) the put acks go as one
+      :class:`Acks` frame.
 
     On shutdown or connection loss the session *drains*: queued-but-
     unstarted requests are answered with a shutdown error (never silently
@@ -761,8 +765,9 @@ class _ConnectionSession(Reader):
         return True
 
     def _send_replies(self, replies: list) -> None:
-        """Emit completed ``(reply, corr_id)`` pairs, coalescing a burst
-        into one batch frame.
+        """Emit completed ``(reply, corr_id)`` pairs.  A lone reply is its
+        correlated frame; of more, the :data:`PUT_ACK` ones go as one
+        :class:`Acks` frame and each other reply as its own.
 
         Send failures are swallowed: the peer is gone and the replies are
         moot — the counters in the callers' ``finally`` blocks still
@@ -773,8 +778,13 @@ class _ConnectionSession(Reader):
                 reply, cid = replies[0]
                 send_message(self.conn, reply, corr_id=cid)
                 return
-            frames = tuple(encode_correlated_burst(replies))
-            send_message(self.conn, PipelineBatch(frames))
+            acks = tuple(cid for reply, cid in replies if reply is PUT_ACK)
+            if acks:
+                send_message(self.conn, Acks(acks))
+            if len(acks) < len(replies):
+                for reply, cid in replies:
+                    if reply is not PUT_ACK:
+                        send_message(self.conn, reply, corr_id=cid)
         except CommunicationError:
             pass
 

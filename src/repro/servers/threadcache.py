@@ -86,17 +86,23 @@ class Reader:
         """Whether the current thread still reads for this reader."""
         return self in _held()
 
+    def hand_on(self) -> None:
+        """Hand this reader's reading on to a fresh thread now, if the
+        current thread reads for it."""
+        held = _held()
+        if self in held:
+            try:
+                self.read_on()
+            except ServerError:  # shutting down: keep reading here
+                return
+            held.remove(self)
+
 
 def hand_off(keep: Reader | None = None) -> None:
     """Hand on the reading of every :class:`Reader` the current thread
     reads for but *keep*: it is about to wait on a peer."""
-    held = _held()
-    for reader in [r for r in held if r is not keep]:
-        try:
-            reader.read_on()
-        except ServerError:  # shutting down: keep reading here
-            continue
-        held.remove(reader)
+    for reader in [r for r in _held() if r is not keep]:
+        reader.hand_on()
 
 
 def await_peer(done: threading.Lock, timeout: float | None = None) -> bool:

@@ -22,6 +22,7 @@ from repro.durability.records import (
     WalPut,
 )
 from repro.network.protocol import (
+    Acks,
     BurstEnvelope,
     CancelWaitRequest,
     DeltaSyncPull,
@@ -763,6 +764,14 @@ GOLDEN_FRAMES = [
         "4443011b020361707003696e7607636c7573746572",
         "4443021b05020361707003696e7607636c7573746572",
         "4443021bac02020361707003696e7607636c7573746572",
+    ),
+    # Added after c5f5d5f, with the tag.  Count 5, then the zigzag deltas:
+    # +5 -> 0a, +1 -> 02, +1 -> 02, +293 -> 586 (ca 04), -298 -> 595 (d3 04).
+    (
+        Acks((5, 6, 7, 300, 2)),
+        "4443011c050a0202ca04d304",
+        "4443021c05050a0202ca04d304",
+        "4443021cac02050a0202ca04d304",
     ),
 ]
 

@@ -22,6 +22,7 @@ from repro.network.codec import decode_tagged, encode_message
 from repro.network.protocol import (
     GET_MODES,
     GET_WAIT_MODES,
+    Acks,
     BurstEnvelope,
     CancelWaitRequest,
     DeltaSyncPull,
@@ -122,6 +123,13 @@ STRATEGIES = {
     MemoReady: st.builds(MemoReady, uints, folders, payloads),
     WaitCancelled: st.builds(WaitCancelled, uints, origins),
     CancelWaitRequest: st.builds(CancelWaitRequest, uints, origins),
+    # Ids rising, falling and jumping the whole u64 range: every zigzag
+    # delta width, both signs.
+    Acks: st.builds(
+        Acks,
+        st.lists(uints | st.sampled_from([0, 1, 127, 128, U64]), min_size=1, max_size=8)
+        .map(tuple),
+    ),
     Reply: st.builds(
         Reply, st.booleans(), st.booleans(), payloads, st.none() | folders, origins,
         stats_dicts,

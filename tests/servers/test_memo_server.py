@@ -214,7 +214,7 @@ class TestRetiredMessages:
 
 
 #: Replies and pushes: what a server sends, never serves.
-NON_REQUESTS = {p.Reply, p.MemoReady, p.WaitCancelled}
+NON_REQUESTS = {p.Reply, p.Acks, p.MemoReady, p.WaitCancelled}
 #: The codec's own registry, narrowed to the protocol's messages (it also
 #: holds the WAL record tags).
 PROTOCOL = [
@@ -247,6 +247,7 @@ def samples(folder, other):
         p.PipelineBatch: p.PipelineBatch((frame,)),
         p.BurstEnvelope: p.BurstEnvelope("test", "s2", (frame,), ()),
         p.Reply: p.Reply(),
+        p.Acks: p.Acks((1, 2)),
         p.MemoReady: p.MemoReady(1, folder, b"x"),
         p.WaitCancelled: p.WaitCancelled(1, "r"),
     }

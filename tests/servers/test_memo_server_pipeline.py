@@ -21,6 +21,8 @@ import pytest
 from repro import Cluster, system_default_adf
 from repro.core.keys import FolderName, Key, Symbol
 from repro.network.protocol import (
+    PUT_ACK,
+    Acks,
     GetRequest,
     GetWaitRequest,
     MemoReady,
@@ -48,15 +50,14 @@ def solo_cluster():
 
 
 def recv_replies(conn, count, timeout=10.0):
-    """Collect *count* tagged replies, unpacking batches, in arrival order."""
+    """Collect *count* tagged replies, an Acks frame id by id, in arrival
+    order."""
     out = []
     deadline = time.monotonic() + timeout
     while len(out) < count:
         msg, cid = recv_tagged(conn, timeout=max(0.01, deadline - time.monotonic()))
-        if isinstance(msg, PipelineBatch):
-            from repro.network.protocol import iter_batch_frames
-
-            out.extend(iter_batch_frames(msg.frames))
+        if isinstance(msg, Acks):
+            out.extend((PUT_ACK, icid) for icid in msg.cids)
         else:
             out.append((msg, cid))
     return out
@@ -203,10 +204,17 @@ class TestInlineRule:
             for i in range(n)
         )
         conn.send(encode_message(PipelineBatch(frames)))
-        replies = recv_replies(conn, n)
-        assert all(msg.ok for msg, _cid in replies)
+        # Every put is accepted, in rounds of many: each round answers
+        # with one Acks frame, listing its ids in the order it served them.
+        acked = []
+        while sum(map(len, acked)) < n:
+            msg, cid = recv_tagged(conn, timeout=5.0)
+            assert type(msg) is Acks and cid is None, msg
+            acked.append(msg.cids)
+        assert len(acked) == len(rounds)
+        assert sorted(cid for cids in acked for cid in cids) == list(range(1, n + 1))
         for parity in (0, 1):
-            ids = [cid for _msg, cid in replies if (cid - 1) % 2 == parity]
+            ids = [cid for cids in acked for cid in cids if (cid - 1) % 2 == parity]
             assert ids == sorted(ids)
         assert not any(on_reader for on_reader, _size in rounds)
         assert sum(size for _on_reader, size in rounds) == n
@@ -437,11 +445,8 @@ class TestSessionShutdownDrain:
         try:
             while len(seen) < n:
                 msg, cid = recv_tagged(conn, timeout=2.0)
-                if isinstance(msg, PipelineBatch):
-                    from repro.network.protocol import iter_batch_frames
-
-                    for inner, icid in iter_batch_frames(msg.frames):
-                        seen[icid] = inner
+                if isinstance(msg, Acks):
+                    seen.update(dict.fromkeys(msg.cids, PUT_ACK))
                 else:
                     seen[cid] = msg
         except Exception:

@@ -28,6 +28,7 @@ from repro.network.protocol import ForwardEnvelope, Heartbeat, PutRequest
 from repro.replication.failure import FailureDetector
 from repro.runtime.cluster import Cluster
 from repro.servers.link import DEADLINES, PeerLink
+from repro.servers import threadcache
 from repro.servers.replicator import Replicator
 from repro.transferable.wire import encode
 
@@ -237,6 +238,34 @@ def test_a_restarted_owner_is_reached_through_the_stale_rule():
             assert reply.ok, reply.error
             assert h0.failure.dead_hosts() == ()
             assert cluster.servers["h1"].local_folder_servers()
+
+
+def test_a_call_from_the_links_own_reader_is_answered_at_once(monkeypatch):
+    """A call made on the thread that reads its link — as a memo that a
+    cancelled relayed wait consumed is re-deposited from the push being
+    delivered — has that reading handed on at once, not after the
+    hand-off delay, which is here far longer than the call may take."""
+    monkeypatch.setattr(threadcache, "HAND_OFF_AFTER", 5.0)
+    nested: list = []
+    take = PeerLink._take
+
+    def take_then_call(link, msg, cid):
+        take(link, msg, cid)
+        if link.host == "h1" and nested == [None]:
+            started = time.monotonic()
+            results, error = link.call(Heartbeat(host="h0"))
+            nested[:] = [time.monotonic() - started, results[0], error]
+
+    monkeypatch.setattr(PeerLink, "_take", take_then_call)
+    with _cluster(1) as cluster:
+        cluster.register()
+        h0 = cluster.servers["h0"]
+        assert h0.router.call("h1", Heartbeat(host="h0")).ok  # dialled
+        nested.append(None)
+        assert h0.router.call("h1", Heartbeat(host="h0")).ok
+        took, reply, error = nested
+        assert error is None and reply.ok
+        assert took < 1.0, took
 
 
 @pytest.fixture
