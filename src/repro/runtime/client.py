@@ -9,44 +9,36 @@ drained before the next synchronous call, preserving read-your-writes
 ordering and still surfacing any asynchronous put failure on the very next
 API call.
 
-Pipelining: every request the client sends carries a correlation id
-(version-2 compact frames), so the memo server is free to work many of the
-connection's requests at once and return the replies out of order — the
-client demultiplexes them by id.  ``put_many`` additionally coalesces
-bursts of requests into :class:`~repro.network.protocol.PipelineBatch`
-frames, paying one transport send per burst; the server answers the puts
-of a lane round it accepted with one :class:`~repro.network.protocol.Acks`
-frame, which every read path routes id by id.
-
-Futures: ``get_wait`` registers a server-parked wait (one waiter-table
-entry server-side, zero blocked threads on either end) and returns a
-:class:`~repro.core.futures.MemoFuture`; ``put_future`` returns a future
-for a put's acknowledgement.  The demultiplexer routes three kinds of
-frame: correlated replies matched to a waiting ``request``/ack future,
-unsolicited :class:`~repro.network.protocol.MemoReady` /
-:class:`~repro.network.protocol.WaitCancelled` pushes matched to wait
-futures by waiter token, and deferred-put acknowledgements absorbed into
-the pending set.  Any thread that reads frames — a synchronous
+The client runs on the correlated-call engine a peer link runs on too
+(:class:`~repro.network.calls.Calls`): every request is a slot, the
+server may answer out of order, and ``put_many`` sends
+:class:`~repro.network.protocol.PipelineBatch` bursts of
+:data:`_BATCH_FRAMES` puts, one slot each.  What the client adds is what
+outlives a connection.  A request, an ack future (``put_future``) and a
+parked wait (``get_wait``, a :class:`~repro.core.futures.MemoFuture` that
+a ``MemoReady`` push completes by waiter token) are each a :class:`_Request`
+whose slot callback settles its future; one lock guards everything, so
+every caller leads the read, and any thread that reads — a synchronous
 ``request``, an explicit ``pump``, a future being waited on — advances
-every outstanding future in passing.  Parked waits survive reconnects:
-the client re-subscribes them (same token, fresh correlation id) on every
-fresh connection, and re-subscribes through migration and server
-restarts when a ``WaitCancelled`` names a retryable reason.
+every outstanding call in passing.
 
 Connection hygiene rules:
 
 * a :class:`TimeoutError` inside ``request`` abandons the connection — the
-  reply is still in flight, and reusing the socket would hand the *next*
-  request a stale reply (correlation ids make that stale reply *ignorable*,
-  but the fresh connection keeps the failure domain clean);
+  reply is still in flight, and the fresh connection keeps the failure
+  domain clean (its id makes the stale reply ignorable either way);
 * a closed connection triggers bounded reconnect-and-resend to the
   :class:`Address` the client was built with — a host keeps its address
   across restarts on every backend and transport, which is what lets a
   client ride through its memo server being killed and restarted
   (fail-over gives at-least-once delivery: a resent put may duplicate a
-  memo whose first ack was lost, never lose one);
-* acknowledgements that die with a connection are *counted*, accumulating
-  accurately across repeated losses, and surface as exactly one
+  memo whose first ack was lost, never lose one).  Requests and ack
+  futures are resent, and parked waits re-subscribed (same token, fresh
+  id), on the fresh connection; a ``WaitCancelled`` with a retryable
+  reason re-subscribes its wait too;
+* acknowledgements that die with a connection — the ids its failed put
+  slots never got — are *counted*, accumulating accurately across
+  repeated losses, and surface as exactly one
   :class:`~repro.errors.MemoError` on the next synchronous call.
 """
 
@@ -54,27 +46,21 @@ from __future__ import annotations
 
 import threading
 import time
+from collections import deque
 from typing import Callable, Iterable
 
 from repro.core.futures import MemoFuture
 from repro.core.keys import FolderName
-from repro.errors import (
-    CommunicationError,
-    ConnectionClosedError,
-    MemoError,
-    ProtocolError,
-)
+from repro.errors import CommunicationError, ConnectionClosedError, MemoError
+from repro.network.calls import Calls, Slot
 from repro.network.codec import encode_message
 from repro.network.connection import Address, Transport
 from repro.network.protocol import (
-    PUT_ACK,
-    Acks,
     CancelWaitRequest,
     GetWaitRequest,
     MemoReady,
     PipelineBatch,
     Reply,
-    WaitCancelled,
     recv_tagged,
     retryable,
     send_message,
@@ -86,11 +72,12 @@ __all__ = ["MemoClient"]
 #: Requests coalesced per :class:`PipelineBatch` frame in ``put_many``.
 _BATCH_FRAMES = 64
 
-#: Flow-control window: ``put_many`` drains acknowledgements once this
-#: many are outstanding.  Without a window a huge batch never reads its
-#: acks, the receive buffer fills, and the *server's* reply sends stall
-#: until it fails a connection that was ingesting perfectly.
-_MAX_PENDING = 4096
+#: Flow-control window, in put slots: ``put_many`` drains the older half
+#: once this many are outstanding (4096 acks in bursts of 64).  Without a
+#: window a huge batch never reads its acks, the receive buffer fills, and
+#: the *server's* reply sends stall until it fails a connection that was
+#: ingesting perfectly.
+_MAX_BURSTS = 64
 
 #: How many times one parked wait may be re-subscribed after retryable
 #: cancellations (migration chases, server restarts) before it fails —
@@ -111,28 +98,25 @@ _RECONNECT_PAUSE = 0.1
 _CANCEL_TIMEOUT = 5.0
 
 
-class _WaitState:
-    """Client-side record of one server-parked wait."""
-
-    __slots__ = ("request", "future", "attempts")
-
-    def __init__(self, request: GetWaitRequest, future: MemoFuture) -> None:
-        self.request = request
-        self.future = future
-        #: Consecutive retryable re-subscriptions without reaching parked.
-        self.attempts = 0
-
-
-class _AckState:
-    """Client-side record of one acknowledgement future (``put_future``)."""
+class _Request:
+    """A request that outlives a connection: a parked wait's GetWait, a
+    put's ack future, a synchronous request.  A lost connection re-sends
+    it on the next one."""
 
     __slots__ = ("msg", "future", "attempts")
 
     def __init__(self, msg: object, future: MemoFuture) -> None:
         self.msg = msg
         self.future = future
-        #: Shutdown-reply retries, bounded like ``request``'s own.
+        #: Re-subscriptions of a wait since it last parked; shutdown
+        #: replies of a request, bounded like a reconnect.
         self.attempts = 0
+
+
+def _checked(reply: Reply) -> None:
+    """An ack future's result: None, or the server's error raised."""
+    if not reply.ok:
+        raise MemoError(reply.error)
 
 
 class MemoClient:
@@ -153,110 +137,94 @@ class MemoClient:
         self.origin = origin
         self.server_address = server_address
         self._transport = transport
-        self._conn = transport.connect(server_address)
         self._lock = threading.Lock()
-        #: Correlation ids of posted puts whose acks are still in flight.
-        self._pending: set[int] = set()
+        #: The calls on the current connection; a reconnect swaps its
+        #: ``conn`` and keeps its ids, so an earlier connection's never recur.
+        self._calls = Calls(
+            transport.connect(server_address),
+            self._pushed,
+            self._discard_connection_locked,
+        )
+        #: Slots of the posted puts not yet drained, oldest first.
+        self._puts: deque[Slot] = deque()
         #: Acks that died with a lost connection, accumulated until raised.
         self._lost_acks = 0
-        self._next_cid = 1
         self._deferred_error: str | None = None
-        #: Server-parked waits: waiter token -> state (push routing key).
-        self._wait_by_token: dict[int, _WaitState] = {}
-        #: In-flight GetWait sends: correlation id -> state (reply routing).
-        self._wait_by_cid: dict[int, _WaitState] = {}
-        #: Acknowledgement futures: correlation id -> state.
-        self._ack_by_cid: dict[int, _AckState] = {}
-        #: Ack futures knocked off a dead connection, awaiting resend.
-        self._ack_resend: list[_AckState] = []
-        self._next_token = 1
+        #: Server-parked waits: waiter token -> call (push routing key).
+        self._wait_by_token: dict[int, _Request] = {}
+        #: Requests knocked off a dead connection, awaiting resend.
+        self._resend: list[_Request] = []
 
     # -- plumbing -------------------------------------------------------------
 
-    def _new_cid(self) -> int:
-        cid = self._next_cid
-        self._next_cid += 1
-        return cid
+    def _call_locked(self, call: _Request, then) -> None:
+        """Send *call* on the current connection under a fresh id; *then*
+        gets its slot, opened once the bytes went out."""
+        cid = self._calls.reserve()
+        send_message(self._calls.conn, call.msg, corr_id=cid)
+        self._calls.open(then=then, tag=call, first=cid)
 
-    def _route_frame_locked(self, msg: object, cid: int | None) -> None:
-        """Demultiplex one wire frame; an :class:`Acks` frame is
-        :data:`PUT_ACK` for each of its ids, most of them pending."""
-        if type(msg) is not Acks:
-            self._route_one_locked(msg, cid)
+    def _pushed(self, token: int, payload: bytes | None, reason: str | None) -> None:
+        """A push for the parked wait *token*: its memo, or why it ended."""
+        if reason is None:
+            wait = self._wait_by_token.pop(token, None)
+            if wait is not None:
+                wait.future._complete(payload)
             return
-        pending = self._pending
-        for acked in msg.cids:
-            if acked in pending:
-                pending.discard(acked)
-            else:
-                self._route_one_locked(PUT_ACK, acked)
+        wait = self._wait_by_token.get(token)
+        if wait is None or wait.future.done():
+            return
+        if retryable(reason):
+            self._resubscribe_locked(wait, reason)
+            return
+        self._wait_by_token.pop(token, None)
+        wait.future._fail(MemoError(reason))
 
-    def _route_one_locked(self, msg: object, cid: int | None) -> None:
-        """Route one frame: pushes to wait futures, correlated replies to
-        whichever future/pending-set entry owns the id.  What answers
-        nothing waited for — an id-less frame, an id from a previous
-        connection incarnation — is skipped: the ids are what make stale
-        replies harmless."""
-        if isinstance(msg, MemoReady):
-            state = self._wait_by_token.pop(msg.waiter, None)
-            if state is not None:
-                state.future._complete(msg.payload)
+    def _replied(self, slot: Slot) -> None:
+        """A request's reply completes its future, unless the connection
+        died under it or a dying server answered mid-teardown: then it
+        rides to a fresh connection (kill/restart fail-over)."""
+        call = slot.tag
+        if call.future.done():
+            return  # given up on (a request's deadline passed)
+        if slot.error is not None:
+            self._resend.append(call)
             return
-        if isinstance(msg, WaitCancelled):
-            self._on_wait_cancelled_locked(msg)
+        (reply,) = slot.results
+        if shutting_down(reply.error) and call.attempts < _RECONNECT_MAX:
+            call.attempts += 1
+            self._resend.append(call)
+            try:
+                self._reconnect_locked()
+            except CommunicationError:
+                pass  # stays queued; the next successful reconnect resends
             return
-        if cid is None:
-            return
-        wait = self._wait_by_cid.pop(cid, None)
-        if wait is not None:
-            self._on_wait_reply_locked(wait, msg)
-            return
-        ack = self._ack_by_cid.pop(cid, None)
-        if ack is not None:
-            self._on_ack_reply_locked(ack, msg)
-        elif cid in self._pending:
-            self._pending.discard(cid)
-            if isinstance(msg, Reply) and not msg.ok and self._deferred_error is None:
-                self._deferred_error = msg.error
+        call.future._complete(reply)
 
     # -- wait futures (server-parked GetWait) ----------------------------------
 
-    def _on_wait_reply_locked(self, state: _WaitState, msg: object) -> None:
-        """The immediate (correlated) answer to one GetWait send."""
-        token = state.request.waiter
-        if not isinstance(msg, Reply):
-            self._wait_by_token.pop(token, None)
-            state.future._fail(
-                ProtocolError(f"expected Reply, got {type(msg).__qualname__}")
-            )
+    def _on_wait_reply_locked(self, slot: Slot) -> None:
+        """The immediate (correlated) answer to one GetWait send; on a
+        lost connection the wait is simply re-sent on the next one."""
+        wait, (msg,) = slot.tag, slot.results
+        if slot.error is not None:
             return
+        token = wait.msg.waiter
         if msg.ok and msg.found:
             self._wait_by_token.pop(token, None)
-            state.future._complete(msg.payload)
-            return
-        if msg.ok:
+            wait.future._complete(msg.payload)
+        elif msg.ok:
             # Parked: the wait is now a server-side table entry; its
             # resolution arrives as a push.  A clean park resets the
             # re-subscription budget — the wait provably reached a home.
-            state.attempts = 0
-            return
-        if retryable(msg.error):
-            self._resubscribe_locked(state, msg.error)
-            return
-        self._wait_by_token.pop(token, None)
-        state.future._fail(MemoError(msg.error))
+            wait.attempts = 0
+        elif retryable(msg.error):
+            self._resubscribe_locked(wait, msg.error)
+        else:
+            self._wait_by_token.pop(token, None)
+            wait.future._fail(MemoError(msg.error))
 
-    def _on_wait_cancelled_locked(self, push: WaitCancelled) -> None:
-        state = self._wait_by_token.get(push.waiter)
-        if state is None or state.future.done():
-            return
-        if retryable(push.reason):
-            self._resubscribe_locked(state, push.reason)
-            return
-        self._wait_by_token.pop(push.waiter, None)
-        state.future._fail(MemoError(push.reason))
-
-    def _resubscribe_locked(self, state: _WaitState, reason: str) -> None:
+    def _resubscribe_locked(self, wait: _Request, reason: str) -> None:
         """Chase a wait whose folder moved or whose server is restarting.
 
         Migration keeps the connection: the wait simply re-enters routing
@@ -266,10 +234,10 @@ class MemoClient:
         kill/restart fail-over), and :meth:`_reconnect_locked` re-sends
         every parked wait on the fresh connection, this one included.
         """
-        state.attempts += 1
-        if state.attempts > _RESUBSCRIBE_MAX:
-            self._wait_by_token.pop(state.request.waiter, None)
-            state.future._fail(
+        wait.attempts += 1
+        if wait.attempts > _RESUBSCRIBE_MAX:
+            self._wait_by_token.pop(wait.msg.waiter, None)
+            wait.future._fail(
                 MemoError(f"wait kept being cancelled ({reason}); giving up")
             )
             return
@@ -283,51 +251,20 @@ class MemoClient:
                 pass
             return
         try:
-            self._send_wait_locked(state)
+            self._call_locked(wait, self._on_wait_reply_locked)
         except ConnectionClosedError:
             self._discard_connection_locked()
 
-    def _send_wait_locked(self, state: _WaitState) -> None:
-        """(Re-)send one GetWait on the current connection."""
-        cid = self._new_cid()
-        send_message(self._conn, state.request, corr_id=cid)
-        self._wait_by_cid[cid] = state
-
-    # -- ack futures (put_future) ----------------------------------------------
-
-    def _on_ack_reply_locked(self, state: _AckState, msg: object) -> None:
-        if not isinstance(msg, Reply):
-            state.future._fail(
-                ProtocolError(f"expected Reply, got {type(msg).__qualname__}")
-            )
-            return
-        if msg.ok:
-            state.future._complete(None)
-            return
-        if shutting_down(msg.error) and state.attempts < _RECONNECT_MAX:
-            # The server answered mid-teardown; retry over a fresh
-            # connection (kill/restart fail-over), like ``request`` does.
-            state.attempts += 1
-            self._ack_resend.append(state)
-            try:
-                self._reconnect_locked()
-            except CommunicationError:
-                pass  # stays queued; the next successful reconnect resends
-            return
-        state.future._fail(MemoError(msg.error))
-
-    def _fail_outstanding_locked(self, exc: BaseException) -> None:
-        """Fail every outstanding future — the connection is gone for good."""
-        waits = list(self._wait_by_token.values())
+    def _give_up_locked(self, exc: BaseException) -> None:
+        """Fail every outstanding future — the connection is gone for good.
+        Waits and requests outlive a connection; only this ends them."""
+        self._calls.fail(exc)
+        for call in [*self._wait_by_token.values(), *self._resend]:
+            call.future._fail(exc)
         self._wait_by_token.clear()
-        self._wait_by_cid.clear()
-        acks = list(self._ack_by_cid.values()) + self._ack_resend
-        self._ack_by_cid.clear()
-        self._ack_resend = []
-        for state in waits:
-            state.future._fail(exc)
-        for ack in acks:
-            ack.future._fail(exc)
+        self._resend = []
+
+    # -- deferred acknowledgements ----------------------------------------------
 
     def _drain_locked(self) -> None:
         """Collect acknowledgements for all outstanding async requests.
@@ -340,20 +277,32 @@ class MemoClient:
         self._drain_until_locked(0)
         self._raise_deferred_locked()
 
-    def _drain_until_locked(self, target: int) -> None:
-        """Absorb acknowledgements until at most *target* remain pending.
+    def _drain_until_locked(self, keep: int) -> None:
+        """Wait out the oldest put slots until at most *keep* remain.
 
         A connection that dies mid-drain is discarded with its remaining
         acks counted lost; the loss surfaces via
         :meth:`_raise_deferred_locked` on the next synchronous call.
         """
-        while len(self._pending) > target:
-            try:
-                msg, cid = recv_tagged(self._conn)
-            except (ConnectionClosedError, TimeoutError):
-                self._discard_connection_locked()
-                return
-            self._route_frame_locked(msg, cid)
+        puts = self._puts
+        while len(puts) > keep:
+            if puts[0].over:
+                self._settle_locked(puts.popleft())
+                continue
+            # Acks mostly come in order: lead until the newest slot that
+            # must be in is, settling the older ones as they come.
+            newest = puts[len(puts) - keep - 1]
+            self._calls.wait(puts[0] if newest.over else newest)
+
+    def _settle_locked(self, slot: Slot) -> None:
+        """Book one put slot that is over: the acks it never got are lost,
+        and the first failure it was answered with is kept to raise."""
+        self._lost_acks += slot.left
+        if self._deferred_error is None:
+            for reply in slot.results:
+                if reply is not None and not reply.ok:
+                    self._deferred_error = reply.error
+                    return
 
     @staticmethod
     def _ack_failure_message(error: str | None, lost: int) -> str | None:
@@ -375,27 +324,24 @@ class MemoClient:
         self._lost_acks = 0
         raise MemoError(message)
 
+    # -- the connection ----------------------------------------------------------
+
     def _discard_connection_locked(self) -> None:
         """Drop the current connection; its in-flight state is abandoned.
 
-        Un-drained acknowledgements die with the connection; they are
-        *added* to the lost-ack count (a second loss before the first was
-        reported keeps both counts) and surface once via
-        :meth:`_raise_deferred_locked` on the next synchronous call.
+        Every slot on it fails.  Un-drained acknowledgements die with the
+        connection; they are *added* to the lost-ack count (a second loss
+        before the first was reported keeps both counts) and surface once
+        via :meth:`_raise_deferred_locked` on the next synchronous call.
         Futures are *not* failed here: parked waits keep their tokens for
         re-subscription and ack futures queue for resend — both belong to
         the operation, not the connection, and ride to the next one.
         """
         self._salvage_pushes_locked()
-        self._conn.close()
-        self._lost_acks += len(self._pending)
-        self._pending.clear()
-        self._wait_by_cid.clear()
-        if self._ack_by_cid:
-            self._ack_resend.extend(
-                st for st in self._ack_by_cid.values() if not st.future.done()
-            )
-            self._ack_by_cid.clear()
+        self._calls.conn.close()
+        self._calls.fail(ConnectionClosedError("connection lost"))
+        while self._puts:
+            self._settle_locked(self._puts.popleft())
 
     def _salvage_pushes_locked(self) -> None:
         """Drain already-delivered push frames off a dying connection.
@@ -410,77 +356,40 @@ class MemoClient:
         fate of any reply lost with a connection (at-least-once, same as
         acked puts).
         """
-        if self._conn.closed:
+        conn = self._calls.conn
+        if conn.closed:
             return
         for _ in range(10_000):
             try:
-                msg, _cid = recv_tagged(self._conn, 0.005)
+                msg, _cid = recv_tagged(conn, 0.005)
             except (TimeoutError, MemoError):
                 return
             if isinstance(msg, MemoReady):
-                state = self._wait_by_token.pop(msg.waiter, None)
-                if state is not None:
-                    state.future._complete(msg.payload)
+                self._pushed(msg.waiter, msg.payload, None)
 
     def _reconnect_locked(self) -> None:
         self._discard_connection_locked()
         time.sleep(_RECONNECT_PAUSE)
-        self._conn = self._transport.connect(self.server_address)
+        self._calls.conn = self._transport.connect(self.server_address)
         self._resubscribe_all_locked()
 
     def _resubscribe_all_locked(self) -> None:
-        """Re-send every parked wait and queued ack on a fresh connection.
+        """Re-send every parked wait and queued request on a fresh connection.
 
         A send failure aborts quietly: the connection died again, and the
         next reconnect (driven by whichever call observes the loss)
         retries the remainder — nothing is dropped, nothing double-sent.
         """
         try:
-            for state in list(self._wait_by_token.values()):
-                if not state.future.done():
-                    self._send_wait_locked(state)
-            while self._ack_resend:
-                ack = self._ack_resend[0]
-                if not ack.future.done():
-                    cid = self._new_cid()
-                    send_message(self._conn, ack.msg, corr_id=cid)
-                    self._ack_by_cid[cid] = ack
-                self._ack_resend.pop(0)
-        except (ConnectionClosedError, CommunicationError):
+            for wait in list(self._wait_by_token.values()):
+                if not wait.future.done():
+                    self._call_locked(wait, self._on_wait_reply_locked)
+            while self._resend:
+                if not self._resend[0].future.done():
+                    self._call_locked(self._resend[0], self._replied)
+                self._resend.pop(0)
+        except CommunicationError:
             pass
-
-    def _recv_matching_locked(self, cid: int, timeout: float | None) -> object:
-        """Read frames until the reply tagged *cid* arrives.
-
-        Replies to other outstanding requests (earlier posts whose acks
-        ride the same stream, possibly in the same :class:`Acks` frame)
-        are routed in passing; id-less or foreign frames are skipped.
-        Routing a frame can *replace* the connection (an ack's
-        shutdown-retry, a wait's fail-over re-subscription reconnect
-        under us); the awaited reply died with the old connection, so
-        that surfaces as a connection loss for the caller's retry loop
-        rather than a silent hang.
-        """
-        deadline = None if timeout is None else time.monotonic() + timeout
-        conn = self._conn
-        while True:
-            if self._conn is not conn:
-                raise ConnectionClosedError(
-                    "connection replaced while awaiting the reply"
-                )
-            remaining = None
-            if deadline is not None:
-                remaining = deadline - time.monotonic()
-                if remaining <= 0:
-                    raise TimeoutError("request timed out")
-            msg, got = recv_tagged(self._conn, remaining)
-            if got == cid:
-                return msg
-            # Routed whole, even when it answers *cid* too: dropping the
-            # rest of an Acks frame would strand every drain after this.
-            self._route_frame_locked(msg, got)
-            if type(msg) is Acks and cid in msg.cids:
-                return PUT_ACK
 
     def request(
         self, msg: object, timeout: float | None = None, drain: bool = True
@@ -491,8 +400,10 @@ class MemoClient:
         matched by id, so replies the server returns out of order (or
         stale frames) can never be mistaken for it.  A timeout discards
         the connection and reconnects for subsequent calls.  A connection
-        closed under the request — e.g. the server was killed — retries
-        over a fresh connection up to :data:`_RECONNECT_MAX` times.
+        closed under the request — e.g. the server was killed — resends it
+        over a fresh one, as does a reply from a server answering
+        mid-teardown (up to :data:`_RECONNECT_MAX` times); a server that
+        does not come back fails it, as it fails every future.
 
         ``drain=False`` skips the deferred-acknowledgement drain (and its
         raise): housekeeping requests like a wait cancellation must not
@@ -500,65 +411,25 @@ class MemoClient:
         synchronous call.
         """
         with self._lock:
-            attempts = 0
-            while True:
+            if drain:
+                self._drain_locked()
+            call = _Request(msg, MemoFuture(step=self._pump_locked))
+            self._send_locked(lambda: self._call_locked(call, self._replied))
+            try:
+                return call.future.result(timeout)
+            except TimeoutError:
+                call.future._fail(TimeoutError("request timed out"))  # no resend
                 try:
-                    if drain:
-                        self._drain_locked()
-                    cid = self._new_cid()
-                    send_message(self._conn, msg, corr_id=cid)
-                    reply = self._recv_matching_locked(cid, timeout)
-                    if (
-                        isinstance(reply, Reply)
-                        and shutting_down(reply.error)
-                        and attempts < _RECONNECT_MAX
-                    ):
-                        # A dying server instance answered mid-teardown; if
-                        # a healthy instance is (or comes) back at the same
-                        # address — kill/restart fail-over — retry there.
-                        # When reconnecting fails the shutdown reply stands.
-                        attempts += 1
-                        try:
-                            self._reconnect_locked()
-                        except CommunicationError:
-                            break
-                        continue
-                    break
-                except TimeoutError:
-                    try:
-                        self._reconnect_locked()
-                    except CommunicationError:
-                        pass  # the timeout is what the caller must see
-                    raise
-                except ConnectionClosedError:
-                    attempts += 1
-                    if attempts > _RECONNECT_MAX:
-                        raise
-                    if not self._conn.closed:
-                        # The connection was *replaced* under this request
-                        # (frame routing ran an ack-retry or wait
-                        # re-subscription reconnect) — it is healthy and
-                        # already carries the re-subscribed waits, so just
-                        # resend on it instead of tearing it down again.
-                        continue
-                    try:
-                        self._reconnect_locked()
-                    except CommunicationError:
-                        if attempts >= _RECONNECT_MAX:
-                            raise
-        if not isinstance(reply, Reply):
-            raise ProtocolError(f"expected Reply, got {type(reply).__qualname__}")
-        return reply
+                    self._reconnect_locked()
+                except CommunicationError:
+                    pass  # the timeout is what the caller must see
+                raise
 
     def post(self, msg: object) -> None:
         """Send *msg* without waiting; its tagged ack is drained later."""
-        def send() -> None:
-            cid = self._new_cid()
-            send_message(self._conn, msg, corr_id=cid)
-            self._pending.add(cid)
-
         with self._lock:
-            self._send_locked(send)
+            cid = self._calls.reserve()
+            self._send_burst_locked([encode_message(msg, cid)], cid)
 
     def _send_locked(
         self, send: Callable[[], None], resubscribes: bool = False
@@ -567,7 +438,7 @@ class MemoClient:
 
         A connection that closes under the send is replaced, up to
         :data:`_RECONNECT_MAX` times, and the send repeated on the fresh
-        one; *send* records its ids only after its bytes went out, so a
+        one; *send* opens its slot only after its bytes went out, so a
         repeat never double-counts.  *resubscribes* marks a send the
         reconnect itself repeats (a parked wait rides every fresh
         connection), which must then not go out a second time.
@@ -595,11 +466,11 @@ class MemoClient:
         Semantically equivalent to calling :meth:`post` once per message,
         but the whole run rides a single lock acquisition and consecutive
         requests are coalesced — :data:`_BATCH_FRAMES` tagged frames per
-        :class:`PipelineBatch` wire message — so the transport is paid per
-        burst, not per memo.  *msgs* is consumed lazily, so a generator
-        producer overlaps its encoding with the server already working the
-        earlier bursts.  Once :data:`_MAX_PENDING` acknowledgements are
-        outstanding a window of them is drained before sending more (flow
+        :class:`PipelineBatch` wire message, one slot — so the transport
+        is paid per burst, not per memo.  *msgs* is consumed lazily, so a
+        generator producer overlaps its encoding with the server already
+        working the earlier bursts.  Once :data:`_MAX_BURSTS` bursts are
+        outstanding the older half is drained before sending more (flow
         control — unread acks must not back up into the server's sends).
         On a connection loss the current (unsent) burst is resent on the
         fresh connection; acknowledgements of bursts already on the dead
@@ -607,37 +478,33 @@ class MemoClient:
         error.
         """
         with self._lock:
+            reserve = self._calls.reserve
             frames: list[bytes] = []
-            cids: list[int] = []
-            add_frame, add_cid, encode = frames.append, cids.append, encode_message
-            cid = self._next_cid
+            add, encode = frames.append, encode_message
+            first = cid = reserve(_BATCH_FRAMES)
             for msg in msgs:
-                add_frame(encode(msg, cid))
-                add_cid(cid)
+                add(encode(msg, cid))
                 cid += 1
                 if len(frames) >= _BATCH_FRAMES:
-                    self._next_cid = cid
-                    self._send_burst_locked(frames, cids)
-                    frames, cids = [], []
-                    add_frame, add_cid = frames.append, cids.append
-                    if len(self._pending) >= _MAX_PENDING:
-                        # Flow control: absorb a window of acks before
-                        # pushing more, so replies never back up far
-                        # enough to stall the server's sends.
-                        self._drain_until_locked(_MAX_PENDING // 2)
-            self._next_cid = cid
+                    self._send_burst_locked(frames, first)
+                    frames = []
+                    add = frames.append
+                    first = cid = reserve(_BATCH_FRAMES)
+                    if len(self._puts) >= _MAX_BURSTS:
+                        self._drain_until_locked(_MAX_BURSTS // 2)
             if frames:
-                self._send_burst_locked(frames, cids)
+                self._send_burst_locked(frames, first)
 
-    def _send_burst_locked(self, frames: list[bytes], cids: list[int]) -> None:
-        """Send one coalesced burst; ids join the pending set only after
-        the send succeeds, so a resend never double-counts them."""
+    def _send_burst_locked(self, frames: list[bytes], first: int) -> None:
+        """Send one coalesced burst, ids from *first*; its slot opens only
+        after the send succeeds, so a resend never double-counts them."""
         def send() -> None:
+            conn = self._calls.conn
             if len(frames) == 1:
-                self._conn.send(frames[0])
+                conn.send(frames[0])
             else:
-                send_message(self._conn, PipelineBatch(tuple(frames)))
-            self._pending.update(cids)
+                send_message(conn, PipelineBatch(tuple(frames)))
+            self._puts.append(self._calls.open(len(frames), first=first))
 
         self._send_locked(send)
 
@@ -664,8 +531,7 @@ class MemoClient:
         """
         with self._lock:
             self._drain_locked()
-            token = self._next_token
-            self._next_token += 1
+            token = self._calls.reserve()
             request = GetWaitRequest(
                 folder=folder, mode=mode, waiter=token, origin=self.origin
             )
@@ -674,11 +540,12 @@ class MemoClient:
                 cancel_impl=lambda: self.cancel_wait(token),
                 transform=transform,
             )
-            state = _WaitState(request, future)
-            self._wait_by_token[token] = state
+            wait = _Request(request, future)
+            self._wait_by_token[token] = wait
             try:
                 self._send_locked(
-                    lambda: self._send_wait_locked(state), resubscribes=True
+                    lambda: self._call_locked(wait, self._on_wait_reply_locked),
+                    resubscribes=True,
                 )
             except CommunicationError:
                 self._wait_by_token.pop(token, None)
@@ -698,16 +565,9 @@ class MemoClient:
         with self._lock:
             if drain:
                 self._drain_locked()
-            future = MemoFuture(step=self.pump)
-            state = _AckState(msg, future)
-
-            def send() -> None:
-                cid = self._new_cid()
-                send_message(self._conn, msg, corr_id=cid)
-                self._ack_by_cid[cid] = state
-
-            self._send_locked(send)
-        return future
+            call = _Request(msg, MemoFuture(step=self.pump, transform=_checked))
+            self._send_locked(lambda: self._call_locked(call, self._replied))
+        return call.future
 
     def cancel_wait(self, token: int) -> bool:
         """Withdraw a parked wait; True if cancelled before completion.
@@ -722,8 +582,8 @@ class MemoClient:
         once, on the next ordinary synchronous call.
         """
         with self._lock:
-            state = self._wait_by_token.get(token)
-            if state is None or state.future.done():
+            wait = self._wait_by_token.get(token)
+            if wait is None or wait.future.done():
                 return False
         try:
             # Bounded: a stalled server must not turn a *cancellation*
@@ -738,7 +598,7 @@ class MemoClient:
         if not reply.ok or reply.found:
             return False
         with self._lock:
-            return self._wait_by_token.pop(token, None) is state
+            return self._wait_by_token.pop(token, None) is wait
 
     def pump(self, timeout: float | None = None) -> bool:
         """Receive and route one frame; False on a quiet timeout.
@@ -751,32 +611,27 @@ class MemoClient:
         comes back every outstanding future is failed (never stranded).
         """
         with self._lock:
-            try:
-                msg, cid = recv_tagged(self._conn, timeout)
-            except TimeoutError:
-                return False
-            except (ConnectionClosedError, ProtocolError):
-                self._pump_conn_loss_locked()
-                return True
-            self._route_frame_locked(msg, cid)
-            return True
+            return self._pump_locked(timeout)
 
-    def _pump_conn_loss_locked(self) -> None:
-        attempts = 0
-        while True:
-            attempts += 1
+    def _pump_locked(self, timeout: float | None) -> bool:
+        try:
+            if self._calls.read_one(timeout):
+                return True
+        except TimeoutError:
+            return False
+        for attempt in range(1, _RECONNECT_MAX + 1):
             try:
                 self._reconnect_locked()
-                return
+                return True
             except CommunicationError as exc:
-                if attempts >= _RECONNECT_MAX:
-                    self._fail_outstanding_locked(
+                if attempt == _RECONNECT_MAX:
+                    self._give_up_locked(
                         ConnectionClosedError(
                             f"connection to {self.server_address} lost and "
                             f"not recovered: {exc}"
                         )
                     )
-                    return
+        return True
 
     # -- housekeeping ----------------------------------------------------------
 
@@ -789,7 +644,7 @@ class MemoClient:
     def pending_acks(self) -> int:
         """Outstanding un-drained acknowledgements (diagnostics)."""
         with self._lock:
-            return len(self._pending)
+            return sum(slot.left for slot in self._puts)
 
     def close(self) -> None:
         """Close the connection, collecting outstanding acknowledgements first.
@@ -808,15 +663,13 @@ class MemoClient:
             # incurred by the connection dying during this final drain
             # stay silent (deliberately — see the docstring).
             lost_before = self._lost_acks
-            if self._pending and not self._conn.closed:
+            if self._puts and not self._calls.conn.closed:
                 self._drain_until_locked(0)
             message = self._ack_failure_message(self._deferred_error, lost_before)
             self._deferred_error = None
             self._lost_acks = 0
-            self._fail_outstanding_locked(
-                ConnectionClosedError("memo client closed")
-            )
-            self._conn.close()
+            self._give_up_locked(ConnectionClosedError("memo client closed"))
+            self._calls.conn.close()
         if message is not None:
             raise MemoError(message)
 

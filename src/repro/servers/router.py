@@ -359,7 +359,7 @@ class Router:
         except (CommunicationError, ShutdownError):
             alive = False
         else:
-            alive = time.monotonic() - link.heard < quiet
+            alive = time.monotonic() - link.calls.heard < quiet
             if not alive:
                 (reply,), error = link.call(Heartbeat(host=self.host))
                 alive = error is None and reply.ok

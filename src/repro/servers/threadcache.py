@@ -73,14 +73,17 @@ class Reader:
         """Continue :meth:`serve` on a thread of its own."""
         self.reader_cache.submit(self.serve)
 
-    def take_reading(self) -> list:
+    def take_reading(self) -> None:
         """Read for this reader on the current thread, beside any other it
-        reads for, outside :meth:`serve` (a caller leading a link's read).
-        Returns the thread's list of readers: while this one is in it, the
-        thread reads for it; to stop, remove it."""
+        reads for, outside :meth:`serve` (a caller leading a link's read),
+        until :meth:`drop_reading` or a hand-on."""
+        _held().append(self)
+
+    def drop_reading(self) -> None:
+        """Stop reading for this reader on the current thread, if it does."""
         held = _held()
-        held.append(self)
-        return held
+        if self in held:
+            held.remove(self)
 
     def reads_here(self) -> bool:
         """Whether the current thread still reads for this reader."""

@@ -237,9 +237,9 @@ class TestContextManagerClose:
                 with ghost:
                     ghost.put(key(), 1)  # fire-and-forget; ack will be an error
             # The client is closed even though the flush raised.
-            assert client._conn.closed
+            assert client._calls.conn.closed
 
     def test_plain_close_equivalent(self, memo):
         memo.put(key(50), "x")
         memo.close()
-        assert memo.client._conn.closed
+        assert memo.client._calls.conn.closed

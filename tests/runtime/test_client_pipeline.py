@@ -88,7 +88,7 @@ class TestLossAccounting:
         client.post(PutRequest(folder=folder(2), payload=encode(2)))
         with client._lock:
             client._discard_connection_locked()
-            client._conn = client._transport.connect(client.server_address)
+            client._calls.conn = client._transport.connect(client.server_address)
         client.post(PutRequest(folder=folder(3), payload=encode(3)))
         with client._lock:
             client._discard_connection_locked()
@@ -119,7 +119,7 @@ class TestLossAccounting:
         client = cluster.client_for("solo", origin="l4")
         client.post(PutRequest(folder=folder(0), payload=encode(0)))
         with client._lock:
-            client._conn.close()  # cut the wire; reconnect happens lazily
+            client._calls.conn.close()  # cut the wire; reconnect happens lazily
         client.put_many(
             PutRequest(folder=folder(i), payload=encode(i)) for i in range(1, 70)
         )

@@ -18,41 +18,15 @@ from repro.scenarios import (
     WorkloadSpec,
     run_scenario,
 )
+from repro.scenarios.sweep import kill_partition
 
 BACKENDS = ["inprocess", "process"]
-
-#: Per-backend op budgets: the in-process fabric is an order of magnitude
-#: faster, and the faults must land while traffic is still flowing.  On
-#: the process backend (2-vCPU box, warm interpreter) 220 + 60 ops are
-#: over 0.45-0.6 s after the schedule starts, too close to the kill at
-#: 0.4 s to be sure it opens; 280 + 75 take 0.55-0.76 s.  A budget that
-#: outlasts the windows' timed closes at 1.9 s makes the restart's resync
-#: pull wait 10 s on the still-frozen peer (ROADMAP item 5(b): no
-#: deadline on that leg).
-_OPS = {"inprocess": (500, 120), "process": (280, 75)}
 
 
 @pytest.mark.parametrize("backend", BACKENDS)
 def test_kill_plus_partition_invariants(backend):
-    uniform_ops, pipeline_ops = _OPS[backend]
-    spec = ScenarioSpec(
-        name=f"kp-{backend}",
-        seed=1234,
-        hosts=3,
-        replication_factor=2,
-        duration=60.0,
-        backend=backend,
-        faults=[
-            FaultEvent(at=0.4, kind="kill", targets=("n02",), duration=1.5),
-            FaultEvent(at=0.9, kind="partition", targets=("n01", "n02"),
-                       duration=1.0),
-        ],
-        workloads=[
-            WorkloadSpec(kind="uniform", workers=2, ops=uniform_ops),
-            WorkloadSpec(kind="pipeline", workers=1, ops=pipeline_ops,
-                         options={"stages": 3}),
-        ],
-    )
+    """The spec ``python -m repro.scenarios.sweep`` sweeps, at seed 1234."""
+    spec = kill_partition(backend, seed=1234)
     result = run_scenario(spec)
     # The kill genuinely opened while load was flowing.
     opened = [r for r in result.executed_faults if r["phase"] == "open"]

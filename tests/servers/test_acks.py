@@ -3,10 +3,11 @@
 A server answering a set of more than one request sends the ids of the
 puts it accepted in one id-less :class:`~repro.network.protocol.Acks`
 frame, and every other reply as a correlated ``Reply`` of its own.  Each
-receiver reads an id in it as the shared ``PUT_ACK``: the client on every
-read path (a drain, a future's pump, a synchronous request whose own id
-rides the frame), a peer link for each member of a burst.  A session
-never serves one: reading it closes the connection.
+receiver reads an id in it as the shared ``PUT_ACK`` in the call engine's
+one dispatch (``Calls.dispatch``): the client on every read path (a
+drain, a future's pump, a synchronous request whose own id rides the
+frame), a peer link for each member of a burst.  A session never serves
+one: reading it closes the connection.
 """
 
 from __future__ import annotations
@@ -18,6 +19,7 @@ import pytest
 from repro.adf.defaults import system_default_adf
 from repro.core.keys import FolderName, Key, Symbol
 from repro.errors import ConnectionClosedError, MemoError
+from repro.network.calls import Calls
 from repro.network.codec import decode_tagged, encode_message
 from repro.network.connection import Address
 from repro.network.protocol import (
@@ -140,17 +142,18 @@ def solo():
 
 
 def count_acks_frames(monkeypatch) -> list[int]:
-    """Patch the client's frame router; returns the sizes of the Acks
-    frames it routes."""
+    """Patch the call engine's dispatch (a one-host cluster has no peer
+    links: every engine is a client's); returns the sizes of the Acks
+    frames it dispatches."""
     sizes: list[int] = []
-    route = MemoClient._route_frame_locked
+    dispatch = Calls.dispatch
 
-    def spy(client, msg, cid):
+    def spy(calls, msg, cid):
         if type(msg) is Acks:
             sizes.append(len(msg.cids))
-        return route(client, msg, cid)
+        return dispatch(calls, msg, cid)
 
-    monkeypatch.setattr(MemoClient, "_route_frame_locked", spy)
+    monkeypatch.setattr(Calls, "dispatch", spy)
     return sizes
 
 
@@ -208,14 +211,14 @@ def keys_owned_by(cluster, host: str, n: int) -> list[Key]:
 class TestLink:
     def test_a_burst_is_answered_with_the_put_ack_itself(self, monkeypatch):
         frames: list = []
-        take = PeerLink._take
+        dispatch = Calls.dispatch
 
-        def spy(link, msg, cid):
-            if link.host == "h1":
+        def spy(calls, msg, cid):
+            if isinstance(calls.role, PeerLink) and calls.role.host == "h1":
                 frames.append(type(msg))
-            return take(link, msg, cid)
+            return dispatch(calls, msg, cid)
 
-        monkeypatch.setattr(PeerLink, "_take", spy)
+        monkeypatch.setattr(Calls, "dispatch", spy)
         adf = system_default_adf(["h0", "h1"], app=APP)
         # A monitor this slow sends no heartbeat (whose reply is a Reply).
         with Cluster(adf, heartbeat_interval=30.0) as cluster:

@@ -24,6 +24,7 @@ from repro.adf.defaults import system_default_adf
 from repro.core.api import NIL
 from repro.core.keys import FolderName, Key, Symbol
 from repro.errors import ShutdownError
+from repro.network.calls import Calls
 from repro.network.protocol import ForwardEnvelope, Heartbeat, PutRequest
 from repro.replication.failure import FailureDetector
 from repro.runtime.cluster import Cluster
@@ -247,16 +248,17 @@ def test_a_call_from_the_links_own_reader_is_answered_at_once(monkeypatch):
     hand-off delay, which is here far longer than the call may take."""
     monkeypatch.setattr(threadcache, "HAND_OFF_AFTER", 5.0)
     nested: list = []
-    take = PeerLink._take
+    dispatch = Calls.dispatch
 
-    def take_then_call(link, msg, cid):
-        take(link, msg, cid)
-        if link.host == "h1" and nested == [None]:
+    def dispatch_then_call(calls, msg, cid):
+        dispatch(calls, msg, cid)
+        link = calls.role
+        if isinstance(link, PeerLink) and link.host == "h1" and nested == [None]:
             started = time.monotonic()
             results, error = link.call(Heartbeat(host="h0"))
             nested[:] = [time.monotonic() - started, results[0], error]
 
-    monkeypatch.setattr(PeerLink, "_take", take_then_call)
+    monkeypatch.setattr(Calls, "dispatch", dispatch_then_call)
     with _cluster(1) as cluster:
         cluster.register()
         h0 = cluster.servers["h0"]

@@ -17,8 +17,11 @@ from repro import NIL, Cluster, as_completed, system_default_adf
 from repro.adf.model import ADF, FolderDecl, HostDecl, LinkDecl, ProcessDecl
 from repro.core.keys import FolderName, Key, Symbol
 from repro.errors import ConnectionClosedError, MemoError
+from repro.network.calls import Calls
 from repro.network.codec import encode_message
 from repro.network.protocol import (
+    PUT_ACK,
+    Acks,
     ForwardEnvelope,
     GetWaitRequest,
     MemoReady,
@@ -156,7 +159,7 @@ class TestCancellationPaths:
             lambda: active(server) == active(owning) == 10,
             message="waiters parked",
         )
-        memo.client._conn.close()  # simulate the process dying
+        memo.client._calls.conn.close()  # simulate the process dying
         wait_until(
             lambda: active(server) == active(owning) == 0,
             message="disconnect cancellation",
@@ -531,16 +534,27 @@ class TestRelayedWaits:
 
 
 def record_frames(client):
-    """Every ``(cid, frame)`` *client* routes from now on, in order."""
+    """Every ``(cid, message)`` *client*'s call engine dispatches from now
+    on, in order: an ``Acks`` frame as ``PUT_ACK`` for each of its ids."""
     seen = []
-    route = client._route_one_locked
+    dispatch = client._calls.dispatch
 
     def recording(msg, cid):
-        seen.append((cid, msg))
-        route(msg, cid)
+        if type(msg) is Acks:
+            seen.extend((acked, PUT_ACK) for acked in msg.cids)
+        else:
+            seen.append((cid, msg))
+        dispatch(msg, cid)
 
-    client._route_one_locked = recording
+    client._calls.dispatch = recording
     return seen
+
+
+def waits_in_flight(client) -> list[int]:
+    """The ids of *client*'s GetWaits still awaiting their reply: the
+    slots whose callback is the GetWait's."""
+    slots = client._calls._slots
+    return [cid for cid, slot in slots.items() if slot.then == client._on_wait_reply_locked]
 
 
 def pump_until(client, predicate, message, timeout=5.0):
@@ -553,7 +567,7 @@ def pump_until(client, predicate, message, timeout=5.0):
 
 def settle(client):
     """Pump *client* until no GetWait of its own awaits a reply."""
-    pump_until(client, lambda: not client._wait_by_cid, "every GetWait answered")
+    pump_until(client, lambda: not waits_in_flight(client), "every GetWait answered")
 
 
 def replies_to(seen, cid):
@@ -588,7 +602,7 @@ class TestOneReplyPerRelayedWait:
         memo = cluster.memo_api("alpha", "test", "w")
         seen = record_frames(memo.client)
         future = memo.get_async(k)
-        (cid,) = memo.client._wait_by_cid
+        (cid,) = waits_in_flight(memo.client)
         return memo, seen, future, cid
 
     def test_a_owner_hit_is_the_one_reply(self, two_host_cluster):
@@ -735,19 +749,21 @@ class TestOneReplyPerRelayedWait:
         elsewhere = two_host_cluster.memo_api("alpha", "test", "p").get_async(parked)
         wait_until(lambda: active(two_host_cluster.servers["beta"]) == 1)
         answered = threading.Event()
-        send, on_replies = PeerLink.send, PeerLink._on_replies
+        send, dispatch = PeerLink.send, Calls.dispatch
 
         def reader_first(link, message, cid):
-            send(link, message, cid)
+            sent = send(link, message, cid)
             if isinstance(message, ForwardEnvelope):
                 assert answered.wait(5)
+            return sent
 
-        def handled(link, replies):
-            on_replies(link, replies)
-            answered.set()
+        def handled(calls, msg, cid):
+            dispatch(calls, msg, cid)
+            if isinstance(calls.role, PeerLink) and isinstance(msg, Reply):
+                answered.set()
 
         monkeypatch.setattr(PeerLink, "send", reader_first)
-        monkeypatch.setattr(PeerLink, "_on_replies", handled)
+        monkeypatch.setattr(Calls, "dispatch", handled)
         two_host_cluster.memo_api("beta", "test", "f").put(k, "first", wait=True)
         memo, seen, future, cid = self.start(two_host_cluster, k)
         assert future.wait(timeout=5) == "first"
@@ -777,7 +793,7 @@ class TestOneReplyPerRelayedWait:
                     if n % 2:
                         feeder.put(k, n, wait=True)  # a hit at the owner
                     future = memo.get_copy_async(k) if n % 4 == 1 else memo.get_async(k)
-                    (cid,) = memo.client._wait_by_cid
+                    (cid,) = waits_in_flight(memo.client)
                     if not n % 2:
                         feeder.put(k, n, wait=True)  # usually parks first
                     assert future.wait(timeout=10) == n
