@@ -21,7 +21,10 @@ loop that hook, which means a thread waiting on *one* future advances
 *every* future sharing the same client — the single-reader fan-in shape
 the waiter table was built for.  Completion may also arrive from another
 thread's pump (or any synchronous client call that reads frames in
-passing), so plain event-waiting threads wake too.
+passing).  A future built without a step hook is completed from outside
+only: a thread waiting on it blocks on the future's *gate*, a lock held
+from birth and released once, at completion; each waiter that gets it
+hands it straight back, so every waiter wakes.
 
 Thread-safety: all public methods are safe to call from any thread.
 Done-callbacks run exactly once, on the completing thread (or inline
@@ -63,6 +66,10 @@ _COMPLETED = 1
 _FAILED = 2
 _CANCELLED = 3
 
+#: Orders every future's settlement against its callback registration:
+#: held for a few attribute writes, so one lock serves them all.
+_SETTLE = threading.Lock()
+
 
 class MemoFuture:
     """A handle to one in-flight memo operation.
@@ -80,8 +87,7 @@ class MemoFuture:
     """
 
     __slots__ = (
-        "_lock",
-        "_event",
+        "_gate",
         "_state",
         "_value",
         "_error",
@@ -97,8 +103,9 @@ class MemoFuture:
         cancel_impl: Callable[[], bool] | None = None,
         transform: Callable[[object], object] | None = None,
     ) -> None:
-        self._lock = threading.Lock()
-        self._event = threading.Event()
+        #: Held until the future is done (see the module's driving model).
+        self._gate = threading.Lock()
+        self._gate.acquire()
         self._state = _PENDING
         self._value: object = None
         self._error: BaseException | None = None
@@ -124,14 +131,14 @@ class MemoFuture:
         return self._settle(_FAILED, None, error)
 
     def _settle(self, state: int, value: object, error: BaseException | None) -> bool:
-        with self._lock:
+        with _SETTLE:
             if self._state != _PENDING:
                 return False
-            self._state = state
             self._value = value
             self._error = error
+            self._state = state
             callbacks, self._callbacks = self._callbacks, []
-            self._event.set()
+        self._gate.release()
         for cb in callbacks:
             try:
                 cb(self)
@@ -143,7 +150,7 @@ class MemoFuture:
 
     def done(self) -> bool:
         """True once a result, exception, or cancellation has landed."""
-        return self._event.is_set()
+        return self._state != _PENDING
 
     def cancelled(self) -> bool:
         """True if the future ended by cancellation."""
@@ -151,7 +158,7 @@ class MemoFuture:
 
     def add_done_callback(self, fn: Callable[["MemoFuture"], None]) -> None:
         """Run ``fn(self)`` on completion (immediately if already done)."""
-        with self._lock:
+        with _SETTLE:
             if self._state == _PENDING:
                 self._callbacks.append(fn)
                 return
@@ -167,7 +174,7 @@ class MemoFuture:
         consuming ``get`` the memo was already extracted server-side, and
         dropping it here would lose it).
         """
-        if self._event.is_set():
+        if self._state != _PENDING:
             return self._state == _CANCELLED
         impl = self._cancel_impl
         if impl is None:
@@ -188,7 +195,7 @@ class MemoFuture:
         attempted — a later ``result``/``wait`` can still collect it).
         """
         self._drive(timeout)
-        if not self._event.is_set():
+        if self._state == _PENDING:
             raise TimeoutError("memo future not done in time")
         if self._error is not None:
             raise self._error
@@ -197,7 +204,7 @@ class MemoFuture:
     def exception(self, timeout: float | None = None) -> BaseException | None:
         """Drive until done, then return the exception (None on success)."""
         self._drive(timeout)
-        if not self._event.is_set():
+        if self._state == _PENDING:
             raise TimeoutError("memo future not done in time")
         return self._error
 
@@ -210,7 +217,7 @@ class MemoFuture:
         returned (a consumed memo is never dropped on the floor).
         """
         self._drive(timeout)
-        if not self._event.is_set():
+        if self._state == _PENDING:
             if self.cancel() or self._cancel_impl is None:
                 # Withdrawn — or not withdrawable at all (e.g. a put ack
                 # already executing server-side): either way the caller's
@@ -220,7 +227,7 @@ class MemoFuture:
             # result is a pump away — but a cancel lost to a connection
             # failure may never resolve, so the grace is bounded.
             self._drive(_CANCEL_GRACE)
-            if not self._event.is_set():
+            if self._state == _PENDING:
                 raise TimeoutError("memo operation timed out")
         if self._error is not None:
             raise self._error
@@ -228,11 +235,11 @@ class MemoFuture:
 
     def _drive(self, timeout: float | None) -> None:
         """Advance the underlying machinery until done or out of time."""
-        if self._event.is_set():
+        if self._state != _PENDING:
             return
         step = self._step
         deadline = None if timeout is None else time.monotonic() + timeout
-        while not self._event.is_set():
+        while self._state == _PENDING:
             if deadline is None:
                 remaining = None
             else:
@@ -240,13 +247,20 @@ class MemoFuture:
                 if remaining <= 0:
                     return
             if step is None:
-                self._event.wait(remaining)
+                self._pass_gate(remaining)
                 continue
             try:
                 step(_STEP_SLICE if remaining is None else min(remaining, _STEP_SLICE))
             except BaseException as exc:  # noqa: BLE001 - surfaced as the result
                 self._fail(exc)
                 return
+
+    def _pass_gate(self, timeout: float | None) -> None:
+        """Block until the future is done, at most *timeout* seconds; the
+        gate is handed straight back, so the next waiter wakes too."""
+        gate = self._gate
+        if gate.acquire(True, -1 if timeout is None else timeout):
+            gate.release()
 
 
 def wait_any(
@@ -287,8 +301,8 @@ def wait_any(
                 if future.done():
                     return future
         if not drove:
-            # Externally-completed futures only: plain event wait.
-            pool[0]._event.wait(_STEP_SLICE)
+            # Externally-completed futures only: wait at the first's gate.
+            pool[0]._pass_gate(_STEP_SLICE)
 
 
 def as_completed(

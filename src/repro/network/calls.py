@@ -6,9 +6,11 @@ over one — a process's client of its memo server, and a memo server's
 link to a peer — run this one mechanism on it, a :class:`Calls`:
 
 * **Ids and slots.**  One id counter.  A :class:`Slot` covers *n* ids (a
-  request, or a burst of them) and is over once every id is answered, or
-  it failed, or its deadline passed; it then runs its ``then`` callback,
-  if it has one, and wakes whoever waits on it.
+  request, or a burst of them), taken and registered in one hold of the
+  engine's lock, and is over once every id is answered, or it failed, or
+  its deadline passed; it then runs its ``then`` callback, if it has one,
+  and wakes the caller that waits on another reader, if one does.  A slot
+  whose request never went out is forgotten: it runs nothing.
 * **One dispatch.**  An :class:`~repro.network.protocol.Acks` frame is
   :data:`~repro.network.protocol.PUT_ACK` for each of its ids; a
   ``MemoReady`` or ``WaitCancelled`` push goes to the owner's push hook
@@ -54,7 +56,12 @@ _SLICE = 0.02
 class Slot:
     """What waits on the ids ``first .. first + n - 1``: one result per id,
     ``left`` of them still due, the ``error`` that ended it early, ``over``
-    once nothing more comes, and ``tag``, its owner's."""
+    once nothing more comes, and ``tag``, its owner's.
+
+    A slot carries no lock of its own: a caller that leads reads its reply
+    itself.  Only a caller that waits for another reader gets ``done``,
+    made under the engine's lock while the slot is not over, and released
+    once it is over and its ``then`` has run."""
 
     __slots__ = ("first", "results", "left", "error", "over", "then", "tag", "done")
 
@@ -66,14 +73,14 @@ class Slot:
         self.over = False
         self.then = then
         self.tag = tag
-        #: Released once the slot is over and its ``then`` has run.
-        self.done = threading.Lock()
-        self.done.acquire()
+        self.done: threading.Lock | None = None
 
     def _finish(self) -> None:
         if self.then is not None:
             self.then(self)
-        self.done.release()
+        done = self.done
+        if done is not None:
+            done.release()
 
 
 class Role:
@@ -89,6 +96,9 @@ class Role:
         its lead: asked after each frame and each quiet slice."""
         return True
 
+    #: Whether anything reads on once no caller does (:meth:`led`).
+    reads_on = False
+
     def led(self, busy: bool) -> bool:
         """The current thread stopped reading; while *busy*, whether
         another reads on."""
@@ -96,7 +106,7 @@ class Role:
 
     def busy(self) -> bool:
         """Whether anything beyond the slots awaits a frame; asked under
-        the engine's lock."""
+        the engine's lock, and only of a role that :attr:`reads_on`."""
         return False
 
     def follow(self, done: threading.Lock, left: float | None) -> bool:
@@ -138,25 +148,34 @@ class Calls:
     # -- ids and slots ----------------------------------------------------------
 
     def reserve(self, n: int = 1) -> int:
-        """Take *n* fresh ids; returns the first."""
+        """Take *n* fresh ids; returns the first.  Only for frames encoded
+        before their slot opens (:meth:`open` takes its own)."""
         with self.lock:
             first = self._next
             self._next = first + n
         return first
 
     def open(self, n: int = 1, then=None, tag=None, first: int | None = None) -> Slot:
-        """Wait on *n* ids from *first* (fresh ones if None): a caller then
-        waits on the slot (:meth:`wait`), or ``then(slot)`` runs once it is
-        over."""
-        if first is None:
-            first = self.reserve(n)
+        """Wait on *n* ids from *first* (fresh ones if None, taken in the
+        same hold of the lock): a caller then sends under ``slot.first``
+        and waits on the slot (:meth:`wait`), or ``then(slot)`` runs once
+        it is over.  A slot whose send fails goes to :meth:`forget`."""
         slot = Slot(first, n, then, tag)
         with self.lock:
+            if first is None:
+                slot.first = first = self._next
+                self._next = first + n
             if n == 1:
                 self._slots[first] = slot
             else:
                 self._slots.update(dict.fromkeys(range(first, first + n), slot))
         return slot
+
+    def forget(self, slot: Slot) -> None:
+        """Drop *slot*, whose request never went out: it runs no ``then``
+        and wakes nobody, and a reply to one of its ids is dropped."""
+        with self.lock:
+            self._drop(slot)
 
     def fail(self, error: Exception, chosen=None) -> list[Slot]:
         """Fail with *error* every outstanding slot that ``chosen(slot)``
@@ -234,15 +253,30 @@ class Calls:
             return
         with self.lock:
             lead, self._reading = not self._reading, True
-        if lead and self._lead(slot, until):
-            lead = False  # its reading was handed on: wait for the new reader
-        if not lead:
-            if not follow:
-                return
+            done = None if lead or not follow else self._make_done(slot)
+        if lead:
+            if self._lead(slot, until):
+                # Its reading was handed on: wait for the new reader.
+                if not follow:
+                    return
+                with self.lock:
+                    done = self._make_done(slot)
+        elif not follow:
+            return
+        if done is not None:
             left = None if until is None else until - time.monotonic()
-            self.role.follow(slot.done, left)
+            self.role.follow(done, left)
         if not slot.over:
             self._expire(slot)
+
+    @staticmethod
+    def _make_done(slot: Slot) -> threading.Lock | None:
+        """*slot*'s ``done``, made held unless it is over; under the lock."""
+        if slot.over:
+            return None
+        done = slot.done = threading.Lock()
+        done.acquire()
+        return done
 
     def _expire(self, slot: Slot) -> None:
         with self.lock:
@@ -254,8 +288,8 @@ class Calls:
             slot._finish()
 
     def _lead(self, slot: Slot, until: float | None) -> bool:
-        """Read on this thread until *slot* is over or *until* passes;
-        True if the role took the reading away first."""
+        """Read on this thread until *slot* is over or *until* passes (it
+        is then failed); True if the role took the reading away first."""
         role = self.role
         role.lead()
         started = time.monotonic()
@@ -281,8 +315,10 @@ class Calls:
         finally:
             if not handed:
                 with self.lock:
-                    busy = self._reading = bool(self._slots) or role.busy()
-                if not role.led(busy) and busy:
+                    busy = self._reading = role.reads_on and (
+                        bool(self._slots) or role.busy()
+                    )
+                if not role.led(busy) and busy:  # stopping: nobody reads on
                     with self.lock:
                         self._reading = False
         return handed

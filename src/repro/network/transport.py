@@ -212,14 +212,15 @@ class InMemoryConnection(Connection):
         self.remote_host = remote_host
         self._inbox = inbox
         self._outbox = outbox
-        self._closed = threading.Event()
+        #: A plain flag: set once, never cleared, read on every frame.
+        self._closed = False
         # Resolved once: a connection's link never changes, and counters
         # are zeroed in place, never replaced (see ``reset_traffic``).
         self._link = (local_host, remote_host)
         self._counter = fabric._counter(self._link)
 
     def send(self, payload: bytes) -> None:
-        if self._closed.is_set():
+        if self._closed:
             raise ConnectionClosedError("send on closed connection")
         fabric = self._fabric
         link = self._link
@@ -236,7 +237,7 @@ class InMemoryConnection(Connection):
     def recv(self, timeout: float | None = None) -> bytes:
         deadline = None if timeout is None else time.monotonic() + timeout
         while True:
-            if self._closed.is_set():
+            if self._closed:
                 raise ConnectionClosedError("recv on closed connection")
             remaining = None
             if deadline is not None:
@@ -252,7 +253,7 @@ class InMemoryConnection(Connection):
                     continue  # re-check closed flag, keep waiting
                 raise TimeoutError("recv timed out") from None
             if payload is None:
-                self._closed.set()
+                self._closed = True
                 raise ConnectionClosedError("peer closed the connection")
             if deliver_at:
                 delay = deliver_at - time.monotonic()
@@ -264,14 +265,14 @@ class InMemoryConnection(Connection):
         return not self._inbox.empty()
 
     def close(self) -> None:
-        if not self._closed.is_set():
-            self._closed.set()
+        if not self._closed:
+            self._closed = True
             # Wake the peer's recv with a close marker.
             self._outbox.put(_CLOSE_MARKER)
 
     @property
     def closed(self) -> bool:
-        return self._closed.is_set()
+        return self._closed
 
 
 class InMemoryListener(Listener):

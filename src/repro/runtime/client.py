@@ -158,11 +158,16 @@ class MemoClient:
     # -- plumbing -------------------------------------------------------------
 
     def _call_locked(self, call: _Request, then) -> None:
-        """Send *call* on the current connection under a fresh id; *then*
-        gets its slot, opened once the bytes went out."""
-        cid = self._calls.reserve()
-        send_message(self._calls.conn, call.msg, corr_id=cid)
-        self._calls.open(then=then, tag=call, first=cid)
+        """Send *call* on the current connection under a fresh slot's id;
+        *then* gets the slot.  A send that raises forgets the slot, which
+        then runs nothing."""
+        calls = self._calls
+        slot = calls.open(then=then, tag=call)
+        try:
+            send_message(calls.conn, call.msg, corr_id=slot.first)
+        except BaseException:
+            calls.forget(slot)
+            raise
 
     def _pushed(self, token: int, payload: bytes | None, reason: str | None) -> None:
         """A push for the parked wait *token*: its memo, or why it ended."""
@@ -438,9 +443,10 @@ class MemoClient:
 
         A connection that closes under the send is replaced, up to
         :data:`_RECONNECT_MAX` times, and the send repeated on the fresh
-        one; *send* opens its slot only after its bytes went out, so a
-        repeat never double-counts.  *resubscribes* marks a send the
-        reconnect itself repeats (a parked wait rides every fresh
+        one; a send that raises leaves no slot open (a burst opens its
+        slot once its bytes went out, :meth:`_call_locked` forgets its
+        slot), so a repeat never double-counts.  *resubscribes* marks a
+        send the reconnect itself repeats (a parked wait rides every fresh
         connection), which must then not go out a second time.
         """
         attempts = 0

@@ -188,26 +188,27 @@ class PeerLink(Reader, Role):
 
     # -- relayed waits --------------------------------------------------------
 
-    def park(self, session: object, entry: ParkedWaiter) -> int | None:
-        """Take charge of *entry* and become its home; returns its relay
-        token, or None once retired (the caller dials a fresh link).
-        From here the wait's fate is the reader's, whatever happens to
-        the send — the caller must not touch the entry again."""
-        token = self.calls.reserve()
+    def park(self, session: object, entry: ParkedWaiter) -> Slot | None:
+        """Take charge of *entry* and become its home; returns the slot its
+        first answer comes to, whose id is its relay token, or None once
+        retired (the caller dials a fresh link).  From here the wait's fate
+        is the reader's, whatever happens to the send — the caller must
+        not touch the entry again."""
+        slot = self.calls.open(then=self._answered)
         with self._lock:
-            if self.retired:
-                return None
-            entry.home, entry.handle = self, token
-            self._waits[token] = (session, entry)
-        return token
+            if not self.retired:
+                entry.home, entry.handle = self, slot.first
+                self._waits[slot.first] = (session, entry)
+                return slot
+        self.calls.forget(slot)
+        return None
 
-    def relay(self, message: object, token: int) -> None:
-        """Send the wait *message* parked under *token*.  A caller that
-        finds nobody reading the link reads it until the wait's first
+    def relay(self, message: object, slot: Slot) -> None:
+        """Send the wait *message* parked under *slot*'s token.  A caller
+        that finds nobody reading the link reads it until the wait's first
         answer, as a call does; the standing reader reads on while the
         wait stays parked."""
-        slot = self.calls.open(then=self._answered, first=token)
-        self.send(message, token)
+        self.send(message, slot.first)
         self.calls.wait(slot, follow=False)
 
     def _answered(self, slot: Slot) -> None:
@@ -279,6 +280,8 @@ class PeerLink(Reader, Role):
         if waited >= HAND_OFF_AFTER:
             hand_off(keep=self)
         return self.reads_here()
+
+    reads_on = True
 
     def led(self, busy: bool) -> bool:
         """A leader is done: the standing reader reads on while anything

@@ -418,16 +418,16 @@ class Router:
         entry.target, entry.trail = target, trail
         for _attempt in range(2):  # a link retired under us: one fresh dial
             link = self._link(next_hop)
-            token = link.park(session, entry)
-            if token is not None:
+            slot = link.park(session, entry)
+            if slot is not None:
                 break
         else:
             raise ConnectionClosedError(f"link to {next_hop} was lost as it opened")
         self._stats.bump("forwards_out")
         wait = GetWaitRequest(
-            folder=entry.folder, mode=entry.mode, waiter=token, origin=entry.origin
+            folder=entry.folder, mode=entry.mode, waiter=slot.first, origin=entry.origin
         )
-        link.relay(self._envelope(reg, target, encode_message(wait), trail), token)
+        link.relay(self._envelope(reg, target, encode_message(wait), trail), slot)
 
     def retire_links(self) -> None:
         """At shutdown: fail every call on a link, and end every relayed

@@ -167,6 +167,7 @@ class _ConnectionSession(Reader):
         "reader_cache",
         "_lock",
         "_idle",
+        "_draining",
         "_put_queue",
         "_put_running",
         "_inflight",
@@ -179,6 +180,8 @@ class _ConnectionSession(Reader):
         self.reader_cache = server.cache
         self._lock = threading.Lock()
         self._idle = threading.Condition(self._lock)
+        #: Whether :meth:`read_ended` waits on ``_idle`` for the workers.
+        self._draining = False
         self._put_queue: deque = deque()
         self._put_running = False
         #: Requests accepted and not yet answered (lane and workers).
@@ -380,7 +383,8 @@ class _ConnectionSession(Reader):
             finally:
                 with self._lock:
                     self._inflight -= len(batch)
-                    self._idle.notify_all()
+                    if self._draining:
+                        self._idle.notify_all()
 
     def _serve_round(self, batch: list) -> list:
         """Serve one lane round; its replica copies leave before its replies.
@@ -491,7 +495,8 @@ class _ConnectionSession(Reader):
         finally:
             with self._lock:
                 self._inflight -= 1
-                self._idle.notify_all()
+                if self._draining:
+                    self._idle.notify_all()
 
     # -- waiter table (parked GetWait service) ---------------------------------
 
@@ -818,6 +823,7 @@ class _ConnectionSession(Reader):
             self._send_replies([(shut, e[1]) for e in stranded])
         deadline = time.monotonic() + grace
         with self._lock:
+            self._draining = True
             while self._inflight and time.monotonic() < deadline:
                 self._idle.wait(deadline - time.monotonic())
         self.conn.close()

@@ -1,6 +1,7 @@
 """Unit tests for MemoFuture and its combinators (no cluster involved)."""
 
 import threading
+import time
 
 import pytest
 
@@ -65,6 +66,13 @@ class TestCallbacks:
         seen = []
         f.add_done_callback(seen.append)
         assert seen == [f]
+
+    def test_a_callback_already_sees_the_future_done(self):
+        f = MemoFuture()
+        seen = []
+        f.add_done_callback(lambda g: seen.append((g.done(), g.result())))
+        f._complete("x")
+        assert seen == [(True, "x")]
 
     def test_callback_errors_are_swallowed(self):
         f = MemoFuture()
@@ -133,6 +141,22 @@ class TestWaiting:
         threading.Timer(0.05, lambda: f._complete("ok")).start()
         assert f.wait(timeout=5) == "ok"
 
+    def test_one_completion_wakes_every_plain_waiter(self):
+        f = MemoFuture()
+        woke = []
+        waiters = [
+            threading.Thread(target=lambda: woke.append(f.wait(timeout=5)))
+            for _ in range(3)
+        ]
+        for t in waiters:
+            t.start()
+        time.sleep(0.05)  # all three block at the gate
+        assert woke == []
+        f._complete("ok")
+        for t in waiters:
+            t.join(5)
+        assert woke == ["ok"] * 3
+
     def test_step_driving(self):
         hits = []
 
@@ -167,6 +191,13 @@ class TestCombinators:
     def test_wait_any_timeout(self):
         with pytest.raises(TimeoutError):
             wait_any([MemoFuture()], timeout=0.05)
+
+    def test_wait_any_wakes_on_a_completion_from_another_thread(self):
+        a, b = MemoFuture(), MemoFuture()
+        threading.Timer(0.1, lambda: b._complete("b")).start()
+        started = time.monotonic()
+        assert wait_any([a, b], timeout=5) is b
+        assert time.monotonic() - started < 2
 
     def test_wait_any_drives_steps(self):
         f = MemoFuture(step=lambda _s: f._complete(1))

@@ -14,7 +14,7 @@ import pytest
 
 from repro.core.keys import FolderName, Key, Symbol
 from repro.errors import ConnectionClosedError
-from repro.network.calls import Calls
+from repro.network.calls import Calls, Role
 from repro.network.connection import Address
 from repro.network.protocol import (
     PUT_ACK,
@@ -219,3 +219,68 @@ def test_a_call_from_the_reading_thread_does_not_stall(ends, monkeypatch):
     finally:
         link.retire(ConnectionClosedError("done"))
         cache.shutdown()
+
+
+def test_a_slot_answered_while_its_caller_leads_gets_no_done_lock(ends):
+    near, far = ends
+    calls = Owner(near).calls
+    slot = calls.open()
+    answer(far, slot.first, payload=b"mine")
+    calls.wait(slot, time.monotonic() + 5)
+    assert slot.over and slot.results[0].payload == b"mine"
+    assert slot.done is None
+
+
+def test_a_followers_done_lock_is_made_then_released(ends):
+    near, far = ends
+    calls = Owner(near).calls
+    acquired: list = []
+
+    class Following(Role):
+        def follow(self, done, left):
+            got = super().follow(done, left)
+            acquired.append((done, got))
+            return got
+
+    calls.role = Following()
+    first, second = calls.open(), calls.open()
+    leader = threading.Thread(target=calls.wait, args=(first, time.monotonic() + 5))
+    leader.start()
+    time.sleep(0.05)  # the leader reads
+    assert second.done is None
+    follower = threading.Thread(target=calls.wait, args=(second, time.monotonic() + 5))
+    follower.start()
+    time.sleep(0.05)  # the follower waits on its lock
+    assert second.done is not None and acquired == []
+    answer(far, second.first, payload=b"second")
+    follower.join(5)
+    assert second.results[0].payload == b"second"
+    assert acquired == [(second.done, True)]  # released by the reader
+    answer(far, first.first, payload=b"first")
+    leader.join(5)
+    assert first.done is None
+
+
+def test_open_takes_consecutive_fresh_ids_itself(ends, monkeypatch):
+    near, _far = ends
+    calls = Owner(near).calls
+
+    def no_reserve(n=1):
+        raise AssertionError("open reserved its ids apart")
+
+    monkeypatch.setattr(calls, "reserve", no_reserve)
+    one, burst, other = calls.open(), calls.open(3), calls.open()
+    assert [one.first, burst.first, other.first] == [1, 2, 5]
+    assert sorted(calls._slots) == [1, 2, 3, 4, 5]
+
+
+def test_a_forgotten_slot_runs_nothing_and_its_late_reply_is_dropped(ends):
+    near, far = ends
+    calls = Owner(near).calls
+    ran: list = []
+    slot = calls.open(then=ran.append)
+    calls.forget(slot)
+    assert slot.over and calls._slots == {}
+    answer(far, slot.first, payload=b"late")
+    assert calls.read_one(5)
+    assert ran == [] and slot.results == [None] and slot.error is None

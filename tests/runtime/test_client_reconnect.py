@@ -6,13 +6,25 @@ request would read the stale reply — every later request/reply pair off by
 one.  The client now discards the connection on timeout.
 """
 
+import threading
 import time
 
 import pytest
 
 from repro import Cluster, system_default_adf
 from repro.core.keys import FolderName, Key, Symbol
-from repro.network.protocol import GetRequest, PutRequest, StatsRequest
+from repro.errors import ConnectionClosedError
+from repro.network.connection import Address
+from repro.network.protocol import (
+    GetRequest,
+    PutRequest,
+    Reply,
+    StatsRequest,
+    recv_tagged,
+    send_message,
+)
+from repro.network.transport import InMemoryTransport, NetworkFabric
+from repro.runtime.client import MemoClient
 from repro.transferable.wire import encode
 
 
@@ -108,3 +120,67 @@ class TestReconnect:
             with pytest.raises(MemoError, match="unacknowledged"):
                 client.flush()
             client.close()
+
+
+class TestSendFailure:
+    def test_a_put_whose_send_fails_goes_out_once_on_the_reconnect(self):
+        """The first send raises: the slot it opened is forgotten, so the
+        reconnect neither resends the put nor leaves an id behind, and
+        the put goes out once, on the fresh connection."""
+        transport = InMemoryTransport(NetworkFabric(), "h")
+        listener = transport.listen(Address("h", 1))
+        client = MemoClient(transport, listener.address, origin="t")
+        dead = listener.accept(timeout=2)
+        conn = client._calls.conn
+
+        def broken(_payload: bytes) -> None:
+            conn.close()
+            raise ConnectionClosedError("send on closed connection")
+
+        conn.send = broken
+        live = None
+        try:
+            future = client.put_future(PutRequest(folder=folder(), payload=encode(1)))
+            settled: list = []
+            future.add_done_callback(settled.append)
+            live = listener.accept(timeout=2)
+            msg, cid = recv_tagged(live, timeout=2)
+            assert isinstance(msg, PutRequest)
+            with pytest.raises(TimeoutError):
+                recv_tagged(live, timeout=0.2)  # sent exactly once
+            with pytest.raises(ConnectionClosedError):
+                recv_tagged(dead, timeout=0.2)  # nothing reached the old one
+            send_message(live, Reply(), corr_id=cid)
+            assert future.result(timeout=5) is None
+            assert settled == [future]
+            assert client._calls._slots == {} and client._resend == []
+        finally:
+            client.close()
+            if live is not None:
+                live.close()
+            listener.close()
+
+
+class TestSynchronisationObjects:
+    def test_an_acked_put_makes_no_event_and_one_lock(self, cluster, monkeypatch):
+        """On the calling thread, a ``put(wait=True)`` builds no
+        ``threading.Event`` and one lock: its future's gate."""
+        memo = cluster.memo_api("solo", "rc")
+        memo.put(Key(Symbol("warm")), 0, wait=True)
+        caller = threading.get_ident()
+        made: list = []
+
+        def counted(name, real):
+            def make(*args, **kwargs):
+                if threading.get_ident() == caller:
+                    made.append(name)
+                return real(*args, **kwargs)
+
+            return make
+
+        monkeypatch.setattr(threading, "Lock", counted("Lock", threading.Lock))
+        monkeypatch.setattr(threading, "Event", counted("Event", threading.Event))
+        memo.put(Key(Symbol("k")), 1, wait=True)
+        monkeypatch.undo()
+        assert made == ["Lock"]
+        assert memo.get(Key(Symbol("k"))) == 1
