@@ -23,6 +23,7 @@ from repro.baselines.linda import ANY, TupleSpace
 from repro.servers.folder_server import FolderServer
 from repro.core.keys import FolderName, Key, Symbol
 from repro.core.memo import MemoRecord
+from repro.transferable.wire import decode, encode
 
 from benchmarks.conftest import report
 
@@ -44,8 +45,8 @@ def linda_with_n(n: int) -> TupleSpace:
 def folders_with_n(n: int) -> FolderServer:
     fs = FolderServer("0")
     for i in range(n):
-        fs.put(fname("unrelated", i), MemoRecord.from_value(f"payload-{i}"))
-    fs.put(fname("needle"), MemoRecord.from_value(42))
+        fs.put(fname("unrelated", i), MemoRecord(encode(f"payload-{i}")))
+    fs.put(fname("needle"), MemoRecord(encode(42)))
     return fs
 
 
@@ -71,7 +72,7 @@ def test_dmemo_lookup(benchmark, n):
         fs.put(fname("needle"), rec)
         return rec
 
-    assert benchmark(op).value() == 42
+    assert decode(benchmark(op).payload) == 42
     fs.shutdown()
 
 
@@ -115,8 +116,8 @@ def test_job_jar_abstraction_cost(benchmark):
     """get_alt (private-or-common jar) vs the Linda two-pattern encoding."""
     fs = FolderServer("0")
     for i in range(50):
-        fs.put(fname("common"), MemoRecord.from_value(i))
-        fs.put(fname("private"), MemoRecord.from_value(100 + i))
+        fs.put(fname("common"), MemoRecord(encode(i)))
+        fs.put(fname("private"), MemoRecord(encode(100 + i)))
 
     def drain_dmemo():
         calls = taken = 0

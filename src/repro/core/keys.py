@@ -20,7 +20,6 @@ import threading
 from dataclasses import dataclass, field
 
 from repro.errors import MemoError
-from repro.transferable.registry import default_registry
 
 __all__ = ["Symbol", "SymbolFactory", "Key", "FolderName"]
 
@@ -153,13 +152,3 @@ class FolderName:
     def __str__(self) -> str:
         return f"{self.app}:{self.key}"
 
-
-def _register_key_types() -> None:
-    """Make Symbol/Key/FolderName transferable so they can ride inside memos."""
-    reg = default_registry
-    reg.register_struct(Symbol, name="dmemo.Symbol", fields=("name",))
-    reg.register_struct(Key, name="dmemo.Key", fields=("symbol", "index"))
-    reg.register_struct(FolderName, name="dmemo.FolderName", fields=("app", "key"))
-
-
-_register_key_types()

@@ -12,9 +12,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.transferable.registry import TransferableRegistry
-from repro.transferable.wire import decode, encode
-
 __all__ = ["MemoRecord"]
 
 @dataclass(frozen=True, slots=True, eq=False)
@@ -41,25 +38,6 @@ class MemoRecord:
     origin: str = ""
     src_sid: str = ""
     src_lsn: int = 0
-
-    @classmethod
-    def from_value(
-        cls,
-        value: object,
-        *,
-        origin: str = "",
-        registry: TransferableRegistry | None = None,
-        strict_domains: bool = False,
-    ) -> "MemoRecord":
-        """Encode *value* into a memo record."""
-        return cls(
-            payload=encode(value, registry=registry, strict_domains=strict_domains),
-            origin=origin,
-        )
-
-    def value(self, *, registry: TransferableRegistry | None = None) -> object:
-        """Decode a fresh copy of the stored value."""
-        return decode(self.payload, registry=registry)
 
     def size_bytes(self) -> int:
         """Encoded payload size (used by traffic metrics)."""

@@ -1,17 +1,21 @@
 """Compact positional codec for protocol control messages.
 
-The transferable TLV format (:mod:`repro.transferable.wire`) is fully
-self-describing: every message carries its struct name, every field its
-field name, and the object graph is linearized node by node.  That is the
-right trade for *user data* — arbitrary, possibly self-referential
-structures crossing heterogeneous machines — but pure overhead for the ~20
-fixed control messages of the server protocol, which dominate the wire.
-Section 5 of the paper reasons about performance in messages and bytes per
-link; this module is where the control plane wins those bytes back.
+The control plane speaks this framing and no other.  The transferable TLV
+format (:mod:`repro.transferable.wire`) is fully self-describing: every
+value carries its struct name, every field its field name, and the object
+graph is written node by node.  That is the right trade for *user data* —
+arbitrary, possibly self-referential structures crossing heterogeneous
+machines — and it is what a memo payload is: opaque ``bytes`` here, encoded
+and decoded only by clients.  It is pure overhead for the ~20 fixed
+control messages of the server protocol, which dominate the wire; section
+5 of the paper reasons about performance in messages and bytes per link,
+and this module is where the control plane wins those bytes back.  A
+server decodes nothing else, so this module imports nothing of the value
+codec and no peer can make a server build a registered object graph.
 
 Frame layout::
 
-    magic   2 bytes  b"DC"       (distinct from the TLV codec's b"DM")
+    magic   2 bytes  b"DC"       (a TLV payload starts b"DM": refused here)
     version 1 byte   0x01 plain | 0x02 correlated
     tag     1 byte   message type (see the registrations in protocol.py)
     corr    uvarint  correlation id (version 0x02 frames only)
@@ -30,8 +34,7 @@ the id), WAL records, the carriers whose member frames carry the ids
 lists the many ids it answers, and the unsolicited
 *push* frames (``MemoReady``/``WaitCancelled``, the parked-waiter
 completions).  A push answers no request, so it carries no correlation
-id; its routing key, the waiter token, lives in the message body.  TLV
-frames carry no id either, and still decode.
+id; its routing key, the waiter token, lives in the message body.
 
 Body primitives::
 
@@ -44,8 +47,10 @@ Body primitives::
     folder    app str, symbol str, uvarint index count, uvarint indexes
     uint_deltas  uvarint count, then each uint as the zigzag uvarint of
               its difference from the one before (the first from 0)
-    tlv       uvarint byte-length + an embedded TLV stream (0 = empty);
-              used only for open-ended fields like ``Reply.stats``
+    num_map   uvarint count, then per entry a str key, one value tag byte
+              and the value: 0 a uvarint n, 1 a negative int as the
+              uvarint of -1 - n, 2 an f64 (an empty map is the byte 00);
+              the counters of ``Reply.stats`` and ``DeltaSyncPull``
 
 Each registered message is compiled once: :func:`register_compact`
 generates the source of one encoder and one decoder from the message's
@@ -53,16 +58,10 @@ generates the source of one encoder and one decoder from the message's
 ``__init__``, so a frame costs one call with no per-field dispatch.  One
 kind table (:data:`_KINDS`) gives every kind its encode and its decode
 statement, so both directions read the same table: the scalar kinds
-inline their one-byte cases, the rare ones (tlv, dicts, pairs, tuples)
-call ``(out, value)`` writers and ``(data, pos) -> (value, pos)``
-readers.  The folder field is cached on both sides — decoded once per
-distinct wire spelling, encoded once per distinct :class:`FolderName`.
-
-:func:`decode_message` dispatches on the leading magic, so a stream may
-freely interleave compact frames with TLV frames — old peers, recorded
-seed streams, and memo payloads (which stay in the transferable format)
-all keep decoding.  :func:`encode_message` falls back to the TLV codec
-for any type without a registered compact spec.
+inline their one-byte cases, the rare ones (maps, pairs, tuples) call
+``(out, value)`` writers and ``(data, pos) -> (value, pos)`` readers.
+The folder field is cached on both sides — decoded once per distinct
+wire spelling, encoded once per distinct :class:`FolderName`.
 """
 
 from __future__ import annotations
@@ -75,7 +74,6 @@ from typing import Callable
 
 from repro.core.keys import FolderName, Key, Symbol
 from repro.errors import DecodingError, EncodingError, MemoError
-from repro.transferable import wire as _tlv
 
 __all__ = [
     "COMPACT_MAGIC",
@@ -256,8 +254,23 @@ def _w_opt_folder(out: bytearray, f: FolderName | None) -> None:
         _w_folder(out, f)
 
 
-def _w_tlv(out: bytearray, value: object) -> None:
-    _w_bytes(out, _tlv.encode(value) if value else b"")
+def _w_num_map(out: bytearray, values: dict) -> None:
+    _w_uv(out, len(values))
+    for key, v in values.items():
+        _w_str(out, key)
+        if type(v) is float:
+            out.append(2)
+            _w_f64(out, v)
+        elif not isinstance(v, int):
+            raise EncodingError(
+                f"compact map value for {key!r} is neither int nor float: {v!r}"
+            )
+        elif v >= 0:
+            out.append(0)
+            _w_uint(out, v)
+        else:
+            out.append(1)
+            _w_uint(out, -1 - v)
 
 
 def _w_pair(first: Callable, second: Callable) -> Callable:
@@ -418,9 +431,20 @@ def _r_opt_folder(data: bytes, pos: int) -> tuple[FolderName | None, int]:
     return _r_folder(data, pos + 1)
 
 
-def _r_tlv(data: bytes, pos: int) -> tuple[object, int]:
-    blob, pos = _r_bytes(data, pos)
-    return (_tlv.decode(blob) if blob else {}), pos
+def _r_num_map(data: bytes, pos: int) -> tuple[dict, int]:
+    n, pos = _r_uv(data, pos)
+    values = {}
+    for _ in range(n):
+        key, pos = _r_str(data, pos)
+        kind = data[pos]
+        if kind == 2:
+            values[key], pos = _r_f64(data, pos + 1)
+        elif kind < 2:
+            m, pos = _r_uv(data, pos + 1)
+            values[key] = -1 - m if kind else m
+        else:
+            raise DecodingError(f"bad map value tag {kind:#x} in compact frame")
+    return values, pos
 
 
 def _r_pair(first: Callable, second: Callable) -> Callable:
@@ -513,7 +537,7 @@ _KINDS: dict[str, tuple[str, str]] = {
 }
 for _kind in (
     "folder", "opt_folder", "folder_tuple", "str_tuple", "bytes_tuple",
-    "server_pairs", "float_dict", "link_dict", "tlv", "uint_deltas",
+    "server_pairs", "float_dict", "link_dict", "num_map", "uint_deltas",
 ):
     _KINDS[_kind] = (f"_w_{_kind}(out, v)", f"{{v}}, pos = _r_{_kind}(data, pos)")
 del _kind
@@ -618,31 +642,21 @@ def tag_of(cls: type) -> int:
 
 
 def encode_message(msg: object, corr_id: int | None = None) -> bytes:
-    """Encode one control message, compactly when a spec is registered.
-
-    Types without a compact spec fall back to the self-describing TLV
-    codec, so the call accepts anything :func:`repro.transferable.wire.encode`
-    accepts; :func:`decode_message` reverses either framing.
+    """Encode one control message in the compact framing.
 
     Args:
-        msg: the message to encode.
+        msg: the message to encode; its type must have a compact spec.
         corr_id: when not None, emit a version-2 *correlated* frame
-            carrying this id between the tag and the body.  Only types
-            with a compact spec can carry an id (the TLV framing has no
-            slot for one — by design, so id-less streams stay id-less).
+            carrying this id between the tag and the body.
 
     Raises:
-        EncodingError: a uint field or *corr_id* outside ``[0, 2**64)``,
-            or a correlation id on a type without a compact spec.
+        EncodingError: a type without a compact spec, a map value that is
+            neither int nor float, or a uint field or *corr_id* outside
+            ``[0, 2**64)``.
     """
     spec = _SPECS_BY_TYPE.get(type(msg))
     if spec is None:
-        if corr_id is not None:
-            raise EncodingError(
-                f"{type(msg).__qualname__} has no compact spec and the TLV "
-                f"fallback cannot carry a correlation id"
-            )
-        return _tlv.encode(msg)
+        raise EncodingError(f"{type(msg).__qualname__} has no compact spec")
     if corr_id is None:
         out = bytearray(spec.plain)
     else:
@@ -713,7 +727,7 @@ def recorrelate(data: bytes, corr_id: int) -> bytes:
 
 
 def decode_message(data: bytes | memoryview) -> object:
-    """Decode one message, dispatching on the leading frame magic.
+    """Decode one compact frame's message.
 
     Equivalent to ``decode_tagged(data)[0]`` — the correlation id (if the
     frame carries one) is dropped.  Kept as the plain entry point for
@@ -725,30 +739,22 @@ def decode_message(data: bytes | memoryview) -> object:
 def decode_tagged(data: bytes | memoryview) -> tuple[object, int | None]:
     """Decode one message plus its correlation id, if any.
 
-    ``b"DC"`` frames take the compact path: one call of the tag's
-    compiled decoder.  ``b"DM"`` frames are full TLV streams (seed peers,
-    memo payloads used as messages in tests).  The compact path constructs
-    each message through its dataclass, so its validation runs and hostile
-    bytes cannot build a message an honest sender could not have built.
+    One call of the tag's compiled decoder.  It constructs each message
+    through its dataclass, so its validation runs and hostile bytes
+    cannot build a message an honest sender could not have built.
 
     Returns:
-        ``(message, corr_id)``; *corr_id* is None for version-1 compact
-        frames and for TLV frames.
+        ``(message, corr_id)``; *corr_id* is None for version-1 frames.
 
     Raises:
-        DecodingError: unknown magic, unknown tag or version, truncated or
-            trailing bytes, bad UTF-8, or field values the message type
-            rejects.
+        DecodingError: a magic other than ``b"DC"`` (a TLV stream
+            included), unknown tag or version, truncated or trailing
+            bytes, bad UTF-8, or field values the message type rejects.
     """
     if type(data) is not bytes:
         data = bytes(data)
-    magic = data[:2]
-    if magic != COMPACT_MAGIC:
-        if magic == _tlv.MAGIC:
-            return _tlv.decode(data), None
-        raise DecodingError(
-            f"bad magic {magic!r}: neither a compact nor a TLV frame"
-        )
+    if data[:2] != COMPACT_MAGIC:
+        raise DecodingError(f"bad magic {data[:2]!r}: not a compact frame")
     if len(data) < 4:
         raise DecodingError("truncated compact frame: missing header")
     version = data[2]

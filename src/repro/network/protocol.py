@@ -1,12 +1,9 @@
 """Typed request/reply messages of the D-Memo server protocol.
 
-Every message is a frozen dataclass with two wire representations: a
-compact positional framing (1-byte type tag, no struct or field names —
-:mod:`repro.network.codec`) used on the hot path, and the self-describing
-transferable TLV framing, kept registered so memo payloads can embed
-protocol messages and seed-era TLV control streams still decode.  The two
-framings are distinguished by their leading magic, so a receiver needs no
-negotiation.
+Every message is a frozen dataclass with one wire representation: the
+compact positional framing of :mod:`repro.network.codec` (1-byte type
+tag, no struct or field names).  A memo's value rides a message as
+opaque ``payload`` bytes; only clients encode and decode it.
 
 Message flow (Figures 1 and 2 of the paper):
 
@@ -32,7 +29,6 @@ from repro.network.codec import (
     split_correlated,
 )
 from repro.network.connection import Address, Connection, Transport
-from repro.transferable.registry import default_registry
 
 __all__ = [
     "PutRequest",
@@ -503,7 +499,8 @@ class Reply:
         payload: the memo's transferable bytes when found.
         folder: which folder satisfied a ``get_alt`` round.
         error: human-readable failure description.
-        stats: counter mapping for :class:`StatsRequest`.
+        stats: counters, name → int or float (a :class:`StatsRequest`'s,
+            or a resync round's).
     """
 
     ok: bool = True
@@ -570,14 +567,9 @@ _MESSAGE_TYPES = (
     Acks,
 )
 
-# Registered in the transferable registry too: the TLV fallback framing
-# (and any memo payload embedding a protocol message) must keep working.
-for _cls in _MESSAGE_TYPES:
-    default_registry.register_struct(_cls, name=f"dmemo.proto.{_cls.__name__}")
-
-# Compact positional encodings (hot-path framing).  Field tuples must list
-# the dataclass init fields in declaration order — the decoder constructs
-# positionally.  Tags are wire ABI: never renumber, only append.
+# Compact positional encodings, the one control framing.  Field tuples must
+# list the dataclass init fields in declaration order — the decoder
+# constructs positionally.  Tags are wire ABI: never renumber, only append.
 register_compact(PutRequest, 1, (("folder", "folder"), ("payload", "bytes"), ("origin", "name")))
 register_compact(
     PutDelayedRequest,
@@ -620,9 +612,9 @@ register_compact(
     (
         ("app", "str"),
         ("requester", "str"),
-        ("primary_lsns", "tlv"),
-        ("replica_marks", "tlv"),
-        ("primary_floors", "tlv"),
+        ("primary_lsns", "num_map"),
+        ("replica_marks", "num_map"),
+        ("primary_floors", "num_map"),
         ("origin", "str"),
     ),
 )
@@ -673,7 +665,7 @@ register_compact(
         ("payload", "bytes"),
         ("folder", "opt_folder"),
         ("error", "str"),
-        ("stats", "tlv"),
+        ("stats", "num_map"),
     ),
 )
 
@@ -683,10 +675,10 @@ def send_message(
 ) -> int:
     """Encode and send one protocol message; returns encoded size.
 
-    Protocol messages take the compact framing; anything else falls back
-    to the self-describing TLV codec (see :mod:`repro.network.codec`).
-    With *corr_id* the frame is emitted in the correlated (version-2)
-    framing, naming the request/reply pair it belongs to.
+    The message takes the compact framing (:func:`encode_message` raises
+    :class:`~repro.errors.EncodingError` for anything else).  With
+    *corr_id* the frame is emitted in the correlated (version-2) framing,
+    naming the request/reply pair it belongs to.
     """
     data = encode_message(message, corr_id)
     conn.send(data)

@@ -24,6 +24,7 @@ import dataclasses
 import threading
 from typing import Callable, Iterable, Sequence
 
+from repro.core.keys import FolderName, Key, Symbol
 from repro.errors import EncodingError, UnknownTransferableError
 
 __all__ = [
@@ -153,6 +154,13 @@ class TransferableRegistry:
 
 #: Process-wide default registry used by :func:`repro.transferable.encode`.
 default_registry = TransferableRegistry()
+
+# Keys and folder names ride inside memos (a work item naming the folder
+# its answer goes to).  Registered here, so the core knows nothing of the
+# value codec.
+default_registry.register_struct(Symbol, name="dmemo.Symbol", fields=("name",))
+default_registry.register_struct(Key, name="dmemo.Key", fields=("symbol", "index"))
+default_registry.register_struct(FolderName, name="dmemo.FolderName", fields=("app", "key"))
 
 
 def transferable_struct(

@@ -166,7 +166,7 @@ def encode(
 ) -> bytes:
     """Linearize *obj* straight into the wire format.
 
-    This is the single call an application (or the memo server) makes to
+    This is the single call an application makes to
     move "arbitrary data structures, even self-referential structures ...
     with ease".  Raises :class:`EncodingError` on an unsupported type.
 

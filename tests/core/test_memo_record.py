@@ -1,50 +1,51 @@
 """Unit tests for MemoRecord: payload encoding, copies, identity."""
 
+import dataclasses
+
 import pytest
 
 from repro.core.keys import FolderName, Key, Symbol
 from repro.core.memo import MemoRecord
+from repro.errors import EncodingError
 from repro.servers.folder_server import FolderServer
 from repro.transferable.registry import TransferableRegistry
 from repro.transferable.scalars import Int16
+from repro.transferable.wire import decode, encode
 
 
 class TestFromValue:
+    """A record holds a value's transferable bytes: clients encode and
+    decode, the record and its stores never do."""
+
     def test_roundtrip(self):
-        rec = MemoRecord.from_value({"k": [1, 2]}, origin="p1")
-        assert rec.value() == {"k": [1, 2]}
+        rec = MemoRecord(encode({"k": [1, 2]}), origin="p1")
+        assert decode(rec.payload) == {"k": [1, 2]}
         assert rec.origin == "p1"
 
     def test_each_decode_is_a_fresh_copy(self):
-        rec = MemoRecord.from_value([1, 2, 3])
-        a, b = rec.value(), rec.value()
+        rec = MemoRecord(encode([1, 2, 3]))
+        a, b = decode(rec.payload), decode(rec.payload)
         assert a == b and a is not b
 
     def test_value_mutation_does_not_affect_record(self):
-        rec = MemoRecord.from_value({"n": 1})
-        out = rec.value()
+        rec = MemoRecord(encode({"n": 1}))
+        out = decode(rec.payload)
         out["n"] = 999
-        assert rec.value() == {"n": 1}
+        assert decode(rec.payload) == {"n": 1}
 
     def test_size_bytes(self):
-        small = MemoRecord.from_value(1)
-        big = MemoRecord.from_value(list(range(1000)))
+        small = MemoRecord(encode(1))
+        big = MemoRecord(encode(list(range(1000))))
         assert big.size_bytes() > small.size_bytes() > 0
         assert small.size_bytes() == len(small.payload)
 
     def test_strict_domains_passthrough(self):
-        import pytest
-
-        from repro.errors import EncodingError
-
         with pytest.raises(EncodingError):
-            MemoRecord.from_value(7, strict_domains=True)
-        rec = MemoRecord.from_value(Int16(7), strict_domains=True)
-        assert rec.value() == Int16(7)
+            MemoRecord(encode(7, strict_domains=True))
+        rec = MemoRecord(encode(Int16(7), strict_domains=True))
+        assert decode(rec.payload) == Int16(7)
 
     def test_custom_registry(self):
-        import dataclasses
-
         registry = TransferableRegistry()
 
         @dataclasses.dataclass
@@ -52,13 +53,11 @@ class TestFromValue:
             v: int
 
         registry.register_struct(Box)
-        rec = MemoRecord.from_value(Box(3), registry=registry)
-        assert rec.value(registry=registry).v == 3
+        rec = MemoRecord(encode(Box(3), registry=registry))
+        assert decode(rec.payload, registry=registry).v == 3
 
     def test_record_is_frozen(self):
-        import pytest
-
-        rec = MemoRecord.from_value(1)
+        rec = MemoRecord(encode(1))
         with pytest.raises(Exception):
             rec.payload = b"tampered"
 

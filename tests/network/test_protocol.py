@@ -6,6 +6,7 @@ import pytest
 
 from repro.core.keys import FolderName, Key, Symbol
 from repro.errors import ProtocolError
+from repro.network.codec import decode_message, encode_message
 from repro.network.connection import Address
 from repro.network.protocol import (
     ForwardEnvelope,
@@ -22,7 +23,7 @@ from repro.network.protocol import (
     send_message,
 )
 from repro.network.transport import InMemoryTransport, NetworkFabric
-from repro.transferable.wire import decode, encode
+from repro.transferable.wire import encode
 
 
 def folder(name="f", app="app"):
@@ -51,7 +52,7 @@ class TestMessageEncoding:
         ],
     )
     def test_roundtrip(self, msg):
-        assert decode(encode(msg)) == msg
+        assert decode_message(encode_message(msg)) == msg
 
     def test_get_mode_validated(self):
         with pytest.raises(ProtocolError):
@@ -62,8 +63,8 @@ class TestMessageEncoding:
             GetAltSkipRequest(folders=())
 
     def test_reply_stats_dict(self):
-        msg = Reply(ok=True, stats={"memo.requests": 5})
-        assert decode(encode(msg)).stats == {"memo.requests": 5}
+        msg = Reply(ok=True, stats={"memo.requests": 5, "age_s": -1.0})
+        assert decode_message(encode_message(msg)).stats == {"memo.requests": 5, "age_s": -1.0}
 
 
 class TestOverConnection:

@@ -76,10 +76,13 @@ floats = st.floats(allow_nan=False)
 str_tuples = st.lists(origins, max_size=3).map(tuple)
 frame_tuples = st.lists(payloads, min_size=1, max_size=3).map(tuple)
 float_dicts = st.dictionaries(origins, floats, max_size=3)
-# ``tlv`` fields: open-ended dicts of TLV-encodable scalars.
-int_dicts = st.dictionaries(origins, st.integers(-U64, U64), max_size=3)
-stats_dicts = st.dictionaries(
-    origins, st.integers(-U64, U64) | floats | st.text(max_size=4) | st.booleans(),
+# ``num_map`` fields: counters, ints in [-2**64, 2**64) and floats — all
+# that telemetry and the resync state emit.
+num_maps = st.dictionaries(
+    origins,
+    st.integers(-(1 << 64), U64)
+    | st.sampled_from([0, 127, 128, -1, -128, -129, -(1 << 64), U64])
+    | floats,
     max_size=3,
 )
 
@@ -109,7 +112,7 @@ STRATEGIES = {
     ),
     Heartbeat: st.builds(Heartbeat, origins, origins),
     DeltaSyncPull: st.builds(
-        DeltaSyncPull, origins, origins, int_dicts, int_dicts, int_dicts, origins
+        DeltaSyncPull, origins, origins, num_maps, num_maps, num_maps, origins
     ),
     StatsRequest: st.builds(StatsRequest, origins),
     ShutdownRequest: st.builds(ShutdownRequest, origins),
@@ -132,7 +135,7 @@ STRATEGIES = {
     ),
     Reply: st.builds(
         Reply, st.booleans(), st.booleans(), payloads, st.none() | folders, origins,
-        stats_dicts,
+        num_maps,
     ),
     WalPut: st.builds(WalPut, folders, payloads, origins, origins, uints),
     WalConsume: st.builds(WalConsume, folders, uints, st.booleans()),

@@ -25,6 +25,7 @@ from hypothesis import strategies as st
 from repro.core.keys import FolderName, Key, Symbol
 from repro.core.memo import MemoRecord
 from repro.servers.folder_server import FolderServer
+from repro.transferable.wire import decode, encode
 
 FOLDER_IDS = list(range(4))
 
@@ -85,7 +86,7 @@ class FolderServerMachine(RuleBasedStateMachine):
 
     @rule(folder=st.sampled_from(FOLDER_IDS), value=st.integers(0, 99))
     def put(self, folder: int, value: int) -> None:
-        self.fs.put(fname(folder), MemoRecord.from_value(value))
+        self.fs.put(fname(folder), MemoRecord(encode(value)))
         self._model_arrival(folder, value)
         assert self.delivered == self.expected
 
@@ -96,16 +97,16 @@ class FolderServerMachine(RuleBasedStateMachine):
             fname(folder),
             mode,
             lambda rec, err: self.delivered.__setitem__(
-                wid, err if rec is None else rec.value()
+                wid, err if rec is None else decode(rec.payload)
             ),
         )
         if sum(self.model[folder].values()) == 0:
             assert record is None
             self.waiters[folder].append((wid, mode, handle))
         else:
-            assert handle is None and self.model[folder][record.value()] > 0
+            assert handle is None and self.model[folder][decode(record.payload)] > 0
             if mode == "get":
-                self.model[folder][record.value()] -= 1
+                self.model[folder][decode(record.payload)] -= 1
 
     @rule(folder=st.sampled_from(FOLDER_IDS), pick=st.integers(0, 7))
     def cancel(self, folder: int, pick: int) -> None:
@@ -124,7 +125,7 @@ class FolderServerMachine(RuleBasedStateMachine):
     )
     def put_delayed(self, folder: int, dest: int, value: int) -> None:
         self.fs.put_delayed(
-            fname(folder), fname(dest), MemoRecord.from_value(value)
+            fname(folder), fname(dest), MemoRecord(encode(value))
         )
         self.delayed[folder].append((value, dest))
         assert self.delivered == self.expected  # parking is not an arrival
@@ -138,7 +139,7 @@ class FolderServerMachine(RuleBasedStateMachine):
                 f"{dict(self.model[folder])}"
             )
         else:
-            value = record.value()
+            value = decode(record.payload)
             assert self.model[folder][value] > 0, (
                 f"server produced {value!r} not in model {dict(self.model[folder])}"
             )
@@ -150,7 +151,7 @@ class FolderServerMachine(RuleBasedStateMachine):
         if sum(self.model[folder].values()) == 0:
             return
         record = self.fs.get_copy(fname(folder), timeout=5)
-        assert self.model[folder][record.value()] > 0
+        assert self.model[folder][decode(record.payload)] > 0
 
     @rule(a=st.sampled_from(FOLDER_IDS), b=st.sampled_from(FOLDER_IDS))
     def get_alt_skip(self, a: int, b: int) -> None:
@@ -162,7 +163,7 @@ class FolderServerMachine(RuleBasedStateMachine):
             name, record = hit
             folder = name.key.index[0]
             assert folder in (a, b)
-            value = record.value()
+            value = decode(record.payload)
             assert self.model[folder][value] > 0
             self.model[folder][value] -= 1
 

@@ -7,6 +7,7 @@ from repro.core.memo import MemoRecord
 from repro.network.routing import RoutingTable
 from repro.servers.folder_server import FolderServer
 from repro.servers.hashing import FolderPlacement, weighted_rendezvous
+from repro.transferable.wire import decode, encode
 
 # -- strategies -------------------------------------------------------------------
 
@@ -111,8 +112,8 @@ def test_folder_is_a_multiset(values):
     fs = FolderServer("0")
     name = FolderName("app", Key(Symbol("q")))
     for v in values:
-        fs.put(name, MemoRecord.from_value(v))
-    out = [fs.get(name).value() for _ in values]
+        fs.put(name, MemoRecord(encode(v)))
+    out = [decode(fs.get(name).payload) for _ in values]
     assert sorted(out) == sorted(values)
     fs.shutdown()
 
@@ -123,7 +124,7 @@ def test_get_copy_never_consumes(values, copies):
     fs = FolderServer("0")
     name = FolderName("app", Key(Symbol("q")))
     for v in values:
-        fs.put(name, MemoRecord.from_value(v))
+        fs.put(name, MemoRecord(encode(v)))
     for _ in range(copies):
         fs.get_copy(name)
     assert fs.memo_count() == len(values)
@@ -137,7 +138,7 @@ def test_folders_never_leak_between_keys(ops):
     fs = FolderServer("0")
     deposited: dict[int, list[int]] = {i: [] for i in range(4)}
     for slot, v in ops:
-        fs.put(FolderName("app", Key(Symbol("s"), (slot,))), MemoRecord.from_value(v))
+        fs.put(FolderName("app", Key(Symbol("s"), (slot,))), MemoRecord(encode(v)))
         deposited[slot].append(v)
     for slot, expect in deposited.items():
         name = FolderName("app", Key(Symbol("s"), (slot,)))
@@ -146,6 +147,6 @@ def test_folders_never_leak_between_keys(ops):
             rec = fs.get_skip(name)
             if rec is None:
                 break
-            got.append(rec.value())
+            got.append(decode(rec.payload))
         assert sorted(got) == sorted(expect)
     fs.shutdown()

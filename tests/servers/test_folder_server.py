@@ -9,6 +9,7 @@ from repro.core.keys import FolderName, Key, Symbol
 from repro.core.memo import MemoRecord
 from repro.errors import FolderMigratedError, ShutdownError
 from repro.servers.folder_server import FolderServer
+from repro.transferable.wire import decode, encode
 
 
 def fname(name="f", *index, app="app"):
@@ -16,7 +17,7 @@ def fname(name="f", *index, app="app"):
 
 
 def record(value):
-    return MemoRecord.from_value(value)
+    return MemoRecord(encode(value))
 
 
 @pytest.fixture
@@ -29,7 +30,7 @@ def fs():
 class TestPutGet:
     def test_put_then_get(self, fs):
         fs.put(fname(), record(42))
-        assert fs.get(fname()).value() == 42
+        assert decode(fs.get(fname()).payload) == 42
 
     def test_folder_created_on_demand(self, fs):
         assert fs.folder_count() == 0
@@ -41,7 +42,7 @@ class TestPutGet:
         out = []
 
         def getter():
-            out.append(fs.get(fname()).value())
+            out.append(decode(fs.get(fname()).payload))
 
         t = threading.Thread(target=getter)
         t.start()
@@ -59,7 +60,7 @@ class TestPutGet:
     def test_multiple_getters_each_get_one(self, fs):
         results = []
         threads = [
-            threading.Thread(target=lambda: results.append(fs.get(fname()).value()))
+            threading.Thread(target=lambda: results.append(decode(fs.get(fname()).payload)))
             for _ in range(3)
         ]
         for t in threads:
@@ -73,25 +74,25 @@ class TestPutGet:
     def test_distinct_folders_are_independent(self, fs):
         fs.put(fname("x"), record(1))
         fs.put(fname("y"), record(2))
-        assert fs.get(fname("y")).value() == 2
-        assert fs.get(fname("x")).value() == 1
+        assert decode(fs.get(fname("y")).payload) == 2
+        assert decode(fs.get(fname("x")).payload) == 1
 
     def test_key_index_distinguishes_folders(self, fs):
         fs.put(fname("a", 0), record("zero"))
         fs.put(fname("a", 1), record("one"))
-        assert fs.get(fname("a", 1)).value() == "one"
+        assert decode(fs.get(fname("a", 1)).payload) == "one"
 
     def test_app_namespace_distinguishes_folders(self, fs):
         fs.put(fname(app="app1"), record("one"))
         fs.put(fname(app="app2"), record("two"))
-        assert fs.get(fname(app="app2")).value() == "two"
+        assert decode(fs.get(fname(app="app2")).payload) == "two"
 
     def test_unordered_extraction(self):
         """With many memos, extraction order is not insertion order."""
         fs = FolderServer("0", seed=7)
         for i in range(30):
             fs.put(fname(), record(i))
-        out = [fs.get(fname()).value() for i in range(30)]
+        out = [decode(fs.get(fname()).payload) for i in range(30)]
         assert sorted(out) == list(range(30))
         assert out != list(range(30))
         fs.shutdown()
@@ -100,20 +101,20 @@ class TestPutGet:
 class TestGetCopySkip:
     def test_get_copy_does_not_consume(self, fs):
         fs.put(fname(), record({"v": 1}))
-        assert fs.get_copy(fname()).value() == {"v": 1}
-        assert fs.get_copy(fname()).value() == {"v": 1}
-        assert fs.get(fname()).value() == {"v": 1}
+        assert decode(fs.get_copy(fname()).payload) == {"v": 1}
+        assert decode(fs.get_copy(fname()).payload) == {"v": 1}
+        assert decode(fs.get(fname()).payload) == {"v": 1}
 
     def test_copies_are_independent_objects(self, fs):
         fs.put(fname(), record([1, 2]))
-        a = fs.get_copy(fname()).value()
-        b = fs.get_copy(fname()).value()
+        a = decode(fs.get_copy(fname()).payload)
+        b = decode(fs.get_copy(fname()).payload)
         assert a == b and a is not b
 
     def test_get_skip_hit(self, fs):
         fs.put(fname(), record(9))
         got = fs.get_skip(fname())
-        assert got is not None and got.value() == 9
+        assert got is not None and decode(got.payload) == 9
 
     def test_get_skip_miss_immediate(self, fs):
         start = time.monotonic()
@@ -128,7 +129,7 @@ class TestGetAlt:
         hit = fs.get_alt_skip((fname("a"), fname("b"), fname("c")))
         assert hit is not None
         name, rec = hit
-        assert name == fname("b") and rec.value() == "bee"
+        assert name == fname("b") and decode(rec.payload) == "bee"
 
     def test_order_bias_respected(self, fs):
         fs.put(fname("a"), record("ay"))
@@ -147,9 +148,9 @@ class TestPutDelayed:
         assert fs.get_skip(fname("trigger")) is None or True  # trigger empty
         assert fs.get_skip(fname("dest")) is None
         fs.put(fname("trigger"), record("arrival"))
-        assert fs.get(fname("dest")).value() == "delayed"
+        assert decode(fs.get(fname("dest")).payload) == "delayed"
         # The arriving memo itself is still in the trigger folder.
-        assert fs.get(fname("trigger")).value() == "arrival"
+        assert decode(fs.get(fname("trigger")).payload) == "arrival"
 
     def test_delayed_memo_not_extractable_before_release(self, fs):
         fs.put_delayed(fname("t"), fname("d"), record("hidden"))
@@ -163,13 +164,13 @@ class TestPutDelayed:
             fs.put_delayed(fname("t"), fname("d", i), record(i))
         fs.put(fname("t"), record("go"))
         for i in range(3):
-            assert fs.get(fname("d", i)).value() == i
+            assert decode(fs.get(fname("d", i)).payload) == i
 
     def test_release_to_same_folder(self, fs):
         """put_delayed(k, k, v): v becomes visible in k after an arrival."""
         fs.put_delayed(fname("k"), fname("k"), record("self"))
         fs.put(fname("k"), record("trigger"))
-        got = {fs.get(fname("k")).value() for _ in range(2)}
+        got = {decode(fs.get(fname("k")).payload) for _ in range(2)}
         assert got == {"self", "trigger"}
 
     def test_releases_cascade(self, fs):
@@ -180,8 +181,8 @@ class TestPutDelayed:
         fs.put(fname("a"), record("go"))
         # arrival in a released "first" into b; that arrival in b released
         # "second" into c.
-        assert fs.get(fname("b")).value() == "first"
-        assert fs.get(fname("c")).value() == "second"
+        assert decode(fs.get(fname("b")).payload) == "first"
+        assert decode(fs.get(fname("c")).payload) == "second"
 
     def test_emit_put_used_for_foreign_folders(self):
         emitted = []
@@ -227,7 +228,7 @@ def blocked_get(fs, name, outcomes):
 
     def getter():
         try:
-            outcomes.append(fs.get(name).value())
+            outcomes.append(decode(fs.get(name).payload))
         except Exception as exc:  # noqa: BLE001 - the test inspects it
             outcomes.append(exc)
 
@@ -247,7 +248,7 @@ class TestOneWaiterList:
         blocked, parked = [], []
         thread = blocked_get(fs, fname(), blocked)
         hit, waiter = fs.get_async(
-            fname(), "get", lambda rec, err: parked.append(rec.value())
+            fname(), "get", lambda rec, err: parked.append(decode(rec.payload))
         )
         assert hit is None and waiter is not None
         fs.put(fname(), record("first"))
@@ -273,7 +274,7 @@ class TestOneWaiterList:
             return cancel(name, waiter)
 
         monkeypatch.setattr(fs, "cancel_waiter", put_then_cancel)
-        assert fs.get(fname(), timeout=0.02).value() == "raced"
+        assert decode(fs.get(fname(), timeout=0.02).payload) == "raced"
         assert fs.folder_count() == 0 and fs.memo_count() == 0
         assert fs.stats["gets"] == 1 and fs.stats["async_cancelled"] == 0
 

@@ -213,6 +213,41 @@ class TestRetiredMessages:
                 assert cluster.memo_api("solo", "test").get(key(1)) == "after"
 
 
+    def test_tlv_control_frame_closes_its_connection(self, one_host_cluster):
+        """A server decodes compact frames only.  A protocol message spelt
+        as a TLV struct ends the session that sent it, unserved, whether
+        it comes as a frame, as a ForwardEnvelope's inner request or as a
+        PipelineBatch member — and the server keeps serving."""
+        from repro import NIL
+        from repro.errors import ConnectionClosedError
+        from repro.transferable.registry import TransferableRegistry
+        from repro.transferable.wire import encode as tlv_encode
+
+        structs = TransferableRegistry()  # under the names seed-era peers used
+        for cls in (Symbol, Key, FolderName):
+            structs.register_struct(cls, name=f"dmemo.{cls.__name__}")
+        structs.register_struct(p.PutRequest, name="dmemo.proto.PutRequest")
+        tlv_put = tlv_encode(
+            p.PutRequest(FolderName("test", key(3)), b"x", "t"), registry=structs
+        )
+        frames = (
+            tlv_put,
+            p.encode_message(p.ForwardEnvelope("test", "solo", tlv_put), 9),
+            p.encode_message(p.PipelineBatch((tlv_put,))),
+        )
+        backend = one_host_cluster.backend
+        bystander = one_host_cluster.memo_api("solo", "test")
+        bystander.put(key(), "before", wait=True)
+        for frame in frames:
+            conn = backend.transport_for("solo").connect(backend.address_of("solo"))
+            conn.send(frame)
+            with pytest.raises(ConnectionClosedError):
+                conn.recv(timeout=5.0)
+            conn.close()
+        assert bystander.get_skip(key(3)) is NIL  # no spelling was served
+        assert bystander.get(key()) == "before"
+
+
 #: Replies and pushes: what a server sends, never serves.
 NON_REQUESTS = {p.Reply, p.Acks, p.MemoReady, p.WaitCancelled}
 #: The codec's own registry, narrowed to the protocol's messages (it also
