@@ -27,14 +27,14 @@ and the body.  The id names the request a reply answers, which is what
 lets a connection carry many requests at once and return their replies
 out of order (per-connection pipelining).  Every request on the wire is
 a version-2 frame; a memo server closes a connection that sends it an
-id-less request.  Version 1 never frames a request on the wire.  It
-frames a ``ForwardEnvelope``'s ``inner`` request (the envelope carries
-the id), WAL records, the carriers whose member frames carry the ids
-(``PipelineBatch``, ``BurstEnvelope``), the ``Acks`` reply, whose body
-lists the many ids it answers, and the unsolicited
-*push* frames (``MemoReady``/``WaitCancelled``, the parked-waiter
-completions).  A push answers no request, so it carries no correlation
-id; its routing key, the waiter token, lives in the message body.
+id-less request.  Version 1 never frames a request on the wire, inside
+a carrier or not.  It frames WAL records, the two carriers whose member
+frames carry the ids (a client's ``PipelineBatch``, a server's
+``Envelope``), the ``Acks`` reply, whose body lists the many ids it
+answers, and the unsolicited *push* frames (``MemoReady``/
+``WaitCancelled``, the parked-waiter completions).  A push answers no
+request, so it carries no correlation id; its routing key, the waiter
+token, lives in the message body.
 
 Body primitives::
 
@@ -58,8 +58,9 @@ generates the source of one encoder and one decoder from the message's
 ``__init__``, so a frame costs one call with no per-field dispatch.  One
 kind table (:data:`_KINDS`) gives every kind its encode and its decode
 statement, so both directions read the same table: the scalar kinds
-inline their one-byte cases, the rare ones (maps, pairs, tuples) call
-``(out, value)`` writers and ``(data, pos) -> (value, pos)`` readers.
+inline their one-byte cases, as does the carriers' ``bytes_tuple`` its
+loop; the rare ones (maps, pairs, other tuples) call ``(out, value)``
+writers and ``(data, pos) -> (value, pos)`` readers.
 The folder field is cached on both sides — decoded once per distinct
 wire spelling, encoded once per distinct :class:`FolderName`.
 """
@@ -86,7 +87,6 @@ __all__ = [
     "decode_tagged",
     "split_correlated",
     "recorrelate",
-    "tag_of",
     "folder_intern_stats",
 ]
 
@@ -474,8 +474,6 @@ _w_folder_tuple = _w_many(_w_folder)
 _r_folder_tuple = _r_many(_r_folder)
 _w_str_tuple = _w_many(_w_str)
 _r_str_tuple = _r_many(_r_str)
-_w_bytes_tuple = _w_many(_w_bytes)
-_r_bytes_tuple = _r_many(_r_bytes)
 _w_server_pairs = _w_many(_w_pair(_w_str, _w_str))
 _r_server_pairs = _r_many(_r_pair(_r_str, _r_str))
 _w_float_dict = _w_many(_w_pair(_w_str, _w_f64), dict.items)
@@ -498,12 +496,12 @@ if 0 <= v < 0x80:
     out.append(v)
 else:
     _w_uint(out, v)"""
-_ENC_BYTES = """\
+_ENC_COUNT = """\
 if len(v) < 0x80:
     out.append(len(v))
 else:
-    _w_uv(out, len(v))
-out += v"""
+    _w_uv(out, len(v))"""
+_ENC_BYTES = _ENC_COUNT + "\nout += v"
 _DEC_UV = """\
 {v} = data[pos]
 pos += 1
@@ -514,6 +512,20 @@ end = pos + k
 if end > n:
     raise _truncated(k, pos)
 """
+#: Every frame a carrier holds (a client's batch, every request between
+#: servers) is a ``bytes_tuple`` item, so its loop is pasted in too.
+_ENC_BYTES_TUPLE = _ENC_COUNT + "\nitems = v\nfor v in items:\n" + "".join(
+    f"    {line}\n" for line in _ENC_BYTES.splitlines()
+)
+_DEC_BYTES_TUPLE = (
+    _DEC_UV.format(v="c")
+    + "\nitems = []\nfor _ in range(c):\n"
+    + "".join(
+        f"    {line}\n"
+        for line in (_DEC_SPAN + "items.append(data[pos:end])\npos = end").splitlines()
+    )
+    + "{v} = tuple(items)"
+)
 
 #: kind -> (encode statement, decode statement): one table, both directions.
 _KINDS: dict[str, tuple[str, str]] = {
@@ -534,10 +546,11 @@ _KINDS: dict[str, tuple[str, str]] = {
         "out.append(1 if v else 0)",
         "{v} = data[pos]\npos += 1\nif {v} > 1:\n    raise _bad_bool({v})\n{v} = {v} == 1",
     ),
+    "bytes_tuple": (_ENC_BYTES_TUPLE, _DEC_BYTES_TUPLE),
 }
 for _kind in (
-    "folder", "opt_folder", "folder_tuple", "str_tuple", "bytes_tuple",
-    "server_pairs", "float_dict", "link_dict", "num_map", "uint_deltas",
+    "folder", "opt_folder", "folder_tuple", "str_tuple", "server_pairs",
+    "float_dict", "link_dict", "num_map", "uint_deltas",
 ):
     _KINDS[_kind] = (f"_w_{_kind}(out, v)", f"{{v}}, pos = _r_{_kind}(data, pos)")
 del _kind
@@ -634,11 +647,6 @@ def register_compact(
 # ---------------------------------------------------------------------------
 # Encode / decode
 # ---------------------------------------------------------------------------
-
-
-def tag_of(cls: type) -> int:
-    """The compact tag of *cls*: byte 3 of every frame that carries one."""
-    return _SPECS_BY_TYPE[cls].plain[3]
 
 
 def encode_message(msg: object, corr_id: int | None = None) -> bytes:

@@ -9,9 +9,9 @@ Message flow (Figures 1 and 2 of the paper):
 
 * application process → local memo server: any of the ``*Request`` types;
 * memo server → folder server (same host): the same request, unwrapped;
-* memo server → next-hop memo server (inter-machine): the request wrapped
-  in a :class:`ForwardEnvelope` carrying the final destination host and the
-  accumulated hop trail (for metrics);
+* memo server → next-hop memo server (inter-machine): the request, one
+  correlated frame of an :class:`Envelope` carrying the final destination
+  host and the accumulated hop trail (for metrics);
 * the reply retraces the connection path.
 """
 
@@ -45,8 +45,7 @@ __all__ = [
     "StatsRequest",
     "ShutdownRequest",
     "ResyncRequest",
-    "ForwardEnvelope",
-    "BurstEnvelope",
+    "Envelope",
     "PipelineBatch",
     "Acks",
     "PUT_ACK",
@@ -275,11 +274,10 @@ class ReplicatePut:
     acting primary during fail-over) to every other live member of the
     folder's replica chain, and by :class:`DeltaSyncPull` handlers
     re-seeding a rejoined backup.  It is a put-lane request, so a run of
-    copies — a lane round's, or a re-seed — rides one
-    :class:`BurstEnvelope` and applies in order; a lone copy travels in a
-    :class:`ForwardEnvelope` of its own.  A copy whose origin coordinates the
-    backup already holds is acknowledged and dropped; otherwise re-sends
-    may duplicate a memo, never lose one.
+    copies — a lane round's, or a re-seed — rides one :class:`Envelope`
+    and applies in order; a lone copy rides one of its own.  A copy whose
+    origin coordinates the backup already holds is acknowledged and
+    dropped; otherwise re-sends may duplicate a memo, never lose one.
 
     Attributes:
         app: application whose placement names the chain.
@@ -333,10 +331,10 @@ class DeltaSyncPull:
     puts, as for :class:`MigrateRequest`), and (2) re-sends
     :class:`ReplicatePut` copies of its own primary folders that list
     the requester as a backup.  Both phases travel to the requester as
-    :class:`BurstEnvelope` runs of at most 512 frames over a direct link
-    — one exchange per burst, not per record — and whatever a burst does
+    :class:`Envelope` runs of at most 512 frames over a direct link —
+    one exchange per burst, not per record — and whatever a burst does
     not settle takes the per-record path (ordinary routing for returns,
-    one enveloped copy each for re-seeds), as everything does on a
+    an envelope of one copy each for re-seeds), as everything does on a
     multi-hop topology.  Both phases are filtered by what the
     requester says it already holds, in origin coordinates, so a
     WAL-recovered host moves only the outage delta while a host that
@@ -407,50 +405,28 @@ class ResyncRequest:
 
 
 @dataclass(frozen=True)
-class ForwardEnvelope:
-    """A request in transit between memo servers (Figure 2).
+class Envelope:
+    """Requests in transit between memo servers (Figure 2): the one way a
+    request crosses to another server.
 
-    Sent with a correlation id like every request; the receiver serves
-    *inner* where the inner request's handler row says, or passes the
-    envelope on toward *target_host*.
+    A forward, a relayed hop, a replica copy, a relayed wait and a burst
+    all ride one: the application, target and trail once, and the member
+    requests as correlated frames under the sending link's ids.  Like a
+    :class:`PipelineBatch` it is sent id-less.  The receiver serves each
+    member where its handler row says — its lane members in one round, in
+    order, answered together (accepted puts as one :class:`Acks` frame) —
+    or passes each on toward *target_host* in an envelope of its own.  A
+    client's pipelined puts forwarded to their owner keep their bodies
+    exactly as the client sent them, never re-encoded.
+
+    A relay hop could reorder the members it passes on, so an envelope of
+    more than one travels only over a direct link to *target_host*.
 
     Attributes:
         app: application whose routing table governs the forwarding.
         target_host: host owning the destination folder server.
-        inner: the encoded original request.
+        frames: the member requests, each a correlated compact frame.
         trail: hosts traversed so far (metrics; also a loop guard).
-    """
-
-    app: str
-    target_host: str
-    inner: bytes
-    trail: tuple[str, ...] = field(default=())
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "trail", tuple(self.trail))
-
-
-@dataclass(frozen=True)
-class BurstEnvelope:
-    """A run of lane requests sent to one host as one message.
-
-    A :class:`ForwardEnvelope` wraps one request and repeats the
-    application, target, and trail strings on every hop — fine for a
-    single forward, pure overhead for a run whose envelopes are
-    identical.  A burst envelope carries those fields *once* and the
-    member requests as correlated frames, which the receiver queues on
-    one put lane and applies in order.  Members are requests whose
-    handler runs on the lane: a client's pipelined puts forwarded to
-    their owner (their bodies exactly as the client sent them, never
-    re-encoded, under the sending link's ids; the owner answers the
-    members it accepted with one :class:`Acks` frame), the puts and
-    :class:`ReplicatePut` copies an anti-entropy pull sends a rejoining
-    host, and the replica copies a lane round sends each backup.
-
-    Only emitted over a direct link to *target_host* — a relay hop would
-    pass each member on in an envelope of its own and could reorder them,
-    so multi-hop traffic travels one envelope per request.  Like a
-    :class:`PipelineBatch` it is sent id-less: its members carry the ids.
     """
 
     app: str
@@ -462,7 +438,7 @@ class BurstEnvelope:
         object.__setattr__(self, "frames", tuple(self.frames))
         object.__setattr__(self, "trail", tuple(self.trail))
         if not self.frames:
-            raise ProtocolError("BurstEnvelope requires at least one frame")
+            raise ProtocolError("Envelope requires at least one frame")
 
 
 @dataclass(frozen=True)
@@ -556,10 +532,9 @@ _MESSAGE_TYPES = (
     StatsRequest,
     ShutdownRequest,
     ResyncRequest,
-    ForwardEnvelope,
     Reply,
     PipelineBatch,
-    BurstEnvelope,
+    Envelope,
     GetWaitRequest,
     MemoReady,
     WaitCancelled,
@@ -627,14 +602,11 @@ register_compact(
     27,
     (("apps", "str_tuple"), ("origin", "str")),
 )
-register_compact(
-    ForwardEnvelope,
-    12,
-    (("app", "str"), ("target_host", "str"), ("inner", "bytes"), ("trail", "str_tuple")),
-)
+# Tag 12 carried the envelope of one request, its ``inner`` a plain frame
+# under the envelope's id; retired, never reuse it.
 register_compact(PipelineBatch, 14, (("frames", "bytes_tuple"),))
 register_compact(
-    BurstEnvelope,
+    Envelope,
     15,
     (
         ("app", "str"),
@@ -743,7 +715,7 @@ def decode_protocol_frame(data: bytes | memoryview) -> tuple[object, int | None]
     """Decode one frame into ``(protocol message, correlation id)``.
 
     The protocol-level validation shared by every receiver: a session
-    reading requests (and a :class:`PipelineBatch`'s inner frames), and
+    reading requests (and a carrier's member frames), and
     :func:`decode_reply`.
 
     Raises:

@@ -230,8 +230,10 @@ class TCPListener(Listener):
     def accept(self, timeout: float | None = None) -> Connection:
         if self._closed:
             raise ConnectionClosedError("listener closed")
-        self._sock.settimeout(timeout)
         try:
+            # Inside the try: a close() racing past the check above leaves
+            # a closed socket, which refuses settimeout as it refuses accept.
+            self._sock.settimeout(timeout)
             sock, _peer = self._sock.accept()
         except socket.timeout:
             raise TimeoutError("accept timed out") from None

@@ -2,8 +2,10 @@
 
 A memo server reaches the *next hop* toward a peer (paper sections 4.1
 and 5) over one long-lived connection, a :class:`PeerLink`.  Forwards,
-replica copies, bursts, heartbeats, anti-entropy pulls, relayed waits and
-their cancels are correlated requests on it, and they run on the
+relayed hops, replica copies, bursts and relayed waits are the members of
+an :class:`~repro.network.protocol.Envelope` (:meth:`PeerLink.forward`,
+:meth:`PeerLink.relay`); heartbeats, anti-entropy pulls and wait cancels
+are correlated requests of their own.  All of them run on the
 correlated-call engine the client runs too
 (:class:`~repro.network.calls.Calls`): each is a slot, and whoever reads
 the link hands each reply to its slot.  A call waits on its slot; a
@@ -28,15 +30,15 @@ from repro.core.keys import FolderName
 from repro.core.memo import MemoRecord
 from repro.errors import CommunicationError, ConnectionClosedError, ServerError
 from repro.network.calls import Calls, Role, Slot
-from repro.network.codec import encode_message, recorrelate, tag_of
+from repro.network.codec import encode_message, recorrelate
 from repro.network.connection import Connection
 from repro.network.protocol import (
-    BurstEnvelope,
     CancelWaitRequest,
     DeltaSyncPull,
-    ForwardEnvelope,
+    Envelope,
     GetAltSkipRequest,
     GetRequest,
+    GetWaitRequest,
     Heartbeat,
     send_message,
 )
@@ -54,20 +56,33 @@ __all__ = ["DEADLINES", "ParkedWaiter", "PeerLink"]
 #: request it sent: the one table of peer deadlines (a missed one counts
 #: as a failed probe).  A consuming read (:func:`_consuming`) has none.
 DEADLINES: dict[type, float] = {
-    ForwardEnvelope: 30.0,
-    BurstEnvelope: 30.0,
+    Envelope: 30.0,
     DeltaSyncPull: 10.0,
     Heartbeat: 1.0,
 }
 
-_CONSUMING_TAGS = frozenset(map(tag_of, (GetRequest, GetAltSkipRequest)))
+_CONSUMING = (GetRequest, GetAltSkipRequest)
 
 
-def _consuming(request: object) -> bool:
-    """Whether *request* carries a ``get_skip`` or ``get_alt``: a call
-    never abandoned while its link lives, as a peer that froze serves it
-    when it thaws, and the memo it takes must find its caller."""
-    return type(request) is ForwardEnvelope and request.inner[3] in _CONSUMING_TAGS
+def _consuming(slot: Slot) -> bool:
+    """Whether *slot*'s call carries a ``get_skip`` or ``get_alt`` member
+    (its ``tag`` holds an enveloped call's entries): a call never
+    abandoned while its link lives, as a peer that froze serves it when it
+    thaws, and the memo it takes must find its caller."""
+    for msg, _raw in slot.tag or ():
+        if type(msg) in _CONSUMING:
+            return True
+    return False
+
+
+def _envelope(app: str, target: str, entries: list, trail: tuple, first: int):
+    """*entries* as the members of one :class:`Envelope`, under the ids
+    from *first*."""
+    frames = [
+        encode_message(msg, corr_id=cid) if raw is None else recorrelate(raw, cid)
+        for cid, (msg, raw) in enumerate(entries, first)
+    ]
+    return Envelope(app=app, target_host=target, frames=tuple(frames), trail=trail)
 
 
 class ParkedWaiter:
@@ -117,7 +132,7 @@ class ParkedWaiter:
 class PeerLink(Reader, Role):
     """A memo server's long-lived correlated connection to one next hop.
 
-    Ids — of calls, burst members, relayed waits (their tokens) and
+    Ids — of calls, envelope members, relayed waits (their tokens) and
     cancels — come from its engine's one counter.  At most one thread
     reads the link at a time: a leader, or the standing reader
     (:meth:`serve`), which a leader done while anything is still
@@ -153,26 +168,21 @@ class PeerLink(Reader, Role):
     # or TimeoutError (no reply within the request's deadline).
 
     def call(self, message: object) -> tuple:
-        """Send the request *message* and wait for its reply."""
-        slot = self.calls.open(tag=message)
-        return self._exchange(slot, slot.first)
+        """Send the request *message* (a heartbeat or a pull) and wait for
+        its reply."""
+        slot = self.calls.open()
+        return self._exchange(slot, message, slot.first)
 
-    def burst(self, app: str, target: str, entries: list, trail: tuple) -> tuple:
-        """Send lane requests as one :class:`BurstEnvelope` and wait for
+    def forward(self, app: str, target: str, entries: list, trail: tuple) -> tuple:
+        """Send requests to *target* as one :class:`Envelope` and wait for
         their replies.  *entries* are ``(message, raw_frame_or_None)``
         pairs; a raw correlated frame travels with its body untouched,
         under a link id."""
-        first = self.calls.reserve(len(entries))
-        frames = tuple(
-            encode_message(msg, corr_id=cid) if raw is None else recorrelate(raw, cid)
-            for cid, (msg, raw) in enumerate(entries, first)
-        )
-        burst = BurstEnvelope(app=app, target_host=target, frames=frames, trail=trail)
-        return self._exchange(self.calls.open(len(entries), tag=burst, first=first))
+        slot = self.calls.open(len(entries), tag=entries)
+        return self._exchange(slot, _envelope(app, target, entries, trail, slot.first))
 
-    def _exchange(self, slot: Slot, cid: int | None = None) -> tuple:
-        """Send the request *slot* waits on (its ``tag``), under *cid*."""
-        request = slot.tag
+    def _exchange(self, slot: Slot, request: object, cid: int | None = None) -> tuple:
+        """Send *request*, which *slot* waits on, under *cid*."""
         if self.retired or not self.send(request, cid):
             # Lost, or retired after its slots were failed: a caller that
             # finds nobody reading meets the loss and retires the link,
@@ -181,7 +191,7 @@ class PeerLink(Reader, Role):
             lost = ConnectionClosedError(f"link to {self.host} lost")
             self.calls.fail(lost, lambda other: other is slot)
         else:
-            deadline = None if _consuming(request) else DEADLINES[type(request)]
+            deadline = None if _consuming(slot) else DEADLINES[type(request)]
             until = None if deadline is None else time.monotonic() + deadline
             self.calls.wait(slot, until)
         return slot.results, slot.error
@@ -203,12 +213,15 @@ class PeerLink(Reader, Role):
         self.calls.forget(slot)
         return None
 
-    def relay(self, message: object, slot: Slot) -> None:
-        """Send the wait *message* parked under *slot*'s token.  A caller
-        that finds nobody reading the link reads it until the wait's first
-        answer, as a call does; the standing reader reads on while the
-        wait stays parked."""
-        self.send(message, slot.first)
+    def relay(
+        self, app: str, target: str, wait: GetWaitRequest, trail: tuple, slot: Slot
+    ) -> None:
+        """Send *wait*, parked under *slot*'s token, toward *target* as an
+        envelope of one, the token its member's id.  A caller that finds
+        nobody reading the link reads it until the wait's first answer, as
+        a call does; the standing reader reads on while the wait stays
+        parked."""
+        self.send(_envelope(app, target, [(wait, None)], trail, slot.first), None)
         self.calls.wait(slot, follow=False)
 
     def _answered(self, slot: Slot) -> None:
@@ -327,9 +340,7 @@ class PeerLink(Reader, Role):
     def fail_calls(self, error: Exception) -> None:
         """Fail with *error* every call but a consuming read; the link and
         its waits stay (:func:`_consuming`)."""
-        self.calls.fail(
-            error, lambda slot: slot.then is None and not _consuming(slot.tag)
-        )
+        self.calls.fail(error, lambda slot: slot.then is None and not _consuming(slot))
 
     def retire(self, error: Exception) -> list[tuple]:
         """Close the link and fail every call on it with *error*; returns

@@ -22,7 +22,7 @@ module and reachable only through the public names its docstring lists:
 What stays here is what makes them one server: lifecycle, the registration
 protocol (section 4.4), the address book, the telemetry registry, and
 :data:`HANDLERS` — the one table from message class to (handler, where it
-runs, whether it may ride a :class:`~repro.network.protocol.ForwardEnvelope`).
+runs, whether it may ride a peer's :class:`~repro.network.protocol.Envelope`).
 
 Request life cycle:
 
@@ -31,10 +31,10 @@ Request life cycle:
 2. The handler resolves the folder's owner via the application's
    :class:`FolderPlacement` (the router).
 3. Owned locally → direct call into the local :class:`FolderServer` (the
-   replicator).  Owned remotely → the request is wrapped in a
-   :class:`~repro.network.protocol.ForwardEnvelope` and sent to the *next
-   hop* memo server on the cost-weighted shortest path; every hop relays
-   the reply back.  No broadcasting, ever.
+   replicator).  Owned remotely → the request rides an
+   :class:`~repro.network.protocol.Envelope` to the *next hop* memo server
+   on the cost-weighted shortest path; every hop relays the reply back.
+   No broadcasting, ever.
 """
 
 from __future__ import annotations
@@ -57,10 +57,9 @@ from repro.errors import (
 from repro.network.codec import folder_intern_stats
 from repro.network.connection import Address, Connection, Transport
 from repro.network.protocol import (
-    BurstEnvelope,
     CancelWaitRequest,
     DeltaSyncPull,
-    ForwardEnvelope,
+    Envelope,
     GetAltSkipRequest,
     GetRequest,
     GetWaitRequest,
@@ -292,8 +291,8 @@ class MemoServer:
         """
         _ConnectionSession(self, conn).serve()
 
-    def handle(self, msg: object, envelope: ForwardEnvelope | None = None) -> Reply:
-        """Serve *msg* (which arrived inside *envelope*, if given) by its
+    def handle(self, msg: object, envelope: Envelope | None = None) -> Reply:
+        """Serve *msg* (a member of *envelope*, if given) by its
         :data:`HANDLERS` row, failures mapped to error replies."""
         return self.guarded(self._serve, msg, envelope)
 
@@ -321,13 +320,12 @@ class MemoServer:
             self.stats.bump("errors")
             return Reply(ok=False, error=f"internal error: {type(exc).__name__}: {exc}")
 
-    def _serve(self, msg: object, envelope: ForwardEnvelope | None) -> Reply:
+    def _serve(self, msg: object, envelope: Envelope | None) -> Reply:
         """Serve what a peer aimed here; pass on what it aimed elsewhere."""
         row = HANDLERS.get(type(msg))
         if envelope is not None:
             if envelope.target_host != self.host:
-                return self.router.relay(envelope)
-            self.router.admit(envelope)
+                return self.router.relay(envelope, msg)
             if row is None or not row.enveloped:
                 raise ProtocolError(
                     f"envelope carried unexpected {type(msg).__qualname__}"
@@ -411,10 +409,10 @@ class MemoServer:
 
 
 #: THE dispatch table: message class -> :class:`~repro.servers.session.Row`
-#: ``(handler, where it runs, may ride a ForwardEnvelope)``.  Every consumer
-#: of a decoded frame — the session's reader, a carrier's members, an
-#: envelope's inner request — asks this table and nothing else; a message
-#: class without a row is answered ``unhandled message``.  Component
+#: ``(handler, where it runs, may ride an Envelope)``.  Every consumer of a
+#: decoded frame — the session's reader, a carrier's members — asks this
+#: table and nothing else; a message class without a row is answered
+#: ``unhandled message``.  Component
 #: methods are looked up at call time, so a test can patch one.
 HANDLERS: dict[type, Row] = {
     PutRequest: Row(lambda s, m, e: s.router.serve(m, s.replicator.put, e), LANE, True),
@@ -429,8 +427,7 @@ HANDLERS: dict[type, Row] = {
     GetWaitRequest: Row(_ConnectionSession.get_wait, READER, True),
     CancelWaitRequest: Row(_ConnectionSession.cancel_wait, READER, False),
     PipelineBatch: Row(_ConnectionSession.unpack_batch, READER, False),
-    BurstEnvelope: Row(_ConnectionSession.unpack_burst, READER, False),
-    ForwardEnvelope: Row(_ConnectionSession.open_envelope, READER, False),
+    Envelope: Row(_ConnectionSession.open_envelope, READER, False),
     RegisterRequest: Row(MemoServer._handle_register, WORKER, False),
     MigrateRequest: Row(lambda s, m, e: s.replicator.handle_migrate(m), WORKER, False),
     DeltaSyncPull: Row(

@@ -8,9 +8,11 @@ when this host is the primary, its *replica* store when it is acting for a
 dead primary — and whichever member accepts a write fans
 :class:`~repro.network.protocol.ReplicatePut` copies out to the other live
 members before acknowledging, so an acknowledged put survives the loss of
-any single chain member.  A put-lane round of more than one request holds
-its copies (:meth:`Replicator.collect_copies`) and sends them as one
-:class:`~repro.network.protocol.BurstEnvelope` per member
+any single chain member.  Copies travel one way, in
+:class:`~repro.network.protocol.Envelope` runs to each member
+(:meth:`Replicator._copy_to`): a lone write's copy alone, a put-lane round
+of more than one request its held copies
+(:meth:`Replicator.collect_copies`) as one run per member
 (:meth:`Replicator.send_copies`) before the round's acks leave.  Backup
 copies live in per-server replica stores, kept apart from primary data so
 ownership, migration, and stats stay exact.  With the default factor of 1
@@ -34,8 +36,8 @@ one link per peer (:mod:`repro.servers.link`).
 
 Everything without an underscore is for the other server modules.  What
 this one calls on them — the router's ``registration``, ``chained_here``,
-``route``, ``send_envelope``, ``forward_burst``, ``suspect``, ``call``
-and ``address_book``.
+``route``, ``send_one``, ``forward_burst``, ``suspect``, ``call`` and
+``address_book``.
 """
 
 from __future__ import annotations
@@ -47,7 +49,6 @@ from repro.core.keys import FolderName
 from repro.core.memo import MemoRecord
 from repro.durability.manager import DurabilityManager
 from repro.errors import CommunicationError, MemoError, ReplicationError, ServerError
-from repro.network.codec import encode_message
 from repro.network.protocol import (
     PUT_ACK,
     DeltaSyncPull,
@@ -71,8 +72,8 @@ if TYPE_CHECKING:
 
 __all__ = ["Replicator"]
 
-#: Most frames one :class:`~repro.network.protocol.BurstEnvelope` carries
-#: to a peer: an anti-entropy round's returns and re-seeds, or a lane
+#: Most frames one :class:`~repro.network.protocol.Envelope` carries to a
+#: peer: an anti-entropy round's returns and re-seeds, or a lane
 #: round's replica copies, in as many bursts as this bound asks.
 _BURST_MAX = 512
 
@@ -293,15 +294,14 @@ class Replicator:
         coordinates, which every copy then carries — to every other live
         chain member, *before* the write is acknowledged.
 
-        The :class:`ReplicatePut` is encoded *once* and the copies go out
-        *concurrently* (extra legs on thread-cache workers, the last on
-        this thread), so the pre-ack replication cost is the slowest
-        member's round trip, not the sum of all of them.  All legs are
-        awaited before returning — the copy-before-ack durability
-        guarantee is untouched.  Inside a lane round (between
-        :meth:`collect_copies` and :meth:`send_copies`) the copy is held
-        for the round's burst instead, which the lane sends before any of
-        the round's replies.
+        The copies go out *concurrently* (:meth:`_copy_to` per member,
+        extra legs on thread-cache workers, the last on this thread), so
+        the pre-ack replication cost is the slowest member's round trip,
+        not the sum of all of them.  All legs are awaited before returning
+        — the copy-before-ack durability guarantee is untouched.  Inside a
+        lane round (between :meth:`collect_copies` and :meth:`send_copies`)
+        the copy is held for the round's run instead, which the lane sends
+        before any of the round's replies.
 
         Failures demote the target to dead and are counted, not raised:
         the write is already durable on this host, and the dead member
@@ -320,14 +320,13 @@ class Replicator:
             for member in targets:
                 held.setdefault((reg.app, member), (reg, []))[1].append(copy)
             return
-        inner = encode_message(copy)
-        # _replicate_to absorbs communication failures itself; what the
-        # join collects (e.g. ShutdownError mid-teardown) must not vanish
-        # in a worker thread — it is re-raised once every leg has landed,
+        # _copy_to absorbs communication failures itself; what the join
+        # collects (e.g. ShutdownError mid-teardown) must not vanish in a
+        # worker thread — it is re-raised once every leg has landed,
         # matching a sequential loop's error surface.
         errors = scatter_join(
             self._cache,
-            [lambda m=member: self._replicate_to(reg, m, inner) for member in targets],
+            [lambda m=member: self._copy_to(reg, m, [copy]) for member in targets],
         )
         if errors:
             raise errors[0]
@@ -337,7 +336,7 @@ class Replicator:
         self._round.copies = {}
 
     def send_copies(self) -> Reply:
-        """Send what :meth:`collect_copies` held: one burst per chain
+        """Send what :meth:`collect_copies` held: one run per chain
         member, members concurrently.  Failures demote, as in
         :meth:`fan_out`; an error a leg raises is re-raised."""
         held, self._round.copies = self._round.copies, None
@@ -355,23 +354,27 @@ class Replicator:
     def _copy_to(self, reg, member: str, copies: list) -> int:
         """Send *copies* to *member*; returns how many it acknowledged.
 
-        More than one go as bursts (:meth:`_burst_to`).  A lone copy, and
-        whatever a burst leaves unresolved or answers with anything but
-        an ack, takes the per-copy path — :meth:`_replicate_to`,
-        which demotes an unreachable member.  A member demoted meanwhile
-        gets no more copies: it pulls them back through anti-entropy when
-        it rejoins.
+        They go in envelopes of at most :data:`_BURST_MAX` over a direct
+        link (:meth:`_burst_to`).  What those leave unresolved or answer
+        with anything but an ack — everything, across a relay hop — goes
+        again in an envelope of one each, whose failure demotes the
+        member.  A member demoted meanwhile gets no more copies: it pulls
+        them back through anti-entropy when it rejoins.  Each copy counts
+        as replicated out or as a replication failure.
         """
-        left = copies
-        if len(copies) > 1:
-            acked = self._burst_to(reg.app, member, copies)
-            left = [copy for copy, ok in zip(copies, acked) if not ok]
-            self._stats.bump("replications_out", len(copies) - len(left))
+        acked = self._burst_to(reg.app, member, copies)
+        left = [copy for copy, ok in zip(copies, acked) if not ok]
         replicated = len(copies) - len(left)
         for copy in left:
             if not self._failure.is_alive(member):
                 break
-            replicated += self._replicate_to(reg, member, encode_message(copy))
+            try:
+                replicated += self._router.send_one(reg, member, copy).ok
+            except CommunicationError:
+                self._router.suspect(member)
+        self._stats.bump("replications_out", replicated)
+        if replicated < len(copies):
+            self._stats.bump("replication_failures", len(copies) - replicated)
         return replicated
 
     def _burst_to(self, app: str, target: str, messages: list) -> list[bool]:
@@ -405,18 +408,6 @@ class Replicator:
             src_sid=record.src_sid,
             src_lsn=record.src_lsn,
         )
-
-    def _replicate_to(self, reg, member: str, inner: bytes) -> bool:
-        """Push one pre-encoded :class:`ReplicatePut` frame to *member*;
-        True when the member acknowledged the copy."""
-        try:
-            reply = self._router.send_envelope(reg, member, inner)
-        except CommunicationError:
-            self._router.suspect(member)
-            self._stats.bump("replication_failures")
-            return False
-        self._stats.bump("replications_out" if reply.ok else "replication_failures")
-        return reply.ok
 
     def handle_replicate(self, msg: ReplicatePut) -> Reply:
         """Apply a replica copy to the right local store.

@@ -3,12 +3,16 @@
 "Each memo server ... routes each request to the folder server that owns
 the named folder" along "the cost-weighted shortest path" (paper sections
 4.1 and 5): owned here, a request goes to the replicator's store; owned
-elsewhere, it travels inside a :class:`~repro.network.protocol.ForwardEnvelope`
-to the *next hop* on the application's topology, every hop relaying the
-reply back.  No broadcasting, ever.  With ``replication_factor > 1`` a
-folder's placement is an ordered *replica chain* and "the owner" is its
-first reachable member: :meth:`Router.walk` is the one place that rule is
-written, and requests, parked waits and ``get_alt`` rounds all go through it.
+elsewhere, it travels as a member of an
+:class:`~repro.network.protocol.Envelope` to the *next hop* on the
+application's topology, every hop relaying the reply back.  No
+broadcasting, ever.  Whatever leaves for another server — a forward, a
+relayed hop, a replica copy, a burst — leaves by :meth:`Router.send`, and
+a relayed wait by :meth:`Router.relay_wait`.  With
+``replication_factor > 1`` a folder's placement is an ordered *replica
+chain* and "the owner" is its first reachable member: :meth:`Router.walk`
+is the one place that rule is written, and requests, parked waits and
+``get_alt`` rounds all go through it.
 
 A peer is reached one way: every exchange with a next hop rides the one
 :class:`~repro.servers.link.PeerLink` the router dialled to it, retired
@@ -39,10 +43,9 @@ from repro.errors import (
     RoutingError,
     ShutdownError,
 )
-from repro.network.codec import encode_message
 from repro.network.connection import Address, Transport
 from repro.network.protocol import (
-    ForwardEnvelope,
+    Envelope,
     GetAltSkipRequest,
     GetWaitRequest,
     Heartbeat,
@@ -141,7 +144,7 @@ class Router:
         """Declare *host* dead (the calls on its link that can, fail over)."""
         self._failure.mark_dead(host)
 
-    def admit(self, envelope: ForwardEnvelope) -> None:
+    def admit(self, envelope: Envelope) -> None:
         """Count an inbound envelope; refuse one that already crossed here."""
         self._stats.bump("forwards_in")
         if self.host in envelope.trail:
@@ -152,7 +155,7 @@ class Router:
     def chained_here(self, folder: FolderName, chain: tuple, what: str) -> tuple:
         """This host's ``(sid, host)`` entry in *chain*.
 
-        A peer aimed *what* (an envelope, a relayed wait, a replica copy)
+        A peer aimed *what* (a forward, a relayed wait, a replica copy)
         at this host, so the folder must be chained here: such a request
         is served where it was aimed or refused, NEVER re-routed — two
         servers that briefly disagree on an owner answer with an error
@@ -204,9 +207,9 @@ class Router:
             f"(chain {[h for _s, h in chain]}): " + "; ".join(failures)
         )
 
-    def serve(self, msg, here, envelope: ForwardEnvelope | None = None) -> Reply:
+    def serve(self, msg, here, envelope: Envelope | None = None) -> Reply:
         """A put / put-delayed / get_skip, straight from a client or aimed
-        here by a peer's *envelope*."""
+        here in a peer's *envelope*."""
         return self.route(msg.folder, msg, here, envelope)
 
     def route(self, folder: FolderName, msg, here, envelope=None) -> Reply:
@@ -222,33 +225,52 @@ class Router:
     def forward(self, reg, owner_host: str, msg) -> Reply:
         """Send *msg* to *owner_host* and return its reply."""
         self._stats.bump("forwards_out")
-        # The envelope carries the inner request's already-encoded bytes —
-        # a compact frame inside a compact frame, never a second graph
-        # linearization pass.
-        return self.send_envelope(reg, owner_host, encode_message(msg))
+        return self.send_one(reg, owner_host, msg)
 
-    def relay(self, envelope: ForwardEnvelope) -> Reply:
-        """Pass an envelope aimed elsewhere on along the app's topology."""
-        self.admit(envelope)
+    def relay(self, envelope: Envelope, msg) -> Reply:
+        """Pass *msg*, a member of an *envelope* aimed elsewhere, on along
+        the app's topology."""
         self._stats.bump("forwards_relayed")
-        return self.send_envelope(
-            self.registration(envelope.app),
-            envelope.target_host,
-            envelope.inner,
-            envelope.trail,
-        )
+        reg = self.registration(envelope.app)
+        return self.send_one(reg, envelope.target_host, msg, envelope.trail)
 
-    def _envelope(self, reg, target: str, inner: bytes, trail: tuple):
-        """*inner* addressed to *target*, this host stamped on its trail."""
-        return ForwardEnvelope(
-            app=reg.app, target_host=target, inner=inner, trail=trail + (self.host,)
-        )
+    def send_one(self, reg, target: str, msg, trail: tuple = ()) -> Reply:
+        """:meth:`send` *msg* alone: its reply, or CommunicationError."""
+        (reply,), error = self.send(reg, target, [(msg, None)], trail)
+        if error is not None:
+            raise CommunicationError(f"call to {target} failed: {error}") from error
+        return reply
 
-    def send_envelope(self, reg, target: str, inner: bytes, trail=()) -> Reply:
-        """One call on the link to the next hop toward *target*: the
-        encoded request *inner* goes out enveloped, the reply comes back."""
+    def send(self, reg, target: str, entries: list, trail: tuple = ()) -> tuple:
+        """The one way requests leave for another server: *entries*
+        (``(message, raw_frame_or_None)`` pairs, see
+        :meth:`PeerLink.forward`) ride one :class:`Envelope` to *target*,
+        on the link to the next hop toward it, this host stamped on
+        *trail*.  Returns ``(results, error)``: one reply per entry, None
+        where none came, and what cut the exchange short.  A stale link's
+        retry (:meth:`_on_link`) resends only what the first attempt left
+        unresolved or a dying incarnation answered mid-teardown.  A dial
+        that fails raises, unless an earlier attempt resolved something.
+        """
         next_hop = reg.routing.next_hop(self.host, target)
-        return self.call(next_hop, self._envelope(reg, target, inner, trail))
+        trail = trail + (self.host,)
+        results: list = [None] * len(entries)
+
+        def attempt(link: PeerLink) -> tuple:
+            pending = [i for i, r in enumerate(results) if r is None or _torn(r)]
+            members = [entries[i] for i in pending]
+            got, error = link.forward(reg.app, target, members, trail)
+            for i, reply in zip(pending, got):
+                results[i] = reply
+            return got, error
+
+        try:
+            _got, error = self._on_link(next_hop, attempt, next_hop != target)
+        except (CommunicationError, ShutdownError) as exc:
+            if not any(results):
+                raise
+            error = exc
+        return results, error
 
     def forward_target(self, msg) -> str | None:
         """The single remote owner a pipelined put can burst-forward to.
@@ -276,46 +298,32 @@ class Router:
         return host if host in self.address_book else None
 
     def forward_burst(self, app: str, owner_host: str, entries: list) -> list:
-        """Send a run of lane requests to *owner_host* as one :class:`BurstEnvelope`.
+        """:meth:`send` a run of lane requests to *owner_host* at once.
 
         A client's puts, the puts an anti-entropy pull returns, a lane
         round's replica copies: the owner applies them in order, so only
-        a direct link carries a burst.  *entries* are ``(message,
-        raw_frame_or_None)`` pairs (see :meth:`PeerLink.burst`).  Returns
-        one result per entry: the owner's :class:`Reply`, or None where
-        the link left it unresolved, for the caller's per-request path.
-        A stale link's retry resends only what the first attempt left
-        unresolved or a dying incarnation answered mid-teardown.
+        a direct link carries a burst.  Returns one result per entry: the
+        owner's :class:`Reply`, or None where none came (or no direct
+        link), for the caller's per-request path.
         """
         try:
-            linked = self.registration(app).routing.next_hop(self.host, owner_host)
+            reg = self.registration(app)
+            linked = reg.routing.next_hop(self.host, owner_host)
         except MemoError:
             linked = None
-        results: list = [None] * len(entries)
         if linked != owner_host or owner_host not in self.address_book:
-            return results
-
-        def attempt(link: PeerLink) -> tuple:
-            pending = [i for i, r in enumerate(results) if r is None or _torn(r)]
-            members = [entries[i] for i in pending]
-            got, error = link.burst(app, owner_host, members, (self.host,))
-            for i, reply in zip(pending, got):
-                results[i] = reply
-            return got, error
-
+            return [None] * len(entries)
         try:
-            self._on_link(owner_host, attempt)
+            return self.send(reg, owner_host, entries)[0]
         except (CommunicationError, ShutdownError):
-            pass  # what stayed unresolved is the caller's to re-route
-        return results
+            return [None] * len(entries)  # the caller's to re-route
 
     # -- the links ------------------------------------------------------------------
 
     def call(self, host: str, message: object) -> Reply:
-        """One request to *host* on its link, within the message's deadline
-        (:data:`~repro.servers.link.DEADLINES`)."""
-        beyond = getattr(message, "target_host", host) != host
-        (reply,), error = self._on_link(host, lambda link: link.call(message), beyond)
+        """One request to *host* on its link, not enveloped (a pull), within
+        the message's deadline (:data:`~repro.servers.link.DEADLINES`)."""
+        (reply,), error = self._on_link(host, lambda link: link.call(message))
         if error is not None:
             raise CommunicationError(f"call to {host} failed: {error}") from error
         return reply
@@ -407,9 +415,9 @@ class Router:
         self, session, entry: ParkedWaiter, reg, target: str, trail: tuple[str, ...]
     ) -> None:
         """Send *entry*'s wait on toward *target*, to park in its table:
-        the continuation goes to the data in a correlated
-        :class:`ForwardEnvelope` on the link to the next hop, relayed hop
-        by hop as any forward is.  The owner's first answer is read as a
+        the continuation goes to the data as the one member of an
+        :class:`Envelope` on the link to the next hop, relayed hop by hop
+        as any forward is.  The owner's first answer is read as a
         call's reply is (:meth:`PeerLink.relay`); no thread waits on a
         parked wait.  Raises only before the wait is on a link (no route,
         no dial, this server stopping); after that its fate is the link's.
@@ -427,7 +435,7 @@ class Router:
         wait = GetWaitRequest(
             folder=entry.folder, mode=entry.mode, waiter=slot.first, origin=entry.origin
         )
-        link.relay(self._envelope(reg, target, encode_message(wait), trail), slot)
+        link.relay(reg.app, target, wait, trail + (self.host,), slot)
 
     def retire_links(self) -> None:
         """At shutdown: fail every call on a link, and end every relayed

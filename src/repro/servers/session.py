@@ -16,12 +16,14 @@ over the one link per next hop (:mod:`repro.servers.link`) and parks in
 the *owner's* table like everyone else's; its GetWait is answered by the
 owner's first answer, so a remote hit is one reply, as a local one is.
 
-A lone lane request — on its own, or the only one a carrier brings —
-runs on the reader when the lane is idle and no whole frame is buffered
-behind it, and a lane round of one takes the server's one audited route:
-a put owned elsewhere is one forward, whose reply the forwarding thread
-reads itself, as the thread relaying a wait reads the owner's first
-answer.  Only a round of many burst-forwards its remote puts.
+A request runs on the reader when nothing is behind it, on its connection
+or in its carrier (a lane request also needs its lane idle): a lone frame,
+a carrier's last member, a lane round of one.  So the member of a peer's
+envelope of one — a forwarded put, ``get_skip`` or wait — is served as a
+lone request is.  A lane round of one takes the server's one audited
+route: a put owned elsewhere is one forward, whose reply the forwarding
+thread reads itself, as the thread relaying a wait reads the owner's
+first answer.  Only a round of many burst-forwards its remote puts.
 
 A peer's link is one session here, so nothing that waits on a peer may
 hold back a request that does not: a replica copy and a heartbeat are
@@ -48,15 +50,13 @@ from collections import deque
 from typing import TYPE_CHECKING, NamedTuple
 
 from repro.core.memo import MemoRecord
-from repro.errors import CommunicationError, MemoError, ProtocolError, ServerError
-from repro.network.codec import decode_message
+from repro.errors import CommunicationError, ProtocolError, ServerError
 from repro.network.connection import Connection
 from repro.network.protocol import (
     PUT_ACK,
     Acks,
-    BurstEnvelope,
     CancelWaitRequest,
-    ForwardEnvelope,
+    Envelope,
     GetWaitRequest,
     MemoReady,
     PipelineBatch,
@@ -88,9 +88,10 @@ class Row(NamedTuple):
     A ``LANE`` / ``INLINE`` / ``WORKER`` row's handler is ``handler(server,
     msg, envelope) -> Reply``; a ``READER`` row's is ``handler(session, msg,
     cid, envelope) -> bool`` — it sends what it owes itself, and False
-    closes the session.  *enveloped* rows may arrive inside a peer's
-    :class:`~repro.network.protocol.ForwardEnvelope` (``envelope`` is then
-    the envelope that carried them, else None).
+    closes the session.  *enveloped* rows may be members of a peer's
+    :class:`~repro.network.protocol.Envelope` (``envelope`` is then the
+    envelope that carried them, else None); any other member is answered
+    with a ``ProtocolError`` where it was aimed.
     """
 
     handler: object
@@ -116,10 +117,11 @@ MIGRATION_RETRY_MAX = 8
 #: :class:`Acks` frame under a firehose producer.
 _LANE_BATCH_MAX = 128
 
-#: The frames that carry requests rather than being one.  They alone of
-#: what a session reads travel id-less: each frame they carry has its own
-#: correlation id.  Any other id-less frame (an ``Acks``, a push) closes it.
-_CARRIERS = (PipelineBatch, BurstEnvelope)
+#: The frames that carry requests rather than being one: a client's batch
+#: and a peer's envelope.  They alone of what a session reads travel
+#: id-less: each frame they carry has its own correlation id.  Any other
+#: id-less frame (an ``Acks``, a push) closes it, as does a nested carrier.
+_CARRIERS = (PipelineBatch, Envelope)
 
 
 class _ConnectionSession(Reader):
@@ -132,8 +134,8 @@ class _ConnectionSession(Reader):
     the accept path's :class:`ThreadCache` submit) and hands off only
     what would keep the frames behind it waiting.  Every request carries
     a correlation id (an id-less one closes the session) and runs where
-    its handler-table row says — an envelope where its *inner* request's
-    row says:
+    its handler-table row says — a carrier's members each where theirs
+    says:
 
     * ``LANE`` rows keep their order on the connection's one FIFO put
       lane.  A lone one — a carrier's only lane request included — runs
@@ -143,8 +145,9 @@ class _ConnectionSession(Reader):
       spot under the GIL, and cross-owner latency overlap comes from the
       worker firing its burst groups concurrently);
     * ``WORKER`` rows (the reads, which may forward, and the control
-      messages) keep no order: a lone one runs inline when no whole frame
-      is buffered behind it, else on a worker of its own;
+      messages) keep no order: one with nothing behind it — no whole
+      frame buffered, no member after it in its carrier — runs inline,
+      else on a worker of its own;
     * ``READER`` rows — GetWait/CancelWait and the carriers — never block
       and run inline (that inlining IS the waiter table's O(1)-thread
       property); ``INLINE`` rows — a replica copy, a heartbeat — never
@@ -207,21 +210,20 @@ class _ConnectionSession(Reader):
             return self._dispatch(msg, cid, raw)
         return False
 
-    def _dispatch(
-        self, msg, cid, raw: bytes, lane=None, envelope=None, done=None
-    ) -> bool:
-        """Run one frame where its table row says — a carrier's lane
-        requests in its *lane* round; False closes the session, as a
-        frame breaking the id rule (:data:`_CARRIERS`) does."""
+    def _dispatch(self, msg, cid, raw: bytes) -> bool:
+        """Run one frame where its table row says; False closes the
+        session, as a frame breaking the id rule (:data:`_CARRIERS`) does."""
         if (cid is None) is not (type(msg) in _CARRIERS):
             return False
         row = self.server.handlers.get(type(msg))
-        return self._run(row, msg, cid, envelope, raw, lane, done)
+        return self._run(row, msg, cid, None, raw, None)
 
-    def _run(self, row, msg, cid, envelope, raw, lane, done=None) -> bool:
+    def _run(self, row, msg, cid, envelope, raw, lane, done=None, last=True) -> bool:
         """Run *msg* where *row* says (no row: as a ``WORKER`` row, which
-        answers what it is); a carrier collects its ``INLINE`` replies in
-        *done*, to send them as one batch."""
+        answers what it is).  A carrier's member queues its lane request
+        in the carrier's *lane* round and collects what it answers as it
+        is read in *done*, to send them as one batch; *last* says nothing
+        follows it in its carrier."""
         where = row.where if row is not None else WORKER
         if where is LANE:
             entry = (msg, cid, envelope, raw)
@@ -230,96 +232,76 @@ class _ConnectionSession(Reader):
             else:
                 lane.append(entry)
             return True
-        if where is INLINE:
+        if where is not INLINE:
+            if lane:
+                # What the carrier queued so far goes ahead of what follows it.
+                self._enqueue(lane[:])
+                lane.clear()
+            if where is READER:
+                return row.handler(self, msg, cid, envelope)
+        if where is INLINE or (last and not self.conn.frame_buffered()):
             reply = (self.server.handle(msg, envelope), cid)
             if done is None:
                 self._send_replies([reply])
             else:
                 done.append(reply)
             return True
-        if lane:
-            # What the carrier queued so far goes ahead of what follows it.
-            self._enqueue(lane[:])
-            lane.clear()
-        if where is READER:
-            return row.handler(self, msg, cid, envelope)
-        if lane is None and not self.conn.frame_buffered():
-            self._send_replies([(self.server.handle(msg, envelope), cid)])
-            return True
         with self._lock:
             self._inflight += 1
         self._spawn(self._run_single, msg, cid, envelope)
         return True
 
-    def open_envelope(self, envelope: ForwardEnvelope, cid: int, _envelope=None) -> bool:
-        """Run what a peer sent in *envelope* where the inner request's row
-        says, be it served here or relayed on toward its target.  What may
-        not ride an envelope goes to a worker, which refuses (or relays)
-        it; an undecodable inner request closes the session."""
-        try:
-            inner = decode_message(envelope.inner)
-        except MemoError:
-            return False
-        row = self.server.handlers.get(type(inner))
-        if row is not None and not row.enveloped:
-            row = None
-        elif (
-            row is not None
-            and row.where is not READER
-            and envelope.target_host != self.server.host
-        ):
-            # Passing it on waits on the next hop: on a worker, never on
-            # the lane, where a ring of relays could wait on itself.
-            row = None
-        return self._run(row, inner, cid, envelope, None, None)
-
     def unpack_batch(self, batch: PipelineBatch, _cid=None, _envelope=None) -> bool:
         """Unpack one coalesced burst; False (undecodable) closes the session."""
-        return self._unpack(batch.frames, None)
+        return self._unpack(batch.frames, None, None)
 
-    def unpack_burst(self, burst: BurstEnvelope, _cid=None, _envelope=None) -> bool:
-        """Unwrap a peer's burst of lane requests into the put queue.
+    def open_envelope(self, envelope: Envelope, _cid=None, _envelope=None) -> bool:
+        """Run what a peer sent in *envelope*, once :meth:`Router.admit`
+        lets it in (else each member is answered with the refusal).
 
-        One :class:`ForwardEnvelope` stand-in is built for the whole burst
-        (the trail/ownership checks an enveloped request goes through
-        read only its header fields), and each member frame keeps its
-        correlation id — the replies this session emits go back to the
-        sending server's link, which answers each member's caller.  The
-        whole burst is queued at once, so the lane serves it in full
-        rounds (replica copies, ``INLINE``, are served as read).  False
-        closes the session: a burst not targeted here, or carrying
-        anything but lane or inline requests, is a protocol violation.
+        Each member runs where its row says, its lane members as one
+        round, with the envelope as its context — served here or passed
+        on toward the target.  A member that may not ride an envelope
+        goes to a worker too, which refuses (or passes on) it; passing a
+        member on waits on the next hop, so only a ``READER`` row (a
+        wait) does it on the reader, never the lane, where a ring of
+        relays could wait on itself.  The replies go back to the sending
+        server's link, which answers each member's caller.
         """
-        if burst.target_host != self.server.host:
-            return False
-        shared = ForwardEnvelope(
-            app=burst.app, target_host=burst.target_host, inner=b"", trail=burst.trail
-        )
-        return self._unpack(burst.frames, shared)
+        refused = self.server.guarded(self.server.router.admit, envelope)
+        return self._unpack(envelope.frames, envelope, refused)
 
-    def _unpack(self, frames: tuple, shared: ForwardEnvelope | None) -> bool:
+    def _unpack(self, frames: tuple, envelope, refused) -> bool:
         """Dispatch a carrier's frames, its lane requests as one round;
-        False closes the session (an undecodable, id-less or nested frame,
-        or a burst member — *shared* given — not on the lane)."""
+        False closes the session (an undecodable, id-less or nested frame).
+        A *refused* envelope's members get that reply, unserved."""
         stats = self.server.stats
         stats.bump("pipelined_batches")
-        stats.bump("requests", len(frames))
-        stats.bump("pipelined_requests", len(frames))
+        stats.bump_pair("requests", "pipelined_requests", len(frames))
         handlers = self.server.handlers
+        relayed = envelope is not None and envelope.target_host != self.server.host
         lane: list = []
         done: list = []
-        for raw in frames:
+        last = len(frames) - 1
+        for i, raw in enumerate(frames):
             try:
                 msg, cid = decode_protocol_frame(raw)
             except ProtocolError:
                 return False
-            if type(msg) in _CARRIERS:
+            kind = type(msg)
+            if cid is None or kind in _CARRIERS:
                 return False
-            if shared is not None:
-                row = handlers.get(type(msg))
-                if row is None or row.where not in (LANE, INLINE):
-                    return False
-            if not self._dispatch(msg, cid, raw, lane, shared, done):
+            if refused is not None:
+                done.append((refused, cid))
+                continue
+            row = handlers.get(kind)
+            if envelope is not None and (
+                row is None
+                or not row.enveloped
+                or (relayed and row.where is not READER)
+            ):
+                row = None
+            if not self._run(row, msg, cid, envelope, raw, lane, done, i == last):
                 return False
         if done:
             self._send_replies(done)
@@ -417,9 +399,9 @@ class _ConnectionSession(Reader):
 
         Local puts and enveloped requests are served in place; puts owned
         by a single remote host are grouped per ``(app, owner)`` and
-        forwarded as one :class:`BurstEnvelope` instead of one enveloped
-        round trip each — the owner's replies come back member by member
-        and answer the client's own ids.  Entries the burst cannot resolve —
+        forwarded in one :class:`Envelope` instead of one envelope each —
+        the owner's replies come back member by member and answer the
+        client's own ids.  Entries the burst cannot resolve —
         connection failures, a peer answering mid-teardown, a folder that
         migrated underneath the burst — fall back to the server's full
         routing, which owns retry, suspicion, and fail-over policy.
@@ -517,7 +499,7 @@ class _ConnectionSession(Reader):
         return True
 
     def _park_new(
-        self, msg: GetWaitRequest, envelope: ForwardEnvelope | None, cid: int
+        self, msg: GetWaitRequest, envelope: Envelope | None, cid: int
     ) -> Reply:
         token = msg.waiter
         entry = ParkedWaiter(token, msg.folder, msg.mode, msg.origin)
@@ -561,7 +543,6 @@ class _ConnectionSession(Reader):
         router = self.server.router
         reg, chain, candidates = router.candidates(entry.folder)
         if envelope is not None:
-            router.admit(envelope)
             if envelope.target_host != self.server.host:
                 self.server.stats.bump("forwards_relayed")
                 return self._relay(reg, envelope.target_host, entry, envelope.trail)

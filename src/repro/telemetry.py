@@ -39,11 +39,11 @@ class Counters(dict):
         with self.lock:
             self[name] += by
 
-    def bump_pair(self, first: str, second: str) -> None:
+    def bump_pair(self, first: str, second: str, by: int = 1) -> None:
         """Two increments, one lock round — for per-request hot paths."""
         with self.lock:
-            self[first] += 1
-            self[second] += 1
+            self[first] += by
+            self[second] += by
 
     def snapshot(self) -> dict[str, int]:
         with self.lock:

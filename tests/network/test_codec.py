@@ -24,10 +24,9 @@ from repro.durability.records import (
 )
 from repro.network.protocol import (
     Acks,
-    BurstEnvelope,
     CancelWaitRequest,
     DeltaSyncPull,
-    ForwardEnvelope,
+    Envelope,
     GetAltSkipRequest,
     GetRequest,
     GetWaitRequest,
@@ -58,7 +57,7 @@ def folder(name="f", app="app", index=(1, 2)):
 
 
 # One representative instance per compact protocol message type
-# (BurstEnvelope/PipelineBatch are covered by the correlation tests).
+# (PipelineBatch is covered by the correlation tests).
 ALL_MESSAGES = [
     GetWaitRequest(folder(), mode="copy", waiter=77, origin="p"),
     CancelWaitRequest(waiter=77, origin="p"),
@@ -95,7 +94,7 @@ ALL_MESSAGES = [
     StatsRequest(origin="p"),
     ShutdownRequest(origin="p"),
     ResyncRequest(apps=("inv", "pay"), origin="cluster"),
-    ForwardEnvelope("inv", "h2", b"inner-bytes", trail=("h1", "h3")),
+    Envelope("inv", "h2", (b"inner-bytes",), trail=("h1", "h3")),
     Reply(ok=True, found=True, payload=b"v", folder=folder(), stats={"memo.requests": 5}),
 ]
 
@@ -215,6 +214,26 @@ class TestFrameRejection:
         for field in ("inv", "h2", "p"):  # app, requester, origin
             c._w_str(frame, field)
         with pytest.raises(DecodingError, match="unknown compact message tag 0x9"):
+            decode_message(bytes(frame))
+        with pytest.raises(ProtocolError, match="undecodable"):
+            decode_protocol_frame(bytes(frame))
+
+    def test_retired_tag_12_rejected(self):
+        """Tag 12 was the envelope of one request, its ``inner`` a plain
+        frame under the envelope's own id; every request between servers
+        now rides tag 15's id-less envelope.  Retired like tag 9."""
+        from repro.errors import ProtocolError
+        from repro.network import codec as c
+        from repro.network.protocol import decode_protocol_frame
+
+        inner = encode_message(Heartbeat(host="h1"))
+        frame = bytearray(b"DC\x02\x0c\x05")  # correlated, as it was sent
+        for field in ("inv", "h2"):  # app, target_host
+            c._w_str(frame, field)
+        c._w_bytes(frame, inner)
+        c._w_uint(frame, 1)  # trail: one host
+        c._w_str(frame, "h1")
+        with pytest.raises(DecodingError, match="unknown compact message tag 0xc"):
             decode_message(bytes(frame))
         with pytest.raises(ProtocolError, match="undecodable"):
             decode_protocol_frame(bytes(frame))
@@ -676,12 +695,6 @@ GOLDEN_FRAMES = [
         "4443020b0500",
         "4443020bac0200",
     ),
-    (
-        ForwardEnvelope("app", "h2", b"inner", ("h1", "h3")),
-        "4443010c0361707002683205696e6e657202026831026833",
-        "4443020c050361707002683205696e6e657202026831026833",
-        "4443020cac020361707002683205696e6e657202026831026833",
-    ),
     # Re-derived by hand when stats became a ``num_map``: header, ok 01,
     # found 01, payload 02 00ff, folder 01 + app 03 "app" + symbol 03 "out"
     # + no index 00, error 00, then 3 entries, each key, value tag, value:
@@ -715,7 +728,7 @@ GOLDEN_FRAMES = [
         "7a7a7a7a7a7a7a7a7a7a7a7a7a7a7a7a7a7a",
     ),
     (
-        BurstEnvelope("app", "h3", (b"a", b"bc"), ("h1",)),
+        Envelope("app", "h3", (b"a", b"bc"), ("h1",)),
         "4443010f0361707002683302016102626301026831",
         "4443020f050361707002683302016102626301026831",
         "4443020fac020361707002683302016102626301026831",

@@ -1,7 +1,7 @@
 """Correlated (version-2) compact frames: ids, bursts, and hostile bytes.
 
 The pipelining PR added a correlation id slot to the compact framing
-(`DC` version 0x02), the :class:`PipelineBatch`/:class:`BurstEnvelope`
+(`DC` version 0x02), the :class:`PipelineBatch`/:class:`Envelope`
 containers, and the split/burst helpers the hot paths use.
 """
 
@@ -19,7 +19,7 @@ from repro.network.codec import (
     split_correlated,
 )
 from repro.network.protocol import (
-    BurstEnvelope,
+    Envelope,
     GetRequest,
     PipelineBatch,
     PutRequest,
@@ -136,9 +136,7 @@ class TestContainers:
 
     def test_burst_envelope_roundtrip(self):
         frames = (encode_message(SAMPLES[0], corr_id=9),)
-        env = BurstEnvelope(
-            app="app", target_host="h2", frames=frames, trail=("h1",)
-        )
+        env = Envelope(app="app", target_host="h2", frames=frames, trail=("h1",))
         got = decode_message(encode_message(env))
         assert got == env
 
@@ -146,7 +144,7 @@ class TestContainers:
         from repro.errors import ProtocolError
 
         with pytest.raises(ProtocolError):
-            BurstEnvelope(app="a", target_host="h", frames=())
+            Envelope(app="a", target_host="h", frames=())
 
 
 class TestCorrelatedBurstEncoder:

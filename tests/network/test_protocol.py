@@ -9,7 +9,7 @@ from repro.errors import ProtocolError
 from repro.network.codec import decode_message, encode_message
 from repro.network.connection import Address
 from repro.network.protocol import (
-    ForwardEnvelope,
+    Envelope,
     GetAltSkipRequest,
     GetRequest,
     PutDelayedRequest,
@@ -46,7 +46,7 @@ class TestMessageEncoding:
             ),
             StatsRequest("p"),
             ShutdownRequest("p"),
-            ForwardEnvelope("inv", "h2", b"inner", trail=("h1",)),
+            Envelope("inv", "h2", (b"inner",), trail=("h1",)),
             Reply(ok=True, found=True, payload=b"v", folder=folder()),
             Reply(ok=False, error="boom"),
         ],

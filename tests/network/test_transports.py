@@ -141,6 +141,16 @@ class TestListener:
         assert listener.address.port > 0
         listener.close()
 
+    def test_tcp_accept_on_a_socket_closed_under_it(self):
+        """A close that lands between accept's closed-check and its socket
+        calls (a server's stop() racing its accept thread) is the listener
+        closing: ConnectionClosedError, never a bare OSError."""
+        _t, listener, _ = make_tcp()
+        listener._sock.close()  # closed under it: the flag still reads open
+        with pytest.raises(ConnectionClosedError):
+            listener.accept(timeout=0.1)
+        listener.close()
+
     def test_tcp_connect_refused(self):
         t = TCPTransport()
         with pytest.raises(ConnectionClosedError):

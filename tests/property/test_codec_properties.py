@@ -23,10 +23,9 @@ from repro.network.protocol import (
     GET_MODES,
     GET_WAIT_MODES,
     Acks,
-    BurstEnvelope,
     CancelWaitRequest,
     DeltaSyncPull,
-    ForwardEnvelope,
+    Envelope,
     GetAltSkipRequest,
     GetRequest,
     GetWaitRequest,
@@ -117,9 +116,8 @@ STRATEGIES = {
     StatsRequest: st.builds(StatsRequest, origins),
     ShutdownRequest: st.builds(ShutdownRequest, origins),
     ResyncRequest: st.builds(ResyncRequest, str_tuples, origins),
-    ForwardEnvelope: st.builds(ForwardEnvelope, origins, origins, payloads, str_tuples),
     PipelineBatch: st.builds(PipelineBatch, frame_tuples),
-    BurstEnvelope: st.builds(BurstEnvelope, origins, origins, frame_tuples, str_tuples),
+    Envelope: st.builds(Envelope, origins, origins, frame_tuples, str_tuples),
     GetWaitRequest: st.builds(
         GetWaitRequest, folders, st.sampled_from(GET_WAIT_MODES), uints, origins
     ),

@@ -216,8 +216,8 @@ class TestRetiredMessages:
     def test_tlv_control_frame_closes_its_connection(self, one_host_cluster):
         """A server decodes compact frames only.  A protocol message spelt
         as a TLV struct ends the session that sent it, unserved, whether
-        it comes as a frame, as a ForwardEnvelope's inner request or as a
-        PipelineBatch member — and the server keeps serving."""
+        it comes as a frame, as an Envelope member or as a PipelineBatch
+        member — and the server keeps serving."""
         from repro import NIL
         from repro.errors import ConnectionClosedError
         from repro.transferable.registry import TransferableRegistry
@@ -232,7 +232,7 @@ class TestRetiredMessages:
         )
         frames = (
             tlv_put,
-            p.encode_message(p.ForwardEnvelope("test", "solo", tlv_put), 9),
+            p.encode_message(p.Envelope("test", "solo", (tlv_put,))),
             p.encode_message(p.PipelineBatch((tlv_put,))),
         )
         backend = one_host_cluster.backend
@@ -250,6 +250,8 @@ class TestRetiredMessages:
 
 #: Replies and pushes: what a server sends, never serves.
 NON_REQUESTS = {p.Reply, p.Acks, p.MemoReady, p.WaitCancelled}
+#: What carries requests rather than being one.
+CARRIERS = {p.PipelineBatch, p.Envelope}
 #: The codec's own registry, narrowed to the protocol's messages (it also
 #: holds the WAL record tags).
 PROTOCOL = [
@@ -278,9 +280,8 @@ def samples(folder, other):
         p.StatsRequest: p.StatsRequest("t"),
         p.ShutdownRequest: p.ShutdownRequest("t"),
         p.ResyncRequest: p.ResyncRequest(("test",), "t"),
-        p.ForwardEnvelope: p.ForwardEnvelope("test", "s2", b"", ()),
         p.PipelineBatch: p.PipelineBatch((frame,)),
-        p.BurstEnvelope: p.BurstEnvelope("test", "s2", (frame,), ()),
+        p.Envelope: p.Envelope("test", "s2", (frame,), ()),
         p.Reply: p.Reply(),
         p.Acks: p.Acks((1, 2)),
         p.MemoReady: p.MemoReady(1, folder, b"x"),
@@ -299,8 +300,10 @@ class TestHandlerTable:
         assert set(HANDLERS) | NON_REQUESTS == set(PROTOCOL)
 
     def test_envelope_flag_is_what_a_relay_hop_serves(self, star_cluster):
-        """From s1, aimed at s2: the hub relays every envelope; s2 serves
-        exactly the classes whose row says they may ride one."""
+        """From s1, aimed at s2: the hub relays every envelope member; s2
+        serves exactly the classes whose row says they may ride one.  (A
+        carrier is no member: it closes the session, see
+        :class:`TestEnvelopeMembers`.)"""
         reg = star_cluster.servers["s1"].registration("test")
         owned = [
             name
@@ -312,9 +315,10 @@ class TestHandlerTable:
         backend = star_cluster.backend
         conn = backend.transport_for("s1").connect(backend.address_of("s1"))
         relayed_before = star_cluster.stats()["hub"]["memo.forwards_relayed"]
-        for cid, (cls, msg) in enumerate(by_class.items(), start=1):
-            envelope = p.ForwardEnvelope("test", "s2", p.encode_message(msg), ())
-            p.send_message(conn, envelope, corr_id=cid)
+        members = {cls: msg for cls, msg in by_class.items() if cls not in CARRIERS}
+        for cid, (cls, msg) in enumerate(members.items(), start=1):
+            envelope = p.Envelope("test", "s2", (p.encode_message(msg, cid),), ())
+            p.send_message(conn, envelope)
             reply, got = p.recv_tagged(conn, timeout=10)
             while got is None:  # a push: the relayed wait's memo arriving
                 reply, got = p.recv_tagged(conn, timeout=10)
@@ -325,5 +329,61 @@ class TestHandlerTable:
                 assert f"envelope carried unexpected {cls.__name__}" in reply.error
         conn.close()
         relayed = star_cluster.stats()["hub"]["memo.forwards_relayed"] - relayed_before
-        assert relayed == len(by_class)
+        assert relayed == len(members)
         assert backend.is_live("s2")  # the enveloped ShutdownRequest was refused
+
+
+class TestEnvelopeMembers:
+    """One refusal rule for what a peer's envelope carries: a member that
+    may not ride one is answered with a ``ProtocolError`` and the session
+    serves on; a member that breaks the frame rules ends the session."""
+
+    @staticmethod
+    def connect(cluster):
+        backend = cluster.backend
+        return backend.transport_for("solo").connect(backend.address_of("solo"))
+
+    def test_a_member_that_may_not_ride_is_refused_and_the_session_stays(
+        self, one_host_cluster
+    ):
+        put = p.PutRequest(FolderName("test", key(5)), b"x", "t")
+        conn = self.connect(one_host_cluster)
+        try:
+            for cid, member in enumerate((p.StatsRequest("t"), put), start=1):
+                frame = p.encode_message(member, cid)
+                p.send_message(conn, p.Envelope("test", "solo", (frame,)))
+                reply, got = p.recv_tagged(conn, timeout=5.0)
+                assert got == cid
+                if member is put:
+                    assert reply.ok  # served on the same session
+                else:
+                    assert not reply.ok
+                    assert "envelope carried unexpected StatsRequest" in reply.error
+        finally:
+            conn.close()
+
+    def test_a_member_breaking_the_frame_rules_closes_the_session(
+        self, one_host_cluster
+    ):
+        from repro import NIL
+        from repro.errors import ConnectionClosedError
+
+        put = p.PutRequest(FolderName("test", key(6)), b"x", "t")
+        nested = (p.encode_message(put, 3),)
+        members = {
+            "undecodable": b"DC\x02\xee\x01",
+            "id-less": p.encode_message(put),
+            "nested envelope": p.encode_message(p.Envelope("test", "solo", nested), 2),
+            "nested batch": p.encode_message(p.PipelineBatch(nested)),
+        }
+        bystander = one_host_cluster.memo_api("solo", "test")
+        bystander.put(key(), "before", wait=True)
+        for what, member in members.items():
+            conn = self.connect(one_host_cluster)
+            conn.send(p.encode_message(p.Envelope("test", "solo", (member,))))
+            with pytest.raises(ConnectionClosedError):
+                conn.recv(timeout=5.0)
+                pytest.fail(f"an envelope with an {what} member was answered")
+            conn.close()
+        assert bystander.get_skip(key(6)) is NIL  # no member was served
+        assert bystander.get(key()) == "before"

@@ -241,12 +241,12 @@ class TestInlineRule:
 
         calling = threading.local()
         read_by_caller: list = []
-        call, dispatch = PeerLink.call, Calls.dispatch
+        exchange, dispatch = PeerLink._exchange, Calls.dispatch
 
-        def spy_call(link, message):
+        def spy_exchange(link, *args):
             calling.on = True
             try:
-                return call(link, message)
+                return exchange(link, *args)
             finally:
                 calling.on = False
 
@@ -255,7 +255,7 @@ class TestInlineRule:
                 read_by_caller.append(getattr(calling, "on", False))
             return dispatch(calls, msg, cid)
 
-        monkeypatch.setattr(PeerLink, "call", spy_call)
+        monkeypatch.setattr(PeerLink, "_exchange", spy_exchange)
         monkeypatch.setattr(Calls, "dispatch", spy_dispatch)
         adf = system_default_adf(["h0", "h1", "h2"], app="pipe", replication_factor=rf)
         with Cluster(adf, transport_kind="tcp", heartbeat_interval=0.5) as cluster:
@@ -280,6 +280,32 @@ class TestInlineRule:
         # About two puts in three are forwarded (and at rf 2 copied too).
         assert len(read_by_caller) > puts // 2
         assert read_by_caller.count(False) <= len(read_by_caller) // 100
+
+    @pytest.mark.parametrize("rf", [1, 2])
+    @pytest.mark.parametrize("read", ["get_skip", "get"])
+    def test_forwarded_reads_take_no_hand_off_at_the_owner(self, read, rf):
+        """A ``get_skip`` forwarded to its folder's owner, and a ``get``
+        whose wait is relayed there, are served on the reader of the
+        owner's session with the forwarding peer: the owner makes no
+        thread-cache submit for them."""
+        adf = system_default_adf(["h0", "h1", "h2"], app="pipe", replication_factor=rf)
+        with Cluster(adf, transport_kind="tcp", heartbeat_interval=0.5) as cluster:
+            cluster.register()
+            chain = cluster.servers["h0"].registration("pipe").placement.replica_chain
+            candidates = (Key(Symbol("forwarded"), (i,)) for i in range(4000))
+            keys = [k for k in candidates if chain(FolderName("pipe", k))[0][1] == "h1"]
+            keys = keys[:1000]
+            memo = cluster.memo_api("h0", "pipe")
+            for i, k in enumerate(keys):
+                memo.put(k, i, wait=True)
+            owner = cluster.servers["h1"]
+            before = owner.cache.stats.snapshot()["submitted"]
+            for i, k in enumerate(keys):
+                assert getattr(memo, read)(k) == i
+            submitted = owner.cache.stats.snapshot()["submitted"] - before
+        reads = len(keys)
+        assert reads == 1000
+        assert submitted <= 0.001 * reads, submitted
 
 
 class TestBurstForwarding:

@@ -25,7 +25,7 @@ from repro.core.api import NIL
 from repro.core.keys import FolderName, Key, Symbol
 from repro.errors import ShutdownError
 from repro.network.calls import Calls
-from repro.network.protocol import ForwardEnvelope, Heartbeat, PutRequest
+from repro.network.protocol import Envelope, Heartbeat, PutRequest
 from repro.replication.failure import FailureDetector
 from repro.runtime.cluster import Cluster
 from repro.servers.link import DEADLINES, PeerLink
@@ -383,7 +383,7 @@ def test_a_consuming_read_outlasts_the_data_deadline(monkeypatch, read):
     longer than a (shortened) data deadline: the reader keeps waiting,
     and gets the memo the owner takes when it thaws — no error, no
     failed probe, no memo lost with an abandoned reply."""
-    monkeypatch.setitem(DEADLINES, ForwardEnvelope, 0.2)
+    monkeypatch.setitem(DEADLINES, Envelope, 0.2)
     failures: list = []
     monkeypatch.setattr(
         FailureDetector, "record_failure", lambda _d, host: failures.append(host)
@@ -421,7 +421,7 @@ def test_a_consuming_read_outlasts_the_data_deadline(monkeypatch, read):
             reader = threading.Thread(target=consume, daemon=True)
             reader.start()
             assert frozen.wait(5)
-            time.sleep(3 * DEADLINES[ForwardEnvelope])
+            time.sleep(3 * DEADLINES[Envelope])
             assert got == []  # still waiting on the frozen owner
             thaw.set()
             reader.join(10)

@@ -22,7 +22,7 @@ from repro.network.codec import encode_message
 from repro.network.protocol import (
     PUT_ACK,
     Acks,
-    ForwardEnvelope,
+    Envelope,
     GetWaitRequest,
     MemoReady,
     Reply,
@@ -519,13 +519,13 @@ class TestRelayedWaits:
         conn = two_host_cluster.backend.transport_for("alpha").connect(beta.address)
         try:
             wait = GetWaitRequest(folder=FolderName("test", key(701)), waiter=1)
-            envelope = ForwardEnvelope(
+            envelope = Envelope(
                 app="test",
                 target_host="alpha",
-                inner=encode_message(wait),
+                frames=(encode_message(wait, corr_id=1),),
                 trail=("alpha", "beta"),
             )
-            send_message(conn, envelope, corr_id=1)
+            send_message(conn, envelope)
             msg, cid = recv_tagged(conn, 5.0)
             assert cid == 1 and not msg.ok and "routing loop" in msg.error
             assert active(beta) == 0
@@ -753,7 +753,7 @@ class TestOneReplyPerRelayedWait:
 
         def reader_first(link, message, cid):
             sent = send(link, message, cid)
-            if isinstance(message, ForwardEnvelope):
+            if isinstance(message, Envelope):
                 assert answered.wait(5)
             return sent
 
