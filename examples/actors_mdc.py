@@ -49,14 +49,25 @@ def main() -> None:
         # -- stage 2: counter (beta) ----------------------------------------
         counter = Behavior()
 
+        # A mailbox is a folder, and folders are unordered: the flush may
+        # overtake words sent before it.  It carries how many words were
+        # sent, so the counter reports once it has seen the flush and
+        # counted that many, whichever comes last.
+        def report_when_done(actor):
+            counts = actor.state.setdefault("counts", {})
+            if sum(counts.values()) == actor.state.get("expected"):
+                actor.send(actor.state["to"], {"type": "totals", "counts": counts})
+
         @counter.on({"type": "word"})
         def count(actor, msg):
             counts = actor.state.setdefault("counts", {})
             counts[msg["word"]] = counts.get(msg["word"], 0) + 1
+            report_when_done(actor)
 
         @counter.on({"type": "flush"})
         def flush(actor, msg):
-            actor.send(msg["to"], {"type": "totals", "counts": actor.state.get("counts", {})})
+            actor.state.update(expected=msg["words"], to=msg["to"])
+            report_when_done(actor)
 
         counter_ref = sys_beta.spawn("counter", counter)
 
@@ -65,9 +76,10 @@ def main() -> None:
 
         @splitter.on({"type": "text"})
         def split(actor, msg):
-            for word in msg["body"].split():
+            words = msg["body"].split()
+            for word in words:
                 actor.send(msg["next"], {"type": "word", "word": word})
-            actor.send(msg["next"], {"type": "flush", "to": msg["report_to"]})
+            actor.send(msg["next"], {"type": "flush", "to": msg["report_to"], "words": len(words)})
 
         splitter_ref = sys_alpha.spawn("splitter", splitter)
 

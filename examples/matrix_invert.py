@@ -113,6 +113,8 @@ def main() -> None:
             print(f"  server {sid} on {host:<10} {metrics.server_puts[sid]}")
         print(f"inter-host messages: {metrics.inter_host_messages()}")
         print(f"broadcasts (always 0 by design): {metrics.broadcasts}")
+        assert results["0"] < 1e-9, results["0"]
+        assert sum(results[pid] for pid in results if pid != "0") == n
     finally:
         cluster.stop()
 

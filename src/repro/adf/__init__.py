@@ -16,7 +16,6 @@ placement, and the logical point-to-point topology with link costs.
 
 from repro.adf.model import ADF, FolderDecl, HostDecl, LinkDecl, ProcessDecl
 from repro.adf.parser import parse_adf, parse_adf_file
-from repro.adf.writer import write_adf, write_adf_file
 from repro.adf.topology import (
     cube_links,
     fully_connected_links,
@@ -36,8 +35,6 @@ __all__ = [
     "LinkDecl",
     "parse_adf",
     "parse_adf_file",
-    "write_adf",
-    "write_adf_file",
     "star_links",
     "ring_links",
     "mesh_links",

@@ -40,5 +40,5 @@ class MemoRecord:
     src_lsn: int = 0
 
     def size_bytes(self) -> int:
-        """Encoded payload size (used by traffic metrics)."""
+        """Encoded payload size in bytes."""
         return len(self.payload)

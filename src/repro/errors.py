@@ -2,9 +2,20 @@
 
 Every error raised by the library derives from :class:`MemoError` so that
 applications can catch system failures with a single ``except`` clause while
-still being able to discriminate the subsystem that failed.  The hierarchy
-mirrors the four HC foundations of the paper (communication, shared memory,
-transferable, locking) plus the server/runtime layers built on top of them.
+still being able to discriminate the subsystem that failed.
+
+The paper's section 3.1 builds D-Memo on four heterogeneous-computing
+foundations, each an abstract base whose platform derivation is chosen at
+run time.  Two of them raise errors of their own below: the connection
+(section 3.1.1: ``repro.network.connection.Transport``, derived as the
+in-memory fabric or TCP) and the transferable (section 3.1.3:
+``repro.transferable``).  Shared memory (section 3.1.2) is where the
+servers run, ``repro.runtime.backends.ClusterBackend``: threads sharing
+one address space (``InProcessBackend``) or one OS process per host
+(``ProcessBackend``).  Locks (section 3.1.4) are bare ``threading.Lock``
+inside the servers and, for applications, the folder-level locks of
+section 6.3 (``repro.core.sync``).  The server and runtime layers built
+on top raise the rest.
 """
 
 from __future__ import annotations
@@ -85,40 +96,6 @@ class HostDownError(CommunicationError):
     default ``replication_factor=1`` it simply replaces a bare
     communication failure for a dead single owner.
     """
-
-
-# ---------------------------------------------------------------------------
-# Shared-memory foundation (paper section 3.1.2)
-# ---------------------------------------------------------------------------
-
-
-class SharedMemoryError(MemoError):
-    """Base class for shared-memory backend failures."""
-
-
-class OutOfSharedMemoryError(SharedMemoryError):
-    """The declared pool is exhausted (Encore-style pre-declared pools)."""
-
-
-class SegmentNotFoundError(SharedMemoryError):
-    """An attach/free referenced a segment name that does not exist."""
-
-
-# ---------------------------------------------------------------------------
-# Locking foundation (paper section 3.1.4)
-# ---------------------------------------------------------------------------
-
-
-class LockingError(MemoError):
-    """Base class for locking backend failures."""
-
-
-class LockTimeoutError(LockingError):
-    """A lock acquisition timed out."""
-
-
-class NotOwnerError(LockingError):
-    """A lock was released by a thread that does not hold it."""
 
 
 # ---------------------------------------------------------------------------

@@ -78,8 +78,10 @@ class Cluster:
             ``"memory"`` in-process; the process backend is TCP-only.
         latency: latency model applied to the in-memory fabric.
         policy: hash-weight policy installed on every memo server
-            (ablation knob for SEC5A/ABL1; in-process only — a policy
-            object cannot cross a process boundary).
+            (``examples/heterogeneous_jobjar.py`` sets one; the SEC5A and
+            ABL1 benches compare the same policies on a bare placement;
+            in-process only — a policy object cannot cross a process
+            boundary).
         idle_timeout: thread-cache idle timer for all servers.
         heartbeat_interval: failure-detector probe period for every server
             (probing only runs while some app has ``replication_factor > 1``).

@@ -25,9 +25,10 @@ class SimHost:
         arch: architecture label (``sun4``, ``sp1``, ...).
         num_procs: processor count.
         proc_cost: relative cost of one processor (ADF HOSTS column).
-        word_bits: native word size; drives which absolute domains a host
-            can hold natively (the transferable benches use this to build
-            heterogeneous pairs like Alpha→486).
+        word_bits: native word size, the width of the absolute domains a
+            host holds natively (:func:`hosts_from_adf` derives it from
+            the ADF's architecture name: 64 for an Alpha, 16 for an
+            80486).
     """
 
     name: str

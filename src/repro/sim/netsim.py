@@ -5,8 +5,9 @@ this link.  This reflects distance and transmission speed", section 4.3).
 The simulation gives them teeth by mapping cost *c* to a one-way message
 latency ``base + c * per_cost`` seconds and installing it on the
 :class:`~repro.network.transport.NetworkFabric`, so a topology with an
-expensive SP-1 uplink really does slow round trips that cross it — the
-effect the FIG2/SEC5B benches measure.
+expensive SP-1 uplink really does slow round trips that cross it.  No
+bench sets a model; ``tests/integration/test_system_behaviours.py``
+checks the effect.
 """
 
 from __future__ import annotations

@@ -10,7 +10,6 @@ import pytest
 
 from repro.adf.defaults import merge_with_default, system_default_adf
 from repro.adf.parser import parse_adf
-from repro.adf.writer import write_adf
 from repro.core.keys import FolderName, Key, Symbol
 from repro.errors import ADFError, ServerError
 from repro.network.routing import RoutingTable
@@ -97,16 +96,6 @@ class TestReplicaChain:
 
 
 class TestADFKnob:
-    def test_replication_section_roundtrips(self):
-        adf = system_default_adf(["x", "y", "z"], app="r", replication_factor=2)
-        text = write_adf(adf)
-        assert "REPLICATION" in text and "factor 2" in text
-        assert parse_adf(text).replication_factor == 2
-
-    def test_default_factor_writes_no_section(self):
-        adf = system_default_adf(["x"], app="r")
-        assert "REPLICATION" not in write_adf(adf)
-
     def test_parse_replication_section(self):
         adf = parse_adf("APP a\nREPLICATION\nfactor 3\n")
         assert adf.replication_factor == 3

@@ -27,7 +27,7 @@ CLIENT_MODULES = {
     for name in ("cluster", "client", "backends", "launcher", "program", "process")
 } | {f"repro.core.{name}" for name in ("api", "futures", "datastructures", "sync", "dataflow")}
 CLIENT_PACKAGES = (
-    "adf", "sim", "scenarios", "languages", "locking", "sharedmem", "baselines",
+    "adf", "sim", "scenarios", "languages", "baselines",
     "transferable",  # memo payloads are opaque bytes to a server
 )
 
