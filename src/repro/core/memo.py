@@ -38,7 +38,3 @@ class MemoRecord:
     origin: str = ""
     src_sid: str = ""
     src_lsn: int = 0
-
-    def size_bytes(self) -> int:
-        """Encoded payload size in bytes."""
-        return len(self.payload)

@@ -16,11 +16,12 @@ link to a peer — run this one mechanism on it, a :class:`Calls`:
   ``MemoReady`` or ``WaitCancelled`` push goes to the owner's push hook
   by waiter token; any other reply goes to its id's slot.  An id no slot
   holds (stale, or from an earlier connection) is dropped.
-* **Leader/follower reads.**  A caller that finds nobody reading reads the
-  connection itself until its slot is over (it *leads*), dispatching every
-  frame it meets; another waits on its slot.  A leader reads in slices, so
-  a slot failed from outside is seen.  Its owner's :class:`Role` says
-  whether anything reads on when no caller does.
+* **One reader at a time.**  A caller that finds nobody reading reads the
+  connection itself (it *leads*), dispatching every frame it meets: one
+  that waits (:meth:`Calls.wait`) until its slot is over — re-entrantly,
+  if its thread is the one dispatching — and one whose ``then`` answers
+  for at most one slice (:meth:`Calls.lead`).  Another waiter waits on its
+  slot.  The owner's :class:`Role` says whether anything reads on.
 * **One loss rule.**  :meth:`Calls.fail` fails each chosen slot exactly
   once and returns them: a slot's ``left`` is the ids it never got.
 """
@@ -47,25 +48,27 @@ __all__ = ["Calls", "Role", "Slot"]
 #: What a caller may receive: replies, and the pushes of parked waits.
 _ANSWERS = frozenset((Reply, Acks, MemoReady, WaitCancelled))
 
-#: Longest a leader reads before it looks at its slot and its role again:
-#: how soon it sees the slot failed from outside (a peer declared dead),
-#: and when a peer link's leader first hands on its thread's other reading.
+#: Longest a caller that does not wait reads for its reply, and how often
+#: the role's reader fails slots past their deadline.
 _SLICE = 0.02
+
+_STANDING = -1  # ``Calls._reader`` while the role's reader is on its way
 
 
 class Slot:
     """What waits on the ids ``first .. first + n - 1``: one result per id,
     ``left`` of them still due, the ``error`` that ended it early, ``over``
-    once nothing more comes, and ``tag``, its owner's.
+    once nothing more comes, ``tag``, its owner's, and ``until``, the
+    monotonic time it fails with TimeoutError unless over (None: never).
 
     A slot carries no lock of its own: a caller that leads reads its reply
     itself.  Only a caller that waits for another reader gets ``done``,
     made under the engine's lock while the slot is not over, and released
     once it is over and its ``then`` has run."""
 
-    __slots__ = ("first", "results", "left", "error", "over", "then", "tag", "done")
+    __slots__ = ("first", "results", "left", "error", "over", "then", "tag", "until", "done")
 
-    def __init__(self, first: int, n: int, then, tag) -> None:
+    def __init__(self, first: int, n: int, then, tag, until: float | None) -> None:
         self.first = first
         self.results: list = [None] * n
         self.left = n
@@ -73,6 +76,7 @@ class Slot:
         self.over = False
         self.then = then
         self.tag = tag
+        self.until = until
         self.done: threading.Lock | None = None
 
     def _finish(self) -> None:
@@ -84,24 +88,13 @@ class Slot:
 
 
 class Role:
-    """How a :class:`Calls` reads on its callers' threads.  This one is a
-    caller's own thread and nothing else: a caller reads its reply itself,
-    and nothing reads the connection when no caller does."""
+    """How a :class:`Calls` reads when no caller does.  This one does not."""
 
-    def lead(self) -> None:
-        """The current thread starts reading the connection."""
-
-    def leading(self, waited: float) -> bool:
-        """Whether the current thread still reads, *waited* seconds into
-        its lead: asked after each frame and each quiet slice."""
-        return True
-
-    #: Whether anything reads on once no caller does (:meth:`led`).
+    #: Whether the role has a reader of its own (:meth:`Calls.stand`).
     reads_on = False
 
-    def led(self, busy: bool) -> bool:
-        """The current thread stopped reading; while *busy*, whether
-        another reads on."""
+    def read_on(self) -> bool:
+        """Start the role's own reader; whether it started."""
         return False
 
     def busy(self) -> bool:
@@ -109,21 +102,16 @@ class Role:
         the engine's lock, and only of a role that :attr:`reads_on`."""
         return False
 
-    def follow(self, done: threading.Lock, left: float | None) -> bool:
-        """Acquire *done* (at most *left* seconds): another thread reads
-        the slot's reply.  Returns whether it was acquired."""
-        return done.acquire(True, -1 if left is None else left)
-
 
 class Calls:
     """Correlated calls over *conn*: ids, slots, dispatch, reads and loss.
 
     *push* takes ``(token, payload, reason)`` for a ``MemoReady``
     (``reason`` None) or a ``WaitCancelled`` (``payload`` None).  *lost*
-    is the owner's loss rule, run when a leader meets the connection's
-    loss, and fails what is outstanding (:meth:`fail`).  Callbacks run
-    with no lock held.  ``heard`` is when the connection last delivered a
-    frame.
+    is the owner's loss rule, run when a caller that reads meets the
+    connection's loss, and fails what is outstanding (:meth:`fail`).
+    Callbacks run with no lock held.  ``heard`` is when the connection
+    last delivered a frame.
     """
 
     def __init__(
@@ -142,8 +130,10 @@ class Calls:
         #: Id -> the slot that waits on it.
         self._slots: dict[int, Slot] = {}
         self._next = 1
-        #: Whether a thread reads the connection: a leader, or the role's own.
-        self._reading = False
+        #: The thread that reads the connection (its ident), if one does.
+        self._reader: int | None = None
+        #: When the role's reader next looks for slots past their deadline.
+        self._due = 0.0
 
     # -- ids and slots ----------------------------------------------------------
 
@@ -155,12 +145,13 @@ class Calls:
             self._next = first + n
         return first
 
-    def open(self, n: int = 1, then=None, tag=None, first: int | None = None) -> Slot:
+    def open(self, n=1, then=None, tag=None, first=None, until=None) -> Slot:
         """Wait on *n* ids from *first* (fresh ones if None, taken in the
-        same hold of the lock): a caller then sends under ``slot.first``
-        and waits on the slot (:meth:`wait`), or ``then(slot)`` runs once
-        it is over.  A slot whose send fails goes to :meth:`forget`."""
-        slot = Slot(first, n, then, tag)
+        same hold of the lock), until the monotonic time *until*: a caller
+        then sends under ``slot.first`` and waits on the slot
+        (:meth:`wait`), or ``then(slot)`` runs once it is over.  A slot
+        whose send fails goes to :meth:`forget`."""
+        slot = Slot(first, n, then, tag, until)
         with self.lock:
             if first is None:
                 slot.first = first = self._next
@@ -244,30 +235,38 @@ class Calls:
         for slot in over:
             slot._finish()
 
-    def wait(self, slot: Slot, until: float | None = None, follow: bool = True) -> None:
+    def wait(self, slot: Slot, until: float | None = None) -> None:
         """Return once *slot* is over, or fail it with TimeoutError when
-        the monotonic time *until* passes first.  A caller that finds
-        nobody reading leads; any other waits for the reader — unless not
-        *follow*: it then returns at once, and *slot* is the reader's."""
+        the monotonic time *until* passes first."""
         if slot.over:
             return
+        me = threading.get_ident()
+        done = None
         with self.lock:
-            lead, self._reading = not self._reading, True
-            done = None if lead or not follow else self._make_done(slot)
-        if lead:
-            if self._lead(slot, until):
-                # Its reading was handed on: wait for the new reader.
-                if not follow:
-                    return
-                with self.lock:
-                    done = self._make_done(slot)
-        elif not follow:
-            return
-        if done is not None:
-            left = None if until is None else until - time.monotonic()
-            self.role.follow(done, left)
+            reader = self._reader
+            if reader is None:
+                self._reader = me
+            elif reader != me:
+                done = self._make_done(slot)
+        if reader is None or reader == me:
+            self._read(slot, until)
+            if reader is None:
+                self._release()
+        elif done is not None:
+            done.acquire(True, -1 if until is None else max(0.0, until - time.monotonic()))
         if not slot.over:
-            self._expire(slot)
+            late = TimeoutError("no reply before the deadline")
+            self.fail(late, lambda other: other is slot)
+
+    def lead(self, slot: Slot) -> None:
+        """Read for *slot*, whose ``then`` answers, if nobody reads: for at
+        most one slice, then the role's reader reads on."""
+        with self.lock:
+            if self._reader is not None:
+                return
+            self._reader = threading.get_ident()
+        self._read(slot, time.monotonic() + _SLICE)
+        self._release()
 
     @staticmethod
     def _make_done(slot: Slot) -> threading.Lock | None:
@@ -278,55 +277,49 @@ class Calls:
         done.acquire()
         return done
 
-    def _expire(self, slot: Slot) -> None:
-        with self.lock:
-            late = not slot.over
-            if late:
-                self._drop(slot)
-                slot.error = TimeoutError("no reply before the deadline")
-        if late:
-            slot._finish()
+    def _read(self, slot: Slot, stop: float | None) -> None:
+        """Read until *slot* is over or the monotonic time *stop* passes."""
+        while not slot.over:
+            timeout = _SLICE
+            if stop is not None:
+                timeout = min(timeout, stop - time.monotonic())
+                if timeout <= 0:
+                    return
+            try:
+                if not self.read_one(timeout):
+                    self._lost()
+                    return
+            except TimeoutError:
+                pass
 
-    def _lead(self, slot: Slot, until: float | None) -> bool:
-        """Read on this thread until *slot* is over or *until* passes (it
-        is then failed); True if the role took the reading away first."""
+    def _release(self) -> None:
+        """A leader stops: the role's reader reads on if anything is due."""
         role = self.role
-        role.lead()
-        started = time.monotonic()
-        handed = False
-        try:
-            while not slot.over:
-                now = time.monotonic()
-                if until is not None and now >= until:
-                    self._expire(slot)
-                    break
-                timeout = _SLICE
-                if until is not None:
-                    timeout = min(timeout, until - now)
-                try:
-                    if not self.read_one(timeout):
-                        self._lost()
-                        break
-                except TimeoutError:
-                    pass
-                if not role.leading(time.monotonic() - started):
-                    handed = True
-                    break
-        finally:
-            if not handed:
-                with self.lock:
-                    busy = self._reading = role.reads_on and (
-                        bool(self._slots) or role.busy()
-                    )
-                if not role.led(busy) and busy:  # stopping: nobody reads on
-                    with self.lock:
-                        self._reading = False
-        return handed
-
-    def quiet(self) -> bool:
-        """Whether nothing is outstanding; nobody reads from then on."""
         with self.lock:
-            if self._slots or self.role.busy():
-                return False
-            self._reading = False
-            return True
+            busy = role.reads_on and (bool(self._slots) or role.busy())
+            self._reader = _STANDING if busy else None
+        if busy and not role.read_on():  # stopping: nobody reads on
+            with self.lock:
+                self._reader = None
+
+    def stand(self) -> bool:
+        """The role's own reader: read until nothing is outstanding, failing
+        what passed its deadline; False once the connection is lost (the
+        caller runs the loss rule)."""
+        with self.lock:
+            self._reader = threading.get_ident()
+        while True:
+            try:
+                if not self.read_one(_SLICE):
+                    return False
+            except TimeoutError:
+                pass
+            now = time.monotonic()
+            if now >= self._due:  # what passed its deadline fails
+                self._due = now + _SLICE
+                late = TimeoutError("no reply before the deadline")
+                self.fail(late, lambda slot: slot.until is not None and slot.until <= now)
+            with self.lock:
+                if not (self._slots or self.role.busy()):
+                    self._reader = None
+                    return True

@@ -34,7 +34,6 @@ from repro.errors import FrameError
 __all__ = [
     "MAGIC",
     "HEADER",
-    "frame_overhead",
     "encode_frames",
     "write_frame",
     "parse_frame",
@@ -46,11 +45,6 @@ FLAG_MORE = 0x01
 
 #: Default fragment size; generous for in-memory, realistic for sockets.
 DEFAULT_MAX_FRAGMENT = 256 * 1024
-
-
-def frame_overhead() -> int:
-    """Bytes of header added per frame."""
-    return HEADER.size
 
 
 def encode_frames(payload: bytes, max_fragment: int = DEFAULT_MAX_FRAGMENT) -> list[bytes]:

@@ -36,11 +36,6 @@ class Route:
         """First host after *src* on the path (== dst when adjacent)."""
         return self.hops[1] if len(self.hops) > 1 else self.dst
 
-    @property
-    def hop_count(self) -> int:
-        """Number of links traversed."""
-        return max(0, len(self.hops) - 1)
-
 
 class RoutingTable:
     """All-pairs shortest-path routing over a weighted undirected topology.
@@ -159,7 +154,3 @@ class RoutingTable:
         for src in others:
             total += self.route(src, dst).cost
         return total / len(others)
-
-    def as_dict(self) -> dict[str, dict[str, float]]:
-        """The adjacency structure (copy), for registration payloads."""
-        return {src: dict(nbrs) for src, nbrs in self._adj.items()}

@@ -39,7 +39,6 @@ from repro.network.routing import RoutingTable
 __all__ = [
     "weighted_rendezvous",
     "weighted_rendezvous_ranked",
-    "weighted_rendezvous_topk",
     "HashWeightPolicy",
     "FolderPlacement",
     "PlacementCache",
@@ -79,13 +78,6 @@ def weighted_rendezvous_ranked(key: bytes, weights: dict[str, float]) -> list[st
     # strict-greater scan the top-1 function historically used.
     scored.sort(key=lambda item: (-item[0], item[1]))
     return [sid for _score, sid in scored]
-
-
-def weighted_rendezvous_topk(key: bytes, weights: dict[str, float], k: int) -> list[str]:
-    """The *k* highest-scoring server ids for *key* (ordered)."""
-    if k < 1:
-        raise ServerError(f"top-k rendezvous needs k >= 1, got {k}")
-    return weighted_rendezvous_ranked(key, weights)[:k]
 
 
 def weighted_rendezvous(key: bytes, weights: dict[str, float]) -> str:

@@ -8,18 +8,19 @@ an :class:`~repro.network.protocol.Envelope` (:meth:`PeerLink.forward`,
 are correlated requests of their own.  All of them run on the
 correlated-call engine the client runs too
 (:class:`~repro.network.calls.Calls`): each is a slot, and whoever reads
-the link hands each reply to its slot.  A call waits on its slot; a
-relayed wait's first answer and a cancel's reply are slot callbacks, and
-the wait's memo or end comes as a push to its :class:`ParkedWaiter`.  A
-caller that finds nobody reading the link reads it itself (it *leads*),
-as does the thread that relays a wait, until the owner's first answer: a
-lone exchange is one send and one read on the calling thread.  The link
-is the engine's reading role: a standing reader runs only while parked
-waits, or slots no leader reads for, are outstanding.  A call waits at
-most its :data:`DEADLINES` entry, but a consuming read waits for its
-reply as a relayed wait, parked in the owner's table, does: until a
-reply, a push or the loss of the link ends it.  What this module calls on
-a session: ``complete_waiter``, ``ack_parked`` and ``relay_ended``.
+the link hands each reply to its slot.  A forward's reply, a relayed
+wait's first answer and a cancel's reply finish their request through the
+slot's ``then``; only a caller that reads nothing — the heartbeat monitor,
+a test — waits on its slot.  A caller that finds nobody reading the link
+reads it itself (it *leads*): a waiting one until its reply, any other
+for at most one slice, so a lone exchange is one send and one read on the
+calling thread.  The link is the engine's reading role: a standing reader
+runs only while parked waits, or slots no leader reads for, are
+outstanding.  A call fails past its :data:`DEADLINES` entry, but a
+consuming read waits for its reply as a relayed wait, parked in the
+owner's table, does: until a reply, a push or the loss of the link ends
+it.  What this module calls on a session: ``complete_waiter``,
+``ack_parked`` and ``relay_ended``.
 """
 
 from __future__ import annotations
@@ -42,13 +43,7 @@ from repro.network.protocol import (
     Heartbeat,
     send_message,
 )
-from repro.servers.threadcache import (
-    HAND_OFF_AFTER,
-    Reader,
-    ThreadCache,
-    await_peer,
-    hand_off,
-)
+from repro.servers.threadcache import ThreadCache
 
 __all__ = ["DEADLINES", "ParkedWaiter", "PeerLink"]
 
@@ -64,15 +59,20 @@ DEADLINES: dict[type, float] = {
 _CONSUMING = (GetRequest, GetAltSkipRequest)
 
 
-def _consuming(slot: Slot) -> bool:
-    """Whether *slot*'s call carries a ``get_skip`` or ``get_alt`` member
-    (its ``tag`` holds an enveloped call's entries): a call never
-    abandoned while its link lives, as a peer that froze serves it when it
-    thaws, and the memo it takes must find its caller."""
-    for msg, _raw in slot.tag or ():
+def _consuming(entries: list) -> bool:
+    """Whether an enveloped call's *entries* hold a ``get_skip`` or
+    ``get_alt``: a call never abandoned while its link lives, as a peer
+    that froze serves it when it thaws, and the memo it takes must find
+    its caller."""
+    for msg, _raw in entries:
         if type(msg) in _CONSUMING:
             return True
     return False
+
+
+def _answers(then):
+    """A slot's ``then`` that hands *then* its ``(results, error)``."""
+    return None if then is None else lambda slot: then(slot.results, slot.error)
 
 
 def _envelope(app: str, target: str, entries: list, trail: tuple, first: int):
@@ -129,25 +129,24 @@ class ParkedWaiter:
         self.owed: int | None = None
 
 
-class PeerLink(Reader, Role):
+class PeerLink(Role):
     """A memo server's long-lived correlated connection to one next hop.
 
     Ids — of calls, envelope members, relayed waits (their tokens) and
     cancels — come from its engine's one counter.  At most one thread
     reads the link at a time: a leader, or the standing reader
     (:meth:`serve`), which a leader done while anything is still
-    outstanding starts, and which stops after the frame that leaves
-    nothing outstanding.  A leader or the standing reader that meets a
-    lost link retires it.  Whoever reads hands a relayed wait's answer to
-    the session entry that parked it: ``complete_waiter`` for a memo,
-    ``ack_parked`` when it parked beyond, ``relay_ended`` for anything
-    else, a lost link included.
+    outstanding starts, and which stops once nothing is.  A leader or
+    the standing reader that meets a lost link retires it.  Whoever
+    reads hands a relayed wait's answer to the session entry that parked
+    it: ``complete_waiter`` for a memo, ``ack_parked`` when it parked
+    beyond, ``relay_ended`` for anything else, a lost link included.
     """
 
     def __init__(self, host: str, conn: Connection, origin: str, cache: ThreadCache):
         self.host = host
         self.conn = conn
-        self.reader_cache = cache
+        self._cache = cache
         self._origin = origin
         self.calls = Calls(conn, self._end, self._lose, self)
         self._lock = self.calls.lock
@@ -162,23 +161,25 @@ class PeerLink(Reader, Role):
 
     # -- calls ----------------------------------------------------------------
     #
-    # A call returns ``(results, error)``: one reply per request, None where
-    # none came, and what cut it short — ConnectionClosedError (the link
-    # was lost, reset or retired), the error its peer was suspected with,
-    # or TimeoutError (no reply within the request's deadline).
+    # A call's slot ends with one reply per request, None where none came,
+    # and ``error``, what cut it short — ConnectionClosedError (the link was
+    # lost, reset or retired), the error its peer was suspected with, or
+    # TimeoutError (no reply within the request's deadline).  Given a
+    # ``then``, ``then(results, error)`` runs once it is over; else the call
+    # waits and returns ``(results, error)``.
 
-    def call(self, message: object) -> tuple:
-        """Send the request *message* (a heartbeat or a pull) and wait for
-        its reply."""
-        slot = self.calls.open()
+    def call(self, message: object, then=None) -> tuple:
+        """Send the request *message* (a heartbeat or a pull)."""
+        until = time.monotonic() + DEADLINES[type(message)]
+        slot = self.calls.open(then=_answers(then), until=until)
         return self._exchange(slot, message, slot.first)
 
-    def forward(self, app: str, target: str, entries: list, trail: tuple) -> tuple:
-        """Send requests to *target* as one :class:`Envelope` and wait for
-        their replies.  *entries* are ``(message, raw_frame_or_None)``
-        pairs; a raw correlated frame travels with its body untouched,
-        under a link id."""
-        slot = self.calls.open(len(entries), tag=entries)
+    def forward(self, app: str, target: str, entries: list, trail: tuple, then=None):
+        """Send requests to *target* as one :class:`Envelope`.  *entries*
+        are ``(message, raw_frame_or_None)`` pairs; a raw correlated frame
+        travels with its body untouched, under a link id."""
+        until = None if _consuming(entries) else time.monotonic() + DEADLINES[Envelope]
+        slot = self.calls.open(len(entries), then=_answers(then), until=until)
         return self._exchange(slot, _envelope(app, target, entries, trail, slot.first))
 
     def _exchange(self, slot: Slot, request: object, cid: int | None = None) -> tuple:
@@ -187,13 +188,13 @@ class PeerLink(Reader, Role):
             # Lost, or retired after its slots were failed: a caller that
             # finds nobody reading meets the loss and retires the link,
             # and the call fails now either way.
-            self.calls.wait(slot, follow=False)
+            self.calls.lead(slot)
             lost = ConnectionClosedError(f"link to {self.host} lost")
             self.calls.fail(lost, lambda other: other is slot)
+        elif slot.then is None:
+            self.calls.wait(slot, slot.until)
         else:
-            deadline = None if _consuming(slot) else DEADLINES[type(request)]
-            until = None if deadline is None else time.monotonic() + deadline
-            self.calls.wait(slot, until)
+            self.calls.lead(slot)
         return slot.results, slot.error
 
     # -- relayed waits --------------------------------------------------------
@@ -218,11 +219,10 @@ class PeerLink(Reader, Role):
     ) -> None:
         """Send *wait*, parked under *slot*'s token, toward *target* as an
         envelope of one, the token its member's id.  A caller that finds
-        nobody reading the link reads it until the wait's first answer, as
-        a call does; the standing reader reads on while the wait stays
-        parked."""
+        nobody reading the link leads its read, as a call's does; the
+        standing reader reads on while the wait stays parked."""
         self.send(_envelope(app, target, [(wait, None)], trail, slot.first), None)
-        self.calls.wait(slot, follow=False)
+        self.calls.lead(slot)
 
     def _answered(self, slot: Slot) -> None:
         """A relayed wait's first answer: a hit ends it, as an error does;
@@ -284,26 +284,11 @@ class PeerLink(Reader, Role):
 
     # -- reading: the engine's role, and the standing reader ------------------
 
-    def lead(self) -> None:
-        self.take_reading()
-
-    def leading(self, waited: float) -> bool:
-        """Past :data:`HAND_OFF_AFTER` a leader hands on the other reading
-        its thread holds, as :func:`await_peer` would."""
-        if waited >= HAND_OFF_AFTER:
-            hand_off(keep=self)
-        return self.reads_here()
-
     reads_on = True
 
-    def led(self, busy: bool) -> bool:
-        """A leader is done: the standing reader reads on while anything
-        is outstanding."""
-        self.drop_reading()
-        if not busy:
-            return False
+    def read_on(self) -> bool:
         try:
-            self.read_on()
+            self._cache.submit(self.serve)
         except ServerError:  # stopping: the links are retired next
             return False
         return True
@@ -311,22 +296,11 @@ class PeerLink(Reader, Role):
     def busy(self) -> bool:
         return bool(self._waits)
 
-    def follow(self, done, left: float | None) -> bool:
-        # Made on the thread that reads this link (a memo re-deposited
-        # from the push it is delivering): nobody else would read the
-        # reply, so that reading goes on at once.
-        self.hand_on()
-        return await_peer(done, left)
-
-    def read_one(self) -> bool | None:
-        """The standing reader: read one frame and hand on what it answers.
-        False once the link is lost; None after the frame that left
-        nothing outstanding."""
-        if not self.calls.read_one():
-            return False
-        if not self.reads_here():
-            return True  # handed on meanwhile: the new reader decides
-        return None if self.calls.quiet() else True
+    def serve(self) -> None:
+        """The standing reader: read while anything is outstanding, and
+        retire the link if it is lost meanwhile."""
+        if not self.calls.stand():
+            self.read_ended()
 
     def read_ended(self) -> None:
         self._lose()
@@ -338,9 +312,10 @@ class PeerLink(Reader, Role):
             session.relay_ended(entry, f"shutdown: link to {self.host} lost")
 
     def fail_calls(self, error: Exception) -> None:
-        """Fail with *error* every call but a consuming read; the link and
-        its waits stay (:func:`_consuming`)."""
-        self.calls.fail(error, lambda slot: slot.then is None and not _consuming(slot))
+        """Fail with *error* every call with a deadline — all but a
+        consuming read (:func:`_consuming`), a relayed wait and a cancel;
+        the link and its waits stay."""
+        self.calls.fail(error, lambda slot: slot.until is not None)
 
     def retire(self, error: Exception) -> list[tuple]:
         """Close the link and fail every call on it with *error*; returns

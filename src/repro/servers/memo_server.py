@@ -81,8 +81,8 @@ from repro.servers.folder_server import FolderServer
 from repro.servers.hashing import FolderPlacement, HashWeightPolicy, PlacementCache
 from repro.servers.replicator import Replicator
 from repro.servers.router import Router
-from repro.servers.session import INLINE, LANE, READER, WORKER, Row, _ConnectionSession
-from repro.servers.threadcache import ThreadCache
+from repro.servers.session import LANE, READER, WORKER, Row, _ConnectionSession, reads
+from repro.servers.threadcache import Join, ThreadCache
 from repro.telemetry import Counters, Registry
 
 __all__ = ["MemoServer", "AppRegistration", "MEMO_PORT"]
@@ -286,65 +286,76 @@ class MemoServer:
         """Serve one connection until it closes (see :class:`_ConnectionSession`).
 
         Every request carries a correlation id and runs where its
-        :data:`HANDLERS` row says — on the thread that read it whenever
-        nothing waits behind it — and its reply comes back under that id.
+        :data:`HANDLERS` row says — a thread that reads never waits on a
+        peer — and its reply comes back under that id.
         """
         _ConnectionSession(self, conn).serve()
 
+    def serve(self, msg: object, envelope: Envelope | None, done, handler=None) -> None:
+        """Serve *msg* — a member of *envelope*, if given — by *handler* (its
+        ``LANE`` / ``WORKER`` row's if None), or pass on a member aimed
+        elsewhere: ``done(reply)`` runs once, now or later, given the Reply
+        or the exception that ended the request (:meth:`failed` maps it)."""
+        try:
+            if envelope is not None and envelope.target_host != self.host:
+                self.router.relay(envelope, msg, done)
+                return
+            if handler is None:
+                row = HANDLERS.get(type(msg))
+                if envelope is not None and (row is None or not row.enveloped):
+                    raise ProtocolError(
+                        f"envelope carried unexpected {type(msg).__qualname__}"
+                    )
+                if row is None:
+                    raise ProtocolError(f"unhandled message {type(msg).__qualname__}")
+                handler = row.handler
+            reply = handler(self, msg, envelope, done)
+        except Exception as exc:  # noqa: BLE001 - a request must always be answered
+            reply = exc
+        if reply is not None:
+            done(reply)
+
     def handle(self, msg: object, envelope: Envelope | None = None) -> Reply:
-        """Serve *msg* (a member of *envelope*, if given) by its
-        :data:`HANDLERS` row, failures mapped to error replies."""
-        return self.guarded(self._serve, msg, envelope)
+        """:meth:`serve` *msg*, and wait for its reply (for a caller that
+        reads nothing)."""
+        join = Join()
+        self.serve(msg, envelope, join)
+        (reply,) = join.wait()
+        return reply if type(reply) is Reply else self.failed(reply)
 
     def guarded(self, fn, *args) -> Reply:
-        """Run a handler, mapping the protocol's failure modes to replies.
-
-        Shared by the session's put lane, its workers and its
-        reader-served waits, so a request fails with the same error text
-        wherever it ran.
-        """
+        """Run a handler, mapping what it raises to a reply (:meth:`failed`)."""
         try:
             return fn(*args)
-        except ShutdownError as exc:
-            return Reply(ok=False, error=f"shutdown: {exc}")
-        except HostDownError as exc:
-            self.stats.bump("errors")
-            return Reply(ok=False, error=f"host down: {exc}")
-        except (NotRegisteredError, RoutingError, ServerError, ProtocolError) as exc:
-            self.stats.bump("errors")
-            return Reply(ok=False, error=f"{type(exc).__name__}: {exc}")
-        except CommunicationError as exc:
-            self.stats.bump("errors")
-            return Reply(ok=False, error=f"communication failure: {exc}")
         except Exception as exc:  # noqa: BLE001 - a request must always be answered
-            self.stats.bump("errors")
-            return Reply(ok=False, error=f"internal error: {type(exc).__name__}: {exc}")
+            return self.failed(exc)
 
-    def _serve(self, msg: object, envelope: Envelope | None) -> Reply:
-        """Serve what a peer aimed here; pass on what it aimed elsewhere."""
-        row = HANDLERS.get(type(msg))
-        if envelope is not None:
-            if envelope.target_host != self.host:
-                return self.router.relay(envelope, msg)
-            if row is None or not row.enveloped:
-                raise ProtocolError(
-                    f"envelope carried unexpected {type(msg).__qualname__}"
-                )
-        elif row is None:
-            raise ProtocolError(f"unhandled message {type(msg).__qualname__}")
-        return row.handler(self, msg, envelope)
+    def failed(self, exc: Exception) -> Reply:
+        """The error reply for a request *exc* ended (a Reply passes)."""
+        if type(exc) is Reply:
+            return exc
+        if isinstance(exc, ShutdownError):
+            return Reply(ok=False, error=f"shutdown: {exc}")
+        self.stats.bump("errors")
+        if isinstance(exc, HostDownError):
+            return Reply(ok=False, error=f"host down: {exc}")
+        if isinstance(exc, (NotRegisteredError, RoutingError, ServerError, ProtocolError)):
+            return Reply(ok=False, error=f"{type(exc).__name__}: {exc}")
+        if isinstance(exc, CommunicationError):
+            return Reply(ok=False, error=f"communication failure: {exc}")
+        return Reply(ok=False, error=f"internal error: {type(exc).__name__}: {exc}")
 
-    def _handle_get(self, msg: GetRequest, envelope=None) -> Reply:
+    def _handle_get(self, msg: GetRequest, envelope, done) -> None:
         if msg.mode != "skip":
             raise ProtocolError(
                 f"a {msg.mode!r} GetRequest would block its thread; "
                 f"wait with a GetWaitRequest"
             )
-        return self.router.serve(msg, self.replicator.get, envelope)
+        self.router.serve(msg, self.replicator.get, done, envelope)
 
     # -- registration (section 4.4) ------------------------------------------------
 
-    def _handle_register(self, msg: RegisterRequest, _envelope=None) -> Reply:
+    def _handle_register(self, msg: RegisterRequest, _envelope=None, _done=None) -> Reply:
         routing = RoutingTable(
             {src: dict(nbrs) for src, nbrs in msg.links.items()},
             hosts=list(msg.host_costs),
@@ -379,7 +390,7 @@ class MemoServer:
         """The registration of *app*, or :class:`NotRegisteredError`."""
         return self.router.registration(app)
 
-    def _handle_heartbeat(self, msg: Heartbeat, _envelope=None) -> Reply:
+    def _handle_heartbeat(self, msg: Heartbeat, _envelope=None, _done=None) -> Reply:
         if not self.running.is_set():  # a session's last frame after stop()
             return Reply(ok=False, error="shutdown: server stopping")
         # Hearing from a host is itself proof of life.
@@ -387,7 +398,7 @@ class MemoServer:
             self.failure.mark_alive(msg.host)
         return Reply(ok=True)
 
-    def _handle_shutdown(self, _msg: ShutdownRequest, _envelope=None) -> Reply:
+    def _handle_shutdown(self, _msg: ShutdownRequest, _envelope=None, _done=None) -> Reply:
         threading.Thread(target=self.stop, daemon=True).start()
         return Reply(ok=True)
 
@@ -412,33 +423,33 @@ class MemoServer:
 #: ``(handler, where it runs, may ride an Envelope)``.  Every consumer of a
 #: decoded frame — the session's reader, a carrier's members — asks this
 #: table and nothing else; a message class without a row is answered
-#: ``unhandled message``.  Component
-#: methods are looked up at call time, so a test can patch one.
+#: ``unhandled message``.  Only what waits on peers is a ``WORKER`` row.
+#: Component methods are looked up at call time, so a test can patch one.
 HANDLERS: dict[type, Row] = {
-    PutRequest: Row(lambda s, m, e: s.router.serve(m, s.replicator.put, e), LANE, True),
+    PutRequest: Row(lambda s, m, e, d: s.router.serve(m, s.replicator.put, d, e), LANE, True),
     PutDelayedRequest: Row(
-        lambda s, m, e: s.router.serve(m, s.replicator.put_delayed, e), LANE, True
+        lambda s, m, e, d: s.router.serve(m, s.replicator.put_delayed, d, e), LANE, True
     ),
-    GetRequest: Row(MemoServer._handle_get, WORKER, True),
+    GetRequest: Row(reads(MemoServer._handle_get), READER, True),
     GetAltSkipRequest: Row(
-        lambda s, m, e: s.router.get_alt(m, s.replicator.get_alt, e), WORKER, True
+        reads(lambda s, m, e, d: s.router.get_alt(m, s.replicator.get_alt, d, e)), READER, True
     ),
-    ReplicatePut: Row(lambda s, m, e: s.replicator.handle_replicate(m), INLINE, True),
+    ReplicatePut: Row(
+        reads(lambda s, m, e, d: s.replicator.handle_replicate(m)), READER, True
+    ),
     GetWaitRequest: Row(_ConnectionSession.get_wait, READER, True),
     CancelWaitRequest: Row(_ConnectionSession.cancel_wait, READER, False),
     PipelineBatch: Row(_ConnectionSession.unpack_batch, READER, False),
     Envelope: Row(_ConnectionSession.open_envelope, READER, False),
-    RegisterRequest: Row(MemoServer._handle_register, WORKER, False),
-    MigrateRequest: Row(lambda s, m, e: s.replicator.handle_migrate(m), WORKER, False),
-    DeltaSyncPull: Row(
-        lambda s, m, e: s.replicator.handle_delta_sync(m), WORKER, False
-    ),
+    RegisterRequest: Row(reads(MemoServer._handle_register), READER, False),
+    MigrateRequest: Row(lambda s, m, e, d: s.replicator.handle_migrate(m), WORKER, False),
+    DeltaSyncPull: Row(lambda s, m, e, d: s.replicator.handle_delta_sync(m), WORKER, False),
     ResyncRequest: Row(
-        lambda s, m, e: s.replicator.handle_resync_request(m), WORKER, False
+        lambda s, m, e, d: s.replicator.handle_resync_request(m), WORKER, False
     ),
-    Heartbeat: Row(MemoServer._handle_heartbeat, INLINE, False),
+    Heartbeat: Row(reads(MemoServer._handle_heartbeat), READER, False),
     StatsRequest: Row(
-        lambda s, m, e: Reply(ok=True, stats=s.telemetry.snapshot()), WORKER, False
+        reads(lambda s, m, e, d: Reply(ok=True, stats=s.telemetry.snapshot())), READER, False
     ),
-    ShutdownRequest: Row(MemoServer._handle_shutdown, WORKER, False),
+    ShutdownRequest: Row(reads(MemoServer._handle_shutdown), READER, False),
 }

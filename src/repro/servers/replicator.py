@@ -48,7 +48,7 @@ from typing import TYPE_CHECKING
 from repro.core.keys import FolderName
 from repro.core.memo import MemoRecord
 from repro.durability.manager import DurabilityManager
-from repro.errors import CommunicationError, MemoError, ReplicationError, ServerError
+from repro.errors import CommunicationError, ReplicationError, ServerError
 from repro.network.protocol import (
     PUT_ACK,
     DeltaSyncPull,
@@ -64,7 +64,7 @@ from repro.network.protocol import (
 from repro.replication.failure import FailureDetector
 from repro.servers.folder_server import FolderServer
 from repro.servers.hashing import PlacementCache
-from repro.servers.threadcache import ThreadCache, scatter_join
+from repro.servers.threadcache import ThreadCache, attempt, later, scatter, wait_for
 from repro.telemetry import Counters, Registry
 
 if TYPE_CHECKING:
@@ -239,29 +239,29 @@ class Replicator:
             self._stats.bump_pair("local_dispatches", "failover_dispatches")
         return self.store_for(chain, sid)
 
-    def put(self, reg, chain: tuple, sid: str, msg: PutRequest) -> Reply:
+    def put(self, reg, chain: tuple, sid: str, msg: PutRequest, done) -> Reply | None:
         record = MemoRecord(payload=msg.payload, origin=msg.origin)
         record = self._serving(chain, sid).put(msg.folder, record)
-        if len(chain) > 1:
-            self.fan_out(reg, chain, msg.folder, record, None)
-        return PUT_ACK
+        if len(chain) == 1:
+            return PUT_ACK
+        return self.fan_out(reg, chain, msg.folder, record, None, done)
 
-    def put_delayed(self, reg, chain: tuple, sid: str, msg: PutDelayedRequest) -> Reply:
+    def put_delayed(self, reg, chain: tuple, sid: str, msg: PutDelayedRequest, done):
         record = MemoRecord(payload=msg.payload, origin=msg.origin)
         fs = self._serving(chain, sid)
         record = fs.put_delayed(msg.folder, msg.release_to, record)
-        if len(chain) > 1:
-            self.fan_out(reg, chain, msg.folder, record, msg.release_to)
-        return PUT_ACK
+        if len(chain) == 1:
+            return PUT_ACK
+        return self.fan_out(reg, chain, msg.folder, record, msg.release_to, done)
 
-    def get(self, _reg, chain: tuple, sid: str, msg: GetRequest) -> Reply:
+    def get(self, _reg, chain: tuple, sid: str, msg: GetRequest, _done) -> Reply:
         """A ``get_skip``: the one read a :class:`GetRequest` asks here."""
         record = self._serving(chain, sid).get_skip(msg.folder)
         if record is None:
             return Reply(ok=True, found=False)
         return Reply(ok=True, found=True, payload=record.payload, folder=msg.folder)
 
-    def get_alt(self, reg, _chain: tuple, _sid: str, msg: GetAltSkipRequest) -> Reply:
+    def get_alt(self, reg, _chain, _sid, msg: GetAltSkipRequest, _done) -> Reply:
         """Check co-located folders, grouped per serving folder server.
 
         A folder may be served here as its primary or — when its primary
@@ -289,19 +289,17 @@ class Replicator:
         folder: FolderName,
         record: MemoRecord,
         release_to: FolderName | None,
-    ) -> None:
+        done,
+    ) -> Reply | None:
         """Copy a write this host accepted — stamped with its origin
         coordinates, which every copy then carries — to every other live
-        chain member, *before* the write is acknowledged.
+        chain member, *before* the write is acknowledged: PUT_ACK with none
+        to copy to, else ``done(PUT_ACK)`` once every copy landed.
 
-        The copies go out *concurrently* (:meth:`_copy_to` per member,
-        extra legs on thread-cache workers, the last on this thread), so
-        the pre-ack replication cost is the slowest member's round trip,
-        not the sum of all of them.  All legs are awaited before returning
-        — the copy-before-ack durability guarantee is untouched.  Inside a
-        lane round (between :meth:`collect_copies` and :meth:`send_copies`)
-        the copy is held for the round's run instead, which the lane sends
-        before any of the round's replies.
+        The copies go out *concurrently* (:meth:`_copy_all`): the pre-ack
+        cost is the slowest member's round trip.  Inside a lane round
+        (between :meth:`collect_copies` and :meth:`send_copies`) the copy
+        is held for the round's run, sent before any of its replies.
 
         Failures demote the target to dead and are counted, not raised:
         the write is already durable on this host, and the dead member
@@ -312,81 +310,97 @@ class Replicator:
             for _sid, member in chain
             if member != self.host and self._failure.is_alive(member)
         ]
-        if not targets:
-            return
-        copy = self.replica_copy(reg.app, folder, record, release_to)
         held = getattr(self._round, "copies", None)
-        if held is not None:
-            for member in targets:
-                held.setdefault((reg.app, member), (reg, []))[1].append(copy)
-            return
-        # _copy_to absorbs communication failures itself; what the join
-        # collects (e.g. ShutdownError mid-teardown) must not vanish in a
-        # worker thread — it is re-raised once every leg has landed,
-        # matching a sequential loop's error surface.
-        errors = scatter_join(
-            self._cache,
-            [lambda m=member: self._copy_to(reg, m, [copy]) for member in targets],
-        )
-        if errors:
-            raise errors[0]
+        if not targets or held is not None:
+            if targets:
+                copy = self.replica_copy(reg.app, folder, record, release_to)
+                for member in targets:
+                    held.setdefault((reg.app, member), (reg, []))[1].append(copy)
+            return PUT_ACK
+        copy = self.replica_copy(reg.app, folder, record, release_to)
+        self._copy_all([(reg, member, [copy]) for member in targets], done)
+        return None
 
     def collect_copies(self) -> None:
         """Hold the copies this thread's writes fan out until :meth:`send_copies`."""
         self._round.copies = {}
 
     def send_copies(self) -> Reply:
-        """Send what :meth:`collect_copies` held: one run per chain
-        member, members concurrently.  Failures demote, as in
-        :meth:`fan_out`; an error a leg raises is re-raised."""
+        """Send what :meth:`collect_copies` held, one run per chain member,
+        member by member (the lane's worker waits on each: a worker per
+        member would be a thread more per member at a busy owner); an
+        error a leg raises is raised."""
         held, self._round.copies = self._round.copies, None
-        errors = scatter_join(
-            self._cache,
-            [
-                lambda reg=reg, m=member, c=copies: self._copy_to(reg, m, c)
-                for (_app, member), (reg, copies) in held.items()
-            ],
-        )
-        if errors:
-            raise errors[0]
+        for (_app, member), (reg, copies) in held.items():
+            (outcome,) = wait_for(self._copy_to, reg, member, copies)
+            if isinstance(outcome, Exception):
+                raise outcome
         return PUT_ACK
 
-    def _copy_to(self, reg, member: str, copies: list) -> int:
-        """Send *copies* to *member*; returns how many it acknowledged.
+    def _copy_all(self, legs: list, done) -> None:
+        """Send each ``(reg, member, copies)`` leg (:meth:`_copy_to`), all
+        at once; ``done`` takes PUT_ACK once every leg landed, or the
+        first error one raised (e.g. ShutdownError mid-teardown)."""
+        legs = [(self._copy_to, *leg) for leg in legs]
+        scatter(self._cache, legs, lambda outcomes: done(next(
+            (o for o in outcomes if isinstance(o, Exception)), PUT_ACK
+        )))
+
+    def _copy_to(self, reg, member: str, copies: list, then) -> None:
+        """Send *copies* to *member*; ``then`` takes how many it acked.
 
         They go in envelopes of at most :data:`_BURST_MAX` over a direct
-        link (:meth:`_burst_to`).  What those leave unresolved or answer
+        link (:meth:`_burst_to`); what those leave unresolved or answer
         with anything but an ack — everything, across a relay hop — goes
-        again in an envelope of one each, whose failure demotes the
-        member.  A member demoted meanwhile gets no more copies: it pulls
-        them back through anti-entropy when it rejoins.  Each copy counts
-        as replicated out or as a replication failure.
+        again one by one, on a worker (:meth:`_copy_each`).
         """
-        acked = self._burst_to(reg.app, member, copies)
-        left = [copy for copy, ok in zip(copies, acked) if not ok]
+
+        def acked(flags: list) -> None:
+            left = [copy for copy, ok in zip(copies, flags) if not ok]
+            if left:
+                later(self._cache, self._copy_each, reg, member, copies, left, then)
+            else:
+                self._stats.bump("replications_out", len(copies))
+                then(len(copies))
+
+        self._burst_to(reg.app, member, copies, acked)
+
+    def _copy_each(self, reg, member: str, copies: list, left: list, then) -> None:
+        """Send each of *left* in an envelope of its own and wait for it; a
+        failure demotes the member, which gets no more copies (it pulls
+        them back through anti-entropy when it rejoins).  Each copy counts
+        as replicated out or as a replication failure."""
         replicated = len(copies) - len(left)
         for copy in left:
             if not self._failure.is_alive(member):
                 break
             try:
-                replicated += self._router.send_one(reg, member, copy).ok
-            except CommunicationError:
+                (reply,) = wait_for(self._router.send_one, reg, member, copy)
+            except CommunicationError as exc:  # the dial failed
+                reply = exc
+            if isinstance(reply, CommunicationError):
                 self._router.suspect(member)
+            elif isinstance(reply, Exception):
+                raise reply
+            else:
+                replicated += reply.ok
         self._stats.bump("replications_out", replicated)
         if replicated < len(copies):
             self._stats.bump("replication_failures", len(copies) - replicated)
-        return replicated
+        then(replicated)
 
-    def _burst_to(self, app: str, target: str, messages: list) -> list[bool]:
+    def _burst_to(self, app: str, target: str, messages: list, then) -> None:
         """Send lane requests to *target* in bursts of at most
-        :data:`_BURST_MAX` frames; which of them it acknowledged."""
-        acked: list[bool] = []
-        for start in range(0, len(messages), _BURST_MAX):
-            chunk = messages[start : start + _BURST_MAX]
-            entries = [(msg, None) for msg in chunk]
-            results = self._router.forward_burst(app, target, entries)
-            acked += [result is PUT_ACK for result in results]
-        return acked
+        :data:`_BURST_MAX` frames; ``then`` takes which of them it
+        acknowledged."""
+        send = self._router.forward_burst
+        bursts = [
+            (send, app, target, [(msg, None) for msg in messages[i : i + _BURST_MAX]])
+            for i in range(0, len(messages), _BURST_MAX)
+        ]
+        scatter(self._cache, bursts, lambda chunks: then(
+            [result is PUT_ACK for results in chunks for result in results]
+        ))
 
     @staticmethod
     def replica_copy(
@@ -449,25 +463,29 @@ class Replicator:
         self,
         name: FolderName,
         record: MemoRecord,
-        release_to: FolderName | None = None,
-    ) -> str | None:
+        release_to: FolderName | None,
+        then,
+    ) -> None:
         """Put a stored *record* back through ordinary routing.
 
         The one way a memo this server holds re-enters the cluster: a
         migrating folder's contents, the records an anti-entropy pull's
         bursts did not settle, a delayed memo released into a folder
-        served elsewhere, a memo a dead or cancelled waiter consumed.  A delayed memo is
-        one with a *release_to*.  Never raises: None once acknowledged,
-        the failure as text otherwise — each caller decides what an
-        unreturned record means.
+        served elsewhere, a memo a dead or cancelled waiter consumed.  A
+        delayed memo is one with a *release_to*.  ``then`` takes None once
+        acknowledged, the failure as text otherwise — each caller decides
+        what an unreturned record means.
         """
         msg = self._put_of(name, record, release_to)
         here = self.put if release_to is None else self.put_delayed
-        try:
-            reply = self._router.route(name, msg, here)
-        except MemoError as exc:
-            return f"{type(exc).__name__}: {exc}"
-        return None if reply.ok else reply.error
+
+        def routed(reply) -> None:
+            if isinstance(reply, Exception):
+                then(f"{type(reply).__name__}: {reply}")
+            else:
+                then(None if reply.ok else reply.error)
+
+        attempt(self._router.route, name, msg, here, routed)
 
     @staticmethod
     def _put_of(name: FolderName, record: MemoRecord, release_to: FolderName | None):
@@ -478,7 +496,11 @@ class Replicator:
 
     def _emit_put(self, folder: FolderName, record: MemoRecord) -> None:
         """Route a delayed-release put whose target folder lives elsewhere."""
-        if self.redeposit(folder, record) is not None:
+        self.redeposit(folder, record, None, self.count_failure)
+
+    def count_failure(self, failure: str | None) -> None:
+        """A :meth:`redeposit` that nobody waits for: count its failure."""
+        if failure is not None:
             self._stats.bump("errors")
 
     # -- dynamic data migration and anti-entropy --------------------------------------
@@ -502,7 +524,7 @@ class Replicator:
         the records' only surviving incarnation, and a later round must
         still find them."""
         for index, (name, record, release_to) in enumerate(items):
-            failure = self.redeposit(name, record, release_to)
+            (failure,) = wait_for(self.redeposit, name, record, release_to)
             if failure is not None:
                 for rname, rec, rel in items[index:]:
                     if rel is None:
@@ -520,7 +542,8 @@ class Replicator:
         what a burst leaves unresolved, or answers with anything but an
         ack, goes down :meth:`_return_all`."""
         self._stats.bump("forwards_out", len(items))
-        acked = self._burst_to(app, requester, [self._put_of(*item) for item in items])
+        puts = [self._put_of(*item) for item in items]
+        (acked,) = wait_for(self._burst_to, app, requester, puts)
         left = [item for item, ok in zip(items, acked) if not ok]
         count, failure = self._return_all(fs, left)
         return len(items) - len(left) + count, failure
@@ -642,7 +665,9 @@ class Replicator:
                     if record.src_lsn <= msg.replica_marks.get(record.src_sid, 0):
                         continue
                     copies.append(self.replica_copy(msg.app, name, record, release_to))
-        reseeded = self._copy_to(reg, msg.requester, copies)
+        (reseeded,) = wait_for(self._copy_to, reg, msg.requester, copies)
+        if isinstance(reseeded, Exception):
+            raise reseeded
 
         self._stats.bump("resync_returned", returned)
         self._stats.bump("resync_reseeded", reseeded)

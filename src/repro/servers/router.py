@@ -55,7 +55,7 @@ from repro.network.protocol import (
 from repro.replication.failure import FailureDetector
 from repro.servers.hashing import PlacementCache
 from repro.servers.link import ParkedWaiter, PeerLink
-from repro.servers.threadcache import ThreadCache
+from repro.servers.threadcache import ThreadCache, attempt, later, wait_for
 from repro.telemetry import Counters
 
 if TYPE_CHECKING:
@@ -171,106 +171,119 @@ class Router:
         )
 
     # -- the chain walk (sections 4.1 and 5, plus replica-chain fail-over) ----------
+    #
+    # Nothing here waits on a peer: ``done(reply)`` takes the Reply, or the
+    # exception that ended the request, from whichever thread reads it.  A
+    # fail-over or a stale link's retry, which sends again, runs on a worker.
 
-    def walk(self, reg, chain, candidates, folder, here, there, *args) -> Reply:
-        """Serve at the first reachable member of *candidates*.
+    def walk(self, reg, chain, candidates, folder, here, there, msg, done, failed=()):
+        """Serve *msg* at the first reachable member of *candidates*.
 
-        ``here(reg, chain, sid, *args)`` serves on this host;
-        ``there(reg, host, *args)`` sends to another member and returns
-        its reply.  With ``replication_factor=1`` the chain is exactly
-        the single owner and this is the seed code path: local dispatch
-        or one forward, errors propagated unchanged.  With a longer chain
-        a member that cannot be reached — or that answers mid-teardown,
-        its data being on the next member — is marked dead and the next
-        candidate tried; when none is left the collected failures are
-        raised as :class:`HostDownError`.
+        ``here(reg, chain, sid, msg, done)`` serves on this host (it
+        returns its reply, or None once it handed ``done`` on);
+        ``there(reg, host, msg, then)`` sends to another member.  With ``replication_factor=1`` the chain is exactly the
+        single owner and this is the seed code path: local dispatch or
+        one forward, errors propagated unchanged.  With a longer chain a
+        member that cannot be reached — or that answers mid-teardown, its
+        data being on the next member — is marked dead and the next
+        candidate tried; when none is left the collected *failed* members
+        end the walk as :class:`HostDownError`.
         """
-        failures: list[str] = []
-        last = len(candidates) - 1
-        for index, (sid, host) in enumerate(candidates):
-            if host == self.host:
-                return here(reg, chain, sid, *args)
-            try:
-                reply = there(reg, host, *args)
-            except CommunicationError as exc:
-                if len(chain) == 1:
-                    raise
-                failure = str(exc)
-            else:
-                if index == last or not shutting_down(reply.error):
-                    return reply
-                failure = reply.error
-            self.suspect(host)
-            failures.append(f"{host}: {failure}")
-        raise HostDownError(
-            f"no reachable replica for {folder} "
-            f"(chain {[h for _s, h in chain]}): " + "; ".join(failures)
-        )
+        if not candidates:
+            raise HostDownError(
+                f"no reachable replica for {folder} "
+                f"(chain {[h for _s, h in chain]}): " + "; ".join(failed)
+            )
+        (sid, host), rest = candidates[0], candidates[1:]
+        if host == self.host:
+            reply = here(reg, chain, sid, msg, done)
+            if reply is not None:
+                done(reply)
+            return
 
-    def serve(self, msg, here, envelope: Envelope | None = None) -> Reply:
+        def answered(reply) -> None:
+            if isinstance(reply, CommunicationError) and len(chain) > 1:
+                failure = str(reply)
+            elif type(reply) is Reply and rest and shutting_down(reply.error):
+                failure = reply.error
+            else:
+                done(reply)
+                return
+            self.suspect(host)
+            failures = failed + (f"{host}: {failure}",)
+            later(self._cache, lambda then: self.walk(
+                reg, chain, rest, folder, here, there, msg, then, failures
+            ), done)
+
+        try:
+            there(reg, host, msg, answered)
+        except CommunicationError as exc:
+            answered(exc)
+
+    def serve(self, msg, here, done, envelope: Envelope | None = None) -> None:
         """A put / put-delayed / get_skip, straight from a client or aimed
         here in a peer's *envelope*."""
-        return self.route(msg.folder, msg, here, envelope)
+        self.route(msg.folder, msg, here, done, envelope)
 
-    def route(self, folder: FolderName, msg, here, envelope=None) -> Reply:
+    def route(self, folder: FolderName, msg, here, done, envelope=None) -> None:
         """Serve *msg* at the first reachable member of *folder*'s chain —
-        by ``here(reg, chain, sid, msg)`` when that is this host."""
+        by ``here(reg, chain, sid, msg, done)`` when that is this host."""
         reg, chain, candidates = self.candidates(folder)
         if envelope is not None:
             candidates = [self.chained_here(folder, chain, "the envelope")]
-        return self.walk(reg, chain, candidates, folder, here, self.forward, msg)
+        self.walk(reg, chain, candidates, folder, here, self.forward, msg, done)
 
     # -- forwarding -------------------------------------------------------------------
 
-    def forward(self, reg, owner_host: str, msg) -> Reply:
-        """Send *msg* to *owner_host* and return its reply."""
+    def forward(self, reg, owner_host: str, msg, then) -> None:
+        """Send *msg* to *owner_host*; ``then`` takes its reply."""
         self._stats.bump("forwards_out")
-        return self.send_one(reg, owner_host, msg)
+        self.send_one(reg, owner_host, msg, then)
 
-    def relay(self, envelope: Envelope, msg) -> Reply:
+    def relay(self, envelope: Envelope, msg, done) -> None:
         """Pass *msg*, a member of an *envelope* aimed elsewhere, on along
         the app's topology."""
         self._stats.bump("forwards_relayed")
         reg = self.registration(envelope.app)
-        return self.send_one(reg, envelope.target_host, msg, envelope.trail)
+        self.send_one(reg, envelope.target_host, msg, done, envelope.trail)
 
-    def send_one(self, reg, target: str, msg, trail: tuple = ()) -> Reply:
-        """:meth:`send` *msg* alone: its reply, or CommunicationError."""
-        (reply,), error = self.send(reg, target, [(msg, None)], trail)
-        if error is not None:
-            raise CommunicationError(f"call to {target} failed: {error}") from error
-        return reply
+    def send_one(self, reg, target: str, msg, then, trail: tuple = ()) -> None:
+        """:meth:`send` *msg* alone: ``then`` takes its reply, or the
+        CommunicationError that cut the exchange short."""
+        self.send(reg, target, [(msg, None)], trail, lambda results, error: then(
+            results[0] if error is None else CommunicationError(
+                f"call to {target} failed: {error}")
+        ))
 
-    def send(self, reg, target: str, entries: list, trail: tuple = ()) -> tuple:
+    def send(self, reg, target: str, entries: list, trail: tuple, then) -> None:
         """The one way requests leave for another server: *entries*
         (``(message, raw_frame_or_None)`` pairs, see
         :meth:`PeerLink.forward`) ride one :class:`Envelope` to *target*,
         on the link to the next hop toward it, this host stamped on
-        *trail*.  Returns ``(results, error)``: one reply per entry, None
-        where none came, and what cut the exchange short.  A stale link's
-        retry (:meth:`_on_link`) resends only what the first attempt left
-        unresolved or a dying incarnation answered mid-teardown.  A dial
-        that fails raises, unless an earlier attempt resolved something.
+        *trail*.  ``then(results, error)`` runs once it is over: one reply
+        per entry, None where none came, and what cut the exchange short.
+        A stale link's retry (:meth:`_on_link`) resends only what the
+        first attempt left unresolved or a dying incarnation answered
+        mid-teardown.  A dial that fails raises.
         """
         next_hop = reg.routing.next_hop(self.host, target)
         trail = trail + (self.host,)
         results: list = [None] * len(entries)
 
-        def attempt(link: PeerLink) -> tuple:
+        def attempt(link: PeerLink, answered) -> None:
             pending = [i for i, r in enumerate(results) if r is None or _torn(r)]
-            members = [entries[i] for i in pending]
-            got, error = link.forward(reg.app, target, members, trail)
-            for i, reply in zip(pending, got):
-                results[i] = reply
-            return got, error
 
-        try:
-            _got, error = self._on_link(next_hop, attempt, next_hop != target)
-        except (CommunicationError, ShutdownError) as exc:
-            if not any(results):
-                raise
-            error = exc
-        return results, error
+            def got(replies: list, error) -> None:
+                for i, reply in zip(pending, replies):
+                    results[i] = reply
+                answered(replies, error)
+
+            members = [entries[i] for i in pending]
+            link.forward(reg.app, target, members, trail, got)
+
+        self._on_link(
+            next_hop, attempt, lambda _got, error: then(results, error), next_hop != target
+        )
 
     def forward_target(self, msg) -> str | None:
         """The single remote owner a pipelined put can burst-forward to.
@@ -297,14 +310,14 @@ class Router:
             return None
         return host if host in self.address_book else None
 
-    def forward_burst(self, app: str, owner_host: str, entries: list) -> list:
+    def forward_burst(self, app: str, owner_host: str, entries: list, then) -> None:
         """:meth:`send` a run of lane requests to *owner_host* at once.
 
         A client's puts, the puts an anti-entropy pull returns, a lane
         round's replica copies: the owner applies them in order, so only
-        a direct link carries a burst.  Returns one result per entry: the
-        owner's :class:`Reply`, or None where none came (or no direct
-        link), for the caller's per-request path.
+        a direct link carries a burst.  ``then`` takes one result per
+        entry: the owner's :class:`Reply`, or None where none came (or no
+        direct link), for the caller's per-request path.
         """
         try:
             reg = self.registration(app)
@@ -312,26 +325,28 @@ class Router:
         except MemoError:
             linked = None
         if linked != owner_host or owner_host not in self.address_book:
-            return [None] * len(entries)
+            then([None] * len(entries))
+            return
         try:
-            return self.send(reg, owner_host, entries)[0]
+            self.send(reg, owner_host, entries, (), lambda results, _error: then(results))
         except (CommunicationError, ShutdownError):
-            return [None] * len(entries)  # the caller's to re-route
+            then([None] * len(entries))  # the caller's to re-route
 
     # -- the links ------------------------------------------------------------------
 
     def call(self, host: str, message: object) -> Reply:
         """One request to *host* on its link, not enveloped (a pull), within
-        the message's deadline (:data:`~repro.servers.link.DEADLINES`)."""
-        (reply,), error = self._on_link(host, lambda link: link.call(message))
+        the message's deadline (:data:`~repro.servers.link.DEADLINES`); for
+        a caller that reads nothing, as it waits."""
+        send = lambda link, answered: link.call(message, answered)  # noqa: E731
+        results, error = wait_for(self._on_link, host, send)
         if error is not None:
             raise CommunicationError(f"call to {host} failed: {error}") from error
-        return reply
+        return results[0]
 
-    def _on_link(
-        self, host: str, send: Callable[[PeerLink], tuple], beyond: bool = False
-    ) -> tuple:
-        """``send(link)`` on the link to *host*: its ``(results, error)``.
+    def _on_link(self, host: str, send, then, beyond: bool = False, retried=False):
+        """``send(link, answered)`` on the link to *host*; ``then(results,
+        error)`` takes what ``answered`` got.
 
         The stale rule: a link that had answered can be dead (its peer
         restarted since) or reach a dying incarnation answering
@@ -341,19 +356,29 @@ class Router:
         *host* was the next hop's to judge.  A missed deadline is a
         failed probe of *host*.
         """
-        for retried in (False, True):
-            link = self._link(host)
-            reused = link.answered
-            results, error = send(link)
+        link = self._link(host)
+        reused = link.answered
+
+        def answered(results: list, error) -> None:
             if isinstance(error, TimeoutError):
                 self._failure.record_failure(host)
             stale = type(error) is ConnectionClosedError or (
                 error is None and not beyond and any(map(_torn, results))
             )
             if retried or not reused or not stale:
-                break
-            self._reset(link)
-        return results, error
+                then(results, error)
+            else:
+                later(self._cache, self._retry, link, send, beyond, then)
+
+        send(link, answered)
+
+    def _retry(self, link: PeerLink, send, beyond: bool, then) -> None:
+        """Reset the stale *link*, and ``send`` once more on a fresh dial."""
+        self._reset(link)
+        try:
+            self._on_link(link.host, send, then, beyond, retried=True)
+        except Exception as exc:  # noqa: BLE001 - the dial failed: the answer
+            then([], exc)
 
     def probe(self, peer: str, quiet: float) -> None:
         """Feed the failure detector one observation of *peer*.
@@ -454,7 +479,7 @@ class Router:
 
     # -- get_alt (section 6.1.2) ------------------------------------------------------
 
-    def get_alt(self, msg: GetAltSkipRequest, here, envelope=None) -> Reply:
+    def get_alt(self, msg: GetAltSkipRequest, here, done, envelope=None) -> None:
         """One non-blocking round over folders that may span hosts.
 
         Folders sharing one list of live chain members form a group, in
@@ -470,23 +495,29 @@ class Router:
         if len({f.app for f in msg.folders}) != 1:
             raise ProtocolError("get_alt folders must belong to one application")
         if envelope is not None:
-            return self.route(msg.folders[0], msg, here, envelope)
+            self.route(msg.folders[0], msg, here, done, envelope)
+            return
         groups: dict[tuple, tuple] = {}
         for folder in msg.folders:
             reg, chain, candidates = self.candidates(folder)
             groups.setdefault(tuple(candidates), (reg, chain, []))[2].append(folder)
-        unreachable: list[str] = []
-        for candidates, (reg, chain, folders) in groups.items():
-            sub = GetAltSkipRequest(folders=tuple(folders), origin=msg.origin)
-            try:
-                reply = self.walk(
-                    reg, chain, candidates, folders[0], here, self.forward, sub
-                )
-            except HostDownError as exc:
-                unreachable.append(str(exc))
-                continue
-            if reply.found or not reply.ok:
-                return reply
-        if unreachable:
-            raise HostDownError("; ".join(unreachable))
-        return Reply(ok=True, found=False)
+        self._alt_round(list(groups.items()), here, msg.origin, [], done)
+
+    def _alt_round(self, groups: list, here, origin: str, unreachable: list, done):
+        """Walk the first of *groups*, and the rest after it unless it hit."""
+        if not groups:
+            none = Reply(ok=True, found=False)
+            done(HostDownError("; ".join(unreachable)) if unreachable else none)
+            return
+        (candidates, (reg, chain, folders)), rest = groups[0], groups[1:]
+
+        def answered(reply) -> None:
+            if isinstance(reply, HostDownError):
+                unreachable.append(str(reply))
+            elif isinstance(reply, Exception) or reply.found or not reply.ok:
+                done(reply)
+                return
+            attempt(self._alt_round, rest, here, origin, unreachable, done)
+
+        sub = GetAltSkipRequest(folders=tuple(folders), origin=origin)
+        self.walk(reg, chain, list(candidates), folders[0], here, self.forward, sub, answered)

@@ -1,9 +1,10 @@
 """One inbound connection: its reader, put lane, replies and waiter table.
 
-*Where* a request runs — the connection's FIFO put lane, inline on the
-reader, or a worker of its own — is its row in the server's handler table
-(:data:`repro.servers.memo_server.HANDLERS`); this module never asks what
-type a request is.  :class:`_ConnectionSession` says what each place is.
+*Where* a request runs — the connection's FIFO put lane, on the reader as
+it is read, or on a worker of its own — is its row in the server's handler
+table (:data:`repro.servers.memo_server.HANDLERS`); this module never asks
+what type a request is.  :class:`_ConnectionSession` says what each place
+is.
 
 Blocked waiting is event-driven: a
 :class:`~repro.network.protocol.GetWaitRequest` on an empty folder parks in
@@ -16,30 +17,19 @@ over the one link per next hop (:mod:`repro.servers.link`) and parks in
 the *owner's* table like everyone else's; its GetWait is answered by the
 owner's first answer, so a remote hit is one reply, as a local one is.
 
-A request runs on the reader when nothing is behind it, on its connection
-or in its carrier (a lane request also needs its lane idle): a lone frame,
-a carrier's last member, a lane round of one.  So the member of a peer's
-envelope of one — a forwarded put, ``get_skip`` or wait — is served as a
-lone request is.  A lane round of one takes the server's one audited
-route: a put owned elsewhere is one forward, whose reply the forwarding
-thread reads itself, as the thread relaying a wait reads the owner's
-first answer.  Only a round of many burst-forwards its remote puts.
-
-A peer's link is one session here, so nothing that waits on a peer may
-hold back a request that does not: a replica copy and a heartbeat are
-``INLINE`` rows, never queued behind a put that is fanning out; a request
-passing through runs on a worker, never on the lane; and the session is a
-:class:`~repro.servers.threadcache.Reader`, whose reading a wait on a peer
-— or a read of a peer link that lasts — hands on.
+The reader never waits on a peer (paper section 4.1: the server hands a
+request on "while it goes back to listening for more requests"): a
+request that needs a peer's answer hands a continuation on with what it
+sends, and whoever reads the answer runs it, sending the reply here.
 
 Everything without an underscore is for the other server modules (the
 accept path, the handler table's reader rows, a peer link's reader).
 What this one calls on them — the server's ``host``, ``stats``, ``cache``,
-``running``, ``handlers``, ``handle``, ``guarded``; the router's
-``registration``, ``candidates``, ``admit``, ``chained_here``, ``walk``,
-``relay_wait``, ``suspect``, ``forward_target``, ``forward_burst``; the
-replicator's ``store_for``, ``redeposit`` and ``collect_copies`` /
-``send_copies``.
+``running``, ``handlers``, ``serve``, ``handle``, ``failed``; the
+router's ``registration``, ``candidates``, ``admit``, ``chained_here``,
+``walk``, ``relay_wait``, ``suspect``, ``forward_target``,
+``forward_burst``; the replicator's ``store_for``, ``redeposit``,
+``count_failure`` and ``collect_copies`` / ``send_copies``.
 """
 
 from __future__ import annotations
@@ -47,6 +37,7 @@ from __future__ import annotations
 import threading
 import time
 from collections import deque
+from functools import partial
 from typing import TYPE_CHECKING, NamedTuple
 
 from repro.core.memo import MemoRecord
@@ -68,35 +59,43 @@ from repro.network.protocol import (
     shutting_down,
 )
 from repro.servers.link import ParkedWaiter
-from repro.servers.threadcache import Reader, scatter_join
+from repro.servers.threadcache import attempt, scatter, wait_for
 
 if TYPE_CHECKING:
     from repro.servers.memo_server import MemoServer
 
-__all__ = ["_ConnectionSession", "Row", "LANE", "READER", "INLINE", "WORKER"]
+__all__ = ["_ConnectionSession", "Row", "LANE", "READER", "WORKER", "reads"]
 
 #: Where a request runs (a :class:`Row`'s ``where``): on the connection's
-#: one FIFO put lane, inline on the reader (it never blocks; it replies
-#: itself), as it is read (it never waits on a peer), or on a worker of
-#: its own (it may).
-LANE, READER, INLINE, WORKER = "lane", "reader", "inline", "worker"
+#: one FIFO put lane, on the reader as it is read (it never waits on a
+#: peer; it may answer later), or on a worker of its own (it may wait).
+LANE, READER, WORKER = "lane", "reader", "worker"
 
 
 class Row(NamedTuple):
     """One handler-table entry: how the server serves one message class.
 
-    A ``LANE`` / ``INLINE`` / ``WORKER`` row's handler is ``handler(server,
-    msg, envelope) -> Reply``; a ``READER`` row's is ``handler(session, msg,
-    cid, envelope) -> bool`` — it sends what it owes itself, and False
-    closes the session.  *enveloped* rows may be members of a peer's
-    :class:`~repro.network.protocol.Envelope` (``envelope`` is then the
-    envelope that carried them, else None); any other member is answered
-    with a ``ProtocolError`` where it was aimed.
+    A ``LANE`` / ``WORKER`` row's handler is ``handler(server, msg,
+    envelope, done)``: it returns its :class:`Reply`, or None once it
+    handed ``done`` on.  A ``READER`` row's is ``handler(session, msg, cid,
+    envelope) -> bool``: it sends what it owes itself, and False closes
+    the session (:func:`reads` makes one).  *enveloped* rows may be
+    members of a peer's :class:`~repro.network.protocol.Envelope` (then
+    ``envelope``, else None); any other member is answered with a
+    ``ProtocolError`` where it was aimed.
     """
 
     handler: object
     where: str
     enveloped: bool
+
+
+def reads(handler):
+    """A ``READER`` row's handler that serves by *handler*, a ``LANE`` row's
+    kind (:meth:`_ConnectionSession.answer`)."""
+    return lambda session, msg, cid, envelope=None: session.answer(
+        msg, cid, envelope, handler
+    )
 
 
 #: Shared "your wait is parked" acknowledgement for GetWait requests
@@ -124,50 +123,42 @@ _LANE_BATCH_MAX = 128
 _CARRIERS = (PipelineBatch, Envelope)
 
 
-class _ConnectionSession(Reader):
+class _ConnectionSession:
     """Pipelined service state for one inbound connection.
 
     The paper's server loop was strictly request/reply per connection:
     decode, handle, reply, repeat — so a client pipelining requests
     (deferred acks, ``put_many``) still paid one full server round per
     request.  A session runs that loop on its *reader* (this thread, from
-    the accept path's :class:`ThreadCache` submit) and hands off only
-    what would keep the frames behind it waiting.  Every request carries
-    a correlation id (an id-less one closes the session) and runs where
-    its handler-table row says — a carrier's members each where theirs
-    says:
+    the accept path's :class:`ThreadCache` submit), and the reader never
+    waits on a peer.  Every request carries a correlation id (an id-less
+    one closes the session) and runs where its handler-table row says — a
+    carrier's members each where theirs says:
 
     * ``LANE`` rows keep their order on the connection's one FIFO put
       lane.  A lone one — a carrier's only lane request included — runs
-      inline when the lane is idle and no whole frame is buffered behind
-      it; otherwise it queues for the lane's one worker, as a carrier's
-      lane requests do, in rounds (one worker is the throughput sweet
-      spot under the GIL, and cross-owner latency overlap comes from the
-      worker firing its burst groups concurrently);
-    * ``WORKER`` rows (the reads, which may forward, and the control
-      messages) keep no order: one with nothing behind it — no whole
-      frame buffered, no member after it in its carrier — runs inline,
-      else on a worker of its own;
-    * ``READER`` rows — GetWait/CancelWait and the carriers — never block
-      and run inline (that inlining IS the waiter table's O(1)-thread
-      property); ``INLINE`` rows — a replica copy, a heartbeat — never
-      wait on a peer and run as they are read;
+      on the reader when the lane is idle and no whole frame is buffered
+      behind it; otherwise it queues for the lane's one worker, in rounds
+      (one worker is the throughput sweet spot under the GIL).  A round
+      of one answered later holds the lane until its reply runs it on;
+    * ``READER`` rows — all but migration and anti-entropy — run as they
+      are read, and what needs a peer's answer is answered when it comes;
+    * ``WORKER`` rows, which wait on peers, run on a worker of their own;
     * replies are sent as the requests complete — out of order, tagged
       with the request's correlation id; of a set completed together (a
-      lane round, a carrier's ``INLINE`` members) the put acks go as one
-      :class:`Acks` frame.
+      lane round, what a carrier's members answered as it was read) the
+      put acks go as one :class:`Acks` frame.
 
     On shutdown or connection loss the session *drains*: queued-but-
     unstarted requests are answered with a shutdown error (never silently
     dropped — an unanswered id would strand the peer's waiter), and
-    in-flight workers get a bounded grace period before the connection
-    closes.
+    requests in flight — answered later counts too — get a bounded grace
+    period before the connection closes.
     """
 
     __slots__ = (
         "server",
         "conn",
-        "reader_cache",
         "_lock",
         "_idle",
         "_draining",
@@ -175,24 +166,32 @@ class _ConnectionSession(Reader):
         "_put_running",
         "_inflight",
         "_waiters",
+        "_batch",
     )
 
     def __init__(self, server: "MemoServer", conn: Connection) -> None:
         self.server = server
         self.conn = conn
-        self.reader_cache = server.cache
         self._lock = threading.Lock()
         self._idle = threading.Condition(self._lock)
         #: Whether :meth:`read_ended` waits on ``_idle`` for the workers.
         self._draining = False
         self._put_queue: deque = deque()
         self._put_running = False
-        #: Requests accepted and not yet answered (lane and workers).
+        #: Requests accepted and not yet answered (lane, reader, workers).
         self._inflight = 0
         #: The waiter table: parked GetWaits keyed by client-chosen token.
         self._waiters: dict[int, ParkedWaiter] = {}
+        #: While a carrier is read: the replies to send once it is.
+        self._batch: list | None = None
 
-    # -- reader (the threadcache.Reader contract) ------------------------------
+    # -- the reader ---------------------------------------------------------------
+
+    def serve(self) -> None:
+        """Read and dispatch frames until the session ends, then drain."""
+        while self.read_one():
+            pass
+        self.read_ended()
 
     def read_one(self) -> bool:
         """Read and dispatch one frame; False ends the session (the
@@ -218,13 +217,11 @@ class _ConnectionSession(Reader):
         row = self.server.handlers.get(type(msg))
         return self._run(row, msg, cid, None, raw, None)
 
-    def _run(self, row, msg, cid, envelope, raw, lane, done=None, last=True) -> bool:
-        """Run *msg* where *row* says (no row: as a ``WORKER`` row, which
-        answers what it is).  A carrier's member queues its lane request
-        in the carrier's *lane* round and collects what it answers as it
-        is read in *done*, to send them as one batch; *last* says nothing
-        follows it in its carrier."""
-        where = row.where if row is not None else WORKER
+    def _run(self, row, msg, cid, envelope, raw, lane) -> bool:
+        """Run *msg* where *row* says (no row: as read, where the server
+        passes it on or answers what it is).  A carrier's member queues
+        its lane request in the carrier's *lane* round."""
+        where = row.where if row is not None else READER
         if where is LANE:
             entry = (msg, cid, envelope, raw)
             if lane is None:
@@ -232,24 +229,51 @@ class _ConnectionSession(Reader):
             else:
                 lane.append(entry)
             return True
-        if where is not INLINE:
-            if lane:
-                # What the carrier queued so far goes ahead of what follows it.
-                self._enqueue(lane[:])
-                lane.clear()
-            if where is READER:
-                return row.handler(self, msg, cid, envelope)
-        if where is INLINE or (last and not self.conn.frame_buffered()):
-            reply = (self.server.handle(msg, envelope), cid)
-            if done is None:
-                self._send_replies([reply])
-            else:
-                done.append(reply)
-            return True
+        if lane:
+            # What the carrier queued so far goes ahead of what follows it.
+            self._enqueue(lane[:])
+            lane.clear()
+        if where is READER and row is not None:
+            return row.handler(self, msg, cid, envelope)
         with self._lock:
             self._inflight += 1
-        self._spawn(self._run_single, msg, cid, envelope)
+        if row is None:
+            self._serve(msg, cid, envelope)
+        else:
+            self._spawn(self._serve, msg, cid, envelope)
         return True
+
+    def answer(self, msg, cid: int, envelope=None, handler=None) -> bool:
+        """Serve *msg* here by *handler* (its row's if None); its reply goes
+        under *cid* when it comes, counted in flight until then."""
+        with self._lock:
+            self._inflight += 1
+        self._serve(msg, cid, envelope, handler)
+        return True
+
+    def _serve(self, msg, cid: int, envelope=None, handler=None) -> None:
+        self.server.serve(msg, envelope, partial(self._answered, cid), handler)
+
+    def _answered(self, cid: int, reply) -> None:
+        """Send *reply* now, or with the carrier being read, if one is."""
+        if type(reply) is not Reply:
+            reply = self.server.failed(reply)
+        if self._batch is not None:
+            with self._lock:
+                batch = self._batch
+                if batch is not None:
+                    batch.append((reply, cid))
+                    self._inflight -= 1
+                    return
+        self._send_replies([(reply, cid)])
+        self._settle(1)
+
+    def _settle(self, n: int) -> None:
+        """*n* requests in flight were answered."""
+        with self._lock:
+            self._inflight -= n
+            if self._draining:
+                self._idle.notify_all()
 
     def unpack_batch(self, batch: PipelineBatch, _cid=None, _envelope=None) -> bool:
         """Unpack one coalesced burst; False (undecodable) closes the session."""
@@ -260,13 +284,11 @@ class _ConnectionSession(Reader):
         lets it in (else each member is answered with the refusal).
 
         Each member runs where its row says, its lane members as one
-        round, with the envelope as its context — served here or passed
-        on toward the target.  A member that may not ride an envelope
-        goes to a worker too, which refuses (or passes on) it; passing a
-        member on waits on the next hop, so only a ``READER`` row (a
-        wait) does it on the reader, never the lane, where a ring of
-        relays could wait on itself.  The replies go back to the sending
-        server's link, which answers each member's caller.
+        round, with the envelope as its context.  A member passed on, or
+        one that may not ride an envelope, is served as read, where the
+        server passes it on (or refuses it) — never on the lane, where a
+        ring of relays could hold itself up.  The replies go back to the
+        sending server's link, which answers each member's caller.
         """
         refused = self.server.guarded(self.server.router.admit, envelope)
         return self._unpack(envelope.frames, envelope, refused)
@@ -281,9 +303,8 @@ class _ConnectionSession(Reader):
         handlers = self.server.handlers
         relayed = envelope is not None and envelope.target_host != self.server.host
         lane: list = []
-        done: list = []
-        last = len(frames) - 1
-        for i, raw in enumerate(frames):
+        self._batch = batch = []
+        for raw in frames:
             try:
                 msg, cid = decode_protocol_frame(raw)
             except ProtocolError:
@@ -292,19 +313,19 @@ class _ConnectionSession(Reader):
             if cid is None or kind in _CARRIERS:
                 return False
             if refused is not None:
-                done.append((refused, cid))
+                batch.append((refused, cid))
                 continue
             row = handlers.get(kind)
             if envelope is not None and (
-                row is None
-                or not row.enveloped
-                or (relayed and row.where is not READER)
+                row is None or not row.enveloped or (relayed and row.where is LANE)
             ):
                 row = None
-            if not self._run(row, msg, cid, envelope, raw, lane, done, i == last):
+            if not self._run(row, msg, cid, envelope, raw, lane):
                 return False
-        if done:
-            self._send_replies(done)
+        with self._lock:
+            self._batch = None
+        if batch:
+            self._send_replies(batch)
         if lane:
             self._enqueue(lane, alone=len(lane) == 1)
         return True
@@ -335,9 +356,11 @@ class _ConnectionSession(Reader):
             # nothing here can block the reader for long).
             fn(*args)
 
-    # -- workers --------------------------------------------------------------
+    # -- the put lane ----------------------------------------------------------
 
     def _run_put_lane(self) -> None:
+        """Serve the lane's rounds until it is empty, or a round of one
+        waits on a peer: its reply runs the lane on."""
         queue = self._put_queue
         while True:
             batch: list = []
@@ -347,52 +370,63 @@ class _ConnectionSession(Reader):
                 if not batch:
                     self._put_running = False
                     return
-            try:
-                try:
-                    replies = self._serve_round(batch)
-                except Exception as exc:  # noqa: BLE001 - a worker must
-                    # always reply AND keep the lane alive: an exception
-                    # escaping here would leave _put_running stuck True
-                    # (no future round ever spawns) and the peer waiting
-                    # on ids that never resolve.
-                    self.server.stats.bump("errors")
-                    err = Reply(
-                        ok=False,
-                        error=f"internal error: {type(exc).__name__}: {exc}",
-                    )
-                    replies = [(err, cid) for _m, cid, _i, _r in batch]
-                self._send_replies(replies)
-            finally:
-                with self._lock:
-                    self._inflight -= len(batch)
-                    if self._draining:
-                        self._idle.notify_all()
+            if not self._serve_round(batch):
+                return
 
-    def _serve_round(self, batch: list) -> list:
-        """Serve one lane round; its replica copies leave before its replies.
+    def _serve_round(self, batch: list) -> bool:
+        """Serve one lane round; whether the lane goes on at once.
 
-        A single request takes the audited route, as if it came alone: a
-        remote owner is one forward, its copies fan out strictly.  A
-        round of more than one request burst-forwards runs of remote puts
-        (:meth:`_process_put_batch`), and has the replicator collect the
-        copies its writes fan out and send them as one burst per chain
-        member once every request is served — still before any reply is
-        emitted, so a write is copied before it is acknowledged.  Sending
-        the copies absorbs a member's failure (it is demoted); only an
-        error it raises (the server stopping) replaces the round's acks.
+        A single request takes the audited route, as if it came alone; a
+        reply that comes later holds the lane (:meth:`_lane_answered`).  A
+        round of many, on the lane's worker, burst-forwards runs of remote
+        puts (:meth:`_process_put_batch`), and has the replicator collect
+        the copies its writes fan out and send them as one burst per chain
+        member before any reply is emitted, so a write is copied before it
+        is acknowledged.  Only an error sending them raises (the server
+        stopping) replaces the round's acks.
         """
         if len(batch) == 1:
             msg, cid, envelope, _raw = batch[0]
-            return [(self.server.handle(msg, envelope), cid)]
+            turn = [None]
+            self.server.serve(msg, envelope, partial(self._lane_answered, cid, turn))
+            with self._lock:
+                if turn[0] is None:
+                    turn[0] = False  # answered later: the answer runs the lane on
+                    return False
+            return True
         replicator = self.server.replicator
-        replicator.collect_copies()
         try:
-            replies = self._process_put_batch(batch)
+            replicator.collect_copies()
+            try:
+                replies = self._process_put_batch(batch)
+            finally:
+                sent = self.server.guarded(replicator.send_copies)
+            if not sent.ok:
+                replies = [(sent if reply.ok else reply, cid) for reply, cid in replies]
+        except Exception as exc:  # noqa: BLE001 - a worker must always
+            # reply AND keep the lane alive: an exception escaping here
+            # would leave _put_running stuck True (no future round ever
+            # spawns) and the peer waiting on ids that never resolve.
+            replies = [(self.server.failed(exc), entry[1]) for entry in batch]
+        try:
+            self._send_replies(replies)
         finally:
-            sent = self.server.guarded(replicator.send_copies)
-        if sent.ok:
-            return replies
-        return [(sent, cid) if reply.ok else (reply, cid) for reply, cid in replies]
+            self._settle(len(batch))
+        return True
+
+    def _lane_answered(self, cid: int, turn: list, reply: Reply) -> None:
+        """A round of one answered: reply, and run the lane on if its
+        runner left it waiting (``turn`` False)."""
+        self._send_replies([(self.server.failed(reply), cid)])
+        with self._lock:
+            self._inflight -= 1
+            if self._draining:
+                self._idle.notify_all()
+            waited, turn[0] = turn[0] is False, True
+            if waited and not self._put_queue:
+                self._put_running = waited = False
+        if waited:
+            self._spawn(self._run_put_lane)
 
     def _process_put_batch(self, batch: list) -> list:
         """Serve a lane round of many, burst-forwarding runs of remote puts.
@@ -448,42 +482,21 @@ class _ConnectionSession(Reader):
         return replies
 
     def _run_burst_groups(self, batch: list, groups: dict) -> dict:
-        """Fire one burst per owner; independent owners' bursts overlap.
-
-        Each group's round trip is pure waiting from this thread's point
-        of view, so the groups scatter across thread-cache workers — a
+        """Fire one burst per owner, all at once, and wait for them: a
         round touching K owners costs ~the slowest owner's round trip,
-        not the sum.
-        """
-        bursts: dict = {}
-
-        def one_group(key: tuple) -> None:
-            app, owner = key
-            entries = [(batch[i][0], batch[i][3]) for i in groups[key]]
+        not the sum."""
+        bursts = []
+        for (app, owner), idxs in groups.items():
+            entries = [(batch[i][0], batch[i][3]) for i in idxs]
             self.server.stats.bump("forwards_out", len(entries))
-            try:
-                bursts[key] = self.server.router.forward_burst(app, owner, entries)
-            except Exception:  # noqa: BLE001 - burst is an optimistic path
-                bursts[key] = [None] * len(entries)
-
-        scatter_join(
-            self.server.cache, [lambda key=key: one_group(key) for key in groups]
-        )
-        return bursts
-
-    def _run_single(self, msg: object, cid: int, envelope=None) -> None:
-        try:
-            self._send_replies([(self.server.handle(msg, envelope), cid)])
-        finally:
-            with self._lock:
-                self._inflight -= 1
-                if self._draining:
-                    self._idle.notify_all()
+            bursts.append((self.server.router.forward_burst, app, owner, entries))
+        (results,) = wait_for(scatter, self.server.cache, bursts)
+        return dict(zip(groups, results))
 
     # -- waiter table (parked GetWait service) ---------------------------------
 
     def get_wait(self, msg: GetWaitRequest, cid: int, envelope=None) -> bool:
-        """Serve one GetWait inline on the reader — never blocks.
+        """Serve one GetWait on the reader — never blocks.
 
         Parked or answered here, the correlated reply is immediate: a hit
         (folder had a memo), a parked acknowledgement (wait recorded in
@@ -493,44 +506,40 @@ class _ConnectionSession(Reader):
         nothing is sent here.  A parked wait holds no thread: its
         resolution is event-driven off the put path.
         """
-        reply = self.server.guarded(self._park_new, msg, envelope, cid)
-        if reply is not _OWED:
-            self._send_replies([(reply, cid)])
+        entry = ParkedWaiter(msg.waiter, msg.folder, msg.mode, msg.origin)
+        entry.owed = cid
+        attempt(self._park_new, entry, envelope, partial(self._parked, entry, cid))
         return True
 
-    def _park_new(
-        self, msg: GetWaitRequest, envelope: Envelope | None, cid: int
-    ) -> Reply:
-        token = msg.waiter
-        entry = ParkedWaiter(token, msg.folder, msg.mode, msg.origin)
-        entry.owed = cid
+    def _park_new(self, entry: ParkedWaiter, envelope, done) -> None:
         # Table entry goes in BEFORE the wait is parked anywhere: its
         # completion may fire from a concurrent put the instant it parks,
         # and must find the entry.  (The push may then legally overtake
         # the parked ack on the wire — the client routes by token, not
         # arrival order.)
         with self._lock:
-            if token in self._waiters:
+            if entry.token in self._waiters:
                 raise ProtocolError(
-                    f"waiter token {token} is already parked on this session"
+                    f"waiter token {entry.token} is already parked on this session"
                 )
-            self._waiters[token] = entry
-        try:
-            reply = self._park(entry, envelope)
-        except BaseException:
+            self._waiters[entry.token] = entry
+        self._park(entry, envelope, done)
+
+    def _parked(self, entry: ParkedWaiter, cid: int, reply) -> None:
+        """Where a new wait went: its GetWait's reply, unless it is owed."""
+        if not isinstance(reply, Reply) or reply.found:
             with self._lock:
-                self._waiters.pop(token, None)
-            raise
-        if reply.found:
-            with self._lock:
-                self._waiters.pop(token, None)
+                if self._waiters.get(entry.token) is entry:
+                    del self._waiters[entry.token]
+            reply = reply if isinstance(reply, Reply) else self.server.failed(reply)
         elif reply is _OWED:  # counted active as it left (_relay)
             self.server.stats.bump("waiters_parked")
+            return
         else:
             self.server.stats.bump_pair("waiters_parked", "waiters_active")
-        return reply
+        self._send_replies([(reply, cid)])
 
-    def _park(self, entry: ParkedWaiter, envelope=None) -> Reply:
+    def _park(self, entry: ParkedWaiter, envelope, done) -> None:
         """Park *entry* wherever its folder is served — the one way to wait.
 
         The chain is walked as any request's is (the router's ``walk``):
@@ -538,31 +547,34 @@ class _ConnectionSession(Reader):
         store (primary or, failed over, replica), any other has the wait
         sent on to it.  A wait a peer relayed here (*envelope*) is passed
         along its route or served where the peer aimed it, never
-        re-routed.
+        re-routed.  ``done`` takes the reply.
         """
         router = self.server.router
         reg, chain, candidates = router.candidates(entry.folder)
         if envelope is not None:
             if envelope.target_host != self.server.host:
                 self.server.stats.bump("forwards_relayed")
-                return self._relay(reg, envelope.target_host, entry, envelope.trail)
+                self._relay(reg, envelope.target_host, entry, done, envelope.trail)
+                return
             candidates = [router.chained_here(entry.folder, chain, "the relayed wait")]
-        return router.walk(
-            reg, chain, candidates, entry.folder, self._park_here, self._relay, entry
+        router.walk(
+            reg, chain, candidates, entry.folder, self._park_here, self._relay, entry, done
         )
 
-    def _relay(self, reg, target: str, entry: ParkedWaiter, trail=()) -> Reply:
-        """Send *entry*'s wait on toward *target*: ``_OWED`` while its
-        GetWait's reply is owed, else (a re-park) the parked ack.
+    def _relay(self, reg, target: str, entry: ParkedWaiter, then, trail=()) -> None:
+        """Send *entry*'s wait on toward *target*; ``then`` takes
+        ``_OWED`` while its GetWait's reply is owed, else (a re-park) the
+        parked ack.
 
         Decided before the wait is on the link: from then on whoever reads
         the link — this thread too — may answer the id, even before this
-        returns.  So a wait relayed from :meth:`_park_new` counts as
+        returns.  So a wait relayed from :meth:`get_wait` counts as
         active before it leaves.
         """
         if entry.owed is None:
             self.server.router.relay_wait(self, entry, reg, target, trail)
-            return _PARKED_ACK
+            then(_PARKED_ACK)
+            return
         stats = self.server.stats
         stats.bump("waiters_active")
         try:
@@ -570,9 +582,9 @@ class _ConnectionSession(Reader):
         except BaseException:
             stats.bump("waiters_active", -1)
             raise
-        return _OWED
+        then(_OWED)
 
-    def _park_here(self, _reg, chain: tuple, sid: str, entry: ParkedWaiter) -> Reply:
+    def _park_here(self, _reg, chain, sid: str, entry: ParkedWaiter, _done) -> Reply:
         """Park *entry* in this host's own store for *chain*, or hit."""
         entry.owed = None  # answered by the caller, now
         if chain[0][1] != self.server.host:
@@ -588,9 +600,7 @@ class _ConnectionSession(Reader):
         )
         if handle is None:
             self.server.stats.bump("local_dispatches")
-            return Reply(
-                ok=True, found=True, payload=record.payload, folder=entry.folder
-            )
+            return Reply(ok=True, found=True, payload=record.payload, folder=entry.folder)
         entry.handle = handle
         return _PARKED_ACK
 
@@ -618,7 +628,11 @@ class _ConnectionSession(Reader):
             return
         if not self._is_live(entry):
             return  # cancelled or torn down meanwhile: nothing to park
-        reply = self.server.guarded(self._repark, entry, reason, stale)
+        attempt(self._repark, entry, reason, stale, partial(self._reparked, entry))
+
+    def _reparked(self, entry: ParkedWaiter, reply) -> None:
+        if not isinstance(reply, Reply):
+            reply = self.server.failed(reply)
         if not reply.ok:
             self.complete_waiter(entry, None, reply.error)
         elif reply.found:
@@ -629,31 +643,33 @@ class _ConnectionSession(Reader):
             # old home; leave no waiter behind at the new one.
             entry.home.cancel_waiter(entry.folder, entry.handle)
 
-    def _repark(self, entry: ParkedWaiter, reason: str, stale: bool) -> Reply:
-        """Where a retryable end sends the wait: a parked/hit reply from
-        its new home, or the error to end it with."""
+    def _repark(self, entry: ParkedWaiter, reason: str, stale: bool, done) -> None:
+        """Where a retryable end sends the wait: ``done`` takes a
+        parked/hit reply from its new home, or the error to end it with."""
         entry.attempts += 1
         if entry.attempts > MIGRATION_RETRY_MAX:
-            return Reply(
-                ok=False, error=f"folder {entry.folder} kept migrating; giving up"
-            )
+            done(Reply(ok=False, error=f"folder {entry.folder} kept migrating; giving up"))
+            return
         if stale:  # the same way again, on a fresh dial
             try:
                 reg = self.server.router.registration(entry.folder.app)
-                return self._relay(reg, entry.target, entry, entry.trail)
+                self._relay(reg, entry.target, entry, done, entry.trail)
+                return
             except CommunicationError as exc:  # as a lost link's wait, then
                 reason = f"shutdown: {exc}"
                 if entry.trail:
-                    return Reply(ok=False, error=reason)
+                    done(Reply(ok=False, error=reason))
+                    return
         if shutting_down(reason):
             # The member is stopping or unreachable.  Its data is on the
             # next chain member, as the chain walk treats it — and when
             # there is none, the client paces the retry toward its next
             # incarnation, as it does for its own server.
             if len(self.server.router.candidates(entry.folder)[1]) == 1:
-                return Reply(ok=False, error=reason)
+                done(Reply(ok=False, error=reason))
+                return
             self.server.router.suspect(entry.target)
-        return self._park(entry)
+        self._park(entry, None, done)
 
     def complete_waiter(
         self, entry: ParkedWaiter, record: MemoRecord | None, error: str | None
@@ -719,10 +735,11 @@ class _ConnectionSession(Reader):
             self._send_replies([(_PARKED_ACK, owed)])
 
     def _requeue(self, entry: ParkedWaiter, record: MemoRecord | None) -> None:
-        """Re-deposit a memo a dead/cancelled waiter consumed (no losses)."""
+        """Re-deposit a memo a dead/cancelled waiter consumed (no losses);
+        nothing waits for it, so it may run on a thread that reads."""
         if record is not None and entry.mode == "get":
-            if self.server.replicator.redeposit(entry.folder, record) is not None:
-                self.server.stats.bump("errors")
+            replicator = self.server.replicator
+            replicator.redeposit(entry.folder, record, None, replicator.count_failure)
 
     def _withdraw(self, entry: ParkedWaiter) -> None:
         """Count *entry* (already out of the table) cancelled and detach it
@@ -798,8 +815,7 @@ class _ConnectionSession(Reader):
             self._withdraw(entry)
         if stranded and not self.conn.closed:
             shut = Reply(
-                ok=False,
-                error="shutdown: server stopped before the request was served",
+                ok=False, error="shutdown: server stopped before the request was served"
             )
             self._send_replies([(shut, e[1]) for e in stranded])
         deadline = time.monotonic() + grace

@@ -11,159 +11,98 @@ not, it will terminate."
 task to an idle cached thread when one exists, otherwise creates a thread;
 an idle thread waits ``idle_timeout`` seconds for the next task and then
 dies.  The SEC41 bench measures the saved creation overhead.
+
+The rest of this module is the shapes a continuation takes on a server,
+where nothing that reads waits on a peer: :class:`Join` / :func:`wait_for` for a
+caller that reads nothing and may wait, :func:`scatter` for concurrent
+parts, :func:`later` for one that sends again (a fail-over) on a worker.
 """
 
 from __future__ import annotations
 
 import queue
 import threading
+from functools import partial
 from typing import Callable
 
 from repro.errors import ServerError
 from repro.telemetry import Counters
 
-__all__ = ["ThreadCache", "Reader", "await_peer", "hand_off", "scatter_join"]
-
-#: What the current thread reads for: its :class:`Reader` list, ``held``.
-_reading = threading.local()
-
-#: How long a reader waits on a peer before it hands its reading on: about
-#: two hundred peer round trips, so a healthy exchange never pays a hand-off.
-HAND_OFF_AFTER = 0.02
+__all__ = ["ThreadCache", "Join", "attempt", "later", "scatter", "wait_for"]
 
 
-def _held() -> list:
-    held = getattr(_reading, "held", None)
-    if held is None:
-        held = _reading.held = []
-    return held
+class Join:
+    """A join lock: ``join(*answer)`` once, from any thread; :meth:`wait`
+    returns the answer (a tuple) once it came."""
+
+    __slots__ = ("_lock", "answer")
+
+    def __init__(self) -> None:
+        self._lock = threading.Lock()
+        self._lock.acquire()
+        self.answer: tuple = ()
+
+    def __call__(self, *answer: object) -> None:
+        self.answer = answer
+        self._lock.release()
+
+    def wait(self) -> tuple:
+        self._lock.acquire()
+        return self.answer
 
 
-class Reader:
-    """A connection's reader — a memo server's session, or a peer link —
-    serving some frames on the thread that reads them.  Such a frame may
-    wait on a peer while the frame that ends the wait is behind it on this
-    very connection, so :func:`await_peer` hands the reading on to a fresh
-    thread.  A thread may read for more than one: a session's reader that
-    leads a peer link's read holds both, and :func:`hand_off` hands on
-    all it may.  A subclass defines ``read_one`` (False stops reading,
-    None stops with nothing ended), ``read_ended`` and ``reader_cache``
-    (where a fresh reader runs).
-    """
-
-    __slots__ = ()
-
-    def serve(self) -> None:
-        """Read until ``read_one`` says stop or the reading was handed on;
-        whoever reads last runs ``read_ended``, unless reading stopped
-        with nothing ended."""
-        held = _held()
-        held.append(self)
-        going = True
-        try:
-            while going and self in held:
-                going = self.read_one()
-        finally:
-            if self in held:
-                held.remove(self)
-                if going is not None:
-                    self.read_ended()
-
-    def read_on(self) -> None:
-        """Continue :meth:`serve` on a thread of its own."""
-        self.reader_cache.submit(self.serve)
-
-    def take_reading(self) -> None:
-        """Read for this reader on the current thread, beside any other it
-        reads for, outside :meth:`serve` (a caller leading a link's read),
-        until :meth:`drop_reading` or a hand-on."""
-        _held().append(self)
-
-    def drop_reading(self) -> None:
-        """Stop reading for this reader on the current thread, if it does."""
-        held = _held()
-        if self in held:
-            held.remove(self)
-
-    def reads_here(self) -> bool:
-        """Whether the current thread still reads for this reader."""
-        return self in _held()
-
-    def hand_on(self) -> None:
-        """Hand this reader's reading on to a fresh thread now, if the
-        current thread reads for it."""
-        held = _held()
-        if self in held:
-            try:
-                self.read_on()
-            except ServerError:  # shutting down: keep reading here
-                return
-            held.remove(self)
+def wait_for(fn: Callable, *args: object) -> tuple:
+    """Run ``fn(*args, done)`` — a call that answers by continuation —
+    and wait on this thread for what it hands ``done``.  What it raises
+    before that propagates."""
+    join = Join()
+    fn(*args, join)
+    return join.wait()
 
 
-def hand_off(keep: Reader | None = None) -> None:
-    """Hand on the reading of every :class:`Reader` the current thread
-    reads for but *keep*: it is about to wait on a peer."""
-    for reader in [r for r in _held() if r is not keep]:
-        reader.hand_on()
-
-
-def await_peer(done: threading.Lock, timeout: float | None = None) -> bool:
-    """Acquire *done*, released when what waits on a peer is over; at most
-    *timeout* seconds (None: until released).  Past :data:`HAND_OFF_AFTER`,
-    the thread hands its reading on first (:func:`hand_off`) — as a caller
-    leading a link's read does.  Returns whether *done* was acquired."""
-    if done.acquire(True, HAND_OFF_AFTER):
-        return True
-    hand_off()
-    left = -1 if timeout is None else max(0.0, timeout - HAND_OFF_AFTER)
-    return done.acquire(True, left)
-
-
-def scatter_join(cache: "ThreadCache", thunks: list) -> list[Exception]:
-    """Run *thunks* concurrently on *cache* workers; wait for all of them.
-
-    The last thunk runs on the calling thread (it would otherwise just
-    block waiting), extras go to cache workers, and a cache that has shut
-    down degrades each leg to inline execution.  Exceptions never escape
-    a worker thread: they are collected and returned, in completion
-    order, for the caller to surface — the shared scatter/join shape of
-    the replication fan-out and the burst-forward groups.
-    """
-    if not thunks:
-        return []
-    errors: list[Exception] = []
-    if len(thunks) == 1:
-        try:
-            thunks[0]()
-        except Exception as exc:  # noqa: BLE001 - returned, not raised
-            errors.append(exc)
-        return errors
-    done = threading.Lock()
-    done.acquire()
+def scatter(cache: "ThreadCache", calls: list, done: Callable[[list], None]) -> None:
+    """Start *calls*, ``(fn, *args)`` tuples each answering ``fn(*args,
+    then)`` by continuation, all at once: each but the last on a *cache*
+    worker, the last here (else each would wait for the one before to be
+    read).  ``done(answers)``, in call order, runs once all are in."""
+    answers: list = [None] * len(calls)
+    left = [len(calls)]
     lock = threading.Lock()
-    remaining = [len(thunks)]
 
-    def run_one(fn) -> None:
-        try:
-            fn()
-        except Exception as exc:  # noqa: BLE001 - returned, not raised
-            with lock:
-                errors.append(exc)
-        finally:
-            with lock:
-                remaining[0] -= 1
-                if remaining[0] == 0:
-                    done.release()
+    def part(i: int, answer: object) -> None:
+        answers[i] = answer
+        with lock:
+            left[0] -= 1
+            last = not left[0]
+        if last:
+            done(answers)
 
-    for fn in thunks[:-1]:
-        try:
-            cache.submit(run_one, fn)
-        except ServerError:
-            run_one(fn)
-    run_one(thunks[-1])
-    await_peer(done)
-    return errors
+    if not calls:
+        done(answers)
+    for i, (fn, *args) in enumerate(calls):
+        if i < len(calls) - 1:
+            later(cache, fn, *args, partial(part, i))
+        else:
+            attempt(fn, *args, partial(part, i))
+
+
+def attempt(fn: Callable, *args: object) -> None:
+    """Run ``fn(*args)``, whose last argument is the continuation that
+    takes its answer, and hand that continuation what it raises instead."""
+    try:
+        fn(*args)
+    except Exception as exc:  # noqa: BLE001 - the continuation's answer
+        args[-1](exc)
+
+
+def later(cache: "ThreadCache", fn: Callable, *args: object) -> None:
+    """Run ``fn(*args)`` on a *cache* worker — here, once the cache is shut
+    down — where its last argument is the continuation that takes its
+    answer (:func:`attempt`)."""
+    try:
+        cache.submit(attempt, fn, *args)
+    except ServerError:
+        attempt(fn, *args)
 
 
 #: ``ThreadCache.stats``, counted under the pool lock (a submit counts and

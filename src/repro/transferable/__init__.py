@@ -55,7 +55,7 @@ from repro.transferable.registry import (
     default_registry,
     transferable_struct,
 )
-from repro.transferable.wire import decode, encode, encoded_size
+from repro.transferable.wire import decode, encode
 
 __all__ = [
     "DOMAINS",
@@ -82,5 +82,4 @@ __all__ = [
     "transferable_struct",
     "encode",
     "decode",
-    "encoded_size",
 ]

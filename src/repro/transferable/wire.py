@@ -76,7 +76,6 @@ __all__ = [
     "VERSION",
     "encode",
     "decode",
-    "encoded_size",
     "UnknownStructError",
 ]
 
@@ -337,15 +336,6 @@ def _packed_body(seq: list | tuple, strict_domains: bool) -> bytes | None:
 
 def _set_sort_key(item: object) -> tuple:
     return (type(item).__name__, repr(item))
-
-
-def encoded_size(
-    obj: object,
-    *,
-    registry: TransferableRegistry | None = None,
-) -> int:
-    """Number of bytes :func:`encode` would produce for *obj*."""
-    return len(encode(obj, registry=registry))
 
 
 # ---------------------------------------------------------------------------

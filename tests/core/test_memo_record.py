@@ -33,12 +33,6 @@ class TestFromValue:
         out["n"] = 999
         assert decode(rec.payload) == {"n": 1}
 
-    def test_size_bytes(self):
-        small = MemoRecord(encode(1))
-        big = MemoRecord(encode(list(range(1000))))
-        assert big.size_bytes() > small.size_bytes() > 0
-        assert small.size_bytes() == len(small.payload)
-
     def test_strict_domains_passthrough(self):
         with pytest.raises(EncodingError):
             MemoRecord(encode(7, strict_domains=True))

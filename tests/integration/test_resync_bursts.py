@@ -78,9 +78,9 @@ def drained(cluster) -> Counter:
     return got
 
 
-def per_record_burst(self, app, owner, entries):
+def per_record_burst(self, app, owner, entries, then):
     """A ``forward_burst`` that never sends: every entry unresolved."""
-    return [None] * len(entries)
+    then([None] * len(entries))
 
 
 class TestResyncCost:
@@ -124,16 +124,21 @@ class TestFallback:
         original = Router.forward_burst
         refused = Reply(ok=False, error="ServerError: refused by the test")
 
-        def half_burst(self, app, owner, entries):
+        def half_burst(self, app, owner, entries, then):
             results = [None] * len(entries)
             sent = [i for i in range(2, len(entries), 2)]
             if entries:
                 results[0] = refused
-            if sent:
-                replies = original(self, app, owner, [entries[i] for i in sent])
+
+            def answered(replies):
                 for i, reply in zip(sent, replies):
                     results[i] = reply
-            return results
+                then(results)
+
+            if sent:
+                original(self, app, owner, [entries[i] for i in sent], answered)
+            else:
+                then(results)
 
         cluster = make_cluster(["h0", "h1"])
         try:
@@ -167,11 +172,11 @@ class TestFallback:
         original = Router.forward_burst
         killed = []
 
-        def kill_then_send(self, app, owner, entries):
+        def kill_then_send(self, app, owner, entries, then):
             if owner == "h1" and not killed:
                 killed.append(len(entries))
                 cluster.kill_host("h1")
-            return original(self, app, owner, entries)
+            original(self, app, owner, entries, then)
 
         try:
             ours = [key(f) for f in range(97) if primary_of(cluster, key(f)) == "h0"]

@@ -14,7 +14,7 @@ import pytest
 
 from repro.core.keys import FolderName, Key, Symbol
 from repro.errors import ConnectionClosedError
-from repro.network.calls import Calls, Role
+from repro.network.calls import Calls
 from repro.network.connection import Address
 from repro.network.protocol import (
     PUT_ACK,
@@ -27,7 +27,6 @@ from repro.network.protocol import (
     send_message,
 )
 from repro.network.transport import InMemoryTransport, NetworkFabric
-from repro.servers import threadcache
 from repro.servers.link import PeerLink
 from repro.servers.threadcache import ThreadCache
 
@@ -180,12 +179,9 @@ def test_on_loss_each_outstanding_slot_fails_once_with_its_left(ends):
     assert calls.fail(ConnectionClosedError("again")) == []  # exactly once
 
 
-def test_a_call_from_the_reading_thread_does_not_stall(ends, monkeypatch):
-    """A peer link's call made on the thread that reads the link — as a
-    memo re-deposited from the push being delivered — has that reading
-    handed on at once (the link's ``follow`` hook), not after the
-    hand-off delay, which is here far longer than the call may take."""
-    monkeypatch.setattr(threadcache, "HAND_OFF_AFTER", 5.0)
+def test_a_call_from_the_reading_thread_does_not_stall(ends):
+    """A peer link's call made on the thread that reads the link, from a
+    frame it is dispatching, reads its own reply there, re-entrantly."""
     near, far = ends
     cache = ThreadCache(idle_timeout=0.5, name="t")
     link = PeerLink("peer", near, "me", cache)
@@ -234,15 +230,6 @@ def test_a_slot_answered_while_its_caller_leads_gets_no_done_lock(ends):
 def test_a_followers_done_lock_is_made_then_released(ends):
     near, far = ends
     calls = Owner(near).calls
-    acquired: list = []
-
-    class Following(Role):
-        def follow(self, done, left):
-            got = super().follow(done, left)
-            acquired.append((done, got))
-            return got
-
-    calls.role = Following()
     first, second = calls.open(), calls.open()
     leader = threading.Thread(target=calls.wait, args=(first, time.monotonic() + 5))
     leader.start()
@@ -251,11 +238,11 @@ def test_a_followers_done_lock_is_made_then_released(ends):
     follower = threading.Thread(target=calls.wait, args=(second, time.monotonic() + 5))
     follower.start()
     time.sleep(0.05)  # the follower waits on its lock
-    assert second.done is not None and acquired == []
+    assert second.done is not None and not second.over
     answer(far, second.first, payload=b"second")
     follower.join(5)
-    assert second.results[0].payload == b"second"
-    assert acquired == [(second.done, True)]  # released by the reader
+    assert second.results[0].payload == b"second" and second.error is None
+    assert second.done.locked()  # released by the reader, taken by the follower
     answer(far, first.first, payload=b"first")
     leader.join(5)
     assert first.done is None

@@ -6,7 +6,6 @@ from repro.errors import FrameError
 from repro.network.frames import (
     HEADER,
     encode_frames,
-    frame_overhead,
     parse_frame,
     write_frame,
 )
@@ -32,7 +31,7 @@ class TestRoundtrip:
         sent = []
         total = write_frame(sent.append, b"abcdef")
         assert total == sum(len(s) for s in sent)
-        assert total == frame_overhead() + 6
+        assert total == HEADER.size + 6
 
 
 class TestFragmentation:

@@ -17,7 +17,6 @@ from repro.servers.hashing import (
     FolderPlacement,
     weighted_rendezvous,
     weighted_rendezvous_ranked,
-    weighted_rendezvous_topk,
 )
 
 HOSTS = {"a": 1.0, "b": 2.0, "c": 0.5}
@@ -54,13 +53,6 @@ class TestRankedRendezvous:
             ranked = weighted_rendezvous_ranked(key, weights)
             rest = {sid: w for sid, w in weights.items() if sid != ranked[0]}
             assert weighted_rendezvous(key, rest) == ranked[1]
-
-    def test_topk_bounds(self):
-        weights = {"s0": 1.0, "s1": 2.0}
-        assert len(weighted_rendezvous_topk(b"x", weights, 1)) == 1
-        assert len(weighted_rendezvous_topk(b"x", weights, 5)) == 2
-        with pytest.raises(ServerError):
-            weighted_rendezvous_topk(b"x", weights, 0)
 
 
 class TestReplicaChain:

@@ -36,6 +36,7 @@ from repro.runtime.client import MemoClient
 from repro.runtime.cluster import Cluster
 from repro.servers.link import PeerLink
 from repro.servers.router import Router
+from repro.servers.threadcache import wait_for
 from repro.transferable.wire import encode
 
 APP = "acks"
@@ -228,7 +229,8 @@ class TestLink:
                 (PutRequest(folder=FolderName(APP, key), payload=encode(i)), None)
                 for i, key in enumerate(keys)
             ]
-            results = cluster.servers["h0"].router.forward_burst(APP, "h1", entries)
+            router = cluster.servers["h0"].router
+            (results,) = wait_for(router.forward_burst, APP, "h1", entries)
             assert all(result is PUT_ACK for result in results)
             assert Acks in frames and Reply not in frames
             assert stored(cluster) == 20
@@ -237,10 +239,12 @@ class TestLink:
         bursts: list = []
         forward_burst = Router.forward_burst
 
-        def spy(router, app, owner, entries):
-            results = forward_burst(router, app, owner, entries)
-            bursts.append(results)
-            return results
+        def spy(router, app, owner, entries, then):
+            def answered(results):
+                bursts.append(results)
+                then(results)
+
+            forward_burst(router, app, owner, entries, answered)
 
         monkeypatch.setattr(Router, "forward_burst", spy)
         adf = system_default_adf(["h0", "h1"], app=APP, replication_factor=2)

@@ -29,7 +29,6 @@ from repro.network.protocol import Envelope, Heartbeat, PutRequest
 from repro.replication.failure import FailureDetector
 from repro.runtime.cluster import Cluster
 from repro.servers.link import DEADLINES, PeerLink
-from repro.servers import threadcache
 from repro.servers.replicator import Replicator
 from repro.transferable.wire import encode
 
@@ -242,11 +241,9 @@ def test_a_restarted_owner_is_reached_through_the_stale_rule():
 
 
 def test_a_call_from_the_links_own_reader_is_answered_at_once(monkeypatch):
-    """A call made on the thread that reads its link — as a memo that a
-    cancelled relayed wait consumed is re-deposited from the push being
-    delivered — has that reading handed on at once, not after the
-    hand-off delay, which is here far longer than the call may take."""
-    monkeypatch.setattr(threadcache, "HAND_OFF_AFTER", 5.0)
+    """A call made on the thread that reads its link — from a frame that
+    thread is dispatching — reads its reply there, re-entrantly: nothing
+    else would read it, and no new thread is started for it."""
     nested: list = []
     dispatch = Calls.dispatch
 
@@ -254,6 +251,7 @@ def test_a_call_from_the_links_own_reader_is_answered_at_once(monkeypatch):
         dispatch(calls, msg, cid)
         link = calls.role
         if isinstance(link, PeerLink) and link.host == "h1" and nested == [None]:
+            nested[:] = ["calling"]  # its own reply is dispatched here too
             started = time.monotonic()
             results, error = link.call(Heartbeat(host="h0"))
             nested[:] = [time.monotonic() - started, results[0], error]

@@ -8,7 +8,7 @@ from repro.errors import DecodingError
 from repro.transferable.graph import NodeKind
 from repro.transferable.registry import TransferableRegistry
 from repro.transferable.scalars import Bool, Char, Float32, Int16, Int64, String
-from repro.transferable.wire import MAGIC, decode, encode, encoded_size
+from repro.transferable.wire import MAGIC, decode, encode
 
 
 class TestRoundtrip:
@@ -53,10 +53,6 @@ class TestRoundtrip:
         t = Task("build", [Task("fetch", [])])
         out = decode(encode(t, registry=registry), registry=registry)
         assert out.name == "build" and out.deps[0].name == "fetch"
-
-    def test_encoded_size_matches(self):
-        obj = {"payload": list(range(50))}
-        assert encoded_size(obj) == len(encode(obj))
 
     def test_deterministic_encoding(self):
         obj = {"a": [1, 2], "b": {3, 4}}
