@@ -286,27 +286,26 @@ class Router:
         )
 
     def forward_target(self, msg) -> str | None:
-        """The single remote owner a pipelined put can burst-forward to.
+        """The remote chain head a pipelined put can burst-forward to, at
+        any replication factor: its folder's first live candidate, another
+        host on a direct link.  The head serves the burst as one lane round
+        and copies it on (one burst per chain member) before any ack leaves.
 
-        None means the put must take the full :meth:`route` path: local
-        ownership, a replica chain (fan-out and chain walking belong to
-        the audited route), a multi-hop topology (a relay hop passes each
-        member on in an envelope of its own, which could reorder
-        same-folder puts), or a missing registration/address (let the slow path
-        produce its usual error).
+        None means the put must take the full :meth:`route` path: a head
+        here, a multi-hop topology (a relay hop passes each member on in an
+        envelope of its own, which could reorder same-folder puts), or a
+        missing registration/address (let the slow path produce its usual error).
         """
         try:
-            reg, chain, candidates = self.candidates(msg.folder)
-            if len(chain) != 1:
-                return None
+            reg, _chain, candidates = self.candidates(msg.folder)
             host = candidates[0][1]
             if host == self.host or reg.routing.next_hop(self.host, host) != host:
                 return None
         except MemoError:
             # Unknown app, unroutable host, bad topology... — whatever it
             # is, the audited slow path knows how to turn it into the
-            # right error reply; the fast path only answers "yes, one
-            # healthy remote owner, directly linked".
+            # right error reply; the fast path only answers "yes, a live
+            # remote chain head, directly linked".
             return None
         return host if host in self.address_book else None
 

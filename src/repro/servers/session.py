@@ -431,14 +431,14 @@ class _ConnectionSession:
     def _process_put_batch(self, batch: list) -> list:
         """Serve a lane round of many, burst-forwarding runs of remote puts.
 
-        Local puts and enveloped requests are served in place; puts owned
-        by a single remote host are grouped per ``(app, owner)`` and
-        forwarded in one :class:`Envelope` instead of one envelope each —
-        the owner's replies come back member by member and answer the
-        client's own ids.  Entries the burst cannot resolve —
-        connection failures, a peer answering mid-teardown, a folder that
-        migrated underneath the burst — fall back to the server's full
-        routing, which owns retry, suspicion, and fail-over policy.
+        Puts headed here and enveloped requests are served in place; puts
+        headed by another directly linked host, at any replication
+        factor, ride one :class:`Envelope` per ``(app, chain head)`` —
+        the head serves them as one lane round, copies them on, and
+        answers the client's own ids.  Entries the burst cannot resolve —
+        connection failures, a head answering mid-teardown, a folder that
+        migrated underneath the burst — take the server's full routing:
+        suspicion, then fail-over to the next chain member.
         Batch order is preserved per folder: a folder's puts either all
         apply here or all belong to the same burst group, in index order.
         """

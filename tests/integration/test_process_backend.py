@@ -215,6 +215,30 @@ def wait_for(predicate, message, timeout=10.0):
     raise AssertionError(f"timed out waiting for {message}")
 
 
+class TestBursts:
+    def test_a_replicated_put_many_reaches_the_servers_in_few_carriers(
+        self, cluster
+    ):
+        """A 512-put round at rf 2 over TCP: its remote puts ride one
+        envelope per chain head, whose copies ride one envelope per chain
+        member, so the servers receive at most one carrier per 8 puts (an
+        envelope per remote put and per copy makes ~700)."""
+        n = 512
+        memo = cluster.memo_api("h0", APP)
+        memo.put(Key(Symbol("warm")), 0, wait=True)
+        keys = [Key(Symbol("burst"), (i % 128,)) for i in range(n)]
+        before = cluster.stats()
+        memo.put_many(zip(keys, range(n)))
+        memo.flush()
+        after = cluster.stats()
+        carriers = sum(
+            after[h]["memo.pipelined_batches"] - before[h]["memo.pipelined_batches"]
+            for h in HOSTS
+        )
+        assert carriers <= n // 8, carriers
+        assert sorted(memo.get_skip(k) for k in keys) == list(range(n))
+
+
 @pytest.fixture(params=BACKENDS)
 def logless_cluster(request, tmp_path):
     c = make_cluster(request.param, tmp_path, durable=False)

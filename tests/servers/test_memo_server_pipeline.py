@@ -20,6 +20,7 @@ import time
 import pytest
 
 from repro import Cluster, system_default_adf
+from repro.core.api import NIL
 from repro.core.keys import FolderName, Key, Symbol
 from repro.network.protocol import (
     PUT_ACK,
@@ -348,8 +349,11 @@ class TestBurstForwarding:
         assert remote >= 64
         assert bursts >= math.ceil(remote / _LANE_BATCH_MAX), (bursts, remote)
 
-    def test_burst_forward_preserves_same_folder_order(self):
-        adf = system_default_adf(["a", "b"], app="pipe")
+    @pytest.mark.parametrize("rf", [1, 2])
+    def test_burst_forward_preserves_same_folder_order(self, rf):
+        """A folder's puts keep their order across a burst to its chain
+        head, and at rf 2 across the head's copies to its backup too."""
+        adf = system_default_adf(["a", "b"], app="pipe", replication_factor=rf)
         with Cluster(adf, idle_timeout=0.5) as cluster:
             cluster.register()
             memo = cluster.memo_api("a", "pipe")
@@ -366,12 +370,63 @@ class TestBurstForwarding:
             memo.put_many((key, i) for i in range(80))
             memo.flush()
             fname = FolderName("pipe", key)
-            order = None
-            for fs in cluster.servers["b"].local_folder_servers().values():
-                for _n, memos, _d in fs.snapshot_folders(lambda n: n == fname):
-                    order = [tlv_decode(r.payload) for r in memos]
-            assert order == list(range(80))
 
+            def held(stores):
+                order = None
+                for fs in stores.values():
+                    for _n, memos, _d in fs.snapshot_folders(lambda n: n == fname):
+                        order = [tlv_decode(r.payload) for r in memos]
+                return order
+
+            assert held(cluster.servers["b"].local_folder_servers()) == list(range(80))
+            if rf == 2:
+                replicas = cluster.servers["a"].local_replica_servers()
+                assert held(replicas) == list(range(80))
+
+    @pytest.mark.parametrize("rf", [1, 2, 3])
+    def test_a_put_many_costs_a_fraction_of_a_frame_per_put(self, rf):
+        """The frame budget of a lane round, at every replication factor:
+        its remote puts ride one envelope per chain head, and each head
+        copies its share on as one envelope per chain member, so a
+        512-put round over 128 folders costs well under a fabric frame a
+        put (an envelope of its own per put and per copy costs 2.8 frames
+        a put at rf 2 and 4.2 at rf 3).  Every value reads back once."""
+        n, folders = 512, 128
+        adf = system_default_adf(["h0", "h1", "h2"], app="pipe", replication_factor=rf)
+        with Cluster(adf, heartbeat_interval=5.0) as cluster:
+            cluster.register()
+            memo = cluster.memo_api("h0", "pipe")
+            memo.put(Key(Symbol("warm")), 0, wait=True)
+            keys = [Key(Symbol("budget"), (i % folders,)) for i in range(n)]
+            before = sum(cluster.metrics().link_messages.values())
+            memo.put_many(zip(keys, range(n)))
+            memo.flush()
+            frames = sum(cluster.metrics().link_messages.values()) - before
+            assert frames / n <= 0.3, (frames, n)
+            assert sorted(memo.get_skip(k) for k in keys) == list(range(n))
+            assert all(memo.get_skip(k) is NIL for k in keys[:folders])
+
+    def test_a_burst_the_head_cannot_take_fails_over_to_the_backup(self):
+        """At rf 2, with the ``h0``–``h1`` link cut and no detector yet
+        suspecting ``h1``, a round's puts to folders headed by ``h1`` find
+        the burst unresolved, take the audited walk (suspicion, then the
+        next chain member) and are all acked; each reads back once."""
+        adf = system_default_adf(["h0", "h1", "h2"], app="pipe", replication_factor=2)
+        with Cluster(adf, heartbeat_interval=30.0) as cluster:
+            cluster.register()
+            chain = cluster.servers["h0"].registration("pipe").placement.replica_chain
+            candidates = (Key(Symbol("cut"), (i,)) for i in range(2000))
+            keys = [k for k in candidates if chain(FolderName("pipe", k))[0][1] == "h1"]
+            keys = keys[:100]
+            assert len(keys) == 100
+            memo = cluster.memo_api("h0", "pipe")
+            memo.put(Key(Symbol("warm")), 0, wait=True)
+            assert not cluster.servers["h0"].failure.dead_hosts()
+            cluster.fabric.partition("h0", "h1")
+            memo.put_many((k, i) for i, k in enumerate(keys))
+            memo.flush()
+            assert [memo.get_skip(k) for k in keys] == list(range(100))
+            assert all(memo.get_skip(k) is NIL for k in keys)
 
     def test_one_connection_overlaps_injected_forward_rtts(self):
         """On 2 ms links strict service would pay one forward round trip
