@@ -209,25 +209,33 @@ class Calls:
     def dispatch(self, msg: object, cid: int | None) -> None:
         """Hand one received message, tagged *cid*, to what waits on it."""
         kind = type(msg)
-        if kind is Reply:
+        if kind is Reply:  # the commonest frame: one id, no loop
             if cid is None:
                 return
-            ids, reply = (cid,), msg
-        elif kind is Acks:
-            ids, reply = msg.cids, PUT_ACK
-        elif kind is MemoReady:
+            with self.lock:
+                slot = self._slots.pop(cid, None)
+                if slot is None:
+                    return
+                slot.results[cid - slot.first] = msg
+                slot.left -= 1
+                if slot.left:
+                    return
+                slot.over = True
+            slot._finish()
+            return
+        if kind is MemoReady:
             self._push(msg.waiter, msg.payload, None)
             return
-        else:
+        if kind is not Acks:
             self._push(msg.waiter, None, msg.reason)
             return
         over = []
         with self.lock:
             slots = self._slots
-            for answered in ids:
+            for answered in msg.cids:
                 slot = slots.pop(answered, None)
                 if slot is not None:
-                    slot.results[answered - slot.first] = reply
+                    slot.results[answered - slot.first] = PUT_ACK
                     slot.left -= 1
                     if not slot.left:
                         slot.over = True

@@ -58,9 +58,12 @@ generates the source of one encoder and one decoder from the message's
 ``__init__``, so a frame costs one call with no per-field dispatch.  One
 kind table (:data:`_KINDS`) gives every kind its encode and its decode
 statement, so both directions read the same table: the scalar kinds
-inline their one-byte cases, as does the carriers' ``bytes_tuple`` its
-loop; the rare ones (maps, pairs, other tuples) call ``(out, value)``
-writers and ``(data, pos) -> (value, pos)`` readers.
+inline their one-byte cases, the carriers' ``bytes_tuple`` and the
+trail's ``str_tuple`` their loops, and a reply's ``opt_folder`` and
+``num_map`` their empty case; the rest (a folder, maps with entries,
+pairs, other tuples) call ``(out, value)`` writers and ``(data, pos) ->
+(value, pos)`` readers.  :func:`encode_fields` writes a frame from the
+field values alone, and :func:`recorrelate` swaps a frame's id.
 The folder field is cached on both sides — decoded once per distinct
 wire spelling, encoded once per distinct :class:`FolderName`.
 """
@@ -82,6 +85,7 @@ __all__ = [
     "CORRELATED_VERSION",
     "register_compact",
     "encode_message",
+    "encode_fields",
     "encode_correlated_burst",
     "decode_message",
     "decode_tagged",
@@ -191,10 +195,8 @@ _UV1 = tuple(bytes((n,)) for n in range(0x80))
 def _uint_bytes(n: int) -> bytes:
     """What :func:`_w_uint` writes for *n*, as bytes: a correlation id to
     splice between a frame's header and its body."""
-    if 0 <= n < 0x80:
-        return _UV1[n]
-    if 0 < n < 0x4000:
-        return bytes(((n & 0x7F) | 0x80, n >> 7))
+    if n < 0x4000 and n >= 0:
+        return _UV1[n] if n < 0x80 else bytes(((n & 0x7F) | 0x80, n >> 7))
     if 0 < n < 0x200000:
         return bytes(((n & 0x7F) | 0x80, (n >> 7 & 0x7F) | 0x80, n >> 14))
     out = bytearray()
@@ -244,14 +246,6 @@ def _w_uint_deltas(out: bytearray, values: tuple) -> None:
         else:
             _w_uv(out, z)
         prev = x
-
-
-def _w_opt_folder(out: bytearray, f: FolderName | None) -> None:
-    if f is None:
-        out.append(0)
-    else:
-        out.append(1)
-        _w_folder(out, f)
 
 
 def _w_num_map(out: bytearray, values: dict) -> None:
@@ -304,16 +298,19 @@ def _w_many(write: Callable, each: Callable = iter) -> Callable:
 
 def _uv_tail(data: bytes, pos: int, first: int) -> tuple[int, int]:
     """Finish a multi-byte uvarint whose first byte was *first*."""
-    result = first & 0x7F
+    b = data[pos]
+    if b < 0x80:  # two bytes: every id past 127 for a long while
+        return (first & 0x7F) | b << 7, pos + 1
+    result = (first & 0x7F) | (b & 0x7F) << 7
     shift = 7
     while True:
-        b = data[pos]
+        shift += 7
         pos += 1
+        b = data[pos]
         result |= (b & 0x7F) << shift
         if b < 0x80:
-            return result, pos
-        shift += 7
-        if shift > 63:
+            return result, pos + 1
+        if shift > 56:
             raise DecodingError("varint exceeds 64 bits")
 
 
@@ -425,12 +422,6 @@ def _r_uint_deltas(data: bytes, pos: int) -> tuple[tuple, int]:
     return tuple(values), pos
 
 
-def _r_opt_folder(data: bytes, pos: int) -> tuple[FolderName | None, int]:
-    if data[pos] == 0:
-        return None, pos + 1
-    return _r_folder(data, pos + 1)
-
-
 def _r_num_map(data: bytes, pos: int) -> tuple[dict, int]:
     n, pos = _r_uv(data, pos)
     values = {}
@@ -472,8 +463,6 @@ def _r_many(read: Callable, build: Callable = tuple) -> Callable:
 
 _w_folder_tuple = _w_many(_w_folder)
 _r_folder_tuple = _r_many(_r_folder)
-_w_str_tuple = _w_many(_w_str)
-_r_str_tuple = _r_many(_r_str)
 _w_server_pairs = _w_many(_w_pair(_w_str, _w_str))
 _r_server_pairs = _r_many(_r_pair(_r_str, _r_str))
 _w_float_dict = _w_many(_w_pair(_w_str, _w_f64), dict.items)
@@ -512,20 +501,21 @@ end = pos + k
 if end > n:
     raise _truncated(k, pos)
 """
-#: Every frame a carrier holds (a client's batch, every request between
-#: servers) is a ``bytes_tuple`` item, so its loop is pasted in too.
-_ENC_BYTES_TUPLE = _ENC_COUNT + "\nitems = v\nfor v in items:\n" + "".join(
-    f"    {line}\n" for line in _ENC_BYTES.splitlines()
-)
-_DEC_BYTES_TUPLE = (
-    _DEC_UV.format(v="c")
-    + "\nitems = []\nfor _ in range(c):\n"
-    + "".join(
-        f"    {line}\n"
-        for line in (_DEC_SPAN + "items.append(data[pos:end])\npos = end").splitlines()
+
+
+def _tuple_of(write: str, value: str) -> tuple[str, str]:
+    """The statements of a tuple kind whose items are written by the
+    encode statement *write* and read as the expression *value* of their
+    span ``data[pos:end]``: a count, then the loop, pasted in."""
+    body = _DEC_SPAN + f"items.append({value})\npos = end"
+    return (
+        _ENC_COUNT + "\nitems = v\nfor v in items:\n"
+        + "".join(f"    {line}\n" for line in write.splitlines()),
+        _DEC_UV.format(v="c") + "\nitems = []\nfor _ in range(c):\n"
+        + "".join(f"    {line}\n" for line in body.splitlines())
+        + "{v} = tuple(items)",
     )
-    + "{v} = tuple(items)"
-)
+
 
 #: kind -> (encode statement, decode statement): one table, both directions.
 _KINDS: dict[str, tuple[str, str]] = {
@@ -546,11 +536,27 @@ _KINDS: dict[str, tuple[str, str]] = {
         "out.append(1 if v else 0)",
         "{v} = data[pos]\npos += 1\nif {v} > 1:\n    raise _bad_bool({v})\n{v} = {v} == 1",
     ),
-    "bytes_tuple": (_ENC_BYTES_TUPLE, _DEC_BYTES_TUPLE),
+    # Every frame a carrier holds (a client's batch, every request between
+    # servers) is a ``bytes_tuple`` item, and every envelope has a trail:
+    # their loops are pasted in too.
+    "bytes_tuple": _tuple_of(_ENC_BYTES, "data[pos:end]"),
+    "str_tuple": _tuple_of(
+        "v = v.encode('utf-8')\n" + _ENC_BYTES, "data[pos:end].decode('utf-8')"
+    ),
+    # Every reply has both, and most hold no folder and no counters.
+    "opt_folder": (
+        "if v is None:\n    out.append(0)\nelse:\n    out.append(1)\n    _w_folder(out, v)",
+        "if data[pos] == 0:\n    {v} = None\n    pos += 1\n"
+        "else:\n    {v}, pos = _r_folder(data, pos + 1)",
+    ),
+    "num_map": (
+        "if len(v):\n    _w_num_map(out, v)\nelse:\n    out.append(0)",
+        "if data[pos] == 0:\n    {v} = {{}}\n    pos += 1\n"
+        "else:\n    {v}, pos = _r_num_map(data, pos)",
+    ),
 }
 for _kind in (
-    "folder", "opt_folder", "folder_tuple", "str_tuple", "server_pairs",
-    "float_dict", "link_dict", "num_map", "uint_deltas",
+    "folder", "folder_tuple", "server_pairs", "float_dict", "link_dict", "uint_deltas",
 ):
     _KINDS[_kind] = (f"_w_{_kind}(out, v)", f"{{v}}, pos = _r_{_kind}(data, pos)")
 del _kind
@@ -560,31 +566,35 @@ def _indent(statement: str) -> str:
     return "".join(f"        {line}\n" for line in statement.splitlines())
 
 
-def _compile(cls: type, fields: tuple) -> tuple[Callable, Callable]:
-    """Generate ``enc(msg, out)`` and ``dec(data, pos)`` for *cls*.
+def _compile(cls: type, fields: tuple) -> tuple[Callable, Callable, Callable]:
+    """Generate ``enc(msg, out)``, ``pack(out, *fields)`` (the same writes,
+    from the field values) and ``dec(data, pos)`` for *cls*.
 
     The source is registered with :mod:`linecache` under
     ``<compact ClassName>``, so tracebacks and ``tracemalloc`` show the
     generated line.
     """
-    enc = dec = ""
+    enc = pack = dec = ""
     names = []
     for i, (attr, kind) in enumerate(fields):
         write, read = _KINDS[kind]
         enc += _indent(f"v = msg.{attr}\n{write}")
+        pack += _indent(f"v = f{i}\n{write}")
         dec += _indent(read.format(v=f"f{i}"))
         names.append(f"f{i}")
     src = (
         "def _make(_cls):\n"
         "    def enc(msg, out):\n"
         f"{enc or '        pass'}\n"
+        f"    def pack(out{''.join(', ' + name for name in names)}):\n"
+        f"{pack or '        pass'}\n"
         "    def dec(data, pos):\n"
         "        n = len(data)\n"
         f"{dec}"
         "        if pos != n:\n"
         "            raise _trailing(n - pos, _cls)\n"
         f"        return _cls({', '.join(names)})\n"
-        "    return enc, dec\n"
+        "    return enc, pack, dec\n"
     )
     filename = f"<compact {cls.__qualname__}>"
     linecache.cache[filename] = (len(src), None, src.splitlines(True), filename)
@@ -605,13 +615,13 @@ _intern = sys.intern
 class _Spec:
     """A registered message: its frame headers and compiled functions."""
 
-    __slots__ = ("cls", "plain", "correlated", "enc", "dec")
+    __slots__ = ("cls", "plain", "correlated", "enc", "pack", "dec")
 
     def __init__(self, cls: type, tag: int, fields: tuple) -> None:
         self.cls = cls
         self.plain = _HEADER + bytes((tag,))
         self.correlated = _HEADER_CORR + bytes((tag,))
-        self.enc, self.dec = _compile(cls, fields)
+        self.enc, self.pack, self.dec = _compile(cls, fields)
 
 
 _SPECS_BY_TYPE: dict[type, _Spec] = {}
@@ -674,6 +684,17 @@ def encode_message(msg: object, corr_id: int | None = None) -> bytes:
     return bytes(out)
 
 
+def encode_fields(cls: type, *values) -> bytes:
+    """The plain frame :func:`encode_message` makes of ``cls(*values)``,
+    written straight from the field values: a carrier a server fills
+    with frames it already holds is sent without building the message
+    object first.  *cls* must have a compact spec."""
+    spec = _SPECS_BY_TYPE[cls]
+    out = bytearray(spec.plain)
+    spec.pack(out, *values)
+    return bytes(out)
+
+
 def encode_correlated_burst(pairs) -> list[bytes]:
     """Encode ``(message, corr_id)`` pairs into correlated frames.
 
@@ -712,25 +733,23 @@ def split_correlated(data: bytes) -> tuple[int, bytes] | None:
     receiver recognises a lone put ack by it without decoding
     (``protocol.decode_reply``).
     """
-    if (
-        len(data) < 5
-        or data[0] != 0x44  # "D"
-        or data[1] != 0x43  # "C"
-        or data[2] != CORRELATED_VERSION
-    ):
+    if data[:3] != _HEADER_CORR or len(data) < 5:
         return None
-    try:
-        corr_id, pos = _r_uv(data, 4)
-    except (IndexError, DecodingError):
-        return None
+    corr_id, pos = data[4], 5
+    if corr_id >= 0x80:
+        try:
+            corr_id, pos = _uv_tail(data, 5, corr_id)
+        except (IndexError, DecodingError):
+            return None
     return corr_id, data[3:4] + data[pos:]
 
 
 def recorrelate(data: bytes, corr_id: int) -> bytes:
     """The correlated frame *data* under *corr_id* instead of its own id;
     tag and body bytes are copied, never re-encoded."""
-    first = data[4]
-    pos = 5 if first < 0x80 else _uv_tail(data, 5, first)[1]
+    pos = 5
+    while data[pos - 1] >= 0x80:  # past the old id's continuation bytes
+        pos += 1
     return data[:4] + _uint_bytes(corr_id) + data[pos:]
 
 
@@ -775,7 +794,9 @@ def decode_tagged(data: bytes | memoryview) -> tuple[object, int | None]:
         if version == COMPACT_VERSION:
             corr_id, pos = None, 4
         else:
-            corr_id, pos = _r_uv(data, 4)
+            corr_id, pos = data[4], 5
+            if corr_id >= 0x80:
+                corr_id, pos = _uv_tail(data, 5, corr_id)
         return spec.dec(data, pos), corr_id
     except IndexError:
         raise DecodingError(

@@ -26,6 +26,7 @@ from repro.network.codec import (
     decode_tagged,
     encode_message,
     register_compact,
+    recorrelate,
     split_correlated,
 )
 from repro.network.connection import Address, Connection, Transport
@@ -58,6 +59,7 @@ __all__ = [
     "recv_tagged",
     "decode_protocol_frame",
     "decode_reply",
+    "put_ack_frame",
     "retryable",
     "shutting_down",
     "GET_MODES",
@@ -412,12 +414,17 @@ class Envelope:
     A forward, a relayed hop, a replica copy, a relayed wait and a burst
     all ride one: the application, target and trail once, and the member
     requests as correlated frames under the sending link's ids.  Like a
-    :class:`PipelineBatch` it is sent id-less.  The receiver serves each
-    member where its handler row says — its lane members in one round, in
-    order, answered together (accepted puts as one :class:`Acks` frame) —
-    or passes each on toward *target_host* in an envelope of its own.  A
-    client's pipelined puts forwarded to their owner keep their bodies
-    exactly as the client sent them, never re-encoded.
+    :class:`PipelineBatch` it is sent id-less, and its sender writes the
+    frame from the field values (``codec.encode_fields``) without building
+    one.  The receiver serves each member where its handler row says — its
+    lane members in one round, in order, answered together (accepted puts
+    as one :class:`Acks` frame), a lone member as if it came alone — or
+    passes each on toward *target_host* in an envelope of its own.  A
+    member a server passes on — a client's request forwarded to its owner,
+    alone or in a burst, or a member a relay hop passes on — keeps its
+    body exactly as it was read, never re-encoded: only a request the
+    sending server built itself (a replica copy, a relayed wait, a
+    ``get_alt`` sub-round) is encoded there.
 
     A relay hop could reorder the members it passes on, so an envelope of
     more than one travels only over a direct link to *target_host*.
@@ -435,8 +442,10 @@ class Envelope:
     trail: tuple[str, ...] = field(default=())
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "frames", tuple(self.frames))
-        object.__setattr__(self, "trail", tuple(self.trail))
+        if type(self.frames) is not tuple:
+            object.__setattr__(self, "frames", tuple(self.frames))
+        if type(self.trail) is not tuple:
+            object.__setattr__(self, "trail", tuple(self.trail))
         if not self.frames:
             raise ProtocolError("Envelope requires at least one frame")
 
@@ -736,6 +745,16 @@ def decode_protocol_frame(data: bytes | memoryview) -> tuple[object, int | None]
 #: one: header, a ten-byte id, then those bytes.
 _PUT_ACK_TAGBODY = encode_message(PUT_ACK)[3:]
 _PUT_ACK_LONGEST = 3 + 10 + len(_PUT_ACK_TAGBODY)
+
+#: A lone put ack's frame, built once: :func:`put_ack_frame` splices an id in.
+_PUT_ACK_FRAME = encode_message(PUT_ACK, 0)
+
+
+def put_ack_frame(corr_id: int) -> bytes:
+    """``encode_message(PUT_ACK, corr_id)``, copied from a prebuilt frame
+    with only the correlation id written: the commonest reply a session
+    sends costs no encode."""
+    return recorrelate(_PUT_ACK_FRAME, corr_id)
 
 
 def decode_reply(frame: bytes) -> tuple[object, int | None]:

@@ -69,6 +69,13 @@ class RoutingTable:
         self._routes: dict[str, dict[str, Route]] = {}
         for src in self._adj:
             self._routes[src] = self._dijkstra(src)
+        #: ``(src, dst) -> next hop``: the table a memo server consults on
+        #: every request it forwards.
+        self._next_hops = {
+            (src, dst): route.next_hop
+            for src, by_dst in self._routes.items()
+            for dst, route in by_dst.items()
+        }
 
     @property
     def hosts(self) -> tuple[str, ...]:
@@ -117,7 +124,8 @@ class RoutingTable:
 
     def next_hop(self, src: str, dst: str) -> str:
         """The forwarding decision a memo server makes."""
-        return self.route(src, dst).next_hop
+        hop = self._next_hops.get((src, dst))
+        return hop if hop is not None else self.route(src, dst).next_hop
 
     def cost(self, src: str, dst: str) -> float:
         """Total path cost."""

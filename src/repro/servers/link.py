@@ -31,7 +31,7 @@ from repro.core.keys import FolderName
 from repro.core.memo import MemoRecord
 from repro.errors import CommunicationError, ConnectionClosedError, ServerError
 from repro.network.calls import Calls, Role, Slot
-from repro.network.codec import encode_message, recorrelate
+from repro.network.codec import encode_fields, encode_message, recorrelate
 from repro.network.connection import Connection
 from repro.network.protocol import (
     CancelWaitRequest,
@@ -41,7 +41,6 @@ from repro.network.protocol import (
     GetRequest,
     GetWaitRequest,
     Heartbeat,
-    send_message,
 )
 from repro.servers.threadcache import ThreadCache
 
@@ -75,14 +74,16 @@ def _answers(then):
     return None if then is None else lambda slot: then(slot.results, slot.error)
 
 
-def _envelope(app: str, target: str, entries: list, trail: tuple, first: int):
-    """*entries* as the members of one :class:`Envelope`, under the ids
-    from *first*."""
+def _envelope(app: str, target: str, entries: list, trail: tuple, first: int) -> bytes:
+    """The frame of one :class:`Envelope` of *entries*, under the ids from
+    *first*: a raw member is its frame with the id swapped
+    (``recorrelate``), and only a message this server built is encoded.
+    No ``Envelope`` object is built to be encoded."""
     frames = [
-        encode_message(msg, corr_id=cid) if raw is None else recorrelate(raw, cid)
+        encode_message(msg, cid) if raw is None else recorrelate(raw, cid)
         for cid, (msg, raw) in enumerate(entries, first)
     ]
-    return Envelope(app=app, target_host=target, frames=tuple(frames), trail=trail)
+    return encode_fields(Envelope, app, target, frames, trail)
 
 
 class ParkedWaiter:
@@ -172,7 +173,7 @@ class PeerLink(Role):
         """Send the request *message* (a heartbeat or a pull)."""
         until = time.monotonic() + DEADLINES[type(message)]
         slot = self.calls.open(then=_answers(then), until=until)
-        return self._exchange(slot, message, slot.first)
+        return self._exchange(slot, encode_message(message, slot.first))
 
     def forward(self, app: str, target: str, entries: list, trail: tuple, then=None):
         """Send requests to *target* as one :class:`Envelope`.  *entries*
@@ -182,9 +183,9 @@ class PeerLink(Role):
         slot = self.calls.open(len(entries), then=_answers(then), until=until)
         return self._exchange(slot, _envelope(app, target, entries, trail, slot.first))
 
-    def _exchange(self, slot: Slot, request: object, cid: int | None = None) -> tuple:
-        """Send *request*, which *slot* waits on, under *cid*."""
-        if self.retired or not self.send(request, cid):
+    def _exchange(self, slot: Slot, frame: bytes) -> tuple:
+        """Send *frame*, whose requests *slot* waits on."""
+        if self.retired or not self.send(frame):
             # Lost, or retired after its slots were failed: a caller that
             # finds nobody reading meets the loss and retires the link,
             # and the call fails now either way.
@@ -221,7 +222,7 @@ class PeerLink(Role):
         envelope of one, the token its member's id.  A caller that finds
         nobody reading the link leads its read, as a call's does; the
         standing reader reads on while the wait stays parked."""
-        self.send(_envelope(app, target, [(wait, None)], trail, slot.first), None)
+        self.send(_envelope(app, target, [(wait, None)], trail, slot.first))
         self.calls.lead(slot)
 
     def _answered(self, slot: Slot) -> None:
@@ -242,11 +243,11 @@ class PeerLink(Role):
                 entry.attempts = 0  # provably reached a home
                 session.ack_parked(entry)
 
-    def send(self, message: object, cid: int | None) -> bool:
-        """Send *message* under *cid*; whether it went out.  A link that
-        cannot send is lost: closing it makes whoever reads it retire it."""
+    def send(self, frame: bytes) -> bool:
+        """Send *frame*; whether it went out.  A link that cannot send is
+        lost: closing it makes whoever reads it retire it."""
         try:
-            send_message(self.conn, message, corr_id=cid)
+            self.conn.send(frame)
         except CommunicationError:
             self.conn.close()
             return False
@@ -261,7 +262,8 @@ class PeerLink(Role):
             if token not in self._waits:
                 return
         slot = self.calls.open(then=self._withdrawn, tag=token)
-        self.send(CancelWaitRequest(waiter=token, origin=self._origin), slot.first)
+        cancel = CancelWaitRequest(waiter=token, origin=self._origin)
+        self.send(encode_message(cancel, slot.first))
 
     def _withdrawn(self, slot: Slot) -> None:
         (reply,) = slot.results

@@ -291,14 +291,18 @@ class MemoServer:
         """
         _ConnectionSession(self, conn).serve()
 
-    def serve(self, msg: object, envelope: Envelope | None, done, handler=None) -> None:
+    def serve(
+        self, msg: object, envelope: Envelope | None, done, handler=None, raw=None
+    ) -> None:
         """Serve *msg* — a member of *envelope*, if given — by *handler* (its
         ``LANE`` / ``WORKER`` row's if None), or pass on a member aimed
         elsewhere: ``done(reply)`` runs once, now or later, given the Reply
-        or the exception that ended the request (:meth:`failed` maps it)."""
+        or the exception that ended the request (:meth:`failed` maps it).
+        *raw* is the frame *msg* was read from, if any: what a forward or a
+        relay sends on in its place."""
         try:
             if envelope is not None and envelope.target_host != self.host:
-                self.router.relay(envelope, msg, done)
+                self.router.relay(envelope, msg, done, raw)
                 return
             if handler is None:
                 row = HANDLERS.get(type(msg))
@@ -309,17 +313,17 @@ class MemoServer:
                 if row is None:
                     raise ProtocolError(f"unhandled message {type(msg).__qualname__}")
                 handler = row.handler
-            reply = handler(self, msg, envelope, done)
+            reply = handler(self, msg, envelope, done, raw)
         except Exception as exc:  # noqa: BLE001 - a request must always be answered
             reply = exc
         if reply is not None:
             done(reply)
 
-    def handle(self, msg: object, envelope: Envelope | None = None) -> Reply:
+    def handle(self, msg: object, envelope: Envelope | None = None, raw=None) -> Reply:
         """:meth:`serve` *msg*, and wait for its reply (for a caller that
         reads nothing)."""
         join = Join()
-        self.serve(msg, envelope, join)
+        self.serve(msg, envelope, join, None, raw)
         (reply,) = join.wait()
         return reply if type(reply) is Reply else self.failed(reply)
 
@@ -345,17 +349,17 @@ class MemoServer:
             return Reply(ok=False, error=f"communication failure: {exc}")
         return Reply(ok=False, error=f"internal error: {type(exc).__name__}: {exc}")
 
-    def _handle_get(self, msg: GetRequest, envelope, done) -> None:
+    def _handle_get(self, msg: GetRequest, envelope, done, raw) -> None:
         if msg.mode != "skip":
             raise ProtocolError(
                 f"a {msg.mode!r} GetRequest would block its thread; "
                 f"wait with a GetWaitRequest"
             )
-        self.router.serve(msg, self.replicator.get, done, envelope)
+        self.router.serve(msg, self.replicator.get, done, envelope, raw)
 
     # -- registration (section 4.4) ------------------------------------------------
 
-    def _handle_register(self, msg: RegisterRequest, _envelope=None, _done=None) -> Reply:
+    def _handle_register(self, msg: RegisterRequest, *_) -> Reply:
         routing = RoutingTable(
             {src: dict(nbrs) for src, nbrs in msg.links.items()},
             hosts=list(msg.host_costs),
@@ -390,7 +394,7 @@ class MemoServer:
         """The registration of *app*, or :class:`NotRegisteredError`."""
         return self.router.registration(app)
 
-    def _handle_heartbeat(self, msg: Heartbeat, _envelope=None, _done=None) -> Reply:
+    def _handle_heartbeat(self, msg: Heartbeat, *_) -> Reply:
         if not self.running.is_set():  # a session's last frame after stop()
             return Reply(ok=False, error="shutdown: server stopping")
         # Hearing from a host is itself proof of life.
@@ -398,7 +402,7 @@ class MemoServer:
             self.failure.mark_alive(msg.host)
         return Reply(ok=True)
 
-    def _handle_shutdown(self, _msg: ShutdownRequest, _envelope=None, _done=None) -> Reply:
+    def _handle_shutdown(self, _msg: ShutdownRequest, *_) -> Reply:
         threading.Thread(target=self.stop, daemon=True).start()
         return Reply(ok=True)
 
@@ -426,30 +430,30 @@ class MemoServer:
 #: ``unhandled message``.  Only what waits on peers is a ``WORKER`` row.
 #: Component methods are looked up at call time, so a test can patch one.
 HANDLERS: dict[type, Row] = {
-    PutRequest: Row(lambda s, m, e, d: s.router.serve(m, s.replicator.put, d, e), LANE, True),
+    PutRequest: Row(lambda s, m, e, d, r: s.router.serve(m, s.replicator.put, d, e, r), LANE, True),
     PutDelayedRequest: Row(
-        lambda s, m, e, d: s.router.serve(m, s.replicator.put_delayed, d, e), LANE, True
+        lambda s, m, e, d, r: s.router.serve(m, s.replicator.put_delayed, d, e, r), LANE, True
     ),
     GetRequest: Row(reads(MemoServer._handle_get), READER, True),
     GetAltSkipRequest: Row(
-        reads(lambda s, m, e, d: s.router.get_alt(m, s.replicator.get_alt, d, e)), READER, True
+        reads(lambda s, m, e, d, _r: s.router.get_alt(m, s.replicator.get_alt, d, e)), READER, True
     ),
     ReplicatePut: Row(
-        reads(lambda s, m, e, d: s.replicator.handle_replicate(m)), READER, True
+        reads(lambda s, m, e, d, _r: s.replicator.handle_replicate(m)), READER, True
     ),
     GetWaitRequest: Row(_ConnectionSession.get_wait, READER, True),
     CancelWaitRequest: Row(_ConnectionSession.cancel_wait, READER, False),
     PipelineBatch: Row(_ConnectionSession.unpack_batch, READER, False),
     Envelope: Row(_ConnectionSession.open_envelope, READER, False),
     RegisterRequest: Row(reads(MemoServer._handle_register), READER, False),
-    MigrateRequest: Row(lambda s, m, e, d: s.replicator.handle_migrate(m), WORKER, False),
-    DeltaSyncPull: Row(lambda s, m, e, d: s.replicator.handle_delta_sync(m), WORKER, False),
+    MigrateRequest: Row(lambda s, m, e, d, _r: s.replicator.handle_migrate(m), WORKER, False),
+    DeltaSyncPull: Row(lambda s, m, e, d, _r: s.replicator.handle_delta_sync(m), WORKER, False),
     ResyncRequest: Row(
-        lambda s, m, e, d: s.replicator.handle_resync_request(m), WORKER, False
+        lambda s, m, e, d, _r: s.replicator.handle_resync_request(m), WORKER, False
     ),
     Heartbeat: Row(reads(MemoServer._handle_heartbeat), READER, False),
     StatsRequest: Row(
-        reads(lambda s, m, e, d: Reply(ok=True, stats=s.telemetry.snapshot())), READER, False
+        reads(lambda s, m, e, d, _r: Reply(ok=True, stats=s.telemetry.snapshot())), READER, False
     ),
     ShutdownRequest: Row(reads(MemoServer._handle_shutdown), READER, False),
 }

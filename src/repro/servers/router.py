@@ -30,6 +30,7 @@ from __future__ import annotations
 
 import threading
 import time
+from functools import partial
 from typing import TYPE_CHECKING, Callable
 
 from repro.core.keys import FolderName
@@ -145,8 +146,8 @@ class Router:
         self._failure.mark_dead(host)
 
     def admit(self, envelope: Envelope) -> None:
-        """Count an inbound envelope; refuse one that already crossed here."""
-        self._stats.bump("forwards_in")
+        """Refuse an inbound envelope that already crossed here (the
+        session counts it in ``forwards_in``)."""
         if self.host in envelope.trail:
             raise RoutingError(
                 f"routing loop: {self.host} already in trail {envelope.trail}"
@@ -220,37 +221,43 @@ class Router:
         except CommunicationError as exc:
             answered(exc)
 
-    def serve(self, msg, here, done, envelope: Envelope | None = None) -> None:
+    def serve(self, msg, here, done, envelope: Envelope | None = None, raw=None) -> None:
         """A put / put-delayed / get_skip, straight from a client or aimed
-        here in a peer's *envelope*."""
-        self.route(msg.folder, msg, here, done, envelope)
+        here in a peer's *envelope*; *raw*, the frame it was read from."""
+        self.route(msg.folder, msg, here, done, envelope, raw)
 
-    def route(self, folder: FolderName, msg, here, done, envelope=None) -> None:
+    def route(self, folder: FolderName, msg, here, done, envelope=None, raw=None) -> None:
         """Serve *msg* at the first reachable member of *folder*'s chain —
-        by ``here(reg, chain, sid, msg, done)`` when that is this host."""
+        by ``here(reg, chain, sid, msg, done)`` when that is this host, else
+        forwarded as *raw*, the frame it was read from, if given."""
         reg, chain, candidates = self.candidates(folder)
+        there = self.forward
         if envelope is not None:
             candidates = [self.chained_here(folder, chain, "the envelope")]
-        self.walk(reg, chain, candidates, folder, here, self.forward, msg, done)
+        elif raw is not None:
+            there = partial(self.forward, raw=raw)
+        self.walk(reg, chain, candidates, folder, here, there, msg, done)
 
     # -- forwarding -------------------------------------------------------------------
 
-    def forward(self, reg, owner_host: str, msg, then) -> None:
-        """Send *msg* to *owner_host*; ``then`` takes its reply."""
+    def forward(self, reg, owner_host: str, msg, then, raw=None) -> None:
+        """Send *msg* (read as the frame *raw*, if given) to *owner_host*;
+        ``then`` takes its reply."""
         self._stats.bump("forwards_out")
-        self.send_one(reg, owner_host, msg, then)
+        self.send_one(reg, owner_host, msg, then, (), raw)
 
-    def relay(self, envelope: Envelope, msg, done) -> None:
+    def relay(self, envelope: Envelope, msg, done, raw=None) -> None:
         """Pass *msg*, a member of an *envelope* aimed elsewhere, on along
-        the app's topology."""
+        the app's topology, as *raw*, the member's frame, if given."""
         self._stats.bump("forwards_relayed")
         reg = self.registration(envelope.app)
-        self.send_one(reg, envelope.target_host, msg, done, envelope.trail)
+        self.send_one(reg, envelope.target_host, msg, done, envelope.trail, raw)
 
-    def send_one(self, reg, target: str, msg, then, trail: tuple = ()) -> None:
-        """:meth:`send` *msg* alone: ``then`` takes its reply, or the
-        CommunicationError that cut the exchange short."""
-        self.send(reg, target, [(msg, None)], trail, lambda results, error: then(
+    def send_one(self, reg, target: str, msg, then, trail: tuple = (), raw=None) -> None:
+        """:meth:`send` *msg* alone (as its frame *raw*, if given): ``then``
+        takes its reply, or the CommunicationError that cut the exchange
+        short."""
+        self.send(reg, target, [(msg, raw)], trail, lambda results, error: then(
             results[0] if error is None else CommunicationError(
                 f"call to {target} failed: {error}")
         ))
@@ -262,28 +269,31 @@ class Router:
         on the link to the next hop toward it, this host stamped on
         *trail*.  ``then(results, error)`` runs once it is over: one reply
         per entry, None where none came, and what cut the exchange short.
-        A stale link's retry (:meth:`_on_link`) resends only what the
+        A dial that fails raises.
+
+        The first attempt sends *entries* as they are.  Only a stale link's
+        retry (:meth:`_on_link`) works out what to send again: what the
         first attempt left unresolved or a dying incarnation answered
-        mid-teardown.  A dial that fails raises.
+        mid-teardown, its replies merged into the first attempt's.
         """
         next_hop = reg.routing.next_hop(self.host, target)
         trail = trail + (self.host,)
-        results: list = [None] * len(entries)
 
-        def attempt(link: PeerLink, answered) -> None:
-            pending = [i for i, r in enumerate(results) if r is None or _torn(r)]
+        def attempt(link: PeerLink, answered, earlier: list | None = None) -> None:
+            if earlier is None:
+                link.forward(reg.app, target, entries, trail, answered)
+                return
+            pending = [i for i, r in enumerate(earlier) if r is None or _torn(r)]
+            results = list(earlier)
 
             def got(replies: list, error) -> None:
                 for i, reply in zip(pending, replies):
                     results[i] = reply
-                answered(replies, error)
+                answered(results, error)
 
-            members = [entries[i] for i in pending]
-            link.forward(reg.app, target, members, trail, got)
+            link.forward(reg.app, target, [entries[i] for i in pending], trail, got)
 
-        self._on_link(
-            next_hop, attempt, lambda _got, error: then(results, error), next_hop != target
-        )
+        self._on_link(next_hop, attempt, then, next_hop != target)
 
     def forward_target(self, msg) -> str | None:
         """The remote chain head a pipelined put can burst-forward to, at
@@ -337,7 +347,10 @@ class Router:
         """One request to *host* on its link, not enveloped (a pull), within
         the message's deadline (:data:`~repro.servers.link.DEADLINES`); for
         a caller that reads nothing, as it waits."""
-        send = lambda link, answered: link.call(message, answered)  # noqa: E731
+
+        def send(link: PeerLink, answered, _earlier=None) -> None:
+            link.call(message, answered)
+
         results, error = wait_for(self._on_link, host, send)
         if error is not None:
             raise CommunicationError(f"call to {host} failed: {error}") from error
@@ -350,34 +363,39 @@ class Router:
         The stale rule: a link that had answered can be dead (its peer
         restarted since) or reach a dying incarnation answering
         mid-teardown.  A loss or a mid-teardown reply on it resets it
-        (:meth:`_reset`), and *send* runs once more on a fresh dial — as
-        does every other call on it; but a reply relayed from *beyond*
-        *host* was the next hop's to judge.  A missed deadline is a
-        failed probe of *host*.
+        (:meth:`_reset`), and ``send(link, answered, earlier)`` runs once
+        more on a fresh dial, given the first attempt's results — as does
+        every other call on it; but a reply relayed from *beyond* *host*
+        was the next hop's to judge.  A missed deadline is a failed probe
+        of *host*.
         """
         link = self._link(host)
         reused = link.answered
 
         def answered(results: list, error) -> None:
-            if isinstance(error, TimeoutError):
-                self._failure.record_failure(host)
-            stale = type(error) is ConnectionClosedError or (
-                error is None and not beyond and any(map(_torn, results))
-            )
-            if retried or not reused or not stale:
-                then(results, error)
+            if error is None:
+                stale = not beyond and any(map(_torn, results))
             else:
-                later(self._cache, self._retry, link, send, beyond, then)
+                if isinstance(error, TimeoutError):
+                    self._failure.record_failure(host)
+                stale = type(error) is ConnectionClosedError
+            if stale and reused and not retried:
+                later(self._cache, self._retry, link, send, beyond, then, results)
+            else:
+                then(results, error)
 
         send(link, answered)
 
-    def _retry(self, link: PeerLink, send, beyond: bool, then) -> None:
+    def _retry(self, link: PeerLink, send, beyond: bool, then, earlier: list) -> None:
         """Reset the stale *link*, and ``send`` once more on a fresh dial."""
         self._reset(link)
         try:
-            self._on_link(link.host, send, then, beyond, retried=True)
+            self._on_link(
+                link.host, lambda fresh, answered: send(fresh, answered, earlier),
+                then, beyond, retried=True,
+            )
         except Exception as exc:  # noqa: BLE001 - the dial failed: the answer
-            then([], exc)
+            then(earlier, exc)
 
     def probe(self, peer: str, quiet: float) -> None:
         """Feed the failure detector one observation of *peer*.

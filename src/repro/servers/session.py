@@ -42,6 +42,7 @@ from typing import TYPE_CHECKING, NamedTuple
 
 from repro.core.memo import MemoRecord
 from repro.errors import CommunicationError, ProtocolError, ServerError
+from repro.network.codec import encode_message
 from repro.network.connection import Connection
 from repro.network.protocol import (
     PUT_ACK,
@@ -54,6 +55,7 @@ from repro.network.protocol import (
     Reply,
     WaitCancelled,
     decode_protocol_frame,
+    put_ack_frame,
     retryable,
     send_message,
     shutting_down,
@@ -76,11 +78,12 @@ class Row(NamedTuple):
     """One handler-table entry: how the server serves one message class.
 
     A ``LANE`` / ``WORKER`` row's handler is ``handler(server, msg,
-    envelope, done)``: it returns its :class:`Reply`, or None once it
+    envelope, done, raw)``: it returns its :class:`Reply`, or None once it
     handed ``done`` on.  A ``READER`` row's is ``handler(session, msg, cid,
-    envelope) -> bool``: it sends what it owes itself, and False closes
-    the session (:func:`reads` makes one).  *enveloped* rows may be
-    members of a peer's :class:`~repro.network.protocol.Envelope` (then
+    envelope, raw) -> bool``: it sends what it owes itself, and False
+    closes the session (:func:`reads` makes one).  ``raw`` is the frame
+    ``msg`` was read from: what a forward sends on.  *enveloped* rows may
+    be members of a peer's :class:`~repro.network.protocol.Envelope` (then
     ``envelope``, else None); any other member is answered with a
     ``ProtocolError`` where it was aimed.
     """
@@ -93,8 +96,8 @@ class Row(NamedTuple):
 def reads(handler):
     """A ``READER`` row's handler that serves by *handler*, a ``LANE`` row's
     kind (:meth:`_ConnectionSession.answer`)."""
-    return lambda session, msg, cid, envelope=None: session.answer(
-        msg, cid, envelope, handler
+    return lambda session, msg, cid, envelope=None, raw=None: session.answer(
+        msg, cid, envelope, handler, raw
     )
 
 
@@ -194,8 +197,8 @@ class _ConnectionSession:
         self.read_ended()
 
     def read_one(self) -> bool:
-        """Read and dispatch one frame; False ends the session (the
-        connection closed, the server stopped, a frame broke the rules)."""
+        """Read one frame and run it where its row says; False ends the session
+        (the connection closed, the server stopped, a frame broke the rules)."""
         while self.server.running.is_set():
             try:
                 raw = self.conn.recv(timeout=0.5)
@@ -204,18 +207,13 @@ class _ConnectionSession:
                 continue
             except CommunicationError:
                 return False
-            if type(msg) not in _CARRIERS:
+            kind = type(msg)
+            if (cid is None) is not (kind in _CARRIERS):
+                return False
+            if cid is not None:
                 self.server.stats.bump_pair("requests", "pipelined_requests")
-            return self._dispatch(msg, cid, raw)
+            return self._run(self.server.handlers.get(kind), msg, cid, None, raw, None)
         return False
-
-    def _dispatch(self, msg, cid, raw: bytes) -> bool:
-        """Run one frame where its table row says; False closes the
-        session, as a frame breaking the id rule (:data:`_CARRIERS`) does."""
-        if (cid is None) is not (type(msg) in _CARRIERS):
-            return False
-        row = self.server.handlers.get(type(msg))
-        return self._run(row, msg, cid, None, raw, None)
 
     def _run(self, row, msg, cid, envelope, raw, lane) -> bool:
         """Run *msg* where *row* says (no row: as read, where the server
@@ -234,25 +232,25 @@ class _ConnectionSession:
             self._enqueue(lane[:])
             lane.clear()
         if where is READER and row is not None:
-            return row.handler(self, msg, cid, envelope)
+            return row.handler(self, msg, cid, envelope, raw)
         with self._lock:
             self._inflight += 1
         if row is None:
-            self._serve(msg, cid, envelope)
+            self._serve(msg, cid, envelope, None, raw)
         else:
-            self._spawn(self._serve, msg, cid, envelope)
+            self._spawn(self._serve, msg, cid, envelope, None, raw)
         return True
 
-    def answer(self, msg, cid: int, envelope=None, handler=None) -> bool:
-        """Serve *msg* here by *handler* (its row's if None); its reply goes
-        under *cid* when it comes, counted in flight until then."""
+    def answer(self, msg, cid: int, envelope=None, handler=None, raw=None) -> bool:
+        """Serve *msg* (read as *raw*) here by *handler* (its row's if None);
+        its reply goes under *cid* when it comes, in flight until then."""
         with self._lock:
             self._inflight += 1
-        self._serve(msg, cid, envelope, handler)
+        self._serve(msg, cid, envelope, handler, raw)
         return True
 
-    def _serve(self, msg, cid: int, envelope=None, handler=None) -> None:
-        self.server.serve(msg, envelope, partial(self._answered, cid), handler)
+    def _serve(self, msg, cid: int, envelope=None, handler=None, raw=None) -> None:
+        self.server.serve(msg, envelope, partial(self._answered, cid), handler, raw)
 
     def _answered(self, cid: int, reply) -> None:
         """Send *reply* now, or with the carrier being read, if one is."""
@@ -275,11 +273,12 @@ class _ConnectionSession:
             if self._draining:
                 self._idle.notify_all()
 
-    def unpack_batch(self, batch: PipelineBatch, _cid=None, _envelope=None) -> bool:
+    def unpack_batch(self, batch: PipelineBatch, *_) -> bool:
         """Unpack one coalesced burst; False (undecodable) closes the session."""
+        self.server.stats.bump("pipelined_batches")
         return self._unpack(batch.frames, None, None)
 
-    def open_envelope(self, envelope: Envelope, _cid=None, _envelope=None) -> bool:
+    def open_envelope(self, envelope: Envelope, *_) -> bool:
         """Run what a peer sent in *envelope*, once :meth:`Router.admit`
         lets it in (else each member is answered with the refusal).
 
@@ -290,20 +289,21 @@ class _ConnectionSession:
         ring of relays could hold itself up.  The replies go back to the
         sending server's link, which answers each member's caller.
         """
+        self.server.stats.bump_pair("pipelined_batches", "forwards_in")
         refused = self.server.guarded(self.server.router.admit, envelope)
         return self._unpack(envelope.frames, envelope, refused)
 
     def _unpack(self, frames: tuple, envelope, refused) -> bool:
-        """Dispatch a carrier's frames, its lane requests as one round;
-        False closes the session (an undecodable, id-less or nested frame).
-        A *refused* envelope's members get that reply, unserved."""
-        stats = self.server.stats
-        stats.bump("pipelined_batches")
-        stats.bump_pair("requests", "pipelined_requests", len(frames))
+        """Dispatch a carrier's frames, its lane requests as one round (a lone
+        member as if it came alone); False closes the session (an
+        undecodable, id-less or nested frame).  A *refused* envelope's
+        members get that reply, unserved."""
+        self.server.stats.bump_pair("requests", "pipelined_requests", len(frames))
         handlers = self.server.handlers
         relayed = envelope is not None and envelope.target_host != self.server.host
-        lane: list = []
-        self._batch = batch = []
+        many = len(frames) > 1 or refused is not None
+        lane, batch = ([], []) if many else (None, None)
+        self._batch = batch
         for raw in frames:
             try:
                 msg, cid = decode_protocol_frame(raw)
@@ -322,6 +322,8 @@ class _ConnectionSession:
                 row = None
             if not self._run(row, msg, cid, envelope, raw, lane):
                 return False
+        if batch is None:
+            return True
         with self._lock:
             self._batch = None
         if batch:
@@ -334,44 +336,44 @@ class _ConnectionSession:
         """Queue lane requests, starting the lane if it is idle: right here
         on the reader for a request that is *alone* (on its own, or the
         only lane request of a carrier) with no whole frame buffered
-        behind it (the inline rule), else on the lane's worker."""
+        behind it (the inline rule), else on the lane's worker.  A lone
+        request that finds the lane idle is its next round, never queued."""
         with self._lock:
-            self._put_queue.extend(entries)
             self._inflight += len(entries)
-            if self._put_running:
-                return
+            if self._put_running or not alone:
+                self._put_queue.extend(entries)
+                if self._put_running:
+                    return
+                entries = []
             self._put_running = True
         if alone and not self.conn.frame_buffered():
-            self._run_put_lane()
+            self._run_put_lane(entries)
         else:
-            self._spawn(self._run_put_lane)
+            self._spawn(self._run_put_lane, entries)
 
     def _spawn(self, fn, *args) -> None:
         try:
             self.server.cache.submit(fn, *args)
         except ServerError:
-            # The thread cache shut down under us (server stopping); run
-            # inline so counters settle and queued peers still get replies
-            # (the folder servers are already waking blocked waiters, so
-            # nothing here can block the reader for long).
+            # The thread cache shut down under us (server stopping): run
+            # inline, so counters settle and queued peers still get replies.
             fn(*args)
 
     # -- the put lane ----------------------------------------------------------
 
-    def _run_put_lane(self) -> None:
-        """Serve the lane's rounds until it is empty, or a round of one
-        waits on a peer: its reply runs the lane on."""
+    def _run_put_lane(self, batch: list) -> None:
+        """Serve the lane's rounds, *batch* first unless empty, until the
+        lane is empty, or a round of one waits on a peer: its reply runs
+        the lane on."""
         queue = self._put_queue
-        while True:
-            batch: list = []
+        while not batch or self._serve_round(batch):
+            batch = []
             with self._lock:
                 while queue and len(batch) < _LANE_BATCH_MAX:
                     batch.append(queue.popleft())
                 if not batch:
                     self._put_running = False
                     return
-            if not self._serve_round(batch):
-                return
 
     def _serve_round(self, batch: list) -> bool:
         """Serve one lane round; whether the lane goes on at once.
@@ -386,9 +388,9 @@ class _ConnectionSession:
         stopping) replaces the round's acks.
         """
         if len(batch) == 1:
-            msg, cid, envelope, _raw = batch[0]
+            msg, cid, envelope, raw = batch[0]
             turn = [None]
-            self.server.serve(msg, envelope, partial(self._lane_answered, cid, turn))
+            self.server.serve(msg, envelope, partial(self._lane_answered, cid, turn), None, raw)
             with self._lock:
                 if turn[0] is None:
                     turn[0] = False  # answered later: the answer runs the lane on
@@ -426,7 +428,7 @@ class _ConnectionSession:
             if waited and not self._put_queue:
                 self._put_running = waited = False
         if waited:
-            self._spawn(self._run_put_lane)
+            self._spawn(self._run_put_lane, [])
 
     def _process_put_batch(self, batch: list) -> list:
         """Serve a lane round of many, burst-forwarding runs of remote puts.
@@ -445,14 +447,10 @@ class _ConnectionSession:
         router = self.server.router
         replies: list = [None] * len(batch)
         groups: dict = {}
-        # Phase 1: decide each folder's route ONCE for the whole round.
-        # A re-registration or liveness flip landing mid-scan could make
-        # forward_target answer differently for two puts to the same
-        # folder; since grouped entries execute after inline ones, a
-        # split decision would reorder them.  A folder whose decision
-        # flips mid-scan is demoted to the inline path for the entire
-        # round — the audited route serves any placement correctly, and
-        # inline entries run in batch order.
+        # Phase 1: decide each folder's route ONCE for the round.  A
+        # re-registration or liveness flip mid-scan could split a folder's
+        # puts between a burst and the inline path, which runs first, and
+        # reorder them: such a folder takes the inline path for the round.
         decisions: dict = {}
         for msg, _cid, envelope, _raw in batch:
             folder = getattr(msg, "folder", None)
@@ -464,10 +462,10 @@ class _ConnectionSession:
             elif decisions[folder] != target:
                 decisions[folder] = None
         # Phase 2: execute — inline in batch order, bursts collected.
-        for i, (msg, cid, envelope, _raw) in enumerate(batch):
+        for i, (msg, cid, envelope, raw) in enumerate(batch):
             target = decisions.get(getattr(msg, "folder", None))
             if envelope is not None or target is None:
-                replies[i] = (self.server.handle(msg, envelope), cid)
+                replies[i] = (self.server.handle(msg, envelope, raw), cid)
             else:
                 groups.setdefault((msg.folder.app, target), []).append(i)
         bursts = self._run_burst_groups(batch, groups)
@@ -477,7 +475,7 @@ class _ConnectionSession:
                     # Unresolved, or the owner was dying or the folder
                     # moved mid-burst: the slow path knows how to chase
                     # all three.
-                    result = self.server.handle(batch[i][0])
+                    result = self.server.handle(batch[i][0], None, batch[i][3])
                 replies[i] = (result, batch[i][1])
         return replies
 
@@ -495,7 +493,7 @@ class _ConnectionSession:
 
     # -- waiter table (parked GetWait service) ---------------------------------
 
-    def get_wait(self, msg: GetWaitRequest, cid: int, envelope=None) -> bool:
+    def get_wait(self, msg: GetWaitRequest, cid: int, envelope=None, *_) -> bool:
         """Serve one GetWait on the reader — never blocks.
 
         Parked or answered here, the correlated reply is immediate: a hit
@@ -753,7 +751,7 @@ class _ConnectionSession:
         if entry.handle is not None:
             entry.home.cancel_waiter(entry.folder, entry.handle)
 
-    def cancel_wait(self, msg: CancelWaitRequest, cid, _envelope=None) -> bool:
+    def cancel_wait(self, msg: CancelWaitRequest, cid, *_) -> bool:
         """Withdraw a parked wait; inline on the reader, non-blocking.
 
         ``found=False``: cancelled — the token's push will never come
@@ -769,8 +767,9 @@ class _ConnectionSession:
 
     def _send_replies(self, replies: list) -> None:
         """Emit completed ``(reply, corr_id)`` pairs.  A lone reply is its
-        correlated frame; of more, the :data:`PUT_ACK` ones go as one
-        :class:`Acks` frame and each other reply as its own.
+        correlated frame (a put ack's copied from a prebuilt one); of more,
+        the :data:`PUT_ACK` ones go as one :class:`Acks` frame and each
+        other reply as its own.
 
         Send failures are swallowed: the peer is gone and the replies are
         moot — the counters in the callers' ``finally`` blocks still
@@ -779,7 +778,8 @@ class _ConnectionSession:
         try:
             if len(replies) == 1:
                 reply, cid = replies[0]
-                send_message(self.conn, reply, corr_id=cid)
+                frame = put_ack_frame(cid) if reply is PUT_ACK else encode_message(reply, cid)
+                self.conn.send(frame)
                 return
             acks = tuple(cid for reply, cid in replies if reply is PUT_ACK)
             if acks:

@@ -1,6 +1,7 @@
 """Compact codec: round-trips, back-compat, frame rejection, and the
 refusal of every TLV-spelt control frame."""
 
+import dataclasses
 import linecache
 import traceback
 
@@ -855,6 +856,23 @@ class TestGoldenFrames:
             bytes.fromhex(v2_short),
             bytes.fromhex(v2_long),
         ]
+
+    @pytest.mark.parametrize(
+        "msg, v1, v2_short, v2_long",
+        GOLDEN_FRAMES,
+        ids=[type(sample[0]).__name__ for sample in GOLDEN_FRAMES],
+    )
+    def test_field_values_and_swapped_ids_write_the_same_bytes(
+        self, msg, v1, v2_short, v2_long
+    ):
+        """A frame written from the field values (``encode_fields``), and a
+        frame whose id is swapped across a uvarint width (``recorrelate``),
+        are the golden bytes too."""
+        values = [getattr(msg, f.name) for f in dataclasses.fields(msg)]
+        assert c.encode_fields(type(msg), *values) == bytes.fromhex(v1)
+        short, long_ = bytes.fromhex(v2_short), bytes.fromhex(v2_long)
+        assert c.recorrelate(short, 300) == long_
+        assert c.recorrelate(long_, 5) == short
 
     @pytest.mark.parametrize(
         "msg, v1, v2_short, v2_long",

@@ -9,6 +9,7 @@ from repro.errors import ProtocolError
 from repro.network.codec import decode_message, encode_message
 from repro.network.connection import Address
 from repro.network.protocol import (
+    PUT_ACK,
     Envelope,
     GetAltSkipRequest,
     GetRequest,
@@ -18,6 +19,8 @@ from repro.network.protocol import (
     Reply,
     ShutdownRequest,
     StatsRequest,
+    decode_reply,
+    put_ack_frame,
     recv_tagged,
     round_trip,
     send_message,
@@ -65,6 +68,17 @@ class TestMessageEncoding:
     def test_reply_stats_dict(self):
         msg = Reply(ok=True, stats={"memo.requests": 5, "age_s": -1.0})
         assert decode_message(encode_message(msg)).stats == {"memo.requests": 5, "age_s": -1.0}
+
+
+class TestPutAckFrame:
+    """A session's lone put ack is copied from a prebuilt frame, its id
+    written in: the bytes the encoder writes, at every id width."""
+
+    @pytest.mark.parametrize("cid", [0, 1, 127, 128, 16_383, 16_384, 2**63 - 1])
+    def test_the_prebuilt_ack_is_the_encoded_ack(self, cid):
+        frame = put_ack_frame(cid)
+        assert frame == encode_message(PUT_ACK, cid)
+        assert decode_reply(frame) == (PUT_ACK, cid)
 
 
 class TestOverConnection:

@@ -18,7 +18,7 @@ from repro.adf.model import ADF, FolderDecl, HostDecl, LinkDecl, ProcessDecl
 from repro.core.keys import FolderName, Key, Symbol
 from repro.errors import ConnectionClosedError, MemoError
 from repro.network.calls import Calls
-from repro.network.codec import encode_message
+from repro.network.codec import decode_message, encode_message
 from repro.network.protocol import (
     PUT_ACK,
     Acks,
@@ -587,11 +587,11 @@ class TestOneReplyPerRelayedWait:
         gate.entered = threading.Event()
         row = HANDLERS[GetWaitRequest]
 
-        def held(session, msg, cid, envelope=None):
+        def held(session, msg, cid, envelope=None, raw=None):
             if envelope is not None and session.server.host == "beta":
                 gate.entered.set()
                 gate.wait(10)
-            return row.handler(session, msg, cid, envelope)
+            return row.handler(session, msg, cid, envelope, raw)
 
         monkeypatch.setitem(HANDLERS, GetWaitRequest, row._replace(handler=held))
         yield gate
@@ -751,9 +751,9 @@ class TestOneReplyPerRelayedWait:
         answered = threading.Event()
         send, dispatch = PeerLink.send, Calls.dispatch
 
-        def reader_first(link, message, cid):
-            sent = send(link, message, cid)
-            if isinstance(message, Envelope):
+        def reader_first(link, frame):
+            sent = send(link, frame)
+            if isinstance(decode_message(frame), Envelope):
                 assert answered.wait(5)
             return sent
 
